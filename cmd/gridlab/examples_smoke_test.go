@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -60,5 +61,35 @@ func TestExamplesBuildAndRun(t *testing.T) {
 				t.Error("example produced no output")
 			}
 		})
+	}
+}
+
+// A bad -format must be rejected before -o is opened: the command exits 1
+// and an artifact already at that path keeps its bytes.
+func TestTraceBadFormatKeepsExistingFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the gridlab binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "gridlab")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build failed: %v\n%s", err, out)
+	}
+	artifact := filepath.Join(dir, "trace.jsonl")
+	const want = "previous trace\n"
+	if err := os.WriteFile(artifact, []byte(want), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "trace", "fig2", "-o", artifact, "-format", "bogus").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit = %v, want status 1\n%s", err, out)
+	}
+	got, err := os.ReadFile(artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Errorf("existing -o file was rewritten: %q, want %q", got, want)
 	}
 }

@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -35,22 +36,15 @@ var (
 	resilience = flag.Bool("resilience", false, "chaos: enable the retry/breaker/keepalive kit")
 	leaseTerm  = flag.Duration("lease", 0, "chaos: service lease term (0 = one lease outliving the run)")
 	reconcile  = flag.Duration("reconcile", 0, "chaos: periodic repair-pass interval (0 = event-driven only)")
-	traceOut   = flag.String("o", "", "trace/bench: output file (default stdout)")
+	traceOut   = flag.String("o", "", "trace: output file (default stdout)")
 	traceFmt   = flag.String("format", "jsonl", "trace: export format (jsonl|chrome|timeline)")
 	workers    = flag.Int("workers", 1, "sweep fan-out: worker goroutines (0 = GOMAXPROCS; output is identical at any count)")
-	benchTime  = flag.String("benchtime", "", "bench: per-benchmark time or iteration budget (e.g. 1s, 100x)")
-	benchJSON  = flag.Bool("json", false, "bench: emit JSON instead of the aligned text report")
-	benchBase  = flag.String("baseline", "", "bench: baseline JSON file to compare against (fail on regression)")
-	benchRatio = flag.Float64("maxratio", 2.0, "bench: allowed ns/op ratio vs baseline before failing")
 
 	scaleSites   = flag.Int("sites", 1000, "scale: federation site count")
 	scaleNodes   = flag.Int("nodes", 100000, "scale: total sensor nodes across the federation")
 	scaleLeases  = flag.Int("leases", 1000000, "scale: total concurrent-lease target across the federation")
 	scaleRegions = flag.Int("regions", 16, "scale: MDS shard / parallel-cell count")
 )
-
-// benchOut aliases -o for the bench subcommand (shared with trace).
-var benchOut = traceOut
 
 // traceScenario is the positional operand of `gridlab trace`.
 var traceScenario = "fig2"
@@ -195,7 +189,6 @@ func commands() []command {
 			return nil
 		}},
 		{"trace", "run a scenario (fig2|delegation|chaos) with tracing on and export the trace", runTrace},
-		{"bench", "kernel micro- and sweep macro-benchmarks with baseline regression check", runBench},
 		{"recs", "§6 recommendations mapped to their demonstrations in this repo", func() error {
 			core.RenderRecommendations(os.Stdout)
 			return nil
@@ -246,8 +239,8 @@ func main() {
 	cmds := commands()
 	if name == "all" {
 		for _, c := range cmds {
-			if c.name == "trace" || c.name == "bench" || c.name == "scale" {
-				continue // machine-readable exports / heavyweight measurements
+			if c.name == "trace" || c.name == "scale" {
+				continue // machine-readable export / heavyweight run
 			}
 			fmt.Printf("==== %s: %s ====\n", c.name, c.desc)
 			if err := c.run(); err != nil {
@@ -273,8 +266,24 @@ func main() {
 }
 
 // runTrace executes one scenario with the obs layer enabled and exports
-// the resulting trace in the requested format.
+// the resulting trace in the requested format. -format is checked before
+// anything runs or -o is created, so a typo never truncates an existing
+// artifact.
 func runTrace() error {
+	var export func(*obs.Tracer, io.Writer) error
+	switch *traceFmt {
+	case "jsonl":
+		export = (*obs.Tracer).WriteJSONL
+	case "chrome":
+		export = (*obs.Tracer).WriteChromeTrace
+	case "timeline":
+		export = func(tr *obs.Tracer, w io.Writer) error {
+			tr.WriteTimeline(w, 72)
+			return nil
+		}
+	default:
+		return fmt.Errorf("unknown trace format %q (want jsonl|chrome|timeline)", *traceFmt)
+	}
 	var tr *obs.Tracer
 	switch traceScenario {
 	case "fig2":
@@ -304,26 +313,18 @@ func runTrace() error {
 	default:
 		return fmt.Errorf("unknown trace scenario %q (want fig2|delegation|chaos)", traceScenario)
 	}
-	out := os.Stdout
-	if *traceOut != "" {
-		fp, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		defer fp.Close()
-		out = fp
+	if *traceOut == "" {
+		return export(tr, os.Stdout)
 	}
-	switch *traceFmt {
-	case "jsonl":
-		return tr.WriteJSONL(out)
-	case "chrome":
-		return tr.WriteChromeTrace(out)
-	case "timeline":
-		tr.WriteTimeline(out, 72)
-		return nil
-	default:
-		return fmt.Errorf("unknown trace format %q (want jsonl|chrome|timeline)", *traceFmt)
+	fp, err := os.Create(*traceOut)
+	if err != nil {
+		return err
 	}
+	if err := export(tr, fp); err != nil {
+		fp.Close()
+		return err
+	}
+	return fp.Close()
 }
 
 func usage() {

@@ -70,8 +70,8 @@ func newGlobusFixture(t *testing.T) *globusFixture {
 		// Register the resource in the index.
 		gris := mds.NewGRIS(eng, net, gkHost)
 		caps := fmt.Sprint(4)
-		gris.AddProvider(gkHost+"/cluster", func() map[string]string {
-			return map[string]string{"gatekeeper": gkHost, "os": "linux", "cpus": caps}
+		gris.AddProviderInto(gkHost+"/cluster", func(attrs map[string]string) {
+			attrs["gatekeeper"], attrs["os"], attrs["cpus"] = gkHost, "linux", caps
 		})
 		gris.StartPush("idx", time.Minute)
 		pushers = append(pushers, gris)

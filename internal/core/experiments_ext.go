@@ -225,7 +225,7 @@ func RunTTLAblation(seed int64, periods []time.Duration, nResources int) *metric
 		g := mds.NewGRIS(eng, net, "src")
 		for i := 0; i < nResources; i++ {
 			name := fmt.Sprintf("r%03d", i)
-			g.AddProvider(name, func() map[string]string { return map[string]string{"up": "1"} })
+			g.AddProviderInto(name, func(attrs map[string]string) { attrs["up"] = "1" })
 		}
 		g.StartPush("idx", period)
 		// Measure just before the 4th refresh fires.

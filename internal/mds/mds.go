@@ -16,6 +16,7 @@ package mds
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"time"
@@ -32,9 +33,6 @@ const (
 
 // ErrBadFilter reports an unusable query filter.
 var ErrBadFilter = errors.New("mds: bad filter")
-
-// Provider produces the current attribute snapshot of one resource.
-type Provider func() map[string]string
 
 // Record is a registered resource snapshot held by an index.
 type Record struct {
@@ -133,8 +131,7 @@ type GRIS struct {
 	net  *simnet.Network
 	host string
 
-	providers map[string]Provider
-	// into holds fill-style providers (AddProviderInto); recs their
+	// into holds the providers (AddProviderInto); recs their
 	// persistent records, whose attr maps are rewritten in place each
 	// push so steady-state refresh is alloc-free.
 	into   map[string]func(attrs map[string]string)
@@ -150,68 +147,43 @@ type GRIS struct {
 func NewGRIS(eng *sim.Engine, net *simnet.Network, host string) *GRIS {
 	return &GRIS{
 		eng: eng, net: net, host: host,
-		providers: make(map[string]Provider),
-		into:      make(map[string]func(map[string]string)),
-		recs:      make(map[string]*Record),
+		into: make(map[string]func(map[string]string)),
+		recs: make(map[string]*Record),
 	}
 }
 
-// AddProvider registers a named local resource provider.
-func (g *GRIS) AddProvider(name string, p Provider) {
-	if _, dup := g.providers[name]; !dup {
-		if _, dup2 := g.into[name]; !dup2 {
-			g.order = append(g.order, name)
-		}
-	}
-	g.providers[name] = p
-	delete(g.into, name)
-	delete(g.recs, name)
-}
-
-// AddProviderInto registers a fill-style provider: each push, fill is
-// handed the same attribute map (cleared) to repopulate, so a provider
-// refreshing a fixed key set allocates nothing in steady state. The
+// AddProviderInto registers a named local resource provider: each push,
+// fill is handed the same attribute map (cleared) to repopulate, so a
+// provider refreshing a fixed key set allocates nothing in steady state. The
 // in-flight registration aliases that map until delivered; with push
 // intervals far above network latency (the soft-state regime) the value
 // skew window is negligible, and indexes copy on receipt.
 func (g *GRIS) AddProviderInto(name string, fill func(attrs map[string]string)) {
 	if _, dup := g.into[name]; !dup {
-		if _, dup2 := g.providers[name]; !dup2 {
-			g.order = append(g.order, name)
-		}
+		g.order = append(g.order, name)
 	}
 	g.into[name] = fill
 	g.recs[name] = &Record{Name: name, Attrs: make(map[string]string), Source: g.host}
-	delete(g.providers, name)
 }
 
-// record materializes the current record for one provider. Fill-style
-// providers rewrite their persistent record in place; the returned
-// record's Attrs therefore aliases provider-owned storage.
+// record materializes the current record for one provider by rewriting
+// its persistent record in place; the returned record's Attrs therefore
+// aliases provider-owned storage.
 func (g *GRIS) record(name string) Record {
-	if fill, ok := g.into[name]; ok {
-		rec := g.recs[name]
-		clear(rec.Attrs)
-		fill(rec.Attrs)
-		rec.Stamp = g.eng.Now()
-		return *rec
-	}
-	return Record{Name: name, Attrs: g.providers[name](), Stamp: g.eng.Now(), Source: g.host}
+	rec := g.recs[name]
+	clear(rec.Attrs)
+	g.into[name](rec.Attrs)
+	rec.Stamp = g.eng.Now()
+	return *rec
 }
 
 // Snapshot returns current records for all providers (local query path).
-// Fill-style providers' attrs are copied so the caller owns the result.
+// Attrs are copied so the caller owns the result.
 func (g *GRIS) Snapshot() []Record {
 	out := make([]Record, 0, len(g.order))
 	for _, name := range g.order {
 		rec := g.record(name)
-		if _, isInto := g.into[name]; isInto {
-			attrs := make(map[string]string, len(rec.Attrs))
-			for k, v := range rec.Attrs {
-				attrs[k] = v
-			}
-			rec.Attrs = attrs
-		}
+		rec.Attrs = maps.Clone(rec.Attrs)
 		out = append(out, rec)
 	}
 	return out
@@ -242,15 +214,14 @@ func (g *GRIS) Stop() {
 }
 
 // GIIS is the aggregate index: it caches registrations until their TTL
-// expires and answers attribute queries from the cache. A GIIS can itself
-// push upward to a parent index, forming the MDS hierarchy.
+// expires and answers attribute queries from the cache. The hierarchical
+// index is RegionIndex under RootIndex (shard.go).
 type GIIS struct {
 	eng  *sim.Engine
 	net  *simnet.Network
 	host string
 
 	records map[string]*cached
-	ticker  *sim.Ticker
 
 	// QueryN counts queries served; RegisterN registrations absorbed.
 	QueryN, RegisterN int
@@ -366,38 +337,6 @@ func (g *GIIS) Sweep() int {
 		}
 	}
 	return n
-}
-
-// StartUplink pushes this index's live records to a parent index every
-// interval, forming the GIIS hierarchy.
-func (g *GIIS) StartUplink(parentHost string, interval time.Duration) {
-	if g.ticker != nil {
-		g.ticker.Stop()
-	}
-	push := func() {
-		now := g.eng.Now()
-		names := make([]string, 0, len(g.records))
-		for name, c := range g.records {
-			if c.expires > now {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			c := g.records[name]
-			g.net.Send(g.host, parentHost, SvcRegister, Registration{Rec: c.rec, TTL: 2 * interval})
-		}
-	}
-	push()
-	g.ticker = g.eng.NewTicker(interval, push)
-}
-
-// StopUplink halts the uplink push.
-func (g *GIIS) StopUplink() {
-	if g.ticker != nil {
-		g.ticker.Stop()
-		g.ticker = nil
-	}
 }
 
 // QueryIndex is the client helper: query a GIIS over the network.

@@ -2,6 +2,7 @@ package mds
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -26,8 +27,9 @@ func newFixture() *fixture {
 	return &fixture{eng: eng, net: net}
 }
 
-func staticProvider(attrs map[string]string) Provider {
-	return func() map[string]string { return attrs }
+// staticFill is a provider that reports the same attributes every push.
+func staticFill(attrs map[string]string) func(map[string]string) {
+	return func(into map[string]string) { maps.Copy(into, attrs) }
 }
 
 func TestFilterMatch(t *testing.T) {
@@ -57,9 +59,9 @@ func TestRegistrationAndQuery(t *testing.T) {
 	f := newFixture()
 	idx := NewGIIS(f.eng, f.net, "idx")
 	g1 := NewGRIS(f.eng, f.net, "n1")
-	g1.AddProvider("n1/compute", staticProvider(map[string]string{"os": "linux", "cpus": "4"}))
+	g1.AddProviderInto("n1/compute", staticFill(map[string]string{"os": "linux", "cpus": "4"}))
 	g2 := NewGRIS(f.eng, f.net, "n2")
-	g2.AddProvider("n2/compute", staticProvider(map[string]string{"os": "aix", "cpus": "16"}))
+	g2.AddProviderInto("n2/compute", staticFill(map[string]string{"os": "aix", "cpus": "16"}))
 	g1.StartPush("idx", time.Minute)
 	g2.StartPush("idx", time.Minute)
 	f.eng.RunUntil(time.Second)
@@ -81,7 +83,7 @@ func TestTTLExpiry(t *testing.T) {
 	f := newFixture()
 	idx := NewGIIS(f.eng, f.net, "idx")
 	g := NewGRIS(f.eng, f.net, "n1")
-	g.AddProvider("n1/compute", staticProvider(map[string]string{"os": "linux"}))
+	g.AddProviderInto("n1/compute", staticFill(map[string]string{"os": "linux"}))
 	g.StartPush("idx", time.Minute)
 	f.eng.RunUntil(time.Second)
 	if idx.Live() != 1 {
@@ -103,7 +105,7 @@ func TestStalenessReported(t *testing.T) {
 	f := newFixture()
 	idx := NewGIIS(f.eng, f.net, "idx")
 	g := NewGRIS(f.eng, f.net, "n1")
-	g.AddProvider("r", staticProvider(map[string]string{"os": "linux"}))
+	g.AddProviderInto("r", staticFill(map[string]string{"os": "linux"}))
 	g.StartPush("idx", 10*time.Minute)
 	f.eng.RunUntil(5 * time.Minute)
 	reply := idx.Eval(Query{})
@@ -119,8 +121,8 @@ func TestDynamicProviderRefreshes(t *testing.T) {
 	idx := NewGIIS(f.eng, f.net, "idx")
 	load := 0
 	g := NewGRIS(f.eng, f.net, "n1")
-	g.AddProvider("r", func() map[string]string {
-		return map[string]string{"load": fmt.Sprint(load)}
+	g.AddProviderInto("r", func(attrs map[string]string) {
+		attrs["load"] = fmt.Sprint(load)
 	})
 	g.StartPush("idx", time.Minute)
 	f.eng.RunUntil(time.Second)
@@ -138,7 +140,7 @@ func TestQueryLimit(t *testing.T) {
 	idx := NewGIIS(f.eng, f.net, "idx")
 	g := NewGRIS(f.eng, f.net, "n1")
 	for i := 0; i < 10; i++ {
-		g.AddProvider(fmt.Sprintf("r%02d", i), staticProvider(map[string]string{"os": "linux"}))
+		g.AddProviderInto(fmt.Sprintf("r%02d", i), staticFill(map[string]string{"os": "linux"}))
 	}
 	g.StartPush("idx", time.Minute)
 	f.eng.RunUntil(time.Second)
@@ -154,7 +156,7 @@ func TestDeterministicResultOrder(t *testing.T) {
 	idx := NewGIIS(f.eng, f.net, "idx")
 	g := NewGRIS(f.eng, f.net, "n1")
 	for _, name := range []string{"zeta", "alpha", "mid"} {
-		g.AddProvider(name, staticProvider(map[string]string{"x": "1"}))
+		g.AddProviderInto(name, staticFill(map[string]string{"x": "1"}))
 	}
 	g.StartPush("idx", time.Minute)
 	f.eng.RunUntil(time.Second)
@@ -168,30 +170,13 @@ func TestDeterministicResultOrder(t *testing.T) {
 	g.Stop()
 }
 
-func TestHierarchyUplink(t *testing.T) {
-	f := newFixture()
-	f.net.AddHost("rootidx", "A", 1e6)
-	root := NewGIIS(f.eng, f.net, "rootidx")
-	site := NewGIIS(f.eng, f.net, "idx")
-	g := NewGRIS(f.eng, f.net, "n1")
-	g.AddProvider("n1/r", staticProvider(map[string]string{"os": "linux"}))
-	g.StartPush("idx", time.Minute)
-	site.StartUplink("rootidx", time.Minute)
-	f.eng.RunUntil(90 * time.Second)
-	if root.Live() != 1 {
-		t.Errorf("root Live = %d, want 1 (uplinked)", root.Live())
-	}
-	g.Stop()
-	site.StopUplink()
-}
-
 func TestPushCountScalesWithResources(t *testing.T) {
 	// E3's core observation: registration traffic is linear in resources.
 	f := newFixture()
 	NewGIIS(f.eng, f.net, "idx")
 	g := NewGRIS(f.eng, f.net, "n1")
 	for i := 0; i < 5; i++ {
-		g.AddProvider(fmt.Sprintf("r%d", i), staticProvider(map[string]string{"x": "1"}))
+		g.AddProviderInto(fmt.Sprintf("r%d", i), staticFill(map[string]string{"x": "1"}))
 	}
 	g.StartPush("idx", time.Minute)
 	f.eng.RunUntil(5*time.Minute + time.Second)

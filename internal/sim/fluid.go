@@ -23,10 +23,10 @@ import (
 // other component's rates untouched. Within the dirty set the progressive
 // filling iterates consumers in admission order and resources in creation
 // order, which makes the float arithmetic bit-identical to a global
-// recompute restricted to that component; SetFullRecompute(true) disables
-// the pruning and is the reference mode the differential gates compare
-// against. Completion events are rescheduled only for consumers whose rate
-// actually changed: an unchanged rate means the pending event's
+// recompute restricted to that component; the test-only full mode in
+// export_test.go disables the pruning and is the reference the gates
+// compare against. Completion events are rescheduled only for consumers
+// whose rate actually changed: an unchanged rate means the pending event's
 // ceil-rounded ETA is still exact, so cancel+reschedule churn (previously
 // O(N) per change) tracks the size of the rate change, not the system.
 //
@@ -169,8 +169,8 @@ type FluidSystem struct {
 	epoch     uint64 // dirty-walk epoch source
 
 	// full disables dirty-set pruning: every reallocation re-fills all
-	// components. The differential gates compare this reference mode
-	// against the pruned one.
+	// components. Only tests set it (export_test.go): the differential
+	// gates compare this reference mode against the pruned one.
 	full bool
 
 	// Reusable scratch, reachable from the system so snapshots restore it
@@ -196,13 +196,6 @@ func (s *FluidSystem) NewResource(name string, capacity float64) *FluidResource 
 	s.resources = append(s.resources, r)
 	return r
 }
-
-// SetFullRecompute toggles the reference allocation mode: when on, every
-// change re-fills all components instead of only the dirty one. Rates,
-// completion order, and completion timestamps are byte-identical in both
-// modes (the differential property tests enforce this); full mode exists
-// as the comparison baseline for those gates and for benchmarks.
-func (s *FluidSystem) SetFullRecompute(on bool) { s.full = on }
 
 // Add starts a consumer with the given amount of work across the listed
 // resources and returns it. A consumer with no resources is limited only

@@ -173,3 +173,59 @@ func TestForkVsColdFluid(t *testing.T) {
 		Horizon:   2 * time.Minute,
 	}.Run(t, snaptest.Seeds(1, n))
 }
+
+// TestFluidDirtySetBoundedByCluster pins the incremental allocator's
+// saving as a count, not a timing: on a clustered topology (16 clusters
+// of 4 resources, every consumer confined to one cluster) each add or
+// remove re-fills at most the live consumers of the cluster it touched,
+// where the full-recompute reference re-fills every live consumer.
+func TestFluidDirtySetBoundedByCluster(t *testing.T) {
+	const clusters, per, ops = 16, 4, 1000
+	for _, full := range []bool{false, true} {
+		eng := sim.NewEngine(1)
+		sys := sim.NewFluidSystem(eng)
+		sys.SetFullRecompute(full)
+		res := make([]*sim.FluidResource, clusters*per)
+		for j := range res {
+			res[j] = sys.NewResource(fmt.Sprintf("r%d", j), 100)
+		}
+		type member struct {
+			c       *sim.FluidConsumer
+			cluster int
+		}
+		pop := make([]int, clusters) // live consumers per cluster
+		check := func(op string, cl int) {
+			t.Helper()
+			got := sys.DirtyConsumers()
+			if full && got != sys.Len() {
+				t.Fatalf("full %s: re-filled %d consumers, want all %d live", op, got, sys.Len())
+			}
+			if !full && got > pop[cl] {
+				t.Fatalf("incremental %s in cluster %d: re-filled %d consumers, cluster holds %d", op, cl, got, pop[cl])
+			}
+		}
+		// Work far beyond the horizon: nothing completes, so every
+		// reallocation is one this script asked for.
+		add := func(cl, k int) member {
+			c := &sim.FluidConsumer{Name: "f", Weight: 1 + float64(k%3)}
+			pop[cl]++
+			sys.Add(c, 1e12, res[cl*per+k%per], res[cl*per+(k+1)%per])
+			check("add", cl)
+			return member{c, cl}
+		}
+		var live []member
+		for cl := 0; cl < clusters; cl++ {
+			for k := 0; k < per; k++ {
+				live = append(live, add(cl, k))
+			}
+		}
+		for op := 0; op < ops; op++ {
+			m := &live[op%len(live)]
+			pop[m.cluster]--
+			sys.Remove(m.c)
+			check("remove", m.cluster)
+			*m = add(op%clusters, op)
+			eng.RunUntil(eng.Now() + time.Millisecond)
+		}
+	}
+}
