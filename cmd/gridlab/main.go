@@ -10,6 +10,7 @@
 //	gridlab byzantine [-seed N] [-profile P] [-sweep SEEDS] [-workers N]
 //	             [-resilience] [-lease D] [-reconcile D] [-bisect [-bisect-windows K]]
 //	gridlab trace <fig2|delegation|chaos> [-seed N] [-o FILE] [-format jsonl|chrome|timeline]
+//	gridlab [-cpuprofile FILE] [-memprofile FILE] <command>
 package main
 
 import (
@@ -44,6 +45,9 @@ var (
 	scaleNodes   = flag.Int("nodes", 100000, "scale: total sensor nodes across the federation")
 	scaleLeases  = flag.Int("leases", 1000000, "scale: total concurrent-lease target across the federation")
 	scaleRegions = flag.Int("regions", 16, "scale: MDS shard / parallel-cell count")
+
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole command to this file")
+	memProfile = flag.String("memprofile", "", "write a heap profile to this file when the command ends")
 )
 
 // traceScenario is the positional operand of `gridlab trace`.
@@ -207,12 +211,16 @@ func commands() []command {
 	}
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main returning its exit code, so that the profiles started
+// here are flushed on every path out of a command.
+func run() int {
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() < 1 {
 		usage()
-		os.Exit(2)
+		return 2
 	}
 	name := flag.Arg(0)
 	// Allow flags after the subcommand too: gridlab chaos -seed 7 -profile
@@ -225,44 +233,53 @@ func main() {
 	}
 	if len(rest) > 0 {
 		if err := flag.CommandLine.Parse(rest); err != nil {
-			os.Exit(2)
+			return 2
 		}
 		if flag.NArg() != 0 {
 			if name == "trace" && flag.NArg() == 1 {
 				traceScenario = flag.Arg(0)
 			} else {
 				usage()
-				os.Exit(2)
+				return 2
 			}
 		}
 	}
-	cmds := commands()
-	if name == "all" {
-		for _, c := range cmds {
-			if c.name == "trace" || c.name == "scale" {
-				continue // machine-readable export / heavyweight run
-			}
+	var todo []command
+	for _, c := range commands() {
+		// `all` skips the machine-readable export and the heavyweight run.
+		if c.name == name || name == "all" && c.name != "trace" && c.name != "scale" {
+			todo = append(todo, c)
+		}
+	}
+	if len(todo) == 0 {
+		fmt.Fprintf(os.Stderr, "gridlab: unknown command %q\n\n", name)
+		usage()
+		return 2
+	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gridlab: %v\n", err)
+		return 1
+	}
+	code := 0
+	for _, c := range todo {
+		if name == "all" {
 			fmt.Printf("==== %s: %s ====\n", c.name, c.desc)
-			if err := c.run(); err != nil {
-				fmt.Fprintf(os.Stderr, "gridlab %s: %v\n", c.name, err)
-				os.Exit(1)
-			}
+		}
+		if err := c.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "gridlab %s: %v\n", c.name, err)
+			code = 1
+			break
+		}
+		if name == "all" {
 			fmt.Println()
 		}
-		return
 	}
-	for _, c := range cmds {
-		if c.name == name {
-			if err := c.run(); err != nil {
-				fmt.Fprintf(os.Stderr, "gridlab %s: %v\n", name, err)
-				os.Exit(1)
-			}
-			return
-		}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "gridlab: %v\n", err)
+		code = 1
 	}
-	fmt.Fprintf(os.Stderr, "gridlab: unknown command %q\n\n", name)
-	usage()
-	os.Exit(2)
+	return code
 }
 
 // runTrace executes one scenario with the obs layer enabled and exports
@@ -334,4 +351,5 @@ func usage() {
 	}
 	fmt.Fprintf(os.Stderr, "  %-11s run every experiment in order\n", "all")
 	fmt.Fprintf(os.Stderr, "\ntrace usage: gridlab trace <fig2|delegation|chaos> [-seed N] [-o FILE] [-format jsonl|chrome|timeline]\n")
+	fmt.Fprintf(os.Stderr, "profiling:   gridlab [-cpuprofile FILE] [-memprofile FILE] <command>\n")
 }

@@ -97,7 +97,12 @@ func (f Filter) matchValue(got string) bool {
 	if errA != nil || errB != nil {
 		return false
 	}
-	switch f.Op {
+	return f.Op.holds(a, b)
+}
+
+// holds applies an ordering operator to two parsed sides.
+func (op FilterOp) holds(a, b float64) bool {
+	switch op {
 	case FLt:
 		return a < b
 	case FLe:

@@ -3,8 +3,10 @@ package mds
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/sim"
@@ -85,15 +87,22 @@ func (in *Interner) Len() int { return len(in.keys) }
 var errNotNumeric = errors.New("mds: not numeric")
 
 // parseNumeric is ParseFloat with an alloc-free fast reject for values
-// that obviously are not numbers (the common string attribute case).
+// that obviously are not numbers (the common string attribute case). It
+// succeeds exactly when ParseFloat does: past a sign, dot or digit only
+// the unsigned specials can parse, and those are three whole words.
 func parseNumeric(s string) (float64, error) {
 	if s == "" {
 		return 0, errNotNumeric
 	}
-	if c := s[0]; c != '-' && c != '+' && c != '.' && (c < '0' || c > '9') {
-		return 0, errNotNumeric
+	c := s[0]
+	if c == '-' || c == '+' || c == '.' || (c >= '0' && c <= '9') {
+		return strconv.ParseFloat(s, 64)
 	}
-	return strconv.ParseFloat(s, 64)
+	if (c == 'i' || c == 'I' || c == 'n' || c == 'N') &&
+		(strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")) {
+		return strconv.ParseFloat(s, 64)
+	}
+	return 0, errNotNumeric
 }
 
 // regSlot is one dense record slot: interned attribute pairs in flat
@@ -153,6 +162,13 @@ type RegionIndex struct {
 	slots  []regSlot
 	free   []int32
 	byName map[string]int32
+
+	// order lists the occupied slots by ascending name, which is the
+	// reply order. Only a name entering (RegisterRecord) or leaving
+	// (Sweep) touches it; an out-of-order arrival is appended and marks
+	// it unsorted, and the next Eval sorts once for the whole batch.
+	order    []int32
+	unsorted bool
 
 	// scratch holds attr keys for sorting during registration, reused.
 	scratch []string
@@ -232,6 +248,10 @@ func (r *RegionIndex) RegisterRecord(reg Registration) error {
 	if !ok {
 		idx = r.allocSlot()
 		r.byName[reg.Rec.Name] = idx
+		if n := len(r.order); n > 0 && r.slots[r.order[n-1]].name > reg.Rec.Name {
+			r.unsorted = true
+		}
+		r.order = append(r.order, idx)
 	}
 	s := &r.slots[idx]
 	s.name = reg.Rec.Name
@@ -289,7 +309,8 @@ func (r *RegionIndex) absorb(id int32, v string) {
 			}
 		}
 	}
-	if f, err := parseNumeric(v); err == nil {
+	// NaN holds under no ordering operator and would freeze min/max: skip.
+	if f, err := parseNumeric(v); err == nil && f == f {
 		if !st.hasNum {
 			st.hasNum = true
 			st.min, st.max = f, f
@@ -340,6 +361,7 @@ func (r *RegionIndex) Sweep() int {
 		n++
 	}
 	if n > 0 {
+		r.order = slices.DeleteFunc(r.order, func(idx int32) bool { return r.slots[idx].name == "" })
 		r.rebuildSummary()
 	}
 	return n
@@ -363,46 +385,79 @@ func (r *RegionIndex) rebuildSummary() {
 	r.sumVersion++
 }
 
-// matchSlot evaluates one filter against a slot's interned pairs,
-// mirroring Filter.Match exactly (missing attribute never matches).
-func (r *RegionIndex) matchSlot(f Filter, s *regSlot) bool {
-	id, ok := r.in.Lookup(f.Attr)
-	if !ok {
+// slotFilter is a Filter compiled once per query: the attribute as its
+// interned id and, for the ordering operators, the parsed right side.
+type slotFilter struct {
+	id  int32
+	op  FilterOp
+	val string
+	num float64
+}
+
+// compile resolves q's filters into buf; false when one can match no
+// record (attribute never interned, or a non-numeric ordering bound).
+func (r *RegionIndex) compile(buf []slotFilter, q Query) ([]slotFilter, bool) {
+	for _, f := range q.Filters {
+		id, ok := r.in.Lookup(f.Attr)
+		if !ok {
+			return nil, false
+		}
+		c := slotFilter{id: id, op: f.Op, val: f.Value}
+		if f.Op != FEq && f.Op != FNe {
+			var err error
+			if c.num, err = parseNumeric(f.Value); err != nil {
+				return nil, false
+			}
+		}
+		buf = append(buf, c)
+	}
+	return buf, true
+}
+
+// match mirrors Filter.Match: a missing attribute never matches.
+func (c *slotFilter) match(s *regSlot) bool {
+	j := slices.Index(s.keys, c.id)
+	if j < 0 {
 		return false
 	}
-	for j, kid := range s.keys {
-		if kid == id {
-			return f.matchValue(s.vals[j])
-		}
+	switch c.op {
+	case FEq:
+		return s.vals[j] == c.val
+	case FNe:
+		return s.vals[j] != c.val
 	}
-	return false
+	a, err := parseNumeric(s.vals[j])
+	return err == nil && c.op.holds(a, c.num)
 }
 
 // Eval answers a query from the dense store with exactly the flat GIIS
 // semantics: live records in sorted name order, Limit truncation,
-// MaxStale over the records actually returned.
+// MaxStale over the records actually returned. It walks the order index
+// and builds a Record only for a match, so a limited query costs the
+// slots visited until Limit, not the region.
 func (r *RegionIndex) Eval(q Query) QueryReply {
 	r.QueryN++
-	now := r.eng.Now()
-	var names []string
-	for i := range r.slots {
-		if r.slots[i].name != "" && r.slots[i].expires > now {
-			names = append(names, r.slots[i].name)
-		}
-	}
-	sort.Strings(names)
 	var reply QueryReply
-	for _, name := range names {
-		s := &r.slots[r.byName[name]]
-		match := true
-		for _, f := range q.Filters {
-			if !r.matchSlot(f, s) {
-				match = false
-				break
-			}
-		}
-		if !match {
+	var buf [4]slotFilter
+	filters, ok := r.compile(buf[:0], q)
+	if !ok {
+		return reply
+	}
+	if r.unsorted {
+		slices.SortFunc(r.order, func(a, b int32) int { return strings.Compare(r.slots[a].name, r.slots[b].name) })
+		r.unsorted = false
+	}
+	now := r.eng.Now()
+scan:
+	for _, idx := range r.order {
+		s := &r.slots[idx]
+		if s.expires <= now {
 			continue
+		}
+		for i := range filters {
+			if !filters[i].match(s) {
+				continue scan
+			}
 		}
 		attrs := make(map[string]string, len(s.keys))
 		for j, id := range s.keys {

@@ -80,6 +80,44 @@ func renderReply(r QueryReply) []byte {
 	return b.Bytes()
 }
 
+// refEval is the collect-and-sort Eval that RegionIndex shipped before
+// the order index: gather every live name, sort, go back through byName,
+// match filter by filter. It reads none of the order state, which makes
+// it the reference the walked Eval is held to.
+func refEval(r *RegionIndex, q Query) QueryReply {
+	now := r.eng.Now()
+	var names []string
+	for i := range r.slots {
+		if r.slots[i].name != "" && r.slots[i].expires > now {
+			names = append(names, r.slots[i].name)
+		}
+	}
+	sort.Strings(names)
+	var reply QueryReply
+	for _, name := range names {
+		s := &r.slots[r.byName[name]]
+		attrs := make(map[string]string, len(s.keys))
+		for j, id := range s.keys {
+			attrs[r.in.Key(id)] = s.vals[j]
+		}
+		match := true
+		for _, f := range q.Filters {
+			match = match && f.Match(attrs)
+		}
+		if !match {
+			continue
+		}
+		reply.Records = append(reply.Records, Record{Name: s.name, Attrs: attrs, Stamp: s.stamp, Source: s.source})
+		if age := now - s.stamp; age > reply.MaxStale {
+			reply.MaxStale = age
+		}
+		if q.Limit > 0 && len(reply.Records) >= q.Limit {
+			break
+		}
+	}
+	return reply
+}
+
 // TestShardedMatchesFlat is the differential gate: over a seeded grid
 // of sites with churning attributes, partial refresh loss (expiring
 // records), and a spread of query shapes, the sharded plane must return
@@ -114,6 +152,16 @@ func TestShardedMatchesFlat(t *testing.T) {
 					if r == 2 {
 						rec.Attrs["gpu"] = "1" // sparse attribute
 					}
+					// Unsigned infinities parse as numbers: a region whose
+					// only burst value is one must not be pruned for it.
+					if r == 0 && (s == 5 || s == 7) {
+						rec.Attrs["burst"] = map[int]string{5: "inf", 7: "Infinity"}[s]
+					}
+					// NaN parses too, and is the first load region 1 ever
+					// sees: it must not freeze that region's min/max.
+					if s == 1 && r == 0 {
+						rec.Attrs["load"] = "nan"
+					}
 					rig.feed(t, s, rec, 10*time.Minute)
 				}
 			}
@@ -142,6 +190,10 @@ func TestShardedMatchesFlat(t *testing.T) {
 			{Filters: []Filter{{"os", FEq, "aix"}, {"cpus", FLe, "4"}}, Limit: 3},
 			{Filters: []Filter{{"site", FEq, "site05"}}},
 			{Filters: []Filter{{"os", FGt, "3"}}}, // non-numeric attr side
+			{Filters: []Filter{{"burst", FGt, "5"}}},
+			{Filters: []Filter{{"load", FLt, "INF"}}, Limit: 4},
+			{Filters: []Filter{{"load", FGt, "5"}}},
+			{Filters: []Filter{{"load", FLe, "1.5"}}},
 		}
 		for qi, q := range queries {
 			flat := renderReply(rig.flat.Eval(q))
@@ -153,6 +205,46 @@ func TestShardedMatchesFlat(t *testing.T) {
 				t.Errorf("seed %d query %d diverged:\n--- flat ---\n%s--- sharded ---\n%s", seed, qi, flat, got)
 			}
 		}
+	}
+}
+
+// TestNaNStaysOutOfSummaryRange: "nan" parses, but a NaN bound would make
+// every later min/max comparison false and prune the region for every
+// ordering filter. Checked on both paths that build the range: absorb in
+// arrival order and rebuildSummary in slot order.
+func TestNaNStaysOutOfSummaryRange(t *testing.T) {
+	rig := newShardRig(t, 1)
+	rg := rig.regions[0]
+	feed := func(name, load string, ttl time.Duration) {
+		rig.feed(t, 0, Record{Name: name, Source: "s", Stamp: rig.eng.Now(),
+			Attrs: map[string]string{"load": load}}, ttl)
+	}
+	check := func(when string, min, max float64) {
+		t.Helper()
+		ks := rg.Summary(time.Minute).Keys[0]
+		if !ks.HasNum || ks.Min != min || ks.Max != max {
+			t.Fatalf("%s: load summary HasNum=%v [%v, %v], want [%v, %v]", when, ks.HasNum, ks.Min, ks.Max, min, max)
+		}
+	}
+	feed("a", "nan", time.Hour)
+	if ks := rg.Summary(time.Minute).Keys[0]; ks.HasNum {
+		t.Fatalf("a region holding only nan publishes HasNum [%v, %v]", ks.Min, ks.Max)
+	}
+	feed("b", "12", time.Hour)
+	feed("c", "3", time.Minute)
+	check("absorb", 3, 12)
+
+	rig.eng.RunUntil(2 * time.Minute)
+	if n := rg.Sweep(); n != 1 {
+		t.Fatalf("swept %d, want 1", n)
+	}
+	check("rebuild", 12, 12)
+
+	rg.StartSummaryPush("rootidx", time.Minute)
+	rig.eng.RunUntil(2*time.Minute + time.Second)
+	reply, err := rig.root.QueryShards(Query{Filters: []Filter{{"load", FGt, "5"}}})
+	if err != nil || len(reply.Records) != 1 || reply.Records[0].Name != "b" || rig.root.PrunedN != 0 {
+		t.Fatalf("load > 5: %+v err=%v pruned=%d, want record b from an unpruned region", reply.Records, err, rig.root.PrunedN)
 	}
 }
 
