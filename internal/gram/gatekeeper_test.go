@@ -3,11 +3,13 @@ package gram
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/gsi"
 	"repro/internal/identity"
+	"repro/internal/rsl"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -87,6 +89,39 @@ func TestGatekeeperSubmitFlow(t *testing.T) {
 	}
 	if !sawDone {
 		t.Errorf("notices = %+v, want Done", notices)
+	}
+}
+
+// TestGatekeeperRejectsUnrepresentableWallTime: maxWallTime=1e300 used to
+// convert to a negative duration, so any ActualRun "exceeded" it and the
+// batch manager scheduled the wall kill in the past — a panic inside the
+// gatekeeper's handler. It is a failed job with a reason instead, and so
+// is a wall time that is not a number (it used to read as "missing").
+func TestGatekeeperRejectsUnrepresentableWallTime(t *testing.T) {
+	for lit, want := range map[string]error{"1e300": rsl.ErrRange, "-5": rsl.ErrRange, "NaN": rsl.ErrRange, "soon": rsl.ErrType} {
+		f := newGKFixture(t)
+		var notices []StateNotice
+		f.net.Host("client").Handle("cb", func(_ string, raw any) (any, error) {
+			notices = append(notices, raw.(StateNotice))
+			return nil, nil
+		})
+		var err error
+		Submit(f.net, "client", "gk", SubmitRequest{
+			Cred:            f.alice,
+			Spec:            JobSpec{RSL: `&(executable=x)(maxWallTime=` + lit + `)`, ActualRun: time.Second},
+			CallbackHost:    "client",
+			CallbackService: "cb",
+		}, time.Minute, func(_ SubmitReply, e error) { err = e })
+		f.eng.Run()
+		if !errors.Is(err, want) {
+			t.Errorf("maxWallTime=%s: err = %v, want %v", lit, err, want)
+		}
+		if len(notices) != 1 || notices[0].State != Failed || !strings.Contains(notices[0].Reason, "maxWallTime") {
+			t.Errorf("maxWallTime=%s: notices = %+v, want one Failed naming maxWallTime", lit, notices)
+		}
+		if f.batch.WallKillN != 0 || f.gk.SubmitN != 0 {
+			t.Errorf("maxWallTime=%s: WallKillN=%d SubmitN=%d, want 0 0", lit, f.batch.WallKillN, f.gk.SubmitN)
+		}
 	}
 }
 

@@ -139,11 +139,15 @@ func (j *Job) WaitTime() time.Duration { return j.Started - j.Submitted }
 func (j *Job) Count() int { return j.Req.IntDefault("count", 1) }
 
 // MaxWall returns the declared wall-time limit in seconds, or an error
-// when absent.
+// when it is absent (ErrWallTimeMissing) or not a duration (rsl.ErrType,
+// or rsl.ErrRange for a negative, non-finite or unrepresentable one).
 func (j *Job) MaxWall() (time.Duration, error) {
 	d, err := j.Req.Seconds("maxWallTime")
-	if err != nil {
+	switch {
+	case errors.Is(err, rsl.ErrMissing):
 		return 0, ErrWallTimeMissing
+	case err != nil:
+		return 0, fmt.Errorf("gram: %w", err)
 	}
 	return d, nil
 }

@@ -102,6 +102,10 @@ var ErrMissing = errors.New("rsl: missing attribute")
 // ErrType reports an attribute whose value has the wrong type.
 var ErrType = errors.New("rsl: wrong value type")
 
+// ErrRange reports a numeric attribute whose value the requested type
+// cannot represent.
+var ErrRange = errors.New("rsl: value out of range")
+
 func parseErr(pos int, format string, args ...any) error {
 	return fmt.Errorf("%w at offset %d: %s", ErrParse, pos, fmt.Sprintf(format, args...))
 }
@@ -481,13 +485,20 @@ func (r Request) Float(attr string) (float64, error) {
 }
 
 // Seconds returns attr interpreted as a duration in whole seconds
-// (GRAM's maxWallTime convention is minutes; callers pick the unit).
+// (GRAM's maxWallTime convention is minutes; callers pick the unit). A
+// negative, NaN or infinite value, or one past what a time.Duration holds
+// (about 292 years), is ErrRange: the float64→int64 conversion of such a
+// value is implementation-defined and on amd64 yields a negative duration.
 func (r Request) Seconds(attr string) (time.Duration, error) {
 	f, err := r.Float(attr)
 	if err != nil {
 		return 0, err
 	}
-	return time.Duration(f * float64(time.Second)), nil
+	ns := f * float64(time.Second)
+	if !(ns >= 0 && ns < 1<<63) { // the negation also catches NaN
+		return 0, fmt.Errorf("%w: %q=%v is not a duration", ErrRange, attr, f)
+	}
+	return time.Duration(ns), nil
 }
 
 // Strings returns all literal values of attr (e.g. arguments).

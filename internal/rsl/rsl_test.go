@@ -159,6 +159,26 @@ func TestTypedAccessorErrors(t *testing.T) {
 	}
 }
 
+// TestSecondsRejectsUnrepresentable: a value the float64→Duration
+// conversion cannot hold used to come back as −2562047h47m16.854775808s
+// (or −5s) with a nil error, and the batch manager scheduled with it.
+func TestSecondsRejectsUnrepresentable(t *testing.T) {
+	for _, lit := range []string{"1e300", "9.3e9", "NaN", "Inf", "-5", "-Inf", "9223372036.854775808"} {
+		req, _ := mustParse(t, `&(maxWallTime=`+lit+`)`).Single()
+		if d, err := req.Seconds("maxWallTime"); !errors.Is(err, ErrRange) {
+			t.Errorf("Seconds(%s) = %v, %v; want ErrRange", lit, d, err)
+		}
+	}
+	for lit, want := range map[string]time.Duration{
+		"0": 0, "0.5": 500 * time.Millisecond, "9.2e9": 9_200_000_000 * time.Second, "-0": 0,
+	} {
+		req, _ := mustParse(t, `&(maxWallTime=`+lit+`)`).Single()
+		if d, err := req.Seconds("maxWallTime"); err != nil || d != want {
+			t.Errorf("Seconds(%s) = %v, %v; want %v", lit, d, err, want)
+		}
+	}
+}
+
 func TestDefaults(t *testing.T) {
 	s := mustParse(t, `&(executable=/bin/a)`)
 	req, _ := s.Single()

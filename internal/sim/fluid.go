@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -24,8 +25,13 @@ import (
 // filling iterates consumers in admission order and resources in creation
 // order, which makes the float arithmetic bit-identical to a global
 // recompute restricted to that component; the test-only full mode in
-// export_test.go disables the pruning and is the reference the gates
-// compare against. Completion events are rescheduled only for consumers
+// export_test.go re-fills every component and is the reference the gates
+// compare against. The filling itself skips slack resources — those whose
+// consumers are all rate-capped with caps that fit — since they can never
+// saturate; a component with none left (every stream at its TCP cap, the
+// CDN's steady state) gets its Limits in one pass. The unpruned filling is
+// refFill in export_test.go, and every fill is held to it bit for bit.
+// Completion events are rescheduled only for consumers
 // whose rate actually changed: an unchanged rate means the pending event's
 // ceil-rounded ETA is still exact, so cancel+reschedule churn (previously
 // O(N) per change) tracks the size of the rate change, not the system.
@@ -47,7 +53,8 @@ type FluidResource struct {
 	// admission order — the edge list the dirty-set walk follows.
 	consumers []*FluidConsumer
 
-	// Scratch used during one fill; meaningful only mid-reallocation.
+	// Scratch used during one fill; meaningful only mid-reallocation, and
+	// on a resource the fill dropped as slack written but never read.
 	avail    float64
 	weightOn float64
 	visited  uint64 // dirty-walk epoch stamp
@@ -177,6 +184,7 @@ type FluidSystem struct {
 	// (the contents are only meaningful mid-reallocation).
 	dirtyC  []*FluidConsumer
 	dirtyR  []*FluidResource
+	tightR  []*FluidResource // dirtyR minus the slack resources, see fill
 	queueR  []*FluidResource
 	newRate []float64
 	seedR   [1]*FluidResource
@@ -291,7 +299,7 @@ func (s *FluidSystem) reallocAround(c *FluidConsumer, rs []*FluidResource) {
 
 // collectDirty walks the sharing graph from the seeds and leaves the
 // affected consumers in s.dirtyC (admission order) and resources in
-// s.dirtyR (creation order). In full mode it selects everything.
+// s.dirtyR (walk order). In full mode it selects everything.
 func (s *FluidSystem) collectDirty(seedC *FluidConsumer, seedR []*FluidResource) {
 	s.dirtyC = s.dirtyC[:0]
 	s.dirtyR = s.dirtyR[:0]
@@ -339,35 +347,85 @@ func (s *FluidSystem) collectDirty(seedC *FluidConsumer, seedR []*FluidResource)
 		}
 	}
 	// Canonical order makes the component fill's float arithmetic match a
-	// full recompute's (which iterates admission/creation order) exactly.
-	slices.SortFunc(s.dirtyC, func(a, b *FluidConsumer) int {
-		switch {
-		case a.seq < b.seq:
-			return -1
-		case a.seq > b.seq:
-			return 1
-		}
-		return 0
-	})
-	slices.SortFunc(s.dirtyR, func(a, b *FluidResource) int { return int(a.idx - b.idx) })
+	// full recompute's (which iterates admission order) exactly; resources
+	// are ordered by fill, which reads the order of the tight ones only.
+	sortBySeq(s.dirtyC)
 }
 
-// fill runs weighted progressive filling over the dirty set, writing the
-// computed rates into s.newRate (parallel to s.dirtyC) without touching
-// consumer state. Each round freezes either one rate-capped consumer or
-// every consumer crossing the saturating resource, at the minimum of the
-// resource ratios (avail/weight-on) and consumer cap ratios
+// insertionSortMax is the longest dirty set sorted by straight insertion
+// on the key itself: the walk emits runs already in order, and below this
+// length that beats pdqsort behind a comparator closure several times over.
+const insertionSortMax = 64
+
+// sortBySeq puts consumers in admission order.
+func sortBySeq(cs []*FluidConsumer) {
+	if len(cs) > insertionSortMax {
+		slices.SortFunc(cs, func(a, b *FluidConsumer) int { return cmp.Compare(a.seq, b.seq) })
+		return
+	}
+	for i := 1; i < len(cs); i++ {
+		c, j := cs[i], i
+		for ; j > 0 && cs[j-1].seq > c.seq; j-- {
+			cs[j] = cs[j-1]
+		}
+		cs[j] = c
+	}
+}
+
+// slack reports whether r can be left out of a fill: every consumer
+// crossing it is rate-capped and the caps fit its capacity with a relative
+// 1e-9 to spare. Then avail ≥ Σ unfrozen Limit ≥ (min unfrozen
+// Limit/Weight)·weightOn in every round, so r's ratio stays strictly above
+// the smallest cap ratio and the min-ratio scan never picks it. The margin
+// must be strict (a resource wins a tie against a cap) and dwarfs the
+// n·2⁻⁵³ rounding of the sums it covers; DESIGN §14 has the argument.
+func (r *FluidResource) slack() bool {
+	sum := 0.0
+	for _, c := range r.consumers {
+		if !(c.Limit > 0) {
+			return false
+		}
+		sum += c.Limit
+	}
+	return sum <= r.capacity*(1-1e-9)
+}
+
+// fill computes the weighted max-min fair rates of the dirty set into
+// s.newRate (parallel to s.dirtyC) without touching consumer state. Slack
+// resources are dropped first: only a resource's own ratio reads its avail
+// and weightOn, so leaving out one that never wins changes no decision and
+// no operand of any other sum. When none survives every round is a cap
+// round and the rates are the Limits. Otherwise progressive filling runs
+// over the survivors (s.tightR): each round freezes either one rate-capped
+// consumer or every consumer crossing the saturating resource, at the
+// minimum of the resource ratios (avail/weight-on) and consumer cap ratios
 // (Limit/Weight) — identical arithmetic to a global fill restricted to
 // these components, since components never share resources.
 func (s *FluidSystem) fill() {
-	dc, dr := s.dirtyC, s.dirtyR
+	dc := s.dirtyC
 	if cap(s.newRate) < len(dc) {
 		s.newRate = make([]float64, len(dc))
 	}
 	s.newRate = s.newRate[:len(dc)]
-	for _, r := range dr {
-		r.avail = r.capacity
+	s.tightR = s.tightR[:0]
+	for _, r := range s.dirtyR {
+		if !r.slack() {
+			r.avail = r.capacity
+			s.tightR = append(s.tightR, r)
+		}
 	}
+	dr := s.tightR
+	if len(dr) == 0 {
+		for i, c := range dc {
+			s.newRate[i] = c.Limit
+			if !(c.Limit > 0) { // crosses no resource either: nothing binds it
+				s.newRate[i] = math.Inf(1)
+			}
+		}
+		return
+	}
+	// Creation order, as in a full recompute: of equal ratios the first wins.
+	slices.SortFunc(dr, func(a, b *FluidResource) int { return cmp.Compare(a.idx, b.idx) })
 	for i, c := range dc {
 		c.frozen = false
 		s.newRate[i] = 0
