@@ -28,7 +28,7 @@ func BenchmarkTable1Registry(b *testing.B) {
 func BenchmarkFigure1Sweep(b *testing.B) {
 	var pts []core.Fig1Point
 	for i := 0; i < b.N; i++ {
-		pts = core.Figure1(42, 8)
+		pts = core.Figure1(42, 8, 1)
 	}
 	for _, p := range pts {
 		switch p.Stack {
@@ -61,7 +61,7 @@ func BenchmarkScaleSweep(b *testing.B) {
 	for _, n := range []int{10, 50, 100} {
 		b.Run(strings.ReplaceAll("sites="+itoa(n), " ", ""), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.RunScale(42, []int{n})
+				core.RunScale(42, []int{n}, 1)
 			}
 		})
 	}
@@ -71,7 +71,7 @@ func BenchmarkProxyLifetimeSweep(b *testing.B) {
 	lifetimes := []time.Duration{time.Hour, 8 * time.Hour, 64 * time.Hour}
 	var tab fmtStringer
 	for i := 0; i < b.N; i++ {
-		tab = core.RunProxyLifetime(42, lifetimes, 200)
+		tab = core.RunProxyLifetime(42, lifetimes, 200, 1)
 	}
 	_ = tab
 	b.ReportMetric(float64(len(lifetimes)), "sweep-points")
@@ -85,7 +85,7 @@ func BenchmarkDelegationStyles(b *testing.B) {
 
 func BenchmarkAllocationDisciplines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		core.RunAllocation(42, 8, 200)
+		core.RunAllocation(42, 8, 200, 1)
 	}
 }
 
@@ -93,7 +93,7 @@ func BenchmarkHeterogeneityGlue(b *testing.B) {
 	for _, h := range []int{0, 4, 8} {
 		b.Run("dialects="+itoa(h), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.RunHeterogeneity(42, []int{h}, 100)
+				core.RunHeterogeneity(42, []int{h}, 100, 1)
 			}
 		})
 	}
@@ -101,13 +101,13 @@ func BenchmarkHeterogeneityGlue(b *testing.B) {
 
 func BenchmarkDataGridTransfer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		core.RunDataGrid(42, 100e6, []float64{0, 0.01}, []int{1, 8})
+		core.RunDataGrid(42, 100e6, []float64{0, 0.01}, []int{1, 8}, 1)
 	}
 }
 
 func BenchmarkSHARPOversubscription(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		core.RunOversub(42, []float64{0.5, 1.0, 2.0, 3.0})
+		core.RunOversub(42, []float64{0.5, 1.0, 2.0, 3.0}, 1)
 	}
 }
 

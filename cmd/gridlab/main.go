@@ -67,19 +67,19 @@ func commands() []command {
 		{"fig1", "Figure 1: site autonomy vs VO-level functionality", func() error {
 			core.RenderFigure1(os.Stdout, *seed, 12)
 			fmt.Println("\nSweep over homogeneous autonomy demand alpha:")
-			core.Figure1SweepParallel(*seed, 8, []float64{0.1, 0.3, 0.5, 0.7, 0.9}, *workers).Render(os.Stdout)
+			core.Figure1Sweep(*seed, 8, []float64{0.1, 0.3, 0.5, 0.7, 0.9}, *workers).Render(os.Stdout)
 			return nil
 		}},
 		{"fig2", "Figure 2: SHARP ticket -> lease -> VM protocol trace", func() error {
 			return core.RenderFigure2(os.Stdout, *seed)
 		}},
 		{"e3", "E3: federation scale sweep (paper: GT 20-50 sites, PlanetLab 155 -> ~1000)", func() error {
-			core.RunScaleParallel(*seed, []int{10, 50, 100, 200, 500, 1000}, *workers).Render(os.Stdout)
+			core.RunScale(*seed, []int{10, 50, 100, 200, 500, 1000}, *workers).Render(os.Stdout)
 			return nil
 		}},
-		{"scale", "E14: planetary federation (sharded MDS + batched SHARP + compact leases)", runScale},
+		{"scale", "E14: planetary federation (sharded MDS + memoized SHARP + compact leases)", runScale},
 		{"proxylife", "E4: proxy-certificate lifetime tradeoff", func() error {
-			core.RunProxyLifetimeParallel(*seed, []time.Duration{
+			core.RunProxyLifetime(*seed, []time.Duration{
 				time.Hour, 2 * time.Hour, 4 * time.Hour, 8 * time.Hour,
 				16 * time.Hour, 32 * time.Hour, 64 * time.Hour,
 			}, 500, *workers).Render(os.Stdout)
@@ -94,19 +94,19 @@ func commands() []command {
 			return nil
 		}},
 		{"allocation", "E6: best-effort vs reserved; FCFS port conflicts", func() error {
-			core.RunAllocationParallel(*seed, 10, 300, *workers).Render(os.Stdout)
+			core.RunAllocation(*seed, 10, 300, *workers).Render(os.Stdout)
 			return nil
 		}},
 		{"hetero", "E7: heterogeneity glue cost vs uniform node interface", func() error {
-			core.RunHeterogeneityParallel(*seed, []int{0, 1, 2, 4, 8}, 200, *workers).Render(os.Stdout)
+			core.RunHeterogeneity(*seed, []int{0, 1, 2, 4, 8}, 200, *workers).Render(os.Stdout)
 			return nil
 		}},
 		{"datagrid", "E8: striped GridFTP +/- PlanetLab multipath overlay", func() error {
-			core.RunDataGridParallel(*seed, 1e9, []float64{0, 0.005, 0.01, 0.02}, []int{1, 2, 4, 8, 16}, *workers).Render(os.Stdout)
+			core.RunDataGrid(*seed, 1e9, []float64{0, 0.005, 0.01, 0.02}, []int{1, 2, 4, 8, 16}, *workers).Render(os.Stdout)
 			return nil
 		}},
 		{"oversub", "E9: SHARP ticket oversubscription sweep", func() error {
-			core.RunOversubParallel(*seed, []float64{0.5, 1.0, 1.5, 2.0, 2.5, 3.0}, *workers).Render(os.Stdout)
+			core.RunOversub(*seed, []float64{0.5, 1.0, 1.5, 2.0, 2.5, 3.0}, *workers).Render(os.Stdout)
 			return nil
 		}},
 		{"avail", "E10/E11: availability under failures (analytic + managed service)", func() error {

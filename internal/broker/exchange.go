@@ -97,11 +97,6 @@ func (x *Exchange) AddSeller(s Seller) {
 	x.stats[s.SellerName()] = &SellerStats{}
 }
 
-// Sellers returns the registered sellers in registration order.
-func (x *Exchange) Sellers() []Seller {
-	return append([]Seller(nil), x.sellers...)
-}
-
 // Stats returns the market history for a seller name (zero value for
 // unknown names).
 func (x *Exchange) Stats(name string) SellerStats {

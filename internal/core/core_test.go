@@ -145,7 +145,7 @@ func TestHybridPassesEverything(t *testing.T) {
 }
 
 func TestFigure1Shape(t *testing.T) {
-	pts := Figure1(3, 8)
+	pts := Figure1(3, 8, 1)
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -175,7 +175,7 @@ func TestFigure1Shape(t *testing.T) {
 }
 
 func TestFigure1SweepRuns(t *testing.T) {
-	tab := Figure1Sweep(3, 4, []float64{0.1, 0.9})
+	tab := Figure1Sweep(3, 4, []float64{0.1, 0.9}, 1)
 	out := tab.String()
 	if !strings.Contains(out, "globus") || !strings.Contains(out, "planetlab") {
 		t.Errorf("sweep table:\n%s", out)
@@ -282,12 +282,12 @@ func TestMeanAutonomyPlanetLabMembers(t *testing.T) {
 
 func TestExperimentsSmoke(t *testing.T) {
 	// E3 at small scale.
-	scale := RunScale(5, []int{4}).String()
+	scale := RunScale(5, []int{4}, 1).String()
 	if !strings.Contains(scale, "globus") || !strings.Contains(scale, "planetlab") {
 		t.Errorf("scale:\n%s", scale)
 	}
 	// E4: failure rate must decrease with lifetime.
-	pl := RunProxyLifetime(5, []time.Duration{time.Hour, 64 * time.Hour}, 100)
+	pl := RunProxyLifetime(5, []time.Duration{time.Hour, 64 * time.Hour}, 100, 1)
 	out := pl.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 {
@@ -299,14 +299,14 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Errorf("failure rate not decreasing: 1h=%s 64h=%s\n%s", shortFail, longFail, out)
 	}
 	// E7: zero dialects → zero-ish ops; more dialects → more ops.
-	het := RunHeterogeneity(5, []int{0, 4}, 30)
+	het := RunHeterogeneity(5, []int{0, 4}, 30, 1)
 	hetOut := het.String()
 	hetLines := strings.Split(strings.TrimSpace(hetOut), "\n")
 	if len(hetLines) != 4 {
 		t.Fatalf("het table:\n%s", hetOut)
 	}
 	// E9: conflicts appear only above factor 1.
-	ov := RunOversub(5, []float64{1.0, 2.0}).String()
+	ov := RunOversub(5, []float64{1.0, 2.0}, 1).String()
 	ovLines := strings.Split(strings.TrimSpace(ov), "\n")
 	f1 := strings.Fields(ovLines[2])
 	f2 := strings.Fields(ovLines[3])
@@ -336,7 +336,7 @@ func TestDelegationExperimentShape(t *testing.T) {
 }
 
 func TestAllocationExperimentShape(t *testing.T) {
-	tab := RunAllocation(5, 5, 100)
+	tab := RunAllocation(5, 5, 100, 1)
 	out := tab.String()
 	if !strings.Contains(out, "best-effort") || !strings.Contains(out, "reserved") {
 		t.Fatalf("allocation table:\n%s", out)
@@ -344,7 +344,7 @@ func TestAllocationExperimentShape(t *testing.T) {
 }
 
 func TestDataGridExperimentShape(t *testing.T) {
-	tab := RunDataGrid(5, 50e6, []float64{0, 0.01}, []int{1, 4})
+	tab := RunDataGrid(5, 50e6, []float64{0, 0.01}, []int{1, 4}, 1)
 	out := tab.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	// header + sep + 2 losses × 2 stripes × 2 paths = 10 lines.

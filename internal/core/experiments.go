@@ -32,8 +32,11 @@ import (
 // latency, and control messages per placement. The paper's scale context
 // (§2.1/§2.2): GT at 20-50 sites heading for 100s; PlanetLab at 155
 // sites heading for ~1000.
-func RunScale(seed int64, siteCounts []int) *metrics.Table {
-	return RunScaleParallel(seed, siteCounts, 1)
+func RunScale(seed int64, siteCounts []int, workers int) *metrics.Table {
+	return grid([]string{"sites", "stack", "reg msgs/cycle", "staleness", "setup latency", "msgs/op"},
+		len(siteCounts), workers, func(i int) [][]any {
+			return scaleRows(seed, siteCounts[i])
+		})
 }
 
 // scaleRows computes the E3 table rows for one federation size. Each call
@@ -131,9 +134,15 @@ var scaleMidHook func(f *Federation)
 // limit the damage in the event a proxy is compromised." For each
 // lifetime, a lognormal job population (median 2h) runs through real
 // chain validation at completion time; rows report the authentication
-// failure rate and the mean abuse window a stolen proxy would grant.
-func RunProxyLifetime(seed int64, lifetimes []time.Duration, nJobs int) *metrics.Table {
-	return RunProxyLifetimeParallel(seed, lifetimes, nJobs, 1)
+// failure rate and the mean abuse window a stolen proxy would grant. The
+// job population is generated once, before the fan-out, and only read by
+// the grid points.
+func RunProxyLifetime(seed int64, lifetimes []time.Duration, nJobs, workers int) *metrics.Table {
+	jobs := proxyJobs(seed, nJobs)
+	return grid([]string{"proxy lifetime", "job auth-failure rate", "mean abuse window", "tradeoff cost"},
+		len(lifetimes), workers, func(i int) [][]any {
+			return [][]any{proxyLifetimeRow(seed, jobs, lifetimes[i])}
+		})
 }
 
 // proxyJobs generates the shared job population for E4. The slice is
@@ -280,9 +289,15 @@ func RunDelegation(seed int64, nSites, nOps int, churn float64) *metrics.Table {
 // (e.g., network ports) are allocated on a first-come-first-served
 // basis." A Zipf-popular service population lands on a node pool under
 // two disciplines; rows report port-conflict rate, admission failures,
-// CPU utilization, and Jain fairness of achieved/demanded CPU.
-func RunAllocation(seed int64, nNodes, nServices int) *metrics.Table {
-	return RunAllocationParallel(seed, nNodes, nServices, 1)
+// CPU utilization, and Jain fairness of achieved/demanded CPU. The
+// service population is generated once and only read by the grid points.
+func RunAllocation(seed int64, nNodes, nServices, workers int) *metrics.Table {
+	baseRng := rand.New(rand.NewSource(seed))
+	svcs := workload.GenerateNetServices(baseRng, workload.DefaultNetServices(), nServices)
+	return grid([]string{"discipline", "port conflict rate", "admission fail rate", "cpu utilization", "jain fairness"},
+		len(allocationDisciplines), workers, func(i int) [][]any {
+			return [][]any{allocationRow(seed, nNodes, nServices, svcs, allocationDisciplines[i])}
+		})
 }
 
 // allocationDisciplines is the E6 grid axis, in output order.
@@ -374,8 +389,11 @@ func allocationRow(seed int64, nNodes, nServices int, svcs []workload.NetService
 // to build the 'glue' level". Rows report translation operations per job
 // and the fraction of failures that lose fidelity in back-translation
 // (h=0 is the PlanetLab uniform interface).
-func RunHeterogeneity(seed int64, dialectCounts []int, nJobs int) *metrics.Table {
-	return RunHeterogeneityParallel(seed, dialectCounts, nJobs, 1)
+func RunHeterogeneity(seed int64, dialectCounts []int, nJobs, workers int) *metrics.Table {
+	return grid([]string{"dialects", "translate ops/job", "opaque error fraction", "jobs completed"},
+		len(dialectCounts), workers, func(i int) [][]any {
+			return [][]any{heterogeneityRow(seed, dialectCounts[i], nJobs)}
+		})
 }
 
 // heterogeneityRow computes one E7 row; engine, managers, rng, and job
@@ -457,9 +475,15 @@ func stripWall(r rsl.Request) rsl.Request {
 // GridFTP-style transfers with and without a PlanetLab multipath overlay,
 // across loss rates. The expected shape: striping multiplies
 // loss-limited throughput; the overlay wins once the direct path is
-// lossy.
-func RunDataGrid(seed int64, bytes float64, losses []float64, stripes []int) *metrics.Table {
-	return RunDataGridParallel(seed, bytes, losses, stripes, 1)
+// lossy. The (loss × stripe × path) grid is flattened loss-major.
+func RunDataGrid(seed int64, bytes float64, losses []float64, stripes []int, workers int) *metrics.Table {
+	overlays := []bool{false, true}
+	return grid([]string{"loss", "streams", "path", "throughput MB/s"},
+		len(losses)*len(stripes)*len(overlays), workers, func(i int) [][]any {
+			loss := losses[i/(len(stripes)*len(overlays))]
+			k := stripes[(i/len(overlays))%len(stripes)]
+			return [][]any{dataGridRow(seed, bytes, loss, k, overlays[i%len(overlays)])}
+		})
 }
 
 // dataGridRow computes one E8 cell (loss × stripe × path choice) on a
@@ -503,8 +527,11 @@ func dataGridRow(seed int64, bytes, loss float64, k int, overlay bool) []any {
 // rises with the factor and the predicted conflicts surface at redeem
 // time. Shape: utilization climbs to 1.0 at factor >= 1; the rejection
 // rate grows past it.
-func RunOversub(seed int64, factors []float64) *metrics.Table {
-	return RunOversubParallel(seed, factors, 1)
+func RunOversub(seed int64, factors []float64, workers int) *metrics.Table {
+	return grid([]string{"oversell factor", "tickets issued", "redeems ok", "conflicts", "utilization", "conflict rate"},
+		len(factors), workers, func(i int) [][]any {
+			return [][]any{oversubRow(seed, factors[i])}
+		})
 }
 
 // oversubRow computes one E9 row on a private engine, rng, and authority.

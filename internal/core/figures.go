@@ -9,6 +9,7 @@ import (
 	"repro/internal/identity"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/perf"
 	"repro/internal/sharp"
 	"repro/internal/vm"
 )
@@ -81,9 +82,18 @@ func fig1Sites(n int) []SiteSpec {
 // population, run the probe suite, and place each system at (mean member
 // autonomy, probe pass fraction). The expected shape — PlanetLab high
 // functionality / low autonomy, Globus the reverse — emerges from which
-// probes mechanically succeed.
-func Figure1(seed int64, nSites int) []Fig1Point {
-	return Figure1Parallel(seed, nSites, 1)
+// probes mechanically succeed. The two stack builds are independent
+// grid points (see parallel.go).
+func Figure1(seed int64, nSites, workers int) []Fig1Point {
+	if nSites < 4 {
+		nSites = 4
+	}
+	stacks := []Stack{StackGlobus, StackPlanetLab}
+	pts := make([]Fig1Point, len(stacks))
+	perf.ForEach(len(stacks), workers, func(i int) {
+		pts[i] = fig1Point(seed, nSites, stacks[i])
+	})
+	return pts
 }
 
 // fig1Point builds one stack over the mixed population and measures it;
@@ -103,8 +113,11 @@ func fig1Point(seed int64, nSites int, stack Stack) Fig1Point {
 // Figure1Sweep sweeps a homogeneous population's autonomy demand alpha
 // and reports each stack's effective functionality — the quantitative
 // form of the Figure-1 tradeoff curve.
-func Figure1Sweep(seed int64, nSites int, alphas []float64) *metrics.Table {
-	return Figure1SweepParallel(seed, nSites, alphas, 1)
+func Figure1Sweep(seed int64, nSites int, alphas []float64, workers int) *metrics.Table {
+	return grid([]string{"alpha", "stack", "joined", "functionality", "effective"},
+		len(alphas), workers, func(i int) [][]any {
+			return fig1SweepRows(seed, nSites, alphas[i])
+		})
 }
 
 // fig1SweepRows computes both stack rows for one autonomy demand alpha.
@@ -131,7 +144,7 @@ func fig1SweepRows(seed int64, nSites int, alpha float64) [][]any {
 
 // RenderFigure1 draws the scatter and the per-probe breakdown.
 func RenderFigure1(w io.Writer, seed int64, nSites int) {
-	pts := Figure1(seed, nSites)
+	pts := Figure1(seed, nSites, 1)
 	var plotPts []metrics.Point
 	for _, p := range pts {
 		label := 'G'

@@ -1,142 +1,31 @@
 package core
 
 import (
-	"math/rand"
-	"time"
-
 	"repro/internal/metrics"
 	"repro/internal/perf"
-	"repro/internal/workload"
 )
 
-// This file holds the parallel variants of the sweep experiments. Every
-// grid point builds its own engine, rng, and federation inside the point
-// functions in experiments.go / figures.go, so the only cross-goroutine
-// traffic is each worker writing into its preassigned result slot. Rows
-// are reduced into the table in fixed grid order afterwards, which makes
-// the output byte-identical to the sequential run at any worker count —
-// the workers=1 path IS the sequential API (RunScale etc. delegate here).
+// Every sweep experiment is a grid of independent points: each point
+// builds its own engine, rng, and federation inside the row functions in
+// experiments.go / figures.go, so the only cross-goroutine traffic is
+// each worker writing into its preassigned result slot. Rows are reduced
+// into the table in fixed grid order afterwards, which makes the output
+// byte-identical at any worker count; workers == 1 is the sequential
+// reference and workers <= 0 means GOMAXPROCS.
 //
-// E5 (RunDelegation) has no parallel variant: its operations share one
+// E5 (RunDelegation) takes no workers: its operations share one
 // federation and one churn rng, so its grid points are not independent.
 
-// RunScaleParallel is RunScale fanned over workers goroutines
-// (workers <= 0 means GOMAXPROCS).
-func RunScaleParallel(seed int64, siteCounts []int, workers int) *metrics.Table {
-	t := metrics.NewTable("sites", "stack", "reg msgs/cycle", "staleness", "setup latency", "msgs/op")
-	rows := make([][][]any, len(siteCounts))
-	perf.ForEach(len(siteCounts), workers, func(i int) {
-		rows[i] = scaleRows(seed, siteCounts[i])
-	})
-	addRows2(t, rows)
-	return t
-}
-
-// RunProxyLifetimeParallel is RunProxyLifetime fanned over workers
-// goroutines. The job population is generated once, before the fan-out,
-// and only read by the grid points.
-func RunProxyLifetimeParallel(seed int64, lifetimes []time.Duration, nJobs, workers int) *metrics.Table {
-	t := metrics.NewTable("proxy lifetime", "job auth-failure rate", "mean abuse window", "tradeoff cost")
-	jobs := proxyJobs(seed, nJobs)
-	rows := make([][]any, len(lifetimes))
-	perf.ForEach(len(lifetimes), workers, func(i int) {
-		rows[i] = proxyLifetimeRow(seed, jobs, lifetimes[i])
-	})
-	addRows(t, rows)
-	return t
-}
-
-// RunAllocationParallel is RunAllocation fanned over workers goroutines.
-// The Zipf service population is generated once and only read.
-func RunAllocationParallel(seed int64, nNodes, nServices, workers int) *metrics.Table {
-	t := metrics.NewTable("discipline", "port conflict rate", "admission fail rate", "cpu utilization", "jain fairness")
-	baseRng := rand.New(rand.NewSource(seed))
-	svcs := workload.GenerateNetServices(baseRng, workload.DefaultNetServices(), nServices)
-	rows := make([][]any, len(allocationDisciplines))
-	perf.ForEach(len(allocationDisciplines), workers, func(i int) {
-		rows[i] = allocationRow(seed, nNodes, nServices, svcs, allocationDisciplines[i])
-	})
-	addRows(t, rows)
-	return t
-}
-
-// RunHeterogeneityParallel is RunHeterogeneity fanned over workers
-// goroutines.
-func RunHeterogeneityParallel(seed int64, dialectCounts []int, nJobs, workers int) *metrics.Table {
-	t := metrics.NewTable("dialects", "translate ops/job", "opaque error fraction", "jobs completed")
-	rows := make([][]any, len(dialectCounts))
-	perf.ForEach(len(dialectCounts), workers, func(i int) {
-		rows[i] = heterogeneityRow(seed, dialectCounts[i], nJobs)
-	})
-	addRows(t, rows)
-	return t
-}
-
-// RunDataGridParallel is RunDataGrid fanned over workers goroutines; the
-// (loss × stripe × path) grid is flattened loss-major to match the
-// sequential loop nest.
-func RunDataGridParallel(seed int64, bytes float64, losses []float64, stripes []int, workers int) *metrics.Table {
-	t := metrics.NewTable("loss", "streams", "path", "throughput MB/s")
-	overlays := []bool{false, true}
-	n := len(losses) * len(stripes) * len(overlays)
-	rows := make([][]any, n)
-	perf.ForEach(n, workers, func(i int) {
-		loss := losses[i/(len(stripes)*len(overlays))]
-		k := stripes[(i/len(overlays))%len(stripes)]
-		overlay := overlays[i%len(overlays)]
-		rows[i] = dataGridRow(seed, bytes, loss, k, overlay)
-	})
-	addRows(t, rows)
-	return t
-}
-
-// RunOversubParallel is RunOversub fanned over workers goroutines.
-func RunOversubParallel(seed int64, factors []float64, workers int) *metrics.Table {
-	t := metrics.NewTable("oversell factor", "tickets issued", "redeems ok", "conflicts", "utilization", "conflict rate")
-	rows := make([][]any, len(factors))
-	perf.ForEach(len(factors), workers, func(i int) {
-		rows[i] = oversubRow(seed, factors[i])
-	})
-	addRows(t, rows)
-	return t
-}
-
-// Figure1Parallel is Figure1 with the two stack builds fanned out.
-func Figure1Parallel(seed int64, nSites, workers int) []Fig1Point {
-	if nSites < 4 {
-		nSites = 4
-	}
-	stacks := []Stack{StackGlobus, StackPlanetLab}
-	pts := make([]Fig1Point, len(stacks))
-	perf.ForEach(len(stacks), workers, func(i int) {
-		pts[i] = fig1Point(seed, nSites, stacks[i])
-	})
-	return pts
-}
-
-// Figure1SweepParallel is Figure1Sweep fanned over workers goroutines.
-func Figure1SweepParallel(seed int64, nSites int, alphas []float64, workers int) *metrics.Table {
-	t := metrics.NewTable("alpha", "stack", "joined", "functionality", "effective")
-	rows := make([][][]any, len(alphas))
-	perf.ForEach(len(alphas), workers, func(i int) {
-		rows[i] = fig1SweepRows(seed, nSites, alphas[i])
-	})
-	addRows2(t, rows)
-	return t
-}
-
-// addRows reduces one row per grid cell into the table in grid order.
-func addRows(t *metrics.Table, rows [][]any) {
-	for _, r := range rows {
-		t.AddRow(r...)
-	}
-}
-
-// addRows2 reduces multi-row grid cells into the table in grid order.
-func addRows2(t *metrics.Table, rows [][][]any) {
-	for _, rs := range rows {
-		for _, r := range rs {
+// grid computes cell(i) for i in [0, n) across workers goroutines and
+// reduces the cells' rows into one table in grid order.
+func grid(header []string, n, workers int, cell func(i int) [][]any) *metrics.Table {
+	cells := make([][][]any, n)
+	perf.ForEach(n, workers, func(i int) { cells[i] = cell(i) })
+	t := metrics.NewTable(header...)
+	for _, rows := range cells {
+		for _, r := range rows {
 			t.AddRow(r...)
 		}
 	}
+	return t
 }

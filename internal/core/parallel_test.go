@@ -6,10 +6,9 @@ import (
 )
 
 // TestParallelSweepsByteIdentical gates the parallel experiment executor:
-// every *Parallel variant must render a byte-identical table (or identical
-// points) at workers=1 and workers=8. The workers=1 path is the
-// sequential API itself, so this also pins parallel output to the
-// goldens the sequential tests already check.
+// every sweep must render a byte-identical table at workers=1 and
+// workers=8. workers=1 is what the other tests run, so this also pins
+// parallel output to the goldens they check.
 func TestParallelSweepsByteIdentical(t *testing.T) {
 	const seed = 42
 	cases := []struct {
@@ -17,25 +16,25 @@ func TestParallelSweepsByteIdentical(t *testing.T) {
 		run  func(workers int) string
 	}{
 		{"scale", func(w int) string {
-			return RunScaleParallel(seed, []int{4, 8, 12}, w).String()
+			return RunScale(seed, []int{4, 8, 12}, w).String()
 		}},
 		{"proxylife", func(w int) string {
-			return RunProxyLifetimeParallel(seed, []time.Duration{time.Hour, 8 * time.Hour, 64 * time.Hour}, 200, w).String()
+			return RunProxyLifetime(seed, []time.Duration{time.Hour, 8 * time.Hour, 64 * time.Hour}, 200, w).String()
 		}},
 		{"allocation", func(w int) string {
-			return RunAllocationParallel(seed, 4, 40, w).String()
+			return RunAllocation(seed, 4, 40, w).String()
 		}},
 		{"heterogeneity", func(w int) string {
-			return RunHeterogeneityParallel(seed, []int{0, 1, 4}, 60, w).String()
+			return RunHeterogeneity(seed, []int{0, 1, 4}, 60, w).String()
 		}},
 		{"datagrid", func(w int) string {
-			return RunDataGridParallel(seed, 1e7, []float64{0, 0.02}, []int{1, 4}, w).String()
+			return RunDataGrid(seed, 1e7, []float64{0, 0.02}, []int{1, 4}, w).String()
 		}},
 		{"oversub", func(w int) string {
-			return RunOversubParallel(seed, []float64{0.5, 1, 2}, w).String()
+			return RunOversub(seed, []float64{0.5, 1, 2}, w).String()
 		}},
 		{"fig1sweep", func(w int) string {
-			return Figure1SweepParallel(seed, 6, []float64{0, 0.5, 1}, w).String()
+			return Figure1Sweep(seed, 6, []float64{0, 0.5, 1}, w).String()
 		}},
 	}
 	for _, tc := range cases {
@@ -57,8 +56,8 @@ func TestParallelSweepsByteIdentical(t *testing.T) {
 // TestFigure1ParallelMatchesSequential compares the point structs, which
 // include float fields, for exact equality across worker counts.
 func TestFigure1ParallelMatchesSequential(t *testing.T) {
-	seq := Figure1Parallel(7, 8, 1)
-	par := Figure1Parallel(7, 8, 4)
+	seq := Figure1(7, 8, 1)
+	par := Figure1(7, 8, 4)
 	if len(seq) != len(par) {
 		t.Fatalf("point counts differ: %d vs %d", len(seq), len(par))
 	}

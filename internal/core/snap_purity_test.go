@@ -56,7 +56,7 @@ func TestScaleSnapshotPurity(t *testing.T) {
 	const seed = 7
 	render := func() []byte {
 		var b bytes.Buffer
-		RunScale(seed, []int{10}).Render(&b)
+		RunScale(seed, []int{10}, 1).Render(&b)
 		return b.Bytes()
 	}
 	plain := render()

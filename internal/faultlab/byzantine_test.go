@@ -74,7 +74,7 @@ func TestByzantineForkVsCold(t *testing.T) {
 	}
 	forked := func(seed int64) []byte {
 		var b bytes.Buffer
-		ForkedSeedRun(seed, profiles, cfg, func(rep *Report) {
+		forkedSeedRun(seed, profiles, cfg, func(rep *Report) {
 			b.Write(serializeByzReport(t, rep))
 		})
 		return b.Bytes()
@@ -94,7 +94,7 @@ func TestByzantineRepeatedForkIdentical(t *testing.T) {
 	p, _ := ProfileByName("mixed")
 	for _, seed := range snaptest.Seeds(1, 4) {
 		var runs [][]byte
-		ForkedSeedRun(seed, []Profile{p, p}, cfg, func(rep *Report) {
+		forkedSeedRun(seed, []Profile{p, p}, cfg, func(rep *Report) {
 			runs = append(runs, serializeByzReport(t, rep))
 		})
 		if !bytes.Equal(runs[0], runs[1]) {

@@ -30,6 +30,25 @@ func forkTestConfig() ChaosConfig {
 	}
 }
 
+// forkedSeedRun runs every profile for one seed off a single warm build:
+// build the scenario once, snapshot at the arm point, re-fork per
+// profile. Production sweeps run every cell cold (DESIGN §12 says why);
+// the gates below use this as the whole-scenario exercise of the contract
+// Bisect relies on — a forked timeline is byte-identical to a cold one.
+//
+// visit runs BEFORE the next profile's fork: the seed's forks share the
+// engine's tracer and the next fork rewinds it, so traces must be
+// drained inside visit.
+func forkedSeedRun(seed int64, profiles []Profile, cfg ChaosConfig, visit func(*Report)) {
+	c := newChaosRun(seed, cfg)
+	snap := c.f.Eng.Snapshot()
+	for _, p := range profiles {
+		snap.Fork()
+		c.arm(Generate(seed, p, cfg.SiteNames(), cfg.Horizon))
+		visit(c.finish())
+	}
+}
+
 // serializeReport renders everything a chaos run observably produced —
 // summary table, schedule, injector trace, violations, scalar outcomes,
 // resilience counters, and the full JSONL trace stream — so the
@@ -78,7 +97,7 @@ func TestForkVsColdChaos(t *testing.T) {
 		var b bytes.Buffer
 		// Serialize inside the visit callback: the shared tracer is only
 		// valid for a given timeline until the next fork rewinds it.
-		ForkedSeedRun(seed, profiles, cfg, func(rep *Report) {
+		forkedSeedRun(seed, profiles, cfg, func(rep *Report) {
 			b.Write(serializeReport(t, rep))
 		})
 		return b.Bytes()
@@ -99,7 +118,7 @@ func TestForkRewindsJobRngExactly(t *testing.T) {
 	p, _ := ProfileByName("mixed")
 	for _, seed := range snaptest.Seeds(1, 8) {
 		var runs [][]byte
-		ForkedSeedRun(seed, []Profile{p, p}, cfg, func(rep *Report) {
+		forkedSeedRun(seed, []Profile{p, p}, cfg, func(rep *Report) {
 			runs = append(runs, serializeReport(t, rep))
 		})
 		first, second := runs[0], runs[1]
@@ -138,18 +157,16 @@ func TestChaosSnapshotPurity(t *testing.T) {
 	}
 }
 
-// TestForkedSweepMatchesColdSweep pins the Sweep rewiring: the warm-fork
-// sweep must render the same aggregate as running every cell cold.
+// TestForkedSweepMatchesColdSweep: folding warm-forked reports must
+// render the same aggregate as Sweep, which runs every cell cold.
 func TestForkedSweepMatchesColdSweep(t *testing.T) {
 	cfg := forkTestConfig()
 	profiles := Profiles()
-	coldRes := &SweepResult{}
+	coldRes := Sweep(1, 3, profiles, cfg)
+	warmRes := &SweepResult{}
 	for s := int64(1); s <= 3; s++ {
-		for _, p := range profiles {
-			coldRes.Add(RunChaos(s, p, cfg))
-		}
+		forkedSeedRun(s, profiles, cfg, warmRes.Add)
 	}
-	warmRes := Sweep(1, 3, profiles, cfg)
 	if coldRes.String() != warmRes.String() {
 		t.Fatalf("forked sweep diverged from cold sweep:\ncold:\n%s\nwarm:\n%s", coldRes, warmRes)
 	}

@@ -179,10 +179,9 @@ func run(seed int64, sched *Schedule, cfg ChaosConfig) *Report {
 
 // chaosRun is one scenario instance with every piece of mutable run state
 // held in fields rather than closure captures. The struct is registered as
-// an engine snapshot root, so a snapshot taken before arm (the warm sweep
-// fork point) or mid-run (bisection) rewinds the whole scenario — job
-// counters, audit dedup state, injector bookkeeping — along with the
-// federation underneath it.
+// an engine snapshot root, so a snapshot taken mid-run (bisection) rewinds
+// the whole scenario — job counters, audit dedup state, injector
+// bookkeeping — along with the federation underneath it.
 type chaosRun struct {
 	cfg   ChaosConfig
 	seed  int64
@@ -213,8 +212,7 @@ type chaosRun struct {
 
 // newChaosRun builds the federation and starts the steady-state machinery
 // (service manager, job stream, reconcile loop) but installs no faults and
-// arms no audits: this is the profile-independent prefix a warm sweep
-// snapshots once per seed and re-forks per profile.
+// arms no audits: this is the profile-independent prefix of a run.
 func newChaosRun(seed int64, cfg ChaosConfig) *chaosRun {
 	names := cfg.SiteNames()
 	specs := make([]core.SiteSpec, cfg.Sites)
@@ -571,16 +569,13 @@ func (r *SweepResult) String() string {
 }
 
 // Sweep runs the chaos scenario over seeds startSeed..startSeed+seeds-1
-// for every profile, reporting the first violating (seed, profile) as a
-// minimal repro. Each seed's profile-independent build runs once and is
-// re-forked per profile (see ForkedSeedReports); the reduce order stays
-// seed-major, and forked runs are byte-identical to cold ones, so the
-// result matches the historical run-every-cell-cold sweep exactly.
+// for every profile, seed-major, reporting the first violating (seed,
+// profile) as a minimal repro.
 func Sweep(startSeed int64, seeds int, profiles []Profile, cfg ChaosConfig) *SweepResult {
 	res := &SweepResult{}
 	for s := int64(0); s < int64(seeds); s++ {
-		for _, rep := range ForkedSeedReports(startSeed+s, profiles, cfg) {
-			res.Add(rep)
+		for _, p := range profiles {
+			res.Add(RunChaos(startSeed+s, p, cfg))
 		}
 	}
 	return res

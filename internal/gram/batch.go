@@ -2,6 +2,7 @@ package gram
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -50,6 +51,16 @@ type BatchManager struct {
 type commitment struct {
 	start, end time.Duration
 	count      int
+}
+
+// endOf returns start+dur saturated at the last representable instant:
+// rsl admits walls up to 2⁶³ ns, and a wrapped (negative) end would read
+// as a claim that is already over.
+func endOf(start, dur time.Duration) time.Duration {
+	if dur > math.MaxInt64-start {
+		return math.MaxInt64
+	}
+	return start + dur
 }
 
 // Reservation is an admitted advance reservation.
@@ -177,7 +188,7 @@ func (m *BatchManager) earliestStart(cs []commitment, count int, dur, after time
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
 	for _, t := range cands {
-		if m.minFree(cs, t, t+dur) >= count {
+		if m.minFree(cs, t, endOf(t, dur)) >= count {
 			return t
 		}
 	}
@@ -245,12 +256,13 @@ func (m *BatchManager) Reserve(start, dur time.Duration, count int) (string, err
 	if start < m.eng.Now() {
 		return "", fmt.Errorf("%w: start %v in the past", ErrInfeasible, start)
 	}
-	if m.minFree(m.commitments(), start, start+dur) < count {
+	end := endOf(start, dur)
+	if m.minFree(m.commitments(), start, end) < count {
 		return "", ErrInfeasible
 	}
 	m.resSeq++
 	id := fmt.Sprintf("%s-r%d", m.name, m.resSeq)
-	m.reservations[id] = &Reservation{ID: id, Start: start, End: start + dur, Count: count}
+	m.reservations[id] = &Reservation{ID: id, Start: start, End: end, Count: count}
 	// An admitted reservation shrinks what backfill may use.
 	m.kick()
 	return id, nil
@@ -302,7 +314,7 @@ func (m *BatchManager) claim(j *Job, resID string, wall time.Duration) error {
 func (m *BatchManager) startReserved(j *Job, r *Reservation, wall time.Duration) {
 	r.claimed = true
 	now := m.eng.Now()
-	end := now + wall
+	end := endOf(now, wall)
 	if end > r.End {
 		end = r.End // the guarantee stops at the window edge
 	}
@@ -314,8 +326,9 @@ func (m *BatchManager) startReserved(j *Job, r *Reservation, wall time.Duration)
 func (m *BatchManager) start(j *Job, wall time.Duration) {
 	now := m.eng.Now()
 	j.Started = now
-	c := &commitment{start: now, end: now + wall, count: j.Count()}
-	m.running[j] = c
+	end := endOf(now, wall)
+	wall = end - now // the kill below must land on a representable instant
+	m.running[j] = &commitment{start: now, end: end, count: j.Count()}
 	j.transition(Active)
 	m.cStarted.Inc()
 	m.hWait.Observe(j.WaitTime())
@@ -430,12 +443,12 @@ func (m *BatchManager) kick() {
 		// commitment for it, then backfill later jobs that fit *now*
 		// without disturbing the shadow.
 		if !m.DisableBackfill {
-			shadow := commitment{start: t, end: t + wall, count: head.Count()}
+			shadow := commitment{start: t, end: endOf(t, wall), count: head.Count()}
 			var rest []*Job
 			for _, j := range m.queue[1:] {
 				jw, _ := j.MaxWall()
 				csNow := append(m.commitments(), shadow)
-				if m.minFree(csNow, now, now+jw) >= j.Count() {
+				if m.minFree(csNow, now, endOf(now, jw)) >= j.Count() {
 					m.start(j, jw)
 					m.BackfilledN++
 					m.cBackfilled.Inc()

@@ -11,14 +11,20 @@ import (
 )
 
 // mkStream builds a deterministic job stream from fuzz bytes: each byte
-// pair encodes (count, runtime); wall = 2×run.
+// pair encodes (count, runtime); wall = 2×run, except that every third
+// runtime byte asks for the largest wall rsl admits (within a second of
+// 2⁶³ ns), so the scheduler's time arithmetic runs at its upper edge.
 func mkStream(t testing.TB, raw []uint8, slots int) []*Job {
 	t.Helper()
 	var jobs []*Job
 	for i := 0; i+1 < len(raw); i += 2 {
 		count := int(raw[i])%slots + 1
 		run := time.Duration(int(raw[i+1])%120+1) * time.Minute
-		src := fmt.Sprintf(`&(executable=x)(count=%d)(maxWallTime=%d)`, count, int(run.Seconds()*2))
+		wall := int(run.Seconds() * 2)
+		if raw[i+1]%3 == 0 {
+			wall = 9223372036
+		}
+		src := fmt.Sprintf(`&(executable=x)(count=%d)(maxWallTime=%d)`, count, wall)
 		spec, err := rsl.Parse(src)
 		if err != nil {
 			t.Fatal(err)

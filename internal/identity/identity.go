@@ -30,7 +30,6 @@ var (
 	ErrExpired        = errors.New("identity: certificate expired or not yet valid")
 	ErrBadSignature   = errors.New("identity: signature verification failed")
 	ErrUntrustedRoot  = errors.New("identity: chain does not terminate at a trusted CA")
-	ErrNotCA          = errors.New("identity: issuer is not a CA")
 	ErrBrokenChain    = errors.New("identity: chain issuer/subject mismatch")
 	ErrProxyFromProxy = errors.New("identity: proxy chain exceeds depth limit")
 	ErrRevoked        = errors.New("identity: certificate revoked")
@@ -322,9 +321,6 @@ func NewVerifier(roots ...*CA) *Verifier {
 	}
 	return v
 }
-
-// AddRoot trusts an additional CA root.
-func (v *Verifier) AddRoot(ca *CA) { v.roots[ca.Name] = ca.Public() }
 
 // Revoke adds a certificate to the revocation list.
 func (v *Verifier) Revoke(c *Certificate) { v.revoked[c.Fingerprint()] = true }

@@ -78,12 +78,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModuleDir returns the absolute module root directory.
-func (l *Loader) ModuleDir() string { return l.modDir }
-
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modPath }
-
 func findModule(dir string) (modDir, modPath string, err error) {
 	for d := dir; ; {
 		data, err := os.ReadFile(filepath.Join(d, "go.mod"))

@@ -14,7 +14,6 @@
 package mds
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"sort"
@@ -30,9 +29,6 @@ const (
 	SvcRegister = "mds.register"
 	SvcQuery    = "mds.query"
 )
-
-// ErrBadFilter reports an unusable query filter.
-var ErrBadFilter = errors.New("mds: bad filter")
 
 // Record is a registered resource snapshot held by an index.
 type Record struct {

@@ -1,14 +1,10 @@
 // Package chaos fans faultlab's (seed × profile) chaos sweep across a
-// worker pool. The unit of parallelism is one SEED: each worker builds
-// the seed's profile-independent scenario once, snapshots the engine, and
-// re-forks it per profile (faultlab.ForkedSeedReports), so the build cost
-// is paid seeds times instead of seeds×profiles times. Seeds share
-// nothing — every seed owns a private engine, rng, and federation — and
-// results land in preallocated per-seed slots reduced in the same
-// seed-major order the sequential faultlab.Sweep uses. Forked runs are
-// byte-identical to cold ones (the snaptest gates enforce this), so the
-// output is identical to the sequential sweep at any worker count — the
-// determinism tests assert this under -race in CI.
+// worker pool. The unit of parallelism is one grid cell: a cold
+// faultlab.RunChaos that owns a private engine, rng, federation and
+// tracer, so cells share nothing. Results land in preallocated slots
+// reduced in the same seed-major order the sequential faultlab.Sweep
+// uses, so the output is identical to the sequential sweep at any worker
+// count — the determinism tests assert this under -race in CI.
 //
 // It lives in a subpackage because perf itself must stay stdlib-only
 // (core imports perf; faultlab imports core; importing faultlab from
@@ -23,9 +19,7 @@ import (
 // Reports runs the chaos grid — seeds startSeed..startSeed+seeds-1 ×
 // profiles — across workers goroutines and returns every report in
 // seed-major grid order. workers <= 0 means GOMAXPROCS; workers == 1 is
-// the sequential reference. Report.Tracer is shared per seed and left
-// rewound by the seed's last fork; use the summary/violation fields, not
-// the tracer, from sweep results.
+// the sequential reference.
 func Reports(startSeed int64, seeds int, profiles []faultlab.Profile, cfg faultlab.ChaosConfig, workers int) []*faultlab.Report {
 	if seeds <= 0 || len(profiles) == 0 {
 		return nil
@@ -38,21 +32,14 @@ func Reports(startSeed int64, seeds int, profiles []faultlab.Profile, cfg faultl
 }
 
 // ForEachReport runs the same grid as Reports but hands each report to
-// visit as soon as its run completes — BEFORE the seed's next fork rewinds
-// the shared tracer — which is the only way to harvest per-cell trace
-// output from a parallel sweep. i is the seed-major grid index. visit runs
-// on worker goroutines (concurrently across seeds, sequentially within
-// one), so it must only touch per-cell state or synchronize.
+// visit as soon as its run completes, so a caller that only needs a
+// digest of each cell (its trace, say) never holds the whole grid. i is
+// the seed-major grid index. visit runs on worker goroutines, so it must
+// only touch per-cell state or synchronize.
 func ForEachReport(startSeed int64, seeds int, profiles []faultlab.Profile, cfg faultlab.ChaosConfig, workers int, visit func(i int, rep *faultlab.Report)) {
-	if seeds <= 0 || len(profiles) == 0 {
-		return
-	}
-	perf.ForEach(seeds, workers, func(i int) {
-		j := 0
-		faultlab.ForkedSeedRun(startSeed+int64(i), profiles, cfg, func(rep *faultlab.Report) {
-			visit(i*len(profiles)+j, rep)
-			j++
-		})
+	perf.ForEach(seeds*len(profiles), workers, func(i int) {
+		seed := startSeed + int64(i/len(profiles))
+		visit(i, faultlab.RunChaos(seed, profiles[i%len(profiles)], cfg))
 	})
 }
 
@@ -68,20 +55,12 @@ func Sweep(startSeed int64, seeds int, profiles []faultlab.Profile, cfg faultlab
 }
 
 // ByzantineSweep is the parallel counterpart of
-// faultlab.ByzantineSweep: one profile over a seed range, one seed per
-// worker task, reduced through ByzantineSweepResult.Add in seed order —
-// so the evidence table is byte-identical to the sequential sweep at
-// any worker count.
+// faultlab.ByzantineSweep: one profile over a seed range, reduced
+// through ByzantineSweepResult.Add in seed order — so the evidence table
+// is byte-identical to the sequential sweep at any worker count.
 func ByzantineSweep(startSeed int64, seeds int, p faultlab.Profile, cfg faultlab.ChaosConfig, workers int) *faultlab.ByzantineSweepResult {
-	if seeds <= 0 {
-		return faultlab.NewByzantineSweepResult()
-	}
-	reps := make([]*faultlab.Report, seeds)
-	perf.ForEach(seeds, workers, func(i int) {
-		reps[i] = faultlab.RunChaos(startSeed+int64(i), p, cfg)
-	})
 	res := faultlab.NewByzantineSweepResult()
-	for _, rep := range reps {
+	for _, rep := range Reports(startSeed, seeds, []faultlab.Profile{p}, cfg, workers) {
 		res.Add(rep)
 	}
 	return res

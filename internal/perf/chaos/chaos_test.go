@@ -99,9 +99,7 @@ func TestParallelMatchesSequentialFaultlabSweep(t *testing.T) {
 
 // TestParallelTraceIdentical turns the obs tracing layer on and asserts
 // the JSONL trace of every grid cell is byte-identical across worker
-// counts: parallelism must not perturb even the observability stream. The
-// traces are drained inside the visit callback — a seed's forks share one
-// tracer, and each fork rewinds it.
+// counts: parallelism must not perturb even the observability stream.
 func TestParallelTraceIdentical(t *testing.T) {
 	cfg := testConfig()
 	cfg.Trace = true

@@ -4,8 +4,8 @@
 // 1,000 sites / 100k nodes / ~1M concurrent leases in one
 // deterministic run, exercising the three scale-flat mechanisms this
 // milestone added: the sharded MDS (dense regional indexes + summary
-// pruning at the root), batched SHARP verification (dedup + memo), and
-// the compact O(live) lease store.
+// pruning at the root), memoized SHARP verification, and the compact
+// O(live) lease store.
 //
 // Parallelism follows the perf contract: the federation is partitioned
 // into regions, each region is one grid cell with its own private

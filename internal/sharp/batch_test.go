@@ -31,6 +31,45 @@ func twinAuthorities(t *testing.T, capacity float64) (*sim.Engine, *Authority, *
 	return eng, mk(11), mk(11)
 }
 
+// redeemLoop is the reference RedeemBatch is compared against: Redeem
+// per ticket, in order.
+func redeemLoop(a *Authority, tickets []*Ticket) []RedeemResult {
+	out := make([]RedeemResult, len(tickets))
+	for i, tk := range tickets {
+		if tk == nil {
+			out[i].Err = fmt.Errorf("%w: nil ticket", ErrBadChain)
+			continue
+		}
+		out[i].Lease, out[i].Err = a.Redeem(tk)
+	}
+	return out
+}
+
+// sameResults fails unless the two result lists agree entry by entry:
+// same error text, or same lease ID, amount and term.
+func sameResults(t *testing.T, seq, batch []RedeemResult) {
+	t.Helper()
+	if len(seq) != len(batch) {
+		t.Fatalf("results: sequential %d, batch %d", len(seq), len(batch))
+	}
+	for i := range seq {
+		s, b := seq[i], batch[i]
+		if (s.Err == nil) != (b.Err == nil) {
+			t.Fatalf("ticket %d: sequential err %v, batch err %v", i, s.Err, b.Err)
+		}
+		if s.Err != nil {
+			if s.Err.Error() != b.Err.Error() {
+				t.Errorf("ticket %d: error text diverged:\n  seq:   %v\n  batch: %v", i, s.Err, b.Err)
+			}
+			continue
+		}
+		if s.Lease.ID != b.Lease.ID || s.Lease.Amount != b.Lease.Amount ||
+			s.Lease.NotAfter != b.Lease.NotAfter {
+			t.Errorf("ticket %d: lease diverged: %+v vs %+v", i, s.Lease, b.Lease)
+		}
+	}
+}
+
 // TestRedeemBatchMatchesSequential is the differential gate: the same
 // ticket mix — valid chains, an in-batch double spend, a tampered
 // signature, and capacity conflicts — must produce identical leases,
@@ -64,29 +103,10 @@ func TestRedeemBatchMatchesSequential(t *testing.T) {
 	tickets = append(tickets, evil)
 	// With capacity 6 and 3-CPU leaves, the third valid redeem conflicts.
 
-	seqRes := make([]RedeemResult, len(tickets))
-	for i, tk := range tickets {
-		l, err := seqAuth.Redeem(tk)
-		seqRes[i] = RedeemResult{Lease: l, Err: err}
-	}
+	seqRes := redeemLoop(seqAuth, tickets)
 	batchRes := batchAuth.RedeemBatch(tickets)
 
-	for i := range tickets {
-		s, b := seqRes[i], batchRes[i]
-		if (s.Err == nil) != (b.Err == nil) {
-			t.Fatalf("ticket %d: sequential err %v, batch err %v", i, s.Err, b.Err)
-		}
-		if s.Err != nil {
-			if s.Err.Error() != b.Err.Error() {
-				t.Errorf("ticket %d: error text diverged:\n  seq:   %v\n  batch: %v", i, s.Err, b.Err)
-			}
-			continue
-		}
-		if s.Lease.ID != b.Lease.ID || s.Lease.Amount != b.Lease.Amount ||
-			s.Lease.NotAfter != b.Lease.NotAfter {
-			t.Errorf("ticket %d: lease diverged: %+v vs %+v", i, s.Lease, b.Lease)
-		}
-	}
+	sameResults(t, seqRes, batchRes)
 	if seqAuth.RedeemOK != batchAuth.RedeemOK ||
 		seqAuth.RedeemConflict != batchAuth.RedeemConflict ||
 		seqAuth.ReplayRejN != batchAuth.ReplayRejN {
@@ -119,6 +139,62 @@ func TestRedeemBatchNilTicket(t *testing.T) {
 	}
 	if res[1].Err != nil || res[1].Lease == nil {
 		t.Errorf("neighbor: %+v", res[1])
+	}
+}
+
+// TestRedeemBatchCountsMixedBatch pins the amortization counters on a
+// batch that is not all good news — a nil entry, a forged link and a
+// replay among valid tickets: BatchSigN is the links of the non-nil
+// tickets, BatchVerifiedN is exactly the memo's misses (one
+// ed25519.Verify each, the forged link's failed one included), and the
+// results are those of a Redeem loop on a twin authority.
+func TestRedeemBatchCountsMixedBatch(t *testing.T) {
+	_, seqAuth, batchAuth := twinAuthorities(t, 8)
+	rng := rand.New(rand.NewSource(23))
+	agent := NewAgent(identity.NewPrincipal("agent-1", rng))
+	sm := identity.NewPrincipal("sm", rng)
+
+	root, err := seqAuth.IssueTicket(agent.Name, agent.Key(), capability.CPU, 3, 0, hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent.Acquire(root)
+	var subs []*Ticket
+	for i := 0; i < 3; i++ {
+		s, err := agent.Sell(sm.Name, sm.Public(), "A", capability.CPU, 1, 0, hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, s...)
+	}
+	forged := &Ticket{Chain: append([]Claim(nil), subs[1].Chain...)}
+	forged.Chain[1].Amount = 2
+	tickets := []*Ticket{nil, subs[0], forged, subs[1], subs[0], subs[2]}
+
+	_, missesBefore, _ := batchAuth.SigCacheStats()
+	batchRes := batchAuth.RedeemBatch(tickets)
+	_, missesAfter, _ := batchAuth.SigCacheStats()
+	sameResults(t, redeemLoop(seqAuth, tickets), batchRes)
+
+	if !errors.Is(batchRes[0].Err, ErrBadChain) {
+		t.Errorf("nil ticket: %v", batchRes[0].Err)
+	}
+	if !errors.Is(batchRes[2].Err, ErrBadSignature) {
+		t.Errorf("forged link: %v", batchRes[2].Err)
+	}
+	if !errors.Is(batchRes[4].Err, ErrReplayed) {
+		t.Errorf("replay: %v", batchRes[4].Err)
+	}
+	if batchAuth.BatchSigN != 5*2 {
+		t.Errorf("BatchSigN = %d, want 10 (five non-nil depth-2 tickets)", batchAuth.BatchSigN)
+	}
+	if batchAuth.BatchVerifiedN != missesAfter-missesBefore {
+		t.Errorf("BatchVerifiedN = %d, memo misses rose by %d", batchAuth.BatchVerifiedN, missesAfter-missesBefore)
+	}
+	// Root link once, three honest leaves, one forged leaf; the replayed
+	// ticket is two hits.
+	if batchAuth.BatchVerifiedN != 5 {
+		t.Errorf("BatchVerifiedN = %d, want 5", batchAuth.BatchVerifiedN)
 	}
 }
 
@@ -186,7 +262,7 @@ func TestRedeemBatchAmortizesSharedPrefixes(t *testing.T) {
 }
 
 // TestBatchForgeryStillRejected: the PR 9 forgery kit must not slip
-// through the batched path — a tampered claim misses the memo (its
+// through RedeemBatch — a tampered claim misses the memo (its
 // digest differs) and fails the real verification.
 func TestBatchForgeryStillRejected(t *testing.T) {
 	f := newFixture(t)

@@ -22,7 +22,6 @@ import (
 var (
 	ErrPeerPolicy   = errors.New("sharp: peer refused by local policy")
 	ErrSelfPeering  = errors.New("sharp: site cannot peer with itself")
-	ErrUnknownPeer  = errors.New("sharp: unknown peer")
 	ErrBarterFailed = errors.New("sharp: barter could not issue both legs")
 )
 

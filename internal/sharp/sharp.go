@@ -199,31 +199,18 @@ func (t *Ticket) Root() *Claim {
 func (t *Ticket) Amount() float64 { return t.Leaf().Amount }
 
 // Verify checks the whole chain against the pinned authority key: every
-// signature, hash link, amount narrowing, and interval nesting.
+// signature, hash link, amount narrowing, and interval nesting. It is the
+// holder-side form: every link pays its ed25519.Verify.
 func (t *Ticket) Verify(authorityKey ed25519.PublicKey, now time.Duration) error {
-	return t.verify(authorityKey, now, func(c *Claim) bool {
-		return ed25519.Verify(c.IssuerKey, c.tbs(), c.Sig)
-	})
+	return t.verify(authorityKey, now, nil)
 }
 
-// VerifyCached is Verify with the signature checks memoized through a
-// SigCache: chains sharing already-verified links (the same stocked
-// ticket resold many times) skip the repeated ed25519 math. Results are
-// identical to Verify — the cache only ever skips re-proving triples
-// that already proved valid (see identity.SigCache).
-func (t *Ticket) VerifyCached(authorityKey ed25519.PublicKey, now time.Duration, cache *identity.SigCache) error {
-	if cache == nil {
-		return t.Verify(authorityKey, now)
-	}
-	return t.verify(authorityKey, now, func(c *Claim) bool {
-		return cache.Verify(c.IssuerKey, c.tbs(), c.Sig)
-	})
-}
-
-// verify runs the structural chain walk with signature validity
-// answered by sigOK, so the direct, memoized, and batched paths share
-// one body and one error precedence.
-func (t *Ticket) verify(authorityKey ed25519.PublicKey, now time.Duration, sigOK func(*Claim) bool) error {
+// verify is the one chain walk. Link signatures resolve through cache —
+// the authority's memo of triples that already proved valid, so chains
+// sharing links (one stocked ticket resold many times) skip the repeated
+// ed25519 math; a nil cache verifies every link directly. Results do
+// not depend on the cache (see identity.SigCache).
+func (t *Ticket) verify(authorityKey ed25519.PublicKey, now time.Duration, cache *identity.SigCache) error {
 	if len(t.Chain) == 0 {
 		return fmt.Errorf("%w: empty", ErrBadChain)
 	}
@@ -233,7 +220,7 @@ func (t *Ticket) verify(authorityKey ed25519.PublicKey, now time.Duration, sigOK
 	}
 	for i := range t.Chain {
 		c := &t.Chain[i]
-		if !sigOK(c) {
+		if !cache.Verify(c.IssuerKey, c.tbs(), c.Sig) {
 			return fmt.Errorf("%w: link %d", ErrBadSignature, i)
 		}
 		if i == 0 {
@@ -360,8 +347,8 @@ type Authority struct {
 
 	// BatchSigN counts link signatures presented through RedeemBatch;
 	// BatchVerifiedN counts how many actually cost an ed25519.Verify
-	// after dedup and memoization — the amortization evidence the
-	// throughput gates assert on deterministically.
+	// after memoization — the amortization evidence the throughput
+	// gates assert on deterministically.
 	BatchSigN, BatchVerifiedN int
 
 	// Observability handles (inert when no tracer is installed).
@@ -564,15 +551,6 @@ func (a *Authority) IssueTicket(holderName string, holderKey ed25519.PublicKey, 
 // so re-presented prefixes (the same stocked ticket resold many times)
 // cost one ed25519.Verify ever, not one per redeem.
 func (a *Authority) Redeem(t *Ticket) (*Lease, error) {
-	return a.redeemWith(t, func(c *Claim) bool {
-		return a.sigCache.Verify(c.IssuerKey, c.tbs(), c.Sig)
-	})
-}
-
-// redeemWith is the one redeem body, with signature validity answered
-// by sigOK — the single (memoized) and batched paths share it, so batch
-// redemption is definitionally equivalent to a sequential redeem loop.
-func (a *Authority) redeemWith(t *Ticket, sigOK func(*Claim) bool) (*Lease, error) {
 	var span obs.SpanContext
 	if a.tr != nil {
 		attrs := []obs.Attr{obs.String("site", a.Site)}
@@ -590,7 +568,7 @@ func (a *Authority) redeemWith(t *Ticket, sigOK func(*Claim) bool) (*Lease, erro
 		span.End(obs.Err(ErrWrongSite))
 		return nil, ErrWrongSite
 	}
-	if err := t.verify(a.signer.Public(), now, sigOK); err != nil {
+	if err := t.verify(a.signer.Public(), now, a.sigCache); err != nil {
 		a.cRedeemRej.Inc()
 		span.End(obs.Err(err))
 		return nil, err
@@ -658,53 +636,23 @@ type RedeemResult struct {
 	Err   error
 }
 
-// RedeemBatch redeems many tickets in one pass, amortizing chain
-// verification: every link signature across the whole batch is
-// collected first, deduplicated (tickets resold from one stocked ticket
-// share their entire prefix), resolved against the verification memo,
-// and only the genuinely new triples pay an ed25519.Verify. The
-// per-ticket admission logic then replays in input order with the
-// precomputed signature verdicts, so results — leases, errors, replay
-// rejections, conflict accounting — are identical to calling Redeem in
-// a loop (a differential test pins this).
+// RedeemBatch is Redeem over tickets in input order (a nil ticket is
+// ErrBadChain), counting the batch's amortization: the verification
+// memo is keyed on the exact signature triple, so links the batch
+// repeats — tickets resold from one stocked ticket share their whole
+// prefix — pay one ed25519.Verify between them.
 func (a *Authority) RedeemBatch(tickets []*Ticket) []RedeemResult {
-	batch := identity.NewBatch(a.sigCache)
-	// Phase 1: collect every link signature. offsets[i] is ticket i's
-	// first item index; items appear in chain order per ticket.
-	offsets := make([]int, len(tickets))
-	for i, t := range tickets {
-		offsets[i] = batch.Len()
-		if t == nil {
-			continue
-		}
-		for j := range t.Chain {
-			c := &t.Chain[j]
-			batch.Add(c.IssuerKey, c.tbs(), c.Sig)
-		}
-	}
-	// Phase 2: one resolution pass over the distinct triples.
-	verdicts := batch.Run()
-	a.BatchVerifiedN += batch.VerifiedN
-	a.BatchSigN += batch.Len()
-	// Phase 3: sequential admission with memoized signature answers.
 	out := make([]RedeemResult, len(tickets))
+	misses := a.sigCache.Misses
 	for i, t := range tickets {
 		if t == nil {
-			out[i] = RedeemResult{Err: fmt.Errorf("%w: nil ticket", ErrBadChain)}
+			out[i].Err = fmt.Errorf("%w: nil ticket", ErrBadChain)
 			continue
 		}
-		// verify visits claims in chain order — the order phase 1
-		// enqueued them — and calls sigOK exactly once per link until
-		// the first failure, so a running cursor recovers each claim's
-		// verdict without re-hashing.
-		cursor := offsets[i]
-		lease, err := a.redeemWith(t, func(*Claim) bool {
-			ok := verdicts[cursor]
-			cursor++
-			return ok
-		})
-		out[i] = RedeemResult{Lease: lease, Err: err}
+		a.BatchSigN += len(t.Chain)
+		out[i].Lease, out[i].Err = a.Redeem(t)
 	}
+	a.BatchVerifiedN += a.sigCache.Misses - misses
 	return out
 }
 
@@ -776,7 +724,7 @@ func (a *Authority) Renew(leaseID string, tickets ...*Ticket) (*Lease, error) {
 		if t.Root() != nil && t.Root().Site != a.Site {
 			return fail(ErrWrongSite)
 		}
-		if err := t.VerifyCached(a.signer.Public(), now, a.sigCache); err != nil {
+		if err := t.verify(a.signer.Public(), now, a.sigCache); err != nil {
 			return fail(err)
 		}
 		leaf := t.Leaf()

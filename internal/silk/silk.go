@@ -198,9 +198,6 @@ func (c *Context) Close() {
 	delete(c.node.contexts, c)
 }
 
-// Closed reports whether the context has been torn down.
-func (c *Context) Closed() bool { return c.closed }
-
 // RunTask executes coreSeconds of CPU work under the context's scheduling
 // class and invokes onDone at completion. Fair-share tasks compete on the
 // node's shared CPU weighted by CPUShares; dedicated contexts run on their

@@ -32,7 +32,6 @@ var (
 	ErrNoHandler    = errors.New("simnet: no handler for service")
 	ErrPartitioned  = errors.New("simnet: sites partitioned")
 	ErrHostDown     = errors.New("simnet: host down")
-	ErrFlowAborted  = errors.New("simnet: flow aborted")
 	ErrZeroCapacity = errors.New("simnet: zero-capacity path")
 )
 
@@ -205,9 +204,6 @@ func (n *Network) AddHost(name, site string, linkBps float64) *Host {
 
 // Host returns a host by name, or nil.
 func (n *Network) Host(name string) *Host { return n.hosts[name] }
-
-// Hosts returns the number of registered hosts.
-func (n *Network) Hosts() int { return len(n.hosts) }
 
 // ActiveFlows returns the number of flows currently in progress — the
 // balancing term in the started = done + failed + aborted + active

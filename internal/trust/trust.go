@@ -139,11 +139,6 @@ func (b *Bank) Deposited(broker string) float64 {
 	return 0
 }
 
-// Brokers returns account names in creation order.
-func (b *Bank) Brokers() []string {
-	return append([]string(nil), b.order...)
-}
-
 // Events returns a copy of the slash log in occurrence order.
 func (b *Bank) Events() []SlashEvent {
 	return append([]SlashEvent(nil), b.events...)

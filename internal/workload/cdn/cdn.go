@@ -118,7 +118,7 @@ type fetch struct {
 type Scenario struct {
 	Eng *sim.Engine
 	Net *simnet.Network
-	Inj *faultlab.NetInjector
+	Inj *faultlab.Injector
 
 	cfg      Config
 	rng      *rand.Rand
