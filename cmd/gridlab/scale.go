@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -11,32 +13,38 @@ import (
 	"repro/internal/perf/scale"
 )
 
-// runScale drives the E14 planetary federation experiment. The
-// deterministic report goes to stdout (byte-identical at any -workers
-// count — CI diffs w1 vs w8); wall-clock throughput, the
-// registration-flatness probe, peak RSS, and the BENCH_ lines go to
-// stderr, since they vary run to run. The wall clock is injected here:
-// internal packages are wall-time-free by lint.
-func runScale() error {
-	cfg := scale.DefaultConfig()
-	cfg.Sites = *scaleSites
-	cfg.Regions = *scaleRegions
-	if cfg.Sites <= 0 {
-		return fmt.Errorf("scale: -sites must be positive")
+// bindScale sizes the E14 planetary federation from federation-wide
+// totals.
+func bindScale(fs *flag.FlagSet, g *globals) func(io.Writer) error {
+	sites := fs.Int("sites", 1000, "federation site count")
+	nodes := fs.Int("nodes", 100000, "total sensor nodes across the federation")
+	leases := fs.Int("leases", 1000000, "total concurrent-lease target across the federation")
+	regions := fs.Int("regions", 16, "MDS shard / parallel-cell count")
+	return func(w io.Writer) error {
+		cfg := scale.DefaultConfig()
+		cfg.Sites = *sites
+		cfg.Regions = *regions
+		if cfg.Sites <= 0 {
+			return usageError("-sites must be positive")
+		}
+		cfg.NodesPerSite = max(*nodes/cfg.Sites, 1)
+		cfg.LeasesPerSite = max(*leases/cfg.Sites, 1)
+		runScale(w, cfg, g)
+		return nil
 	}
-	cfg.NodesPerSite = *scaleNodes / cfg.Sites
-	if cfg.NodesPerSite <= 0 {
-		cfg.NodesPerSite = 1
-	}
-	cfg.LeasesPerSite = *scaleLeases / cfg.Sites
-	if cfg.LeasesPerSite <= 0 {
-		cfg.LeasesPerSite = 1
-	}
+}
+
+// runScale drives the E14 experiment. The deterministic report goes to w
+// (byte-identical at any -workers count — CI diffs w1 vs w8); wall-clock
+// throughput, the registration-flatness probe, peak RSS, and the BENCH_
+// lines go to stderr, since they vary run to run. The wall clock is
+// injected here: internal packages are wall-time-free by lint.
+func runScale(w io.Writer, cfg scale.Config, g *globals) {
 	start := time.Now()
 	cfg.WallClock = func() time.Duration { return time.Since(start) }
 
-	rep := scale.Run(*seed, cfg, *workers)
-	rep.Render(os.Stdout)
+	rep := scale.Run(g.seed, cfg, g.workers)
+	rep.Render(w)
 
 	for _, line := range rep.Perf {
 		fmt.Fprintf(os.Stderr, "perf: %s\n", line)
@@ -61,14 +69,13 @@ func runScale() error {
 	// it. Kept out of the deterministic report (it is pure wall time).
 	probeSites, window := cfg.Sites, 64
 	if probeSites >= 2*window {
-		small, large := scale.RegistrationFlatness(*seed, cfg, probeSites, window, cfg.WallClock)
+		small, large := scale.RegistrationFlatness(g.seed, cfg, probeSites, window, cfg.WallClock)
 		if small > 0 {
 			fmt.Fprintf(os.Stderr, "perf: register flatness at%d=%.0fns/rec at%d=%.0fns/rec ratio=%.3f\n",
 				window, small, probeSites, large, large/small)
 			fmt.Fprintf(os.Stderr, "BENCH_scale_register_flatness %.3f\n", large/small)
 		}
 	}
-	return nil
 }
 
 // peakRSSBytes reads the process high-water resident set from

@@ -4,42 +4,31 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"repro/internal/sim"
 )
 
-// Bisection: localize WHEN a chaos run first goes wrong without replaying
-// the whole horizon per guess. The coarse pass runs the scenario once,
-// snapshotting the engine at window boundaries and noting the cumulative
-// violation count at each; the first window whose count grows contains the
-// first recorded violation. The fine pass then binary-searches inside that
-// window by re-forking the window-start snapshot and running to the probe
-// time: the audit ticker is live in every forked timeline, so "a new
-// violation was recorded by time T" is a cheap, monotone predicate — read
-// straight off the scenario state, no separate audit pass — and the search
-// converges on the exact audit tick that first caught the breach.
+// Bisection: say WHEN a chaos run first went wrong. Violations only
+// accumulate along a timeline and chaosRun.record stamps each with the
+// virtual time it was first seen, so the answer is read off one ordinary
+// run. The snapshot-and-fork search that used to compute it survives as
+// the oracle forkBisect in fork_test.go.
 
 // BisectResult is the outcome of localizing a chaos failure in time.
 type BisectResult struct {
 	Seed    int64
 	Profile string
-	// Report is the full run's outcome (identical to RunChaos for the same
-	// inputs; the coarse pass's snapshots are behaviourally free).
+	// Report is the run's outcome (identical to RunChaos for the same
+	// inputs).
 	Report *Report
 	// FailAt is the virtual time of the audit that first recorded a
-	// violation, localized to Resolution. Zero when the run never failed
-	// mid-run (clean run, or FinalOnly).
+	// violation. Zero when the run never failed mid-run (clean run, or
+	// FinalOnly).
 	FailAt time.Duration
-	// Lo, Hi bound the coarse window the failure was localized into.
-	Lo, Hi time.Duration
 	// First holds the violations the FailAt audit recorded.
 	First []Violation
-	// FinalOnly reports that violations appeared only in the post-heal
-	// converged audit, so there is no mid-run time to bisect to.
+	// FinalOnly reports that violations appeared only after the fault
+	// horizon, in the healed converge tail or the final audit, so there is
+	// no mid-run breach to point at.
 	FinalOnly bool
-	// Probes counts forked probe runs the fine pass executed; Windows is
-	// the coarse snapshot count.
-	Probes, Windows int
 }
 
 // OK reports a clean run (nothing to bisect).
@@ -48,15 +37,14 @@ func (r *BisectResult) OK() bool { return r.Report.OK() }
 // String renders the bisection for CLI output.
 func (r *BisectResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "bisect: seed=%d profile=%s windows=%d probes=%d\n",
-		r.Seed, r.Profile, r.Windows, r.Probes)
+	fmt.Fprintf(&b, "bisect: seed=%d profile=%s\n", r.Seed, r.Profile)
 	switch {
 	case r.OK():
 		b.WriteString("run is clean: nothing to bisect\n")
 	case r.FinalOnly:
 		b.WriteString("violations appear only in the final converged audit (no mid-run breach)\n")
 	default:
-		fmt.Fprintf(&b, "first violation recorded at %v (window %v..%v)\n", r.FailAt, r.Lo, r.Hi)
+		fmt.Fprintf(&b, "first violation recorded at %v\n", r.FailAt)
 		for _, v := range r.First {
 			fmt.Fprintf(&b, "  %s\n", v)
 		}
@@ -64,82 +52,23 @@ func (r *BisectResult) String() string {
 	return b.String()
 }
 
-// BisectResolution is the fine pass's stopping width; audits land on
-// discrete ticks, so converging below the tick spacing pins the exact one.
-const BisectResolution = time.Second
-
-// Bisect runs the (seed, profile) chaos scenario once with windows coarse
-// snapshots across the horizon, then — if any mid-run violation was
-// recorded — binary-searches the first failing window by re-forking its
-// start snapshot. windows <= 0 defaults to 8.
-func Bisect(seed int64, p Profile, cfg ChaosConfig, windows int) *BisectResult {
-	if windows <= 0 {
-		windows = 8
-	}
-	sched := Generate(seed, p, cfg.SiteNames(), cfg.Horizon)
-	c := newChaosRun(seed, cfg)
-	c.arm(sched)
-
-	// Coarse pass: one full run, snapshotting at each window boundary.
-	// snaps[k] is the state at bound[k]; violN[k] the violations recorded
-	// by then. bound[0] is the arm point (t≈1s), bound[windows] the horizon.
-	bounds := make([]time.Duration, windows+1)
-	snaps := make([]sim.Snapshot, windows+1)
-	violN := make([]int, windows+1)
-	bounds[0] = c.f.Eng.Now()
-	snaps[0] = c.f.Eng.Snapshot()
-	for k := 1; k <= windows; k++ {
-		bounds[k] = cfg.Horizon * time.Duration(k) / time.Duration(windows)
-		c.f.Eng.RunUntil(bounds[k])
-		snaps[k] = c.f.Eng.Snapshot()
-		violN[k] = len(c.violations)
-	}
-	res := &BisectResult{
-		Seed: seed, Profile: p.Name, Windows: windows,
-		Report: c.finish(),
-	}
+// Bisect runs the (seed, profile) chaos scenario and reads the first
+// mid-run breach off the violation stamps, which are in time order.
+func Bisect(seed int64, p Profile, cfg ChaosConfig) *BisectResult {
+	res := &BisectResult{Seed: seed, Profile: p.Name, Report: RunChaos(seed, p, cfg)}
 	if res.OK() {
 		return res
 	}
-
-	// First window whose violation count grew.
-	first := -1
-	for k := 1; k <= windows; k++ {
-		if violN[k] > violN[k-1] {
-			first = k
-			break
-		}
-	}
-	if first < 0 {
+	vs := res.Report.Violations
+	if vs[0].at > cfg.Horizon {
 		res.FinalOnly = true
 		return res
 	}
-	res.Lo, res.Hi = bounds[first-1], bounds[first]
-	base := violN[first-1]
-
-	// Fine pass: fork the window-start snapshot and run to the probe time;
-	// the live audit ticker appends to c.violations, so the predicate is
-	// just a length check. Monotone by construction — violations only
-	// accumulate along a timeline.
-	probe := func(at time.Duration) bool {
-		snaps[first-1].Fork()
-		c.f.Eng.RunUntil(at)
-		res.Probes++
-		return len(c.violations) > base
-	}
-	lo, hi := res.Lo, res.Hi
-	for hi-lo > BisectResolution {
-		mid := lo + (hi-lo)/2
-		if probe(mid) {
-			hi = mid
-		} else {
-			lo = mid
+	res.FailAt = vs[0].at
+	for _, v := range vs {
+		if v.at == res.FailAt {
+			res.First = append(res.First, v)
 		}
 	}
-	res.FailAt = hi
-	// One last fork to harvest exactly what the first failing audit saw.
-	snaps[first-1].Fork()
-	c.f.Eng.RunUntil(hi)
-	res.First = append([]Violation(nil), c.violations[base:]...)
 	return res
 }

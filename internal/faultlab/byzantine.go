@@ -57,13 +57,6 @@ type ByzantineConfig struct {
 	// byzantine share is computed over redeems after LateFraction of the
 	// run, when the scoreboard has had time to converge.
 	LateFraction float64
-	// RenegeSites wraps the first N site authorities in
-	// adversary.RenegeAuthority with period RenegeEvery. Off by default
-	// in the golden sweep: a reneging site's fake conflict is blamed on
-	// the (innocent) seller, which is a documented detection limit, not
-	// part of the convergence claim.
-	RenegeSites int
-	RenegeEvery int
 }
 
 // Enabled reports whether the byzantine layer is active.
@@ -129,7 +122,6 @@ type byzRun struct {
 
 	honest []*sharp.Agent
 	byz    []*adversary.OversellBroker
-	renege []*adversary.RenegeAuthority
 
 	attacker     *identity.Principal
 	attackSerial uint64
@@ -231,20 +223,6 @@ func newByzRun(f *core.Federation, cfg ByzantineConfig, stockUntil time.Duration
 		b.sellerNames = append(b.sellerNames, ob.SellerName())
 	}
 	f.Deployer.Exchange = b.ex
-
-	// Optional reneging sites: wrap the first N authorities so every
-	// RenegeEvery-th valid redeem is reneged on.
-	for i := 0; i < cfg.RenegeSites && i < len(sites); i++ {
-		rt := sites[i].Runtime
-		if rt == nil {
-			continue
-		}
-		if auth, ok := rt.Authority.(*sharp.Authority); ok {
-			ren := adversary.NewRenegeAuthority(auth, cfg.RenegeEvery)
-			rt.Authority = ren
-			b.renege = append(b.renege, ren)
-		}
-	}
 	return b
 }
 
@@ -491,9 +469,9 @@ func NewByzantineSweepResult() *ByzantineSweepResult {
 }
 
 // Add folds one byzantine report into the aggregate. Reports must be
-// added in seed order; the parallel sweep reduces through this method in
-// that order, which keeps its output byte-identical to the sequential
-// one.
+// added in seed order; internal/perf/chaos reduces through this method
+// in that order, which keeps its output byte-identical at any worker
+// count.
 func (r *ByzantineSweepResult) Add(rep *Report) {
 	bz := rep.Byzantine
 	if bz == nil {
@@ -533,16 +511,4 @@ func (r *ByzantineSweepResult) String() string {
 		fmt.Fprintf(&b, "first failure: %s\n", r.First.Repro())
 	}
 	return b.String()
-}
-
-// ByzantineSweep runs the byzantine scenario over a seed range under one
-// profile, sequentially. The parallel equivalent lives in
-// internal/perf/chaos; both reduce through Add in seed order and render
-// byte-identical results.
-func ByzantineSweep(startSeed int64, seeds int, p Profile, cfg ChaosConfig) *ByzantineSweepResult {
-	res := NewByzantineSweepResult()
-	for s := int64(0); s < int64(seeds); s++ {
-		res.Add(RunChaos(startSeed+s, p, cfg))
-	}
-	return res
 }

@@ -209,7 +209,7 @@ func TestByzantineZeroConfigInert(t *testing.T) {
 func TestByzantineSweepGolden(t *testing.T) {
 	cfg := byzTestConfig()
 	p, _ := ProfileByName("mixed")
-	res := ByzantineSweep(1, 5, p, cfg)
+	res := byzantineSweep(1, 5, p, cfg)
 	if !res.OK() {
 		t.Fatalf("golden grid fails its own gate:\n%s", res)
 	}

@@ -7,8 +7,8 @@
 //
 // Everything is reproducible: a (seed, profile) pair fully determines the
 // schedule, and a schedule plus the scenario seed fully determines the
-// run. That is what makes Sweep useful — the first violating (seed,
-// profile) it reports is a complete minimal repro.
+// run. That is what makes a sweep useful — the first violating (seed,
+// profile) a SweepResult reports is a complete minimal repro.
 package faultlab
 
 import (

@@ -85,7 +85,9 @@ func TestChaosRunDeterministic(t *testing.T) {
 func TestQuietScheduleMatchesBaseline(t *testing.T) {
 	cfg := testConfig()
 	quiet := RunChaos(5, Quiet(), cfg)
-	base := RunBaseline(5, cfg)
+	c := newChaosRun(5, cfg)
+	c.arm(nil) // no injector installed at all
+	base := c.finish()
 	if quiet.Summary != base.Summary {
 		t.Errorf("quiet run differs from baseline:\n%s\nvs\n%s", quiet.Summary, base.Summary)
 	}

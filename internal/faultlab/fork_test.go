@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/sim/snaptest"
 )
 
@@ -33,8 +34,8 @@ func forkTestConfig() ChaosConfig {
 // forkedSeedRun runs every profile for one seed off a single warm build:
 // build the scenario once, snapshot at the arm point, re-fork per
 // profile. Production sweeps run every cell cold (DESIGN §12 says why);
-// the gates below use this as the whole-scenario exercise of the contract
-// Bisect relies on — a forked timeline is byte-identical to a cold one.
+// the gates below use this as the whole-scenario exercise of the fork
+// contract — a forked timeline is byte-identical to a cold one.
 //
 // visit runs BEFORE the next profile's fork: the seed's forks share the
 // engine's tracer and the next fork rewinds it, so traces must be
@@ -158,11 +159,11 @@ func TestChaosSnapshotPurity(t *testing.T) {
 }
 
 // TestForkedSweepMatchesColdSweep: folding warm-forked reports must
-// render the same aggregate as Sweep, which runs every cell cold.
+// render the same aggregate as sweep, which runs every cell cold.
 func TestForkedSweepMatchesColdSweep(t *testing.T) {
 	cfg := forkTestConfig()
 	profiles := Profiles()
-	coldRes := Sweep(1, 3, profiles, cfg)
+	coldRes := sweep(1, 3, profiles, cfg)
 	warmRes := &SweepResult{}
 	for s := int64(1); s <= 3; s++ {
 		forkedSeedRun(s, profiles, cfg, warmRes.Add)
@@ -173,4 +174,71 @@ func TestForkedSweepMatchesColdSweep(t *testing.T) {
 	if coldRes.AvailabilitySum != warmRes.AvailabilitySum || coldRes.LeaseLapses != warmRes.LeaseLapses {
 		t.Fatalf("forked sweep aggregates diverged: cold=%+v warm=%+v", coldRes, warmRes)
 	}
+}
+
+// forkBisectResolution is forkBisect's stopping width; audits land on
+// discrete ticks, so converging below the tick spacing pins the exact one.
+const forkBisectResolution = time.Second
+
+// forkBisect is Bisect as it was computed before violations carried a
+// timestamp, kept as Bisect's oracle and as the test of re-forking a
+// whole chaos scenario mid-run. The coarse pass runs the scenario once,
+// snapshotting the engine at window boundaries and noting the cumulative
+// violation count at each; the first window whose count grows contains
+// the first recorded violation. The fine pass binary-searches inside
+// that window by re-forking the window-start snapshot and running to the
+// probe time: the audit ticker is live in every forked timeline, so "a
+// new violation was recorded by time T" is a monotone predicate read
+// straight off the scenario state. probes counts the fine pass's forks.
+func forkBisect(seed int64, p Profile, cfg ChaosConfig, windows int) (res *BisectResult, probes int) {
+	c := newChaosRun(seed, cfg)
+	c.arm(Generate(seed, p, cfg.SiteNames(), cfg.Horizon))
+
+	// snaps[k] is the state at bounds[k]; violN[k] the violations recorded
+	// by then. bounds[0] is the arm point (t≈1s), bounds[windows] the horizon.
+	bounds := make([]time.Duration, windows+1)
+	snaps := make([]sim.Snapshot, windows+1)
+	violN := make([]int, windows+1)
+	bounds[0] = c.f.Eng.Now()
+	snaps[0] = c.f.Eng.Snapshot()
+	for k := 1; k <= windows; k++ {
+		bounds[k] = cfg.Horizon * time.Duration(k) / time.Duration(windows)
+		c.f.Eng.RunUntil(bounds[k])
+		snaps[k] = c.f.Eng.Snapshot()
+		violN[k] = len(c.violations)
+	}
+	res = &BisectResult{Seed: seed, Profile: p.Name, Report: c.finish()}
+	if res.OK() {
+		return res, 0
+	}
+	first := -1
+	for k := 1; k <= windows; k++ {
+		if violN[k] > violN[k-1] {
+			first = k
+			break
+		}
+	}
+	if first < 0 {
+		res.FinalOnly = true
+		return res, 0
+	}
+	base := violN[first-1]
+	lo, hi := bounds[first-1], bounds[first]
+	for hi-lo > forkBisectResolution {
+		mid := lo + (hi-lo)/2
+		snaps[first-1].Fork()
+		c.f.Eng.RunUntil(mid)
+		probes++
+		if len(c.violations) > base {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	res.FailAt = hi
+	// One last fork to harvest exactly what the first failing audit saw.
+	snaps[first-1].Fork()
+	c.f.Eng.RunUntil(hi)
+	res.First = append([]Violation(nil), c.violations[base:]...)
+	return res, probes
 }

@@ -19,6 +19,10 @@ type Violation struct {
 	// Invariant names the broken property ("lease-term", "port-excl", ...).
 	Invariant string
 	Detail    string
+	// at is the virtual time a chaos run first recorded the breach (see
+	// Bisect). It is no part of String, so dedup keys and reports do not
+	// see it.
+	at time.Duration
 }
 
 func (v Violation) String() string { return v.Invariant + ": " + v.Detail }

@@ -117,7 +117,7 @@ func TestChaosResilienceSoak(t *testing.T) {
 func TestSweepAggregatesAvailability(t *testing.T) {
 	cfg := shortLeaseConfig()
 	cfg.Resilience = true
-	res := Sweep(1, 2, []Profile{Quiet()}, cfg)
+	res := sweep(1, 2, []Profile{Quiet()}, cfg)
 	if res.Runs != 2 {
 		t.Fatalf("Runs = %d", res.Runs)
 	}

@@ -161,26 +161,15 @@ func reproFlags(cfg ChaosConfig) string {
 // RunChaos generates the (seed, profile) schedule, runs the scenario under
 // it, and audits the invariants. Identical inputs yield identical reports.
 func RunChaos(seed int64, p Profile, cfg ChaosConfig) *Report {
-	sched := Generate(seed, p, cfg.SiteNames(), cfg.Horizon)
-	return run(seed, sched, cfg)
-}
-
-// RunBaseline runs the scenario with no injector installed at all — the
-// reference for the metamorphic "quiet schedule changes nothing" test.
-func RunBaseline(seed int64, cfg ChaosConfig) *Report {
-	return run(seed, nil, cfg)
-}
-
-func run(seed int64, sched *Schedule, cfg ChaosConfig) *Report {
 	c := newChaosRun(seed, cfg)
-	c.arm(sched)
+	c.arm(Generate(seed, p, cfg.SiteNames(), cfg.Horizon))
 	return c.finish()
 }
 
 // chaosRun is one scenario instance with every piece of mutable run state
 // held in fields rather than closure captures. The struct is registered as
-// an engine snapshot root, so a snapshot taken mid-run (bisection) rewinds
-// the whole scenario — job counters, audit dedup state, injector
+// an engine snapshot root, so a snapshot taken mid-run rewinds the whole
+// scenario — job counters, audit dedup state, injector
 // bookkeeping — along with the federation underneath it.
 type chaosRun struct {
 	cfg   ChaosConfig
@@ -342,7 +331,8 @@ func (c *chaosRun) submitJob() {
 	}
 }
 
-// record folds invariant breaches into the run's deduped violation log.
+// record folds invariant breaches into the run's deduped violation log,
+// stamping each new one with the virtual time it was first seen.
 func (c *chaosRun) record(vs []Violation) {
 	for _, v := range vs {
 		key := v.String()
@@ -350,6 +340,7 @@ func (c *chaosRun) record(vs []Violation) {
 			continue
 		}
 		c.seen[key] = struct{}{}
+		v.at = c.f.Eng.Now()
 		c.violations = append(c.violations, v)
 	}
 }
@@ -540,10 +531,9 @@ type SweepResult struct {
 // OK reports a clean sweep.
 func (r *SweepResult) OK() bool { return r.First == nil }
 
-// Add folds one report into the aggregate. Both the sequential Sweep and
-// the parallel executor (internal/perf/chaos) reduce through this method
-// in the same seed-major grid order, which is what makes their results
-// identical at any worker count.
+// Add folds one report into the aggregate. internal/perf/chaos reduces
+// through this method in seed-major grid order, which is what makes its
+// result identical at any worker count.
 func (r *SweepResult) Add(rep *Report) {
 	r.Runs++
 	r.ViolationN += len(rep.Violations)
@@ -566,17 +556,4 @@ func (r *SweepResult) String() string {
 		fmt.Fprintf(&b, "repro: %s\n", r.First.Repro())
 	}
 	return b.String()
-}
-
-// Sweep runs the chaos scenario over seeds startSeed..startSeed+seeds-1
-// for every profile, seed-major, reporting the first violating (seed,
-// profile) as a minimal repro.
-func Sweep(startSeed int64, seeds int, profiles []Profile, cfg ChaosConfig) *SweepResult {
-	res := &SweepResult{}
-	for s := int64(0); s < int64(seeds); s++ {
-		for _, p := range profiles {
-			res.Add(RunChaos(startSeed+s, p, cfg))
-		}
-	}
-	return res
 }

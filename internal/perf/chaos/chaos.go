@@ -2,9 +2,9 @@
 // worker pool. The unit of parallelism is one grid cell: a cold
 // faultlab.RunChaos that owns a private engine, rng, federation and
 // tracer, so cells share nothing. Results land in preallocated slots
-// reduced in the same seed-major order the sequential faultlab.Sweep
-// uses, so the output is identical to the sequential sweep at any worker
-// count — the determinism tests assert this under -race in CI.
+// reduced in seed-major grid order, so the output is identical to a
+// sequential loop over RunChaos at any worker count — the determinism
+// tests assert this under -race in CI.
 //
 // It lives in a subpackage because perf itself must stay stdlib-only
 // (core imports perf; faultlab imports core; importing faultlab from
@@ -43,9 +43,8 @@ func ForEachReport(startSeed int64, seeds int, profiles []faultlab.Profile, cfg 
 	})
 }
 
-// Sweep is the parallel counterpart of faultlab.Sweep: same grid, same
-// aggregate, reduced through SweepResult.Add in the same fixed order, so
-// the result is identical to the sequential sweep regardless of workers.
+// Sweep folds the grid's reports through SweepResult.Add in grid order,
+// so the aggregate is the same regardless of workers.
 func Sweep(startSeed int64, seeds int, profiles []faultlab.Profile, cfg faultlab.ChaosConfig, workers int) *faultlab.SweepResult {
 	res := &faultlab.SweepResult{}
 	for _, rep := range Reports(startSeed, seeds, profiles, cfg, workers) {
@@ -54,10 +53,9 @@ func Sweep(startSeed int64, seeds int, profiles []faultlab.Profile, cfg faultlab
 	return res
 }
 
-// ByzantineSweep is the parallel counterpart of
-// faultlab.ByzantineSweep: one profile over a seed range, reduced
-// through ByzantineSweepResult.Add in seed order — so the evidence table
-// is byte-identical to the sequential sweep at any worker count.
+// ByzantineSweep runs one profile over a seed range and folds the
+// reports through ByzantineSweepResult.Add in seed order, so the evidence
+// table is byte-identical at any worker count.
 func ByzantineSweep(startSeed int64, seeds int, p faultlab.Profile, cfg faultlab.ChaosConfig, workers int) *faultlab.ByzantineSweepResult {
 	res := faultlab.NewByzantineSweepResult()
 	for _, rep := range Reports(startSeed, seeds, []faultlab.Profile{p}, cfg, workers) {

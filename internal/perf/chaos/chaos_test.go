@@ -78,15 +78,20 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 }
 
 // TestParallelMatchesSequentialFaultlabSweep pins the parallel path to
-// the pre-existing sequential API, not just to itself.
+// a plain seed-major loop over faultlab.RunChaos, not just to itself.
 func TestParallelMatchesSequentialFaultlabSweep(t *testing.T) {
 	cfg := testConfig()
 	profiles := faultlab.Profiles()
-	want := faultlab.Sweep(5, 2, profiles, cfg)
+	want := &faultlab.SweepResult{}
+	for seed := int64(5); seed < 7; seed++ {
+		for _, p := range profiles {
+			want.Add(faultlab.RunChaos(seed, p, cfg))
+		}
+	}
 	got := Sweep(5, 2, profiles, cfg, 0)
 	if got.Runs != want.Runs || got.ViolationN != want.ViolationN ||
 		got.AvailabilitySum != want.AvailabilitySum || got.LeaseLapses != want.LeaseLapses {
-		t.Fatalf("parallel sweep %+v != sequential faultlab.Sweep %+v", got, want)
+		t.Fatalf("parallel sweep %+v != sequential RunChaos loop %+v", got, want)
 	}
 	if (got.First == nil) != (want.First == nil) {
 		t.Fatalf("First mismatch: parallel %v, sequential %v", got.First, want.First)
@@ -170,7 +175,7 @@ func byzTestConfig() faultlab.ChaosConfig {
 // TestByzantineSweepWorkerByteIdentical is satellite coverage for the
 // byzantine evidence pipeline: the rendered sweep — per-seed shares,
 // slash totals, attack tallies — must be byte-identical at workers=1 and
-// workers=8, and both must match the sequential faultlab reducer.
+// workers=8, and both must match a sequential loop over RunChaos.
 func TestByzantineSweepWorkerByteIdentical(t *testing.T) {
 	cfg := byzTestConfig()
 	p := faultlab.Profiles()[2]
@@ -179,7 +184,10 @@ func TestByzantineSweepWorkerByteIdentical(t *testing.T) {
 	if w1.String() != w8.String() {
 		t.Fatalf("workers=8 sweep differs from workers=1:\n--- w1 ---\n%s\n--- w8 ---\n%s", w1, w8)
 	}
-	seq := faultlab.ByzantineSweep(1, 3, p, cfg)
+	seq := faultlab.NewByzantineSweepResult()
+	for seed := int64(1); seed <= 3; seed++ {
+		seq.Add(faultlab.RunChaos(seed, p, cfg))
+	}
 	if seq.String() != w1.String() {
 		t.Fatalf("parallel sweep differs from sequential:\n--- seq ---\n%s\n--- par ---\n%s", seq, w1)
 	}
