@@ -292,7 +292,6 @@ func Build(stack Stack, cfg Config, specs []SiteSpec) *Federation {
 		}
 	}
 
-	verifier := identity.NewVerifier(f.CA)
 	var pushers []*mds.GRIS
 	for _, spec := range specs {
 		site := &Site{Spec: spec, Host: "gk-" + spec.Name}
@@ -319,8 +318,10 @@ func Build(stack Stack, cfg Config, specs []SiteSpec) *Federation {
 			if !spec.Policy.OpenAccess {
 				site.Gridmap.UseWhitelist = true
 			}
+			// Like its gridmap, a site's verifier (roots, revocations,
+			// signature memo) is its own: no domain borrows another's proof.
 			policy := &gsi.SitePolicy{
-				Auth:    &gsi.ChainAuthenticator{Verifier: verifier},
+				Auth:    &gsi.ChainAuthenticator{Verifier: identity.NewVerifier(f.CA)},
 				Gridmap: site.Gridmap,
 			}
 			site.Gatekeeper = gram.NewGatekeeper(net, net.Host(site.Host), policy)

@@ -180,6 +180,50 @@ func TestGatekeeperExpiredProxyRejected(t *testing.T) {
 	}
 }
 
+// TestGatekeeperWarmSiteStillExpiresProxy: the site has already proven
+// this chain's signatures (and remembers that it did), yet the validity
+// window is read against the clock on every request, so the same proxy is
+// admitted one nanosecond before NotAfter and refused at it.
+func TestGatekeeperWarmSiteStillExpiresProxy(t *testing.T) {
+	f := newGKFixture(t)
+	proxy, _ := f.alice.Delegate("alice/proxy", 0, time.Hour, nil, f.eng.ForkRand())
+	req := SubmitRequest{
+		Cred: proxy,
+		Spec: JobSpec{RSL: `&(executable=x)(maxWallTime=10)`, ActualRun: time.Second},
+	}
+	var first, last, late error
+	Submit(f.net, "client", "gk", req, time.Minute, func(_ SubmitReply, e error) { first = e })
+	// The handler itself at the two instants either side of NotAfter (a
+	// message's arrival time cannot be placed to the nanosecond).
+	f.eng.At(time.Hour-1, func() { _, last = f.gk.handleSubmit("client", req) })
+	f.eng.At(time.Hour, func() { _, late = f.gk.handleSubmit("client", req) })
+	f.eng.Run()
+	if first != nil || last != nil {
+		t.Fatalf("live proxy refused: first %v, last live instant %v", first, last)
+	}
+	if !errors.Is(late, identity.ErrExpired) || !errors.Is(late, gsi.ErrNotAuthenticated) {
+		t.Errorf("at NotAfter on a warm site: err = %v, want ErrExpired under ErrNotAuthenticated", late)
+	}
+	if f.gk.SubmitN != 2 || f.gk.AuthFailN != 1 {
+		t.Errorf("SubmitN=%d AuthFailN=%d, want 2 1", f.gk.SubmitN, f.gk.AuthFailN)
+	}
+}
+
+// TestGatekeeperRefusesNilChainLink: a credential whose chain holds a nil
+// link used to panic inside the handler and take the engine with it.
+func TestGatekeeperRefusesNilChainLink(t *testing.T) {
+	f := newGKFixture(t)
+	var err error
+	Submit(f.net, "client", "gk", SubmitRequest{
+		Cred: &identity.Credential{Holder: f.evil.Holder, Chain: []*identity.Certificate{nil}},
+		Spec: JobSpec{RSL: `&(executable=x)(maxWallTime=10)`, ActualRun: time.Second},
+	}, time.Minute, func(_ SubmitReply, e error) { err = e })
+	f.eng.Run()
+	if !errors.Is(err, identity.ErrBrokenChain) || f.gk.AuthFailN != 1 {
+		t.Errorf("err = %v, AuthFailN = %d; want ErrBrokenChain, 1", err, f.gk.AuthFailN)
+	}
+}
+
 func TestGatekeeperStatusAndCancel(t *testing.T) {
 	f := newGKFixture(t)
 	var jobID string

@@ -13,6 +13,7 @@
 package gsi
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -50,7 +51,7 @@ type ChainAuthenticator struct {
 func (a *ChainAuthenticator) Authenticate(cred *identity.Credential, now time.Duration) (string, error) {
 	subj, err := a.Verifier.Validate(cred, now)
 	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrNotAuthenticated, err)
+		return "", fmt.Errorf("%w: %w", ErrNotAuthenticated, err)
 	}
 	return subj, nil
 }
@@ -179,6 +180,9 @@ func (p *SitePolicy) AdmitWithAssertion(cred *identity.Credential, a *Assertion,
 	if p.Gridmap != nil && p.Gridmap.blacklist[subject] {
 		return "", subject, fmt.Errorf("%w: %q", ErrBlacklisted, subject)
 	}
+	if a == nil {
+		return "", subject, fmt.Errorf("%w: none presented", ErrBadAssertion)
+	}
 	key, ok := p.TrustedCAS[a.Community]
 	if !ok {
 		return "", subject, fmt.Errorf("%w: untrusted community %q", ErrBadAssertion, a.Community)
@@ -240,8 +244,16 @@ type Assertion struct {
 	Signature []byte
 }
 
+// tbs length-frames every field, as identity.Certificate's encoding does:
+// joined by a delimiter, a holder could move bytes between Action and
+// Resource ("read","x|y" → "read|x","y") under the same signature.
 func (a *Assertion) tbs() []byte {
-	return []byte(fmt.Sprintf("%s|%s|%s|%s|%d", a.Community, a.Subject, a.Action, a.Resource, a.NotAfter))
+	var b []byte
+	for _, s := range []string{a.Community, a.Subject, a.Action, a.Resource} {
+		b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+		b = append(b, s...)
+	}
+	return binary.BigEndian.AppendUint64(b, uint64(a.NotAfter))
 }
 
 // CAS is a Community Authorization Service for one virtual organization.

@@ -39,7 +39,8 @@ func TestChainAuthenticator(t *testing.T) {
 	if err != nil || subj != "alice" {
 		t.Fatalf("Authenticate = (%q, %v)", subj, err)
 	}
-	if _, err := f.auth.Authenticate(f.alice, 600*hour); !errors.Is(err, ErrNotAuthenticated) {
+	// The refusal is gsi's, the cause stays identity's typed error.
+	if _, err := f.auth.Authenticate(f.alice, 600*hour); !errors.Is(err, ErrNotAuthenticated) || !errors.Is(err, identity.ErrExpired) {
 		t.Errorf("expired: %v", err)
 	}
 }
@@ -222,6 +223,35 @@ func TestCASAssertionTamperDetected(t *testing.T) {
 	}
 }
 
+// TestCASAssertionFieldsAreFramed: the signed encoding used to join the
+// fields with "|", so the holder of an assertion for ("read", "x|y") could
+// move the boundary and present it, same signature, as ("read|x", "y").
+func TestCASAssertionFieldsAreFramed(t *testing.T) {
+	f := newFixture()
+	cas := NewCAS("vo", f.rng)
+	cas.AddMember("alice")
+	cas.Grant("read", "x|y")
+	a, err := cas.Issue("alice", "read", "x|y", 10*hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := &SitePolicy{
+		Auth:       f.auth,
+		Gridmap:    NewGridmap(),
+		TrustedCAS: map[string]*identity.Principal{"vo": cas.Signer()},
+	}
+	if _, _, err := pol.AdmitWithAssertion(f.alice, a, "read", "x|y", hour); err != nil {
+		t.Fatalf("as issued: %v", err)
+	}
+	a.Action, a.Resource = "read|x", "y"
+	if err := VerifyAssertion(a, cas.Signer(), hour); !errors.Is(err, ErrBadAssertion) {
+		t.Errorf("rewritten fields verify: %v", err)
+	}
+	if _, _, err := pol.AdmitWithAssertion(f.alice, a, "read|x", "y", hour); !errors.Is(err, ErrBadAssertion) {
+		t.Errorf("rewritten fields admitted: %v", err)
+	}
+}
+
 func TestAdmitWithAssertion(t *testing.T) {
 	f := newFixture()
 	cas := NewCAS("physics-vo", f.rng)
@@ -275,6 +305,10 @@ func TestAdmitWithAssertionRejections(t *testing.T) {
 	other := &SitePolicy{Auth: f.auth, Gridmap: NewGridmap()}
 	if _, _, err := other.AdmitWithAssertion(f.alice, a, "read", "r1", hour); !errors.Is(err, ErrBadAssertion) {
 		t.Errorf("untrusted cas: %v", err)
+	}
+	// No assertion at all (used to dereference nil inside the gatekeeper).
+	if _, subj, err := pol.AdmitWithAssertion(f.alice, nil, "read", "r1", hour); !errors.Is(err, ErrBadAssertion) || subj != "alice" {
+		t.Errorf("nil assertion: (%q, %v)", subj, err)
 	}
 	// Expired assertion.
 	if _, _, err := pol.AdmitWithAssertion(f.alice, a, "read", "r1", 11*hour); !errors.Is(err, ErrAssertionExpired) {

@@ -129,12 +129,6 @@ func (c *Certificate) tbs() []byte {
 // Fingerprint returns a stable 20-byte digest identifying the certificate.
 func (c *Certificate) Fingerprint() [20]byte { return sha1.Sum(c.tbs()) }
 
-// VerifySignature checks the certificate's signature against its embedded
-// issuer key (chain trust is established separately by Verifier.Validate).
-func (c *Certificate) VerifySignature() bool {
-	return ed25519.Verify(c.IssuerKey, c.tbs(), c.Signature)
-}
-
 // ValidAt reports whether the validity interval covers t.
 func (c *Certificate) ValidAt(t time.Duration) bool {
 	return t >= c.NotBefore && t < c.NotAfter
@@ -304,10 +298,13 @@ func (cr *Credential) Delegate(name string, now, lifetime time.Duration, rights 
 }
 
 // Verifier validates chains against a set of trusted roots and a
-// revocation list.
+// revocation list. It is one site's state: sigs memoizes the link
+// signatures this site has already proven (see SigCache), so a proxy
+// presented job after job pays its ed25519 math once.
 type Verifier struct {
 	roots   map[string]ed25519.PublicKey
 	revoked map[[20]byte]bool
+	sigs    *SigCache
 }
 
 // NewVerifier returns a verifier trusting the given CAs.
@@ -315,6 +312,7 @@ func NewVerifier(roots ...*CA) *Verifier {
 	v := &Verifier{
 		roots:   make(map[string]ed25519.PublicKey, len(roots)),
 		revoked: make(map[[20]byte]bool),
+		sigs:    NewSigCache(0),
 	}
 	for _, ca := range roots {
 		v.roots[ca.Name] = ca.Public()
@@ -328,7 +326,8 @@ func (v *Verifier) Revoke(c *Certificate) { v.revoked[c.Fingerprint()] = true }
 // Validate checks a credential chain at virtual time now: every link's
 // signature, validity window, revocation status, issuer/subject
 // continuity, proxy marking, and termination at a trusted root. On success
-// it returns the authenticated original subject name.
+// it returns the authenticated original subject name. Every check runs on
+// every call; only the signature math of an unchanged link is memoized.
 func (v *Verifier) Validate(cr *Credential, now time.Duration) (subject string, err error) {
 	if cr == nil || len(cr.Chain) == 0 {
 		return "", ErrEmptyChain
@@ -336,19 +335,25 @@ func (v *Verifier) Validate(cr *Credential, now time.Duration) (subject string, 
 	if len(cr.Chain) > MaxProxyDepth {
 		return "", ErrProxyFromProxy
 	}
+	for _, c := range cr.Chain {
+		if c == nil {
+			return "", fmt.Errorf("%w: nil link", ErrBrokenChain)
+		}
+	}
 	// The holder must actually possess the leaf key (proof-of-possession
 	// is modelled structurally: the Credential carries the Principal).
 	if cr.Holder == nil || !cr.Holder.pub.Equal(cr.Chain[0].SubjectKey) {
 		return "", fmt.Errorf("%w: holder key does not match leaf", ErrBadSignature)
 	}
 	for i, c := range cr.Chain {
-		if v.revoked[c.Fingerprint()] {
+		tbs := c.tbs()
+		if v.revoked[sha1.Sum(tbs)] {
 			return "", ErrRevoked
 		}
 		if !c.ValidAt(now) {
 			return "", fmt.Errorf("%w: %q [%v,%v) at %v", ErrExpired, c.Subject, c.NotBefore, c.NotAfter, now)
 		}
-		if !c.VerifySignature() {
+		if !v.sigs.Verify(c.IssuerKey, tbs, c.Signature) {
 			return "", fmt.Errorf("%w: %q", ErrBadSignature, c.Subject)
 		}
 		last := i == len(cr.Chain)-1

@@ -14,7 +14,9 @@ import (
 // redundancy is pure: signature validity is a deterministic function of
 // (public key, message, signature), so a triple verified once never
 // needs verifying again. SigCache memoizes that function, so 64 depth-4
-// tickets over one prefix cost 67 verifications instead of 256.
+// tickets over one prefix cost 67 verifications instead of 256. GSI has
+// the same shape (one proxy chain admits job after job at a gatekeeper),
+// so Verifier.Validate resolves its links through a SigCache too.
 //
 // Security argument (the PR 9 forgery kit stays defeated): only
 // *successful* verifications enter the cache, keyed by a SHA-256 digest
@@ -75,8 +77,13 @@ func (c *SigCache) Len() int { return len(c.entries) }
 
 // Verify is the memoized form of ed25519.Verify: a cache hit skips the
 // scalar math, a miss runs it and memoizes success, clearing the
-// generation first when at capacity. A nil cache verifies directly.
+// generation first when at capacity. A nil cache verifies directly. A
+// wrong-length key fails: a link carries whatever key its presenter
+// wrote, and ed25519.Verify panics on one.
 func (c *SigCache) Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
+	if len(pub) != ed25519.PublicKeySize {
+		return false
+	}
 	if c == nil {
 		return ed25519.Verify(pub, msg, sig)
 	}

@@ -140,3 +140,27 @@ func TestMultiHopWidenRejected(t *testing.T) {
 		t.Fatalf("redeem widened chain = %v; want ErrAmountWidened", err)
 	}
 }
+
+// TestShortIssuerKeyRejected: a delegated link carries whatever issuer key
+// its presenter wrote, and ed25519.Verify panics on one of the wrong
+// length. Both walks (holder-side Verify, the authority's memoized Redeem)
+// must refuse the ticket instead.
+func TestShortIssuerKeyRejected(t *testing.T) {
+	f := newFixture(t)
+	root, err := f.auth.IssueTicket(f.agent.Name, f.agent.Key(), capability.CPU, 2, 0, hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sold, err := root.Delegate(f.agent.signer, f.sm.Name, f.sm.Public(), 1, 0, hour, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &Ticket{Chain: append([]Claim(nil), sold.Chain...)}
+	bad.Chain[1].IssuerKey = bad.Chain[1].IssuerKey[:31]
+	if err := bad.Verify(f.auth.Key(), time.Minute); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("Verify = %v; want ErrBadSignature", err)
+	}
+	if _, err := f.auth.Redeem(bad); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("Redeem = %v; want ErrBadSignature", err)
+	}
+}
