@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"time"
 
@@ -380,8 +381,8 @@ func Build(stack Stack, cfg Config, specs []SiteSpec) *Federation {
 				sensors.AddProviderInto(nodeName+"/sensor", func(attrs map[string]string) {
 					attrs["site"] = siteName
 					attrs["node"] = nodeName
-					attrs["slices"] = fmt.Sprint(node.Contexts())
-					attrs["ports"] = fmt.Sprint(node.PortsInUse())
+					attrs["slices"] = strconv.Itoa(node.Contexts())
+					attrs["ports"] = strconv.Itoa(node.PortsInUse())
 				})
 			}
 			sensors.StartPush("vo-comon", cfg.RefreshInterval)

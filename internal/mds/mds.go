@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"maps"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/sim"
@@ -88,8 +87,8 @@ func (f Filter) matchValue(got string) bool {
 	case FNe:
 		return got != f.Value
 	}
-	a, errA := strconv.ParseFloat(got, 64)
-	b, errB := strconv.ParseFloat(f.Value, 64)
+	a, errA := parseNumeric(got)
+	b, errB := parseNumeric(f.Value)
 	if errA != nil || errB != nil {
 		return false
 	}
@@ -132,25 +131,27 @@ type GRIS struct {
 	net  *simnet.Network
 	host string
 
-	// into holds the providers (AddProviderInto); recs their
-	// persistent records, whose attr maps are rewritten in place each
-	// push so steady-state refresh is alloc-free.
-	into   map[string]func(attrs map[string]string)
-	recs   map[string]*Record
-	order  []string
-	ticker *sim.Ticker
+	// providers holds each provider beside its persistent record, whose
+	// attr map is rewritten in place each push so steady-state refresh
+	// is alloc-free; a push ranges over the slice and hashes nothing.
+	// index finds a name's entry when AddProviderInto replaces it.
+	providers []provider
+	index     map[string]int
+	ticker    *sim.Ticker
 
 	// PushN counts registration messages sent.
 	PushN int
 }
 
+// provider is one AddProviderInto entry: the fill and the record it fills.
+type provider struct {
+	fill func(attrs map[string]string)
+	rec  Record
+}
+
 // NewGRIS creates the information service for host.
 func NewGRIS(eng *sim.Engine, net *simnet.Network, host string) *GRIS {
-	return &GRIS{
-		eng: eng, net: net, host: host,
-		into: make(map[string]func(map[string]string)),
-		recs: make(map[string]*Record),
-	}
+	return &GRIS{eng: eng, net: net, host: host, index: make(map[string]int)}
 }
 
 // AddProviderInto registers a named local resource provider: each push,
@@ -160,30 +161,31 @@ func NewGRIS(eng *sim.Engine, net *simnet.Network, host string) *GRIS {
 // intervals far above network latency (the soft-state regime) the value
 // skew window is negligible, and indexes copy on receipt.
 func (g *GRIS) AddProviderInto(name string, fill func(attrs map[string]string)) {
-	if _, dup := g.into[name]; !dup {
-		g.order = append(g.order, name)
+	p := provider{fill: fill, rec: Record{Name: name, Attrs: make(map[string]string), Source: g.host}}
+	if i, dup := g.index[name]; dup {
+		g.providers[i] = p
+		return
 	}
-	g.into[name] = fill
-	g.recs[name] = &Record{Name: name, Attrs: make(map[string]string), Source: g.host}
+	g.index[name] = len(g.providers)
+	g.providers = append(g.providers, p)
 }
 
 // record materializes the current record for one provider by rewriting
 // its persistent record in place; the returned record's Attrs therefore
 // aliases provider-owned storage.
-func (g *GRIS) record(name string) Record {
-	rec := g.recs[name]
-	clear(rec.Attrs)
-	g.into[name](rec.Attrs)
-	rec.Stamp = g.eng.Now()
-	return *rec
+func (g *GRIS) record(p *provider) Record {
+	clear(p.rec.Attrs)
+	p.fill(p.rec.Attrs)
+	p.rec.Stamp = g.eng.Now()
+	return p.rec
 }
 
 // Snapshot returns current records for all providers (local query path).
 // Attrs are copied so the caller owns the result.
 func (g *GRIS) Snapshot() []Record {
-	out := make([]Record, 0, len(g.order))
-	for _, name := range g.order {
-		rec := g.record(name)
+	out := make([]Record, 0, len(g.providers))
+	for i := range g.providers {
+		rec := g.record(&g.providers[i])
 		rec.Attrs = maps.Clone(rec.Attrs)
 		out = append(out, rec)
 	}
@@ -197,8 +199,8 @@ func (g *GRIS) StartPush(indexHost string, interval time.Duration) {
 		g.ticker.Stop()
 	}
 	push := func() {
-		for _, name := range g.order {
-			g.net.Send(g.host, indexHost, SvcRegister, Registration{Rec: g.record(name), TTL: 2 * interval})
+		for i := range g.providers {
+			g.net.Send(g.host, indexHost, SvcRegister, Registration{Rec: g.record(&g.providers[i]), TTL: 2 * interval})
 			g.PushN++
 		}
 	}
@@ -246,6 +248,9 @@ func (g *GIIS) handleRegister(from string, raw any) (any, error) {
 	reg, ok := raw.(Registration)
 	if !ok {
 		return nil, fmt.Errorf("mds: bad registration payload %T", raw)
+	}
+	if reg.Rec.Name == "" {
+		return nil, fmt.Errorf("mds: registration without a name from %q", reg.Rec.Source)
 	}
 	g.RegisterN++
 	// Refresh in place: a re-registering name reuses its cache entry and

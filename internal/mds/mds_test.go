@@ -3,9 +3,12 @@ package mds
 import (
 	"fmt"
 	"maps"
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -185,4 +188,62 @@ func TestPushCountScalesWithResources(t *testing.T) {
 		t.Errorf("PushN = %d, want 30", g.PushN)
 	}
 	g.Stop()
+}
+
+// pushRig is E14's registry plane at one site: a GRIS with 64 node
+// sensors (three constant attributes, two small ints that change with the
+// minute, formatted by strconv.Itoa) pushing to a RegionIndex over simnet.
+func pushRig(traced bool) (*fixture, *RegionIndex) {
+	f := newFixture()
+	if traced {
+		f.net.SetTracer(obs.NewTracer(f.eng))
+	}
+	rg := NewRegionIndex(f.eng, f.net, "idx", "R", nil)
+	g := NewGRIS(f.eng, f.net, "n1")
+	for n := 0; n < 64; n++ {
+		node := n
+		g.AddProviderInto(fmt.Sprintf("n1/n%02d", n), func(attrs map[string]string) {
+			attrs["region"] = "R"
+			attrs["site"] = "n1"
+			attrs["os"] = "linux"
+			attrs["cpus"] = strconv.Itoa(2 << uint(node%4))
+			attrs["load"] = strconv.Itoa((node*7 + int(f.eng.Now()/time.Minute)) % 32)
+		})
+	}
+	g.StartPush("idx", time.Minute)
+	return f, rg
+}
+
+// TestPushAllocsPerRecord pins what a registration costs through the
+// network once warm: the Registration boxed into Send's `any` and the
+// delivery closure. Provider fill, the GRIS walk and the index's in-place
+// refresh add nothing.
+func TestPushAllocsPerRecord(t *testing.T) {
+	f, rg := pushRig(false)
+	f.eng.RunUntil(3*time.Minute + time.Second)
+	before := rg.RegisterN
+	const rounds = 10
+	perRound := testing.AllocsPerRun(rounds, func() { f.eng.RunUntil(f.eng.Now() + time.Minute) })
+	// AllocsPerRun makes one warm-up call before the counted ones.
+	if got := rg.RegisterN - before; got != 64*(rounds+1) {
+		t.Fatalf("%d registrations in %d pushes, want 64 each", got, rounds+1)
+	}
+	if perRecord := perRound / 64; perRecord > 2 {
+		t.Errorf("a pushed registration allocates %.2f objects, want at most 2 (the Registration box and the event closure)", perRecord)
+	}
+}
+
+// TestTracedPushSpan: with tracing on, a pushed registration is still one
+// closed net.send span carrying from, to and svc, in that order.
+func TestTracedPushSpan(t *testing.T) {
+	f, rg := pushRig(true)
+	f.eng.RunUntil(time.Second)
+	spans := f.net.Tracer().FindSpans("net.send")
+	if len(spans) != 64 || rg.RegisterN != 64 {
+		t.Fatalf("%d net.send spans for %d registrations, want 64 of each", len(spans), rg.RegisterN)
+	}
+	want := []obs.Attr{obs.String("from", "n1"), obs.String("to", "idx"), obs.String("svc", SvcRegister)}
+	if s := spans[0]; !reflect.DeepEqual(s.Attrs, want) || s.Open || s.End-s.Begin != f.net.Latency("B", "A") {
+		t.Errorf("first net.send span = %+v, want closed after one latency with attrs %+v", *s, want)
+	}
 }

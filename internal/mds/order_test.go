@@ -20,16 +20,73 @@ import (
 // TTLs expire records between queries, and Sweep frees slots that the
 // next new name — sorting anywhere — reuses. Every query is answered
 // three ways and logged; disagreement lands in bad.
+//
+// ref is rg's twin: it takes the same registrations through refRegister
+// and the same sweeps, and after each the two must hold the same slots,
+// summary and version (twinDiff). A registration keeps, swaps (load for
+// gpu, same count) or grows its key set and redraws its values, so the
+// in-place refresh, its key-set miss and the skipped absorb all occur; one
+// in sixteen has no name, which all three indexes must refuse alike.
 type orderDriver struct {
 	eng  *sim.Engine
 	flat *GIIS
 	rg   *RegionIndex
+	ref  *RegionIndex
 	rng  *rand.Rand
+	seen map[string]bool
 
 	log bytes.Buffer
 	bad []string
-	// Coverage of the paths the harness exists for.
+	// Coverage of the paths the harness exists for; cov counts
+	// registrations by refreshPaths name.
 	sortsN, reusedN, expiredSeenN int
+	cov                           map[string]int
+}
+
+// refreshPaths are the ways a registration can meet the region, told from
+// the slot as it stood before: refreshed in place, with a value unchanged
+// (so not absorbed), key set changed (the full layout), changed at an equal
+// count (the swap), name expired but not yet swept, name freed by an
+// earlier Sweep, no name at all. The harness must reach every one.
+var refreshPaths = []string{"in place", "absorb skipped", "fell through", "key swap", "expired unswept", "back after sweep", "nameless"}
+
+// observe files reg under its refreshPaths before the indexes see it.
+func (d *orderDriver) observe(reg Registration) {
+	name, attrs := reg.Rec.Name, reg.Rec.Attrs
+	idx, known := d.rg.byName[name]
+	switch {
+	case name == "":
+		d.cov["nameless"]++
+		return
+	case !known:
+		if d.seen[name] {
+			d.cov["back after sweep"]++
+		}
+		d.seen[name] = true
+		return
+	}
+	s := &d.rg.slots[idx]
+	if s.expires <= d.eng.Now() {
+		d.cov["expired unswept"]++
+	}
+	same, unchanged := len(attrs) == len(s.keys), 0
+	for j, id := range s.keys {
+		v, ok := attrs[d.rg.in.Key(id)]
+		same = same && ok
+		if ok && v == s.vals[j] {
+			unchanged++
+		}
+	}
+	switch {
+	case same:
+		d.cov["in place"]++
+		d.cov["absorb skipped"] += unchanged
+	case len(attrs) == len(s.keys):
+		d.cov["key swap"]++
+		fallthrough
+	default:
+		d.cov["fell through"]++
+	}
 }
 
 var (
@@ -54,14 +111,22 @@ func buildOrderDriver(seed int64) (*sim.Engine, *orderDriver) {
 	net.AddSite("HQ", 0, 0)
 	net.AddHost("flat", "HQ", 1e6)
 	net.AddHost("region", "HQ", 1e6)
+	net.AddHost("refregion", "HQ", 1e6)
+	net.AddHost("root", "HQ", 1e6)
 	d := &orderDriver{
 		eng:  eng,
 		flat: NewGIIS(eng, net, "flat"),
 		rg:   NewRegionIndex(eng, net, "region", "R", nil),
+		ref:  NewRegionIndex(eng, net, "refregion", "R", nil),
 		rng:  eng.ForkRand(),
+		seen: make(map[string]bool),
+		cov:  make(map[string]int),
 	}
 	eng.SnapRoot("mds.orderdriver", d)
 	eng.NewTicker(time.Minute, d.step)
+	// Both uplinks tick between steps, so equal versions push and skip alike.
+	d.rg.StartSummaryPush("root", time.Minute)
+	d.ref.StartSummaryPush("root", time.Minute)
 	return eng, d
 }
 
@@ -74,7 +139,18 @@ func (d *orderDriver) step() {
 		d.query(orderQueries[d.rng.Intn(len(orderQueries))])
 	default:
 		d.flat.Sweep()
+		d.ref.Sweep()
 		fmt.Fprintf(&d.log, "sweep freed=%d slots=%d\n", d.rg.Sweep(), d.rg.Slots())
+		d.checkTwin("sweep")
+	}
+}
+
+func (d *orderDriver) checkTwin(after string) {
+	if diff := twinDiff(d.rg, d.ref); diff != "" {
+		d.bad = append(d.bad, fmt.Sprintf("t=%v after %s: %s", d.eng.Now(), after, diff))
+	}
+	if d.flat.RegisterN != d.rg.RegisterN {
+		d.bad = append(d.bad, fmt.Sprintf("t=%v after %s: flat RegisterN %d, region %d", d.eng.Now(), after, d.flat.RegisterN, d.rg.RegisterN))
 	}
 }
 
@@ -85,21 +161,35 @@ func (d *orderDriver) register() {
 		"cpus": fmt.Sprint(1 << uint(d.rng.Intn(4))),
 		"load": orderLoads[d.rng.Intn(len(orderLoads))],
 	}}
-	if d.rng.Intn(4) == 0 {
+	switch d.rng.Intn(8) {
+	case 0, 1:
+		rec.Attrs["gpu"] = "1"
+	case 2:
+		// Same count, other set: what comparing len alone would miss.
+		delete(rec.Attrs, "load")
 		rec.Attrs["gpu"] = "1"
 	}
+	if d.rng.Intn(16) == 0 {
+		rec.Name = ""
+	}
 	reg := Registration{Rec: rec, TTL: time.Duration(2+d.rng.Intn(9)) * time.Minute}
-	_, known := d.rg.byName[name]
+	d.observe(reg)
+	_, known := d.rg.byName[rec.Name]
 	slots, free := d.rg.Slots(), len(d.rg.free)
-	if _, err := d.flat.handleRegister(rec.Source, reg); err != nil {
-		d.bad = append(d.bad, err.Error())
+	_, flatErr := d.flat.handleRegister(rec.Source, reg)
+	errs := [3]error{flatErr, d.rg.RegisterRecord(reg), refRegister(d.ref, reg)}
+	for _, err := range errs {
+		// A nameless registration is refused in the same words by all
+		// three; a named one by none.
+		if (err != nil) != (rec.Name == "") || fmt.Sprint(err) != fmt.Sprint(errs[0]) {
+			d.bad = append(d.bad, fmt.Sprintf("t=%v register %q: flat, region, reference returned %q", d.eng.Now(), rec.Name, errs))
+			break
+		}
 	}
-	if err := d.rg.RegisterRecord(reg); err != nil {
-		d.bad = append(d.bad, err.Error())
-	}
-	if !known && free > 0 && d.rg.Slots() == slots {
+	if rec.Name != "" && !known && free > 0 && d.rg.Slots() == slots {
 		d.reusedN++
 	}
+	d.checkTwin("register " + rec.Name)
 }
 
 func (d *orderDriver) query(q Query) {
@@ -124,21 +214,35 @@ func (d *orderDriver) query(q Query) {
 // byte against the collect-and-sort reference and the flat GIIS.
 func TestOrderIndexMatchesReference(t *testing.T) {
 	var sorts, reused, expired int
+	cov := make(map[string]int)
 	for _, seed := range snaptest.Seeds(1, 20) {
 		eng, d := buildOrderDriver(seed)
 		eng.RunUntil(5 * time.Hour)
-		for _, b := range d.bad {
-			t.Errorf("seed %d: %s", seed, b)
+		// One divergence fails every later check: the first few say where.
+		for _, b := range d.bad[:min(len(d.bad), 3)] {
+			t.Errorf("seed %d (%d divergences): %s", seed, len(d.bad), b)
 		}
 		if len(d.rg.order) != len(d.rg.byName) {
 			t.Errorf("seed %d: order holds %d slots for %d names", seed, len(d.rg.order), len(d.rg.byName))
 		}
+		if d.rg.SummaryPushN != d.ref.SummaryPushN || d.rg.SummarySkipN != d.ref.SummarySkipN || d.rg.SummarySkipN == 0 {
+			t.Errorf("seed %d: uplink pushed %d skipped %d, reference %d and %d; want equal and some skipped",
+				seed, d.rg.SummaryPushN, d.rg.SummarySkipN, d.ref.SummaryPushN, d.ref.SummarySkipN)
+		}
 		sorts += d.sortsN
 		reused += d.reusedN
 		expired += d.expiredSeenN
+		for path, n := range d.cov {
+			cov[path] += n
+		}
 	}
 	if sorts == 0 || reused == 0 || expired == 0 {
 		t.Errorf("harness never reached a path it exists for: lazy sorts=%d slot reuses=%d queries over expired slots=%d", sorts, reused, expired)
+	}
+	for _, path := range refreshPaths {
+		if cov[path] == 0 {
+			t.Errorf("harness never made a %q registration: %v", path, cov)
+		}
 	}
 }
 

@@ -258,6 +258,9 @@ func (r *RegionIndex) RegisterRecord(reg Registration) error {
 	s.source = reg.Rec.Source
 	s.stamp = reg.Rec.Stamp
 	s.expires = r.eng.Now() + reg.TTL
+	if ok && r.refresh(s, reg.Rec.Attrs) {
+		return nil
+	}
 
 	// Deterministic slot layout: sorted attr keys, interned, written
 	// over the slot's existing pair storage.
@@ -266,8 +269,8 @@ func (r *RegionIndex) RegisterRecord(reg Registration) error {
 		r.scratch = append(r.scratch, k)
 	}
 	sort.Strings(r.scratch)
-	s.keys = s.keys[:0]
-	s.vals = s.vals[:0]
+	s.keys = slices.Grow(s.keys[:0], len(r.scratch))
+	s.vals = slices.Grow(s.vals[:0], len(r.scratch))
 	for _, k := range r.scratch {
 		v := reg.Rec.Attrs[k]
 		id := r.in.ID(k)
@@ -276,6 +279,30 @@ func (r *RegionIndex) RegisterRecord(reg Registration) error {
 		r.absorb(id, v)
 	}
 	return nil
+}
+
+// refresh rewrites a held slot whose key set attrs repeats: distinct keys,
+// equal count and every slot key present mean the same set, so the sorted
+// layout stands and only the values that differ are written and absorbed.
+// Skipping absorb for an unchanged value is exact: the summary has covered
+// it since it was written, rebuilds walk every named slot, and absorbing a
+// covered value changes nothing. For the same reason a false return, which
+// may follow some value writes, leaves nothing for the full layout to undo.
+func (r *RegionIndex) refresh(s *regSlot, attrs map[string]string) bool {
+	if len(attrs) != len(s.keys) {
+		return false
+	}
+	for j, id := range s.keys {
+		v, ok := attrs[r.in.Key(id)]
+		if !ok {
+			return false
+		}
+		if v != s.vals[j] {
+			s.vals[j] = v
+			r.absorb(id, v)
+		}
+	}
+	return true
 }
 
 // allocSlot pops a free slot or appends one.
@@ -624,7 +651,7 @@ func summaryMayMatch(s RegionSummary, q Query) bool {
 				return false
 			}
 		default:
-			b, err := strconv.ParseFloat(f.Value, 64)
+			b, err := parseNumeric(f.Value)
 			if err != nil {
 				// Non-numeric comparison value: Match fails everywhere.
 				return false

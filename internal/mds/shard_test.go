@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -116,6 +118,68 @@ func refEval(r *RegionIndex, q Query) QueryReply {
 		}
 	}
 	return reply
+}
+
+// refRegister is RegisterRecord as it stood before the in-place refresh:
+// every registration, refresh or not, collects, sorts and interns its keys
+// again, rewrites every pair and absorbs every value. A twin region driven
+// through it is the oracle that the refresh changes cost and never state.
+func refRegister(r *RegionIndex, reg Registration) error {
+	if reg.Rec.Name == "" {
+		return fmt.Errorf("mds: registration without a name from %q", reg.Rec.Source)
+	}
+	r.RegisterN++
+	idx, ok := r.byName[reg.Rec.Name]
+	if !ok {
+		idx = r.allocSlot()
+		r.byName[reg.Rec.Name] = idx
+		if n := len(r.order); n > 0 && r.slots[r.order[n-1]].name > reg.Rec.Name {
+			r.unsorted = true
+		}
+		r.order = append(r.order, idx)
+	}
+	s := &r.slots[idx]
+	s.name = reg.Rec.Name
+	s.source = reg.Rec.Source
+	s.stamp = reg.Rec.Stamp
+	s.expires = r.eng.Now() + reg.TTL
+	r.scratch = r.scratch[:0]
+	for k := range reg.Rec.Attrs {
+		r.scratch = append(r.scratch, k)
+	}
+	sort.Strings(r.scratch)
+	s.keys = s.keys[:0]
+	s.vals = s.vals[:0]
+	for _, k := range r.scratch {
+		v := reg.Rec.Attrs[k]
+		id := r.in.ID(k)
+		s.keys = append(s.keys, id)
+		s.vals = append(s.vals, v)
+		r.absorb(id, v)
+	}
+	return nil
+}
+
+// twinDiff says where a region and its refRegister twin differ, "" when
+// they do not: slot contents, free list, registration count, summary and
+// the version that decides whether the summary is pushed.
+func twinDiff(got, want *RegionIndex) string {
+	sameSlot := func(a, b regSlot) bool {
+		return a.name == b.name && a.source == b.source && a.stamp == b.stamp && a.expires == b.expires &&
+			slices.Equal(a.keys, b.keys) && slices.Equal(a.vals, b.vals)
+	}
+	if !slices.EqualFunc(got.slots, want.slots, sameSlot) || !slices.Equal(got.free, want.free) {
+		return fmt.Sprintf("slots %+v free %v, reference %+v free %v", got.slots, got.free, want.slots, want.free)
+	}
+	if got.RegisterN != want.RegisterN || got.sumVersion != want.sumVersion {
+		return fmt.Sprintf("RegisterN %d sumVersion %d, reference %d and %d", got.RegisterN, got.sumVersion, want.RegisterN, want.sumVersion)
+	}
+	gs, ws := got.Summary(time.Minute), want.Summary(time.Minute)
+	ws.Region, ws.Host = gs.Region, gs.Host
+	if !reflect.DeepEqual(gs, ws) {
+		return fmt.Sprintf("summary %+v, reference %+v", gs, ws)
+	}
+	return ""
 }
 
 // TestShardedMatchesFlat is the differential gate: over a seeded grid
@@ -477,10 +541,10 @@ func TestGRISIntoRefreshAllocFree(t *testing.T) {
 		attrs["os"] = "linux"
 		attrs["load"] = fmt.Sprint(load) // varies, same key set
 	})
-	_ = g.record("n1/compute")
+	_ = g.record(&g.providers[0])
 	n := testing.AllocsPerRun(200, func() {
 		load = (load + 1) % 4 // small ints: fmt.Sprint hits cached strings
-		_ = g.record("n1/compute")
+		_ = g.record(&g.providers[0])
 	})
 	if n != 0 {
 		t.Errorf("fill-style refresh allocates %.1f objects/op, want 0", n)

@@ -24,6 +24,7 @@ package scale
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
@@ -337,8 +338,8 @@ func (c *cell) growSite(global int) {
 			attrs["region"] = c.regionName
 			attrs["site"] = name
 			attrs["os"] = oses[node%len(oses)]
-			attrs["cpus"] = fmt.Sprint(2 << uint(node%4))
-			attrs["load"] = fmt.Sprint((node*7 + int(c.eng.Now()/time.Minute)) % 32)
+			attrs["cpus"] = strconv.Itoa(2 << uint(node%4))
+			attrs["load"] = strconv.Itoa((node*7 + int(c.eng.Now()/time.Minute)) % 32)
 		})
 	}
 	s.gris.StartPush(c.regionHost, cfg.RefreshInterval)
@@ -541,8 +542,8 @@ func RegistrationFlatness(seed int64, cfg Config, nSites, window int, clock func
 				attrs["region"] = "probe"
 				attrs["site"] = fmt.Sprintf("s%04d", si)
 				attrs["os"] = "linux"
-				attrs["cpus"] = fmt.Sprint(2 << uint(ni%4))
-				attrs["load"] = fmt.Sprint((ni*7 + si) % 32)
+				attrs["cpus"] = strconv.Itoa(2 << uint(ni%4))
+				attrs["load"] = strconv.Itoa((ni*7 + si) % 32)
 				if err := rg.RegisterRecord(mds.Registration{Rec: mds.Record{
 					Name:   fmt.Sprintf("s%04d/n%03d", si, ni),
 					Source: fmt.Sprintf("s%04d", si),

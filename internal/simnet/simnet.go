@@ -413,11 +413,7 @@ func (n *Network) Send(from, to, service string, msg any) {
 		n.dropCounter(err).Inc()
 		return
 	}
-	var span obs.SpanContext
-	if n.tr != nil {
-		span = n.tr.Begin("net.send",
-			obs.String("from", from), obs.String("to", to), obs.String("svc", service))
-	}
+	span := n.msgSpan("net.send", from, to, service)
 	a.MsgsSent++
 	n.cSent.Inc()
 	if n.rng.Float64() < n.Loss(a.Site, b.Site) {
@@ -425,36 +421,50 @@ func (n *Network) Send(from, to, service string, msg any) {
 		span.End(obs.String("drop", "loss"))
 		return // dropped in flight
 	}
-	n.eng.Schedule(lat, func() {
-		// Down-host and partition state are both rechecked at delivery
-		// time: a cut that lands while the message is in flight severs it,
-		// exactly as it severs in-flight data flows.
-		if b.downFlag || n.Partitioned(a.Site, b.Site) {
-			if b.downFlag {
-				n.cDropDown.Inc()
-				span.End(obs.String("drop", "host_down"))
-			} else {
-				n.cDropPartition.Inc()
-				span.End(obs.String("drop", "partition"))
-			}
-			return
+	// The one allocation of a message: span is never reassigned, so the
+	// closure holds it by value, and the host names ride in a and b.
+	n.eng.Schedule(lat, func() { n.deliver(a, b, span, service, msg) })
+}
+
+// msgSpan opens the span of a Send or a Call: the zero context when
+// tracing is off.
+func (n *Network) msgSpan(name, from, to, service string) obs.SpanContext {
+	if n.tr == nil {
+		return obs.SpanContext{}
+	}
+	return n.tr.Begin(name,
+		obs.String("from", from), obs.String("to", to), obs.String("svc", service))
+}
+
+// deliver lands one Send at b. Down-host and partition state are both
+// rechecked at delivery time: a cut that lands while the message is in
+// flight severs it, exactly as it severs in-flight data flows.
+func (n *Network) deliver(a, b *Host, span obs.SpanContext, service string, msg any) {
+	if b.downFlag || n.Partitioned(a.Site, b.Site) {
+		if b.downFlag {
+			n.cDropDown.Inc()
+			span.End(obs.String("drop", "host_down"))
+		} else {
+			n.cDropPartition.Inc()
+			span.End(obs.String("drop", "partition"))
 		}
-		b.MsgsRecv++
-		n.cRecv.Inc()
-		if n.Trace != nil {
-			n.Trace("%v  %s -> %s  %s", n.eng.Now(), from, to, service)
+		return
+	}
+	b.MsgsRecv++
+	n.cRecv.Inc()
+	if n.Trace != nil {
+		n.Trace("%v  %s -> %s  %s", n.eng.Now(), a.Name, b.Name, service)
+	}
+	if fn, ok := b.handlers[service]; ok {
+		// The handler runs under the delivery span, so spans it opens
+		// (and messages it sends) are causal children of this message.
+		if n.tr != nil {
+			n.tr.Scope(span, func() { fn(a.Name, msg) })
+		} else {
+			fn(a.Name, msg) // response discarded for one-way sends
 		}
-		if fn, ok := b.handlers[service]; ok {
-			// The handler runs under the delivery span, so spans it opens
-			// (and messages it sends) are causal children of this message.
-			if n.tr != nil {
-				n.tr.Scope(span, func() { fn(from, msg) })
-			} else {
-				fn(from, msg) // response discarded for one-way sends
-			}
-		}
-		span.End()
-	})
+	}
+	span.End()
 }
 
 // Call performs a request/response RPC and invokes done exactly once with
@@ -472,11 +482,7 @@ func (n *Network) Call(from, to, service string, req any, timeout time.Duration,
 		n.eng.Schedule(0, func() { done(nil, err) })
 		return
 	}
-	c := &call{n: n, a: a, start: n.eng.Now(), done: done}
-	if n.tr != nil {
-		c.span = n.tr.Begin("net.call",
-			obs.String("from", from), obs.String("to", to), obs.String("svc", service))
-	}
+	c := &call{n: n, a: a, start: n.eng.Now(), done: done, span: n.msgSpan("net.call", from, to, service)}
 	n.calls[c] = struct{}{}
 	if timeout > 0 {
 		c.timeoutEv = n.eng.Schedule(timeout, func() { c.finish(nil, ErrTimeout) })

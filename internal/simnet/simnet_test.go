@@ -63,6 +63,28 @@ func TestSendDelivers(t *testing.T) {
 	}
 }
 
+// TestSendAllocatesOnce: with tracing off a message is its delivery
+// closure and nothing else: no heap cell for the span, no second object
+// for the host names. The payload is boxed once outside the loop, so the
+// caller's conversion is not charged here.
+func TestSendAllocatesOnce(t *testing.T) {
+	eng, n := testNet(t, 1)
+	delivered := 0
+	n.Host("b1").Handle("sink", func(string, any) (any, error) { delivered++; return nil, nil })
+	var msg any = "payload"
+	send := func() {
+		n.Send("a1", "b1", "sink", msg)
+		eng.Run()
+	}
+	send() // warm the event heap
+	if got := testing.AllocsPerRun(200, send); got > 1 {
+		t.Errorf("Send plus delivery allocates %.1f objects, want at most 1", got)
+	}
+	if delivered != 202 {
+		t.Errorf("delivered %d of 202 messages", delivered)
+	}
+}
+
 func TestCallRoundTrip(t *testing.T) {
 	eng, n := testNet(t, 1)
 	n.Host("b1").Handle("double", func(from string, req any) (any, error) {
