@@ -81,12 +81,11 @@ type Deployer struct {
 	// is open is skipped without an attempt. All layers of one federation
 	// share the set, so they agree on a site's health.
 	Breakers *resilience.BreakerSet
-	// Exchange, when non-nil, routes deploy-path ticket purchases
-	// through a score-weighted multi-broker market (with collateral
-	// gating and fraud slashing) instead of the house agent. Renewals
-	// always stay on the house agent: a lease is renewed by whoever
-	// deployed it. Nil keeps the single-agent path byte-identical to
-	// pre-market behaviour.
+	// Exchange, when non-nil, supplies the deploy path's seller list: a
+	// score-weighted ranking of the registered brokers (with collateral
+	// gating and fraud slashing) in place of the house agent alone.
+	// Renewals always stay on the house agent: a lease is renewed by
+	// whoever deployed it.
 	Exchange *Exchange
 
 	// Hops counts ticket/lease protocol steps for E5 symmetry with the
@@ -283,70 +282,48 @@ func (d *Deployer) DeploySlice(sliceName string, sm *identity.Principal, cpuPerS
 	return res, nil
 }
 
-// deploySite attempts one site, rolling back that site's own leases and
-// VM on failure. With an Exchange installed it becomes a market
-// purchase with seller failover; otherwise the house agent supplies the
-// tickets.
+// deploySite attempts one site through the one purchase loop: the
+// seller list is the house agent alone or, with an Exchange installed,
+// its ranking for the site (seller failover, scoring and slashing then
+// happen in the loop). A failed attempt rolls back its own leases and VM.
 func (d *Deployer) deploySite(parent obs.SpanContext, res *DeployResult, sliceName string, sm *identity.Principal, cpuPerSite float64, notBefore, notAfter time.Duration, site string) ([]*sharp.Lease, error) {
-	slice := res.Slice
 	var span obs.SpanContext
 	if d.tr != nil {
 		span = d.tr.BeginUnder(parent, "broker.deploy.site", obs.String("site", site))
 	}
 	restore := d.tr.EnterScope(span)
 	defer restore()
+	fail := func(err error) ([]*sharp.Lease, error) {
+		span.End(obs.Err(err))
+		return nil, err
+	}
 	rt, ok := d.Sites[site]
 	if !ok {
-		err := fmt.Errorf("broker: unknown site %q", site)
-		span.End(obs.Err(err))
-		return nil, err
-	}
-	if d.Exchange != nil {
-		leases, err := d.deploySiteMarket(span, res, rt, sliceName, sm, cpuPerSite, notBefore, notAfter, site)
-		if err != nil {
-			span.End(obs.Err(err))
-			return nil, err
-		}
-		span.End()
-		return leases, nil
-	}
-	var leases []*sharp.Lease
-	var v *vm.VM
-	fail := func(err error) ([]*sharp.Lease, error) {
-		for _, l := range leases {
-			rt.Authority.ReleaseLease(l)
-		}
-		if v != nil && v.State() == vm.Running {
-			v.Stop()
-		}
-		span.End(obs.Err(err))
-		return nil, err
+		return fail(fmt.Errorf("broker: unknown site %q", site))
 	}
 	if err := d.reachable(site); err != nil {
-		span.End(obs.Err(err))
-		return nil, err
-	}
-	d.Hops += 2 // buy request + ticket grant
-	tickets, err := d.Agent.Sell(sm.Name, sm.Public(), site, capability.CPU, cpuPerSite, notBefore, notAfter)
-	if err != nil {
-		return fail(fmt.Errorf("%w: %v", ErrNoTickets, err))
-	}
-	v = vm.New(sliceName+"@"+site, rt.Node, rt.NM)
-	for _, tk := range tickets {
-		d.Hops += 2 // redeem + lease grant
-		lease, err := rt.Authority.Redeem(tk)
-		if err != nil {
-			return fail(err)
-		}
-		leases = append(leases, lease)
-		if err := v.Bind(lease.CapID); err != nil {
-			return fail(err)
-		}
-	}
-	if err := v.Start(); err != nil {
 		return fail(err)
 	}
-	if err := slice.Add(v); err != nil {
+	order := []Seller{d.Agent}
+	if d.Exchange != nil {
+		order = d.Exchange.rank(site, capability.CPU, cpuPerSite, rt.Bank)
+	}
+	leases, outcomes, err := d.Exchange.buy(order, site, rt.Bank,
+		func(s Seller) ([]*sharp.Ticket, error) {
+			d.Hops += 2 // buy request + ticket grant, refused or not
+			return s.Sell(sm.Name, sm.Public(), site, capability.CPU, cpuPerSite, notBefore, notAfter)
+		},
+		func(tickets []*sharp.Ticket) ([]*sharp.Lease, error) {
+			leases, err := d.redeemAndBind(res.Slice, sliceName, site, rt, tickets)
+			if err != nil && d.Exchange != nil {
+				// A market attempt that fails is not yet the site's
+				// verdict: the next seller may still convert.
+				span.Annotate(obs.Err(err))
+			}
+			return leases, err
+		})
+	res.Outcomes = append(res.Outcomes, outcomes...)
+	if err != nil {
 		return fail(err)
 	}
 	span.End()

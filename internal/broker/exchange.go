@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"repro/internal/capability"
-	"repro/internal/identity"
-	"repro/internal/obs"
 	"repro/internal/sharp"
 	"repro/internal/trust"
 	"repro/internal/vm"
@@ -131,8 +129,8 @@ func (x *Exchange) rank(site string, typ capability.ResourceType, amount float64
 		if bank != nil && bank.Held(s.SellerName()) <= 0 {
 			continue
 		}
-		if s.Inventory(site, typ) < amount {
-			continue
+		if !(amount > 0 && amount <= s.Inventory(site, typ)) {
+			continue // written so a NaN amount finds no seller
 		}
 		elig = append(elig, cand{s: s, score: x.score(s.SellerName()), idx: i})
 	}
@@ -200,11 +198,12 @@ func fraudulent(err error) bool {
 
 // slash seizes collateral for one detected fraud, tolerating a missing
 // account (counted, not fatal — the run's invariant sweep will flag it).
-func (x *Exchange) slash(bank *trust.Bank, seller, reason string) {
-	if bank == nil {
+// The house agent (a nil exchange) posts no collateral to seize.
+func (x *Exchange) slash(bank *trust.Bank, seller, site string, fraud error) {
+	if x == nil || bank == nil {
 		return
 	}
-	took, err := bank.Slash(seller, x.SlashPenalty, reason)
+	took, err := bank.Slash(seller, x.SlashPenalty, fmt.Sprintf("%s: %v", site, fraud))
 	if err != nil {
 		x.SlashErrN++
 		return
@@ -213,110 +212,85 @@ func (x *Exchange) slash(bank *trust.Bank, seller, reason string) {
 	x.SlashTotal += took
 }
 
-// Purchase is a bare market buy: rank the eligible sellers for the
-// site, then try each in order — buy tickets, redeem them at the site
-// authority — until one seller's tickets convert into leases. No VM is
-// bound; callers that only probe the market (reputation exercisers,
-// tests) release the returned leases themselves. Every attempt is
-// returned as a SellerOutcome for the buyer's scoreboard; fraudulent
-// redeem failures slash the seller's collateral exactly as the deploy
-// path does.
-func (x *Exchange) Purchase(buyerName string, buyerKey ed25519.PublicKey, site string, rt *SiteRuntime, typ capability.ResourceType, amount float64, notBefore, notAfter time.Duration) ([]*sharp.Lease, []SellerOutcome, error) {
-	order := x.rank(site, typ, amount, rt.Bank)
+// record books one purchase attempt in the seller's market history and
+// as a SellerOutcome for the buyer's scoreboard. The house agent (a nil
+// exchange) is not a market: nothing is counted or reported.
+func (x *Exchange) record(outcomes []SellerOutcome, site string, s Seller, err error) []SellerOutcome {
+	if x == nil {
+		return outcomes
+	}
+	st := x.stats[s.SellerName()]
+	st.Picked++
+	if err != nil {
+		st.RedeemFail++
+	} else {
+		st.RedeemOK++
+	}
+	return append(outcomes, SellerOutcome{Site: site, Seller: s.SellerName(), OK: err == nil, Err: err})
+}
+
+// buy is the one purchase loop (Figure 2 steps 3-6): try each seller in
+// order — sell buys its tickets, convert turns them into leases at the
+// site, rolling its own partial work back on failure — until one
+// seller's tickets convert. A nil exchange is the house agent selling
+// alone, so order is never empty there. Refusing to sell claimed
+// inventory is a failed outcome but not slashable fraud (no bogus
+// ticket reached the site); a fraudulent conversion failure slashes the
+// seller's collateral at bank.
+func (x *Exchange) buy(order []Seller, site string, bank *trust.Bank, sell func(Seller) ([]*sharp.Ticket, error), convert func([]*sharp.Ticket) ([]*sharp.Lease, error)) ([]*sharp.Lease, []SellerOutcome, error) {
 	if len(order) == 0 {
 		return nil, nil, fmt.Errorf("%w: %s", ErrNoSellers, site)
 	}
 	var outcomes []SellerOutcome
 	var lastErr error
 	for _, s := range order {
-		name := s.SellerName()
-		x.stats[name].Picked++
-		tickets, err := s.Sell(buyerName, buyerKey, site, typ, amount, notBefore, notAfter)
+		tickets, err := sell(s)
 		if err != nil {
-			x.stats[name].RedeemFail++
-			outcomes = append(outcomes, SellerOutcome{Site: site, Seller: name, Err: err})
+			outcomes = x.record(outcomes, site, s, err)
 			lastErr = fmt.Errorf("%w: %v", ErrNoTickets, err)
 			continue
 		}
-		var leases []*sharp.Lease
-		redeemErr := error(nil)
-		for _, tk := range tickets {
-			lease, err := rt.Authority.Redeem(tk)
-			if err != nil {
-				redeemErr = err
-				break
-			}
-			leases = append(leases, lease)
+		leases, err := convert(tickets)
+		outcomes = x.record(outcomes, site, s, err)
+		if err == nil {
+			return leases, outcomes, nil
 		}
-		if redeemErr != nil {
-			for _, l := range leases {
-				rt.Authority.ReleaseLease(l)
-			}
-			x.stats[name].RedeemFail++
-			outcomes = append(outcomes, SellerOutcome{Site: site, Seller: name, Err: redeemErr})
-			if fraudulent(redeemErr) {
-				x.slash(rt.Bank, name, fmt.Sprintf("%s: %v", site, redeemErr))
-			}
-			lastErr = redeemErr
-			continue
+		if fraudulent(err) {
+			x.slash(bank, s.SellerName(), site, err)
 		}
-		x.stats[name].RedeemOK++
-		outcomes = append(outcomes, SellerOutcome{Site: site, Seller: name, OK: true})
-		return leases, outcomes, nil
+		lastErr = err
 	}
 	return nil, outcomes, lastErr
 }
 
-// deploySiteMarket is deploySite's exchange path: rank the eligible
-// sellers, then try each in order — buy, redeem, bind — until one's
-// tickets convert into leases. Every attempt is recorded as a
-// SellerOutcome for the buyer's scoreboard; fraudulent redeem failures
-// slash the seller's collateral at the site bank.
-func (d *Deployer) deploySiteMarket(span obs.SpanContext, res *DeployResult, rt *SiteRuntime, sliceName string, sm *identity.Principal, cpuPerSite float64, notBefore, notAfter time.Duration, site string) ([]*sharp.Lease, error) {
-	if err := d.reachable(site); err != nil {
-		return nil, err
-	}
-	x := d.Exchange
-	order := x.rank(site, capability.CPU, cpuPerSite, rt.Bank)
-	if len(order) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoSellers, site)
-	}
-	var lastErr error
-	for _, s := range order {
-		name := s.SellerName()
-		x.stats[name].Picked++
-		d.Hops += 2 // buy request + ticket grant
-		tickets, err := s.Sell(sm.Name, sm.Public(), site, capability.CPU, cpuPerSite, notBefore, notAfter)
-		if err != nil {
-			// Refusing to sell claimed inventory is a failed outcome for
-			// the scoreboard but not slashable fraud — no bogus ticket
-			// was presented to the site.
-			x.stats[name].RedeemFail++
-			res.Outcomes = append(res.Outcomes, SellerOutcome{Site: site, Seller: name, Err: err})
-			lastErr = fmt.Errorf("%w: %v", ErrNoTickets, err)
-			continue
-		}
-		leases, err := d.redeemAndBind(span, res.Slice, sliceName, site, rt, tickets)
-		if err != nil {
-			x.stats[name].RedeemFail++
-			res.Outcomes = append(res.Outcomes, SellerOutcome{Site: site, Seller: name, Err: err})
-			if fraudulent(err) {
-				x.slash(rt.Bank, name, fmt.Sprintf("%s: %v", site, err))
+// Purchase is a bare market buy: rank the eligible sellers for the site
+// and run the purchase loop with a redeem-only conversion. No VM is
+// bound; callers that only probe the market (reputation exercisers,
+// tests) release the returned leases themselves.
+func (x *Exchange) Purchase(buyerName string, buyerKey ed25519.PublicKey, site string, rt *SiteRuntime, typ capability.ResourceType, amount float64, notBefore, notAfter time.Duration) ([]*sharp.Lease, []SellerOutcome, error) {
+	return x.buy(x.rank(site, typ, amount, rt.Bank), site, rt.Bank,
+		func(s Seller) ([]*sharp.Ticket, error) {
+			return s.Sell(buyerName, buyerKey, site, typ, amount, notBefore, notAfter)
+		},
+		func(tickets []*sharp.Ticket) ([]*sharp.Lease, error) {
+			var leases []*sharp.Lease
+			for _, tk := range tickets {
+				lease, err := rt.Authority.Redeem(tk)
+				if err != nil {
+					for _, l := range leases {
+						rt.Authority.ReleaseLease(l)
+					}
+					return nil, err
+				}
+				leases = append(leases, lease)
 			}
-			lastErr = err
-			continue
-		}
-		x.stats[name].RedeemOK++
-		res.Outcomes = append(res.Outcomes, SellerOutcome{Site: site, Seller: name, OK: true})
-		return leases, nil
-	}
-	return nil, lastErr
+			return leases, nil
+		})
 }
 
 // redeemAndBind converts bought tickets into leases backing a started
-// VM, rolling everything back on failure. Shared by the market path's
-// per-seller attempts.
-func (d *Deployer) redeemAndBind(span obs.SpanContext, slice *vm.Slice, sliceName, site string, rt *SiteRuntime, tickets []*sharp.Ticket) ([]*sharp.Lease, error) {
+// VM, rolling everything back on failure.
+func (d *Deployer) redeemAndBind(slice *vm.Slice, sliceName, site string, rt *SiteRuntime, tickets []*sharp.Ticket) ([]*sharp.Lease, error) {
 	var leases []*sharp.Lease
 	v := vm.New(sliceName+"@"+site, rt.Node, rt.NM)
 	fail := func(err error) ([]*sharp.Lease, error) {
@@ -326,7 +300,6 @@ func (d *Deployer) redeemAndBind(span obs.SpanContext, slice *vm.Slice, sliceNam
 		if v.State() == vm.Running {
 			v.Stop()
 		}
-		span.Annotate(obs.Err(err))
 		return nil, err
 	}
 	for _, tk := range tickets {

@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -202,10 +203,27 @@ func TestMarketMinScoreFloor(t *testing.T) {
 
 func TestMarketNoSellers(t *testing.T) {
 	f := newMarketFixture(t)
-	// Ask for more than anyone claims to have.
-	_, err := f.d.DeploySlice("huge", f.sm, 100, 0, time.Hour, []string{"A"})
-	if !errors.Is(err, ErrNoSellers) {
-		t.Fatalf("deploy = %v; want ErrNoSellers", err)
+	// Ask for more than anyone claims to have — or for an amount nobody
+	// can have: "inventory < NaN" is false, so a NaN request used to rank
+	// every seller, buy a NaN ticket and leave NaN stock behind.
+	for _, amount := range []float64{100, math.NaN(), math.Inf(1), 0, -1} {
+		_, err := f.d.DeploySlice("huge", f.sm, amount, 0, time.Hour, []string{"A"})
+		if !errors.Is(err, ErrNoSellers) {
+			t.Errorf("deploy %v CPU = %v; want ErrNoSellers", amount, err)
+		}
+		rt := f.d.Sites["A"]
+		if _, _, err := f.ex.Purchase(f.sm.Name, f.sm.Public(), "A", rt, capability.CPU, amount, 0, time.Hour); !errors.Is(err, ErrNoSellers) {
+			t.Errorf("purchase %v CPU = %v; want ErrNoSellers", amount, err)
+		}
+		// The house agent alone refuses the same request as a seller would.
+		f.d.Exchange = nil
+		if _, err := f.d.DeploySlice("huge", f.sm, amount, 0, time.Hour, []string{"A"}); !errors.Is(err, ErrNoTickets) {
+			t.Errorf("house deploy %v CPU = %v; want ErrNoTickets", amount, err)
+		}
+		f.d.Exchange = f.ex
+		if inv, free := f.honest.Inventory("A", capability.CPU), rt.NM.Available(capability.CPU); inv != 8 || free != 8 {
+			t.Fatalf("after %v CPU: inventory %v, site free %v; want 8 and 8", amount, inv, free)
+		}
 	}
 }
 

@@ -170,6 +170,3 @@ func (d *NetDeployer) DeploySliceOverNet(sliceName, smHost string, sm *identity.
 	}
 	deployNext(0)
 }
-
-// vmSliceAlias keeps test signatures tidy.
-type vmSliceAlias = vm.Slice

@@ -13,6 +13,7 @@ import (
 	"repro/internal/silk"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/vm"
 )
 
 type netDepFixture struct {
@@ -71,7 +72,7 @@ func TestNetDeployerFullFlow(t *testing.T) {
 	start := f.eng.Now()
 	var setup time.Duration
 	f.d.DeploySliceOverNet("cdn", "smhost", f.sm, 1, 0, time.Hour, []string{"A", "B", "C"},
-		func(s *vmSliceAlias, err error) {
+		func(s *vm.Slice, err error) {
 			gotErr = err
 			if s != nil {
 				running = s.Running()
@@ -100,7 +101,7 @@ func TestNetDeployerInsufficientStockFails(t *testing.T) {
 	f.eng.Run()
 	var gotErr error
 	f.d.DeploySliceOverNet("svc", "smhost", f.sm, 1, 0, time.Hour, []string{"A"},
-		func(_ *vmSliceAlias, err error) { gotErr = err })
+		func(_ *vm.Slice, err error) { gotErr = err })
 	f.eng.Run()
 	if !errors.Is(gotErr, ErrDeployFailed) {
 		t.Errorf("err = %v", gotErr)
@@ -117,7 +118,7 @@ func TestNetDeployerPartitionFailsAndRollsBack(t *testing.T) {
 	var gotErr error
 	done := false
 	f.d.DeploySliceOverNet("svc", "smhost", f.sm, 1, 0, time.Hour, []string{"A", "B"},
-		func(_ *vmSliceAlias, err error) { gotErr, done = err, true })
+		func(_ *vm.Slice, err error) { gotErr, done = err, true })
 	f.eng.Run()
 	if !done || gotErr == nil {
 		t.Fatalf("deploy = (%v, done=%v)", gotErr, done)
@@ -140,7 +141,7 @@ func TestNetDeployerUnknownSite(t *testing.T) {
 	}
 	var depErr error
 	f.d.DeploySliceOverNet("svc", "smhost", f.sm, 1, 0, time.Hour, []string{"Z"},
-		func(_ *vmSliceAlias, err error) { depErr = err })
+		func(_ *vm.Slice, err error) { depErr = err })
 	f.eng.Run()
 	if !errors.Is(depErr, ErrDeployFailed) {
 		t.Errorf("deploy unknown site: %v", depErr)
@@ -157,7 +158,7 @@ func TestNetDeployerLatencyScalesWithSiteDistance(t *testing.T) {
 		start := f.eng.Now()
 		var setup time.Duration
 		f.d.DeploySliceOverNet("svc", "smhost", f.sm, 1, 0, time.Hour, []string{site},
-			func(s *vmSliceAlias, err error) {
+			func(s *vm.Slice, err error) {
 				if err != nil {
 					t.Fatal(err)
 				}

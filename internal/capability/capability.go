@@ -17,6 +17,7 @@ package capability
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -171,10 +172,12 @@ func (m *NodeManager) Mint(req MintRequest) (*Capability, error) {
 		req.Amount = 1
 		req.Dedicated = true
 	default:
-		if req.Amount <= 0 {
-			return nil, fmt.Errorf("capability: amount %v must be positive", req.Amount)
+		// Both tests are written so NaN fails: one NaN added to committed
+		// makes Available NaN, and "Available < amount" then admits anything.
+		if !(req.Amount > 0 && req.Amount <= math.MaxFloat64) {
+			return nil, fmt.Errorf("capability: amount %v must be positive and finite", req.Amount)
 		}
-		if req.Dedicated && m.Available(req.Type) < req.Amount {
+		if req.Dedicated && !(req.Amount <= m.Available(req.Type)) {
 			return nil, fmt.Errorf("%w: %s want %.2f free %.2f",
 				ErrInsufficient, req.Type, req.Amount, m.Available(req.Type))
 		}
@@ -227,7 +230,7 @@ func (m *NodeManager) Split(id ID, amount float64) (part, rest *Capability, err 
 	if m.bound[id] {
 		return nil, nil, ErrAlreadyBound
 	}
-	if amount <= 0 || amount >= c.Amount {
+	if !(amount > 0 && amount < c.Amount) {
 		return nil, nil, fmt.Errorf("%w: %v of %v", ErrSplitTooLarge, amount, c.Amount)
 	}
 	mk := func(amt float64) *Capability {

@@ -2,6 +2,7 @@ package capability
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -62,6 +63,21 @@ func TestMintRejectsBadRequests(t *testing.T) {
 	}
 	if _, err := nm.Mint(MintRequest{Type: CPU, Amount: 1, NotBefore: hour, NotAfter: hour}); err == nil {
 		t.Error("empty interval accepted")
+	}
+	// "amount <= 0" and "available < amount" are both false for NaN: one
+	// NaN commit made Available NaN and admitted everything after it.
+	for _, amount := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5} {
+		for _, dedicated := range []bool{true, false} {
+			if c, err := nm.Mint(MintRequest{Type: CPU, Amount: amount, Dedicated: dedicated, NotAfter: hour}); err == nil {
+				t.Errorf("amount %v (dedicated=%v) minted %+v", amount, dedicated, c)
+			}
+		}
+	}
+	if got := nm.Available(CPU); got != 2 {
+		t.Errorf("Available = %v after refused mints; want 2", got)
+	}
+	if _, err := nm.Mint(MintRequest{Type: CPU, Amount: 1000, Dedicated: true, NotAfter: hour}); !errors.Is(err, ErrInsufficient) {
+		t.Errorf("1000 CPU on a 2-CPU node: %v", err)
 	}
 }
 
@@ -153,6 +169,9 @@ func TestSplitErrors(t *testing.T) {
 	}
 	if _, _, err := nm.Split(c.ID, 0); !errors.Is(err, ErrSplitTooLarge) {
 		t.Errorf("zero split: %v", err)
+	}
+	if _, _, err := nm.Split(c.ID, math.NaN()); !errors.Is(err, ErrSplitTooLarge) {
+		t.Errorf("NaN split: %v", err)
 	}
 	p, _ := nm.Mint(MintRequest{Type: Port, PortNum: 80, NotAfter: hour})
 	if _, _, err := nm.Split(p.ID, 0.5); !errors.Is(err, ErrNotDivisible) {

@@ -15,7 +15,6 @@ package mds
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 	"time"
 
@@ -178,18 +177,6 @@ func (g *GRIS) record(p *provider) Record {
 	p.fill(p.rec.Attrs)
 	p.rec.Stamp = g.eng.Now()
 	return p.rec
-}
-
-// Snapshot returns current records for all providers (local query path).
-// Attrs are copied so the caller owns the result.
-func (g *GRIS) Snapshot() []Record {
-	out := make([]Record, 0, len(g.providers))
-	for i := range g.providers {
-		rec := g.record(&g.providers[i])
-		rec.Attrs = maps.Clone(rec.Attrs)
-		out = append(out, rec)
-	}
-	return out
 }
 
 // StartPush begins soft-state registration to the index host every

@@ -212,9 +212,6 @@ func NewRegionIndex(eng *sim.Engine, net *simnet.Network, host, name string, in 
 // Name returns the region's name.
 func (r *RegionIndex) Name() string { return r.name }
 
-// Host returns the host the region index is served from.
-func (r *RegionIndex) Host() string { return r.host }
-
 // Keys returns how many distinct attribute keys the region's interner
 // holds (shared interners report the federation-wide vocabulary).
 func (r *RegionIndex) Keys() int { return r.in.Len() }
@@ -726,9 +723,6 @@ func (rt *RootIndex) QueryShards(q Query) (QueryReply, error) {
 	}
 	return reply, nil
 }
-
-// Regions reports how many regions are attached.
-func (rt *RootIndex) Regions() int { return len(rt.regions) }
 
 // SummaryFresh reports how many region summaries are currently live.
 func (rt *RootIndex) SummaryFresh() int {

@@ -14,11 +14,10 @@
 // byte-identical at any worker count. Cross-region state (the root
 // index) is assembled after the barrier from per-region results.
 //
-// Wall-clock measurements (sites/sec, leases/sec, peak RSS, the
-// registration-flatness probe) never touch the deterministic report:
-// they are produced only when the caller injects a clock (the CLI owns
-// time.Now; this package must stay wall-time-free) and are rendered on
-// stderr by the caller.
+// The package reads no wall clock and Run takes none: what a run costs
+// on the host is the benchmark's to say (bench/ times Run from outside).
+// RegistrationFlatness is the one probe that times anything, and only
+// with the clock its caller hands it.
 package scale
 
 import (
@@ -51,10 +50,6 @@ type Config struct {
 	RefreshInterval time.Duration
 	// Windows is how many streaming metric windows each cell emits.
 	Windows int
-	// WallClock, when non-nil, stamps per-phase wall durations into
-	// Report.Perf (stderr material). Injected by the CLI — never called
-	// on the deterministic path.
-	WallClock func() time.Duration
 }
 
 // DefaultConfig is the full planetary run: 1,000 sites, 100k nodes,
@@ -140,13 +135,10 @@ type Result struct {
 	// KeyFp fingerprints the region's first agent key, making the seed
 	// observable in the otherwise purely structural report.
 	KeyFp string
-
-	WallNs int64
 }
 
-// Report is the whole experiment's outcome: deterministic body lines
-// (Render) plus wall-clock lines for stderr (Perf) and the headline
-// totals the CLI turns into BENCH_ entries.
+// Report is the whole experiment's outcome: the headline totals and the
+// deterministic body lines Render writes.
 type Report struct {
 	Cfg   Config
 	Cells []Result
@@ -157,7 +149,6 @@ type Report struct {
 	BatchSigN, BatchVerifiedN     int
 	MDSSlotsN                     int
 	RootLines                     []string
-	Perf                          []string
 	body                          []string
 }
 
@@ -182,10 +173,6 @@ func Run(seed int64, cfg Config, workers int) *Report {
 
 	perSite := (cfg.Sites + cfg.Regions - 1) / cfg.Regions
 	results := make([]*Result, cfg.Regions)
-	var wallStart time.Duration
-	if cfg.WallClock != nil {
-		wallStart = cfg.WallClock()
-	}
 	perf.ForEach(cfg.Regions, workers, func(i int) {
 		lo := i * perSite
 		hi := lo + perSite
@@ -215,16 +202,6 @@ func Run(seed int64, cfg Config, workers int) *Report {
 	}
 	rep.rootPhase(seed)
 	rep.reduce()
-
-	if cfg.WallClock != nil {
-		wall := cfg.WallClock() - wallStart
-		secs := wall.Seconds()
-		if secs > 0 {
-			rep.Perf = append(rep.Perf,
-				fmt.Sprintf("wall=%.2fs sites/sec=%.1f leases/sec=%.0f", secs,
-					float64(rep.SitesN)/secs, float64(rep.GrantedN)/secs))
-		}
-	}
 	return rep
 }
 

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/capability"
@@ -173,6 +174,15 @@ func (c *Claim) Hash() [32]byte {
 	return sha256.Sum256(append(c.tbs(), c.Sig...))
 }
 
+// amountWithin reports whether x is a positive amount no larger than a
+// finite limit. Every amount check goes through it because a comparison
+// with NaN is false: "x <= 0 || x > limit" lets NaN through, and a NaN
+// lease turns the node manager's committed total (and so its admission
+// control) into NaN for the rest of the run.
+func amountWithin(x, limit float64) bool {
+	return x > 0 && x <= limit && limit <= math.MaxFloat64
+}
+
 // Ticket is a chain of claims from a site authority (chain[0]) to the
 // current holder (last element).
 type Ticket struct {
@@ -227,6 +237,9 @@ func (t *Ticket) verify(authorityKey ed25519.PublicKey, now time.Duration, cache
 			if c.ParentHash != ([32]byte{}) {
 				return fmt.Errorf("%w: root has a parent", ErrBadChain)
 			}
+			if !amountWithin(c.Amount, math.MaxFloat64) {
+				return fmt.Errorf("%w: root amount %v", ErrBadChain, c.Amount)
+			}
 			continue
 		}
 		parent := &t.Chain[i-1]
@@ -236,8 +249,8 @@ func (t *Ticket) verify(authorityKey ed25519.PublicKey, now time.Duration, cache
 		if c.ParentHash != parent.Hash() {
 			return fmt.Errorf("%w: link %d parent hash mismatch", ErrBadChain, i)
 		}
-		if c.Amount > parent.Amount {
-			return fmt.Errorf("%w: link %d %v > %v", ErrAmountWidened, i, c.Amount, parent.Amount)
+		if !amountWithin(c.Amount, parent.Amount) {
+			return fmt.Errorf("%w: link %d %v not in (0, %v]", ErrAmountWidened, i, c.Amount, parent.Amount)
 		}
 		if c.NotBefore < parent.NotBefore || c.NotAfter > parent.NotAfter {
 			return fmt.Errorf("%w: link %d", ErrIntervalGrew, i)
@@ -263,7 +276,7 @@ func (t *Ticket) Delegate(holder *identity.Principal, newHolderName string, newH
 	if !leaf.HolderKey.Equal(holder.Public()) {
 		return nil, ErrNotHolder
 	}
-	if amount <= 0 || amount > leaf.Amount {
+	if !amountWithin(amount, leaf.Amount) {
 		return nil, fmt.Errorf("%w: %v of %v", ErrAmountWidened, amount, leaf.Amount)
 	}
 	if notBefore < leaf.NotBefore || notAfter > leaf.NotAfter || notAfter <= notBefore {
@@ -510,7 +523,7 @@ func (a *Authority) IssueTicket(holderName string, holderKey ed25519.PublicKey, 
 			obs.String("site", a.Site), obs.String("holder", holderName),
 			obs.String("type", typ.String()), obs.Float("amount", amount))
 	}
-	if amount <= 0 || notAfter <= notBefore {
+	if !amountWithin(amount, math.MaxFloat64) || notAfter <= notBefore {
 		a.cIssueRejected.Inc()
 		err := fmt.Errorf("sharp: bad issue request (amount %v, interval [%v,%v))", amount, notBefore, notAfter)
 		span.End(obs.Err(err))
@@ -835,8 +848,8 @@ func (ag *Agent) Inventory(site string, typ capability.ResourceType) float64 {
 // possibly spanning multiple stocked tickets; each produces one
 // delegated ticket.
 func (ag *Agent) Sell(buyerName string, buyerKey ed25519.PublicKey, site string, typ capability.ResourceType, amount float64, notBefore, notAfter time.Duration) ([]*Ticket, error) {
-	if ag.Inventory(site, typ) < amount {
-		return nil, fmt.Errorf("%w: have %.1f, want %.1f", ErrInventory, ag.Inventory(site, typ), amount)
+	if have := ag.Inventory(site, typ); !amountWithin(amount, have) {
+		return nil, fmt.Errorf("%w: have %.1f, want %.1f", ErrInventory, have, amount)
 	}
 	var out []*Ticket
 	need := amount

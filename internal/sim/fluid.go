@@ -99,7 +99,6 @@ type FluidConsumer struct {
 	sys        *FluidSystem
 	done       Event
 	lastUpdate time.Duration
-	started    time.Duration
 	seq        uint64 // admission order, stable across removals
 	live       bool
 
@@ -129,9 +128,6 @@ func (c *FluidConsumer) Transferred() float64 {
 	c.settle()
 	return c.total - c.remaining
 }
-
-// Started returns the virtual time the consumer was added.
-func (c *FluidConsumer) Started() time.Duration { return c.started }
 
 // SetLimit changes the consumer's rate cap (0 = unlimited) and, for a
 // live consumer, reallocates its component — the hook loss/RTT churn uses
@@ -231,7 +227,6 @@ func (s *FluidSystem) Add(c *FluidConsumer, work float64, resources ...*FluidRes
 	c.done = Event{}
 	c.resources = append([]*FluidResource(nil), resources...)
 	c.lastUpdate = s.eng.Now()
-	c.started = s.eng.Now()
 	if work <= c.doneEps() {
 		// Nothing to transfer: complete synchronously without ever joining
 		// the allocation, as the previous global recompute did.
