@@ -111,7 +111,7 @@ func (t Template) validate(o Offer) error {
 		if !ok {
 			return fmt.Errorf("%w: missing term %q", ErrConstraint, c.Name)
 		}
-		if got < c.Min || got > c.Max {
+		if !(got >= c.Min && got <= c.Max) { // the negation also catches NaN
 			return fmt.Errorf("%w: %q=%v outside [%v,%v]", ErrConstraint, c.Name, got, c.Min, c.Max)
 		}
 	}
@@ -121,6 +121,7 @@ func (t Template) validate(o Offer) error {
 // Enforcement is the provider-side commitment backend.
 type Enforcement interface {
 	// Commit reserves resources for the offer, returning an opaque handle.
+	// A term the backend cannot read as a quantity is ErrConstraint.
 	Commit(o Offer) (handle any, err error)
 	// Release frees a previously committed handle.
 	Release(handle any)
@@ -235,7 +236,7 @@ func (r *Responder) handleCreate(from string, raw any) (any, error) {
 	if err != nil {
 		a.state = Rejected
 		r.RejectedN++
-		return Ack{ID: id, State: Rejected}, fmt.Errorf("%w: %v", ErrEnforcement, err)
+		return Ack{ID: id, State: Rejected}, commitErr(err)
 	}
 	a.handle = handle
 	a.state = Observed
@@ -245,6 +246,14 @@ func (r *Responder) handleCreate(from string, raw any) (any, error) {
 		a.expiry = r.eng.Schedule(o.Lifetime, func() { r.complete(a) })
 	}
 	return Ack{ID: id, State: Observed}, nil
+}
+
+// commitErr types a refusal: a malformed term stays the offer's fault.
+func commitErr(err error) error {
+	if errors.Is(err, ErrConstraint) {
+		return err
+	}
+	return fmt.Errorf("%w: %v", ErrEnforcement, err)
 }
 
 func (r *Responder) complete(a *Agreement) {
@@ -310,7 +319,7 @@ func (r *Responder) handleRenegotiate(from string, raw any) (any, error) {
 	}
 	newHandle, err := r.enforce.Commit(req.Offer)
 	if err != nil {
-		return Ack{ID: a.ID, State: a.state}, fmt.Errorf("%w: %v", ErrEnforcement, err)
+		return Ack{ID: a.ID, State: a.state}, commitErr(err)
 	}
 	r.enforce.Release(a.handle)
 	a.handle = newHandle

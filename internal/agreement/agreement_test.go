@@ -2,6 +2,7 @@ package agreement
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -365,5 +366,122 @@ func TestSharpEnforcementBackend(t *testing.T) {
 	}
 	if LeaseOf("bogus") != nil {
 		t.Error("LeaseOf on wrong type")
+	}
+}
+
+// propose sends one offer and runs the exchange to its reply.
+func propose(eng *sim.Engine, net *simnet.Network, o Offer) (ack Ack, err error) {
+	Create(net, "consumer", "provider", o, time.Minute, func(a Ack, e error) { ack, err = a, e })
+	eng.RunUntil(eng.Now() + time.Second)
+	return ack, err
+}
+
+// call runs one request against the provider to its reply.
+func call(eng *sim.Engine, net *simnet.Network, svc string, payload any) (ack Ack, err error) {
+	net.Call("consumer", "provider", svc, payload, time.Minute, func(r any, e error) { ack, _ = r.(Ack); err = e })
+	eng.RunUntil(eng.Now() + time.Second)
+	return ack, err
+}
+
+// freeSlots is how many slots the machine can still promise from now on
+// to the end of time: the batch manager exports no reservation count, so
+// the probe asks for the most it will admit and hands it straight back.
+func freeSlots(eng *sim.Engine, bm *gram.BatchManager) int {
+	for k := bm.Slots; k > 0; k-- {
+		if id, err := bm.Reserve(eng.Now(), math.MaxInt64, k); err == nil {
+			_ = bm.CancelReservation(id)
+			return k
+		}
+	}
+	return 0
+}
+
+// TestNaNTermFailsItsConstraint: NaN is outside every range, but it used
+// to pass `got < Min || got > Max` and reach the node manager, whose
+// refusal came back as the provider's fault.
+func TestNaNTermFailsItsConstraint(t *testing.T) {
+	f := newCapFixture(t)
+	for _, cpu := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 9.3e9, -1, 0} {
+		ack, err := propose(f.eng, f.net, Offer{Template: "compute", Terms: map[string]float64{"cpu": cpu}, Lifetime: time.Hour})
+		if !errors.Is(err, ErrConstraint) || errors.Is(err, ErrEnforcement) || ack.State != Rejected {
+			t.Errorf("cpu=%v: create = (%+v, %v), want rejected with ErrConstraint", cpu, ack, err)
+		}
+		if n := f.nm.Outstanding(); n != 0 {
+			t.Errorf("cpu=%v: %d capabilities outstanding after a rejected offer", cpu, n)
+		}
+	}
+	ack, err := propose(f.eng, f.net, Offer{Template: "compute", Terms: map[string]float64{"cpu": 2.5}, Lifetime: time.Hour})
+	if err != nil || ack.State != Observed || f.nm.Outstanding() != 1 {
+		t.Fatalf("cpu=2.5: create = (%+v, %v) with %d outstanding, want observed with 1", ack, err, f.nm.Outstanding())
+	}
+	// The same through renegotiation: refused, and the original stands.
+	ack, err = call(f.eng, f.net, SvcRenegotiate, RenegotiateRequest{ID: ack.ID,
+		Offer: Offer{Template: "compute", Terms: map[string]float64{"cpu": math.NaN()}}})
+	if !errors.Is(err, ErrConstraint) || ack.State != Observed || f.nm.Outstanding() != 1 || f.nm.Available(capability.CPU) != 1.5 {
+		t.Errorf("renegotiate to NaN = (%+v, %v), %d outstanding, %v cpu free; want ErrConstraint and the 2.5 kept",
+			ack, err, f.nm.Outstanding(), f.nm.Available(capability.CPU))
+	}
+}
+
+// TestBatchTermsAreCheckedBeforeConversion: slots, start and duration are
+// wire floats. Converting one that does not fit is implementation-defined
+// in Go; on amd64 it happened to yield MinInt64 and a refusal in the
+// provider's name, elsewhere it may saturate and reserve the machine
+// until the end of time. Each is now the offer's ErrConstraint, decided
+// before the conversion, and leaves the whole machine free.
+func TestBatchTermsAreCheckedBeforeConversion(t *testing.T) {
+	eng := sim.NewEngine(1)
+	net := simnet.New(eng)
+	net.AddSite("A", 0, 0)
+	net.AddHost("consumer", "A", 1e6)
+	net.AddHost("provider", "A", 1e6)
+	bm := gram.NewBatchManager(eng, "batch", 8)
+	r := NewResponder(eng, net, "provider", &BatchEnforcement{BM: bm})
+	// No constraint on any term: WS-Agreement lets unconstrained terms
+	// ride along, so the backend is the only reader.
+	r.AddTemplate(Template{Name: "open"})
+	free := func() int { return freeSlots(eng, bm) }
+	offer := func(term string, v float64) Offer {
+		o := Offer{Template: "open", Terms: map[string]float64{"slots": 2, "start": 3600, "duration": 600}}
+		o.Terms[term] = v
+		return o
+	}
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 9.3e9, -1}
+	for _, tc := range []struct {
+		term   string
+		values []float64
+	}{
+		{"slots", append([]float64{2.9, 0}, bad...)},
+		{"start", bad},
+		{"duration", append([]float64{0}, bad...)},
+	} {
+		for _, v := range tc.values {
+			ack, err := propose(eng, net, offer(tc.term, v))
+			if !errors.Is(err, ErrConstraint) || errors.Is(err, ErrEnforcement) || ack.State != Rejected {
+				t.Errorf("%s=%v: create = (%+v, %v), want rejected with ErrConstraint", tc.term, v, ack, err)
+			}
+			if got := free(); got != bm.Slots {
+				t.Errorf("%s=%v: %d of %d slots free after a rejected offer", tc.term, v, got, bm.Slots)
+			}
+		}
+	}
+	// Fractions of a second are fine; fractions of a slot were not, yet
+	// 2.9 used to reserve 2.
+	ack, err := propose(eng, net, offer("start", 3600.5))
+	if err != nil || ack.State != Observed || free() != 6 {
+		t.Fatalf("start=3600.5: create = (%+v, %v), %d slots free; want observed and 6", ack, err, free())
+	}
+	for _, o := range []Offer{offer("slots", math.NaN()), offer("start", 9.3e9), offer("duration", math.Inf(1))} {
+		re, err := call(eng, net, SvcRenegotiate, RenegotiateRequest{ID: ack.ID, Offer: o})
+		if !errors.Is(err, ErrConstraint) || re.State != Observed || free() != 6 {
+			t.Errorf("renegotiate to %v = (%+v, %v), %d slots free; want ErrConstraint and the original kept", o.Terms, re, err, free())
+		}
+	}
+	if re, err := call(eng, net, SvcTerminate, ack.ID); err != nil || re.State != Terminated || free() != bm.Slots {
+		t.Errorf("terminate = (%+v, %v), %d slots free; want the machine back", re, err, free())
+	}
+	// A whole machine that is merely too many slots is the provider's no.
+	if ack, err := propose(eng, net, offer("slots", 9)); !errors.Is(err, ErrEnforcement) || ack.State != Rejected {
+		t.Errorf("slots=9 of 8: create = (%+v, %v), want ErrEnforcement", ack, err)
 	}
 }

@@ -2,6 +2,7 @@ package agreement
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/capability"
@@ -94,18 +95,20 @@ type BatchEnforcement struct {
 	BM *gram.BatchManager
 }
 
-// Commit admits a reservation for the offer's window.
+// Commit admits a reservation for the offer's window. Terms are wire
+// floats: slots must be a whole number an int32 holds, start and
+// duration must fit a time.Duration (sim.CheckedDuration).
 func (e *BatchEnforcement) Commit(o Offer) (any, error) {
-	slots := int(o.Terms["slots"])
-	if slots <= 0 {
-		return nil, fmt.Errorf("agreement: offer needs a positive slots term")
+	slots := o.Terms["slots"]
+	if !(slots >= 1 && slots <= math.MaxInt32) || slots != math.Trunc(slots) {
+		return nil, fmt.Errorf("%w: slots=%v is not a positive whole number", ErrConstraint, slots)
 	}
-	start := time.Duration(o.Terms["start"] * float64(time.Second))
-	dur := time.Duration(o.Terms["duration"] * float64(time.Second))
-	if dur <= 0 {
-		return nil, fmt.Errorf("agreement: offer needs a positive duration term")
+	start, startOK := sim.CheckedDuration(o.Terms["start"] * float64(time.Second))
+	dur, durOK := sim.CheckedDuration(o.Terms["duration"] * float64(time.Second))
+	if !startOK || !durOK || dur <= 0 {
+		return nil, fmt.Errorf("%w: start=%v duration=%v is not a window", ErrConstraint, o.Terms["start"], o.Terms["duration"])
 	}
-	id, err := e.BM.Reserve(start, dur, slots)
+	id, err := e.BM.Reserve(start, dur, int(slots))
 	if err != nil {
 		return nil, err
 	}

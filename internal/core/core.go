@@ -199,7 +199,7 @@ type Federation struct {
 
 	Sites []*Site
 
-	// VO-level services.
+	// VO-level services; Index and Comon are root-less mds.RegionIndexes.
 	IndexHost string
 	Index     *mds.GIIS
 	// Comon is the PlanetLab-side monitoring collector: per-node sensors

@@ -169,7 +169,8 @@ func CheckLeaseContinuity(f *core.Federation, m *servicemgr.Manager) []Violation
 
 // CheckMDSFreshness asserts the soft-state promise: an index must not
 // serve a record whose source host has been dead longer than the maximum
-// TTL — by then every registration it could have pushed has expired.
+// TTL — by then every registration it could have pushed has expired
+// (index: a federation's Index or Comon, a root-less mds.RegionIndex).
 func CheckMDSFreshness(index *mds.GIIS, now time.Duration,
 	downSince func(host string) (time.Duration, bool), maxTTL time.Duration) []Violation {
 	var out []Violation

@@ -44,16 +44,19 @@ func TestParseNumericRejectsWordsAllocFree(t *testing.T) {
 	}
 }
 
-// TestOrderingFilterOnWordAllocFree: both planes parse through
-// parseNumeric, so an ordering filter that meets a word (the flat
-// matcher) or carries one as its bound (the root's summary test) pays no
-// *NumError either.
+// TestOrderingFilterOnWordAllocFree: every matcher parses through
+// parseNumeric, so an ordering filter that meets a word (the region's
+// slot matcher, and the flat oracle's Match beside it) or carries one as
+// its bound (the root's summary test) pays no *NumError either.
 func TestOrderingFilterOnWordAllocFree(t *testing.T) {
 	attrs := map[string]string{"os": "linux"}
+	rig := newShardRig(t, 1)
+	rig.feed(t, 0, Record{Name: "n", Source: "s", Attrs: attrs}, time.Hour)
 	sum := RegionSummary{Keys: []KeySummary{{Key: "os", Values: []string{"linux"}}}}
+	lt5 := Query{Filters: []Filter{{"os", FLt, "5"}}}
 	q := Query{Filters: []Filter{{"os", FGe, "irix"}}}
 	n := testing.AllocsPerRun(100, func() {
-		if (Filter{"os", FLt, "5"}).Match(attrs) || summaryMayMatch(sum, q) {
+		if lt5.Filters[0].Match(attrs) || len(rig.regions[0].Eval(lt5).Records) != 0 || summaryMayMatch(sum, q) {
 			t.Fatal("an ordering filter held over a word")
 		}
 	})
@@ -98,8 +101,10 @@ func fuzzAdv(minutes int) []byte { return []byte{byte(fuzzAdvance | (minutes-1)<
 
 // FuzzRegisterAgreesWithReference: whatever sequence of registrations,
 // clock advances and sweeps the bytes script, the region and its
-// refRegister twin hold the same slots and summary after every step and
-// answer three query shapes alike.
+// refRegister twin hold the same slots and summary after every step, and
+// region, twin and the flat oracle answer three query shapes alike. The
+// region serves the reply maps it keeps up to date, the twin rebuilds
+// them from the pairs each time, the oracle holds a map per record.
 func FuzzRegisterAgreesWithReference(f *testing.F) {
 	const cpus, gpu, load, os = 0, 1, 2, 3
 	for _, script := range [][][]byte{
@@ -125,7 +130,7 @@ func FuzzRegisterAgreesWithReference(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		rig := newShardRig(t, 2)
-		eng, rg, ref := rig.eng, rig.regions[0], rig.regions[1]
+		eng, rg, ref, flat := rig.eng, rig.regions[0], rig.regions[1], rig.flat
 		next := func() byte {
 			if len(script) == 0 {
 				return 0
@@ -140,8 +145,8 @@ func FuzzRegisterAgreesWithReference(f *testing.F) {
 			case fuzzAdvance:
 				eng.RunUntil(eng.Now() + time.Duration(1+op>>2&3)*time.Minute)
 			case fuzzSweep:
-				if got, want := rg.Sweep(), ref.Sweep(); got != want {
-					t.Fatalf("step %d: swept %d, reference %d", step, got, want)
+				if got, want, oracle := rg.Sweep(), ref.Sweep(), flat.Sweep(); got != want || got != oracle {
+					t.Fatalf("step %d: swept %d, reference %d, flat %d", step, got, want, oracle)
 				}
 			default:
 				reg := Registration{TTL: time.Duration(1+next()%3) * time.Minute, Rec: Record{
@@ -151,16 +156,18 @@ func FuzzRegisterAgreesWithReference(f *testing.F) {
 						reg.Rec.Attrs[key] = fuzzVals[next()%16]
 					}
 				}
-				if err, refErr := rg.RegisterRecord(reg), refRegister(ref, reg); err != nil || refErr != nil {
-					t.Fatalf("step %d: register %+v: %v, reference %v", step, reg, err, refErr)
+				_, flatErr := flat.handleRegister("s", reg)
+				if err, refErr := rg.RegisterRecord(reg), refRegister(ref, reg); err != nil || refErr != nil || flatErr != nil {
+					t.Fatalf("step %d: register %+v: %v, reference %v, flat %v", step, reg, err, refErr, flatErr)
 				}
 			}
 			if diff := twinDiff(rg, ref); diff != "" {
 				t.Fatalf("step %d (op %#x): %s", step, op, diff)
 			}
 			for _, q := range queries {
-				if got, want := renderReply(rg.Eval(q)), renderReply(ref.Eval(q)); !bytes.Equal(got, want) {
-					t.Fatalf("step %d (op %#x): query %+v:\n%s--- reference ---\n%s", step, op, q, got, want)
+				got, want, oracle := renderReply(rg.Eval(q)), renderReply(ref.Eval(q)), renderReply(flat.Eval(q))
+				if !bytes.Equal(got, want) || !bytes.Equal(got, oracle) {
+					t.Fatalf("step %d (op %#x): query %+v:\n%s--- reference ---\n%s--- flat ---\n%s", step, op, q, got, want, oracle)
 				}
 			}
 		}

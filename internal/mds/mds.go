@@ -1,6 +1,7 @@
 // Package mds implements the discovery and monitoring plane: per-resource
-// information providers (GRIS), an aggregating index service (GIIS) fed by
-// soft-state registrations over the network, and an attribute-filter query
+// information providers (GRIS), one aggregating index service (GIIS;
+// RegionIndex in shard.go, alone or under a RootIndex) fed by soft-state
+// registrations over the network, and an attribute-filter query
 // language. This is the Globus MDS-2 architecture; PlanetLab's per-node
 // sensors feeding services like Sophia/CoMon are structurally the same
 // push-with-TTL pattern, so both stacks reuse this package with different
@@ -14,15 +15,14 @@
 package mds
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
 
-// SvcRegister and SvcQuery are the GIIS service names on its host.
+// SvcRegister and SvcQuery are the service names of an index (a
+// RegionIndex, under either of its names) on its host.
 const (
 	SvcRegister = "mds.register"
 	SvcQuery    = "mds.query"
@@ -30,7 +30,10 @@ const (
 
 // Record is a registered resource snapshot held by an index.
 type Record struct {
-	Name  string
+	Name string
+	// Attrs in a reply belongs to the index: read-only to the caller, it
+	// follows the record's next refresh and lives until the record is
+	// swept. The index holds at most one such map per live record.
 	Attrs map[string]string
 	// Stamp is when the snapshot was taken at the source.
 	Stamp time.Duration
@@ -65,33 +68,6 @@ type Filter struct {
 	Attr  string
 	Op    FilterOp
 	Value string
-}
-
-// Match evaluates the filter against an attribute set.
-func (f Filter) Match(attrs map[string]string) bool {
-	got, ok := attrs[f.Attr]
-	if !ok {
-		return false
-	}
-	return f.matchValue(got)
-}
-
-// matchValue compares one present attribute value — shared by the flat
-// map path above and the sharded interned-pair path, so both planes
-// agree operator for operator.
-func (f Filter) matchValue(got string) bool {
-	switch f.Op {
-	case FEq:
-		return got == f.Value
-	case FNe:
-		return got != f.Value
-	}
-	a, errA := parseNumeric(got)
-	b, errB := parseNumeric(f.Value)
-	if errA != nil || errB != nil {
-		return false
-	}
-	return f.Op.holds(a, b)
 }
 
 // holds applies an ordering operator to two parsed sides.
@@ -203,133 +179,13 @@ func (g *GRIS) Stop() {
 	}
 }
 
-// GIIS is the aggregate index: it caches registrations until their TTL
-// expires and answers attribute queries from the cache. The hierarchical
-// index is RegionIndex under RootIndex (shard.go).
-type GIIS struct {
-	eng  *sim.Engine
-	net  *simnet.Network
-	host string
-
-	records map[string]*cached
-
-	// QueryN counts queries served; RegisterN registrations absorbed.
-	QueryN, RegisterN int
-}
-
-type cached struct {
-	rec     Record
-	expires time.Duration
-}
+// GIIS is the paper's name for the aggregate index that a VO's GRISes
+// push to: a RegionIndex with no root above it.
+type GIIS = RegionIndex
 
 // NewGIIS installs an index service on host.
 func NewGIIS(eng *sim.Engine, net *simnet.Network, host string) *GIIS {
-	g := &GIIS{eng: eng, net: net, host: host, records: make(map[string]*cached)}
-	h := net.Host(host)
-	h.Handle(SvcRegister, g.handleRegister)
-	h.Handle(SvcQuery, g.handleQuery)
-	return g
-}
-
-func (g *GIIS) handleRegister(from string, raw any) (any, error) {
-	reg, ok := raw.(Registration)
-	if !ok {
-		return nil, fmt.Errorf("mds: bad registration payload %T", raw)
-	}
-	if reg.Rec.Name == "" {
-		return nil, fmt.Errorf("mds: registration without a name from %q", reg.Rec.Source)
-	}
-	g.RegisterN++
-	// Refresh in place: a re-registering name reuses its cache entry and
-	// attr map, so steady-state soft-state refresh allocates nothing
-	// (the map-churn fix — previously every push allocated a fresh entry
-	// and retained the sender's map).
-	c := g.records[reg.Rec.Name]
-	if c == nil {
-		c = &cached{rec: Record{Attrs: make(map[string]string, len(reg.Rec.Attrs))}}
-		g.records[reg.Rec.Name] = c
-	}
-	c.rec.Name = reg.Rec.Name
-	c.rec.Stamp = reg.Rec.Stamp
-	c.rec.Source = reg.Rec.Source
-	clear(c.rec.Attrs)
-	for k, v := range reg.Rec.Attrs {
-		c.rec.Attrs[k] = v
-	}
-	c.expires = g.eng.Now() + reg.TTL
-	return nil, nil
-}
-
-func (g *GIIS) handleQuery(from string, raw any) (any, error) {
-	q, ok := raw.(Query)
-	if !ok {
-		return nil, fmt.Errorf("mds: bad query payload %T", raw)
-	}
-	g.QueryN++
-	return g.Eval(q), nil
-}
-
-// Eval answers a query from the local cache (exported for in-process use
-// by brokers co-located with the index).
-func (g *GIIS) Eval(q Query) QueryReply {
-	now := g.eng.Now()
-	var names []string
-	for name, c := range g.records {
-		if c.expires <= now {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names) // deterministic result order
-	var reply QueryReply
-	for _, name := range names {
-		c := g.records[name]
-		match := true
-		for _, f := range q.Filters {
-			if !f.Match(c.rec.Attrs) {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		reply.Records = append(reply.Records, c.rec)
-		if age := now - c.rec.Stamp; age > reply.MaxStale {
-			reply.MaxStale = age
-		}
-		if q.Limit > 0 && len(reply.Records) >= q.Limit {
-			break
-		}
-	}
-	return reply
-}
-
-// Live returns the number of unexpired records.
-func (g *GIIS) Live() int {
-	now := g.eng.Now()
-	n := 0
-	for _, c := range g.records {
-		if c.expires > now {
-			n++
-		}
-	}
-	return n
-}
-
-// Sweep drops expired records (housekeeping; Eval already ignores them).
-func (g *GIIS) Sweep() int {
-	now := g.eng.Now()
-	n := 0
-	// Deleting during range is safe in Go, and deletion is commutative,
-	// so no intermediate collect-and-sort slice is needed.
-	for name, c := range g.records {
-		if c.expires <= now {
-			delete(g.records, name)
-			n++
-		}
-	}
-	return n
+	return NewRegionIndex(eng, net, host, host, nil)
 }
 
 // QueryIndex is the client helper: query a GIIS over the network.

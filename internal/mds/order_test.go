@@ -13,8 +13,8 @@ import (
 )
 
 // orderDriver is the model-based harness for the order index: one
-// ticker draws a random op per virtual minute against a region and a
-// flat GIIS fed the same registrations. Names come from a pool in
+// ticker draws a random op per virtual minute against a region and the
+// flat oracle fed the same registrations. Names come from a pool in
 // random order, so a new name usually sorts before the last arrival
 // (the unsorted-then-sorted path), refreshes hit names in place, short
 // TTLs expire records between queries, and Sweep frees slots that the
@@ -29,7 +29,7 @@ import (
 // in sixteen has no name, which all three indexes must refuse alike.
 type orderDriver struct {
 	eng  *sim.Engine
-	flat *GIIS
+	flat *flatGIIS
 	rg   *RegionIndex
 	ref  *RegionIndex
 	rng  *rand.Rand
@@ -115,7 +115,7 @@ func buildOrderDriver(seed int64) (*sim.Engine, *orderDriver) {
 	net.AddHost("root", "HQ", 1e6)
 	d := &orderDriver{
 		eng:  eng,
-		flat: NewGIIS(eng, net, "flat"),
+		flat: newFlatGIIS(eng, net, "flat"),
 		rg:   NewRegionIndex(eng, net, "region", "R", nil),
 		ref:  NewRegionIndex(eng, net, "refregion", "R", nil),
 		rng:  eng.ForkRand(),
@@ -211,7 +211,7 @@ func (d *orderDriver) query(q Query) {
 
 // TestOrderIndexMatchesReference is the model-based differential for
 // the order index: 20 seeds of random op sequences, every Eval byte for
-// byte against the collect-and-sort reference and the flat GIIS.
+// byte against the collect-and-sort reference and the flat oracle.
 func TestOrderIndexMatchesReference(t *testing.T) {
 	var sorts, reused, expired int
 	cov := make(map[string]int)

@@ -15,10 +15,10 @@ import (
 
 // Sharded hierarchical MDS: site GRIS -> regional index -> root index.
 //
-// The flat GIIS holds every record in one map of heap-allocated cache
-// entries, so both registration cost and query cost grow with the whole
-// federation. The sharded plane splits the federation into regions:
-// each RegionIndex keeps its records in dense flat slices addressed by
+// One index over every record makes registration and query cost grow
+// with the whole federation. The plane therefore splits into regions (a
+// six-site VO is a single region with no root above it, NewGIIS): each
+// RegionIndex keeps its records in dense flat slices addressed by
 // int32 slot handles with interned attribute keys (the PR 5 kernel
 // idiom), so a site's registration touches only its own region and
 // steady-state refresh writes in place without allocating. Regions push
@@ -31,7 +31,8 @@ import (
 // seen, a superset of what is live), so exclusion is always sound.
 //
 // A differential gate in shard_test.go holds the whole plane to the
-// flat GIIS semantics: byte-identical records in byte-identical order,
+// oracle in flat_test.go, the one-map-of-cached-records index this
+// package first shipped: byte-identical records in byte-identical order,
 // same TTL expiry, same staleness accounting, same Limit behavior.
 
 // SvcSummary is the region -> root summary push service.
@@ -114,6 +115,9 @@ type regSlot struct {
 	expires time.Duration
 	keys    []int32
 	vals    []string
+	// attrs is the pairs as a reply's Record.Attrs: nil until an Eval
+	// serves the slot, then kept equal to them until Sweep drops it.
+	attrs map[string]string
 }
 
 // keyStat is the running widening summary of one attribute key: the
@@ -150,7 +154,7 @@ type RegionSummary struct {
 	TTL    time.Duration
 }
 
-// RegionIndex is a GIIS shard: the aggregate index for one region's
+// RegionIndex is the aggregate index (MDS-2's GIIS) for one region's
 // sites, with dense interned record storage and a summary uplink.
 type RegionIndex struct {
 	eng  *sim.Engine
@@ -268,11 +272,15 @@ func (r *RegionIndex) RegisterRecord(reg Registration) error {
 	sort.Strings(r.scratch)
 	s.keys = slices.Grow(s.keys[:0], len(r.scratch))
 	s.vals = slices.Grow(s.vals[:0], len(r.scratch))
+	clear(s.attrs)
 	for _, k := range r.scratch {
 		v := reg.Rec.Attrs[k]
 		id := r.in.ID(k)
 		s.keys = append(s.keys, id)
 		s.vals = append(s.vals, v)
+		if s.attrs != nil {
+			s.attrs[k] = v
+		}
 		r.absorb(id, v)
 	}
 	return nil
@@ -296,6 +304,9 @@ func (r *RegionIndex) refresh(s *regSlot, attrs map[string]string) bool {
 		}
 		if v != s.vals[j] {
 			s.vals[j] = v
+			if s.attrs != nil {
+				s.attrs[r.in.Key(id)] = v
+			}
 			r.absorb(id, v)
 		}
 	}
@@ -381,6 +392,7 @@ func (r *RegionIndex) Sweep() int {
 		s.name = ""
 		s.keys = s.keys[:0]
 		s.vals = s.vals[:0]
+		s.attrs = nil
 		r.free = append(r.free, int32(i))
 		n++
 	}
@@ -438,7 +450,7 @@ func (r *RegionIndex) compile(buf []slotFilter, q Query) ([]slotFilter, bool) {
 	return buf, true
 }
 
-// match mirrors Filter.Match: a missing attribute never matches.
+// match tests one slot: a missing attribute never matches.
 func (c *slotFilter) match(s *regSlot) bool {
 	j := slices.Index(s.keys, c.id)
 	if j < 0 {
@@ -454,11 +466,12 @@ func (c *slotFilter) match(s *regSlot) bool {
 	return err == nil && c.op.holds(a, c.num)
 }
 
-// Eval answers a query from the dense store with exactly the flat GIIS
-// semantics: live records in sorted name order, Limit truncation,
-// MaxStale over the records actually returned. It walks the order index
-// and builds a Record only for a match, so a limited query costs the
-// slots visited until Limit, not the region.
+// Eval answers a query from the dense store (exported for in-process
+// use by brokers co-located with the index): live records in sorted name
+// order, Limit truncation, MaxStale over the records actually returned.
+// It walks the order index and touches a Record only for a match, so a
+// limited query costs the slots visited until Limit, not the region; a
+// record's map is built at its first serving and shared after.
 func (r *RegionIndex) Eval(q Query) QueryReply {
 	r.QueryN++
 	var reply QueryReply
@@ -483,11 +496,13 @@ scan:
 				continue scan
 			}
 		}
-		attrs := make(map[string]string, len(s.keys))
-		for j, id := range s.keys {
-			attrs[r.in.Key(id)] = s.vals[j]
+		if s.attrs == nil {
+			s.attrs = make(map[string]string, len(s.keys))
+			for j, id := range s.keys {
+				s.attrs[r.in.Key(id)] = s.vals[j]
+			}
 		}
-		reply.Records = append(reply.Records, Record{Name: s.name, Attrs: attrs, Stamp: s.stamp, Source: s.source})
+		reply.Records = append(reply.Records, Record{Name: s.name, Attrs: s.attrs, Stamp: s.stamp, Source: s.source})
 		if age := now - s.stamp; age > reply.MaxStale {
 			reply.MaxStale = age
 		}
@@ -562,7 +577,7 @@ type rootSum struct {
 // RootIndex is the federation-wide query point: it holds region
 // summaries (soft state, pushed) and fans queries out only to regions
 // whose summary admits a possible match. Query-plane region handles are
-// attached in-process — the root answers synchronously like GIIS.Eval,
+// attached in-process — the root answers synchronously like RegionIndex.Eval,
 // which is what brokers co-located with the index consume.
 type RootIndex struct {
 	eng  *sim.Engine
@@ -630,7 +645,7 @@ func summaryMayMatch(s RegionSummary, q Query) bool {
 	for _, f := range q.Filters {
 		i := sort.Search(len(s.Keys), func(i int) bool { return s.Keys[i].Key >= f.Attr })
 		if i >= len(s.Keys) || s.Keys[i].Key != f.Attr {
-			// No record in the region has the attribute: Match is false
+			// No record in the region has the attribute: the filter fails
 			// for every record, so the region cannot contribute.
 			return false
 		}
@@ -650,7 +665,7 @@ func summaryMayMatch(s RegionSummary, q Query) bool {
 		default:
 			b, err := parseNumeric(f.Value)
 			if err != nil {
-				// Non-numeric comparison value: Match fails everywhere.
+				// Non-numeric comparison value: the filter fails everywhere.
 				return false
 			}
 			if !ks.HasNum {
@@ -684,7 +699,7 @@ func summaryMayMatch(s RegionSummary, q Query) bool {
 // QueryShards answers a query by pruned fan-out: regions whose live
 // summary rules out a match are skipped; regions with stale or missing
 // summaries are consulted anyway (conservative). Results merge into the
-// flat-GIIS order contract — global sorted name order, Limit applied
+// single-region order contract — global sorted name order, Limit applied
 // after the merge, MaxStale over the records actually returned.
 func (rt *RootIndex) QueryShards(q Query) (QueryReply, error) {
 	if len(rt.regions) == 0 {

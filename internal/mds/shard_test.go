@@ -14,13 +14,13 @@ import (
 	"repro/internal/simnet"
 )
 
-// shardRig drives the same registration stream into a flat GIIS and a
-// region/root sharded plane, so queries against both can be compared
+// shardRig drives the same registration stream into the flat oracle
+// (flat_test.go) and a region/root sharded plane, so queries against both can be compared
 // byte for byte.
 type shardRig struct {
 	eng     *sim.Engine
 	net     *simnet.Network
-	flat    *GIIS
+	flat    *flatGIIS
 	root    *RootIndex
 	regions []*RegionIndex
 }
@@ -35,7 +35,7 @@ func newShardRig(t *testing.T, nRegions int) *shardRig {
 	rig := &shardRig{
 		eng:  eng,
 		net:  net,
-		flat: NewGIIS(eng, net, "flat"),
+		flat: newFlatGIIS(eng, net, "flat"),
 		root: NewRootIndex(eng, net, "rootidx"),
 	}
 	in := NewInterner()
@@ -124,6 +124,9 @@ func refEval(r *RegionIndex, q Query) QueryReply {
 // every registration, refresh or not, collects, sorts and interns its keys
 // again, rewrites every pair and absorbs every value. A twin region driven
 // through it is the oracle that the refresh changes cost and never state.
+// It writes the pairs behind the region's back, so it drops the slot's
+// reply map and the twin's next Eval rebuilds it from the pairs — which
+// makes the twin the oracle for the served map's upkeep as well.
 func refRegister(r *RegionIndex, reg Registration) error {
 	if reg.Rec.Name == "" {
 		return fmt.Errorf("mds: registration without a name from %q", reg.Rec.Source)
@@ -150,6 +153,7 @@ func refRegister(r *RegionIndex, reg Registration) error {
 	sort.Strings(r.scratch)
 	s.keys = s.keys[:0]
 	s.vals = s.vals[:0]
+	s.attrs = nil
 	for _, k := range r.scratch {
 		v := reg.Rec.Attrs[k]
 		id := r.in.ID(k)
@@ -574,4 +578,80 @@ func TestProviderIntoVisibleToIndex(t *testing.T) {
 		t.Errorf("refreshed fill-style attr not visible: %+v", reply)
 	}
 	g.Stop()
+}
+
+// appendGrowths is how many times appending n records one at a time to a
+// nil slice reallocates: what a reply's []Record costs, and all it may.
+func appendGrowths(n int) (grown float64) {
+	var rs []Record
+	for i := 0; i < n; i++ {
+		if len(rs) == cap(rs) {
+			grown++
+		}
+		rs = append(rs, Record{})
+	}
+	return grown
+}
+
+// TestServedAttrsFollowRefresh: the map a region hands out for a record is
+// the one it keeps, so it must track every way the record can change — a
+// value rewritten in place, a key set re-laid, a sweep and a return — and
+// a repeated query must allocate its []Record and nothing else, whatever
+// the region holds.
+func TestServedAttrsFollowRefresh(t *testing.T) {
+	const target = "s00/n0000"
+	q := Query{Filters: []Filter{{"os", FEq, "linux"}}, Limit: 10}
+	for _, n := range []int{640, 6400} {
+		rig := newShardRig(t, 1)
+		rg := rig.regions[0]
+		for i := 0; i < n; i++ {
+			rig.feed(t, 0, Record{Name: fmt.Sprintf("s%02d/n%04d", i%7, i), Source: "s",
+				Attrs: map[string]string{"os": []string{"linux", "aix"}[i%2], "cpus": "4", "load": "1"}}, time.Hour)
+		}
+		register := func(ttl time.Duration, attrs map[string]string) {
+			rig.feed(t, 0, Record{Name: target, Source: "s", Stamp: rig.eng.Now(), Attrs: attrs}, ttl)
+		}
+		// check serves q twice: the answer is the reference's, the target
+		// leads it with exactly want (nil: is not in it), and the second
+		// serving allocates the reply slice alone.
+		check := func(step string, want map[string]string) map[string]string {
+			t.Helper()
+			reply := rg.Eval(q)
+			if got, ref := renderReply(reply), renderReply(refEval(rg, q)); !bytes.Equal(got, ref) {
+				t.Fatalf("%d records, %s:\n%s--- reference ---\n%s", n, step, got, ref)
+			}
+			var served map[string]string
+			if reply.Records[0].Name == target {
+				served = reply.Records[0].Attrs
+			}
+			if !reflect.DeepEqual(served, want) {
+				t.Fatalf("%d records, %s: %s served with %v, want %v", n, step, target, served, want)
+			}
+			if got, want := testing.AllocsPerRun(20, func() { rg.Eval(q) }), appendGrowths(len(reply.Records)); got != want {
+				t.Errorf("%d records, %s: a repeated query allocates %.0f objects, want the %.0f of its []Record", n, step, got, want)
+			}
+			return served
+		}
+
+		first := check("first serve", map[string]string{"os": "linux", "cpus": "4", "load": "1"})
+		register(time.Hour, map[string]string{"os": "linux", "cpus": "4", "load": "2"})
+		check("value refreshed in place", map[string]string{"os": "linux", "cpus": "4", "load": "2"})
+		register(time.Minute, map[string]string{"os": "linux", "cpus": "4", "gpu": "1"})
+		held := check("key swapped", map[string]string{"os": "linux", "cpus": "4", "gpu": "1"})
+		if !reflect.DeepEqual(first, held) {
+			t.Errorf("%d records: the map served first reads %v after two refreshes, the record %v", n, first, held)
+		}
+
+		rig.eng.RunUntil(rig.eng.Now() + 2*time.Minute)
+		check("expired", nil)
+		if swept := rg.Sweep(); swept != 1 {
+			t.Fatalf("%d records: swept %d, want 1", n, swept)
+		}
+		check("swept", nil)
+		register(time.Hour, map[string]string{"os": "linux"})
+		check("back after sweep", map[string]string{"os": "linux"})
+		if want := map[string]string{"os": "linux", "cpus": "4", "gpu": "1"}; !reflect.DeepEqual(held, want) {
+			t.Errorf("%d records: a map served before the sweep reads %v after it, want %v untouched", n, held, want)
+		}
+	}
 }

@@ -498,7 +498,7 @@ func (rep *Report) Render(w io.Writer) {
 // Each probe builds its index, then times refresh passes (in-place slot
 // rewrite of `window` sites' records), taking the fastest of three so
 // GC and scheduler noise don't swamp the comparison. A scale-flat index
-// keeps the two within a few percent; the flat-GIIS failure mode
+// keeps the two within a few percent; the one-big-map failure mode
 // (per-refresh allocation, whole-registry work on the hot path) shows
 // up as atLargeNs pulling away from atSmallNs. Returns per-record
 // nanoseconds for both index sizes (0,0 when clock is nil or the sizes

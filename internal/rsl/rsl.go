@@ -22,6 +22,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // Op is a relational operator in an RSL relation.
@@ -487,18 +489,17 @@ func (r Request) Float(attr string) (float64, error) {
 // Seconds returns attr interpreted as a duration in whole seconds
 // (GRAM's maxWallTime convention is minutes; callers pick the unit). A
 // negative, NaN or infinite value, or one past what a time.Duration holds
-// (about 292 years), is ErrRange: the float64→int64 conversion of such a
-// value is implementation-defined and on amd64 yields a negative duration.
+// (about 292 years), is ErrRange (sim.CheckedDuration).
 func (r Request) Seconds(attr string) (time.Duration, error) {
 	f, err := r.Float(attr)
 	if err != nil {
 		return 0, err
 	}
-	ns := f * float64(time.Second)
-	if !(ns >= 0 && ns < 1<<63) { // the negation also catches NaN
+	d, ok := sim.CheckedDuration(f * float64(time.Second))
+	if !ok {
 		return 0, fmt.Errorf("%w: %q=%v is not a duration", ErrRange, attr, f)
 	}
-	return time.Duration(ns), nil
+	return d, nil
 }
 
 // Strings returns all literal values of attr (e.g. arguments).

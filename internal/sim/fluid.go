@@ -557,17 +557,29 @@ func (s *FluidSystem) applyRates() {
 // unless a reallocation raises its rate, which replaces the event.
 const maxEta = time.Duration(math.MaxInt64 / 2)
 
+// CheckedDuration converts a float64 count of nanoseconds to a Duration;
+// ok is false for NaN, a negative count, or one past what a Duration
+// holds (about 292 years), whose float64→int64 conversion Go leaves
+// implementation-defined (amd64 yields MinInt64). Durations that arrive
+// as floats (RSL wall times, agreement terms, work over rate) pass here.
+func CheckedDuration(ns float64) (d time.Duration, ok bool) {
+	if !(ns >= 0 && ns < 1<<63) { // the negation also catches NaN
+		return 0, false
+	}
+	return time.Duration(ns), true
+}
+
 // completionEta returns the ceil-rounded delay until work `remaining`
 // drains at `rate`, at least 1ns (a truncated ETA would leave a sliver
 // and loop at the same virtual time), at most maxEta.
 func completionEta(remaining, rate float64) time.Duration {
 	sec := remaining / rate
-	if sec >= maxEta.Seconds() {
+	eta, ok := CheckedDuration(math.Ceil(sec * float64(time.Second)))
+	switch {
+	case sec >= maxEta.Seconds():
 		return maxEta
-	}
-	eta := time.Duration(math.Ceil(sec * float64(time.Second)))
-	if eta < 1 {
-		eta = 1
+	case !ok || eta < 1:
+		return 1
 	}
 	return eta
 }
