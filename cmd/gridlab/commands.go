@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -132,7 +133,11 @@ func commands() []command {
 					}
 					fmt.Fprintf(w, "==== %s: %s ====\n", c.name, c.desc)
 					// An unparsed set: each experiment runs at its flag defaults.
-					if err := c.bind(flag.NewFlagSet(c.name, flag.ContinueOnError), g)(w); err != nil {
+					exec, err := c.bind(flag.NewFlagSet(c.name, flag.ContinueOnError), g)()
+					if err == nil {
+						err = exec(w)
+					}
+					if err != nil {
 						return fmt.Errorf("%s: %w", c.name, err)
 					}
 					fmt.Fprintln(w)
@@ -143,9 +148,9 @@ func commands() []command {
 }
 
 // noFlags is bind for a command that registers no flag of its own.
-func noFlags(body func(w io.Writer, g *globals) error) func(*flag.FlagSet, *globals) func(io.Writer) error {
-	return func(_ *flag.FlagSet, g *globals) func(io.Writer) error {
-		return func(w io.Writer) error { return body(w, g) }
+func noFlags(report func(w io.Writer, g *globals) error) func(*flag.FlagSet, *globals) resolve {
+	return func(_ *flag.FlagSet, g *globals) resolve {
+		return func() (body, error) { return func(w io.Writer) error { return report(w, g) }, nil }
 	}
 }
 
@@ -154,92 +159,100 @@ func profileFlag(fs *flag.FlagSet) *string {
 	return fs.String("profile", "mixed", "fault profile (quiet|crashes|partitions|mixed)")
 }
 
-func bindChaos(fs *flag.FlagSet, g *globals) func(io.Writer) error {
+func bindChaos(fs *flag.FlagSet, g *globals) resolve {
 	profile := profileFlag(fs)
 	sweep := fs.Int("sweep", 0, "run `N` seeds x all profiles instead of one run")
 	bisect := fs.Bool("bisect", false, "report when the first invariant violation was recorded instead of the run's log")
 	resilience := fs.Bool("resilience", false, "enable the retry/breaker/keepalive kit")
 	lease := fs.Duration("lease", 0, "service lease term (0 = one lease outliving the run)")
 	reconcile := fs.Duration("reconcile", 0, "periodic repair-pass interval (0 = event-driven only)")
-	return func(w io.Writer) error {
+	return func() (body, error) {
+		if *sweep < 0 {
+			return nil, fmt.Errorf("-sweep %d: want a seed count, or 0 for one run", *sweep)
+		}
 		if *bisect && *sweep > 0 {
-			return usageError("-bisect localizes one run; it cannot be combined with -sweep")
+			return nil, errors.New("-bisect localizes one run; it cannot be combined with -sweep")
 		}
 		cfg := faultlab.DefaultChaosConfig()
-		cfg.Resilience = *resilience
-		cfg.Lease = *lease
-		cfg.ReconcileEvery = *reconcile
-		if *sweep > 0 {
-			res := chaos.Sweep(g.seed, *sweep, faultlab.Profiles(), cfg, g.workers)
-			fmt.Fprint(w, res)
-			if !res.OK() {
-				return fmt.Errorf("invariant violations found")
-			}
-			return nil
+		cfg.Resilience, cfg.Lease, cfg.ReconcileEvery = *resilience, *lease, *reconcile
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("-lease/-reconcile: %w", err)
 		}
 		p, err := faultlab.ProfileByName(*profile)
-		if err != nil {
-			return err
+		if err != nil && *sweep == 0 { // a sweep runs every profile
+			return nil, fmt.Errorf("-profile: %w", err)
 		}
-		if *bisect {
-			res := faultlab.Bisect(g.seed, p, cfg)
-			fmt.Fprint(w, res)
-			if !res.OK() {
-				fmt.Fprintf(w, "repro: %s\n", res.Report.Repro())
-				return fmt.Errorf("%d invariant violations", len(res.Report.Violations))
+		return func(w io.Writer) error {
+			if *sweep > 0 {
+				res := chaos.Sweep(g.seed, *sweep, faultlab.Profiles(), cfg, g.workers)
+				fmt.Fprint(w, res)
+				if !res.OK() {
+					return fmt.Errorf("invariant violations found")
+				}
+				return nil
 			}
+			if *bisect {
+				res := faultlab.Bisect(g.seed, p, cfg)
+				fmt.Fprint(w, res)
+				if !res.OK() {
+					fmt.Fprintf(w, "repro: %s\n", res.Report.Repro())
+					return fmt.Errorf("%d invariant violations", len(res.Report.Violations))
+				}
+				return nil
+			}
+			rep := faultlab.RunChaos(g.seed, p, cfg)
+			fmt.Fprint(w, rep.Schedule)
+			fmt.Fprintln(w)
+			for _, line := range rep.Trace {
+				fmt.Fprintln(w, line)
+			}
+			fmt.Fprintln(w)
+			fmt.Fprint(w, rep.Summary)
+			if !rep.OK() {
+				fmt.Fprintln(w, "\ninvariant violations:")
+				for _, v := range rep.Violations {
+					fmt.Fprintf(w, "  %s\n", v)
+				}
+				fmt.Fprintf(w, "repro: %s\n", rep.Repro())
+				return fmt.Errorf("%d invariant violations", len(rep.Violations))
+			}
+			fmt.Fprintln(w, "\nall invariants held")
 			return nil
-		}
-		rep := faultlab.RunChaos(g.seed, p, cfg)
-		fmt.Fprint(w, rep.Schedule)
-		fmt.Fprintln(w)
-		for _, line := range rep.Trace {
-			fmt.Fprintln(w, line)
-		}
-		fmt.Fprintln(w)
-		fmt.Fprint(w, rep.Summary)
-		if !rep.OK() {
-			fmt.Fprintln(w, "\ninvariant violations:")
-			for _, v := range rep.Violations {
-				fmt.Fprintf(w, "  %s\n", v)
-			}
-			fmt.Fprintf(w, "repro: %s\n", rep.Repro())
-			return fmt.Errorf("%d invariant violations", len(rep.Violations))
-		}
-		fmt.Fprintln(w, "\nall invariants held")
-		return nil
+		}, nil
 	}
 }
 
-func bindByzantine(fs *flag.FlagSet, g *globals) func(io.Writer) error {
+func bindByzantine(fs *flag.FlagSet, g *globals) resolve {
 	profile := profileFlag(fs)
 	seeds := fs.Int("sweep", 20, "sweep this many seeds")
-	return func(w io.Writer) error {
+	return func() (body, error) {
 		if *seeds <= 0 {
-			return usageError("-sweep must be positive")
+			return nil, fmt.Errorf("-sweep %d: want a positive seed count", *seeds)
 		}
 		p, err := faultlab.ProfileByName(*profile)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("-profile: %w", err)
 		}
-		res := chaos.ByzantineSweep(g.seed, *seeds, p, faultlab.DefaultByzantineChaosConfig(), g.workers)
-		fmt.Fprint(w, res)
-		if !res.OK() {
-			return fmt.Errorf("byzantine sweep failed its acceptance gate")
-		}
-		return nil
+		return func(w io.Writer) error {
+			res := chaos.ByzantineSweep(g.seed, *seeds, p, faultlab.DefaultByzantineChaosConfig(), g.workers)
+			fmt.Fprint(w, res)
+			if !res.OK() {
+				return fmt.Errorf("byzantine sweep failed its acceptance gate")
+			}
+			return nil
+		}, nil
 	}
 }
 
 // bindTrace runs one scenario with the obs layer enabled and exports the
-// resulting trace in the requested format. -format is checked before
-// anything runs or -o is created, so a typo never truncates an existing
+// resulting trace in the requested format. -o is created only once the
+// trace exists, so a refused or failed run never truncates an existing
 // artifact.
-func bindTrace(fs *flag.FlagSet, g *globals) func(io.Writer) error {
+func bindTrace(fs *flag.FlagSet, g *globals) resolve {
 	profile := profileFlag(fs)
 	out := fs.String("o", "", "output `file` (default stdout)")
 	format := fs.String("format", "jsonl", "export format (jsonl|chrome|timeline)")
-	return func(w io.Writer) error {
+	return func() (body, error) {
 		var export func(*obs.Tracer, io.Writer) error
 		switch *format {
 		case "jsonl":
@@ -252,51 +265,48 @@ func bindTrace(fs *flag.FlagSet, g *globals) func(io.Writer) error {
 				return nil
 			}
 		default:
-			return fmt.Errorf("unknown trace format %q (want jsonl|chrome|timeline)", *format)
+			return nil, fmt.Errorf("-format: unknown trace format %q (want jsonl|chrome|timeline)", *format)
 		}
 		scenario := "fig2"
 		if fs.NArg() > 0 {
 			scenario = fs.Arg(0)
 		}
-		var tr *obs.Tracer
+		var traced func() (*obs.Tracer, error)
 		switch scenario {
 		case "fig2":
-			res, t, err := core.Figure2Traced(g.seed)
-			if err != nil {
-				return err
+			traced = func() (*obs.Tracer, error) {
+				res, tr, err := core.Figure2Traced(g.seed)
+				if err == nil {
+					err = core.ValidateFigure2(res)
+				}
+				return tr, err
 			}
-			if err := core.ValidateFigure2(res); err != nil {
-				return err
-			}
-			tr = t
 		case "delegation":
-			t, err := core.TraceDelegation(g.seed)
-			if err != nil {
-				return err
-			}
-			tr = t
+			traced = func() (*obs.Tracer, error) { return core.TraceDelegation(g.seed) }
 		case "chaos":
 			p, err := faultlab.ProfileByName(*profile)
 			if err != nil {
-				return err
+				return nil, fmt.Errorf("-profile: %w", err)
 			}
 			cfg := faultlab.DefaultChaosConfig()
 			cfg.Trace = true
-			tr = faultlab.RunChaos(g.seed, p, cfg).Tracer
+			traced = func() (*obs.Tracer, error) { return faultlab.RunChaos(g.seed, p, cfg).Tracer, nil }
 		default:
-			return fmt.Errorf("unknown trace scenario %q (want fig2|delegation|chaos)", scenario)
+			return nil, fmt.Errorf("unknown trace scenario %q (want fig2|delegation|chaos)", scenario)
 		}
-		if *out == "" {
-			return export(tr, w)
-		}
-		fp, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		if err := export(tr, fp); err != nil {
-			fp.Close()
-			return err
-		}
-		return fp.Close()
+		return func(w io.Writer) error {
+			tr, err := traced()
+			if err != nil {
+				return err
+			}
+			if *out == "" {
+				return export(tr, w)
+			}
+			fp, err := os.Create(*out)
+			if err != nil {
+				return err
+			}
+			return errors.Join(export(tr, fp), fp.Close())
+		}, nil
 	}
 }

@@ -79,8 +79,9 @@ func buildGridlab(t *testing.T) string {
 	return bin
 }
 
-// A bad -format must be rejected before -o is opened: the command exits 1
-// and an artifact already at that path keeps its bytes.
+// A bad -format must be rejected before -o is opened: the command exits 2,
+// since a bad flag value is a bad invocation like an unparsable one, and an
+// artifact already at that path keeps its bytes.
 func TestTraceBadFormatKeepsExistingFile(t *testing.T) {
 	bin := buildGridlab(t)
 	artifact := filepath.Join(t.TempDir(), "trace.jsonl")
@@ -90,8 +91,8 @@ func TestTraceBadFormatKeepsExistingFile(t *testing.T) {
 	}
 	out, err := exec.Command(bin, "trace", "fig2", "-o", artifact, "-format", "bogus").CombinedOutput()
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("exit = %v, want status 1\n%s", err, out)
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want status 2\n%s", err, out)
 	}
 	got, err := os.ReadFile(artifact)
 	if err != nil {

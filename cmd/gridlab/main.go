@@ -31,17 +31,19 @@ type command struct {
 	// operand names the one positional operand the command takes, as the
 	// usage message shows it; "" means it takes none.
 	operand string
-	// bind registers the command's own flags on fs and returns the body to
-	// run once fs is parsed. The body writes its report to w and nowhere
-	// else, and reads its operand, if it was given, from fs.Arg(0).
-	bind func(fs *flag.FlagSet, g *globals) func(w io.Writer) error
+	// bind registers the command's own flags on fs and returns their resolve.
+	bind func(fs *flag.FlagSet, g *globals) resolve
 }
 
-// usageError is a flag combination a command cannot run. It ends like a
-// flag that does not parse: the command's usage message and exit status 2.
-type usageError string
+// resolve checks a command's parsed flags and operand (fs.Arg(0)) and
+// returns the body that runs them. It has no side effect: an error refuses
+// the invocation, with the usage message and exit status 2, before any
+// file opens or run starts.
+type resolve func() (body, error)
 
-func (e usageError) Error() string { return string(e) }
+// body runs a resolved command. It writes its report to w and nowhere
+// else; an error is a run that found something, exit status 1.
+type body func(w io.Writer) error
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -53,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	top := flag.NewFlagSet("gridlab", flag.ContinueOnError)
 	top.SetOutput(stderr)
 	top.Int64Var(&g.seed, "seed", 42, "simulation seed (runs are deterministic per seed)")
-	top.IntVar(&g.workers, "workers", 1, "sweep fan-out: worker goroutines (0 = GOMAXPROCS; output is identical at any count)")
+	top.IntVar(&g.workers, "workers", 1, "sweep fan-out: worker goroutines (0 = GOMAXPROCS; negative is an error; output is identical at any count)")
 	top.StringVar(&g.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole command to this `file`")
 	top.StringVar(&g.memProfile, "memprofile", "", "write a heap profile to this `file` when the command ends")
 	top.Usage = func() {
@@ -86,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gridlab "+c.name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	top.VisitAll(func(f *flag.Flag) { fs.Var(f.Value, f.Name, f.Usage) })
-	body := c.bind(fs, &g)
+	check := c.bind(fs, &g)
 	fs.Usage = func() {
 		synopsis := c.name
 		if c.operand != "" {
@@ -98,8 +100,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := parseAnyOrder(fs, top.Args()[1:]); err != nil {
 		return parseStatus(err)
 	}
+	// check has no side effect, so what it cannot see is checked after it.
+	exec, err := check()
 	if fs.NArg() > 1 || fs.NArg() == 1 && c.operand == "" {
-		fmt.Fprintf(stderr, "gridlab %s: unexpected argument %q\n", c.name, fs.Arg(fs.NArg()-1))
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(fs.NArg()-1))
+	} else if g.workers < 0 {
+		err = fmt.Errorf("-workers %d: want 0 (GOMAXPROCS) or more", g.workers)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "gridlab %s: %v\n", c.name, err)
 		fs.Usage()
 		return 2
 	}
@@ -110,13 +119,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	code := 0
-	if err := body(stdout); err != nil {
+	if err := exec(stdout); err != nil {
 		fmt.Fprintf(stderr, "gridlab %s: %v\n", c.name, err)
 		code = 1
-		if errors.As(err, new(usageError)) {
-			fs.Usage()
-			code = 2
-		}
 	}
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintf(stderr, "gridlab: %v\n", err)

@@ -1,6 +1,7 @@
 package faultlab
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -222,4 +223,37 @@ func TestInjectorWindowsIdempotentHeal(t *testing.T) {
 	if applies != revokes {
 		t.Errorf("applies %d != revokes %d — a fault leaked past heal", applies, revokes)
 	}
+}
+
+// Validate holds the two fields gridlab chaos sets from flags to "0 or at
+// least the minimum", one case per rule, and RunChaos refuses what it
+// refuses before building anything.
+func TestChaosConfigValidate(t *testing.T) {
+	for _, cfg := range []ChaosConfig{DefaultChaosConfig(), DefaultByzantineChaosConfig(),
+		{Lease: minLease, ReconcileEvery: time.Second}} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("lease %v reconcile %v: %v", cfg.Lease, cfg.ReconcileEvery, err)
+		}
+	}
+	for _, cfg := range []ChaosConfig{
+		{Lease: -time.Hour},
+		{Lease: time.Nanosecond},
+		{Lease: minLease - 1},
+		{ReconcileEvery: -time.Minute},
+		{ReconcileEvery: time.Nanosecond},
+	} {
+		if cfg.Validate() == nil {
+			t.Errorf("lease %v reconcile %v: Validate accepted it", cfg.Lease, cfg.ReconcileEvery)
+		}
+	}
+
+	cfg := testConfig()
+	cfg.Lease = time.Nanosecond
+	want := cfg.Validate()
+	defer func() {
+		if r := recover(); r == nil || fmt.Sprint(r) != want.Error() {
+			t.Errorf("RunChaos panicked with %v, want %q", r, want)
+		}
+	}()
+	RunChaos(1, Quiet(), cfg)
 }

@@ -66,6 +66,19 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate reports a config Run cannot use: every count and the refresh
+// period must be positive, with no more regions than sites.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.Sites < 1 || cfg.Regions < 1 || cfg.Regions > cfg.Sites:
+		return fmt.Errorf("scale: %d regions over %d sites, want 1 ≤ regions ≤ sites", cfg.Regions, cfg.Sites)
+	case min(cfg.NodesPerSite, cfg.LeasesPerSite, cfg.Batch, cfg.Windows) < 1 || cfg.RefreshInterval <= 0:
+		return fmt.Errorf("scale: per site %d nodes and %d leases, batch %d, %d windows, refresh %v: want each positive",
+			cfg.NodesPerSite, cfg.LeasesPerSite, cfg.Batch, cfg.Windows, cfg.RefreshInterval)
+	}
+	return nil
+}
+
 // growthStep is the virtual time between site joins within a cell.
 const growthStep = 20 * time.Second
 
@@ -153,40 +166,20 @@ type Report struct {
 }
 
 // Run executes the experiment: cells in parallel, then the root
-// assembly and query phase, then reduction in region order.
+// assembly and query phase, then reduction in region order. A cfg that
+// fails Validate is a programmer error and panics.
 func Run(seed int64, cfg Config, workers int) *Report {
-	if cfg.Regions <= 0 {
-		cfg.Regions = 1
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
-	if cfg.Regions > cfg.Sites {
-		cfg.Regions = cfg.Sites
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 64
-	}
-	if cfg.Windows <= 0 {
-		cfg.Windows = 4
-	}
-	if cfg.RefreshInterval <= 0 {
-		cfg.RefreshInterval = 10 * time.Minute
-	}
-
 	perSite := (cfg.Sites + cfg.Regions - 1) / cfg.Regions
 	results := make([]*Result, cfg.Regions)
 	perf.ForEach(cfg.Regions, workers, func(i int) {
-		lo := i * perSite
-		hi := lo + perSite
-		if hi > cfg.Sites {
-			hi = cfg.Sites
-		}
-		results[i] = runCell(seed, cfg, i, lo, hi)
+		results[i] = runCell(seed, cfg, i, i*perSite, min((i+1)*perSite, cfg.Sites))
 	})
 
 	rep := &Report{Cfg: cfg}
 	for _, r := range results {
-		if r == nil {
-			continue
-		}
 		rep.Cells = append(rep.Cells, *r)
 		rep.SitesN += r.SitesN
 		rep.NodesLiveN += r.NodesLive
@@ -225,10 +218,7 @@ func runCell(seed int64, cfg Config, regionIdx, lo, hi int) *Result {
 		siteLo: lo, siteHi: hi, nextSite: lo,
 	}
 	nSites := hi - lo
-	c.windowSize = (nSites + cfg.Windows - 1) / cfg.Windows
-	if c.windowSize <= 0 {
-		c.windowSize = 1
-	}
+	c.windowSize = max((nSites+cfg.Windows-1)/cfg.Windows, 1) // a trailing region may hold no site
 	eng.SnapRoot("scale.cell", c)
 
 	eng.NewTicker(growthStep, c.growTick)
@@ -403,9 +393,6 @@ func (c *cell) flushWindow() {
 // every summary absorbed with its soft-state TTL, then a fixed query
 // set fanned out to demonstrate (and count) summary pruning.
 func (rep *Report) rootPhase(seed int64) {
-	if len(rep.Cells) == 0 {
-		return
-	}
 	eng := sim.NewEngine(seed)
 	net := simnet.New(eng)
 	net.AddSite("HQ", 0, 0)
@@ -478,10 +465,8 @@ func (rep *Report) reduce() {
 		rep.SitesN, rep.NodesLiveN, rep.MDSSlotsN, rep.RegisterN,
 		rep.GrantedN, rep.LiveN, rep.LeaseSlotsN, rep.ReleasedN, rep.RenewedN,
 		rep.BatchSigN, rep.BatchVerifiedN, ratio))
-	if len(rep.RootLines) > 0 {
-		b = append(b, "", "root queries (summary-pruned fan-out):")
-		b = append(b, rep.RootLines...)
-	}
+	b = append(b, "", "root queries (summary-pruned fan-out):")
+	b = append(b, rep.RootLines...)
 	rep.body = b
 }
 

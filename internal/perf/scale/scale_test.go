@@ -2,6 +2,7 @@ package scale
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -119,4 +120,49 @@ func TestRegistrationFlatness(t *testing.T) {
 	if e, l := RegistrationFlatness(1, cfg, 4, 4, clock); e != 0 || l != 0 {
 		t.Fatalf("window not fitting should disable the probe, got %v/%v", e, l)
 	}
+}
+
+// Validate refuses each field Run cannot use, one rule per case, and
+// accepts the smallest federation that is still whole.
+func TestValidate(t *testing.T) {
+	one := Config{Sites: 1, NodesPerSite: 1, LeasesPerSite: 1, Regions: 1, Batch: 1, RefreshInterval: 1, Windows: 1}
+	if err := one.Validate(); err != nil {
+		t.Fatalf("one-site config: %v", err)
+	}
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("DefaultConfig: %v", err)
+	}
+	for name, spoil := range map[string]func(*Config){
+		"no sites":                func(c *Config) { c.Sites = 0 },
+		"no regions":              func(c *Config) { c.Regions = 0 },
+		"more regions than sites": func(c *Config) { c.Regions = 2 },
+		"no nodes per site":       func(c *Config) { c.NodesPerSite = 0 },
+		"negative leases":         func(c *Config) { c.LeasesPerSite = -5 },
+		"no batch":                func(c *Config) { c.Batch = 0 },
+		"no windows":              func(c *Config) { c.Windows = 0 },
+		"no refresh":              func(c *Config) { c.RefreshInterval = 0 },
+	} {
+		cfg := one
+		spoil(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, cfg)
+		}
+	}
+}
+
+// A config that fails Validate is a programmer error: Run panics with
+// Validate's message before it builds a cell.
+func TestRunPanicsOnInvalidConfig(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Regions = cfg.Sites + 1
+	want := cfg.Validate()
+	if want == nil {
+		t.Fatal("Validate accepted more regions than sites")
+	}
+	defer func() {
+		if r := recover(); r == nil || fmt.Sprint(r) != want.Error() {
+			t.Errorf("Run panicked with %v, want %q", r, want)
+		}
+	}()
+	Run(1, cfg, 1)
 }
