@@ -3,6 +3,7 @@ package mds
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -168,6 +169,144 @@ func FuzzRegisterAgreesWithReference(f *testing.F) {
 				got, want, oracle := renderReply(rg.Eval(q)), renderReply(ref.Eval(q)), renderReply(flat.Eval(q))
 				if !bytes.Equal(got, want) || !bytes.Equal(got, oracle) {
 					t.Fatalf("step %d (op %#x): query %+v:\n%s--- reference ---\n%s--- flat ---\n%s", step, op, q, got, want, oracle)
+				}
+			}
+		}
+	})
+}
+
+// The root-query script: one op byte, then its operands. Low two bits
+// pick the op (two of four register, so scripts are mostly
+// registrations).
+//
+//	register: bits 2-4 name (region: name mod 4), bits 5-7 key subset;
+//	          then a TTL byte (1-3 minutes) and a value byte per key
+//	clock:    bit 2 sweeps every region, else bits 3-4 advance minutes less one
+//	absorb:   bits 2-3 region, bit 4 pushes its held summary again,
+//	          bits 5-6 the TTL
+var (
+	rootNames = [8]string{"r0/n0", "r1/n1", "r2/n2", "r3/n3", "r0/n4", "r1/n5", "r2/n6", "r3/n7"}
+	rootKeys  = [3]string{"load", "os", "site"}
+	rootTTLs  = [4]time.Duration{0, time.Minute, 2 * time.Minute, time.Hour}
+)
+
+const (
+	rootClock  = 2
+	rootAbsorb = 3
+)
+
+// rootReg encodes one registration: name index, TTL in minutes, then
+// (key index, value index) pairs in ascending key order.
+func rootReg(name, ttl int, kv ...int) []byte {
+	out := []byte{byte(name << 2), byte(ttl - 1)}
+	for i := 0; i < len(kv); i += 2 {
+		out[0] |= 1 << (5 + uint(kv[i]))
+		out = append(out, byte(kv[i+1]))
+	}
+	return out
+}
+
+// FuzzQueryShardsAgreesWithReference: whatever registrations, refreshes,
+// clock advances, sweeps and summary pushes the bytes script over four
+// regions, the root's pruned, merged answer to every query shape is
+// byte for byte the unpruned concatenate-and-sort refQueryShards. Sixteen
+// values a key overflow the exact sets, so equality prunes through the
+// filters. A region pushes as soon as a registration moves its version,
+// so the summary the root holds covers every live value, as the uplink
+// guarantees from its next tick on; a sweep tightens the region but not
+// the summary it last pushed, which the absorb op may push again: stale,
+// wider than the region, and still sound.
+func FuzzQueryShardsAgreesWithReference(f *testing.F) {
+	const load, os, site = 0, 1, 2
+	var overflow [][]byte
+	for v := 0; v < 12; v++ {
+		overflow = append(overflow, rootReg(v%2*4, 3, load, v, site, v))
+	}
+	for _, script := range [][][]byte{
+		// Twelve site values overflow region 0; region 1 holds one.
+		append(slices.Clone(overflow), rootReg(1, 3, os, 14, site, 15)),
+		// A short-lived site leaves at a sweep; the wider summary from
+		// before it is pushed again, then a fresh one.
+		append(slices.Clone(overflow), rootReg(2, 1, site, 3), rootReg(6, 3, site, 4), []byte{rootClock | 1<<3}, []byte{rootClock | 1<<2},
+			[]byte{rootAbsorb | 2<<2 | 1<<4 | 3<<5}, []byte{rootAbsorb | 2<<2 | 3<<5}),
+		// A summary with no TTL is stale at once, an hour-long one outlives
+		// the records it covers.
+		{rootReg(3, 2, os, 15, site, 1), []byte{rootAbsorb | 3<<2}, rootReg(5, 2, site, 2), []byte{rootAbsorb | 1<<2 | 3<<5}, []byte{rootClock | 3<<3}},
+	} {
+		f.Add(bytes.Join(script, nil))
+	}
+	queries := []Query{
+		{},
+		{Limit: 3},
+		{Filters: []Filter{{"site", FEq, "3"}}},
+		{Filters: []Filter{{"site", FEq, "linux"}}, Limit: 1},
+		{Filters: []Filter{{"site", FEq, "7"}}},
+		{Filters: []Filter{{"site", FEq, "-0"}}},
+		{Filters: []Filter{{"site", FEq, "absent"}}},
+		{Filters: []Filter{{"site", FNe, "7"}}, Limit: 4},
+		{Filters: []Filter{{"os", FEq, "irix"}}},
+		{Filters: []Filter{{"load", FGe, "4"}}, Limit: 2},
+		{Filters: []Filter{{"load", FLt, "inf"}}},
+		{Filters: []Filter{{"site", FEq, "5"}, {"load", FLe, "8"}}, Limit: 2},
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		rig := newShardRig(t, 4)
+		eng, root := rig.eng, rig.root
+		// held is the summary each region last pushed, at version pushed.
+		var held [4]RegionSummary
+		var pushed [4]uint64
+		push := func(r int, ttl time.Duration) {
+			held[r], pushed[r] = rig.regions[r].Summary(ttl), rig.regions[r].sumVersion
+			root.AbsorbSummary(held[r])
+		}
+		next := func() byte {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return b
+		}
+		for step := 0; len(script) > 0; step++ {
+			op := next()
+			switch op & 3 {
+			case rootClock:
+				if op>>2&1 == 1 {
+					for _, rg := range rig.regions {
+						rg.Sweep()
+					}
+				} else {
+					eng.RunUntil(eng.Now() + time.Duration(1+op>>3&3)*time.Minute)
+				}
+			case rootAbsorb:
+				r, ttl := int(op>>2&3), rootTTLs[op>>5&3]
+				if op>>4&1 == 1 && held[r].Region != "" {
+					held[r].TTL = ttl
+					root.AbsorbSummary(held[r])
+				} else {
+					push(r, ttl)
+				}
+			default:
+				name := int(op >> 2 & 7)
+				reg := Registration{TTL: time.Duration(1+next()%3) * time.Minute, Rec: Record{
+					Name: rootNames[name], Source: "s", Stamp: eng.Now(), Attrs: map[string]string{}}}
+				for k, key := range rootKeys {
+					if op>>(5+uint(k))&1 == 1 {
+						reg.Rec.Attrs[key] = fuzzVals[next()%16]
+					}
+				}
+				r := name % 4
+				if err := rig.regions[r].RegisterRecord(reg); err != nil {
+					t.Fatalf("step %d: register %+v: %v", step, reg, err)
+				}
+				if rig.regions[r].sumVersion != pushed[r] {
+					push(r, 2*time.Minute)
+				}
+			}
+			for _, q := range queries {
+				reply, err := root.QueryShards(q)
+				if got, want := renderReply(reply), renderReply(refQueryShards(root, q)); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("step %d (op %#x): query %+v: err=%v\n%s--- reference ---\n%s", step, op, q, err, got, want)
 				}
 			}
 		}

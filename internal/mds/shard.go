@@ -41,10 +41,40 @@ const SvcSummary = "mds.summary"
 // ErrNoRegions reports a root query with no attached regions.
 var ErrNoRegions = errors.New("mds: root index has no attached regions")
 
-// summaryValueCap bounds the per-key distinct-value set a summary
-// carries; beyond it the key is marked overflowed and equality pruning
-// disables (numeric range pruning keeps working — min/max stay exact).
+// summaryValueCap bounds the per-key exact value set a summary carries;
+// past it the key overflows into a valueFilter (min/max stay exact).
 const summaryValueCap = 8
+
+const valueFilterLog = 10
+
+// valueFilter is a Bloom filter of 2^valueFilterLog bits over an overflowed
+// key's values. A value added always tests present; an absent one tests
+// present only on a collision, which costs one region scan, never a record.
+type valueFilter [1 << valueFilterLog / 64]uint64
+
+// probe reports whether v's three bits were all set, and sets them if add;
+// the hash is unseeded FNV-1a with a fixed finalizer, the same every run.
+func (f *valueFilter) probe(v string, add bool) (held bool) {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(v); i++ {
+		h ^= uint64(v[i])
+		h *= 1099511628211
+	}
+	// FNV's last bytes reach the high bits only through carries: mix.
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	held = true
+	for i := 0; i < 3; i++ {
+		b := h >> (i * valueFilterLog) & (1<<valueFilterLog - 1)
+		w, m := b/64, uint64(1)<<(b%64)
+		held = held && f[w]&m != 0
+		if add {
+			f[w] |= m
+		}
+	}
+	return held
+}
 
 // Interner maps attribute keys to dense int32 ids so per-record
 // attribute storage is a pair of flat slices instead of a map.
@@ -121,12 +151,12 @@ type regSlot struct {
 }
 
 // keyStat is the running widening summary of one attribute key: the
-// distinct values seen (capped), and the numeric range over values that
-// parse. It only widens between rebuilds, which is what makes summary
-// pruning sound under stale soft state.
+// distinct values seen (exact, then hashed once overflowed), and the
+// numeric range over values that parse. It only widens between rebuilds,
+// which is what makes summary pruning sound under stale soft state.
 type keyStat struct {
 	values   map[string]struct{}
-	overflow bool
+	hashed   *valueFilter // non-nil once overflowed
 	hasNum   bool
 	min, max float64
 }
@@ -134,11 +164,11 @@ type keyStat struct {
 // KeySummary is the wire form of one key's summary.
 type KeySummary struct {
 	Key string
-	// Values is the sorted distinct-value set; meaningless when
-	// Overflow (the set exceeded summaryValueCap and equality pruning
-	// must not be trusted).
+	// Values is the sorted distinct-value set; past summaryValueCap
+	// values the key is Overflow and Hashed holds them instead.
 	Values   []string
 	Overflow bool
+	Hashed   valueFilter
 	// HasNum with Min/Max bound every value that parsed as a float.
 	HasNum   bool
 	Min, Max float64
@@ -333,16 +363,24 @@ func (r *RegionIndex) absorb(id int32, v string) {
 		r.sum[id] = st
 		r.sumVersion++
 	}
-	if !st.overflow {
-		if _, seen := st.values[v]; !seen {
-			if len(st.values) >= summaryValueCap {
-				st.overflow = true
-				r.sumVersion++
-			} else {
-				st.values[v] = struct{}{}
-				r.sumVersion++
-			}
+	if st.hashed != nil {
+		// A new bit is a value the root would prune on until it hears.
+		if !st.hashed.probe(v, true) {
+			r.sumVersion++
 		}
+	} else if _, seen := st.values[v]; !seen {
+		if len(st.values) >= summaryValueCap {
+			// The exact set seeds the filter and goes.
+			st.hashed = new(valueFilter)
+			for u := range st.values {
+				st.hashed.probe(u, true)
+			}
+			st.hashed.probe(v, true)
+			st.values = nil
+		} else {
+			st.values[v] = struct{}{}
+		}
+		r.sumVersion++
 	}
 	// NaN holds under no ordering operator and would freeze min/max: skip.
 	if f, err := parseNumeric(v); err == nil && f == f {
@@ -521,15 +559,17 @@ func (r *RegionIndex) Summary(ttl time.Duration) RegionSummary {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return r.in.Key(ids[i]) < r.in.Key(ids[j]) })
+	out.Keys = make([]KeySummary, 0, len(ids))
 	for _, id := range ids {
 		st := r.sum[id]
-		ks := KeySummary{Key: r.in.Key(id), Overflow: st.overflow, HasNum: st.hasNum, Min: st.min, Max: st.max}
-		if !st.overflow {
-			for v := range st.values {
-				ks.Values = append(ks.Values, v)
-			}
-			sort.Strings(ks.Values)
+		ks := KeySummary{Key: r.in.Key(id), Overflow: st.hashed != nil, HasNum: st.hasNum, Min: st.min, Max: st.max}
+		if ks.Overflow {
+			ks.Hashed = *st.hashed
 		}
+		for v := range st.values {
+			ks.Values = append(ks.Values, v)
+		}
+		sort.Strings(ks.Values)
 		out.Keys = append(out.Keys, ks)
 	}
 	return out
@@ -649,14 +689,15 @@ func summaryMayMatch(s RegionSummary, q Query) bool {
 			// for every record, so the region cannot contribute.
 			return false
 		}
-		ks := s.Keys[i]
+		ks := &s.Keys[i]
 		switch f.Op {
 		case FEq:
-			if !ks.Overflow {
-				j := sort.SearchStrings(ks.Values, f.Value)
-				if j >= len(ks.Values) || ks.Values[j] != f.Value {
+			if ks.Overflow {
+				if !ks.Hashed.probe(f.Value, false) {
 					return false
 				}
+			} else if j := sort.SearchStrings(ks.Values, f.Value); j >= len(ks.Values) || ks.Values[j] != f.Value {
+				return false
 			}
 		case FNe:
 			if !ks.Overflow && len(ks.Values) == 1 && ks.Values[0] == f.Value {
@@ -698,16 +739,17 @@ func summaryMayMatch(s RegionSummary, q Query) bool {
 
 // QueryShards answers a query by pruned fan-out: regions whose live
 // summary rules out a match are skipped; regions with stale or missing
-// summaries are consulted anyway (conservative). Results merge into the
-// single-region order contract — global sorted name order, Limit applied
-// after the merge, MaxStale over the records actually returned.
+// summaries are consulted anyway (conservative). Each region's reply is in
+// name order, so the root merges them — equal names in attachment order —
+// and stops at Limit; MaxStale is over the records actually returned.
 func (rt *RootIndex) QueryShards(q Query) (QueryReply, error) {
 	if len(rt.regions) == 0 {
 		return QueryReply{}, ErrNoRegions
 	}
 	rt.QueryN++
 	now := rt.eng.Now()
-	var merged []Record
+	var buf [16]QueryReply // E14's regions fit on the stack
+	subs, total := buf[:0], 0
 	for _, rg := range rt.regions {
 		rs := rt.sums[rg.name]
 		known := rs != nil && rs.expires > now
@@ -722,18 +764,36 @@ func (rt *RootIndex) QueryShards(q Query) (QueryReply, error) {
 		// Per-region Limit is sound: the global first-Limit names
 		// include at most Limit from any single region, and each
 		// region returns its own first matches in name order.
-		sub := rg.Eval(q)
-		merged = append(merged, sub.Records...)
+		if sub := rg.Eval(q); len(sub.Records) > 0 {
+			subs = append(subs, sub)
+			total += len(sub.Records)
+		}
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Name < merged[j].Name })
-	if q.Limit > 0 && len(merged) > q.Limit {
-		merged = merged[:q.Limit]
+	if len(subs) == 1 {
+		return subs[0], nil
+	}
+	if q.Limit > 0 {
+		total = min(total, q.Limit)
 	}
 	var reply QueryReply
-	reply.Records = merged
-	for _, rec := range merged {
+	if total > 0 {
+		reply.Records = make([]Record, 0, total)
+	}
+	for len(reply.Records) < total {
+		// The least head; a tie stays with the region attached first.
+		k := 0
+		for i := 1; i < len(subs); i++ {
+			if subs[i].Records[0].Name < subs[k].Records[0].Name {
+				k = i
+			}
+		}
+		rec := subs[k].Records[0]
+		reply.Records = append(reply.Records, rec)
 		if age := now - rec.Stamp; age > reply.MaxStale {
 			reply.MaxStale = age
+		}
+		if subs[k].Records = subs[k].Records[1:]; len(subs[k].Records) == 0 {
+			subs = slices.Delete(subs, k, k+1)
 		}
 	}
 	return reply, nil

@@ -164,9 +164,34 @@ func refRegister(r *RegionIndex, reg Registration) error {
 	return nil
 }
 
+// refQueryShards is QueryShards as it stood before the merge, less its
+// pruning: every attached region's Eval, concatenated, sorted by name, cut
+// at Limit. It reads no summary, so a prune that loses a record and a
+// merge that misorders one both show against it.
+func refQueryShards(rt *RootIndex, q Query) QueryReply {
+	now := rt.eng.Now()
+	var merged []Record
+	for _, rg := range rt.regions {
+		merged = append(merged, rg.Eval(q).Records...)
+	}
+	sort.Slice(merged, func(i, j int) bool { return merged[i].Name < merged[j].Name })
+	if q.Limit > 0 && len(merged) > q.Limit {
+		merged = merged[:q.Limit]
+	}
+	reply := QueryReply{Records: merged}
+	for _, rec := range merged {
+		if age := now - rec.Stamp; age > reply.MaxStale {
+			reply.MaxStale = age
+		}
+	}
+	return reply
+}
+
 // twinDiff says where a region and its refRegister twin differ, "" when
 // they do not: slot contents, free list, registration count, summary and
-// the version that decides whether the summary is pushed.
+// the version that decides whether the summary is pushed. DeepEqual
+// compares every KeySummary field, so an overflowed key's Hashed filter
+// is held bit for bit too.
 func twinDiff(got, want *RegionIndex) string {
 	sameSlot := func(a, b regSlot) bool {
 		return a.name == b.name && a.source == b.source && a.stamp == b.stamp && a.expires == b.expires &&
@@ -186,15 +211,26 @@ func twinDiff(got, want *RegionIndex) string {
 	return ""
 }
 
+// summaryOf returns key's entry in rg's current summary, zero when absent.
+func summaryOf(rg *RegionIndex, key string) KeySummary {
+	for _, ks := range rg.Summary(time.Minute).Keys {
+		if ks.Key == key {
+			return ks
+		}
+	}
+	return KeySummary{}
+}
+
 // TestShardedMatchesFlat is the differential gate: over a seeded grid
 // of sites with churning attributes, partial refresh loss (expiring
 // records), and a spread of query shapes, the sharded plane must return
-// byte-identical replies to the flat registry.
+// byte-identical replies to the flat registry. Nine sites a region
+// overflow every region's site set, so site= prunes through the filter.
 func TestShardedMatchesFlat(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		rig := newShardRig(t, 4)
 		rng := rand.New(rand.NewSource(seed))
-		const nSites, perSite = 24, 3
+		const nSites, perSite = 36, 3
 		oses := []string{"linux", "aix", "solaris"}
 
 		refresh := func(round int) {
@@ -244,6 +280,11 @@ func TestShardedMatchesFlat(t *testing.T) {
 			rg.StartSummaryPush("rootidx", time.Minute)
 		}
 		rig.eng.RunUntil(12 * time.Minute)
+		for _, rg := range rig.regions {
+			if !summaryOf(rg, "site").Overflow {
+				t.Fatalf("seed %d: region %s's site set has not overflowed", seed, rg.Name())
+			}
+		}
 
 		queries := []Query{
 			{},
@@ -257,7 +298,9 @@ func TestShardedMatchesFlat(t *testing.T) {
 			{Filters: []Filter{{"nope", FEq, "x"}}},
 			{Filters: []Filter{{"os", FEq, "aix"}, {"cpus", FLe, "4"}}, Limit: 3},
 			{Filters: []Filter{{"site", FEq, "site05"}}},
-			{Filters: []Filter{{"os", FGt, "3"}}}, // non-numeric attr side
+			{Filters: []Filter{{"site", FEq, "site34"}, {"cpus", FGe, "2"}}, Limit: 2},
+			{Filters: []Filter{{"site", FEq, "site99"}}}, // absent everywhere
+			{Filters: []Filter{{"os", FGt, "3"}}},        // non-numeric attr side
 			{Filters: []Filter{{"burst", FGt, "5"}}},
 			{Filters: []Filter{{"load", FLt, "INF"}}, Limit: 4},
 			{Filters: []Filter{{"load", FGt, "5"}}},
@@ -443,26 +486,49 @@ func TestSummaryDeltaPush(t *testing.T) {
 }
 
 // TestRegionSweepTightensSummary: sweeping expired slots rebuilds the
-// summary over survivors, so pruning precision recovers.
+// summary over survivors, so pruning precision recovers — for an exact
+// value set, and for an overflowed key's filter, which the rebuild starts
+// empty.
 func TestRegionSweepTightensSummary(t *testing.T) {
 	rig := newShardRig(t, 1)
 	rg := rig.regions[0]
 	now := rig.eng.Now()
 	rig.feed(t, 0, Record{Name: "short", Source: "s", Stamp: now,
-		Attrs: map[string]string{"os": "aix"}}, time.Minute)
-	rig.feed(t, 0, Record{Name: "long", Source: "s", Stamp: now,
-		Attrs: map[string]string{"os": "linux"}}, time.Hour)
+		Attrs: map[string]string{"os": "aix", "site": "gone"}}, time.Minute)
+	// Nine long-lived sites keep site overflowed after the sweep.
+	for i := 0; i <= summaryValueCap; i++ {
+		rig.feed(t, 0, Record{Name: fmt.Sprintf("long%d", i), Source: "s", Stamp: now,
+			Attrs: map[string]string{"os": "linux", "site": fmt.Sprintf("s%d", i)}}, time.Hour)
+	}
 	rig.eng.RunUntil(2 * time.Minute)
+	// consulted reports whether the root, holding the region's current
+	// summary, asks the region for f.
+	consulted := func(f Filter) bool {
+		rig.root.AbsorbSummary(rg.Summary(time.Hour))
+		f0 := rig.root.FanoutN
+		if _, err := rig.root.QueryShards(Query{Filters: []Filter{f}}); err != nil {
+			t.Fatal(err)
+		}
+		return rig.root.FanoutN > f0
+	}
+	gone, aix := Filter{"site", FEq, "gone"}, Filter{"os", FEq, "aix"}
+	if !consulted(gone) || !consulted(aix) {
+		t.Fatal("before the sweep the root pruned a value the region's summary has seen")
+	}
 	if got := rg.Sweep(); got != 1 {
 		t.Fatalf("swept %d, want 1", got)
 	}
-	s := rg.Summary(time.Minute)
-	for _, ks := range s.Keys {
-		if ks.Key == "os" {
-			if len(ks.Values) != 1 || ks.Values[0] != "linux" {
-				t.Errorf("post-sweep os values = %v, want [linux]", ks.Values)
-			}
-		}
+	if ks := summaryOf(rg, "os"); !slices.Equal(ks.Values, []string{"linux"}) {
+		t.Errorf("post-sweep os values = %v, want [linux]", ks.Values)
+	}
+	if !summaryOf(rg, "site").Overflow {
+		t.Fatal("nine live sites no longer overflow")
+	}
+	if consulted(gone) || consulted(aix) {
+		t.Error("after the sweep the root still consults the region for values that left it")
+	}
+	if !consulted(Filter{"site", FEq, "s3"}) {
+		t.Error("after the sweep the root prunes a live site")
 	}
 	// The freed slot is reused by the next registration.
 	slots := rg.Slots()
@@ -470,6 +536,145 @@ func TestRegionSweepTightensSummary(t *testing.T) {
 		Attrs: map[string]string{"os": "plan9"}}, time.Hour)
 	if rg.Slots() != slots {
 		t.Errorf("slots grew %d -> %d despite free list", slots, rg.Slots())
+	}
+}
+
+// TestValueAfterOverflowReachesRoot: a value that first arrives after its
+// key overflowed sets new filter bits, so it bumps sumVersion, the next
+// uplink tick sends it where a quiet region would have skipped, and the
+// root then consults the region for it.
+func TestValueAfterOverflowReachesRoot(t *testing.T) {
+	rig := newShardRig(t, 2)
+	rg, quiet := rig.regions[0], rig.regions[1]
+	register := func(r *RegionIndex, site string) {
+		t.Helper()
+		if err := r.RegisterRecord(Registration{Rec: Record{Name: site + "/n", Source: site, Stamp: rig.eng.Now(),
+			Attrs: map[string]string{"site": site}}, TTL: time.Hour}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i <= summaryValueCap; i++ {
+		register(rg, fmt.Sprintf("s%d", i))
+	}
+	register(quiet, "t0")
+	const late = "late"
+	if ks := summaryOf(rg, "site"); !ks.Overflow || ks.Hashed.probe(late, false) {
+		t.Fatalf("site overflow=%v, filter admits %q before it arrives: pick another value", ks.Overflow, late)
+	}
+	rg.StartSummaryPush("rootidx", time.Minute)
+	quiet.StartSummaryPush("rootidx", time.Minute)
+	// Pushed at 0, skipped at 1m, kept alive at 2m: a quiet region skips 3m.
+	rig.eng.RunUntil(2*time.Minute + time.Second)
+	version, pushes, skips := rg.sumVersion, rg.SummaryPushN, rg.SummarySkipN
+	quietSkips := quiet.SummarySkipN
+	register(rg, late)
+	if rg.sumVersion == version {
+		t.Fatal("a value new to an overflowed key left sumVersion alone")
+	}
+	rig.eng.RunUntil(3*time.Minute + time.Second)
+	if quiet.SummarySkipN != quietSkips+1 {
+		t.Fatalf("the quiet region skipped %d ticks at 3m, want 1", quiet.SummarySkipN-quietSkips)
+	}
+	if rg.SummaryPushN != pushes+1 || rg.SummarySkipN != skips {
+		t.Fatalf("at 3m the region pushed %d and skipped %d, want a push", rg.SummaryPushN-pushes, rg.SummarySkipN-skips)
+	}
+	rig.root.FanoutN, rig.root.PrunedN = 0, 0
+	reply, err := rig.root.QueryShards(Query{Filters: []Filter{{"site", FEq, late}}})
+	if err != nil || len(reply.Records) != 1 || rig.root.FanoutN != 1 || rig.root.PrunedN != 1 {
+		t.Fatalf("site=%s: %+v err=%v fanout=%d pruned=%d, want its record from the one region that holds it",
+			late, reply.Records, err, rig.root.FanoutN, rig.root.PrunedN)
+	}
+}
+
+// TestSiteQueryPruningPower: on mds-discovery's shape — 16 regions × 64
+// sites, E14's attributes, a few nodes a site — every region's site set
+// has overflowed, and site=sNNNN asked once for every site consults on
+// average at most 1.5 of the 16 regions: its own, plus the filters'
+// false positives.
+func TestSiteQueryPruningPower(t *testing.T) {
+	const regions, sitesPer, nodesPer = 16, 64, 3
+	rig := newShardRig(t, regions)
+	for g := 0; g < regions*sitesPer; g++ {
+		rg := rig.regions[g/sitesPer]
+		for n := 0; n < nodesPer; n++ {
+			if err := rg.RegisterRecord(Registration{Rec: Record{Name: fmt.Sprintf("s%04d/n%03d", g, n), Source: "s",
+				Attrs: map[string]string{
+					"region": rg.Name(),
+					"site":   fmt.Sprintf("s%04d", g),
+					"os":     []string{"linux", "planetlab", "linux"}[n%3],
+					"cpus":   fmt.Sprint(2 << uint(n%4)),
+					"load":   fmt.Sprint((n*7 + g) % 32),
+				}}, TTL: time.Hour}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, rg := range rig.regions {
+		rig.root.AbsorbSummary(rg.Summary(time.Hour))
+	}
+	for g := 0; g < regions*sitesPer; g++ {
+		reply, err := rig.root.QueryShards(Query{Filters: []Filter{{"site", FEq, fmt.Sprintf("s%04d", g)}}})
+		if err != nil || len(reply.Records) != nodesPer {
+			t.Fatalf("site s%04d: %d records err=%v, want %d", g, len(reply.Records), err, nodesPer)
+		}
+	}
+	queries := regions * sitesPer
+	mean := float64(rig.root.FanoutN) / float64(queries)
+	t.Logf("site=sNNNN over %d sites consults %.4f of %d regions on average (%d false positives in %d summaries)",
+		queries, mean, regions, rig.root.FanoutN-queries, queries*(regions-1))
+	if mean > 1.5 {
+		t.Errorf("site= consults %.4f regions on average, want at most 1.5", mean)
+	}
+}
+
+// TestRootQueryAllocs: a root query allocates each consulted region's
+// reply and one merged slice, nothing for a region it prunes; and a name
+// two regions hold comes back from both, in attachment order.
+func TestRootQueryAllocs(t *testing.T) {
+	rig := newShardRig(t, 16)
+	register := func(rg *RegionIndex, name string, attrs map[string]string) {
+		t.Helper()
+		if err := rg.RegisterRecord(Registration{Rec: Record{Name: name, Source: rg.Name(), Attrs: attrs}, TTL: time.Hour}); err != nil {
+			t.Fatal(err)
+		}
+		rig.root.AbsorbSummary(rg.Summary(time.Hour))
+	}
+	for r, rg := range rig.regions {
+		for s := 0; s < 64; s++ {
+			site := fmt.Sprintf("s%04d", r*64+s)
+			attrs := map[string]string{"site": site}
+			if s == 0 {
+				attrs["gpu"] = "1"
+			}
+			register(rg, site+"/n000", attrs)
+		}
+	}
+	for _, q := range []Query{
+		{Filters: []Filter{{"gpu", FEq, "1"}}, Limit: 10},      // every region, one record each
+		{Filters: []Filter{{"site", FEq, "s0100"}}, Limit: 10}, // its region alone
+	} {
+		f0 := rig.root.FanoutN
+		reply, err := rig.root.QueryShards(q)
+		if err != nil || len(reply.Records) == 0 {
+			t.Fatalf("%+v: %d records err=%v", q, len(reply.Records), err)
+		}
+		consulted := rig.root.FanoutN - f0
+		if allocs := testing.AllocsPerRun(20, func() { _, _ = rig.root.QueryShards(q) }); allocs > float64(consulted+1) {
+			t.Errorf("%+v consults %d regions and allocates %.0f objects, want at most %d", q, consulted, allocs, consulted+1)
+		}
+	}
+
+	register(rig.regions[3], "dup", map[string]string{"gpu": "2"})
+	register(rig.regions[1], "dup", map[string]string{"gpu": "2"})
+	for limit, want := range [][]string{{"R1", "R3"}, {"R1"}} {
+		reply, err := rig.root.QueryShards(Query{Filters: []Filter{{"gpu", FEq, "2"}}, Limit: limit})
+		var got []string
+		for _, rec := range reply.Records {
+			got = append(got, rec.Source)
+		}
+		if err != nil || !slices.Equal(got, want) {
+			t.Errorf("limit %d: a name two regions hold comes from %v err=%v, want %v", limit, got, err, want)
+		}
 	}
 }
 
