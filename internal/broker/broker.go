@@ -160,22 +160,24 @@ type CoAllocator struct {
 	// job at a live site.
 	Retry *resilience.Executor
 
-	// CoAllocN / AbortN count outcomes; CancelLostN counts abort-path
-	// cancels that never reached the site (orphaned remote jobs).
+	// CoAllocN / AbortN count outcomes; cancelN counts abort-path
+	// cancels sent, and CancelLostN those that never reached the site
+	// (orphaned remote jobs).
 	CoAllocN, AbortN, CancelLostN int
+	cancelN                       int
 	// Hops counts control messages initiated.
 	Hops int
 
-	tr                    *obs.Tracer
-	cCancels, cCancelLost *obs.Counter
+	tr *obs.Tracer
 }
 
-// SetTracer installs an observability tracer. A nil tracer (the default)
-// keeps every instrumentation point inert.
+// SetTracer installs an observability tracer, which reads the cancel
+// counts as broker.coalloc.* counters. A nil tracer (the default) keeps
+// every instrumentation point inert.
 func (c *CoAllocator) SetTracer(tr *obs.Tracer) {
 	c.tr = tr
-	c.cCancels = tr.Counter("broker.coalloc.cancels")
-	c.cCancelLost = tr.Counter("broker.coalloc.cancels_lost")
+	tr.CounterFunc("broker.coalloc.cancels", func() uint64 { return uint64(c.cancelN) })
+	tr.CounterFunc("broker.coalloc.cancels_lost", func() uint64 { return uint64(c.CancelLostN) })
 }
 
 // Part describes one component of a co-allocation.
@@ -236,12 +238,11 @@ func (c *CoAllocator) CoAllocate(proxy *identity.Credential, parts []Part, done 
 // rather than discarded.
 func (c *CoAllocator) cancelPart(p Placement) {
 	c.Hops++
-	c.cCancels.Inc()
+	c.cancelN++
 	gram.CancelWithRetry(c.Retry, nil, c.Net, c.Host, p.Gatekeeper, p.JobID, c.Timeout,
 		func(_ gram.StatusReply, err error) {
 			if err != nil {
 				c.CancelLostN++
-				c.cCancelLost.Inc()
 			}
 		})
 }

@@ -96,25 +96,25 @@ type Deployer struct {
 	// partial successes). RenewedN / RenewFailN count lease renewals.
 	DeployedN, FailedN   int
 	RenewedN, RenewFailN int
+	// stocked counts root tickets pulled into the agent; skipped counts
+	// site attempts an open breaker refused.
+	stocked, skipped int
 
-	// Observability handles (inert when no tracer is installed).
-	tr                     *obs.Tracer
-	cDeployOK, cDeployFail *obs.Counter
-	cStocked               *obs.Counter
-	cSkipped               *obs.Counter
-	cRenewOK, cRenewFail   *obs.Counter
+	// tr records spans when installed (nil: tracing off).
+	tr *obs.Tracer
 }
 
-// SetTracer installs an observability tracer. A nil tracer (the default)
-// keeps every instrumentation point inert.
+// SetTracer installs an observability tracer, which reads the outcome
+// counts as broker.* counters. A nil tracer (the default) keeps every
+// instrumentation point inert.
 func (d *Deployer) SetTracer(tr *obs.Tracer) {
 	d.tr = tr
-	d.cDeployOK = tr.Counter("broker.deploys.ok")
-	d.cDeployFail = tr.Counter("broker.deploys.failed")
-	d.cStocked = tr.Counter("broker.tickets.stocked")
-	d.cSkipped = tr.Counter("broker.sites.skipped")
-	d.cRenewOK = tr.Counter("broker.renews.ok")
-	d.cRenewFail = tr.Counter("broker.renews.failed")
+	tr.CounterFunc("broker.deploys.ok", func() uint64 { return uint64(d.DeployedN) })
+	tr.CounterFunc("broker.deploys.failed", func() uint64 { return uint64(d.FailedN) })
+	tr.CounterFunc("broker.tickets.stocked", func() uint64 { return uint64(d.stocked) })
+	tr.CounterFunc("broker.sites.skipped", func() uint64 { return uint64(d.skipped) })
+	tr.CounterFunc("broker.renews.ok", func() uint64 { return uint64(d.RenewedN) })
+	tr.CounterFunc("broker.renews.failed", func() uint64 { return uint64(d.RenewFailN) })
 }
 
 // reachable gates one attempt against a site: the breaker must admit it
@@ -122,7 +122,7 @@ func (d *Deployer) SetTracer(tr *obs.Tracer) {
 func (d *Deployer) reachable(site string) error {
 	br := d.Breakers.For(site)
 	if !br.Allow() {
-		d.cSkipped.Inc()
+		d.skipped++
 		return fmt.Errorf("%w: %s", resilience.ErrBreakerOpen, site)
 	}
 	if d.SiteDown != nil && d.SiteDown(site) {
@@ -176,16 +176,21 @@ func (d *Deployer) stockSite(site string, amount float64, notBefore, notAfter ti
 	if err := d.reachable(site); err != nil {
 		return err
 	}
+	return d.restock(rt, amount, notBefore, notAfter)
+}
+
+// restock pulls a fresh root ticket of amount CPU from the site's
+// authority into the agent's inventory.
+func (d *Deployer) restock(rt *SiteRuntime, amount float64, notBefore, notAfter time.Duration) error {
 	d.Hops += 2 // request + grant
 	tk, err := rt.Authority.IssueTicket(d.Agent.Name, d.Agent.Key(), capability.CPU, amount, notBefore, notAfter)
-	if err != nil {
-		return err
+	if err == nil {
+		err = d.Agent.Acquire(tk)
 	}
-	if err := d.Agent.Acquire(tk); err != nil {
-		return err
+	if err == nil {
+		d.stocked++
 	}
-	d.cStocked.Inc()
-	return nil
+	return err
 }
 
 // Inventory reports unsold CPU stock for a site.
@@ -266,17 +271,14 @@ func (d *Deployer) DeploySlice(sliceName string, sm *identity.Principal, cpuPerS
 	}
 	if len(res.Deployed) == 0 {
 		d.FailedN++
-		d.cDeployFail.Inc()
 		err := fmt.Errorf("%w: %w", ErrAllSitesFailed, res.Err())
 		span.End(obs.Err(err))
 		return res, err
 	}
 	if res.Degraded() {
 		d.FailedN++
-		d.cDeployFail.Inc()
 	} else {
 		d.DeployedN++
-		d.cDeployOK.Inc()
 	}
 	span.End(obs.Int("vms", len(res.Deployed)), obs.Int("failed", len(res.Failed)))
 	return res, nil
@@ -375,7 +377,6 @@ func (d *Deployer) RenewLease(sm *identity.Principal, l *sharp.Lease, notAfter t
 	defer restore()
 	fail := func(err error) error {
 		d.RenewFailN++
-		d.cRenewFail.Inc()
 		span.End(obs.Err(err))
 		return err
 	}
@@ -389,15 +390,9 @@ func (d *Deployer) RenewLease(sm *identity.Principal, l *sharp.Lease, notAfter t
 	nb := l.NotBefore
 	if inv := d.Inventory(l.Site); inv < l.Amount {
 		// Inventory ran dry: re-acquire a fresh root ticket first.
-		d.Hops += 2
-		tk, err := rt.Authority.IssueTicket(d.Agent.Name, d.Agent.Key(), capability.CPU, l.Amount-inv, nb, notAfter)
-		if err != nil {
+		if err := d.restock(rt, l.Amount-inv, nb, notAfter); err != nil {
 			return fail(err)
 		}
-		if err := d.Agent.Acquire(tk); err != nil {
-			return fail(err)
-		}
-		d.cStocked.Inc()
 	}
 	d.Hops += 2 // buy request + ticket grant
 	tickets, err := d.Agent.Sell(sm.Name, sm.Public(), l.Site, capability.CPU, l.Amount, nb, notAfter)
@@ -409,7 +404,6 @@ func (d *Deployer) RenewLease(sm *identity.Principal, l *sharp.Lease, notAfter t
 		return fail(err)
 	}
 	d.RenewedN++
-	d.cRenewOK.Inc()
 	span.End()
 	return nil
 }

@@ -53,17 +53,14 @@ func refDeploySlice(d *Deployer, sliceName string, sm *identity.Principal, cpuPe
 	}
 	if len(res.Deployed) == 0 {
 		d.FailedN++
-		d.cDeployFail.Inc()
 		err := fmt.Errorf("%w: %w", ErrAllSitesFailed, res.Err())
 		span.End(obs.Err(err))
 		return res, err
 	}
 	if res.Degraded() {
 		d.FailedN++
-		d.cDeployFail.Inc()
 	} else {
 		d.DeployedN++
-		d.cDeployOK.Inc()
 	}
 	span.End(obs.Int("vms", len(res.Deployed)), obs.Int("failed", len(res.Failed)))
 	return res, nil

@@ -35,16 +35,15 @@ type BatchManager struct {
 	CompletedN, BackfilledN, WallKillN int
 	// CrashN counts node crashes injected via Crash.
 	CrashN int
+	// Jobs accepted by Submit, and jobs moved into each other state.
+	submittedN, startedN, failedN, cancelledN int
 
 	// Observability handles (inert when no tracer is installed). jobSpans
 	// keeps one open span per in-flight job, from Submit to its terminal
 	// transition.
-	tr                               *obs.Tracer
-	jobSpans                         map[*Job]obs.SpanContext
-	cSubmitted, cStarted             *obs.Counter
-	cDone, cFailed, cCancelled       *obs.Counter
-	cBackfilled, cWallKilled, cCrash *obs.Counter
-	hWait                            *obs.Hist
+	tr       *obs.Tracer
+	jobSpans map[*Job]obs.SpanContext
+	hWait    *obs.Hist
 }
 
 // commitment is a slot claim over a time interval.
@@ -99,15 +98,30 @@ func (m *BatchManager) SetTracer(tr *obs.Tracer) {
 	if tr != nil {
 		m.jobSpans = make(map[*Job]obs.SpanContext)
 	}
-	m.cSubmitted = tr.Counter("gram.jobs.submitted")
-	m.cStarted = tr.Counter("gram.jobs.started")
-	m.cDone = tr.Counter("gram.jobs.done")
-	m.cFailed = tr.Counter("gram.jobs.failed")
-	m.cCancelled = tr.Counter("gram.jobs.cancelled")
-	m.cBackfilled = tr.Counter("gram.jobs.backfilled")
-	m.cWallKilled = tr.Counter("gram.jobs.wall_killed")
-	m.cCrash = tr.Counter("gram.crashes")
+	tr.CounterFunc("gram.jobs.submitted", func() uint64 { return uint64(m.submittedN) })
+	tr.CounterFunc("gram.jobs.started", func() uint64 { return uint64(m.startedN) })
+	tr.CounterFunc("gram.jobs.done", func() uint64 { return uint64(m.CompletedN) })
+	tr.CounterFunc("gram.jobs.failed", func() uint64 { return uint64(m.failedN) })
+	tr.CounterFunc("gram.jobs.cancelled", func() uint64 { return uint64(m.cancelledN) })
+	tr.CounterFunc("gram.jobs.backfilled", func() uint64 { return uint64(m.BackfilledN) })
+	tr.CounterFunc("gram.jobs.wall_killed", func() uint64 { return uint64(m.WallKillN) })
+	tr.CounterFunc("gram.crashes", func() uint64 { return uint64(m.CrashN) })
 	m.hWait = tr.Hist("gram.job.wait")
+}
+
+// move transitions j to a new state, counting it there.
+func (m *BatchManager) move(j *Job, to JobState) {
+	switch to {
+	case Active:
+		m.startedN++
+	case Done:
+		m.CompletedN++
+	case Failed:
+		m.failedN++
+	case Cancelled:
+		m.cancelledN++
+	}
+	j.transition(to)
 }
 
 // jobSpan returns (and removes) the open span for a job reaching a
@@ -211,27 +225,24 @@ func (m *BatchManager) Submit(j *Job) error {
 	wall, err := j.MaxWall()
 	if err != nil {
 		j.FailReason = err
-		j.transition(Failed)
-		m.cFailed.Inc()
+		m.move(j, Failed)
 		span.End(obs.Err(err))
 		return err
 	}
 	if j.Count() > m.Slots {
 		j.FailReason = fmt.Errorf("%w: %d > %d", ErrTooManySlots, j.Count(), m.Slots)
-		j.transition(Failed)
-		m.cFailed.Inc()
+		m.move(j, Failed)
 		span.End(obs.Err(j.FailReason))
 		return j.FailReason
 	}
 	if m.MaxQueue > 0 && len(m.queue) >= m.MaxQueue {
 		j.FailReason = ErrQueueFull
-		j.transition(Failed)
-		m.cFailed.Inc()
+		m.move(j, Failed)
 		span.End(obs.Err(ErrQueueFull))
 		return ErrQueueFull
 	}
 	j.Submitted = m.eng.Now()
-	m.cSubmitted.Inc()
+	m.submittedN++
 	if m.tr != nil {
 		m.jobSpans[j] = span
 	}
@@ -240,7 +251,7 @@ func (m *BatchManager) Submit(j *Job) error {
 	if resID := j.Req.StringDefault("reservation", ""); resID != "" {
 		return m.claim(j, resID, wall)
 	}
-	j.transition(Pending)
+	m.move(j, Pending)
 	m.queue = append(m.queue, j)
 	m.kick()
 	return nil
@@ -285,19 +296,17 @@ func (m *BatchManager) claim(j *Job, resID string, wall time.Duration) error {
 	now := m.eng.Now()
 	if !ok || r.claimed || now >= r.End {
 		j.FailReason = ErrNoReservation
-		j.transition(Failed)
-		m.cFailed.Inc()
+		m.move(j, Failed)
 		m.jobSpan(j).End(obs.Err(ErrNoReservation))
 		return ErrNoReservation
 	}
 	if j.Count() > r.Count {
 		j.FailReason = fmt.Errorf("%w: job wants %d, reservation holds %d", ErrNoReservation, j.Count(), r.Count)
-		j.transition(Failed)
-		m.cFailed.Inc()
+		m.move(j, Failed)
 		m.jobSpan(j).End(obs.Err(j.FailReason))
 		return j.FailReason
 	}
-	j.transition(Pending)
+	m.move(j, Pending)
 	if now >= r.Start {
 		m.startReserved(j, r, wall)
 		return nil
@@ -329,8 +338,7 @@ func (m *BatchManager) start(j *Job, wall time.Duration) {
 	end := endOf(now, wall)
 	wall = end - now // the kill below must land on a representable instant
 	m.running[j] = &commitment{start: now, end: end, count: j.Count()}
-	j.transition(Active)
-	m.cStarted.Inc()
+	m.move(j, Active)
 	m.hWait.Observe(j.WaitTime())
 	m.jobSpans[j].Event("gram.active", obs.Dur("wait", j.WaitTime()))
 	if j.Spec.ActualRun <= wall {
@@ -338,7 +346,6 @@ func (m *BatchManager) start(j *Job, wall time.Duration) {
 	} else {
 		m.eng.Schedule(wall, func() {
 			m.WallKillN++
-			m.cWallKilled.Inc()
 			m.finish(j, Failed, fmt.Errorf("gram: %s exceeded wall limit %v", j.ID, wall))
 		})
 	}
@@ -351,13 +358,7 @@ func (m *BatchManager) finish(j *Job, to JobState, reason error) {
 	delete(m.running, j)
 	j.Ended = m.eng.Now()
 	j.FailReason = reason
-	if to == Done {
-		m.CompletedN++
-		m.cDone.Inc()
-	} else {
-		m.cFailed.Inc()
-	}
-	j.transition(to)
+	m.move(j, to)
 	m.jobSpan(j).End(obs.String("state", to.String()), obs.Err(reason))
 	m.kick()
 }
@@ -370,7 +371,6 @@ func (m *BatchManager) finish(j *Job, to JobState, reason error) {
 // already scheduled for crashed jobs become no-ops.
 func (m *BatchManager) Crash(reason error) {
 	m.CrashN++
-	m.cCrash.Inc()
 	if m.tr != nil {
 		m.tr.Event("gram.crash", obs.String("mgr", m.name), obs.Err(reason))
 	}
@@ -380,8 +380,7 @@ func (m *BatchManager) Crash(reason error) {
 	for _, j := range queued {
 		j.Ended = now
 		j.FailReason = reason
-		j.transition(Failed)
-		m.cFailed.Inc()
+		m.move(j, Failed)
 		m.jobSpan(j).End(obs.String("state", "failed"), obs.Err(reason))
 	}
 	running := make([]*Job, 0, len(m.running))
@@ -393,8 +392,7 @@ func (m *BatchManager) Crash(reason error) {
 		delete(m.running, j)
 		j.Ended = now
 		j.FailReason = reason
-		j.transition(Failed)
-		m.cFailed.Inc()
+		m.move(j, Failed)
 		m.jobSpan(j).End(obs.String("state", "failed"), obs.Err(reason))
 	}
 	m.reservations = make(map[string]*Reservation)
@@ -407,8 +405,7 @@ func (m *BatchManager) Cancel(j *Job) error {
 		if q == j {
 			m.queue = append(m.queue[:i], m.queue[i+1:]...)
 			j.Ended = m.eng.Now()
-			j.transition(Cancelled)
-			m.cCancelled.Inc()
+			m.move(j, Cancelled)
 			m.jobSpan(j).End(obs.String("state", "cancelled"))
 			return nil
 		}
@@ -416,8 +413,7 @@ func (m *BatchManager) Cancel(j *Job) error {
 	if _, ok := m.running[j]; ok {
 		delete(m.running, j)
 		j.Ended = m.eng.Now()
-		j.transition(Cancelled)
-		m.cCancelled.Inc()
+		m.move(j, Cancelled)
 		m.jobSpan(j).End(obs.String("state", "cancelled"))
 		m.kick()
 		return nil
@@ -451,7 +447,6 @@ func (m *BatchManager) kick() {
 				if m.minFree(csNow, now, endOf(now, jw)) >= j.Count() {
 					m.start(j, jw)
 					m.BackfilledN++
-					m.cBackfilled.Inc()
 					continue
 				}
 				rest = append(rest, j)

@@ -65,7 +65,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	}
 	end := int64(t.eng.Now())
 	for _, name := range t.counterNames() {
-		jr := jsonRec{T: "counter", At: end, Name: name, N: t.counters[name].Value()}
+		jr := jsonRec{T: "counter", At: end, Name: name, N: t.Counter(name).Value()}
 		if err := enc.Encode(&jr); err != nil {
 			return err
 		}

@@ -14,6 +14,8 @@
 //   - The nil *Tracer is the off switch: every method (and every method
 //     of the instruments it hands out) is nil-safe and does no work, so
 //     instrumented hot paths cost one branch when tracing is disabled.
+//   - Counters and gauges are pull-style: the tracer holds readers over
+//     the counts components already keep, never a second tally.
 //   - Causality is explicit: the kernel is single-threaded, so the
 //     tracer keeps a single "active" span that Scope installs around a
 //     callback — the span-context handle is passed by value through
@@ -111,7 +113,7 @@ type Tracer struct {
 	log    []rec
 	active SpanContext
 
-	counters   map[string]*Counter
+	counters   map[string][]func() uint64
 	hists      map[string]*Hist
 	gaugeNames []string
 	gaugeFns   []func() float64
@@ -124,7 +126,7 @@ func NewTracer(eng *sim.Engine) *Tracer {
 	}
 	return &Tracer{
 		eng:      eng,
-		counters: make(map[string]*Counter),
+		counters: make(map[string][]func() uint64),
 		hists:    make(map[string]*Hist),
 	}
 }

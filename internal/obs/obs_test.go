@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -68,8 +69,10 @@ func TestNilTracerIsInert(t *testing.T) {
 	ctx.Annotate(Int("n", 1))
 	ctx.Event("e")
 	tr.Event("e2")
-	tr.Counter("c").Inc()
-	tr.Counter("c").Add(10)
+	tr.CounterFunc("c", func() uint64 { return 10 })
+	if v := tr.Counter("c").Value(); v != 0 {
+		t.Errorf("nil tracer counter = %d, want 0", v)
+	}
 	tr.Hist("h").Observe(time.Second)
 	tr.GaugeFunc("g", func() float64 { return 1 })
 	tr.SampleGauges()
@@ -109,14 +112,10 @@ func TestEndIdempotentAndDoubleEnd(t *testing.T) {
 func TestCountersGaugesHists(t *testing.T) {
 	eng := sim.NewEngine(1)
 	tr := NewTracer(eng)
-	c := tr.Counter("net.msgs")
-	c.Inc()
-	c.Add(2)
-	if tr.Counter("net.msgs") != c {
-		t.Error("counter not interned by name")
-	}
-	if c.Value() != 3 {
-		t.Errorf("counter = %d, want 3", c.Value())
+	msgs := uint64(3)
+	tr.CounterFunc("net.msgs", func() uint64 { return msgs })
+	if v := tr.Counter("net.msgs").Value(); v != 3 {
+		t.Errorf("counter = %d, want 3", v)
 	}
 	h := tr.Hist("rtt")
 	h.Observe(100 * time.Millisecond)
@@ -160,12 +159,14 @@ func TestJSONLDeterministic(t *testing.T) {
 		eng := sim.NewEngine(42)
 		tr := NewTracer(eng)
 		tr.BindEngine()
+		steps := 0
+		tr.CounterFunc("steps", func() uint64 { return uint64(steps) })
 		root := tr.Begin("run", String("seed", "42"))
 		for i := 0; i < 5; i++ {
 			i := i
 			tr.Schedule(time.Duration(i)*time.Millisecond, root, func() {
 				s := tr.Begin("step", Int("i", i))
-				tr.Counter("steps").Inc()
+				steps++
 				tr.Hist("lat").Observe(time.Duration(i) * time.Millisecond)
 				s.End()
 			})
@@ -220,7 +221,7 @@ func TestTimelineRenders(t *testing.T) {
 	b := tr.BeginUnder(a, "beta")
 	b.End()
 	a.End()
-	tr.Counter("c").Inc()
+	tr.CounterFunc("c", func() uint64 { return 1 })
 	var buf bytes.Buffer
 	tr.WriteTimeline(&buf, 40)
 	out := buf.String()
@@ -228,5 +229,46 @@ func TestTimelineRenders(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("timeline missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCounterRegistry pins the pull-style counter semantics: readers
+// are read at call time, readers under one name sum, and only names
+// with a reader are exported, in name order.
+func TestCounterRegistry(t *testing.T) {
+	eng := sim.NewEngine(1)
+	tr := NewTracer(eng)
+	if v := tr.Counter("unregistered").Value(); v != 0 {
+		t.Errorf("unregistered counter = %d, want 0", v)
+	}
+	var a, b uint64
+	tr.CounterFunc("sites.b", func() uint64 { return b })
+	tr.CounterFunc("sites.a", func() uint64 { return a })
+	tr.CounterFunc("sites.a", func() uint64 { return 2 * a })
+	a, b = 5, 1 // after registration: readers see it
+	if v := tr.Counter("sites.a").Value(); v != 15 {
+		t.Errorf("summed counter = %d, want 15", v)
+	}
+
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var r struct {
+			T    string `json:"t"`
+			Name string `json:"name"`
+			N    uint64 `json:"n"`
+		}
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("invalid JSONL line %q: %v", line, err)
+		}
+		if r.T == "counter" {
+			got = append(got, fmt.Sprintf("%s=%d", r.Name, r.N))
+		}
+	}
+	if want := "[sites.a=15 sites.b=1]"; fmt.Sprint(got) != want {
+		t.Errorf("counter records = %v, want %s", got, want)
 	}
 }

@@ -7,49 +7,38 @@ import (
 	"repro/internal/metrics"
 )
 
-// Counter is a monotonically increasing count. A nil *Counter (what a
-// nil tracer hands out) is valid and does nothing, so instrumented code
-// holds counters unconditionally and pays one branch when tracing is
-// off.
+// Counter is a read-only handle on a named count. Counters are
+// pull-style, like gauges: a component registers a reader over the
+// field it already keeps (CounterFunc), and the tracer reads it only
+// when asked, so no event is tallied twice.
 type Counter struct {
-	Name string
-	n    uint64
+	t    *Tracer
+	name string
 }
 
-// Inc adds 1.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.n++
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.n += n
-	}
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
+// Value returns the sum of the name's readers now (0 on a nil tracer or
+// an unregistered name).
+func (c Counter) Value() uint64 {
+	if c.t == nil {
 		return 0
 	}
-	return c.n
+	var n uint64
+	for _, fn := range c.t.counters[c.name] {
+		n += fn()
+	}
+	return n
 }
 
-// Counter returns (registering on first use) the named counter, or nil
-// when the tracer is nil.
-func (t *Tracer) Counter(name string) *Counter {
+// Counter returns a handle on the named counter. It registers nothing.
+func (t *Tracer) Counter(name string) Counter { return Counter{t: t, name: name} }
+
+// CounterFunc registers a reader for the named counter. Readers under
+// one name sum, so per-site components each register their own.
+func (t *Tracer) CounterFunc(name string, fn func() uint64) {
 	if t == nil {
-		return nil
+		return
 	}
-	c, ok := t.counters[name]
-	if !ok {
-		c = &Counter{Name: name}
-		t.counters[name] = c
-	}
-	return c
+	t.counters[name] = append(t.counters[name], fn)
 }
 
 // Hist is a histogram of virtual-time durations (span latencies, queue

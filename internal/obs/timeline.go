@@ -85,7 +85,7 @@ func (t *Tracer) WriteTimeline(w io.Writer, width int) {
 	if len(t.counters) > 0 {
 		tbl := metrics.NewTable("counter", "value")
 		for _, name := range t.counterNames() {
-			tbl.AddRow(name, fmt.Sprint(t.counters[name].Value()))
+			tbl.AddRow(name, fmt.Sprint(t.Counter(name).Value()))
 		}
 		fmt.Fprintln(w)
 		tbl.Render(w)

@@ -65,8 +65,6 @@ type Breaker struct {
 
 	// TripsN / ReclosesN count state transitions as plain ints.
 	TripsN, ReclosesN int
-
-	cTrips, cRecloses *obs.Counter
 }
 
 // NewBreaker builds a closed breaker over the engine clock.
@@ -74,14 +72,10 @@ func NewBreaker(eng *sim.Engine, name string, cfg BreakerConfig, tr *obs.Tracer)
 	if eng == nil {
 		panic("resilience: nil engine")
 	}
-	return &Breaker{
-		name:      name,
-		eng:       eng,
-		cfg:       cfg.withDefaults(),
-		state:     StateClosed,
-		cTrips:    tr.Counter("resilience.breaker.trips"),
-		cRecloses: tr.Counter("resilience.breaker.recloses"),
-	}
+	b := &Breaker{name: name, eng: eng, cfg: cfg.withDefaults(), state: StateClosed}
+	tr.CounterFunc("resilience.breaker.trips", func() uint64 { return uint64(b.TripsN) })
+	tr.CounterFunc("resilience.breaker.recloses", func() uint64 { return uint64(b.ReclosesN) })
+	return b
 }
 
 // Name returns the breaker's target name ("" on nil).
@@ -165,7 +159,6 @@ func (b *Breaker) Success() {
 			b.state = StateClosed
 			b.consecFails = 0
 			b.ReclosesN++
-			b.cRecloses.Inc()
 		}
 	}
 }
@@ -207,7 +200,6 @@ func (b *Breaker) trip() {
 	b.openedAt = b.eng.Now()
 	b.consecFails = 0
 	b.TripsN++
-	b.cTrips.Inc()
 }
 
 // BreakerSet is the per-site breaker registry one federation shares: all

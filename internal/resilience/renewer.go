@@ -53,8 +53,7 @@ type Renewer struct {
 	// abandoned (budget or attempts exhausted before expiry).
 	RenewedN, GiveupsN int
 
-	tr                *obs.Tracer
-	cRenewed, cGiveup *obs.Counter
+	tr *obs.Tracer
 }
 
 // NewRenewer builds a renewer that retries through ex. The tracer may be
@@ -69,15 +68,10 @@ func NewRenewer(eng *sim.Engine, ex *Executor, cfg RenewerConfig, tr *obs.Tracer
 	if cfg.Lead <= 0 || cfg.Lead >= 1 {
 		cfg.Lead = 0.25
 	}
-	return &Renewer{
-		eng:      eng,
-		ex:       ex,
-		cfg:      cfg,
-		items:    make(map[string]*renewal),
-		tr:       tr,
-		cRenewed: tr.Counter("resilience.renewals"),
-		cGiveup:  tr.Counter("resilience.renewals.abandoned"),
-	}
+	r := &Renewer{eng: eng, ex: ex, cfg: cfg, items: make(map[string]*renewal), tr: tr}
+	tr.CounterFunc("resilience.renewals", func() uint64 { return uint64(r.RenewedN) })
+	tr.CounterFunc("resilience.renewals.abandoned", func() uint64 { return uint64(r.GiveupsN) })
+	return r
 }
 
 // Track starts keepalive for a claim expiring at notAfter with the given
@@ -154,11 +148,9 @@ func (r *Renewer) cycle(it *renewal, gen int) {
 			}
 			if err != nil {
 				r.GiveupsN++
-				r.cGiveup.Inc()
 				return
 			}
 			r.RenewedN++
-			r.cRenewed.Inc()
 			it.notAfter = target
 			r.arm(it)
 		})

@@ -146,8 +146,10 @@ type Executor struct {
 	pol Policy
 
 	// AttemptsN / RetriesN / OKN / FailN count outcomes as plain ints so
-	// chaos summaries do not depend on whether tracing is on.
+	// chaos summaries do not depend on whether tracing is on; fastFailN
+	// counts attempts an open breaker refused.
 	AttemptsN, RetriesN, OKN, FailN int
+	fastFailN                       int
 
 	// inflight tracks active retry loops. The per-loop state machine
 	// (attempt number, settled flag, deadline handle) lives on doCall
@@ -155,9 +157,7 @@ type Executor struct {
 	// restore it exactly (see sim/snap.go).
 	inflight map[*doCall]struct{}
 
-	tr                              *obs.Tracer
-	cAttempts, cRetries, cOK, cFail *obs.Counter
-	cFastFail                       *obs.Counter
+	tr *obs.Tracer
 }
 
 // NewExecutor builds an executor over the engine's virtual clock. The
@@ -170,18 +170,19 @@ func NewExecutor(eng *sim.Engine, rng *rand.Rand, pol Policy, tr *obs.Tracer) *E
 	if rng == nil {
 		panic("resilience: nil rand source (fork one from the engine)")
 	}
-	return &Executor{
-		eng:       eng,
-		rng:       rng,
-		pol:       pol.withDefaults(),
-		inflight:  make(map[*doCall]struct{}),
-		tr:        tr,
-		cAttempts: tr.Counter("resilience.attempts"),
-		cRetries:  tr.Counter("resilience.retries"),
-		cOK:       tr.Counter("resilience.ok"),
-		cFail:     tr.Counter("resilience.giveups"),
-		cFastFail: tr.Counter("resilience.breaker.fastfail"),
+	e := &Executor{
+		eng:      eng,
+		rng:      rng,
+		pol:      pol.withDefaults(),
+		inflight: make(map[*doCall]struct{}),
+		tr:       tr,
 	}
+	tr.CounterFunc("resilience.attempts", func() uint64 { return uint64(e.AttemptsN) })
+	tr.CounterFunc("resilience.retries", func() uint64 { return uint64(e.RetriesN) })
+	tr.CounterFunc("resilience.ok", func() uint64 { return uint64(e.OKN) })
+	tr.CounterFunc("resilience.giveups", func() uint64 { return uint64(e.FailN) })
+	tr.CounterFunc("resilience.breaker.fastfail", func() uint64 { return uint64(e.fastFailN) })
+	return e
 }
 
 // Policy returns a copy of the executor's default policy, for callers
@@ -240,10 +241,8 @@ func (c *doCall) finish(err error) {
 	delete(c.e.inflight, c)
 	if err == nil {
 		c.e.OKN++
-		c.e.cOK.Inc()
 	} else {
 		c.e.FailN++
-		c.e.cFail.Inc()
 	}
 	c.span.End(obs.Int("attempts", c.attempts), obs.Err(err))
 	c.done(err)
@@ -256,13 +255,12 @@ func (c *doCall) attempt(n int) {
 	c.deadline = sim.Event{}
 	settle := func(opErr error) { c.settle(n, opErr) }
 	if !c.br.Allow() {
-		c.e.cFastFail.Inc()
+		c.e.fastFailN++
 		settle(fmt.Errorf("%w: %s", ErrBreakerOpen, c.br.Name()))
 		return
 	}
 	c.admitted = true
 	c.e.AttemptsN++
-	c.e.cAttempts.Inc()
 	if c.pol.AttemptTimeout > 0 {
 		c.deadline = c.e.eng.Schedule(c.pol.AttemptTimeout, func() {
 			c.settle(n, ErrAttemptTimeout)
@@ -309,7 +307,6 @@ func (c *doCall) settle(n int, opErr error) {
 		return
 	}
 	e.RetriesN++
-	e.cRetries.Inc()
 	e.schedule(delay, c.span, func() { c.attempt(n + 1) })
 }
 

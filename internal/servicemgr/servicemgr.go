@@ -76,28 +76,29 @@ type Manager struct {
 	TrustReportErrs int
 
 	// RedeployN counts failure-driven redeployments; LeaseLapsedN counts
-	// PoPs torn down because their lease expired under them; DegradedTime
-	// accumulates time spent below Target strength.
+	// PoPs torn down because their lease expired under them; siteFailN
+	// counts SiteFailed reports; DegradedTime accumulates time spent
+	// below Target strength.
 	RedeployN     int
 	LeaseLapsedN  int
+	siteFailN     int
 	DegradedTime  time.Duration
 	degraded      bool
 	degradedSince time.Duration
 	started       bool
 
-	// Observability handles (inert when no tracer is installed).
-	tr                     *obs.Tracer
-	cRedeploys, cFailovers *obs.Counter
-	cLapses                *obs.Counter
+	// tr records spans when installed (nil: tracing off).
+	tr *obs.Tracer
 }
 
-// SetTracer installs an observability tracer. A nil tracer (the default)
-// keeps every instrumentation point inert.
+// SetTracer installs an observability tracer, which reads the repair
+// counts as svc.* counters. A nil tracer (the default) keeps every
+// instrumentation point inert.
 func (m *Manager) SetTracer(tr *obs.Tracer) {
 	m.tr = tr
-	m.cRedeploys = tr.Counter("svc.redeploys")
-	m.cFailovers = tr.Counter("svc.site_failures")
-	m.cLapses = tr.Counter("svc.lease_lapses")
+	tr.CounterFunc("svc.redeploys", func() uint64 { return uint64(m.RedeployN) })
+	tr.CounterFunc("svc.site_failures", func() uint64 { return uint64(m.siteFailN) })
+	tr.CounterFunc("svc.lease_lapses", func() uint64 { return uint64(m.LeaseLapsedN) })
 	tr.GaugeFunc("svc."+m.cfg.Name+".running", func() float64 { return float64(m.Running()) })
 }
 
@@ -317,7 +318,6 @@ func (m *Manager) leaseExpired(site string, exp time.Duration) {
 	restore := m.tr.EnterScope(span)
 	defer restore()
 	m.LeaseLapsedN++
-	m.cLapses.Inc()
 	m.vacate(site)
 	m.accountStrength()
 	span.End()
@@ -428,7 +428,7 @@ func (m *Manager) SiteFailed(site string) (string, error) {
 	}
 	restore := m.tr.EnterScope(span)
 	defer restore()
-	m.cFailovers.Inc()
+	m.siteFailN++
 	m.downAt[site] = m.eng.Now()
 	if _, ok := m.active[site]; ok {
 		m.vacate(site)
@@ -452,7 +452,6 @@ func (m *Manager) SiteFailed(site string) (string, error) {
 		}
 		if m.tryDeploy(cand) {
 			m.RedeployN++
-			m.cRedeploys.Inc()
 			m.accountStrength()
 			span.End(obs.String("replacement", cand))
 			return cand, nil
@@ -506,7 +505,6 @@ func (m *Manager) Reconcile() int {
 		}
 		if m.tryDeploy(cand) {
 			m.RedeployN++
-			m.cRedeploys.Inc()
 			n++
 		}
 	}

@@ -350,11 +350,13 @@ type Authority struct {
 	recordOf  map[string]leaseHandle
 	compact   bool
 
-	// IssuedN, RedeemOK, RedeemConflict count outcomes for E9;
+	// IssuedN, RedeemOK, RedeemConflict count outcomes for E9, and
+	// IssueRej/RedeemRej the issue and redeem requests refused outright;
 	// RenewOK/RenewRej count lease renewals. ReplayRejN counts redeems
 	// and renewals rejected by the replay cache — the byzantine sweeps'
 	// double-spend evidence.
 	IssuedN, RedeemOK, RedeemConflict int
+	IssueRej, RedeemRej               int
 	RenewOK, RenewRej                 int
 	ReplayRejN                        int
 
@@ -364,11 +366,8 @@ type Authority struct {
 	// gates assert on deterministically.
 	BatchSigN, BatchVerifiedN int
 
-	// Observability handles (inert when no tracer is installed).
-	tr                                     *obs.Tracer
-	cIssued, cIssueRejected                *obs.Counter
-	cRedeemOK, cRedeemConflict, cRedeemRej *obs.Counter
-	cRenewOK, cRenewRej                    *obs.Counter
+	// tr records spans when installed (nil: tracing off).
+	tr *obs.Tracer
 }
 
 // LeaseRecord is the authority-side audit entry for one granted lease: the
@@ -468,17 +467,18 @@ func (a *Authority) SigCacheStats() (hits, misses, evictions int) {
 // Key returns the authority's public key (peers pin this).
 func (a *Authority) Key() ed25519.PublicKey { return a.signer.Public() }
 
-// SetTracer installs an observability tracer. A nil tracer (the default)
-// keeps every instrumentation point inert.
+// SetTracer installs an observability tracer, which reads the outcome
+// counts as sharp.* counters. A nil tracer (the default) keeps every
+// instrumentation point inert.
 func (a *Authority) SetTracer(tr *obs.Tracer) {
 	a.tr = tr
-	a.cIssued = tr.Counter("sharp.tickets.issued")
-	a.cIssueRejected = tr.Counter("sharp.tickets.rejected")
-	a.cRedeemOK = tr.Counter("sharp.redeem.ok")
-	a.cRedeemConflict = tr.Counter("sharp.redeem.conflict")
-	a.cRedeemRej = tr.Counter("sharp.redeem.rejected")
-	a.cRenewOK = tr.Counter("sharp.renew.ok")
-	a.cRenewRej = tr.Counter("sharp.renew.rejected")
+	tr.CounterFunc("sharp.tickets.issued", func() uint64 { return uint64(a.IssuedN) })
+	tr.CounterFunc("sharp.tickets.rejected", func() uint64 { return uint64(a.IssueRej) })
+	tr.CounterFunc("sharp.redeem.ok", func() uint64 { return uint64(a.RedeemOK) })
+	tr.CounterFunc("sharp.redeem.conflict", func() uint64 { return uint64(a.RedeemConflict) })
+	tr.CounterFunc("sharp.redeem.rejected", func() uint64 { return uint64(a.RedeemRej) })
+	tr.CounterFunc("sharp.renew.ok", func() uint64 { return uint64(a.RenewOK) })
+	tr.CounterFunc("sharp.renew.rejected", func() uint64 { return uint64(a.RenewRej) })
 }
 
 // SetClockSkew skews the authority's validity clock: Redeem verifies
@@ -523,18 +523,17 @@ func (a *Authority) IssueTicket(holderName string, holderKey ed25519.PublicKey, 
 			obs.String("site", a.Site), obs.String("holder", holderName),
 			obs.String("type", typ.String()), obs.Float("amount", amount))
 	}
-	if !amountWithin(amount, math.MaxFloat64) || notAfter <= notBefore {
-		a.cIssueRejected.Inc()
-		err := fmt.Errorf("sharp: bad issue request (amount %v, interval [%v,%v))", amount, notBefore, notAfter)
+	reject := func(err error) (*Ticket, error) {
+		a.IssueRej++
 		span.End(obs.Err(err))
 		return nil, err
 	}
+	if !amountWithin(amount, math.MaxFloat64) || notAfter <= notBefore {
+		return reject(fmt.Errorf("sharp: bad issue request (amount %v, interval [%v,%v))", amount, notBefore, notAfter))
+	}
 	budget := a.capacity[typ] * a.OversellFactor
 	if a.issued[typ]+amount > budget {
-		a.cIssueRejected.Inc()
-		err := fmt.Errorf("%w: issued %.1f + %.1f > %.1f", ErrOverIssue, a.issued[typ], amount, budget)
-		span.End(obs.Err(err))
-		return nil, err
+		return reject(fmt.Errorf("%w: issued %.1f + %.1f > %.1f", ErrOverIssue, a.issued[typ], amount, budget))
 	}
 	a.issued[typ] += amount
 	a.serial++
@@ -552,7 +551,6 @@ func (a *Authority) IssueTicket(holderName string, holderKey ed25519.PublicKey, 
 	}
 	c.Sig = a.signer.Sign(c.tbs())
 	a.IssuedN++
-	a.cIssued.Inc()
 	span.End(obs.Int("serial", int(a.serial)))
 	return &Ticket{Chain: []Claim{c}}, nil
 }
@@ -575,32 +573,27 @@ func (a *Authority) Redeem(t *Ticket) (*Lease, error) {
 		}
 		span = a.tr.Begin("sharp.redeem", attrs...)
 	}
-	now := a.eng.Now() + a.skew
-	if t.Root() != nil && t.Root().Site != a.Site {
-		a.cRedeemRej.Inc()
-		span.End(obs.Err(ErrWrongSite))
-		return nil, ErrWrongSite
-	}
-	if err := t.verify(a.signer.Public(), now, a.sigCache); err != nil {
-		a.cRedeemRej.Inc()
+	reject := func(err error) (*Lease, error) {
+		a.RedeemRej++
 		span.End(obs.Err(err))
 		return nil, err
+	}
+	now := a.eng.Now() + a.skew
+	if t.Root() != nil && t.Root().Site != a.Site {
+		return reject(ErrWrongSite)
+	}
+	if err := t.verify(a.signer.Public(), now, a.sigCache); err != nil {
+		return reject(err)
 	}
 	leaf := t.Leaf()
 	if leaf.NotAfter-now <= RedeemGrace {
-		a.cRedeemRej.Inc()
-		err := fmt.Errorf("%w: %v left of ticket term is inside the %v redeem grace",
-			ErrExpired, leaf.NotAfter-now, RedeemGrace)
-		span.End(obs.Err(err))
-		return nil, err
+		return reject(fmt.Errorf("%w: %v left of ticket term is inside the %v redeem grace",
+			ErrExpired, leaf.NotAfter-now, RedeemGrace))
 	}
 	h := leaf.Hash()
 	if a.replay.seen(h) {
 		a.ReplayRejN++
-		a.cRedeemRej.Inc()
-		err := fmt.Errorf("%w (%w): leaf serial %d", ErrReplayed, ErrDoubleSpend, leaf.Serial)
-		span.End(obs.Err(err))
-		return nil, err
+		return reject(fmt.Errorf("%w (%w): leaf serial %d", ErrReplayed, ErrDoubleSpend, leaf.Serial))
 	}
 	cap_, err := a.nm.Mint(capability.MintRequest{
 		Type:      leaf.Type,
@@ -611,7 +604,6 @@ func (a *Authority) Redeem(t *Ticket) (*Lease, error) {
 	})
 	if err != nil {
 		a.RedeemConflict++
-		a.cRedeemConflict.Inc()
 		err = fmt.Errorf("%w: %v", ErrConflict, err)
 		span.End(obs.Err(err))
 		return nil, err
@@ -638,7 +630,6 @@ func (a *Authority) Redeem(t *Ticket) (*Lease, error) {
 	}
 	a.recordOf[lease.ID] = hd
 	a.liveN++
-	a.cRedeemOK.Inc()
 	span.End(obs.String("lease", lease.ID))
 	return lease, nil
 }
@@ -713,7 +704,6 @@ func (a *Authority) Renew(leaseID string, tickets ...*Ticket) (*Lease, error) {
 	}
 	fail := func(err error) (*Lease, error) {
 		a.RenewRej++
-		a.cRenewRej.Inc()
 		span.End(obs.Err(err))
 		return nil, err
 	}
@@ -785,7 +775,6 @@ func (a *Authority) Renew(leaseID string, tickets ...*Ticket) (*Lease, error) {
 	rec.Renewals++
 	rec.LastRenewedAt = a.eng.Now()
 	a.RenewOK++
-	a.cRenewOK.Inc()
 	span.End(obs.Dur("not_after", target))
 	return lease, nil
 }

@@ -121,8 +121,8 @@ func TestAbortSettlesBytesSent(t *testing.T) {
 // TestFlowCounterConservation drives seeded churn through every flow
 // exit path — completion, host-down kill, partition kill, user abort —
 // and checks the conservation identity the counters must maintain:
-// started = done + failed + aborted + active. Before the cFlowAbort
-// counter, user aborts leaked out of the identity entirely.
+// started = done + failed + aborted + active. Before the aborted
+// count, user aborts leaked out of the identity entirely.
 func TestFlowCounterConservation(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		eng := sim.NewEngine(seed)
@@ -164,11 +164,11 @@ func TestFlowCounterConservation(t *testing.T) {
 		})
 		eng.RunUntil(5 * time.Minute)
 
-		started := n.cFlowStart.Value()
-		balance := n.cFlowDone.Value() + n.cFlowFail.Value() + n.cFlowAbort.Value() + uint64(n.ActiveFlows())
-		if started != balance {
+		count := func(name string) uint64 { return n.Tracer().Counter("net.flows." + name).Value() }
+		started, done, failed, aborted := count("started"), count("done"), count("failed"), count("aborted")
+		if started != done+failed+aborted+uint64(n.ActiveFlows()) {
 			t.Fatalf("seed %d: started=%d ≠ done=%d + failed=%d + aborted=%d + active=%d",
-				seed, started, n.cFlowDone.Value(), n.cFlowFail.Value(), n.cFlowAbort.Value(), n.ActiveFlows())
+				seed, started, done, failed, aborted, n.ActiveFlows())
 		}
 		if started == 0 {
 			t.Fatalf("seed %d: no flows started, test is vacuous", seed)

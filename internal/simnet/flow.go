@@ -128,7 +128,6 @@ func (n *Network) StartFlow(from, to string, bytes float64, opts FlowOpts, onDon
 		}
 	}
 	n.active[f] = struct{}{}
-	n.cFlowStart.Inc()
 	if n.tr != nil {
 		f.span = n.tr.Begin("net.flow",
 			obs.String("from", from), obs.String("to", to),
@@ -285,7 +284,7 @@ func (f *Flow) streamDone(c *sim.FluidConsumer) {
 		f.done = true
 		f.ended = f.net.eng.Now()
 		delete(f.net.active, f)
-		f.net.cFlowDone.Inc()
+		f.net.flowsDone++
 		f.span.End()
 		if f.OnDone != nil {
 			f.OnDone(f)
@@ -329,7 +328,7 @@ func (f *Flow) fail(err error) {
 	if f.done || f.aborted {
 		return
 	}
-	f.net.cFlowFail.Inc()
+	f.net.flowsFailed++
 	f.span.Annotate(obs.Err(err))
 	f.abort()
 	if f.OnFail != nil {
@@ -344,7 +343,7 @@ func (f *Flow) Abort() {
 	if f.done || f.aborted {
 		return
 	}
-	f.net.cFlowAbort.Inc()
+	f.net.flowsAborted++
 	f.abort()
 }
 

@@ -101,20 +101,16 @@ type Network struct {
 	// MTU is the TCP segment size used by the Mathis throughput model.
 	MTU float64
 
-	// Trace, when non-nil, receives a line per control-plane delivery.
-	Trace func(format string, args ...any)
+	// Messages dropped, by cause; calls settled by timeout or refusal;
+	// data flows by outcome (flowSeq counts the started ones).
+	dropLoss, dropPartition, dropDown    uint64
+	callTimeout, callRefused             uint64
+	flowsDone, flowsFailed, flowsAborted uint64
 
-	// tr, when non-nil, records causal spans and counters for every
-	// control-plane message and data flow. All counter handles below are
-	// nil (and inert) when tracing is off, so the hot paths pay only a
-	// nil check.
-	tr                                   *obs.Tracer
-	cSent, cRecv                         *obs.Counter
-	cDropLoss, cDropPartition, cDropDown *obs.Counter
-	cCallTimeout, cCallRefused           *obs.Counter
-	cFlowStart, cFlowDone                *obs.Counter
-	cFlowFail, cFlowAbort                *obs.Counter
-	hCallRTT                             *obs.Hist
+	// tr, when non-nil, records causal spans for every control-plane
+	// message and data flow, and reads the counts above as net.* counters.
+	tr       *obs.Tracer
+	hCallRTT *obs.Hist
 }
 
 // New returns an empty network bound to the engine.
@@ -139,35 +135,42 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 
 // SetTracer installs (or, with nil, removes) the observability layer:
 // control-plane sends and calls become causally linked spans, and the
-// message/flow/drop counters register on the tracer's registry.
+// message/flow/drop counts register as counters on the tracer.
 func (n *Network) SetTracer(tr *obs.Tracer) {
 	n.tr = tr
-	n.cSent = tr.Counter("net.msgs_sent")
-	n.cRecv = tr.Counter("net.msgs_recv")
-	n.cDropLoss = tr.Counter("net.drop.loss")
-	n.cDropPartition = tr.Counter("net.drop.partition")
-	n.cDropDown = tr.Counter("net.drop.host_down")
-	n.cCallTimeout = tr.Counter("net.call.timeout")
-	n.cCallRefused = tr.Counter("net.call.refused")
-	n.cFlowStart = tr.Counter("net.flows.started")
-	n.cFlowDone = tr.Counter("net.flows.done")
-	n.cFlowFail = tr.Counter("net.flows.failed")
-	n.cFlowAbort = tr.Counter("net.flows.aborted")
+	tr.CounterFunc("net.msgs_sent", func() uint64 { return n.sumHosts(func(h *Host) uint64 { return h.MsgsSent }) })
+	tr.CounterFunc("net.msgs_recv", func() uint64 { return n.sumHosts(func(h *Host) uint64 { return h.MsgsRecv }) })
+	tr.CounterFunc("net.drop.loss", func() uint64 { return n.dropLoss })
+	tr.CounterFunc("net.drop.partition", func() uint64 { return n.dropPartition })
+	tr.CounterFunc("net.drop.host_down", func() uint64 { return n.dropDown })
+	tr.CounterFunc("net.call.timeout", func() uint64 { return n.callTimeout })
+	tr.CounterFunc("net.call.refused", func() uint64 { return n.callRefused })
+	tr.CounterFunc("net.flows.started", func() uint64 { return n.flowSeq })
+	tr.CounterFunc("net.flows.done", func() uint64 { return n.flowsDone })
+	tr.CounterFunc("net.flows.failed", func() uint64 { return n.flowsFailed })
+	tr.CounterFunc("net.flows.aborted", func() uint64 { return n.flowsAborted })
 	n.hCallRTT = tr.Hist("net.call.rtt")
 }
 
 // Tracer returns the installed tracer (nil when tracing is off).
 func (n *Network) Tracer() *obs.Tracer { return n.tr }
 
-// dropCounter maps a deliverability error to its drop counter.
-func (n *Network) dropCounter(err error) *obs.Counter {
+// sumHosts totals one per-host count over every host.
+func (n *Network) sumHosts(count func(*Host) uint64) uint64 {
+	var sum uint64
+	for _, h := range n.hosts {
+		sum += count(h)
+	}
+	return sum
+}
+
+// countDrop counts a message refused by deliverable, by cause.
+func (n *Network) countDrop(err error) {
 	switch {
 	case errors.Is(err, ErrPartitioned):
-		return n.cDropPartition
+		n.dropPartition++
 	case errors.Is(err, ErrHostDown):
-		return n.cDropDown
-	default:
-		return nil
+		n.dropDown++
 	}
 }
 
@@ -410,14 +413,13 @@ func (n *Network) Send(from, to, service string, msg any) {
 	a, b := n.hosts[from], n.hosts[to]
 	lat, err := n.deliverable(a, b)
 	if err != nil {
-		n.dropCounter(err).Inc()
+		n.countDrop(err)
 		return
 	}
 	span := n.msgSpan("net.send", from, to, service)
 	a.MsgsSent++
-	n.cSent.Inc()
 	if n.rng.Float64() < n.Loss(a.Site, b.Site) {
-		n.cDropLoss.Inc()
+		n.dropLoss++
 		span.End(obs.String("drop", "loss"))
 		return // dropped in flight
 	}
@@ -442,19 +444,15 @@ func (n *Network) msgSpan(name, from, to, service string) obs.SpanContext {
 func (n *Network) deliver(a, b *Host, span obs.SpanContext, service string, msg any) {
 	if b.downFlag || n.Partitioned(a.Site, b.Site) {
 		if b.downFlag {
-			n.cDropDown.Inc()
+			n.dropDown++
 			span.End(obs.String("drop", "host_down"))
 		} else {
-			n.cDropPartition.Inc()
+			n.dropPartition++
 			span.End(obs.String("drop", "partition"))
 		}
 		return
 	}
 	b.MsgsRecv++
-	n.cRecv.Inc()
-	if n.Trace != nil {
-		n.Trace("%v  %s -> %s  %s", n.eng.Now(), a.Name, b.Name, service)
-	}
 	if fn, ok := b.handlers[service]; ok {
 		// The handler runs under the delivery span, so spans it opens
 		// (and messages it sends) are causal children of this message.
@@ -478,7 +476,7 @@ func (n *Network) Call(from, to, service string, req any, timeout time.Duration,
 	a, b := n.hosts[from], n.hosts[to]
 	lat, err := n.deliverable(a, b)
 	if err != nil {
-		n.dropCounter(err).Inc()
+		n.countDrop(err)
 		n.eng.Schedule(0, func() { done(nil, err) })
 		return
 	}
@@ -488,9 +486,8 @@ func (n *Network) Call(from, to, service string, req any, timeout time.Duration,
 		c.timeoutEv = n.eng.Schedule(timeout, func() { c.finish(nil, ErrTimeout) })
 	}
 	a.MsgsSent++
-	n.cSent.Inc()
 	if n.rng.Float64() < n.Loss(a.Site, b.Site) {
-		n.cDropLoss.Inc()
+		n.dropLoss++
 		if timeout <= 0 {
 			c.drop() // nothing can ever settle it
 		}
@@ -498,28 +495,22 @@ func (n *Network) Call(from, to, service string, req any, timeout time.Duration,
 	}
 	n.eng.Schedule(lat, func() {
 		if b.downFlag {
-			n.cDropDown.Inc()
+			n.dropDown++
 			return
 		}
 		b.MsgsRecv++
-		n.cRecv.Inc()
-		if n.Trace != nil {
-			n.Trace("%v  %s -> %s  %s (call)", n.eng.Now(), from, to, service)
-		}
 		fn, ok := b.handlers[service]
 		if !ok {
 			// "Connection refused" is observable, unlike loss, so no loss
 			// draw — but the reply is still a control message travelling
 			// back, so it is counted and a crashed caller never sees it.
 			b.MsgsSent++
-			n.cSent.Inc()
 			n.eng.Schedule(lat, func() {
 				if a.downFlag {
-					n.cDropDown.Inc()
+					n.dropDown++
 					return
 				}
 				a.MsgsRecv++
-				n.cRecv.Inc()
 				c.finish(nil, ErrNoHandler)
 			})
 			return
@@ -534,9 +525,8 @@ func (n *Network) Call(from, to, service string, req any, timeout time.Duration,
 			resp, herr = fn(from, req)
 		}
 		b.MsgsSent++
-		n.cSent.Inc()
 		if n.rng.Float64() < n.Loss(a.Site, b.Site) {
-			n.cDropLoss.Inc()
+			n.dropLoss++
 			if timeout <= 0 {
 				c.drop() // response lost with no timeout: never settles
 			}
@@ -544,11 +534,10 @@ func (n *Network) Call(from, to, service string, req any, timeout time.Duration,
 		}
 		n.eng.Schedule(lat, func() {
 			if a.downFlag {
-				n.cDropDown.Inc()
+				n.dropDown++
 				return
 			}
 			a.MsgsRecv++
-			n.cRecv.Inc()
 			c.finish(resp, herr)
 		})
 	})
@@ -577,13 +566,13 @@ func (c *call) finish(resp any, err error) {
 	// Cancel the pending timeout so completed calls do not leave dead
 	// events in the heap (Cancel on the fired timeout is a no-op).
 	c.n.eng.Cancel(c.timeoutEv)
+	switch {
+	case errors.Is(err, ErrTimeout):
+		c.n.callTimeout++
+	case errors.Is(err, ErrNoHandler):
+		c.n.callRefused++
+	}
 	if c.n.tr != nil {
-		switch {
-		case errors.Is(err, ErrTimeout):
-			c.n.cCallTimeout.Inc()
-		case errors.Is(err, ErrNoHandler):
-			c.n.cCallRefused.Inc()
-		}
 		c.n.hCallRTT.Observe(c.n.eng.Now() - c.start)
 		c.span.End(obs.Err(err))
 	}

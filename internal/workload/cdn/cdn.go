@@ -130,8 +130,7 @@ type Scenario struct {
 
 	Stats Stats
 
-	tr                 *obs.Tracer
-	cHit, cMiss, cFail *obs.Counter
+	tr *obs.Tracer
 }
 
 func proxyName(i int) string { return fmt.Sprintf("p%d", i) }
@@ -147,9 +146,9 @@ func New(seed int64, cfg Config, profile faultlab.Profile, horizon time.Duration
 	s := &Scenario{Eng: eng, Net: net, cfg: cfg, rng: eng.ForkRand()}
 	s.tr = obs.NewTracer(eng)
 	net.SetTracer(s.tr)
-	s.cHit = s.tr.Counter("cdn.hits")
-	s.cMiss = s.tr.Counter("cdn.misses")
-	s.cFail = s.tr.Counter("cdn.fetch_failed")
+	s.tr.CounterFunc("cdn.hits", func() uint64 { return uint64(s.Stats.Hits + s.Stats.Coalesced) })
+	s.tr.CounterFunc("cdn.misses", func() uint64 { return uint64(s.Stats.Fetches) })
+	s.tr.CounterFunc("cdn.fetch_failed", func() uint64 { return uint64(s.Stats.Failed) })
 
 	net.AddSite("origin", 0, 0)
 	net.AddHost("origin", "origin", cfg.OriginBps)
@@ -191,13 +190,10 @@ func (s *Scenario) arrive() {
 	switch {
 	case s.cache[p][obj]:
 		s.Stats.Hits++
-		s.cHit.Inc()
 	case s.inflight[p][obj] != nil:
 		s.inflight[p][obj].waiters++
 		s.Stats.Coalesced++
-		s.cHit.Inc()
 	default:
-		s.cMiss.Inc()
 		s.startFetch(p, obj)
 	}
 }
@@ -239,7 +235,6 @@ func (s *Scenario) startFetch(p, obj int) {
 	if err != nil {
 		// Refused outright (partitioned or relay down at start).
 		s.Stats.Failed++
-		s.cFail.Inc()
 		ft.span.End(obs.Err(err))
 		return
 	}
@@ -260,7 +255,6 @@ func (s *Scenario) fetchDone(ft *fetch) {
 func (s *Scenario) fetchFail(ft *fetch, err error) {
 	delete(s.inflight[ft.proxy], ft.obj)
 	s.Stats.Failed++
-	s.cFail.Inc()
 	ft.span.End(obs.Err(err))
 }
 

@@ -109,7 +109,7 @@ func TestForkVsColdCDN(t *testing.T) {
 				var b bytes.Buffer
 				fmt.Fprintf(&b, "%+v\n", s.Stats)
 				fmt.Fprintf(&b, "hits=%d misses=%d failed=%d\n",
-					s.cHit.Value(), s.cMiss.Value(), s.cFail.Value())
+					s.tr.Counter("cdn.hits").Value(), s.tr.Counter("cdn.misses").Value(), s.tr.Counter("cdn.fetch_failed").Value())
 				fmt.Fprintf(&b, "faults applied=%d revoked=%d\n", s.Inj.AppliedN, s.Inj.RevokedN)
 				for p := range s.cache {
 					fmt.Fprintf(&b, "p%d cached=%d\n", p, len(s.cache[p]))
