@@ -72,9 +72,16 @@ func NewBreaker(eng *sim.Engine, name string, cfg BreakerConfig, tr *obs.Tracer)
 	if eng == nil {
 		panic("resilience: nil engine")
 	}
-	b := &Breaker{name: name, eng: eng, cfg: cfg.withDefaults(), state: StateClosed}
-	tr.CounterFunc("resilience.breaker.trips", func() uint64 { return uint64(b.TripsN) })
-	tr.CounterFunc("resilience.breaker.recloses", func() uint64 { return uint64(b.ReclosesN) })
+	b := &Breaker{
+		name:  name,
+		eng:   eng,
+		cfg:   cfg.withDefaults(),
+		state: StateClosed,
+	}
+	if tr != nil { // an untraced run allocates no readers
+		tr.CounterFunc("resilience.breaker.trips", func() uint64 { return uint64(b.TripsN) })
+		tr.CounterFunc("resilience.breaker.recloses", func() uint64 { return uint64(b.ReclosesN) })
+	}
 	return b
 }
 

@@ -68,9 +68,17 @@ func NewRenewer(eng *sim.Engine, ex *Executor, cfg RenewerConfig, tr *obs.Tracer
 	if cfg.Lead <= 0 || cfg.Lead >= 1 {
 		cfg.Lead = 0.25
 	}
-	r := &Renewer{eng: eng, ex: ex, cfg: cfg, items: make(map[string]*renewal), tr: tr}
-	tr.CounterFunc("resilience.renewals", func() uint64 { return uint64(r.RenewedN) })
-	tr.CounterFunc("resilience.renewals.abandoned", func() uint64 { return uint64(r.GiveupsN) })
+	r := &Renewer{
+		eng:   eng,
+		ex:    ex,
+		cfg:   cfg,
+		items: make(map[string]*renewal),
+		tr:    tr,
+	}
+	if tr != nil { // an untraced run allocates no readers
+		tr.CounterFunc("resilience.renewals", func() uint64 { return uint64(r.RenewedN) })
+		tr.CounterFunc("resilience.renewals.abandoned", func() uint64 { return uint64(r.GiveupsN) })
+	}
 	return r
 }
 

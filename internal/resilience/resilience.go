@@ -177,11 +177,13 @@ func NewExecutor(eng *sim.Engine, rng *rand.Rand, pol Policy, tr *obs.Tracer) *E
 		inflight: make(map[*doCall]struct{}),
 		tr:       tr,
 	}
-	tr.CounterFunc("resilience.attempts", func() uint64 { return uint64(e.AttemptsN) })
-	tr.CounterFunc("resilience.retries", func() uint64 { return uint64(e.RetriesN) })
-	tr.CounterFunc("resilience.ok", func() uint64 { return uint64(e.OKN) })
-	tr.CounterFunc("resilience.giveups", func() uint64 { return uint64(e.FailN) })
-	tr.CounterFunc("resilience.breaker.fastfail", func() uint64 { return uint64(e.fastFailN) })
+	if tr != nil { // an untraced run allocates no readers
+		tr.CounterFunc("resilience.attempts", func() uint64 { return uint64(e.AttemptsN) })
+		tr.CounterFunc("resilience.retries", func() uint64 { return uint64(e.RetriesN) })
+		tr.CounterFunc("resilience.ok", func() uint64 { return uint64(e.OKN) })
+		tr.CounterFunc("resilience.giveups", func() uint64 { return uint64(e.FailN) })
+		tr.CounterFunc("resilience.breaker.fastfail", func() uint64 { return uint64(e.fastFailN) })
+	}
 	return e
 }
 
