@@ -69,6 +69,8 @@ func TestTraceCountersPinned(t *testing.T) {
 			}
 			return tr
 		}, `
+broker.coalloc.cancels 0
+broker.coalloc.cancels_lost 0
 broker.deploys.failed 0
 broker.deploys.ok 0
 broker.renews.failed 0
@@ -101,6 +103,8 @@ sharp.tickets.rejected 0
 			}
 			return tr
 		}, `
+broker.coalloc.cancels 0
+broker.coalloc.cancels_lost 0
 broker.deploys.failed 0
 broker.deploys.ok 3
 broker.renews.failed 0
@@ -130,6 +134,8 @@ svc.redeploys 1
 svc.site_failures 1
 `},
 		{"chaos", chaos(faultlab.DefaultChaosConfig(), 7), `
+broker.coalloc.cancels 0
+broker.coalloc.cancels_lost 0
 broker.deploys.failed 0
 broker.deploys.ok 3
 broker.renews.failed 0

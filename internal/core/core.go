@@ -274,6 +274,7 @@ func Build(stack Stack, cfg Config, specs []SiteSpec) *Federation {
 		f.Tracer.BindEngine()
 		net.SetTracer(f.Tracer)
 		f.Deployer.SetTracer(f.Tracer)
+		f.CoAlloc.SetTracer(f.Tracer)
 	}
 	// The deployer always knows the fault surface: deploying "into" a
 	// crashed site against its in-process authority would be a liveness
@@ -288,9 +289,6 @@ func Build(stack Stack, cfg Config, specs []SiteSpec) *Federation {
 			return strings.TrimPrefix(gk, "gk-")
 		}
 		f.CoAlloc.Retry = f.Resilience.Retry
-		if f.Tracer != nil {
-			f.CoAlloc.SetTracer(f.Tracer)
-		}
 	}
 
 	var pushers []*mds.GRIS
