@@ -31,14 +31,23 @@ func (s *FluidSystem) TightResources() []*FluidResource {
 func (s *FluidSystem) CheckLastFill() error {
 	got := append([]float64(nil), s.newRate...)
 	defer copy(s.newRate, got)
-	// The reference iterates the whole dirty set in creation order, as
-	// collectDirty left it when every resource took part in every round.
-	slices.SortFunc(s.dirtyR, func(a, b *FluidResource) int { return int(a.idx - b.idx) })
-	s.refFill()
+	// The reference fills over every resource a dirty consumer crosses, in
+	// creation order, slack or not, as the allocator did when every
+	// resource took part in every round.
+	var rs []*FluidResource
+	for _, c := range s.dirtyC {
+		for _, r := range c.resources {
+			if !slices.Contains(rs, r) {
+				rs = append(rs, r)
+			}
+		}
+	}
+	slices.SortFunc(rs, func(a, b *FluidResource) int { return int(a.idx - b.idx) })
+	s.refFill(rs)
 	for i, c := range s.dirtyC {
 		if want := s.newRate[i]; math.Float64bits(got[i]) != math.Float64bits(want) {
 			return fmt.Errorf("fill over %d consumers / %d resources (%d tight): %s (limit %v, weight %v) got rate %v (%x), reference %v (%x)",
-				len(s.dirtyC), len(s.dirtyR), len(s.tightR), c.Name, c.Limit, c.Weight,
+				len(s.dirtyC), len(rs), len(s.tightR), c.Name, c.Limit, c.Weight,
 				got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
 		}
 	}
@@ -46,11 +55,11 @@ func (s *FluidSystem) CheckLastFill() error {
 }
 
 // refFill is the allocator as it stood before slack-resource pruning:
-// weighted progressive filling over the whole dirty set, every resource
-// re-summed and re-divided every round. It is the bit-exact reference
-// TestFillMatchesReference holds fill to.
-func (s *FluidSystem) refFill() {
-	dc, dr := s.dirtyC, s.dirtyR
+// weighted progressive filling of the dirty set over resources dr, every
+// resource re-summed and re-divided every round. It is the bit-exact
+// reference TestFillMatchesReference holds fill to.
+func (s *FluidSystem) refFill(dr []*FluidResource) {
+	dc := s.dirtyC
 	if cap(s.newRate) < len(dc) {
 		s.newRate = make([]float64, len(dc))
 	}

@@ -17,20 +17,22 @@ import (
 // bandwidth sharing (internal/simnet) and one per node for
 // proportional-share CPU scheduling (internal/silk).
 //
-// Allocation is incremental: weighted max-min fairness decomposes exactly
-// across connected components of the consumer↔resource sharing graph, so a
-// change (consumer add/remove, limit change, capacity change) re-fills only
-// the component containing the change — the "dirty set" — and leaves every
-// other component's rates untouched. Within the dirty set the progressive
-// filling iterates consumers in admission order and resources in creation
-// order, which makes the float arithmetic bit-identical to a global
-// recompute restricted to that component; the test-only full mode in
-// export_test.go re-fills every component and is the reference the gates
-// compare against. The filling itself skips slack resources — those whose
-// consumers are all rate-capped with caps that fit — since they can never
-// saturate; a component with none left (every stream at its TCP cap, the
-// CDN's steady state) gets its Limits in one pass. The unpruned filling is
-// refFill in export_test.go, and every fill is held to it bit for bit.
+// Allocation is incremental. Slack resources — those whose consumers are
+// all rate-capped with caps that fit — can never saturate, so weighted
+// max-min fairness decomposes exactly across the sub-components that the
+// other, tight, resources connect. A change (consumer add/remove, limit
+// change, capacity change) re-fills only the "dirty set": the consumers
+// reachable from the change across resources that are tight after it, or
+// that were tight before it and are the change's own. Every other rate is
+// left untouched (a consumer on slack resources only keeps its Limit). In
+// the CDN's steady state, every stream at its TCP cap, starting a stream
+// re-fills that stream and finishing one re-fills nothing. Within the
+// dirty set the progressive filling iterates consumers in admission order
+// and tight resources in creation order, which makes the float arithmetic
+// bit-identical to a global recompute; the test-only full mode in
+// export_test.go re-fills everything and is the reference the gates
+// compare against, and refFill there, the filling without the prune, is
+// the reference every fill is held to bit for bit.
 // Completion events are rescheduled only for consumers
 // whose rate actually changed: an unchanged rate means the pending event's
 // ceil-rounded ETA is still exact, so cancel+reschedule churn (previously
@@ -58,6 +60,7 @@ type FluidResource struct {
 	avail    float64
 	weightOn float64
 	visited  uint64 // dirty-walk epoch stamp
+	crossAt  uint64 // epoch of the walk that must cross r: tight before its change
 }
 
 // Capacity returns the resource's current capacity in units/second.
@@ -69,8 +72,9 @@ func (r *FluidResource) SetCapacity(c float64) {
 	if c < 0 || math.IsNaN(c) {
 		panic(fmt.Sprintf("sim: invalid capacity %v for %s", c, r.Name))
 	}
-	r.capacity = c
 	r.sys.seedR[0] = r
+	r.sys.noteTight(r.sys.seedR[:])
+	r.capacity = c
 	r.sys.reallocAround(nil, r.sys.seedR[:])
 }
 
@@ -139,10 +143,13 @@ func (c *FluidConsumer) SetLimit(limit float64) {
 	if limit == c.Limit {
 		return
 	}
-	c.Limit = limit
-	if c.live {
-		c.sys.reallocAround(c, nil)
+	if !c.live {
+		c.Limit = limit
+		return
 	}
+	c.sys.noteTight(c.resources)
+	c.Limit = limit
+	c.sys.reallocAround(c, nil)
 }
 
 // settle charges progress since the last update at the current rate.
@@ -179,8 +186,7 @@ type FluidSystem struct {
 	// Reusable scratch, reachable from the system so snapshots restore it
 	// (the contents are only meaningful mid-reallocation).
 	dirtyC  []*FluidConsumer
-	dirtyR  []*FluidResource
-	tightR  []*FluidResource // dirtyR minus the slack resources, see fill
+	tightR  []*FluidResource // the dirty consumers' tight resources, see fill
 	queueR  []*FluidResource
 	newRate []float64
 	seedR   [1]*FluidResource
@@ -254,6 +260,7 @@ func (s *FluidSystem) Remove(c *FluidConsumer) {
 		return
 	}
 	c.settle()
+	s.noteTight(c.resources)
 	s.detach(c)
 	s.reallocAround(nil, c.resources)
 }
@@ -283,9 +290,21 @@ func (s *FluidSystem) detach(c *FluidConsumer) {
 // Len returns the number of active consumers.
 func (s *FluidSystem) Len() int { return s.liveN }
 
-// reallocAround recomputes rates for the connected component(s) touched
-// by a change seeded at consumer c (may be nil) and/or resources rs, then
-// reschedules completion events for the consumers whose rate changed.
+// noteTight records, before a change to the seed resources rs, which of
+// them are tight: the walk that follows crosses those even if the change
+// leaves them slack, because their consumers' rates were set by them. Add
+// needs no note: appending a consumer can only make a resource tighter.
+func (s *FluidSystem) noteTight(rs []*FluidResource) {
+	for _, r := range rs {
+		if !r.slack() {
+			r.crossAt = s.epoch + 1
+		}
+	}
+}
+
+// reallocAround recomputes the rates a change seeded at consumer c (may be
+// nil) and/or resources rs can move, then reschedules completion events
+// for the consumers whose rate changed.
 func (s *FluidSystem) reallocAround(c *FluidConsumer, rs []*FluidResource) {
 	s.collectDirty(c, rs)
 	s.fill()
@@ -293,36 +312,32 @@ func (s *FluidSystem) reallocAround(c *FluidConsumer, rs []*FluidResource) {
 }
 
 // collectDirty walks the sharing graph from the seeds and leaves the
-// affected consumers in s.dirtyC (admission order) and resources in
-// s.dirtyR (walk order). In full mode it selects everything.
+// affected consumers in s.dirtyC (admission order) and their tight
+// resources in s.tightR (walk order). It crosses a resource — queues the
+// resource's consumers as dirty — only when the resource is tight after
+// the change or noteTight found it tight before; one slack on both sides
+// cannot have set, and cannot set, any of its consumers' rates. In full
+// mode it selects everything.
 func (s *FluidSystem) collectDirty(seedC *FluidConsumer, seedR []*FluidResource) {
 	s.dirtyC = s.dirtyC[:0]
-	s.dirtyR = s.dirtyR[:0]
+	s.tightR = s.tightR[:0]
 	s.queueR = s.queueR[:0]
+	s.epoch++
 	if s.full {
 		s.dirtyC = append(s.dirtyC, s.order...)
-		s.dirtyR = append(s.dirtyR, s.resources...)
+		for _, r := range s.resources {
+			if !r.slack() {
+				s.tightR = append(s.tightR, r)
+			}
+		}
 		return
 	}
-	s.epoch++
 	if seedC != nil && seedC.live {
 		seedC.visited = s.epoch
 		s.dirtyC = append(s.dirtyC, seedC)
-		for _, r := range seedC.resources {
-			if r.visited != s.epoch {
-				r.visited = s.epoch
-				s.dirtyR = append(s.dirtyR, r)
-				s.queueR = append(s.queueR, r)
-			}
-		}
+		s.visit(seedC.resources)
 	}
-	for _, r := range seedR {
-		if r.visited != s.epoch {
-			r.visited = s.epoch
-			s.dirtyR = append(s.dirtyR, r)
-			s.queueR = append(s.queueR, r)
-		}
-	}
+	s.visit(seedR)
 	for len(s.queueR) > 0 {
 		r := s.queueR[len(s.queueR)-1]
 		s.queueR = s.queueR[:len(s.queueR)-1]
@@ -332,19 +347,32 @@ func (s *FluidSystem) collectDirty(seedC *FluidConsumer, seedR []*FluidResource)
 			}
 			c.visited = s.epoch
 			s.dirtyC = append(s.dirtyC, c)
-			for _, cr := range c.resources {
-				if cr.visited != s.epoch {
-					cr.visited = s.epoch
-					s.dirtyR = append(s.dirtyR, cr)
-					s.queueR = append(s.queueR, cr)
-				}
-			}
+			s.visit(c.resources)
 		}
 	}
-	// Canonical order makes the component fill's float arithmetic match a
-	// full recompute's (which iterates admission order) exactly; resources
-	// are ordered by fill, which reads the order of the tight ones only.
+	// Canonical order makes the fill's float arithmetic match a full
+	// recompute's (which iterates admission order) exactly; resources are
+	// ordered by fill, which reads the order of the tight ones only.
 	sortBySeq(s.dirtyC)
+}
+
+// visit decides, once per walk, whether each resource of rs is tight after
+// the change — the one decision fill reads — and crosses the ones that are
+// or that noteTight stamped.
+func (s *FluidSystem) visit(rs []*FluidResource) {
+	for _, r := range rs {
+		if r.visited == s.epoch {
+			continue
+		}
+		r.visited = s.epoch
+		tight := !r.slack()
+		if tight {
+			s.tightR = append(s.tightR, r)
+		}
+		if tight || r.crossAt == s.epoch {
+			s.queueR = append(s.queueR, r)
+		}
+	}
 }
 
 // insertionSortMax is the longest dirty set sorted by straight insertion
@@ -386,29 +414,23 @@ func (r *FluidResource) slack() bool {
 }
 
 // fill computes the weighted max-min fair rates of the dirty set into
-// s.newRate (parallel to s.dirtyC) without touching consumer state. Slack
-// resources are dropped first: only a resource's own ratio reads its avail
-// and weightOn, so leaving out one that never wins changes no decision and
-// no operand of any other sum. When none survives every round is a cap
-// round and the rates are the Limits. Otherwise progressive filling runs
-// over the survivors (s.tightR): each round freezes either one rate-capped
+// s.newRate (parallel to s.dirtyC) without touching consumer state. It
+// fills over s.tightR alone, the walk's decision, so the walk and the fill
+// cannot disagree: only a resource's own ratio reads its avail and
+// weightOn, so leaving out a slack one, which never wins, changes no
+// decision and no operand of any other sum. With no tight resource every
+// round is a cap round and the rates are the Limits. Otherwise progressive
+// filling runs over s.tightR: each round freezes either one rate-capped
 // consumer or every consumer crossing the saturating resource, at the
 // minimum of the resource ratios (avail/weight-on) and consumer cap ratios
-// (Limit/Weight) — identical arithmetic to a global fill restricted to
-// these components, since components never share resources.
+// (Limit/Weight) — identical arithmetic to a global fill, since the dirty
+// set holds whole sub-components and they share no tight resource.
 func (s *FluidSystem) fill() {
 	dc := s.dirtyC
 	if cap(s.newRate) < len(dc) {
 		s.newRate = make([]float64, len(dc))
 	}
 	s.newRate = s.newRate[:len(dc)]
-	s.tightR = s.tightR[:0]
-	for _, r := range s.dirtyR {
-		if !r.slack() {
-			r.avail = r.capacity
-			s.tightR = append(s.tightR, r)
-		}
-	}
 	dr := s.tightR
 	if len(dr) == 0 {
 		for i, c := range dc {
@@ -421,6 +443,9 @@ func (s *FluidSystem) fill() {
 	}
 	// Creation order, as in a full recompute: of equal ratios the first wins.
 	slices.SortFunc(dr, func(a, b *FluidResource) int { return cmp.Compare(a.idx, b.idx) })
+	for _, r := range dr {
+		r.avail = r.capacity
+	}
 	for i, c := range dc {
 		c.frozen = false
 		s.newRate[i] = 0
@@ -599,6 +624,7 @@ func (s *FluidSystem) finish(c *FluidConsumer) {
 		return
 	}
 	c.remaining = 0
+	s.noteTight(c.resources)
 	s.detach(c)
 	s.reallocAround(nil, c.resources)
 	if c.OnDone != nil {

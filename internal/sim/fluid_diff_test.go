@@ -427,10 +427,12 @@ func nearFitSweep(t *testing.T) {
 
 // TestCapBoundComponentSkipsFilling pins the prune's saving as a count,
 // not a timing: N capped consumers over a hub and N/4 spokes whose caps
-// fit form one component of N consumers, and after every add and remove
-// the fill keeps no resource to iterate over and hands every consumer its
-// Limit. Raising one cap past its spoke's capacity brings back exactly
-// that spoke, and only its consumers leave their Limits.
+// fit form one component of N consumers, yet every resource is slack, so
+// an add re-fills only the added consumer and a remove re-fills none; the
+// fill keeps no resource to iterate over and every consumer sits at its
+// Limit. Raising one cap past its spoke's capacity re-fills exactly that
+// spoke's consumers over exactly that spoke, and only they leave their
+// Limits.
 func TestCapBoundComponentSkipsFilling(t *testing.T) {
 	for _, n := range []int{16, 256} {
 		eng := sim.NewEngine(1)
@@ -445,10 +447,10 @@ func TestCapBoundComponentSkipsFilling(t *testing.T) {
 			spoke *sim.FluidResource
 		}
 		var live []member
-		check := func(op string) {
+		check := func(op string, want int) {
 			t.Helper()
-			if got := sys.DirtyConsumers(); got != len(live) {
-				t.Fatalf("n=%d %s: filled %d consumers, want the whole component of %d", n, op, got, len(live))
+			if got := sys.DirtyConsumers(); got != want {
+				t.Fatalf("n=%d %s: filled %d consumers, want %d of the component's %d", n, op, got, want, len(live))
 			}
 			if tight := sys.TightResources(); len(tight) != 0 {
 				t.Fatalf("n=%d %s: %d resources survived the prune (first %s), want 0", n, op, len(tight), tight[0].Name)
@@ -468,7 +470,7 @@ func TestCapBoundComponentSkipsFilling(t *testing.T) {
 			}
 			live = append(live, m)
 			sys.Add(m.c, 1e12, hub, m.spoke)
-			check("add")
+			check("add", 1)
 		}
 		for i := 0; i < n; i++ {
 			add(i)
@@ -476,7 +478,7 @@ func TestCapBoundComponentSkipsFilling(t *testing.T) {
 		for i := 0; i < 2*n; i++ {
 			sys.Remove(live[0].c)
 			live = live[1:]
-			check("remove")
+			check("remove", 0)
 			add(n + i)
 			eng.RunUntil(eng.Now() + time.Millisecond)
 		}
@@ -485,6 +487,15 @@ func TestCapBoundComponentSkipsFilling(t *testing.T) {
 		// else, is filled over, and only consumers on it can leave their cap.
 		big := live[0]
 		big.c.SetLimit(20)
+		onSpoke := 0
+		for _, m := range live {
+			if m.spoke == big.spoke {
+				onSpoke++
+			}
+		}
+		if got := sys.DirtyConsumers(); got != onSpoke {
+			t.Fatalf("n=%d: overflowing %s filled %d consumers, want its %d", n, big.spoke.Name, got, onSpoke)
+		}
 		if tight := sys.TightResources(); len(tight) != 1 || tight[0] != big.spoke {
 			t.Fatalf("n=%d: after overflowing %s the prune kept %v", n, big.spoke.Name, tight)
 		}

@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -39,7 +40,6 @@ type Flow struct {
 	OnFail func(*Flow, error)
 
 	opts      FlowOpts
-	streams   map[*sim.FluidConsumer][]*sim.FluidResource // consumer -> its path resources
 	pathOf    map[*sim.FluidConsumer]pathInfo
 	order     []*sim.FluidConsumer // live streams in creation order (determinism)
 	seq       uint64               // creation sequence within the network
@@ -110,16 +110,15 @@ func (n *Network) StartFlow(from, to string, bytes float64, opts FlowOpts, onDon
 
 	n.flowSeq++
 	f := &Flow{
-		net:     n,
-		From:    from,
-		To:      to,
-		Bytes:   bytes,
-		seq:     n.flowSeq,
-		opts:    opts,
-		streams: make(map[*sim.FluidConsumer][]*sim.FluidResource),
-		pathOf:  make(map[*sim.FluidConsumer]pathInfo),
-		begun:   n.eng.Now(),
-		OnDone:  onDone,
+		net:    n,
+		From:   from,
+		To:     to,
+		Bytes:  bytes,
+		seq:    n.flowSeq,
+		opts:   opts,
+		pathOf: make(map[*sim.FluidConsumer]pathInfo),
+		begun:  n.eng.Now(),
+		OnDone: onDone,
 	}
 	f.hosts = map[string]bool{from: true, to: true}
 	for _, relays := range opts.Paths {
@@ -225,13 +224,12 @@ func (f *Flow) addStream(pi pathInfo, bytes float64) {
 	f.netstream++
 	f.active++
 	c := &sim.FluidConsumer{
-		Name:   fmt.Sprintf("%s->%s#%d", f.From, f.To, f.netstream),
+		Name:   f.From + "->" + f.To + "#" + strconv.Itoa(f.netstream),
 		Weight: f.opts.Weight,
 		Limit:  f.net.pathLimit(pi.segs),
 	}
 	c.OnDone = func() { f.streamDone(c) }
 	f.net.flows.Add(c, bytes, pi.resources...)
-	f.streams[c] = pi.resources
 	f.pathOf[c] = pi
 	f.order = append(f.order, c)
 }
@@ -244,7 +242,6 @@ func (f *Flow) addStream(pi pathInfo, bytes float64) {
 // flow size charged up-front regardless of outcome.
 func (f *Flow) drop(c *sim.FluidConsumer) {
 	f.net.hosts[f.From].BytesSent += c.Transferred()
-	delete(f.streams, c)
 	delete(f.pathOf, c)
 	for i, s := range f.order {
 		if s == c {
@@ -358,7 +355,6 @@ func (f *Flow) abort() {
 		f.net.flows.Remove(c)
 		f.net.hosts[f.From].BytesSent += c.Transferred()
 	}
-	f.streams = map[*sim.FluidConsumer][]*sim.FluidResource{}
 	f.pathOf = map[*sim.FluidConsumer]pathInfo{}
 	f.order = nil
 	f.active = 0
