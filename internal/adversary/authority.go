@@ -91,7 +91,7 @@ func (a *ShrinkAuthority) Redeem(t *sharp.Ticket) (*sharp.Lease, error) {
 // shrink reclaims a lease early unless the holder already released it.
 func (a *ShrinkAuthority) shrink(l *sharp.Lease) {
 	for _, rec := range a.LeaseRecords() {
-		if rec.Lease.ID == l.ID && !rec.Released {
+		if rec.Lease.ID == l.ID {
 			a.Authority.ReleaseLease(l)
 			a.ShrunkN++
 			return

@@ -27,11 +27,12 @@ type Violation struct {
 
 func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 
-// CheckLeaseTerms asserts SHARP's containment property on a site's lease
-// audit log: a granted lease's hard term must sit inside the redeemed
+// CheckLeaseTerms asserts SHARP's containment property on a site's live
+// lease records: a live lease's hard term must sit inside the redeemed
 // ticket's leaf term, which in turn cannot outlive the root ticket the
 // authority originally signed. A lease outliving its ticket would be a
-// resource held on an expired promise.
+// resource held on an expired promise. Released leases hold nothing and
+// have no record, so the audit sees live leases only.
 func CheckLeaseTerms(site string, recs []sharp.LeaseRecord) []Violation {
 	var out []Violation
 	for _, r := range recs {

@@ -61,12 +61,12 @@ type ChaosConfig struct {
 
 // minLease is the shortest nonzero lease term a run accepts: at 1ns the
 // first deploy panics ("could not reach any site"), and cost grows as the
-// term shrinks. `chaos -resilience -lease X` took 0.21 s at 1m, 0.47 s at
-// 30s, 1.75 s at 10s, 5.2 s at 5s and over 120 s at 1s (2-core Xeon), against
-// 0.02 s at 90m. At 5s, 35 % of a CPU profile is sharp.(*Agent).Inventory and
-// Agent.Sell, which scan the agent's whole stock on every renewal; most of
-// the rest is ed25519.
-const minLease = time.Minute
+// term shrinks. `chaos -resilience -lease X` takes 0.02 s at 90m, 0.28 s at
+// 1m, 0.62 s at 30s, 1.63 s at 10s, 3.7 s at 5s and 30 s at 1s (2-core
+// Xeon). While the agent kept every sold-out stock entry, renewal n
+// scanned n entries and the same runs took 0.29, 0.71, 2.37, 7.9 and 136 s.
+// At 10s, 93 % of a CPU profile is ed25519 signing and verifying.
+const minLease = 10 * time.Second
 
 // Validate reports a lease term or reconcile interval, the fields gridlab
 // chaos sets from flags, that is neither 0 (off) nor at least minLease or a

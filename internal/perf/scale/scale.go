@@ -282,7 +282,6 @@ func (c *cell) growSite(global int) {
 	})
 	auth := sharp.NewAuthority(c.eng, name, identity.NewPrincipal("auth@"+name, rng), nm,
 		map[capability.ResourceType]float64{capability.CPU: float64(cfg.LeasesPerSite)})
-	auth.SetCompactLeases(true)
 	auth.SetOversellFactor(2) // root issue + renewal tickets share the budget
 	s := &siteState{
 		name:  name,

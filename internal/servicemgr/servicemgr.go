@@ -416,9 +416,22 @@ func (m *Manager) breakerReady(site string) bool {
 	return m.kit.Breakers.For(site).Ready()
 }
 
+// spare reports whether cand can take a replacement slice: not active,
+// not marked down, admitted by its breaker, and stocked for one slice.
+// The order is part of the contract: breakerReady creates a breaker on
+// first use, so only candidates past the first two checks get one.
+func (m *Manager) spare(cand string) bool {
+	if _, isActive := m.active[cand]; isActive {
+		return false
+	}
+	if _, isDown := m.downAt[cand]; isDown {
+		return false
+	}
+	return m.breakerReady(cand) && m.dep.Inventory(cand) >= m.cfg.CPUPerSite
+}
+
 // SiteFailed informs the manager that a site died: its VM is torn down
-// and a spare candidate (not active, not recently failed, not written
-// off by its breaker, with broker stock) takes its place. Returns the
+// and the first spare candidate that deploys takes its place. Returns the
 // replacement site, or an error when the service must run degraded.
 func (m *Manager) SiteFailed(site string) (string, error) {
 	var span obs.SpanContext
@@ -435,22 +448,8 @@ func (m *Manager) SiteFailed(site string) (string, error) {
 	}
 	m.accountStrength()
 	for _, cand := range m.cfg.Candidates {
-		if _, isActive := m.active[cand]; isActive {
-			continue
-		}
-		if cand == site {
-			continue
-		}
-		if _, isDown := m.downAt[cand]; isDown {
-			continue
-		}
-		if !m.breakerReady(cand) {
-			continue
-		}
-		if m.dep.Inventory(cand) < m.cfg.CPUPerSite {
-			continue
-		}
-		if m.tryDeploy(cand) {
+		// site itself is marked down above, so spare skips it.
+		if m.spare(cand) && m.tryDeploy(cand) {
 			m.RedeployN++
 			m.accountStrength()
 			span.End(obs.String("replacement", cand))
@@ -467,8 +466,7 @@ func (m *Manager) SiteRecovered(site string) {
 }
 
 // Reconcile is the repair pass fault recovery hooks call after sites come
-// back: dead slices are pruned and spare candidates (not active, not
-// marked down, breaker-admitted, with stock) are deployed until the
+// back: dead slices are pruned and spare candidates are deployed until the
 // service is back at Target strength. It returns the number of new
 // deployments.
 func (m *Manager) Reconcile() int {
@@ -491,19 +489,7 @@ func (m *Manager) Reconcile() int {
 		if m.Running() >= m.cfg.Target {
 			break
 		}
-		if _, isActive := m.active[cand]; isActive {
-			continue
-		}
-		if _, isDown := m.downAt[cand]; isDown {
-			continue
-		}
-		if !m.breakerReady(cand) {
-			continue
-		}
-		if m.dep.Inventory(cand) < m.cfg.CPUPerSite {
-			continue
-		}
-		if m.tryDeploy(cand) {
+		if m.spare(cand) && m.tryDeploy(cand) {
 			m.RedeployN++
 			n++
 		}

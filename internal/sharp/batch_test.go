@@ -296,13 +296,11 @@ func TestSigCacheCrossesRedeems(t *testing.T) {
 	}
 }
 
-// TestCompactLeaseStoreRecycles: in compact mode released slots recycle
-// through the free list, so the slot count tracks peak concurrency, not
-// cumulative grants — the O(live)-memory property the planetary scale
-// run depends on.
+// TestCompactLeaseStoreRecycles: released slots recycle through the free
+// list, so the slot count tracks peak concurrency, not cumulative grants —
+// the O(live)-memory property the planetary scale run depends on.
 func TestCompactLeaseStoreRecycles(t *testing.T) {
 	f := newFixture(t)
-	f.auth.SetCompactLeases(true)
 	f.auth.OversellFactor = 10 // issue budget is cumulative; capacity still caps live leases
 
 	redeemOne := func() *Lease {
@@ -339,7 +337,7 @@ func TestCompactLeaseStoreRecycles(t *testing.T) {
 		t.Errorf("after recycling: live=%d slots=%d, want 10/10", f.auth.LiveLeases(), f.auth.LeaseSlots())
 	}
 	if got := len(f.auth.LeaseRecords()); got != 10 {
-		t.Errorf("compact audit log holds %d records, want 10 live", got)
+		t.Errorf("audit log holds %d records, want 10 live", got)
 	}
 	// A released lease is gone: renewing it must fail as unknown, even
 	// though its old slot now hosts a different lease.
@@ -355,34 +353,9 @@ func TestCompactLeaseStoreRecycles(t *testing.T) {
 	}
 }
 
-// TestDefaultLeaseStoreKeepsHistory: without opting in, the audit log
-// still retains released leases in grant order — what the chaos
-// invariant checkers consume.
-func TestDefaultLeaseStoreKeepsHistory(t *testing.T) {
-	f := newFixture(t)
-	tk1, _ := f.auth.IssueTicket(f.agent.Name, f.agent.Key(), capability.CPU, 3, 0, hour)
-	tk2, _ := f.auth.IssueTicket(f.agent.Name, f.agent.Key(), capability.CPU, 3, 0, hour)
-	l1, _ := f.auth.Redeem(tk1)
-	l2, _ := f.auth.Redeem(tk2)
-	f.auth.ReleaseLease(l1)
-	recs := f.auth.LeaseRecords()
-	if len(recs) != 2 {
-		t.Fatalf("history length %d, want 2", len(recs))
-	}
-	if recs[0].Lease.ID != l1.ID || !recs[0].Released {
-		t.Errorf("record 0 = %+v", recs[0])
-	}
-	if recs[1].Lease.ID != l2.ID || recs[1].Released {
-		t.Errorf("record 1 = %+v", recs[1])
-	}
-	if f.auth.LiveLeases() != 1 || f.auth.LeaseSlots() != 2 {
-		t.Errorf("live=%d slots=%d, want 1/2", f.auth.LiveLeases(), f.auth.LeaseSlots())
-	}
-}
-
 // compactSnapDriver hoists the fork-vs-cold scenario's state into one
-// SnapRoot-registered struct: the authority (flat slot slices, free
-// list, handle map, signature memo, replay cache) plus the driver's own
+// SnapRoot-registered struct: the authority (flat slot slice, free
+// list, ID-to-slot map, signature memo, replay cache) plus the driver's own
 // lease rotation — everything the snapshot walker must rewind.
 type compactSnapDriver struct {
 	eng   *sim.Engine
@@ -398,10 +371,10 @@ func (d *compactSnapDriver) emit(format string, args ...any) {
 	d.log = append(d.log, fmt.Sprintf("%v ", d.eng.Now())+fmt.Sprintf(format, args...))
 }
 
-// tick churns the compact store: sell-and-batch-redeem a fresh lease
-// each minute, renew the median lease, release the oldest once more
-// than six are live. Slot recycling, generation bumps, memo growth, and
-// replay-cache pruning all straddle the snapshot point.
+// tick churns the lease store: sell-and-batch-redeem a fresh lease each
+// minute, renew the median lease, release the oldest once more than six
+// are live. Slot recycling, memo growth, and replay-cache pruning all
+// straddle the snapshot point.
 func (d *compactSnapDriver) tick() {
 	d.seq++
 	now := d.eng.Now()
@@ -449,7 +422,6 @@ func buildCompactLeaseDiff(seed int64) (*sim.Engine, func() []byte) {
 	signer := identity.NewPrincipal("authority@A", rng)
 	nm := capability.NewNodeManager("A", eng, eng.ForkRand(), map[capability.ResourceType]float64{capability.CPU: 8})
 	auth := NewAuthority(eng, "A", signer, nm, map[capability.ResourceType]float64{capability.CPU: 8})
-	auth.SetCompactLeases(true)
 	auth.OversellFactor = 1000 // issue budget is cumulative across the horizon
 	d := &compactSnapDriver{
 		eng:   eng,
@@ -477,8 +449,8 @@ func buildCompactLeaseDiff(seed int64) (*sim.Engine, func() []byte) {
 	return eng, render
 }
 
-// TestForkVsColdCompactLeases: the compact lease store under churn —
-// recycled slots, bumped generations, a warm signature memo — must
+// TestForkVsColdCompactLeases: the lease store under churn — recycled
+// slots, a warm signature memo — must
 // rewind byte-identically through snapshot/fork.
 func TestForkVsColdCompactLeases(t *testing.T) {
 	n := 12

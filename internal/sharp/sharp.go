@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/capability"
@@ -333,22 +334,14 @@ type Authority struct {
 	leaseSeq int
 	skew     time.Duration
 
-	// Compact lease state: audit records live in one flat,
-	// generation-stamped slot slice instead of a heap *LeaseRecord per
-	// lease. recordOf maps lease ID -> slot handle; a handle whose
-	// generation no longer matches its slot is stale (the slot was
-	// recycled). In the default mode slots are append-only, so
-	// LeaseRecords preserves the historical grant-order audit log
-	// exactly as before; with SetCompactLeases(true), ReleaseLease
-	// recycles slots through the free list and memory stays O(live
-	// leases) instead of O(every lease ever granted) — the mode the
-	// planetary-scale experiment runs in.
+	// Lease state: one audit record per live lease, in a flat slot slice.
+	// recordOf maps a live lease's ID to its slot. ReleaseLease deletes
+	// the ID, zeroes the slot and pushes it on the free list in one call,
+	// so an ID resolves if and only if its lease is live, and memory
+	// tracks peak concurrency rather than every lease ever granted.
 	leaseRecs []LeaseRecord
-	leaseGens []uint32
 	leaseFree []int32
-	liveN     int
-	recordOf  map[string]leaseHandle
-	compact   bool
+	recordOf  map[string]int32
 
 	// IssuedN, RedeemOK, RedeemConflict count outcomes for E9, and
 	// IssueRej/RedeemRej the issue and redeem requests refused outright;
@@ -370,16 +363,16 @@ type Authority struct {
 	tr *obs.Tracer
 }
 
-// LeaseRecord is the authority-side audit entry for one granted lease: the
-// lease plus the ticket terms it was redeemed under. Invariant checkers
-// use it to prove no lease ever outlives its ticket's term.
+// LeaseRecord is the authority-side audit entry for one live lease: the
+// lease plus the ticket terms it was redeemed or last renewed under.
+// Invariant checkers use it to prove no live lease outlives its ticket's
+// term. A released lease has no record.
 type LeaseRecord struct {
 	Lease         *Lease
 	LeafNotBefore time.Duration
 	LeafNotAfter  time.Duration
 	RootNotAfter  time.Duration
 	RedeemedAt    time.Duration
-	Released      bool
 	// Renewals counts successful Renew calls against this lease; the
 	// leaf/root terms above advance with each one so the containment
 	// invariant keeps holding against the freshest redeemed ticket.
@@ -387,35 +380,15 @@ type LeaseRecord struct {
 	LastRenewedAt time.Duration
 }
 
-// leaseHandle addresses one slot of the flat lease-record store. The
-// generation stamp makes recycled slots detectable: a handle minted for
-// a released-and-reused slot no longer matches the slot's generation.
-type leaseHandle struct {
-	idx int32
-	gen uint32
-}
-
-// allocLeaseSlot pops a free slot (compact mode) or appends one,
-// returning its handle with a fresh generation.
-func (a *Authority) allocLeaseSlot() leaseHandle {
+// allocLeaseSlot pops a free slot or appends one.
+func (a *Authority) allocLeaseSlot() int32 {
 	if n := len(a.leaseFree); n > 0 {
-		idx := a.leaseFree[n-1]
+		i := a.leaseFree[n-1]
 		a.leaseFree = a.leaseFree[:n-1]
-		// The generation was bumped when the slot was freed, so handles
-		// from the previous occupancy are already stale.
-		return leaseHandle{idx: idx, gen: a.leaseGens[idx]}
+		return i
 	}
 	a.leaseRecs = append(a.leaseRecs, LeaseRecord{})
-	a.leaseGens = append(a.leaseGens, 1)
-	return leaseHandle{idx: int32(len(a.leaseRecs) - 1), gen: 1}
-}
-
-// leaseAt dereferences a handle, nil when stale or out of range.
-func (a *Authority) leaseAt(h leaseHandle) *LeaseRecord {
-	if h.idx < 0 || int(h.idx) >= len(a.leaseRecs) || a.leaseGens[h.idx] != h.gen {
-		return nil
-	}
-	return &a.leaseRecs[h.idx]
+	return int32(len(a.leaseRecs) - 1)
 }
 
 // NewAuthority creates a site authority over the given capacity. The
@@ -436,26 +409,23 @@ func NewAuthority(eng *sim.Engine, site string, signer *identity.Principal, nm *
 		issued:         make(map[capability.ResourceType]float64),
 		replay:         newReplayCache(defaultReplayCap),
 		sigCache:       identity.NewSigCache(identity.DefaultSigCacheCap),
-		recordOf:       make(map[string]leaseHandle),
+		recordOf:       make(map[string]int32),
 	}
 }
 
-// SetCompactLeases switches the lease store to O(live) mode: released
-// leases recycle their audit slot through the free list instead of
-// retaining it forever. The full-history default keeps LeaseRecords a
-// complete grant-order audit log (what the chaos invariant checkers
-// consume); compact mode keeps only live leases' records, which is what
-// lets a million-lease run's memory track live state rather than
-// history. Switch before the first redeem.
-func (a *Authority) SetCompactLeases(on bool) { a.compact = on }
+// SetCompactLeases does nothing: the lease store always recycles a
+// released lease's slot.
+//
+// Deprecated: the lease store has one mode; remaining callers should drop
+// the call.
+func (a *Authority) SetCompactLeases(bool) {}
 
 // LiveLeases reports how many leases are currently granted and not
 // released.
-func (a *Authority) LiveLeases() int { return a.liveN }
+func (a *Authority) LiveLeases() int { return len(a.recordOf) }
 
-// LeaseSlots reports the lease store's slot capacity — in compact mode
-// this tracks peak concurrency, not cumulative grants, which is the
-// O(live)-memory evidence the scale experiment records.
+// LeaseSlots reports the lease store's slot capacity. Released slots are
+// reused, so it tracks peak concurrency, not cumulative grants.
 func (a *Authority) LeaseSlots() int { return len(a.leaseRecs) }
 
 // SigCacheStats reports the verification memo's counters (hits, misses,
@@ -499,15 +469,13 @@ func (a *Authority) SetOversellFactor(f float64) { a.OversellFactor = f }
 // currently remembers (bounded; see replayCache).
 func (a *Authority) ReplayCacheLen() int { return len(a.replay.entries) }
 
-// LeaseRecords returns a copy of the lease audit log. In the default
-// full-history mode slots are append-only, so the order is grant order
-// exactly as before; in compact mode released slots have been recycled
-// and the copy covers live leases in slot order.
+// LeaseRecords returns a copy of the live leases' audit records in slot
+// order. Released leases have none.
 func (a *Authority) LeaseRecords() []LeaseRecord {
-	out := make([]LeaseRecord, 0, len(a.leaseRecs))
+	out := make([]LeaseRecord, 0, len(a.recordOf))
 	for i := range a.leaseRecs {
 		if a.leaseRecs[i].Lease == nil {
-			continue // free or never-occupied slot
+			continue // free slot
 		}
 		out = append(out, a.leaseRecs[i])
 	}
@@ -620,16 +588,15 @@ func (a *Authority) Redeem(t *Ticket) (*Lease, error) {
 		NotAfter:  leaf.NotAfter,
 		CapID:     cap_.ID,
 	}
-	hd := a.allocLeaseSlot()
-	*a.leaseAt(hd) = LeaseRecord{
+	i := a.allocLeaseSlot()
+	a.leaseRecs[i] = LeaseRecord{
 		Lease:         lease,
 		LeafNotBefore: leaf.NotBefore,
 		LeafNotAfter:  leaf.NotAfter,
 		RootNotAfter:  t.Root().NotAfter,
 		RedeemedAt:    a.eng.Now(),
 	}
-	a.recordOf[lease.ID] = hd
-	a.liveN++
+	a.recordOf[lease.ID] = i
 	span.End(obs.String("lease", lease.ID))
 	return lease, nil
 }
@@ -660,27 +627,18 @@ func (a *Authority) RedeemBatch(tickets []*Ticket) []RedeemResult {
 	return out
 }
 
-// ReleaseLease returns a lease's resources (service teardown). In
-// compact mode the audit slot is recycled; otherwise it is retained
-// with Released set, preserving the historical log.
+// ReleaseLease returns a lease's resources (service teardown) and
+// recycles its audit slot. Releasing an unknown or already released lease
+// is inert.
 func (a *Authority) ReleaseLease(l *Lease) {
 	a.nm.Release(l.CapID)
-	hd, ok := a.recordOf[l.ID]
+	i, ok := a.recordOf[l.ID]
 	if !ok {
 		return
 	}
-	rec := a.leaseAt(hd)
-	if rec == nil || rec.Released {
-		return
-	}
-	rec.Released = true
-	a.liveN--
-	if a.compact {
-		delete(a.recordOf, l.ID)
-		*rec = LeaseRecord{}
-		a.leaseGens[hd.idx]++ // stale out handles to the old occupancy
-		a.leaseFree = append(a.leaseFree, hd.idx)
-	}
+	delete(a.recordOf, l.ID)
+	a.leaseRecs[i] = LeaseRecord{}
+	a.leaseFree = append(a.leaseFree, i)
 }
 
 // Renew extends a live lease using fresh tickets — the soft-state
@@ -707,11 +665,11 @@ func (a *Authority) Renew(leaseID string, tickets ...*Ticket) (*Lease, error) {
 		span.End(obs.Err(err))
 		return nil, err
 	}
-	hd, ok := a.recordOf[leaseID]
-	rec := a.leaseAt(hd)
-	if !ok || rec == nil || rec.Released {
+	i, ok := a.recordOf[leaseID]
+	if !ok {
 		return fail(fmt.Errorf("%w: %s", ErrUnknownLease, leaseID))
 	}
+	rec := &a.leaseRecs[i]
 	lease := rec.Lease
 	now := a.eng.Now() + a.skew
 	if now >= lease.NotAfter {
@@ -787,8 +745,10 @@ type Agent struct {
 
 	signer *identity.Principal
 	serial uint64
-	// stock holds acquired tickets with their unsold remainder.
-	stock []*stockEntry
+	// stock holds acquired tickets with an unsold remainder, in
+	// acquisition order. An entry sold down to exactly 0 leaves, so a
+	// scan costs the live stock, not every ticket ever acquired.
+	stock []stockEntry
 
 	// SoldN counts delegations to service managers.
 	SoldN int
@@ -817,7 +777,7 @@ func (ag *Agent) Acquire(t *Ticket) error {
 	if leaf == nil || !leaf.HolderKey.Equal(ag.signer.Public()) {
 		return ErrNotHolder
 	}
-	ag.stock = append(ag.stock, &stockEntry{ticket: t, remaining: leaf.Amount})
+	ag.stock = append(ag.stock, stockEntry{ticket: t, remaining: leaf.Amount})
 	return nil
 }
 
@@ -835,41 +795,56 @@ func (ag *Agent) Inventory(site string, typ capability.ResourceType) float64 {
 
 // Sell delegates amount from stock to a buyer (Figure 2 steps 3-4),
 // possibly spanning multiple stocked tickets; each produces one
-// delegated ticket.
+// delegated ticket over the requested window clamped to its own. The
+// sale is all or nothing: every piece is planned before any is signed,
+// an entry whose clamped window is empty is skipped, and if the rest
+// cannot cover amount Sell returns ErrInventory with stock untouched.
 func (ag *Agent) Sell(buyerName string, buyerKey ed25519.PublicKey, site string, typ capability.ResourceType, amount float64, notBefore, notAfter time.Duration) ([]*Ticket, error) {
 	if have := ag.Inventory(site, typ); !amountWithin(amount, have) {
 		return nil, fmt.Errorf("%w: have %.1f, want %.1f", ErrInventory, have, amount)
 	}
-	var out []*Ticket
+	type piece struct {
+		entry  int
+		take   float64
+		nb, na time.Duration
+	}
+	var buf [4]piece // most sales take one or two entries; buf keeps the plan off the heap
+	plan := buf[:0]
 	need := amount
-	for _, s := range ag.stock {
-		if need <= 0 {
-			break
-		}
+	for i := 0; i < len(ag.stock) && need > 0; i++ {
+		s := &ag.stock[i]
 		leaf := s.ticket.Leaf()
 		if leaf.Site != site || leaf.Type != typ || s.remaining <= 0 {
 			continue
 		}
-		take := need
-		if take > s.remaining {
-			take = s.remaining
+		nb, na := max(notBefore, leaf.NotBefore), min(notAfter, leaf.NotAfter)
+		if na <= nb {
+			continue
 		}
-		nb, na := notBefore, notAfter
-		if nb < leaf.NotBefore {
-			nb = leaf.NotBefore
-		}
-		if na > leaf.NotAfter {
-			na = leaf.NotAfter
-		}
-		ag.serial++
-		sub, err := s.ticket.Delegate(ag.signer, buyerName, buyerKey, take, nb, na, ag.serial)
+		take := min(need, s.remaining)
+		plan = append(plan, piece{entry: i, take: take, nb: nb, na: na})
+		need -= take
+	}
+	if need > 0 {
+		return nil, fmt.Errorf("%w: %v of %v uncovered over [%v,%v)", ErrInventory, need, amount, notBefore, notAfter)
+	}
+	out := make([]*Ticket, len(plan))
+	for k, p := range plan {
+		sub, err := ag.stock[p.entry].ticket.Delegate(ag.signer, buyerName, buyerKey, p.take, p.nb, p.na, ag.serial+uint64(k)+1)
 		if err != nil {
 			return nil, err
 		}
-		s.remaining -= take
-		need -= take
-		out = append(out, sub)
-		ag.SoldN++
+		out[k] = sub
+	}
+	ag.serial += uint64(len(plan))
+	ag.SoldN += len(plan)
+	drained := false
+	for _, p := range plan {
+		ag.stock[p.entry].remaining -= p.take
+		drained = drained || ag.stock[p.entry].remaining == 0
+	}
+	if drained {
+		ag.stock = slices.DeleteFunc(ag.stock, func(s stockEntry) bool { return s.remaining == 0 })
 	}
 	return out, nil
 }
