@@ -88,23 +88,29 @@ type Certificate struct {
 
 // tbs returns the canonical to-be-signed encoding of the certificate.
 // A hand-rolled deterministic encoding avoids JSON map-order pitfalls.
+// Rights are encoded sorted; they are copied to be sorted only when they
+// are not already, and the encoding is written once into a slice of
+// exactly its length.
 func (c *Certificate) tbs() []byte {
-	var buf bytes.Buffer
-	writeStr := func(s string) {
-		var n [4]byte
-		binary.BigEndian.PutUint32(n[:], uint32(len(s)))
-		buf.Write(n[:])
-		buf.WriteString(s)
+	rights := c.Rights
+	if !sort.StringsAreSorted(rights) {
+		rights = append([]string(nil), rights...)
+		sort.Strings(rights)
 	}
-	writeStr(c.Subject)
-	buf.Write(c.SubjectKey)
-	writeStr(c.Issuer)
-	buf.Write(c.IssuerKey)
-	var t [8]byte
-	binary.BigEndian.PutUint64(t[:], uint64(c.NotBefore))
-	buf.Write(t[:])
-	binary.BigEndian.PutUint64(t[:], uint64(c.NotAfter))
-	buf.Write(t[:])
+	n := 4 + len(c.Subject) + len(c.SubjectKey) + 4 + len(c.Issuer) + len(c.IssuerKey) + 2*8 + 1 + 8
+	for _, r := range rights {
+		n += 4 + len(r)
+	}
+	str := func(b []byte, s string) []byte {
+		return append(binary.BigEndian.AppendUint32(b, uint32(len(s))), s...)
+	}
+	b := make([]byte, 0, n)
+	b = str(b, c.Subject)
+	b = append(b, c.SubjectKey...)
+	b = str(b, c.Issuer)
+	b = append(b, c.IssuerKey...)
+	b = binary.BigEndian.AppendUint64(b, uint64(c.NotBefore))
+	b = binary.BigEndian.AppendUint64(b, uint64(c.NotAfter))
 	flags := byte(0)
 	if c.IsCA {
 		flags |= 1
@@ -115,15 +121,11 @@ func (c *Certificate) tbs() []byte {
 	if c.Rights != nil {
 		flags |= 4
 	}
-	buf.WriteByte(flags)
-	rights := append([]string(nil), c.Rights...)
-	sort.Strings(rights)
+	b = append(b, flags)
 	for _, r := range rights {
-		writeStr(r)
+		b = str(b, r)
 	}
-	binary.BigEndian.PutUint64(t[:], c.Serial)
-	buf.Write(t[:])
-	return buf.Bytes()
+	return binary.BigEndian.AppendUint64(b, c.Serial)
 }
 
 // Fingerprint returns a stable 20-byte digest identifying the certificate.

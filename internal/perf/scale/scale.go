@@ -1,11 +1,14 @@
 // Package scale is the planetary-scale federation experiment (E14): it
 // grows a federation past both papers' ambitions — GT2/GT3 "20-50
 // sites ... expected to scale to 100s", PlanetLab ~1,000 sites — to
-// 1,000 sites / 100k nodes / ~1M concurrent leases in one
-// deterministic run, exercising the three scale-flat mechanisms this
-// milestone added: the sharded MDS (dense regional indexes + summary
-// pruning at the root), memoized SHARP verification, and the compact
-// O(live) lease store.
+// 1,000 sites / 100k nodes / ~1M leases in one deterministic run, every
+// lease concurrent in virtual time (each site's whole population is
+// held live at the horizon), exercising the three scale-flat mechanisms
+// this milestone added: the sharded MDS (dense regional indexes +
+// summary pruning at the root), memoized SHARP verification, and the
+// compact O(live) lease store. On the host only the cells in flight
+// hold their lease planes: a finished cell keeps its region index and
+// its counted Result, nothing else.
 //
 // Parallelism follows the perf contract: the federation is partitioned
 // into regions, each region is one grid cell with its own private
@@ -92,8 +95,6 @@ const (
 
 // siteState is one site's resource-management stack inside a cell.
 type siteState struct {
-	name  string
-	nm    *capability.NodeManager
 	auth  *sharp.Authority
 	agent *sharp.Agent
 	sm    *identity.Principal
@@ -102,7 +103,10 @@ type siteState struct {
 
 // cell is one region's slot: a private engine simulating the region's
 // sites end to end. It is the cell engine's SnapRoot, so every struct
-// the growth ticker mutates is snapshot-reachable.
+// the growth ticker mutates is snapshot-reachable. A cell lives while
+// its region runs: once run has counted its Result it cancels every
+// pending event and drops sites, so the region index (which keeps the
+// engine, and through SnapRoot this struct) is all that outlives it.
 type cell struct {
 	eng *sim.Engine
 	net *simnet.Network
@@ -116,8 +120,7 @@ type cell struct {
 	siteLo, siteHi int // global site index range [lo, hi)
 	nextSite       int // next site to grow (ticker cursor)
 
-	sites  []*siteState
-	leases []*sharp.Lease
+	sites []*siteState
 
 	// Streaming window accumulators — reset at each window boundary;
 	// only the rendered lines are retained.
@@ -175,7 +178,7 @@ func Run(seed int64, cfg Config, workers int) *Report {
 	perSite := (cfg.Sites + cfg.Regions - 1) / cfg.Regions
 	results := make([]*Result, cfg.Regions)
 	perf.ForEach(cfg.Regions, workers, func(i int) {
-		results[i] = runCell(seed, cfg, i, i*perSite, min((i+1)*perSite, cfg.Sites))
+		results[i] = newCell(seed, cfg, i, i*perSite, min((i+1)*perSite, cfg.Sites)).run()
 	})
 
 	rep := &Report{Cfg: cfg}
@@ -198,12 +201,9 @@ func Run(seed int64, cfg Config, workers int) *Report {
 	return rep
 }
 
-// runCell simulates one region: sites join on a growth ticker, each
-// bringing its node sensors (pushed to the region index over the
-// simulated network) and its lease plane (batch-redeemed against a
-// compact-store authority). Windowed metrics stream out as lines; no
-// per-event history is retained.
-func runCell(seed int64, cfg Config, regionIdx, lo, hi int) *Result {
+// newCell builds one region's cell: its private engine and network, the
+// region index, and the cell registered as the engine's SnapRoot.
+func newCell(seed int64, cfg Config, regionIdx, lo, hi int) *cell {
 	eng := sim.NewEngine(seed*10007 + int64(regionIdx))
 	net := simnet.New(eng)
 	net.AddSite("R", 0, 0)
@@ -217,17 +217,27 @@ func runCell(seed int64, cfg Config, regionIdx, lo, hi int) *Result {
 		region: mds.NewRegionIndex(eng, net, regionHost, regionName, nil),
 		siteLo: lo, siteHi: hi, nextSite: lo,
 	}
-	nSites := hi - lo
-	c.windowSize = max((nSites+cfg.Windows-1)/cfg.Windows, 1) // a trailing region may hold no site
+	c.windowSize = max((hi-lo+cfg.Windows-1)/cfg.Windows, 1) // a trailing region may hold no site
 	eng.SnapRoot("scale.cell", c)
+	return c
+}
 
-	eng.NewTicker(growthStep, c.growTick)
-	growth := time.Duration(nSites+1) * growthStep
-	eng.RunUntil(growth + 2*cfg.RefreshInterval)
+// run simulates the region: sites join on a growth ticker, each bringing
+// its node sensors (pushed to the region index over the simulated
+// network) and its lease plane (batch-redeemed against a compact-store
+// authority). Windowed metrics stream out as lines; no per-event history
+// is retained. Once the Result is counted the cell is released: the
+// engine cancels every pending event (the growth ticker, each site's
+// push, and the registrations still in flight, which alias their
+// providers' attribute maps), and with the sites dropped the region index
+// (the root phase's handle) reaches no lease plane.
+func (c *cell) run() *Result {
+	c.eng.NewTicker(growthStep, c.growTick)
+	c.eng.RunUntil(time.Duration(c.siteHi-c.siteLo+1)*growthStep + 2*c.cfg.RefreshInterval)
 	c.flushWindow() // tail window, if the site count didn't divide evenly
 
 	res := &Result{
-		RegionName: regionName,
+		RegionName: c.regionName,
 		Region:     c.region,
 		Lines:      c.lines,
 		SitesN:     len(c.sites),
@@ -252,6 +262,8 @@ func runCell(seed int64, cfg Config, regionIdx, lo, hi int) *Result {
 		res.SigHits += hits
 		res.SigMisses += misses
 	}
+	c.eng.CancelAll()
+	c.sites = nil
 	return res
 }
 
@@ -284,8 +296,6 @@ func (c *cell) growSite(global int) {
 		map[capability.ResourceType]float64{capability.CPU: float64(cfg.LeasesPerSite)})
 	auth.SetOversellFactor(2) // root issue + renewal tickets share the budget
 	s := &siteState{
-		name:  name,
-		nm:    nm,
 		auth:  auth,
 		agent: sharp.NewAgent(identity.NewPrincipal("agent@"+name, rng)),
 		sm:    identity.NewPrincipal("sm@"+name, rng),
@@ -356,8 +366,6 @@ func (c *cell) growSite(global int) {
 					c.renewedN++
 					c.winRenewed++
 				}
-			default:
-				c.leases = append(c.leases, r.Lease)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package scale
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -189,4 +190,54 @@ func TestRunPanicsOnInvalidConfig(t *testing.T) {
 		}
 	}()
 	Run(1, cfg, 1)
+}
+
+// retainedHeap is the live heap a finished Run's Report keeps: HeapAlloc
+// after a full collection with the report held, less the same before Run.
+func retainedHeap(cfg Config) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep := Run(1, cfg, 1)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(rep)
+	if after.HeapAlloc < before.HeapAlloc {
+		return 0
+	}
+	return after.HeapAlloc - before.HeapAlloc
+}
+
+// TestFinishedCellsAreReleased: a Report keeps the region indexes the root
+// phase queried and the counted lines, not the lease planes behind them,
+// so the heap it holds does not grow with the leases each site granted.
+// A cell that kept its sites (or a ticker that still reached them) would
+// hold every live lease's slot, ID, capability and replay entry: 4× the
+// leases would add about 0.9 MB here. A first run is discarded, because it
+// also keeps what the process sets up once.
+func TestFinishedCellsAreReleased(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Sites, cfg.Regions, cfg.NodesPerSite, cfg.Batch = 8, 2, 4, 64
+	cfg.LeasesPerSite, cfg.RefreshInterval = 64, time.Minute
+
+	// What the heap cannot see: a site's push ticker keeps its GRIS and
+	// sensors, and a registration still in flight its provider's
+	// attribute map, per-site and per-node costs. At this refresh period
+	// the second site of a cell pushes at the horizon, and a run cell's
+	// engine still holds no event.
+	c := newCell(1, cfg, 0, 0, cfg.Sites/cfg.Regions)
+	c.run()
+	if n := c.eng.Pending(); n != 0 || c.sites != nil {
+		t.Errorf("a finished cell has %d pending events and %d sites, want none", n, len(c.sites))
+	}
+
+	retainedHeap(cfg)
+	small := retainedHeap(cfg)
+	cfg.LeasesPerSite *= 4
+	large := retainedHeap(cfg)
+	if large > small+small/2+64<<10 {
+		t.Errorf("a report holds %d B of heap at %d leases a site and %d B at %d: want it flat",
+			small, cfg.LeasesPerSite/4, large, cfg.LeasesPerSite)
+	}
+	t.Logf("retained heap: %d B at %d leases a site, %d B at %d", small, cfg.LeasesPerSite/4, large, cfg.LeasesPerSite)
 }

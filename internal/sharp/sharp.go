@@ -15,7 +15,6 @@
 package sharp
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
@@ -141,38 +140,43 @@ type Claim struct {
 	Sig        []byte
 }
 
-func (c *Claim) tbs() []byte {
-	var buf bytes.Buffer
-	w := func(s string) {
-		var n [4]byte
-		binary.BigEndian.PutUint32(n[:], uint32(len(s)))
-		buf.Write(n[:])
-		buf.WriteString(s)
+// tbs returns the claim's canonical to-be-signed encoding in one slice
+// of exactly its length.
+func (c *Claim) tbs() []byte { return c.appendTBS(make([]byte, 0, c.tbsLen())) }
+
+// tbsLen is the length of the encoding appendTBS writes: three
+// length-prefixed strings, two raw keys, five 8-byte words and the parent
+// hash.
+func (c *Claim) tbsLen() int {
+	return 3*4 + len(c.Site) + len(c.Issuer) + len(c.Holder) +
+		len(c.IssuerKey) + len(c.HolderKey) + 5*8 + len(c.ParentHash)
+}
+
+// appendTBS appends the to-be-signed encoding to b.
+func (c *Claim) appendTBS(b []byte) []byte {
+	str := func(b []byte, s string) []byte {
+		return append(binary.BigEndian.AppendUint32(b, uint32(len(s))), s...)
 	}
-	w(c.Site)
-	var t [8]byte
-	binary.BigEndian.PutUint64(t[:], uint64(c.Type))
-	buf.Write(t[:])
-	binary.BigEndian.PutUint64(t[:], uint64(int64(c.Amount*1e6)))
-	buf.Write(t[:])
-	binary.BigEndian.PutUint64(t[:], uint64(c.NotBefore))
-	buf.Write(t[:])
-	binary.BigEndian.PutUint64(t[:], uint64(c.NotAfter))
-	buf.Write(t[:])
-	w(c.Issuer)
-	buf.Write(c.IssuerKey)
-	w(c.Holder)
-	buf.Write(c.HolderKey)
-	binary.BigEndian.PutUint64(t[:], c.Serial)
-	buf.Write(t[:])
-	buf.Write(c.ParentHash[:])
-	return buf.Bytes()
+	b = str(b, c.Site)
+	b = binary.BigEndian.AppendUint64(b, uint64(c.Type))
+	b = binary.BigEndian.AppendUint64(b, uint64(int64(c.Amount*1e6)))
+	b = binary.BigEndian.AppendUint64(b, uint64(c.NotBefore))
+	b = binary.BigEndian.AppendUint64(b, uint64(c.NotAfter))
+	b = str(b, c.Issuer)
+	b = append(b, c.IssuerKey...)
+	b = str(b, c.Holder)
+	b = append(b, c.HolderKey...)
+	b = binary.BigEndian.AppendUint64(b, c.Serial)
+	return append(b, c.ParentHash[:]...)
 }
 
 // Hash returns the claim's chaining digest (covers the signature so a
-// re-signed claim is a different node).
+// re-signed claim is a different node). It encodes into a stack buffer
+// that holds any claim with names of a few dozen bytes; a longer one
+// spills to the heap and hashes the same bytes.
 func (c *Claim) Hash() [32]byte {
-	return sha256.Sum256(append(c.tbs(), c.Sig...))
+	var buf [384]byte
+	return sha256.Sum256(append(c.appendTBS(buf[:0]), c.Sig...))
 }
 
 // amountWithin reports whether x is a positive amount no larger than a

@@ -247,6 +247,19 @@ func (e *Engine) compact() {
 	}
 }
 
+// CancelAll cancels every pending event at once and recycles its node, so
+// each outstanding handle goes stale and no queued closure stays
+// reachable. The clock stays where it is. It is how a finished simulation
+// whose state is still read (a region index queried after its cell has
+// run) stops pinning what its undelivered messages and tickers hold.
+func (e *Engine) CancelAll() {
+	for _, s := range e.q {
+		e.release(s.idx)
+	}
+	e.q = e.q[:0]
+	e.live = 0
+}
+
 // Stop makes the current Run/RunUntil call return after the current event
 // completes. Pending events remain queued.
 func (e *Engine) Stop() { e.stopped = true }

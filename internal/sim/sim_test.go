@@ -298,6 +298,46 @@ func TestTicker(t *testing.T) {
 	}
 }
 
+// CancelAll empties the queue at once: live events and tombstones alike
+// are recycled with their closures dropped, every handle goes stale, a
+// ticker stops ticking, the clock stays, and the engine schedules anew.
+func TestCancelAll(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	evs := []Event{
+		e.Schedule(time.Second, func() { fired++ }),
+		e.Schedule(2*time.Second, func() { fired++ }),
+		e.Schedule(3*time.Second, func() { fired++ }),
+	}
+	e.Cancel(evs[1]) // a tombstone
+	tk := e.NewTicker(time.Second, func() { fired++ })
+	e.RunUntil(500 * time.Millisecond)
+	e.CancelAll()
+	if e.Pending() != 0 || len(e.q) != 0 {
+		t.Fatalf("after CancelAll: %d pending, %d queued", e.Pending(), len(e.q))
+	}
+	for i := range e.nodes {
+		if e.nodes[i].fn != nil {
+			t.Errorf("node %d still holds its closure", i)
+		}
+	}
+	for i, ev := range evs {
+		if e.Cancel(ev); ev.Cancelled() || ev.live() {
+			t.Errorf("handle %d still names an event", i)
+		}
+	}
+	tk.Stop() // a stale ticker stops quietly
+	e.Run()
+	if fired != 0 || e.Now() != 500*time.Millisecond {
+		t.Fatalf("after CancelAll: %d fired, clock %v", fired, e.Now())
+	}
+	e.Schedule(time.Second, func() { fired++ })
+	e.Run()
+	if fired != 1 || e.Now() != 1500*time.Millisecond || len(e.nodes) != 4 {
+		t.Fatalf("rescheduled: %d fired at %v over %d nodes, want 1 at 1.5s reusing the 4", fired, e.Now(), len(e.nodes))
+	}
+}
+
 func TestFluidSingleConsumer(t *testing.T) {
 	e := NewEngine(1)
 	s := NewFluidSystem(e)
