@@ -98,11 +98,11 @@ func main() {
 	var sharpID string
 	// The third created agreement on sharp-site is ag1 there.
 	sharpID = "sharp-site/ag1"
-	net.Call("consumer", "sharp-site", agreement.SvcRenegotiate, agreement.RenegotiateRequest{
+	simnet.Request(net, "consumer", "sharp-site", agreement.SvcRenegotiate, agreement.RenegotiateRequest{
 		ID: sharpID,
 		Offer: agreement.Offer{Template: "compute",
 			Terms: map[string]float64{"cpu": 8}, Lifetime: 4 * time.Hour},
-	}, time.Minute, func(_ any, err error) {
+	}, time.Minute, func(_ agreement.Ack, err error) {
 		if err != nil {
 			fmt.Printf("  refused (original stays observed): %v\n", err)
 		} else {

@@ -181,11 +181,11 @@ func NewResponder(eng *sim.Engine, net *simnet.Network, host string, enforce Enf
 		enforce:    enforce,
 	}
 	h := net.Host(host)
-	h.Handle(SvcTemplates, r.handleTemplates)
-	h.Handle(SvcCreate, r.handleCreate)
-	h.Handle(SvcStatus, r.handleStatus)
-	h.Handle(SvcTerminate, r.handleTerminate)
-	h.Handle(SvcRenegotiate, r.handleRenegotiate)
+	simnet.Serve(h, SvcTemplates, r.handleTemplates)
+	simnet.Serve(h, SvcCreate, r.handleCreate)
+	simnet.Serve(h, SvcStatus, r.handleStatus)
+	simnet.Serve(h, SvcTerminate, r.handleTerminate)
+	simnet.Serve(h, SvcRenegotiate, r.handleRenegotiate)
 	// Expiry events mutate agreements and responder counters, so the
 	// whole responder must be in the snapshot walker's reach for
 	// Engine.Fork to rewind it (the responder is not hung off the
@@ -200,7 +200,7 @@ func (r *Responder) AddTemplate(t Template) { r.templates[t.Name] = t }
 // Agreement returns the provider-side record (monitoring/local use).
 func (r *Responder) Agreement(id string) *Agreement { return r.agreements[id] }
 
-func (r *Responder) handleTemplates(string, any) (any, error) {
+func (r *Responder) handleTemplates(string, struct{}) ([]Template, error) {
 	out := make([]Template, 0, len(r.templates))
 	// Deterministic order by name.
 	names := make([]string, 0, len(r.templates))
@@ -214,14 +214,10 @@ func (r *Responder) handleTemplates(string, any) (any, error) {
 	return out, nil
 }
 
-func (r *Responder) handleCreate(from string, raw any) (any, error) {
-	o, ok := raw.(Offer)
-	if !ok {
-		return nil, fmt.Errorf("agreement: bad create payload %T", raw)
-	}
+func (r *Responder) handleCreate(from string, o Offer) (Ack, error) {
 	t, ok := r.templates[o.Template]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoTemplate, o.Template)
+		return Ack{}, fmt.Errorf("%w: %q", ErrNoTemplate, o.Template)
 	}
 	r.seq++
 	id := fmt.Sprintf("%s/ag%d", r.host, r.seq)
@@ -265,26 +261,18 @@ func (r *Responder) complete(a *Agreement) {
 	a.handle = nil
 }
 
-func (r *Responder) handleStatus(from string, raw any) (any, error) {
-	id, ok := raw.(string)
-	if !ok {
-		return nil, fmt.Errorf("agreement: bad status payload %T", raw)
-	}
+func (r *Responder) handleStatus(from string, id string) (Ack, error) {
 	a, ok := r.agreements[id]
 	if !ok {
-		return nil, ErrUnknownAgreement
+		return Ack{}, ErrUnknownAgreement
 	}
 	return Ack{ID: id, State: a.state}, nil
 }
 
-func (r *Responder) handleTerminate(from string, raw any) (any, error) {
-	id, ok := raw.(string)
-	if !ok {
-		return nil, fmt.Errorf("agreement: bad terminate payload %T", raw)
-	}
+func (r *Responder) handleTerminate(from string, id string) (Ack, error) {
 	a, ok := r.agreements[id]
 	if !ok {
-		return nil, ErrUnknownAgreement
+		return Ack{}, ErrUnknownAgreement
 	}
 	if a.state == Observed {
 		a.state = Terminated
@@ -298,14 +286,10 @@ func (r *Responder) handleTerminate(from string, raw any) (any, error) {
 // handleRenegotiate atomically replaces an observed agreement's terms:
 // commit the new offer first, then release the old commitment; on
 // failure the original agreement stays in force.
-func (r *Responder) handleRenegotiate(from string, raw any) (any, error) {
-	req, ok := raw.(RenegotiateRequest)
-	if !ok {
-		return nil, fmt.Errorf("agreement: bad renegotiate payload %T", raw)
-	}
+func (r *Responder) handleRenegotiate(from string, req RenegotiateRequest) (Ack, error) {
 	a, ok := r.agreements[req.ID]
 	if !ok {
-		return nil, ErrUnknownAgreement
+		return Ack{}, ErrUnknownAgreement
 	}
 	if a.state != Observed {
 		return Ack{ID: a.ID, State: a.state}, ErrNotObserved
@@ -335,19 +319,10 @@ func (r *Responder) handleRenegotiate(from string, raw any) (any, error) {
 
 // Create is the initiator-side helper: propose an offer to a provider.
 func Create(net *simnet.Network, from, provider string, o Offer, timeout time.Duration, done func(Ack, error)) {
-	net.Call(from, provider, SvcCreate, o, timeout, func(resp any, err error) {
-		ack, _ := resp.(Ack)
-		done(ack, err)
-	})
+	simnet.Request(net, from, provider, SvcCreate, o, timeout, done)
 }
 
 // Templates fetches a provider's advertised templates.
 func Templates(net *simnet.Network, from, provider string, timeout time.Duration, done func([]Template, error)) {
-	net.Call(from, provider, SvcTemplates, nil, timeout, func(resp any, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		done(resp.([]Template), nil)
-	})
+	simnet.Request(net, from, provider, SvcTemplates, struct{}{}, timeout, done)
 }

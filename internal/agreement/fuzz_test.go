@@ -193,8 +193,8 @@ func runOfferScript(t *testing.T, b *offerBackend, script []byte) {
 				b.eng.RunUntil(b.eng.Now() + 30*time.Minute)
 			} else if len(ids) > 0 {
 				id := ids[int(op>>4)%len(ids)]
-				raw, err := b.r.handleTerminate("consumer", id)
-				if ack := raw.(Ack); err != nil || ack.State == Observed || ack.State == Pending {
+				ack, err := b.r.handleTerminate("consumer", id)
+				if err != nil || ack.State == Observed || ack.State == Pending {
 					t.Fatalf("%s step %d: terminate %s = (%+v, %v)", b.name, step, id, ack, err)
 				}
 			}
@@ -217,7 +217,7 @@ func runOfferScript(t *testing.T, b *offerBackend, script []byte) {
 
 		before := b.holds()
 		what, kept := "create", State(Rejected)
-		var raw any
+		var ack Ack
 		var err error
 		if op&3 == 2 && len(ids) > 0 {
 			id := ids[int(op>>4)%len(ids)]
@@ -225,11 +225,10 @@ func runOfferScript(t *testing.T, b *offerBackend, script []byte) {
 				continue // ErrNotObserved: not an offer's fault
 			}
 			what, kept = "renegotiate "+id, Observed
-			raw, err = b.r.handleRenegotiate("consumer", RenegotiateRequest{ID: id, Offer: o})
+			ack, err = b.r.handleRenegotiate("consumer", RenegotiateRequest{ID: id, Offer: o})
 		} else {
-			raw, err = b.r.handleCreate("consumer", o)
+			ack, err = b.r.handleCreate("consumer", o)
 		}
-		ack := raw.(Ack)
 		fail := func(format string, args ...any) {
 			t.Helper()
 			t.Fatalf("%s step %d: %s %v %v = (%+v, %v): %s", b.name, step, what, o.Terms, o.Strings, ack, err, fmt.Sprintf(format, args...))

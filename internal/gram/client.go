@@ -18,13 +18,7 @@ import (
 // error surfaces to the caller — a cancel lost to a partition leaves an
 // orphaned job charging the user at the site.
 func Cancel(net *simnet.Network, from, gatekeeper, jobID string, timeout time.Duration, done func(StatusReply, error)) {
-	net.Call(from, gatekeeper, SvcCancel, jobID, timeout, func(resp any, err error) {
-		if err != nil {
-			done(StatusReply{}, err)
-			return
-		}
-		done(resp.(StatusReply), nil)
-	})
+	simnet.Request(net, from, gatekeeper, SvcCancel, jobID, timeout, done)
 }
 
 // SubmitWithRetry routes Submit through a resilience executor: transport

@@ -91,10 +91,10 @@ func NewGatekeeper(net *simnet.Network, host *simnet.Host, policy *gsi.SitePolic
 		managers: make(map[string]Manager),
 		jobs:     make(map[string]*Job),
 	}
-	host.Handle(SvcSubmit, g.handleSubmit)
-	host.Handle(SvcStatus, g.handleStatus)
-	host.Handle(SvcCancel, g.handleCancel)
-	host.Handle(SvcReserve, g.handleReserve)
+	simnet.Serve(host, SvcSubmit, g.handleSubmit)
+	simnet.Serve(host, SvcStatus, g.handleStatus)
+	simnet.Serve(host, SvcCancel, g.handleCancel)
+	simnet.Serve(host, SvcReserve, g.handleReserve)
 	return g
 }
 
@@ -137,24 +137,20 @@ func (g *Gatekeeper) UsageByOwner() map[string]float64 {
 	return out
 }
 
-func (g *Gatekeeper) handleSubmit(from string, raw any) (any, error) {
-	req, ok := raw.(SubmitRequest)
-	if !ok {
-		return nil, fmt.Errorf("gram: bad submit payload %T", raw)
-	}
+func (g *Gatekeeper) handleSubmit(from string, req SubmitRequest) (SubmitReply, error) {
 	now := g.net.Engine().Now()
 	local, subject, err := g.policy.Admit(req.Cred, "submit", now)
 	if err != nil {
 		g.AuthFailN++
-		return nil, err
+		return SubmitReply{}, err
 	}
 	spec, err := rsl.Parse(req.Spec.RSL)
 	if err != nil {
-		return nil, err
+		return SubmitReply{}, err
 	}
 	r, err := spec.Single()
 	if err != nil {
-		return nil, err
+		return SubmitReply{}, err
 	}
 	mgrName := req.Manager
 	if mgrName == "" {
@@ -162,7 +158,7 @@ func (g *Gatekeeper) handleSubmit(from string, raw any) (any, error) {
 	}
 	mgr, ok := g.managers[mgrName]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchManager, mgrName)
+		return SubmitReply{}, fmt.Errorf("%w: %q", ErrNoSuchManager, mgrName)
 	}
 	g.seq++
 	job := &Job{
@@ -187,32 +183,24 @@ func (g *Gatekeeper) handleSubmit(from string, raw any) (any, error) {
 	}
 	g.jobs[job.ID] = job
 	if err := mgr.Submit(job); err != nil {
-		return nil, err
+		return SubmitReply{}, err
 	}
 	g.SubmitN++
 	return SubmitReply{JobID: job.ID, State: job.State()}, nil
 }
 
-func (g *Gatekeeper) handleStatus(from string, raw any) (any, error) {
-	id, ok := raw.(string)
-	if !ok {
-		return nil, fmt.Errorf("gram: bad status payload %T", raw)
-	}
+func (g *Gatekeeper) handleStatus(from string, id string) (StatusReply, error) {
 	j, ok := g.jobs[id]
 	if !ok {
-		return nil, ErrUnknownJob
+		return StatusReply{}, ErrUnknownJob
 	}
 	return StatusReply{State: j.State()}, nil
 }
 
-func (g *Gatekeeper) handleCancel(from string, raw any) (any, error) {
-	id, ok := raw.(string)
-	if !ok {
-		return nil, fmt.Errorf("gram: bad cancel payload %T", raw)
-	}
+func (g *Gatekeeper) handleCancel(from string, id string) (StatusReply, error) {
 	j, ok := g.jobs[id]
 	if !ok {
-		return nil, ErrUnknownJob
+		return StatusReply{}, ErrUnknownJob
 	}
 	// Find the manager holding it by asking each; managers return
 	// ErrUnknownJob for jobs they do not hold.
@@ -221,18 +209,14 @@ func (g *Gatekeeper) handleCancel(from string, raw any) (any, error) {
 			return StatusReply{State: j.State()}, nil
 		}
 	}
-	return nil, ErrUnknownJob
+	return StatusReply{}, ErrUnknownJob
 }
 
-func (g *Gatekeeper) handleReserve(from string, raw any) (any, error) {
-	req, ok := raw.(ReserveRequest)
-	if !ok {
-		return nil, fmt.Errorf("gram: bad reserve payload %T", raw)
-	}
+func (g *Gatekeeper) handleReserve(from string, req ReserveRequest) (ReserveReply, error) {
 	now := g.net.Engine().Now()
 	if _, _, err := g.policy.Admit(req.Cred, "reserve", now); err != nil {
 		g.AuthFailN++
-		return nil, err
+		return ReserveReply{}, err
 	}
 	mgrName := req.Manager
 	if mgrName == "" {
@@ -240,15 +224,15 @@ func (g *Gatekeeper) handleReserve(from string, raw any) (any, error) {
 	}
 	mgr, ok := g.managers[mgrName]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchManager, mgrName)
+		return ReserveReply{}, fmt.Errorf("%w: %q", ErrNoSuchManager, mgrName)
 	}
 	bm, ok := mgr.(*BatchManager)
 	if !ok {
-		return nil, fmt.Errorf("gram: manager %q does not support reservations", mgrName)
+		return ReserveReply{}, fmt.Errorf("gram: manager %q does not support reservations", mgrName)
 	}
 	id, err := bm.Reserve(req.Start, req.Dur, req.Count)
 	if err != nil {
-		return nil, err
+		return ReserveReply{}, err
 	}
 	return ReserveReply{ReservationID: id}, nil
 }
@@ -256,11 +240,5 @@ func (g *Gatekeeper) handleReserve(from string, raw any) (any, error) {
 // Submit is the client-side helper: send a job to a gatekeeper host and
 // deliver the reply asynchronously.
 func Submit(net *simnet.Network, from, gatekeeper string, req SubmitRequest, timeout time.Duration, done func(SubmitReply, error)) {
-	net.Call(from, gatekeeper, SvcSubmit, req, timeout, func(resp any, err error) {
-		if err != nil {
-			done(SubmitReply{}, err)
-			return
-		}
-		done(resp.(SubmitReply), nil)
-	})
+	simnet.Request(net, from, gatekeeper, SvcSubmit, req, timeout, done)
 }

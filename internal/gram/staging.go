@@ -58,21 +58,17 @@ func SubmitStaged(net *simnet.Network, from, gatekeeper string, req StagedReques
 		req.Submit.CallbackHost = from
 		req.Submit.CallbackService = cbSvc
 		var stageOut func()
-		net.Host(from).Handle(cbSvc, func(_ string, raw any) (any, error) {
-			n, ok := raw.(StateNotice)
-			if !ok || n.JobID != res.JobID {
-				return nil, nil
-			}
-			if !n.State.Terminal() {
-				return nil, nil
+		simnet.Serve(net.Host(from), cbSvc, func(_ string, n StateNotice) (struct{}, error) {
+			if n.JobID != res.JobID || !n.State.Terminal() {
+				return struct{}{}, nil
 			}
 			res.Final = n.State
 			if n.State == Done && req.StageOutBytes > 0 {
 				stageOut()
-				return nil, nil
+			} else {
+				finish(nil)
 			}
-			finish(nil)
-			return nil, nil
+			return struct{}{}, nil
 		})
 		stageOut = func() {
 			start := net.Engine().Now()

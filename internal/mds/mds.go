@@ -190,11 +190,5 @@ func NewGIIS(eng *sim.Engine, net *simnet.Network, host string) *GIIS {
 
 // QueryIndex is the client helper: query a GIIS over the network.
 func QueryIndex(net *simnet.Network, from, indexHost string, q Query, timeout time.Duration, done func(QueryReply, error)) {
-	net.Call(from, indexHost, SvcQuery, q, timeout, func(resp any, err error) {
-		if err != nil {
-			done(QueryReply{}, err)
-			return
-		}
-		done(resp.(QueryReply), nil)
-	})
+	simnet.Request(net, from, indexHost, SvcQuery, q, timeout, done)
 }

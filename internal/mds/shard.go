@@ -238,8 +238,8 @@ func NewRegionIndex(eng *sim.Engine, net *simnet.Network, host, name string, in 
 		sum:    make(map[int32]*keyStat),
 	}
 	h := net.Host(host)
-	h.Handle(SvcRegister, r.handleRegister)
-	h.Handle(SvcQuery, r.handleQuery)
+	simnet.Serve(h, SvcRegister, r.handleRegister)
+	simnet.Serve(h, SvcQuery, r.handleQuery)
 	return r
 }
 
@@ -250,19 +250,11 @@ func (r *RegionIndex) Name() string { return r.name }
 // holds (shared interners report the federation-wide vocabulary).
 func (r *RegionIndex) Keys() int { return r.in.Len() }
 
-func (r *RegionIndex) handleRegister(from string, raw any) (any, error) {
-	reg, ok := raw.(Registration)
-	if !ok {
-		return nil, fmt.Errorf("mds: bad registration payload %T", raw)
-	}
-	return nil, r.RegisterRecord(reg)
+func (r *RegionIndex) handleRegister(from string, reg Registration) (struct{}, error) {
+	return struct{}{}, r.RegisterRecord(reg)
 }
 
-func (r *RegionIndex) handleQuery(from string, raw any) (any, error) {
-	q, ok := raw.(Query)
-	if !ok {
-		return nil, fmt.Errorf("mds: bad query payload %T", raw)
-	}
+func (r *RegionIndex) handleQuery(from string, q Query) (QueryReply, error) {
 	return r.Eval(q), nil
 }
 
@@ -638,8 +630,8 @@ type RootIndex struct {
 func NewRootIndex(eng *sim.Engine, net *simnet.Network, host string) *RootIndex {
 	rt := &RootIndex{eng: eng, net: net, host: host, sums: make(map[string]*rootSum)}
 	h := net.Host(host)
-	h.Handle(SvcSummary, rt.handleSummary)
-	h.Handle(SvcQuery, rt.handleQuery)
+	simnet.Serve(h, SvcSummary, rt.handleSummary)
+	simnet.Serve(h, SvcQuery, rt.handleQuery)
 	return rt
 }
 
@@ -648,13 +640,9 @@ func (rt *RootIndex) AttachRegion(r *RegionIndex) {
 	rt.regions = append(rt.regions, r)
 }
 
-func (rt *RootIndex) handleSummary(from string, raw any) (any, error) {
-	s, ok := raw.(RegionSummary)
-	if !ok {
-		return nil, fmt.Errorf("mds: bad summary payload %T", raw)
-	}
+func (rt *RootIndex) handleSummary(from string, s RegionSummary) (struct{}, error) {
 	rt.AbsorbSummary(s)
-	return nil, nil
+	return struct{}{}, nil
 }
 
 // AbsorbSummary installs one region summary with its soft-state TTL
@@ -670,11 +658,7 @@ func (rt *RootIndex) AbsorbSummary(s RegionSummary) {
 	rs.expires = rt.eng.Now() + s.TTL
 }
 
-func (rt *RootIndex) handleQuery(from string, raw any) (any, error) {
-	q, ok := raw.(Query)
-	if !ok {
-		return nil, fmt.Errorf("mds: bad query payload %T", raw)
-	}
+func (rt *RootIndex) handleQuery(from string, q Query) (QueryReply, error) {
 	return rt.QueryShards(q)
 }
 

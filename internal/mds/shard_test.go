@@ -700,16 +700,13 @@ func TestGIISRefreshAllocFree(t *testing.T) {
 	net.AddSite("HQ", 0, 0)
 	net.AddHost("flat", "HQ", 1e6)
 	g := NewGIIS(eng, net, "flat")
-	// Hoisted into an interface once: the handler's `any` parameter would
-	// otherwise box the Registration on every call and charge the test an
-	// allocation the register path doesn't own.
-	var raw any = Registration{Rec: Record{Name: "n", Source: "s",
+	reg := Registration{Rec: Record{Name: "n", Source: "s",
 		Attrs: map[string]string{"os": "linux", "cpus": "4", "load": "0.5"}}, TTL: time.Minute}
-	if _, err := g.handleRegister("s", raw); err != nil {
+	if _, err := g.handleRegister("s", reg); err != nil {
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(200, func() {
-		if _, err := g.handleRegister("s", raw); err != nil {
+		if _, err := g.handleRegister("s", reg); err != nil {
 			t.Fatal(err)
 		}
 	})

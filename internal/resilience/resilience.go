@@ -8,8 +8,9 @@
 //
 //   - Policy/Executor: capped exponential backoff with jitter drawn from
 //     an injected seeded *rand.Rand, scheduled on the sim.Engine clock
-//     (never the wall clock), with per-attempt deadlines and an overall
-//     virtual-time budget.
+//     (never the wall clock), bounded by attempts and an overall
+//     virtual-time budget. An attempt that goes over the network is
+//     bounded by its own simnet.Call timeout.
 //   - Breaker: per-site circuit breakers (closed/open/half-open with a
 //     virtual-time cool-down) so callers degrade gracefully instead of
 //     hammering partitioned or crashed sites.
@@ -42,9 +43,6 @@ var (
 	// breaker was open. It is transient: the breaker half-opens after its
 	// cool-down, so policies normally retry it.
 	ErrBreakerOpen = errors.New("resilience: breaker open")
-	// ErrAttemptTimeout reports an attempt abandoned at its per-attempt
-	// deadline (the operation's own completion, if any, is then ignored).
-	ErrAttemptTimeout = errors.New("resilience: attempt deadline exceeded")
 	// ErrRetriesExhausted reports MaxAttempts failures.
 	ErrRetriesExhausted = errors.New("resilience: attempts exhausted")
 	// ErrBudgetExhausted reports that the next retry would start past the
@@ -75,9 +73,6 @@ type Policy struct {
 	// attempt: a retry that would start after Budget is not scheduled
 	// (0 = unbounded).
 	Budget time.Duration
-	// AttemptTimeout abandons any single attempt that has not settled
-	// after this much virtual time (0 = wait forever on the attempt).
-	AttemptTimeout time.Duration
 	// Retryable classifies errors; a nil func retries everything.
 	// Non-retryable errors end the loop immediately (site policy said no;
 	// asking again cannot help).
@@ -133,8 +128,9 @@ func (p Policy) backoff(n int, rng *rand.Rand) time.Duration {
 }
 
 // Op is one retryable asynchronous operation: do the work for the given
-// attempt (1-based) and settle exactly once through done. Settling after
-// the attempt's deadline has passed is ignored.
+// attempt (1-based) and settle through done. Only an attempt's first
+// settle counts; a second one, or one from an attempt already retried, is
+// ignored.
 type Op func(attempt int, done func(error))
 
 // Executor runs Ops under a Policy on the engine clock. All state
@@ -152,7 +148,7 @@ type Executor struct {
 	fastFailN                       int
 
 	// inflight tracks active retry loops. The per-loop state machine
-	// (attempt number, settled flag, deadline handle) lives on doCall
+	// (attempt number, settled flag) lives on doCall
 	// structs reachable from here so that engine snapshots taken mid-loop
 	// restore it exactly (see sim/snap.go).
 	inflight map[*doCall]struct{}
@@ -236,7 +232,6 @@ type doCall struct {
 	// completion from an abandoned attempt cannot touch a newer one.
 	settled  bool
 	admitted bool
-	deadline sim.Event
 }
 
 func (c *doCall) finish(err error) {
@@ -254,7 +249,6 @@ func (c *doCall) attempt(n int) {
 	c.attempts = n
 	c.settled = false
 	c.admitted = false
-	c.deadline = sim.Event{}
 	settle := func(opErr error) { c.settle(n, opErr) }
 	if !c.br.Allow() {
 		c.e.fastFailN++
@@ -263,11 +257,6 @@ func (c *doCall) attempt(n int) {
 	}
 	c.admitted = true
 	c.e.AttemptsN++
-	if c.pol.AttemptTimeout > 0 {
-		c.deadline = c.e.eng.Schedule(c.pol.AttemptTimeout, func() {
-			c.settle(n, ErrAttemptTimeout)
-		})
-	}
 	c.op(n, settle)
 }
 
@@ -279,7 +268,6 @@ func (c *doCall) settle(n int, opErr error) {
 	}
 	c.settled = true
 	e := c.e
-	e.eng.Cancel(c.deadline)
 	if opErr == nil {
 		c.br.Success()
 		c.finish(nil)

@@ -117,32 +117,31 @@ func TestDoNonRetryableStopsImmediately(t *testing.T) {
 	}
 }
 
-func TestDoAttemptTimeout(t *testing.T) {
-	eng, ex := newExec(t, 1, Policy{Base: time.Second, MaxAttempts: 2, AttemptTimeout: 30 * time.Second})
-	var got error
-	calls := 0
-	ex.Do("op", nil, func(attempt int, done func(error)) {
-		calls++
-		// Never settle: the per-attempt deadline must fire.
-	}, func(err error) { got = err })
-	eng.Run()
-	if !errors.Is(got, ErrRetriesExhausted) || !errors.Is(got, ErrAttemptTimeout) {
-		t.Fatalf("want exhausted+timeout, got %v", got)
-	}
-	if calls != 2 {
-		t.Fatalf("want 2 attempts, got %d", calls)
-	}
-}
-
-func TestDoLateSettleAfterDeadlineIgnored(t *testing.T) {
-	eng, ex := newExec(t, 1, Policy{Base: time.Second, MaxAttempts: 1, AttemptTimeout: 10 * time.Second})
+// TestDoDoubleSettleAcrossRetryIgnored: only an attempt's first settle
+// counts. Every attempt fails and settles again, as a success, a minute
+// later. Attempt 1 fails at once, so its late success lands while
+// attempt 2 is still pending; attempt 2 fails after two minutes, so its
+// late success lands after the loop has given up. Neither may end the
+// loop, start an attempt or reach done.
+func TestDoDoubleSettleAcrossRetryIgnored(t *testing.T) {
+	eng, ex := newExec(t, 1, Policy{Base: time.Second, MaxAttempts: 2})
+	var attempts []int
 	var results []error
 	ex.Do("op", nil, func(attempt int, done func(error)) {
-		eng.Schedule(time.Minute, func() { done(nil) }) // settles after the deadline
+		attempts = append(attempts, attempt)
+		fail := time.Duration(attempt-1) * 2 * time.Minute
+		eng.Schedule(fail, func() { done(errors.New("nope")) })
+		eng.Schedule(fail+time.Minute, func() { done(nil) })
 	}, func(err error) { results = append(results, err) })
 	eng.Run()
-	if len(results) != 1 || !errors.Is(results[0], ErrAttemptTimeout) {
-		t.Fatalf("want exactly one timeout outcome, got %v", results)
+	if fmt.Sprint(attempts) != "[1 2]" {
+		t.Fatalf("attempts = %v, want [1 2]", attempts)
+	}
+	if len(results) != 1 || !errors.Is(results[0], ErrRetriesExhausted) {
+		t.Fatalf("want exactly one exhausted outcome, got %v", results)
+	}
+	if ex.OKN != 0 || ex.FailN != 1 || ex.AttemptsN != 2 {
+		t.Fatalf("ok=%d fail=%d attempts=%d, want 0, 1, 2", ex.OKN, ex.FailN, ex.AttemptsN)
 	}
 }
 

@@ -2,7 +2,6 @@ package sharp
 
 import (
 	"crypto/ed25519"
-	"fmt"
 	"time"
 
 	"repro/internal/capability"
@@ -60,18 +59,10 @@ type AuthorityService struct {
 func NewAuthorityService(net *simnet.Network, host string, auth *Authority) *AuthorityService {
 	s := &AuthorityService{Auth: auth, Host: host}
 	h := net.Host(host)
-	h.Handle(SvcIssue, func(from string, raw any) (any, error) {
-		req, ok := raw.(IssueRequest)
-		if !ok {
-			return nil, fmt.Errorf("sharp: bad issue payload %T", raw)
-		}
+	simnet.Serve(h, SvcIssue, func(from string, req IssueRequest) (*Ticket, error) {
 		return auth.IssueTicket(req.HolderName, req.HolderKey, req.Type, req.Amount, req.NotBefore, req.NotAfter)
 	})
-	h.Handle(SvcRedeem, func(from string, raw any) (any, error) {
-		tk, ok := raw.(*Ticket)
-		if !ok {
-			return nil, fmt.Errorf("sharp: bad redeem payload %T", raw)
-		}
+	simnet.Serve(h, SvcRedeem, func(from string, tk *Ticket) (*Lease, error) {
 		return auth.Redeem(tk)
 	})
 	return s
@@ -86,14 +77,10 @@ type AgentService struct {
 // NewAgentService registers the buy handler.
 func NewAgentService(net *simnet.Network, host string, agent *Agent) *AgentService {
 	s := &AgentService{Agent: agent, Host: host}
-	net.Host(host).Handle(SvcBuy, func(from string, raw any) (any, error) {
-		req, ok := raw.(BuyRequest)
-		if !ok {
-			return nil, fmt.Errorf("sharp: bad buy payload %T", raw)
-		}
+	simnet.Serve(net.Host(host), SvcBuy, func(from string, req BuyRequest) (BuyReply, error) {
 		tickets, err := agent.Sell(req.BuyerName, req.BuyerKey, req.Site, req.Type, req.Amount, req.NotBefore, req.NotAfter)
 		if err != nil {
-			return nil, err
+			return BuyReply{}, err
 		}
 		return BuyReply{Tickets: tickets}, nil
 	})
@@ -102,33 +89,15 @@ func NewAgentService(net *simnet.Network, host string, agent *Agent) *AgentServi
 
 // IssueOverNet requests a root ticket from an authority host.
 func IssueOverNet(net *simnet.Network, from, authHost string, req IssueRequest, timeout time.Duration, done func(*Ticket, error)) {
-	net.Call(from, authHost, SvcIssue, req, timeout, func(resp any, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		done(resp.(*Ticket), nil)
-	})
+	simnet.Request(net, from, authHost, SvcIssue, req, timeout, done)
 }
 
 // BuyOverNet buys a delegated ticket from an agent host.
 func BuyOverNet(net *simnet.Network, from, agentHost string, req BuyRequest, timeout time.Duration, done func([]*Ticket, error)) {
-	net.Call(from, agentHost, SvcBuy, req, timeout, func(resp any, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		done(resp.(BuyReply).Tickets, nil)
-	})
+	simnet.Request(net, from, agentHost, SvcBuy, req, timeout, func(r BuyReply, err error) { done(r.Tickets, err) })
 }
 
 // RedeemOverNet redeems a ticket at an authority host.
 func RedeemOverNet(net *simnet.Network, from, authHost string, tk *Ticket, timeout time.Duration, done func(*Lease, error)) {
-	net.Call(from, authHost, SvcRedeem, tk, timeout, func(resp any, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		done(resp.(*Lease), nil)
-	})
+	simnet.Request(net, from, authHost, SvcRedeem, tk, timeout, done)
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestCallTimeoutEventCancelled is the regression test for the timeout
@@ -91,32 +93,70 @@ func TestCallNoHandlerCounted(t *testing.T) {
 	}
 }
 
-// TestSendPartitionMidFlight is the regression test for send-time-only
-// partition checks: a one-way message already in flight must be severed
-// by a cut that lands before its arrival, like data flows are.
+// TestSendPartitionMidFlight: a cut that lands while a leg is in flight
+// drops it, whichever leg it is — a Send, a Call's request, its reply or
+// its refusal — and counts one net.drop.partition. The A–B legs fly
+// 31 ms; the cut lands at 10 ms (mid-request) or 40 ms (mid-reply).
+// Healing the cut lets the same message through again.
 func TestSendPartitionMidFlight(t *testing.T) {
-	eng, n := testNet(t, 1)
-	delivered := false
-	n.Host("b1").Handle("svc", func(string, any) (any, error) {
-		delivered = true
-		return nil, nil
-	})
-	n.Send("a1", "b1", "svc", "payload") // 31ms in flight
-	eng.RunUntil(10 * time.Millisecond)
-	n.Partition("A", "B", true)
-	eng.Run()
-	if delivered {
-		t.Fatal("message delivered across a partition that landed mid-flight")
-	}
-	if recv := n.Host("b1").MsgsRecv; recv != 0 {
-		t.Errorf("MsgsRecv = %d, want 0", recv)
-	}
+	for _, tc := range []struct {
+		name     string
+		svc      string        // the service the message names; b1 serves only "svc"
+		call     bool          // Call with a 1 s timeout, else Send
+		cutAt    time.Duration // when the cut lands
+		served   bool          // the handler ran before the cut took the message
+		recvHost string        // the host the dropped leg was bound for
+		healed   error         // done's error once the cut heals
+	}{
+		{name: "send", svc: "svc", cutAt: 10 * time.Millisecond, recvHost: "b1"},
+		{name: "request", svc: "svc", call: true, cutAt: 10 * time.Millisecond, recvHost: "b1"},
+		{name: "reply", svc: "svc", call: true, cutAt: 40 * time.Millisecond, served: true, recvHost: "a1"},
+		{name: "refused", svc: "nosuch", call: true, cutAt: 40 * time.Millisecond, recvHost: "a1", healed: ErrNoHandler},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, n := testNet(t, 1)
+			tr := obs.NewTracer(eng)
+			n.SetTracer(tr)
+			served := 0
+			n.Host("b1").Handle("svc", func(string, any) (any, error) {
+				served++
+				return "pong", nil
+			})
+			var errs []error
+			send := func() {
+				if tc.call {
+					n.Call("a1", "b1", tc.svc, "ping", time.Second, func(_ any, err error) { errs = append(errs, err) })
+				} else {
+					n.Send("a1", "b1", tc.svc, "ping")
+				}
+			}
+			send()
+			eng.RunUntil(tc.cutAt)
+			n.Partition("A", "B", true)
+			eng.Run()
+			if got := served == 1; got != tc.served {
+				t.Errorf("handler ran %d times across the cut, want served=%v", served, tc.served)
+			}
+			if tc.call && (len(errs) != 1 || !errors.Is(errs[0], ErrTimeout)) {
+				t.Errorf("done got %v, want one ErrTimeout", errs)
+			}
+			if recv := n.Host(tc.recvHost).MsgsRecv; recv != 0 {
+				t.Errorf("%s MsgsRecv = %d, want 0", tc.recvHost, recv)
+			}
+			if drops := tr.Counter("net.drop.partition").Value(); drops != 1 {
+				t.Errorf("net.drop.partition = %d, want 1", drops)
+			}
 
-	// Healing the cut restores delivery for new sends.
-	n.Partition("A", "B", false)
-	n.Send("a1", "b1", "svc", "again")
-	eng.Run()
-	if !delivered {
-		t.Fatal("message not delivered after heal")
+			n.Partition("A", "B", false)
+			served, errs = 0, nil
+			send()
+			eng.Run()
+			if tc.svc == "svc" && served != 1 {
+				t.Errorf("after heal the handler ran %d times, want 1", served)
+			}
+			if tc.call && (len(errs) != 1 || !errors.Is(errs[0], tc.healed)) {
+				t.Errorf("after heal done got %v, want [%v]", errs, tc.healed)
+			}
+		})
 	}
 }

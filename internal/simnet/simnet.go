@@ -11,6 +11,15 @@
 //     control messages per operation; and
 //   - a data plane of bulk flows (StartFlow) used by the data-grid
 //     experiments, built on the sim fluid-sharing model.
+//
+// Every control message — a Send, a Call's request, its reply or its
+// refusal — is one leg, and every leg follows one rule: it departs only
+// if the sender counts it and the loss draw spares it, and it lands only
+// if, on arrival, the receiver is still up and the two sites are still
+// connected. A crash or a cut that happens while a leg is in flight drops
+// it, exactly as it severs in-flight data flows. Request and Serve are
+// the typed face of Call and Handle: they own the one place an RPC
+// payload is typed.
 package simnet
 
 import (
@@ -18,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"time"
 
@@ -33,6 +43,7 @@ var (
 	ErrPartitioned  = errors.New("simnet: sites partitioned")
 	ErrHostDown     = errors.New("simnet: host down")
 	ErrZeroCapacity = errors.New("simnet: zero-capacity path")
+	ErrPayload      = errors.New("simnet: wrong payload type")
 )
 
 // IsTransient reports whether a control-plane error is worth retrying:
@@ -103,7 +114,7 @@ type Network struct {
 
 	// Messages dropped, by cause; calls settled by timeout or refusal;
 	// data flows by outcome (flowSeq counts the started ones).
-	dropLoss, dropPartition, dropDown    uint64
+	drops                                [numCauses]uint64
 	callTimeout, callRefused             uint64
 	flowsDone, flowsFailed, flowsAborted uint64
 
@@ -140,9 +151,9 @@ func (n *Network) SetTracer(tr *obs.Tracer) {
 	n.tr = tr
 	tr.CounterFunc("net.msgs_sent", func() uint64 { return n.sumHosts(func(h *Host) uint64 { return h.MsgsSent }) })
 	tr.CounterFunc("net.msgs_recv", func() uint64 { return n.sumHosts(func(h *Host) uint64 { return h.MsgsRecv }) })
-	tr.CounterFunc("net.drop.loss", func() uint64 { return n.dropLoss })
-	tr.CounterFunc("net.drop.partition", func() uint64 { return n.dropPartition })
-	tr.CounterFunc("net.drop.host_down", func() uint64 { return n.dropDown })
+	for c := range numCauses {
+		tr.CounterFunc("net.drop."+c.String(), func() uint64 { return n.drops[c] })
+	}
 	tr.CounterFunc("net.call.timeout", func() uint64 { return n.callTimeout })
 	tr.CounterFunc("net.call.refused", func() uint64 { return n.callRefused })
 	tr.CounterFunc("net.flows.started", func() uint64 { return n.flowSeq })
@@ -162,16 +173,6 @@ func (n *Network) sumHosts(count func(*Host) uint64) uint64 {
 		sum += count(h)
 	}
 	return sum
-}
-
-// countDrop counts a message refused by deliverable, by cause.
-func (n *Network) countDrop(err error) {
-	switch {
-	case errors.Is(err, ErrPartitioned):
-		n.dropPartition++
-	case errors.Is(err, ErrHostDown):
-		n.dropDown++
-	}
 }
 
 // AddSite registers a site at the given latency-space coordinates.
@@ -291,10 +292,17 @@ func (n *Network) ClearLatency(siteA, siteB string) {
 }
 
 // retune pushes the current Mathis limit into every live stream whose
-// path crosses the given site pair, in flow-creation order for
-// determinism.
+// path crosses the given site pair.
 func (n *Network) retune(key [2]string) {
-	victims := n.victims(func(f *Flow) bool {
+	for _, f := range n.crossing(key) {
+		f.retune(key)
+	}
+}
+
+// crossing collects the live flows with a stream whose path crosses the
+// site pair, in flow-creation order for determinism.
+func (n *Network) crossing(key [2]string) []*Flow {
+	return n.victims(func(f *Flow) bool {
 		for _, c := range f.order {
 			if f.pathOf[c].crosses(key) {
 				return true
@@ -302,9 +310,6 @@ func (n *Network) retune(key [2]string) {
 		}
 		return false
 	})
-	for _, f := range victims {
-		f.retune(key)
-	}
 }
 
 // Partition cuts (or heals, with false) connectivity between two sites.
@@ -318,15 +323,7 @@ func (n *Network) Partition(siteA, siteB string, cut bool) {
 	if !cut {
 		return
 	}
-	victims := n.victims(func(f *Flow) bool {
-		for _, c := range f.order {
-			if f.pathOf[c].crosses(key) {
-				return true
-			}
-		}
-		return false
-	})
-	for _, f := range victims {
+	for _, f := range n.crossing(key) {
 		f.partitionCut(key)
 	}
 }
@@ -391,19 +388,142 @@ func (h *Host) Down() bool { return h.downFlag }
 // LinkBps returns the host's access-link capacity in bytes/second.
 func (h *Host) LinkBps() float64 { return h.up.Capacity() }
 
-// deliverable reports whether a message can travel from a to b now, and
-// the latency it would experience.
-func (n *Network) deliverable(a, b *Host) (time.Duration, error) {
-	if a == nil || b == nil {
+// A dropCause says why a message never landed. Its String is both the
+// net.drop.* counter suffix and the drop attribute of a Send's span.
+type dropCause uint8
+
+const (
+	dropLoss dropCause = iota
+	dropPartition
+	dropDown
+	numCauses
+)
+
+var causeNames = [numCauses]string{"loss", "partition", "host_down"}
+
+func (c dropCause) String() string { return causeNames[c] }
+
+// message is one control-plane leg in flight: a Send, a Call's request,
+// or a Call's reply. It rides by value in its one delivery closure, so a
+// leg costs that closure and nothing else.
+type message struct {
+	from, to *Host
+	span     obs.SpanContext // a Send's span; a Call's legs share c.span
+	svc      string
+	body     any   // the Send payload, the Call request, or its response
+	c        *call // the RPC this leg belongs to; nil for a Send
+}
+
+// depart is a new message's departure check: both hosts must exist and
+// be up, and their sites connected. It returns the one-way latency, or
+// the refusal, counted by cause.
+func (n *Network) depart(a, b *Host) (time.Duration, error) {
+	switch {
+	case a == nil || b == nil:
 		return 0, ErrNoSuchHost
-	}
-	if a.downFlag || b.downFlag {
+	case a.downFlag:
+		n.drops[dropDown]++
 		return 0, ErrHostDown
 	}
-	if n.Partitioned(a.Site, b.Site) {
+	if cause, cut := n.blocked(a, b); cut {
+		n.drops[cause]++
+		if cause == dropDown {
+			return 0, ErrHostDown
+		}
 		return 0, ErrPartitioned
 	}
 	return n.Latency(a.Site, b.Site), nil
+}
+
+// blocked reports whether a message from a cannot reach b now, and why:
+// b is down, or the two sites are cut apart.
+func (n *Network) blocked(a, b *Host) (dropCause, bool) {
+	switch {
+	case b.downFlag:
+		return dropDown, true
+	case n.Partitioned(a.Site, b.Site):
+		return dropPartition, true
+	}
+	return 0, false
+}
+
+// fly carries one leg: the sender counts it, a lossy leg draws against
+// the path's loss rate, and the survivor lands after lat. A Call's reply
+// departs at the instant its request landed, so that landing was its
+// departure check.
+func (n *Network) fly(m message, lat time.Duration, lossy bool) {
+	m.from.MsgsSent++
+	if lossy && n.rng.Float64() < n.Loss(m.from.Site, m.to.Site) {
+		n.drop(m, dropLoss)
+		return
+	}
+	// The network rides in m.from, so the closure holds m alone.
+	n.eng.Schedule(lat, func() { m.from.net.land(m) })
+}
+
+// land is every leg's arrival. The receiver and the cut are checked
+// again: one that went down, or a cut that landed, while the leg was in
+// flight drops it.
+func (n *Network) land(m message) {
+	a, b := m.from, m.to
+	if cause, cut := n.blocked(a, b); cut {
+		n.drop(m, cause)
+		return
+	}
+	b.MsgsRecv++
+	switch {
+	case m.c == nil:
+		if fn, ok := b.handlers[m.svc]; ok {
+			n.handle(m.span, fn, a.Name, m.body) // response discarded for one-way sends
+		}
+		m.span.End()
+	case !m.c.served:
+		n.serve(m)
+	default:
+		m.c.finish(m.body, m.c.err)
+	}
+}
+
+// drop counts a leg lost in flight, by cause. A Send's span ends with the
+// cause; a Call leaves its span to the timeout, or, with none armed,
+// abandons the call, since nothing can settle it any more.
+func (n *Network) drop(m message, cause dropCause) {
+	n.drops[cause]++
+	switch {
+	case m.c == nil:
+		m.span.End(obs.String("drop", cause.String()))
+	case m.c.timeoutEv == (sim.Event{}):
+		m.c.drop()
+	}
+}
+
+// serve answers a Call where its request landed, on the latency the
+// request flew. "Connection refused" is observable, unlike loss, so a
+// refusal takes no loss draw; it is still a control message travelling
+// back, counted and lost to a caller that crashed meanwhile.
+func (n *Network) serve(m message) {
+	c := m.c
+	c.served = true
+	reply := message{from: m.to, to: m.from, c: c}
+	fn, ok := m.to.handlers[m.svc]
+	if !ok {
+		c.err = ErrNoHandler
+		n.fly(reply, c.lat, false)
+		return
+	}
+	reply.body, c.err = n.handle(c.span, fn, m.from.Name, m.body)
+	n.fly(reply, c.lat, true)
+}
+
+// handle runs a handler under the span of the message it serves, so the
+// spans it opens (and the messages it sends) are causal children of that
+// message.
+func (n *Network) handle(span obs.SpanContext, fn Handler, from string, body any) (resp any, err error) {
+	if n.tr == nil {
+		return fn(from, body)
+	}
+	n.tr.Scope(span, func() { resp, err = fn(from, body) })
+	return resp, err
 }
 
 // Send delivers a one-way message to a service on the destination host.
@@ -411,21 +531,11 @@ func (n *Network) deliverable(a, b *Host) (time.Duration, error) {
 // it (like a UDP datagram). The handler's response, if any, is discarded.
 func (n *Network) Send(from, to, service string, msg any) {
 	a, b := n.hosts[from], n.hosts[to]
-	lat, err := n.deliverable(a, b)
+	lat, err := n.depart(a, b)
 	if err != nil {
-		n.countDrop(err)
 		return
 	}
-	span := n.msgSpan("net.send", from, to, service)
-	a.MsgsSent++
-	if n.rng.Float64() < n.Loss(a.Site, b.Site) {
-		n.dropLoss++
-		span.End(obs.String("drop", "loss"))
-		return // dropped in flight
-	}
-	// The one allocation of a message: span is never reassigned, so the
-	// closure holds it by value, and the host names ride in a and b.
-	n.eng.Schedule(lat, func() { n.deliver(a, b, span, service, msg) })
+	n.fly(message{from: a, to: b, span: n.msgSpan("net.send", from, to, service), svc: service, body: msg}, lat, true)
 }
 
 // msgSpan opens the span of a Send or a Call: the zero context when
@@ -438,108 +548,53 @@ func (n *Network) msgSpan(name, from, to, service string) obs.SpanContext {
 		obs.String("from", from), obs.String("to", to), obs.String("svc", service))
 }
 
-// deliver lands one Send at b. Down-host and partition state are both
-// rechecked at delivery time: a cut that lands while the message is in
-// flight severs it, exactly as it severs in-flight data flows.
-func (n *Network) deliver(a, b *Host, span obs.SpanContext, service string, msg any) {
-	if b.downFlag || n.Partitioned(a.Site, b.Site) {
-		if b.downFlag {
-			n.dropDown++
-			span.End(obs.String("drop", "host_down"))
-		} else {
-			n.dropPartition++
-			span.End(obs.String("drop", "partition"))
-		}
-		return
-	}
-	b.MsgsRecv++
-	if fn, ok := b.handlers[service]; ok {
-		// The handler runs under the delivery span, so spans it opens
-		// (and messages it sends) are causal children of this message.
-		if n.tr != nil {
-			n.tr.Scope(span, func() { fn(a.Name, msg) })
-		} else {
-			fn(a.Name, msg) // response discarded for one-way sends
-		}
-	}
-	span.End()
-}
-
 // Call performs a request/response RPC and invokes done exactly once with
 // the result. Lost requests or responses surface as ErrTimeout after the
-// deadline. Calls are asynchronous because the kernel is event-driven;
-// CallSync in package rpcutil-style wrappers is intentionally absent.
+// deadline; with no timeout (timeout <= 0) a lost leg never settles.
+// Calls are asynchronous because the kernel is event-driven.
 func (n *Network) Call(from, to, service string, req any, timeout time.Duration, done func(resp any, err error)) {
 	if done == nil {
 		panic("simnet: nil completion for Call")
 	}
 	a, b := n.hosts[from], n.hosts[to]
-	lat, err := n.deliverable(a, b)
+	lat, err := n.depart(a, b)
 	if err != nil {
-		n.countDrop(err)
 		n.eng.Schedule(0, func() { done(nil, err) })
 		return
 	}
-	c := &call{n: n, a: a, start: n.eng.Now(), done: done, span: n.msgSpan("net.call", from, to, service)}
+	c := &call{n: n, lat: lat, start: n.eng.Now(), done: done, span: n.msgSpan("net.call", from, to, service)}
 	n.calls[c] = struct{}{}
 	if timeout > 0 {
 		c.timeoutEv = n.eng.Schedule(timeout, func() { c.finish(nil, ErrTimeout) })
 	}
-	a.MsgsSent++
-	if n.rng.Float64() < n.Loss(a.Site, b.Site) {
-		n.dropLoss++
-		if timeout <= 0 {
-			c.drop() // nothing can ever settle it
+	n.fly(message{from: a, to: b, svc: service, body: req, c: c}, lat, true)
+}
+
+// Request is Call with typed ends: req is the payload, and done gets the
+// reply as a Resp beside the call's error, as it came, so a reply that
+// rides with an error reaches the caller too. A reply of another type
+// fails with ErrPayload instead of being unboxed blindly.
+func Request[Req, Resp any](n *Network, from, to, service string, req Req, timeout time.Duration, done func(Resp, error)) {
+	n.Call(from, to, service, req, timeout, func(raw any, err error) {
+		resp, ok := raw.(Resp)
+		if !ok && err == nil {
+			err = fmt.Errorf("%w: %s replied %T, want %v", ErrPayload, service, raw, reflect.TypeFor[Resp]())
 		}
-		return // request lost; timeout will fire
-	}
-	n.eng.Schedule(lat, func() {
-		if b.downFlag {
-			n.dropDown++
-			return
-		}
-		b.MsgsRecv++
-		fn, ok := b.handlers[service]
+		done(resp, err)
+	})
+}
+
+// Serve registers fn as the handler for service on h, typed at both ends:
+// a request of another type fails with ErrPayload before fn runs, and
+// fn's reply and error go back as they are. A handler with nothing to
+// reply returns struct{}, which boxes without allocating.
+func Serve[Req, Resp any](h *Host, service string, fn func(from string, req Req) (Resp, error)) {
+	h.Handle(service, func(from string, raw any) (any, error) {
+		req, ok := raw.(Req)
 		if !ok {
-			// "Connection refused" is observable, unlike loss, so no loss
-			// draw — but the reply is still a control message travelling
-			// back, so it is counted and a crashed caller never sees it.
-			b.MsgsSent++
-			n.eng.Schedule(lat, func() {
-				if a.downFlag {
-					n.dropDown++
-					return
-				}
-				a.MsgsRecv++
-				c.finish(nil, ErrNoHandler)
-			})
-			return
+			return nil, fmt.Errorf("%w: %s takes %v, got %T", ErrPayload, service, reflect.TypeFor[Req](), raw)
 		}
-		// The handler runs under the call span: spans it opens become
-		// request→handler→response children of this RPC.
-		var resp any
-		var herr error
-		if n.tr != nil {
-			n.tr.Scope(c.span, func() { resp, herr = fn(from, req) })
-		} else {
-			resp, herr = fn(from, req)
-		}
-		b.MsgsSent++
-		if n.rng.Float64() < n.Loss(a.Site, b.Site) {
-			n.dropLoss++
-			if timeout <= 0 {
-				c.drop() // response lost with no timeout: never settles
-			}
-			return // response lost
-		}
-		n.eng.Schedule(lat, func() {
-			if a.downFlag {
-				n.dropDown++
-				return
-			}
-			a.MsgsRecv++
-			c.finish(resp, herr)
-		})
+		return fn(from, req)
 	})
 }
 
@@ -547,12 +602,16 @@ func (n *Network) Call(from, to, service string, req any, timeout time.Duration,
 // than closure-captured locals) makes in-flight calls part of the
 // snapshot-restorable object graph.
 type call struct {
-	n         *Network
-	a         *Host // caller, for delivery checks
-	span      obs.SpanContext
-	start     time.Duration
-	done      func(resp any, err error)
+	n     *Network
+	span  obs.SpanContext
+	start time.Duration
+	lat   time.Duration // one-way latency at the request's departure; the reply flies it too
+	done  func(resp any, err error)
+	// served is set when the request lands, so the next leg to land is
+	// the reply; err is the error that reply carries.
+	served    bool
 	finished  bool
+	err       error
 	timeoutEv sim.Event
 }
 
@@ -579,8 +638,8 @@ func (c *call) finish(resp any, err error) {
 	c.done(resp, err)
 }
 
-// drop abandons a call that can never settle (lost with no timeout armed)
-// so it does not accumulate in the in-flight set.
+// drop abandons a call that can never settle (a leg lost with no timeout
+// armed) so it does not accumulate in the in-flight set.
 func (c *call) drop() {
 	c.finished = true
 	delete(c.n.calls, c)

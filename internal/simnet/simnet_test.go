@@ -85,6 +85,75 @@ func TestSendAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestCallAllocates pins a Call round trip with tracing off: the call
+// record, one closure per leg, and the timeout's closure when one is
+// armed. The reply travels in its leg's closure with no cells of its own.
+func TestCallAllocates(t *testing.T) {
+	for _, tc := range []struct {
+		timeout time.Duration
+		want    float64
+	}{{time.Second, 4}, {0, 3}} {
+		eng, n := testNet(t, 1)
+		n.Host("b1").Handle("echo", func(_ string, req any) (any, error) { return req, nil })
+		var req any = "payload"
+		settled := 0
+		done := func(any, error) { settled++ }
+		call := func() {
+			n.Call("a1", "b1", "echo", req, tc.timeout, done)
+			eng.Run()
+		}
+		call() // warm the event heap and the in-flight set
+		if got := testing.AllocsPerRun(200, call); got > tc.want {
+			t.Errorf("timeout %v: a Call round trip allocates %.1f objects, want at most %v", tc.timeout, got, tc.want)
+		}
+		if settled != 202 {
+			t.Errorf("timeout %v: %d of 202 calls settled", tc.timeout, settled)
+		}
+	}
+}
+
+// TestTypedRPC: Request and Serve type both ends of a Call. A request of
+// the wrong type is refused before the handler runs, a reply of the
+// wrong type is an error rather than a panic, and a reply that rides with
+// an error reaches the caller as it came.
+func TestTypedRPC(t *testing.T) {
+	eng, n := testNet(t, 1)
+	refused := errors.New("refused")
+	ran := 0
+	Serve(n.Host("b1"), "double", func(_ string, x int) (int, error) {
+		ran++
+		if x < 0 {
+			return -1, refused
+		}
+		return 2 * x, nil
+	})
+	n.Host("b1").Handle("raw", func(string, any) (any, error) { return "not an int", nil })
+	for _, tc := range []struct {
+		name    string
+		svc     string
+		req     any
+		want    int
+		wantErr error
+		ran     int
+	}{
+		{name: "typed", svc: "double", req: 21, want: 42, ran: 1},
+		{name: "reply with error", svc: "double", req: -3, want: -1, wantErr: refused, ran: 1},
+		{name: "wrong request", svc: "double", req: "21", wantErr: ErrPayload},
+		{name: "wrong reply", svc: "raw", req: 21, wantErr: ErrPayload},
+		{name: "transport error", svc: "nosuch", req: 21, wantErr: ErrNoHandler},
+	} {
+		ran = 0
+		got, err := -100, error(nil)
+		settled := 0
+		Request(n, "a1", "b1", tc.svc, tc.req, time.Second, func(r int, e error) { got, err, settled = r, e, settled+1 })
+		eng.Run()
+		if settled != 1 || got != tc.want || !errors.Is(err, tc.wantErr) || ran != tc.ran {
+			t.Errorf("%s: settled %d times with (%d, %v), handler ran %d times; want once with (%d, %v), %d runs",
+				tc.name, settled, got, err, ran, tc.want, tc.wantErr, tc.ran)
+		}
+	}
+}
+
 func TestCallRoundTrip(t *testing.T) {
 	eng, n := testNet(t, 1)
 	n.Host("b1").Handle("double", func(from string, req any) (any, error) {
