@@ -493,7 +493,7 @@ func (n *Network) drop(m message, cause dropCause) {
 	case m.c == nil:
 		m.span.End(obs.String("drop", cause.String()))
 	case m.c.timeoutEv == (sim.Event{}):
-		m.c.drop()
+		m.c.abandon()
 	}
 }
 
@@ -638,9 +638,9 @@ func (c *call) finish(resp any, err error) {
 	c.done(resp, err)
 }
 
-// drop abandons a call that can never settle (a leg lost with no timeout
-// armed) so it does not accumulate in the in-flight set.
-func (c *call) drop() {
+// abandon retires a call that can never settle (a leg lost with no
+// timeout armed) so it does not accumulate in the in-flight set.
+func (c *call) abandon() {
 	c.finished = true
 	delete(c.n.calls, c)
 }
