@@ -5,7 +5,7 @@
 //	globalrand   no package-level math/rand draws — inject a seeded *rand.Rand
 //	maporder     no order-sensitive effects inside map iteration
 //	errdrop      no discarded errors from domain-critical calls
-//	jitterrand   no composite-literal resilience executors — use the New* constructors
+//	jitterrand   no composite-literal resilience executors — use resilience.NewKit
 //	enginerace   no goroutine capture or channel transfer of engine state
 //	snapcapture  no engine-scheduled closures over mutable captures (Fork-invisible)
 //	snapleaf     no chan/unsafe.Pointer/mutable-func fields reachable from a SnapRoot

@@ -44,14 +44,13 @@ type Matchmaker struct {
 	// Timeout bounds each RPC leg.
 	Timeout time.Duration
 
-	// Retry, when set, routes submissions through deterministic
-	// backoff-and-retry for transport faults (refusals stay final).
-	Retry *resilience.Executor
-	// Breakers, when set, gates candidates: a gatekeeper whose breaker is
-	// not ready is skipped without an attempt. SiteOf maps a gatekeeper
-	// host to its breaker key (nil keys by host name).
-	Breakers *resilience.BreakerSet
-	SiteOf   func(gatekeeper string) string
+	// Resilience, when set, routes submissions through deterministic
+	// backoff-and-retry for transport faults (refusals stay final) and
+	// gates candidates on its breakers: a gatekeeper whose breaker is not
+	// ready is skipped without an attempt. SiteOf maps a gatekeeper host
+	// to its breaker key (nil keys by host name).
+	Resilience *resilience.Kit
+	SiteOf     func(gatekeeper string) string
 
 	// heldProxies are the delegated credentials the broker currently
 	// stores — the compromise blast radius of this design.
@@ -66,17 +65,17 @@ type Matchmaker struct {
 // each one lets a thief act as that user until its NotAfter.
 func (m *Matchmaker) HeldProxies() []*identity.Credential { return m.heldProxies }
 
-// breakerFor maps a gatekeeper host to its site breaker (nil when no set
+// breakerFor maps a gatekeeper host to its site breaker (nil when no kit
 // is installed).
 func (m *Matchmaker) breakerFor(gk string) *resilience.Breaker {
-	if m.Breakers == nil {
+	if m.Resilience == nil {
 		return nil
 	}
 	key := gk
 	if m.SiteOf != nil {
 		key = m.SiteOf(gk)
 	}
-	return m.Breakers.For(key)
+	return m.Resilience.Breakers.For(key)
 }
 
 // Placement reports where a job landed.
@@ -130,8 +129,12 @@ func (m *Matchmaker) tryNext(proxy *identity.Credential, spec gram.JobSpec, gks 
 		m.tryNext(proxy, spec, gks[1:], done)
 		return
 	}
+	var retry *resilience.Executor
+	if m.Resilience != nil {
+		retry = m.Resilience.Retry
+	}
 	m.Hops++
-	gram.SubmitWithRetry(m.Retry, br, m.Net, m.Host, gk,
+	gram.SubmitWithRetry(retry, br, m.Net, m.Host, gk,
 		gram.SubmitRequest{Cred: proxy, Spec: spec}, m.Timeout,
 		func(reply gram.SubmitReply, err error) {
 			if err != nil {

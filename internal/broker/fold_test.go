@@ -328,8 +328,7 @@ func newFoldTwin(t *testing.T, seed int64, ref bool) *foldTwin {
 	tw.d = &Deployer{Agent: house, Sites: sites, SiteDown: func(s string) bool { return tw.down[s] }}
 	tw.d.SetTracer(tw.tr)
 	if seed%3 != 0 {
-		tw.d.Breakers = resilience.NewBreakerSet(eng,
-			resilience.BreakerConfig{Threshold: 2, Cooldown: 10 * time.Minute, HalfOpenSuccesses: 1}, tw.tr)
+		tw.d.Breakers = resilience.NewKit(eng, eng.ForkRand(), tw.tr).Breakers
 	}
 	if err := tw.d.Stock(6, 0, 100*time.Hour, foldSites...); err != nil {
 		t.Fatal(err)

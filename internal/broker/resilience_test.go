@@ -55,10 +55,9 @@ func TestDeployerBreakerTripsAndRecloses(t *testing.T) {
 	}
 	down := map[string]bool{"B": true}
 	d.SiteDown = func(s string) bool { return down[s] }
-	d.Breakers = resilience.NewBreakerSet(eng,
-		resilience.BreakerConfig{Threshold: 2, Cooldown: 10 * time.Minute, HalfOpenSuccesses: 1}, nil)
+	d.Breakers = resilience.NewKit(eng, eng.ForkRand(), nil).Breakers
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < resilience.BreakerThreshold; i++ {
 		_, err := d.DeploySlice(fmt.Sprintf("s%d", i), sm, 1, 0, time.Hour, []string{"B"})
 		if !errors.Is(err, ErrSiteUnreachable) {
 			t.Fatalf("attempt %d: %v", i, err)
@@ -74,7 +73,7 @@ func TestDeployerBreakerTripsAndRecloses(t *testing.T) {
 	// After the cool-down the site has recovered: the half-open probe is
 	// the deploy itself, and its success re-closes the breaker.
 	down["B"] = false
-	eng.RunUntil(10 * time.Minute)
+	eng.RunUntil(resilience.BreakerCooldown)
 	now := eng.Now()
 	res, err := d.DeploySlice("s3", sm, 1, now, now+time.Hour, []string{"B"})
 	if err != nil || res.Degraded() {
@@ -140,10 +139,9 @@ func TestStockBestEffortAcrossSites(t *testing.T) {
 
 func TestMatchmakerSkipsOpenBreaker(t *testing.T) {
 	f := newGlobusFixture(t)
-	bs := resilience.NewBreakerSet(f.eng, resilience.DefaultBreakerConfig(), nil)
-	f.mm.Breakers = bs
-	br := bs.For("gk1")
-	for i := 0; i < 3; i++ {
+	f.mm.Resilience = resilience.NewKit(f.eng, f.eng.ForkRand(), nil)
+	br := f.mm.Resilience.Breakers.For("gk1")
+	for i := 0; i < resilience.BreakerThreshold; i++ {
 		br.Failure()
 	}
 	if br.State() != resilience.StateOpen {
@@ -166,13 +164,12 @@ func TestMatchmakerSkipsOpenBreaker(t *testing.T) {
 func TestMatchmakerRetryRidesOutOutage(t *testing.T) {
 	f := newGlobusFixture(t)
 	f.mm.Timeout = 15 * time.Second
-	f.mm.Retry = resilience.NewExecutor(f.eng, f.eng.ForkRand(), resilience.Policy{
-		Base: 30 * time.Second, Cap: 2 * time.Minute, Mult: 2, Jitter: time.Second, MaxAttempts: 5,
-	}, nil)
-	// gk1 is dark for the first minute; without retry the legacy path
-	// would fall through to gk2 on the first transport fault.
+	f.mm.Resilience = resilience.NewKit(f.eng, f.eng.ForkRand(), nil)
+	// gk1 is dark for two base backoffs; without retry the legacy path
+	// would fall through to gk2 on the first transport fault. The outage
+	// costs two attempts, fewer than trip gk1's breaker.
 	f.net.SetDown("gk1", true)
-	f.eng.Schedule(time.Minute, func() { f.net.SetDown("gk1", false) })
+	f.eng.Schedule(2*resilience.BackoffBase, func() { f.net.SetDown("gk1", false) })
 	var got Placement
 	var err error
 	f.mm.SubmitJob(f.proxy, gram.JobSpec{
@@ -185,14 +182,15 @@ func TestMatchmakerRetryRidesOutOutage(t *testing.T) {
 	if got.Gatekeeper != "gk1" {
 		t.Errorf("placed at %q, want gk1 (retry should outlast the outage)", got.Gatekeeper)
 	}
+	if br := f.mm.Resilience.Breakers.For("gk1"); br.State() != resilience.StateClosed || br.TripsN != 0 {
+		t.Errorf("gk1 breaker = %s after %d trips, want closed and never tripped", br.State(), br.TripsN)
+	}
 }
 
 func TestCoAllocatorCancelRetriesAndCountsLoss(t *testing.T) {
 	f := newGlobusFixture(t)
 	co := &CoAllocator{Net: f.net, Host: "bk", Timeout: 15 * time.Second}
-	co.Retry = resilience.NewExecutor(f.eng, f.eng.ForkRand(), resilience.Policy{
-		Base: 30 * time.Second, Cap: time.Minute, Mult: 2, Jitter: time.Second, MaxAttempts: 3,
-	}, nil)
+	co.Retry = resilience.NewKit(f.eng, f.eng.ForkRand(), nil).Retry
 	submit := func() Placement {
 		var p Placement
 		gram.Submit(f.net, "bk", "gk1", gram.SubmitRequest{
@@ -237,9 +235,8 @@ func TestDeployerBreakerGateChargesOnlyConnectivity(t *testing.T) {
 	// In-process refusals (no tickets) must NOT charge the breaker: the
 	// site answered, so connectivity is fine.
 	eng, d, sm := plFixture(t)
-	d.Breakers = resilience.NewBreakerSet(eng,
-		resilience.BreakerConfig{Threshold: 2, Cooldown: 10 * time.Minute}, nil)
-	for i := 0; i < 5; i++ {
+	d.Breakers = resilience.NewKit(eng, eng.ForkRand(), nil).Breakers
+	for i := 0; i < 2*resilience.BreakerThreshold; i++ {
 		_, err := d.DeploySlice(fmt.Sprintf("s%d", i), sm, 1, 0, time.Hour, []string{"A"})
 		if !errors.Is(err, ErrNoTickets) {
 			t.Fatalf("attempt %d: %v", i, err)

@@ -283,8 +283,7 @@ func Build(stack Stack, cfg Config, specs []SiteSpec) *Federation {
 	if cfg.Resilience {
 		f.Resilience = resilience.NewKit(eng, eng.ForkRand(), f.Tracer)
 		f.Deployer.Breakers = f.Resilience.Breakers
-		f.Matchmaker.Retry = f.Resilience.Retry
-		f.Matchmaker.Breakers = f.Resilience.Breakers
+		f.Matchmaker.Resilience = f.Resilience
 		f.Matchmaker.SiteOf = func(gk string) string {
 			return strings.TrimPrefix(gk, "gk-")
 		}

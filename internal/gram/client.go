@@ -26,38 +26,28 @@ func Cancel(net *simnet.Network, from, gatekeeper, jobID string, timeout time.Du
 // passed); refusals fail immediately. A nil executor degrades to a plain
 // Submit.
 func SubmitWithRetry(ex *resilience.Executor, br *resilience.Breaker, net *simnet.Network, from, gatekeeper string, req SubmitRequest, timeout time.Duration, done func(SubmitReply, error)) {
-	if ex == nil {
-		Submit(net, from, gatekeeper, req, timeout, done)
-		return
-	}
-	var last SubmitReply
-	pol := ex.Policy()
-	pol.Retryable = retryableTransport
-	//gridlint:ignore snapcapture call-scoped reply accumulator; in-flight retry chains are exercised by the resilience fork differential gate
-	ex.DoWithPolicy("gram.submit", pol, br, func(attempt int, settle func(error)) {
-		Submit(net, from, gatekeeper, req, timeout, func(r SubmitReply, err error) {
-			if err == nil {
-				last = r
-			}
-			settle(err)
-		})
-	}, func(err error) { done(last, err) })
+	requestWithRetry(ex, br, net, from, gatekeeper, SvcSubmit, req, timeout, done)
 }
 
 // CancelWithRetry routes Cancel through a resilience executor with the
 // same transport-only retry classification. A nil executor degrades to a
 // plain Cancel.
 func CancelWithRetry(ex *resilience.Executor, br *resilience.Breaker, net *simnet.Network, from, gatekeeper, jobID string, timeout time.Duration, done func(StatusReply, error)) {
+	requestWithRetry(ex, br, net, from, gatekeeper, SvcCancel, jobID, timeout, done)
+}
+
+// requestWithRetry is simnet.Request retried through ex under the
+// service's name, reporting the successful attempt's reply. A nil
+// executor sends one plain request.
+func requestWithRetry[Req, Resp any](ex *resilience.Executor, br *resilience.Breaker, net *simnet.Network, from, gatekeeper, service string, req Req, timeout time.Duration, done func(Resp, error)) {
 	if ex == nil {
-		Cancel(net, from, gatekeeper, jobID, timeout, done)
+		simnet.Request(net, from, gatekeeper, service, req, timeout, done)
 		return
 	}
-	var last StatusReply
-	pol := ex.Policy()
-	pol.Retryable = retryableTransport
+	var last Resp
 	//gridlint:ignore snapcapture call-scoped reply accumulator; in-flight retry chains are exercised by the resilience fork differential gate
-	ex.DoWithPolicy("gram.cancel", pol, br, func(attempt int, settle func(error)) {
-		Cancel(net, from, gatekeeper, jobID, timeout, func(r StatusReply, err error) {
+	ex.Do(service, br, retryableTransport, func(_ int, settle func(error)) {
+		simnet.Request(net, from, gatekeeper, service, req, timeout, func(r Resp, err error) {
 			if err == nil {
 				last = r
 			}

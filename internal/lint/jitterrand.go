@@ -8,14 +8,14 @@ import (
 // JitterrandAnalyzer forbids building resilience machinery as composite
 // literals outside its own package. A jittered backoff is only
 // deterministic when its jitter draws from an injected seeded stream on
-// the engine clock; NewExecutor/NewRenewer/NewKit enforce exactly that
-// (and panic on a nil source), while a literal &resilience.Executor{…}
-// zero-values the unexported rand and engine fields — a retry loop that
-// panics (or silently never jitters) deep inside a recovery path, the
-// worst possible place to find out.
+// the engine clock; NewKit enforces exactly that (and panics on a nil
+// source), while a literal &resilience.Executor{…} zero-values the
+// unexported rand and engine fields — a retry loop that panics (or
+// silently never jitters) deep inside a recovery path, the worst
+// possible place to find out.
 var JitterrandAnalyzer = &Analyzer{
 	Name: "jitterrand",
-	Doc:  "forbid composite-literal construction of resilience.Executor/Renewer/Kit; use the New* constructors (injected seeded rand, engine clock)",
+	Doc:  "forbid composite-literal construction of resilience.Executor/Renewer/Kit; use resilience.NewKit (injected seeded rand, engine clock)",
 	Run:  runJitterrand,
 }
 
@@ -57,7 +57,7 @@ func runJitterrand(pass *Pass) {
 				return true
 			}
 			pass.Reportf(lit.Pos(),
-				"construct via resilience.New"+obj.Name()+" (injected seeded rand and engine clock)",
+				"construct via resilience.NewKit (injected seeded rand and engine clock)",
 				"resilience.%s built as a composite literal carries no rand source for its jittered backoff", obj.Name())
 			return true
 		})

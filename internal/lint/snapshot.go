@@ -45,8 +45,8 @@ var schedEntries = []schedEntry{
 	{simPkgPath, "Engine", "NewTicker", []int{1}},
 	{simPkgPath, "Engine", "NewWindow", []int{2, 3}},
 	{"repro/internal/obs", "Tracer", "Schedule", []int{2}},
-	{"repro/internal/resilience", "Executor", "Do", []int{2, 3}},
-	{"repro/internal/resilience", "Executor", "DoWithPolicy", []int{3, 4}},
+	{"repro/internal/resilience", "Executor", "Do", []int{3, 4}},
+	{"repro/internal/resilience", "Executor", "doUntil", []int{3, 4}},
 	{"repro/internal/resilience", "Renewer", "Track", []int{4}},
 }
 

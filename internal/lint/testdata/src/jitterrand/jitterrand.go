@@ -1,11 +1,9 @@
 // Package jitterrand is gridlint corpus: resilience machinery built as
 // a composite literal (no injected rand source, no engine clock) is
-// flagged; the New* constructors are the sanctioned path.
+// flagged; NewKit is the sanctioned path.
 package jitterrand
 
 import (
-	"time"
-
 	"repro/internal/resilience"
 	"repro/internal/sim"
 )
@@ -20,9 +18,5 @@ func Bad() {
 }
 
 func Good(eng *sim.Engine) *resilience.Kit {
-	// Policy literals are fine — the policy is plain data; the rand
-	// source lives in the executor the constructor builds.
-	pol := resilience.Policy{Base: 10 * time.Second, Jitter: time.Second}
-	_ = resilience.NewExecutor(eng, eng.ForkRand(), pol, nil)
 	return resilience.NewKit(eng, eng.ForkRand(), nil)
 }

@@ -82,10 +82,17 @@ func badTracerSchedule(eng *sim.Engine, tr *obs.Tracer, ctx obs.SpanContext) {
 
 func badResilienceOp(ex *resilience.Executor, br *resilience.Breaker) {
 	attempts := 0
-	ex.Do("corpus.op", br, func(attempt int, settle func(error)) { // want `mutates captured local "attempts"`
+	ex.Do("corpus.op", br, nil, func(attempt int, settle func(error)) { // want `mutates captured local "attempts"`
 		attempts++
 		settle(nil)
 	}, func(error) {})
+}
+
+// Do's done callback is an engine event too.
+func badResilienceDone(ex *resilience.Executor) {
+	outcomes := 0
+	ex.Do("corpus.op", nil, nil, func(_ int, settle func(error)) { settle(nil) },
+		func(error) { outcomes++ }) // want `mutates captured local "outcomes"`
 }
 
 // Writing through a captured value-typed local mutates the shared

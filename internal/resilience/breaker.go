@@ -8,38 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// BreakerConfig shapes the per-site circuit breakers.
-type BreakerConfig struct {
-	// Threshold is the consecutive-failure count that trips the breaker.
-	Threshold int
-	// Cooldown is how long an open breaker refuses attempts before
-	// half-opening for a probe (virtual time).
-	Cooldown time.Duration
-	// HalfOpenSuccesses is how many consecutive probe successes re-close
-	// a half-open breaker.
-	HalfOpenSuccesses int
-}
-
-// DefaultBreakerConfig trips after 3 consecutive failures, cools down
-// for 5 minutes, and re-closes on a single successful probe.
-func DefaultBreakerConfig() BreakerConfig {
-	return BreakerConfig{Threshold: 3, Cooldown: 5 * time.Minute, HalfOpenSuccesses: 1}
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	d := DefaultBreakerConfig()
-	if c.Threshold <= 0 {
-		c.Threshold = d.Threshold
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = d.Cooldown
-	}
-	if c.HalfOpenSuccesses <= 0 {
-		c.HalfOpenSuccesses = d.HalfOpenSuccesses
-	}
-	return c
-}
-
 // Breaker states.
 const (
 	StateClosed   = "closed"
@@ -55,29 +23,19 @@ const (
 type Breaker struct {
 	name string
 	eng  *sim.Engine
-	cfg  BreakerConfig
 
 	state       string
 	consecFails int
 	openedAt    time.Duration
-	halfOpenOK  int
 	probing     bool // a half-open probe is in flight
 
 	// TripsN / ReclosesN count state transitions as plain ints.
 	TripsN, ReclosesN int
 }
 
-// NewBreaker builds a closed breaker over the engine clock.
-func NewBreaker(eng *sim.Engine, name string, cfg BreakerConfig, tr *obs.Tracer) *Breaker {
-	if eng == nil {
-		panic("resilience: nil engine")
-	}
-	b := &Breaker{
-		name:  name,
-		eng:   eng,
-		cfg:   cfg.withDefaults(),
-		state: StateClosed,
-	}
+// newBreaker builds a closed breaker over the engine clock.
+func newBreaker(eng *sim.Engine, name string, tr *obs.Tracer) *Breaker {
+	b := &Breaker{name: name, eng: eng, state: StateClosed}
 	if tr != nil { // an untraced run allocates no readers
 		tr.CounterFunc("resilience.breaker.trips", func() uint64 { return uint64(b.TripsN) })
 		tr.CounterFunc("resilience.breaker.recloses", func() uint64 { return uint64(b.ReclosesN) })
@@ -100,7 +58,7 @@ func (b *Breaker) State() string {
 	if b == nil {
 		return StateClosed
 	}
-	if b.state == StateOpen && b.eng.Now() >= b.openedAt+b.cfg.Cooldown {
+	if b.state == StateOpen && b.eng.Now() >= b.openedAt+BreakerCooldown {
 		return StateHalfOpen
 	}
 	return b.state
@@ -130,9 +88,8 @@ func (b *Breaker) Allow() bool {
 	if b == nil {
 		return true
 	}
-	if b.state == StateOpen && b.eng.Now() >= b.openedAt+b.cfg.Cooldown {
+	if b.state == StateOpen && b.eng.Now() >= b.openedAt+BreakerCooldown {
 		b.state = StateHalfOpen
-		b.halfOpenOK = 0
 		b.probing = false
 	}
 	switch b.state {
@@ -150,8 +107,7 @@ func (b *Breaker) Allow() bool {
 }
 
 // Success records a successful attempt: it resets the failure streak and
-// re-closes a half-open breaker once enough probes succeed. A no-op on
-// nil.
+// re-closes a half-open breaker. A no-op on nil.
 func (b *Breaker) Success() {
 	if b == nil {
 		return
@@ -161,12 +117,9 @@ func (b *Breaker) Success() {
 		b.consecFails = 0
 	case StateHalfOpen:
 		b.probing = false
-		b.halfOpenOK++
-		if b.halfOpenOK >= b.cfg.HalfOpenSuccesses {
-			b.state = StateClosed
-			b.consecFails = 0
-			b.ReclosesN++
-		}
+		b.state = StateClosed
+		b.consecFails = 0
+		b.ReclosesN++
 	}
 }
 
@@ -193,7 +146,7 @@ func (b *Breaker) Failure() {
 	switch b.state {
 	case StateClosed:
 		b.consecFails++
-		if b.consecFails >= b.cfg.Threshold {
+		if b.consecFails >= BreakerThreshold {
 			b.trip()
 		}
 	case StateHalfOpen:
@@ -213,18 +166,14 @@ func (b *Breaker) trip() {
 // layers consulting the same set agree on a site's health.
 type BreakerSet struct {
 	eng *sim.Engine
-	cfg BreakerConfig
 	tr  *obs.Tracer
 	m   map[string]*Breaker
 }
 
-// NewBreakerSet builds an empty registry; breakers are created closed on
+// newBreakerSet builds an empty registry; breakers are created closed on
 // first use.
-func NewBreakerSet(eng *sim.Engine, cfg BreakerConfig, tr *obs.Tracer) *BreakerSet {
-	if eng == nil {
-		panic("resilience: nil engine")
-	}
-	return &BreakerSet{eng: eng, cfg: cfg.withDefaults(), tr: tr, m: make(map[string]*Breaker)}
+func newBreakerSet(eng *sim.Engine, tr *obs.Tracer) *BreakerSet {
+	return &BreakerSet{eng: eng, tr: tr, m: make(map[string]*Breaker)}
 }
 
 // For returns (creating on first use) the breaker for a target. A nil
@@ -235,7 +184,7 @@ func (s *BreakerSet) For(name string) *Breaker {
 	}
 	b, ok := s.m[name]
 	if !ok {
-		b = NewBreaker(s.eng, name, s.cfg, s.tr)
+		b = newBreaker(s.eng, name, s.tr)
 		s.m[name] = b
 	}
 	return b

@@ -12,22 +12,6 @@ import (
 // be safe to call again after a failure.
 type RenewFunc func(target time.Duration, done func(error))
 
-// RenewerConfig shapes the keepalive loop.
-type RenewerConfig struct {
-	// Lead is the fraction of the claim's term before notAfter at which
-	// renewal starts (default 0.25: renew at 75% of the term, as SHARP
-	// deployments refresh soft claims well before they harden into
-	// expiry).
-	Lead float64
-	// Extend is how much each successful renewal extends notAfter by
-	// (default: the claim's own term, keeping a steady cadence).
-	Extend time.Duration
-	// Policy overrides the executor's default policy for renewal
-	// attempts; its Budget is always clamped to the claim's remaining
-	// lifetime (retrying past expiry is pointless).
-	Policy *Policy
-}
-
 type renewal struct {
 	id       string
 	notAfter time.Duration
@@ -45,35 +29,21 @@ type renewal struct {
 type Renewer struct {
 	eng *sim.Engine
 	ex  *Executor
-	cfg RenewerConfig
 
 	items map[string]*renewal
 
 	// RenewedN / GiveupsN count renewal cycles that succeeded / were
-	// abandoned (budget or attempts exhausted before expiry).
+	// abandoned (the claim's lifetime ran out before a renewal landed).
 	RenewedN, GiveupsN int
-
-	tr *obs.Tracer
 }
 
-// NewRenewer builds a renewer that retries through ex. The tracer may be
+// newRenewer builds a renewer that retries through ex. The tracer may be
 // nil.
-func NewRenewer(eng *sim.Engine, ex *Executor, cfg RenewerConfig, tr *obs.Tracer) *Renewer {
-	if eng == nil {
-		panic("resilience: nil engine")
-	}
-	if ex == nil {
-		panic("resilience: nil executor")
-	}
-	if cfg.Lead <= 0 || cfg.Lead >= 1 {
-		cfg.Lead = 0.25
-	}
+func newRenewer(eng *sim.Engine, ex *Executor, tr *obs.Tracer) *Renewer {
 	r := &Renewer{
 		eng:   eng,
 		ex:    ex,
-		cfg:   cfg,
 		items: make(map[string]*renewal),
-		tr:    tr,
 	}
 	if tr != nil { // an untraced run allocates no readers
 		tr.CounterFunc("resilience.renewals", func() uint64 { return uint64(r.RenewedN) })
@@ -111,10 +81,10 @@ func (r *Renewer) Tracked(id string) bool {
 	return ok
 }
 
-// arm schedules the next renewal cycle at notAfter − Lead×term (now, if
-// that point has already passed).
+// arm schedules the next renewal cycle at notAfter − RenewLead×term
+// (now, if that point has already passed).
 func (r *Renewer) arm(it *renewal) {
-	at := it.notAfter - time.Duration(r.cfg.Lead*float64(it.term))
+	at := it.notAfter - time.Duration(RenewLead*float64(it.term))
 	if now := r.eng.Now(); at < now {
 		at = now
 	}
@@ -122,27 +92,17 @@ func (r *Renewer) arm(it *renewal) {
 	it.ev = r.eng.At(at, func() { r.cycle(it, gen) })
 }
 
-// cycle runs one renewal: retry through the executor with the remaining
-// lifetime as the budget. Success re-arms; failure leaves the claim to
-// its owner's expiry enforcement.
+// cycle runs one renewal to one term past notAfter: retry through the
+// executor until success or the claim's remaining lifetime runs out.
+// Success re-arms; failure leaves the claim to its owner's expiry
+// enforcement.
 func (r *Renewer) cycle(it *renewal, gen int) {
 	if it.gen != gen {
 		return
 	}
 	it.ev = sim.Event{}
-	target := it.notAfter + r.cfg.Extend
-	if r.cfg.Extend <= 0 {
-		target = it.notAfter + it.term
-	}
-	pol := r.ex.Policy()
-	if r.cfg.Policy != nil {
-		pol = *r.cfg.Policy
-	}
-	pol.MaxAttempts = 0 // keep trying until the lifetime budget runs out
-	if remain := it.notAfter - r.eng.Now(); pol.Budget <= 0 || pol.Budget > remain {
-		pol.Budget = remain
-	}
-	r.ex.DoWithPolicy("renew:"+it.id, pol, it.br,
+	target := it.notAfter + it.term
+	r.ex.doUntil("renew:"+it.id, it.br, it.notAfter-r.eng.Now(),
 		func(_ int, done func(error)) {
 			if it.gen != gen {
 				done(nil) // owner untracked mid-flight; stop the loop

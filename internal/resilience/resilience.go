@@ -4,26 +4,29 @@
 // lapse, and short lease/proxy lifetimes trade exposure for renewal
 // traffic — which only works if something actually renews, retries, and
 // stops hammering dead sites. This package supplies those three
-// mechanisms:
+// mechanisms, each with one fixed shape (the constants below):
 //
-//   - Policy/Executor: capped exponential backoff with jitter drawn from
-//     an injected seeded *rand.Rand, scheduled on the sim.Engine clock
-//     (never the wall clock), bounded by attempts and an overall
-//     virtual-time budget. An attempt that goes over the network is
-//     bounded by its own simnet.Call timeout.
-//   - Breaker: per-site circuit breakers (closed/open/half-open with a
-//     virtual-time cool-down) so callers degrade gracefully instead of
-//     hammering partitioned or crashed sites.
-//   - Renewer: a keepalive loop that re-redeems leases a configurable
-//     fraction of the term before notAfter, retrying through the
-//     executor with the remaining lifetime as its budget.
+//   - Executor: exponential backoff from BackoffBase doubling to
+//     BackoffCap, plus jitter drawn from an injected seeded *rand.Rand,
+//     scheduled on the sim.Engine clock (never the wall clock), for at
+//     most MaxAttempts attempts. The caller passes only what differs per
+//     call: the breaker that gates it and the classifier that decides
+//     which errors are worth another attempt. An attempt that goes over
+//     the network is bounded by its own simnet.Call timeout.
+//   - Breaker: per-site circuit breakers (closed/open/half-open, tripping
+//     after BreakerThreshold consecutive failures and half-opening after
+//     BreakerCooldown of virtual time) so callers degrade gracefully
+//     instead of hammering partitioned or crashed sites.
+//   - Renewer: a keepalive loop that re-redeems leases RenewLead of the
+//     term before notAfter, retrying through the executor with no
+//     attempt bound and the remaining lifetime as its budget.
 //
 // Determinism contract: the package never reads the wall clock, never
 // draws from the global rand stream, and schedules everything on the
 // engine, so a run with resilience enabled is byte-identical across
-// repeats of the same seed. Construct executors via NewExecutor/NewKit —
-// the jitterrand analyzer flags composite-literal construction, which
-// could smuggle in a jittered backoff with no rand source.
+// repeats of the same seed. NewKit is the one constructor — the
+// jitterrand analyzer flags composite-literal construction, which could
+// smuggle in a jittered backoff with no rand source.
 package resilience
 
 import (
@@ -41,12 +44,12 @@ import (
 var (
 	// ErrBreakerOpen reports an attempt refused because the target's
 	// breaker was open. It is transient: the breaker half-opens after its
-	// cool-down, so policies normally retry it.
+	// cool-down, so retry classifiers normally accept it.
 	ErrBreakerOpen = errors.New("resilience: breaker open")
 	// ErrRetriesExhausted reports MaxAttempts failures.
 	ErrRetriesExhausted = errors.New("resilience: attempts exhausted")
-	// ErrBudgetExhausted reports that the next retry would start past the
-	// policy's overall virtual-time budget.
+	// ErrBudgetExhausted reports that the next renewal retry would start
+	// past the claim's remaining lifetime.
 	ErrBudgetExhausted = errors.New("resilience: retry budget exhausted")
 )
 
@@ -55,76 +58,42 @@ var (
 // target — callers treating refusals as final should still retry these).
 func IsBreakerOpen(err error) bool { return errors.Is(err, ErrBreakerOpen) }
 
-// Policy shapes one retry loop: capped exponential backoff plus uniform
-// jitter, bounded by attempts and/or an overall virtual-time budget.
-type Policy struct {
-	// Base is the backoff before the second attempt; each further retry
-	// multiplies it by Mult, capped at Cap.
-	Base time.Duration
-	Cap  time.Duration
-	Mult float64
-	// Jitter is the maximum extra delay added to each backoff, drawn
-	// uniformly from [0, Jitter) off the executor's injected rand stream.
-	// Jitter decorrelates retry storms without breaking determinism.
-	Jitter time.Duration
-	// MaxAttempts bounds total attempts (0 = unbounded; rely on Budget).
-	MaxAttempts int
-	// Budget bounds the whole loop in virtual time from the first
-	// attempt: a retry that would start after Budget is not scheduled
-	// (0 = unbounded).
-	Budget time.Duration
-	// Retryable classifies errors; a nil func retries everything.
-	// Non-retryable errors end the loop immediately (site policy said no;
-	// asking again cannot help).
-	Retryable func(error) bool
-}
+// The one resilience shape. Every production caller runs with these
+// values, so they are constants rather than options; a second value
+// needs a second production caller that wants it.
+const (
+	// BackoffBase is the delay before the second attempt; each further
+	// retry doubles it, up to BackoffCap.
+	BackoffBase = 10 * time.Second
+	BackoffCap  = 5 * time.Minute
+	// BackoffJitter bounds the extra delay added to every backoff, drawn
+	// uniformly from [0, BackoffJitter) off the executor's injected rand
+	// stream: it decorrelates retry storms without breaking determinism.
+	BackoffJitter = 10 * time.Second
+	// MaxAttempts bounds a Do loop; the sixth failure is terminal.
+	MaxAttempts = 6
 
-// DefaultPolicy returns the stack-wide default retry shape: 10s base
-// doubling to a 5m cap, up to 10s of jitter, at most 6 attempts.
-func DefaultPolicy() Policy {
-	return Policy{
-		Base:        10 * time.Second,
-		Cap:         5 * time.Minute,
-		Mult:        2,
-		Jitter:      10 * time.Second,
-		MaxAttempts: 6,
-	}
-}
+	// BreakerThreshold consecutive failures trip a closed breaker, which
+	// then refuses attempts for BreakerCooldown before half-opening for a
+	// single probe. One successful probe re-closes it.
+	BreakerThreshold = 3
+	BreakerCooldown  = 5 * time.Minute
 
-// withDefaults fills zero fields so a partially specified policy behaves.
-func (p Policy) withDefaults() Policy {
-	d := DefaultPolicy()
-	if p.Base <= 0 {
-		p.Base = d.Base
-	}
-	if p.Cap <= 0 {
-		p.Cap = d.Cap
-	}
-	if p.Mult < 1 {
-		p.Mult = d.Mult
-	}
-	return p
-}
+	// RenewLead is the fraction of a claim's term before notAfter at which
+	// renewal starts: renew at 75% of the term, as SHARP deployments
+	// refresh soft claims well before they lapse. Each successful renewal
+	// extends notAfter by one term.
+	RenewLead = 0.25
+)
 
 // backoff returns the delay before attempt n+1 (n >= 1), jittered from
-// the injected stream.
-func (p Policy) backoff(n int, rng *rand.Rand) time.Duration {
-	d := float64(p.Base)
-	for i := 1; i < n; i++ {
-		d *= p.Mult
-		if d >= float64(p.Cap) {
-			d = float64(p.Cap)
-			break
-		}
+// rng.
+func backoff(n int, rng *rand.Rand) time.Duration {
+	d := BackoffBase
+	for i := 1; i < n && d < BackoffCap; i++ {
+		d *= 2
 	}
-	delay := time.Duration(d)
-	if delay > p.Cap {
-		delay = p.Cap
-	}
-	if p.Jitter > 0 {
-		delay += time.Duration(rng.Int63n(int64(p.Jitter)))
-	}
-	return delay
+	return min(d, BackoffCap) + time.Duration(rng.Int63n(int64(BackoffJitter)))
 }
 
 // Op is one retryable asynchronous operation: do the work for the given
@@ -133,13 +102,12 @@ func (p Policy) backoff(n int, rng *rand.Rand) time.Duration {
 // ignored.
 type Op func(attempt int, done func(error))
 
-// Executor runs Ops under a Policy on the engine clock. All state
-// machines run inside engine callbacks (the kernel is single-threaded),
-// so no locking is needed and event order is deterministic.
+// Executor runs retry loops on the engine clock. All state machines run
+// inside engine callbacks (the kernel is single-threaded), so no locking
+// is needed and event order is deterministic.
 type Executor struct {
 	eng *sim.Engine
 	rng *rand.Rand
-	pol Policy
 
 	// AttemptsN / RetriesN / OKN / FailN count outcomes as plain ints so
 	// chaos summaries do not depend on whether tracing is on; fastFailN
@@ -156,20 +124,12 @@ type Executor struct {
 	tr *obs.Tracer
 }
 
-// NewExecutor builds an executor over the engine's virtual clock. The
-// rand stream must be non-nil (fork one from the engine); the tracer may
-// be nil (all instrumentation stays inert).
-func NewExecutor(eng *sim.Engine, rng *rand.Rand, pol Policy, tr *obs.Tracer) *Executor {
-	if eng == nil {
-		panic("resilience: nil engine")
-	}
-	if rng == nil {
-		panic("resilience: nil rand source (fork one from the engine)")
-	}
+// newExecutor builds an executor over the engine's virtual clock; the
+// tracer may be nil (all instrumentation stays inert).
+func newExecutor(eng *sim.Engine, rng *rand.Rand, tr *obs.Tracer) *Executor {
 	e := &Executor{
 		eng:      eng,
 		rng:      rng,
-		pol:      pol.withDefaults(),
 		inflight: make(map[*doCall]struct{}),
 		tr:       tr,
 	}
@@ -183,29 +143,27 @@ func NewExecutor(eng *sim.Engine, rng *rand.Rand, pol Policy, tr *obs.Tracer) *E
 	return e
 }
 
-// Policy returns a copy of the executor's default policy, for callers
-// that want a per-call variant (set Retryable, tighten Budget, ...).
-func (e *Executor) Policy() Policy { return e.pol }
-
-// Do runs op under the executor's default policy. See DoWithPolicy.
-func (e *Executor) Do(name string, br *Breaker, op Op, done func(error)) {
-	e.DoWithPolicy(name, e.pol, br, op, done)
+// Do runs op now and retries failures with the package backoff, for at
+// most MaxAttempts attempts, gated by br (nil = ungated): a denied
+// attempt settles as ErrBreakerOpen — without charging the breaker a
+// failure — and retries like any transient error. retryable classifies
+// errors (nil retries every error); a non-retryable error ends the loop
+// at once. done is called exactly once with nil on success or a
+// terminal error wrapping the last attempt's failure.
+func (e *Executor) Do(name string, br *Breaker, retryable func(error) bool, op Op, done func(error)) {
+	e.start(name, &doCall{br: br, retryable: retryable, maxAttempts: MaxAttempts, op: op, done: done})
 }
 
-// DoWithPolicy runs op now and retries failures per pol, gated by br
-// (nil = ungated): a denied attempt settles as ErrBreakerOpen — without
-// charging the breaker a failure — and retries like any transient error.
-// done is called exactly once with nil on success or a terminal error
-// wrapping the last attempt's failure.
-func (e *Executor) DoWithPolicy(name string, pol Policy, br *Breaker, op Op, done func(error)) {
-	c := &doCall{
-		e:     e,
-		pol:   pol.withDefaults(),
-		br:    br,
-		op:    op,
-		done:  done,
-		start: e.eng.Now(),
-	}
+// doUntil is the renewer's loop: like Do, but every error is retried and
+// attempts are unbounded; a retry that would start more than budget after
+// the first attempt is not scheduled (budget <= 0: no bound).
+func (e *Executor) doUntil(name string, br *Breaker, budget time.Duration, op Op, done func(error)) {
+	e.start(name, &doCall{br: br, budget: budget, op: op, done: done})
+}
+
+func (e *Executor) start(name string, c *doCall) {
+	c.e = e
+	c.start = e.eng.Now()
 	if e.tr != nil {
 		c.span = e.tr.Begin("resilience.do", obs.String("op", name))
 	}
@@ -218,13 +176,15 @@ func (e *Executor) DoWithPolicy(name string, pol Policy, br *Breaker, op Op, don
 // doCall is one retry loop in flight: all mutable loop state lives here,
 // not in closure captures, so mid-loop snapshots restore exactly.
 type doCall struct {
-	e     *Executor
-	pol   Policy
-	br    *Breaker
-	op    Op
-	done  func(error)
-	span  obs.SpanContext
-	start time.Duration
+	e           *Executor
+	br          *Breaker
+	retryable   func(error) bool
+	maxAttempts int           // 0 = unbounded
+	budget      time.Duration // <= 0 = unbounded
+	op          Op
+	done        func(error)
+	span        obs.SpanContext
+	start       time.Duration
 
 	attempts int
 	// settled and admitted describe the CURRENT attempt (c.attempts);
@@ -283,17 +243,17 @@ func (c *doCall) settle(n int, opErr error) {
 	}
 	c.span.Event("resilience.attempt_failed",
 		obs.Int("attempt", n), obs.Err(opErr))
-	if c.pol.Retryable != nil && !c.pol.Retryable(opErr) {
+	if c.retryable != nil && !c.retryable(opErr) {
 		c.finish(opErr)
 		return
 	}
-	if c.pol.MaxAttempts > 0 && n >= c.pol.MaxAttempts {
+	if c.maxAttempts > 0 && n >= c.maxAttempts {
 		c.finish(fmt.Errorf("%w (%d): %w", ErrRetriesExhausted, n, opErr))
 		return
 	}
-	delay := c.pol.backoff(n, e.rng)
-	if c.pol.Budget > 0 && e.eng.Now()+delay-c.start > c.pol.Budget {
-		c.finish(fmt.Errorf("%w (%v): %w", ErrBudgetExhausted, c.pol.Budget, opErr))
+	delay := backoff(n, e.rng)
+	if c.budget > 0 && e.eng.Now()+delay-c.start > c.budget {
+		c.finish(fmt.Errorf("%w (%v): %w", ErrBudgetExhausted, c.budget, opErr))
 		return
 	}
 	e.RetriesN++
@@ -318,13 +278,20 @@ type Kit struct {
 	Renewer  *Renewer
 }
 
-// NewKit builds the standard kit: default policy and breaker config,
-// renewal at the default lead fraction. The tracer may be nil.
+// NewKit builds a federation's kit over the engine clock and the given
+// rand stream, which must be non-nil (fork one from the engine). The
+// tracer may be nil.
 func NewKit(eng *sim.Engine, rng *rand.Rand, tr *obs.Tracer) *Kit {
-	ex := NewExecutor(eng, rng, DefaultPolicy(), tr)
+	if eng == nil {
+		panic("resilience: nil engine")
+	}
+	if rng == nil {
+		panic("resilience: nil rand source (fork one from the engine)")
+	}
+	ex := newExecutor(eng, rng, tr)
 	return &Kit{
 		Retry:    ex,
-		Breakers: NewBreakerSet(eng, DefaultBreakerConfig(), tr),
-		Renewer:  NewRenewer(eng, ex, RenewerConfig{}, tr),
+		Breakers: newBreakerSet(eng, tr),
+		Renewer:  newRenewer(eng, ex, tr),
 	}
 }

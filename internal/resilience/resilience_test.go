@@ -9,18 +9,133 @@ import (
 	"repro/internal/sim"
 )
 
-func newExec(t *testing.T, seed int64, pol Policy) (*sim.Engine, *Executor) {
-	t.Helper()
+func newKit(seed int64) (*sim.Engine, *Kit) {
 	eng := sim.NewEngine(seed)
-	return eng, NewExecutor(eng, eng.ForkRand(), pol, nil)
+	return eng, NewKit(eng, eng.ForkRand(), nil)
+}
+
+// tripped returns a breaker that has just tripped open.
+func tripped(eng *sim.Engine) *Breaker {
+	b := newBreaker(eng, "s0", nil)
+	for i := 0; i < BreakerThreshold; i++ {
+		b.Allow()
+		b.Failure()
+	}
+	return b
+}
+
+// TestDefaultShape pins the package constants end to end: the backoff
+// schedule and its cap, the attempt bound, the renewal point and
+// extension, and the renewal budget of the claim's remaining lifetime.
+func TestDefaultShape(t *testing.T) {
+	fail := errors.New("down")
+	type outcome struct {
+		at      []time.Duration // virtual time of each attempt
+		targets []time.Duration // renewal targets asked for
+		err     error
+	}
+	failing := func(eng *sim.Engine, o *outcome) Op {
+		return func(_ int, done func(error)) {
+			o.at = append(o.at, eng.Now())
+			done(fail)
+		}
+	}
+	renewing := func(eng *sim.Engine, o *outcome, err error) RenewFunc {
+		return func(target time.Duration, done func(error)) {
+			o.at = append(o.at, eng.Now())
+			o.targets = append(o.targets, target)
+			done(err)
+		}
+	}
+	s := time.Second
+	cases := []struct {
+		name    string
+		run     func(eng *sim.Engine, k *Kit, o *outcome)
+		horizon time.Duration
+		first   time.Duration   // the first attempt
+		gaps    []time.Duration // unjittered backoff before each later attempt
+		targets []time.Duration
+		wantErr error
+		giveups int
+	}{
+		{
+			name: "Do doubles from BackoffBase and gives up after MaxAttempts",
+			run: func(eng *sim.Engine, k *Kit, o *outcome) {
+				k.Retry.Do("op", nil, nil, failing(eng, o), func(err error) { o.err = err })
+			},
+			horizon: time.Hour,
+			gaps:    []time.Duration{10 * s, 20 * s, 40 * s, 80 * s, 160 * s},
+			wantErr: ErrRetriesExhausted,
+		},
+		{
+			name: "doUntil caps the backoff and stops at its budget",
+			run: func(eng *sim.Engine, k *Kit, o *outcome) {
+				k.Retry.doUntil("op", nil, 12*time.Minute, failing(eng, o), func(err error) { o.err = err })
+			},
+			horizon: time.Hour,
+			gaps:    []time.Duration{10 * s, 20 * s, 40 * s, 80 * s, 160 * s, BackoffCap},
+			wantErr: ErrBudgetExhausted,
+		},
+		{
+			name: "renewal fires at 75% of the term and extends by one term",
+			run: func(eng *sim.Engine, k *Kit, o *outcome) {
+				k.Renewer.Track("lease", time.Hour, time.Hour, nil, renewing(eng, o, nil))
+			},
+			horizon: 3 * time.Hour,
+			first:   45 * time.Minute,
+			gaps:    []time.Duration{time.Hour, time.Hour},
+			targets: []time.Duration{2 * time.Hour, 3 * time.Hour, 4 * time.Hour},
+		},
+		{
+			name: "a failing renewal retries until the claim's lifetime runs out",
+			run: func(eng *sim.Engine, k *Kit, o *outcome) {
+				k.Renewer.Track("lease", 20*time.Minute, 20*time.Minute, nil, renewing(eng, o, fail))
+			},
+			horizon: time.Hour,
+			first:   15 * time.Minute,
+			// The next backoff, 160s+, would start past the 5m left.
+			gaps:    []time.Duration{10 * s, 20 * s, 40 * s, 80 * s},
+			targets: []time.Duration{40 * time.Minute, 40 * time.Minute, 40 * time.Minute, 40 * time.Minute, 40 * time.Minute},
+			giveups: 1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, k := newKit(3)
+			var o outcome
+			tc.run(eng, k, &o)
+			eng.RunUntil(tc.horizon)
+			if len(o.at) != 1+len(tc.gaps) {
+				t.Fatalf("attempts at %v, want %d", o.at, 1+len(tc.gaps))
+			}
+			if o.at[0] != tc.first {
+				t.Errorf("first attempt at %v, want %v", o.at[0], tc.first)
+			}
+			for i, want := range tc.gaps {
+				if gap := o.at[i+1] - o.at[i]; gap < want || gap >= want+BackoffJitter {
+					t.Errorf("gap %d = %v, want %v plus jitter below %v", i+1, gap, want, BackoffJitter)
+				}
+			}
+			if fmt.Sprint(o.targets) != fmt.Sprint(tc.targets) {
+				t.Errorf("targets = %v, want %v", o.targets, tc.targets)
+			}
+			if !errors.Is(o.err, tc.wantErr) {
+				t.Errorf("outcome = %v, want %v", o.err, tc.wantErr)
+			}
+			if k.Renewer.GiveupsN != tc.giveups {
+				t.Errorf("GiveupsN = %d, want %d", k.Renewer.GiveupsN, tc.giveups)
+			}
+		})
+	}
 }
 
 func TestDoSucceedsAfterTransientFailures(t *testing.T) {
-	eng, ex := newExec(t, 1, Policy{Base: 10 * time.Second, Cap: time.Minute, Mult: 2, Jitter: time.Second})
+	eng, k := newKit(1)
+	ex := k.Retry
 	fails := 3
 	var got error
 	settled := false
-	ex.Do("op", nil, func(attempt int, done func(error)) {
+	ex.Do("op", nil, nil, func(attempt int, done func(error)) {
 		if fails > 0 {
 			fails--
 			done(errors.New("transient"))
@@ -43,9 +158,9 @@ func TestDoSucceedsAfterTransientFailures(t *testing.T) {
 
 func TestDoBackoffDeterministicAcrossRuns(t *testing.T) {
 	run := func() []time.Duration {
-		eng, ex := newExec(t, 42, Policy{Base: 5 * time.Second, Cap: time.Minute, Mult: 2, Jitter: 20 * time.Second, MaxAttempts: 5})
+		eng, k := newKit(42)
 		var at []time.Duration
-		ex.Do("op", nil, func(attempt int, done func(error)) {
+		k.Retry.Do("op", nil, nil, func(attempt int, done func(error)) {
 			at = append(at, eng.Now())
 			done(errors.New("always fails"))
 		}, func(error) {})
@@ -56,11 +171,12 @@ func TestDoBackoffDeterministicAcrossRuns(t *testing.T) {
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatalf("same seed produced different attempt schedules:\n%v\n%v", a, b)
 	}
-	if len(a) != 5 {
-		t.Fatalf("want 5 attempts, got %d", len(a))
+	if len(a) != MaxAttempts {
+		t.Fatalf("want %d attempts, got %d", MaxAttempts, len(a))
 	}
 	// Jitter must actually move at least one attempt off the unjittered grid.
-	unjittered := []time.Duration{0, 5 * time.Second, 15 * time.Second, 35 * time.Second, 75 * time.Second}
+	s := time.Second
+	unjittered := []time.Duration{0, 10 * s, 30 * s, 70 * s, 150 * s, 310 * s}
 	same := true
 	for i := range a {
 		if a[i] != unjittered[i] {
@@ -73,24 +189,24 @@ func TestDoBackoffDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestDoMaxAttemptsExhausted(t *testing.T) {
-	eng, ex := newExec(t, 1, Policy{Base: time.Second, Cap: time.Minute, Mult: 2, MaxAttempts: 3})
+	eng, k := newKit(1)
 	var got error
-	ex.Do("op", nil, func(attempt int, done func(error)) {
+	k.Retry.Do("op", nil, nil, func(attempt int, done func(error)) {
 		done(errors.New("nope"))
 	}, func(err error) { got = err })
 	eng.Run()
 	if !errors.Is(got, ErrRetriesExhausted) {
 		t.Fatalf("want ErrRetriesExhausted, got %v", got)
 	}
-	if ex.AttemptsN != 3 || ex.FailN != 1 {
-		t.Fatalf("attempts=%d fail=%d", ex.AttemptsN, ex.FailN)
+	if k.Retry.AttemptsN != MaxAttempts || k.Retry.FailN != 1 {
+		t.Fatalf("attempts=%d fail=%d", k.Retry.AttemptsN, k.Retry.FailN)
 	}
 }
 
 func TestDoBudgetExhausted(t *testing.T) {
-	eng, ex := newExec(t, 1, Policy{Base: time.Minute, Cap: time.Hour, Mult: 2, Budget: 90 * time.Second})
+	eng, k := newKit(1)
 	var got error
-	ex.Do("op", nil, func(attempt int, done func(error)) {
+	k.Retry.doUntil("op", nil, 90*time.Second, func(attempt int, done func(error)) {
 		done(errors.New("nope"))
 	}, func(err error) { got = err })
 	eng.Run()
@@ -104,53 +220,56 @@ func TestDoBudgetExhausted(t *testing.T) {
 
 func TestDoNonRetryableStopsImmediately(t *testing.T) {
 	permanent := errors.New("policy refusal")
-	pol := Policy{Base: time.Second, MaxAttempts: 5, Retryable: func(err error) bool { return !errors.Is(err, permanent) }}
-	eng, ex := newExec(t, 1, pol)
+	eng, k := newKit(1)
 	var got error
-	ex.Do("op", nil, func(attempt int, done func(error)) { done(permanent) }, func(err error) { got = err })
+	k.Retry.Do("op", nil, func(err error) bool { return !errors.Is(err, permanent) },
+		func(attempt int, done func(error)) { done(permanent) }, func(err error) { got = err })
 	eng.Run()
 	if !errors.Is(got, permanent) {
 		t.Fatalf("want the permanent error, got %v", got)
 	}
-	if ex.AttemptsN != 1 || ex.RetriesN != 0 {
-		t.Fatalf("retried a non-retryable error: attempts=%d retries=%d", ex.AttemptsN, ex.RetriesN)
+	if k.Retry.AttemptsN != 1 || k.Retry.RetriesN != 0 {
+		t.Fatalf("retried a non-retryable error: attempts=%d retries=%d", k.Retry.AttemptsN, k.Retry.RetriesN)
 	}
 }
 
 // TestDoDoubleSettleAcrossRetryIgnored: only an attempt's first settle
 // counts. Every attempt fails and settles again, as a success, a minute
-// later. Attempt 1 fails at once, so its late success lands while
-// attempt 2 is still pending; attempt 2 fails after two minutes, so its
-// late success lands after the loop has given up. Neither may end the
-// loop, start an attempt or reach done.
+// later. The early attempts fail at once, so their late successes land
+// while a later attempt is pending; the last attempt fails after two
+// minutes, so its late success lands after the loop has given up.
+// Neither may end the loop, start an attempt or reach done.
 func TestDoDoubleSettleAcrossRetryIgnored(t *testing.T) {
-	eng, ex := newExec(t, 1, Policy{Base: time.Second, MaxAttempts: 2})
+	eng, k := newKit(1)
 	var attempts []int
 	var results []error
-	ex.Do("op", nil, func(attempt int, done func(error)) {
+	k.Retry.Do("op", nil, nil, func(attempt int, done func(error)) {
 		attempts = append(attempts, attempt)
-		fail := time.Duration(attempt-1) * 2 * time.Minute
+		var fail time.Duration
+		if attempt == MaxAttempts {
+			fail = 2 * time.Minute
+		}
 		eng.Schedule(fail, func() { done(errors.New("nope")) })
 		eng.Schedule(fail+time.Minute, func() { done(nil) })
 	}, func(err error) { results = append(results, err) })
 	eng.Run()
-	if fmt.Sprint(attempts) != "[1 2]" {
-		t.Fatalf("attempts = %v, want [1 2]", attempts)
+	if fmt.Sprint(attempts) != "[1 2 3 4 5 6]" {
+		t.Fatalf("attempts = %v, want [1 2 3 4 5 6]", attempts)
 	}
 	if len(results) != 1 || !errors.Is(results[0], ErrRetriesExhausted) {
 		t.Fatalf("want exactly one exhausted outcome, got %v", results)
 	}
-	if ex.OKN != 0 || ex.FailN != 1 || ex.AttemptsN != 2 {
-		t.Fatalf("ok=%d fail=%d attempts=%d, want 0, 1, 2", ex.OKN, ex.FailN, ex.AttemptsN)
+	ex := k.Retry
+	if ex.OKN != 0 || ex.FailN != 1 || ex.AttemptsN != MaxAttempts {
+		t.Fatalf("ok=%d fail=%d attempts=%d, want 0, 1, %d", ex.OKN, ex.FailN, ex.AttemptsN, MaxAttempts)
 	}
 }
 
 func TestBreakerTripHalfOpenReclose(t *testing.T) {
 	eng := sim.NewEngine(1)
-	cfg := BreakerConfig{Threshold: 3, Cooldown: 5 * time.Minute, HalfOpenSuccesses: 1}
-	b := NewBreaker(eng, "s0", cfg, nil)
+	b := newBreaker(eng, "s0", nil)
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < BreakerThreshold; i++ {
 		if !b.Allow() {
 			t.Fatalf("closed breaker refused attempt %d", i)
 		}
@@ -163,7 +282,7 @@ func TestBreakerTripHalfOpenReclose(t *testing.T) {
 		t.Fatal("open breaker admitted an attempt")
 	}
 
-	eng.RunUntil(5 * time.Minute)
+	eng.RunUntil(BreakerCooldown)
 	if b.State() != StateHalfOpen {
 		t.Fatalf("want half-open after cooldown, got %s", b.State())
 	}
@@ -181,10 +300,8 @@ func TestBreakerTripHalfOpenReclose(t *testing.T) {
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	eng := sim.NewEngine(1)
-	b := NewBreaker(eng, "s0", BreakerConfig{Threshold: 1, Cooldown: time.Minute}, nil)
-	b.Allow()
-	b.Failure()
-	eng.RunUntil(time.Minute)
+	b := tripped(eng)
+	eng.RunUntil(BreakerCooldown)
 	if !b.Allow() {
 		t.Fatal("no probe admitted after cooldown")
 	}
@@ -193,7 +310,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 		t.Fatalf("want re-opened, got %s trips=%d", b.State(), b.TripsN)
 	}
 	// Ready must not consume the probe slot.
-	eng.RunUntil(2 * time.Minute)
+	eng.RunUntil(2 * BreakerCooldown)
 	if !b.Ready() || !b.Ready() {
 		t.Fatal("Ready consumed the probe slot")
 	}
@@ -211,15 +328,16 @@ func TestNilBreakerAlwaysAllows(t *testing.T) {
 	b.Failure() // must not panic
 }
 
+// TestExecutorBreakerFastFailRetries: a loop started against a breaker
+// that has just tripped fast-fails without running the op, and its
+// backoff outlasts the cool-down (10+20+40+80+160s > BreakerCooldown),
+// so the last attempt is the half-open probe that re-closes it.
 func TestExecutorBreakerFastFailRetries(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ex := NewExecutor(eng, eng.ForkRand(), Policy{Base: time.Minute, Cap: time.Minute, Mult: 1}, nil)
-	b := NewBreaker(eng, "s0", BreakerConfig{Threshold: 1, Cooldown: 3 * time.Minute}, nil)
-	b.Allow()
-	b.Failure() // trip it
+	eng, k := newKit(1)
+	b := tripped(eng)
 	attempts := 0
 	var got error
-	ex.Do("op", b, func(attempt int, done func(error)) {
+	k.Retry.Do("op", b, nil, func(attempt int, done func(error)) {
 		attempts++
 		done(nil)
 	}, func(err error) { got = err })
@@ -230,7 +348,7 @@ func TestExecutorBreakerFastFailRetries(t *testing.T) {
 	if attempts != 1 {
 		t.Fatalf("op ran %d times; fast-fails must not invoke it", attempts)
 	}
-	if eng.Now() < 3*time.Minute {
+	if eng.Now() < BreakerCooldown {
 		t.Fatalf("succeeded before the cooldown elapsed: now=%v", eng.Now())
 	}
 	if b.State() != StateClosed {
@@ -239,12 +357,14 @@ func TestExecutorBreakerFastFailRetries(t *testing.T) {
 }
 
 func TestBreakerSetDeterministicReporting(t *testing.T) {
-	eng := sim.NewEngine(1)
-	s := NewBreakerSet(eng, BreakerConfig{Threshold: 1, Cooldown: time.Hour}, nil)
+	_, k := newKit(1)
+	s := k.Breakers
 	for _, name := range []string{"s2", "s0", "s1"} {
 		b := s.For(name)
-		b.Allow()
-		b.Failure()
+		for i := 0; i < BreakerThreshold; i++ {
+			b.Allow()
+			b.Failure()
+		}
 	}
 	s.For("s3") // untouched, stays closed
 	want := []string{"s0", "s1", "s2"}
@@ -258,9 +378,8 @@ func TestBreakerSetDeterministicReporting(t *testing.T) {
 }
 
 func TestRenewerRenewsBeforeExpiry(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ex := NewExecutor(eng, eng.ForkRand(), Policy{Base: time.Second, Jitter: 0}, nil)
-	r := NewRenewer(eng, ex, RenewerConfig{Lead: 0.25}, nil)
+	eng, k := newKit(1)
+	r := k.Renewer
 	term := time.Hour
 	var renewedAt []time.Duration
 	var horizon time.Duration = term
@@ -287,51 +406,48 @@ func TestRenewerRenewsBeforeExpiry(t *testing.T) {
 }
 
 func TestRenewerGivesUpAtExpiryBudget(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ex := NewExecutor(eng, eng.ForkRand(), Policy{Base: 2 * time.Minute, Cap: 2 * time.Minute, Mult: 1, Jitter: 0}, nil)
-	r := NewRenewer(eng, ex, RenewerConfig{Lead: 0.25}, nil)
+	eng, k := newKit(1)
+	r := k.Renewer
 	fail := errors.New("site unreachable")
-	attempts := 0
+	var at []time.Duration
 	r.Track("lease1", 20*time.Minute, 20*time.Minute, nil, func(target time.Duration, done func(error)) {
-		attempts++
+		at = append(at, eng.Now())
 		done(fail)
 	})
 	eng.RunUntil(time.Hour)
 	if r.GiveupsN != 1 {
-		t.Fatalf("want exactly one abandoned cycle, got %d (attempts=%d)", r.GiveupsN, attempts)
+		t.Fatalf("want exactly one abandoned cycle, got %d (attempts=%d)", r.GiveupsN, len(at))
 	}
-	if attempts < 2 {
-		t.Fatalf("renewer gave up without retrying (attempts=%d)", attempts)
+	if len(at) < 2 {
+		t.Fatalf("renewer gave up without retrying (attempts=%d)", len(at))
 	}
 	// All attempts must land before the claim expired.
-	if eng.Now() < 20*time.Minute {
-		t.Fatal("clock did not advance past expiry")
+	if last := at[len(at)-1]; last >= 20*time.Minute {
+		t.Fatalf("attempt at %v, after the claim expired", last)
 	}
 }
 
 func TestRenewerUntrackCancelsMidFlight(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ex := NewExecutor(eng, eng.ForkRand(), Policy{Base: time.Minute, Mult: 1, Jitter: 0}, nil)
-	r := NewRenewer(eng, ex, RenewerConfig{}, nil)
+	eng, k := newKit(1)
+	r := k.Renewer
 	calls := 0
 	r.Track("x", time.Hour, time.Hour, nil, func(target time.Duration, done func(error)) {
 		calls++
 		done(errors.New("failing"))
 	})
-	eng.RunUntil(46 * time.Minute) // first attempt at 45m fails; retry pending
+	eng.RunUntil(45*time.Minute + time.Second) // first attempt at 45m fails; retry pending
 	r.Untrack("x")
 	eng.RunUntil(2 * time.Hour)
 	if r.Tracked("x") {
 		t.Fatal("still tracked after Untrack")
 	}
-	if calls > 2 {
+	if calls != 1 {
 		t.Fatalf("renewal kept running after Untrack: %d calls", calls)
 	}
 }
 
 func TestKitConstruction(t *testing.T) {
-	eng := sim.NewEngine(7)
-	kit := NewKit(eng, eng.ForkRand(), nil)
+	_, kit := newKit(7)
 	if kit.Retry == nil || kit.Breakers == nil || kit.Renewer == nil {
 		t.Fatal("kit missing a component")
 	}
@@ -346,13 +462,12 @@ func TestKitConstruction(t *testing.T) {
 // it holds — otherwise the breaker jams half-open forever, with every
 // later Allow refused by a probe nobody is running.
 func TestAdmittedBreakerOpenReleasesProbe(t *testing.T) {
-	eng, ex := newExec(t, 9, Policy{Base: time.Second, Cap: time.Second, MaxAttempts: 1})
-	br := NewBreaker(eng, "site", BreakerConfig{Threshold: 1, Cooldown: time.Minute}, nil)
-	br.Failure() // trip
-	eng.RunUntil(time.Minute)
+	eng, k := newKit(9)
+	br := tripped(eng)
+	eng.RunUntil(BreakerCooldown)
 
 	settled := false
-	ex.Do("op", br, func(_ int, done func(error)) {
+	k.Retry.Do("op", br, func(error) bool { return false }, func(_ int, done func(error)) {
 		// Downstream gate consults the same breaker: the slot is held by
 		// the executor's own admission, so it refuses.
 		if br.Allow() {

@@ -38,7 +38,7 @@ func (d *snapDriver) emit(format string, args ...any) {
 func (d *snapDriver) tick() {
 	d.seq++
 	id := d.seq
-	d.ex.Do("snapdiff.op", d.br, func(attempt int, settle func(error)) {
+	d.ex.Do("snapdiff.op", d.br, nil, func(attempt int, settle func(error)) {
 		if d.rng.Intn(3) == 0 {
 			settle(errSnapFlaky)
 			return
@@ -51,11 +51,9 @@ func (d *snapDriver) tick() {
 
 func buildResilienceDiff(seed int64) (*sim.Engine, func() []byte) {
 	eng := sim.NewEngine(seed)
-	pol := Policy{Base: 5 * time.Second, Cap: 30 * time.Second, Mult: 2,
-		Jitter: 5 * time.Second, MaxAttempts: 4}
-	ex := NewExecutor(eng, eng.ForkRand(), pol, nil)
-	br := NewBreaker(eng, "snapdiff.site", DefaultBreakerConfig(), nil)
-	rn := NewRenewer(eng, ex, RenewerConfig{}, nil)
+	k := NewKit(eng, eng.ForkRand(), nil)
+	ex, rn := k.Retry, k.Renewer
+	br := k.Breakers.For("snapdiff.site")
 	d := &snapDriver{eng: eng, ex: ex, br: br, rn: rn, rng: eng.ForkRand()}
 	eng.SnapRoot("resilience.snapdiff", d)
 	rn.Track("lease", 10*time.Minute, 10*time.Minute, br, func(target time.Duration, done func(error)) {

@@ -209,7 +209,7 @@ func (m *Manager) scheduleRetry(site string) {
 		return
 	}
 	m.retrying[site] = true
-	m.kit.Retry.Do("svc.deploy."+site, nil,
+	m.kit.Retry.Do("svc.deploy."+site, nil, nil,
 		func(_ int, done func(error)) {
 			if !m.wantsSite(site) {
 				done(nil)
