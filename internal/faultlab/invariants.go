@@ -175,19 +175,19 @@ func CheckLeaseContinuity(f *core.Federation, m *servicemgr.Manager) []Violation
 func CheckMDSFreshness(index *mds.GIIS, now time.Duration,
 	downSince func(host string) (time.Duration, bool), maxTTL time.Duration) []Violation {
 	var out []Violation
-	for _, rec := range index.Eval(mds.Query{}).Records {
-		since, down := downSince(rec.Source)
+	index.EachLive(func(name, source string) {
+		since, down := downSince(source)
 		if !down {
-			continue
+			return
 		}
 		if dead := now - since; dead > maxTTL {
 			out = append(out, Violation{
 				Invariant: "mds-freshness",
 				Detail: fmt.Sprintf("record %s served from %s dead for %v (max TTL %v)",
-					rec.Name, rec.Source, dead, maxTTL),
+					name, source, dead, maxTTL),
 			})
 		}
-	}
+	})
 	return out
 }
 

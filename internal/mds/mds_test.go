@@ -237,8 +237,8 @@ func pushRig(traced bool) (*fixture, *RegionIndex) {
 }
 
 // TestPushAllocsPerRecord pins what a registration costs through the
-// network once warm: the Registration boxed into Send's `any` and the
-// delivery closure. Provider fill, the GRIS walk and the index's in-place
+// network once warm: the Registration boxed into Send's `any`. The leg
+// is recycled, and provider fill, the GRIS walk and the index's in-place
 // refresh add nothing.
 func TestPushAllocsPerRecord(t *testing.T) {
 	f, rg := pushRig(false)
@@ -250,8 +250,8 @@ func TestPushAllocsPerRecord(t *testing.T) {
 	if got := rg.RegisterN - before; got != 64*(rounds+1) {
 		t.Fatalf("%d registrations in %d pushes, want 64 each", got, rounds+1)
 	}
-	if perRecord := perRound / 64; perRecord > 2 {
-		t.Errorf("a pushed registration allocates %.2f objects, want at most 2 (the Registration box and the event closure)", perRecord)
+	if perRecord := perRound / 64; perRecord > 1 {
+		t.Errorf("a pushed registration allocates %.2f objects, want at most 1 (the Registration box)", perRecord)
 	}
 }
 

@@ -510,10 +510,7 @@ func (r *RegionIndex) Eval(q Query) QueryReply {
 	if !ok {
 		return reply
 	}
-	if r.unsorted {
-		slices.SortFunc(r.order, func(a, b int32) int { return strings.Compare(r.slots[a].name, r.slots[b].name) })
-		r.unsorted = false
-	}
+	r.sortOrder()
 	now := r.eng.Now()
 scan:
 	for _, idx := range r.order {
@@ -541,6 +538,26 @@ scan:
 		}
 	}
 	return reply
+}
+
+// sortOrder sorts the arrivals since the last read into reply order.
+func (r *RegionIndex) sortOrder() {
+	if r.unsorted {
+		slices.SortFunc(r.order, func(a, b int32) int { return strings.Compare(r.slots[a].name, r.slots[b].name) })
+		r.unsorted = false
+	}
+}
+
+// EachLive calls fn with each live record's name and source in reply
+// order: Eval's walk without serving (no Record, no map, no QueryN).
+func (r *RegionIndex) EachLive(fn func(name, source string)) {
+	r.sortOrder()
+	now := r.eng.Now()
+	for _, idx := range r.order {
+		if s := &r.slots[idx]; s.expires > now {
+			fn(s.name, s.source)
+		}
+	}
 }
 
 // Summary materializes the region's current summary for an uplink push.

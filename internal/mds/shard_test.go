@@ -857,3 +857,39 @@ func TestServedAttrsFollowRefresh(t *testing.T) {
 		}
 	}
 }
+
+// TestEachLiveWalksEvalOrder: EachLive visits exactly the records an
+// unfiltered Eval returns, in its order, through out-of-order arrivals and
+// expiry, and serves nothing: no attribute map is built and QueryN stays.
+func TestEachLiveWalksEvalOrder(t *testing.T) {
+	rig := newShardRig(t, 1)
+	rg := rig.regions[0]
+	for i := 0; i < 40; i++ {
+		ttl := time.Hour
+		if i%5 == 0 {
+			ttl = time.Minute
+		}
+		rig.feed(t, 0, Record{Name: fmt.Sprintf("n%02d", (i*17)%40), Source: fmt.Sprintf("h%d", i%3),
+			Attrs: map[string]string{"os": "linux"}}, ttl)
+	}
+	for _, at := range []time.Duration{0, 2 * time.Minute} {
+		rig.eng.RunUntil(at)
+		var walked []string
+		rg.EachLive(func(name, source string) { walked = append(walked, name+"@"+source) })
+		for i := range rg.slots {
+			if rg.slots[i].attrs != nil {
+				t.Fatalf("at %v: EachLive built %s's attribute map", at, rg.slots[i].name)
+			}
+		}
+		if rg.QueryN != 0 {
+			t.Fatalf("at %v: EachLive moved QueryN to %d", at, rg.QueryN)
+		}
+		var want []string
+		for _, rec := range refEval(rg, Query{}).Records {
+			want = append(want, rec.Name+"@"+rec.Source)
+		}
+		if !slices.Equal(walked, want) {
+			t.Fatalf("at %v: EachLive walked %v, want %v", at, walked, want)
+		}
+	}
+}

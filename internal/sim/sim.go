@@ -11,6 +11,7 @@
 // concurrency by interleaving events, not by running goroutines, which is
 // what makes traces reproducible and assertable in tests. That same
 // single-threadedness is what makes the hot-path machinery below safe:
+// an event is a Firer, so a value that schedules itself needs no closure;
 // event nodes live on a per-engine free list and are recycled across
 // schedules, cancellation is lazy (tombstones are skipped at pop time and
 // compacted away when they dominate the heap), and the priority queue is a
@@ -31,14 +32,22 @@ import (
 	"time"
 )
 
-// node is the kernel-owned state of one scheduled callback. Nodes live in
+// Firer is what an event does. A pointer Firer schedules without
+// allocating and the snapshot walker follows it; a func is a leaf.
+type Firer interface{ Fire() }
+
+// fireFunc is a callback as a Firer: pointer-shaped, it boxes for free.
+type fireFunc func()
+
+func (f fireFunc) Fire() { f() }
+
+// node is the kernel-owned state of one scheduled event. Nodes live in
 // the engine's nodes slice, addressed by index, and are recycled through
 // the free list; the generation counter is bumped on every recycle so
 // stale Event handles cannot reach them. The ordering keys (at, seq) live
 // in the heap slot, not here, so sift comparisons never touch nodes.
 type node struct {
-	fn   func()
-	dead bool // tombstone: cancelled, awaiting pop or compaction
+	fire Firer // nil in a tombstone: cancelled, awaiting pop or compaction
 	gen  uint64
 }
 
@@ -77,7 +86,7 @@ func (e Event) Cancelled() bool {
 		return false
 	}
 	nd := &e.eng.nodes[e.idx]
-	return nd.gen == e.gen && nd.dead
+	return nd.gen == e.gen && nd.fire == nil
 }
 
 // live reports whether the handle still names a pending, uncancelled
@@ -87,7 +96,7 @@ func (e Event) live() bool {
 		return false
 	}
 	nd := &e.eng.nodes[e.idx]
-	return nd.gen == e.gen && !nd.dead
+	return nd.gen == e.gen && nd.fire != nil
 }
 
 // compactMin is the queue length below which tombstone compaction is never
@@ -177,12 +186,11 @@ func (e *Engine) alloc() int32 {
 }
 
 // release recycles a node: the fresh generation invalidates every
-// outstanding handle, and dropping fn releases the closure.
+// outstanding handle, and dropping fire releases what the event held.
 func (e *Engine) release(idx int32) {
 	nd := &e.nodes[idx]
 	nd.gen = e.nextGen()
-	nd.fn = nil
-	nd.dead = false
+	nd.fire = nil
 	e.free = append(e.free, idx)
 }
 
@@ -190,24 +198,32 @@ func (e *Engine) release(idx int32) {
 // event so the caller may cancel it. Scheduling in the past panics: it
 // would silently reorder causality.
 func (e *Engine) Schedule(delay time.Duration, fn func()) Event {
+	return e.ScheduleFire(delay, fireFunc(fn))
+}
+
+// ScheduleFire is Schedule for a value that is its own event.
+func (e *Engine) ScheduleFire(delay time.Duration, f Firer) Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	return e.At(e.now+delay, fn)
+	return e.at(e.now+delay, f)
 }
 
 // At runs fn at absolute virtual time t (>= Now).
-func (e *Engine) At(t time.Duration, fn func()) Event {
+func (e *Engine) At(t time.Duration, fn func()) Event { return e.at(t, fireFunc(fn)) }
+
+// at is the one scheduling path.
+func (e *Engine) at(t time.Duration, f Firer) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
-	if fn == nil {
+	if fn, ok := f.(fireFunc); f == nil || ok && fn == nil {
 		panic("sim: nil event function")
 	}
 	e.seq++
 	idx := e.alloc()
 	nd := &e.nodes[idx]
-	nd.fn = fn
+	nd.fire = f
 	e.push(slot{at: t, seq: e.seq, idx: idx})
 	e.live++
 	return Event{eng: e, idx: idx, gen: nd.gen, at: t}
@@ -221,9 +237,7 @@ func (e *Engine) Cancel(ev Event) {
 	if ev.eng != e || !ev.live() {
 		return
 	}
-	nd := &e.nodes[ev.idx]
-	nd.dead = true
-	nd.fn = nil
+	e.nodes[ev.idx].fire = nil
 	e.live--
 	if len(e.q) >= compactMin && e.live*2 < len(e.q) {
 		e.compact()
@@ -235,7 +249,7 @@ func (e *Engine) Cancel(ev Event) {
 func (e *Engine) compact() {
 	q := e.q[:0]
 	for _, s := range e.q {
-		if e.nodes[s.idx].dead {
+		if e.nodes[s.idx].fire == nil {
 			e.release(s.idx)
 		} else {
 			q = append(q, s)
@@ -248,7 +262,7 @@ func (e *Engine) compact() {
 }
 
 // CancelAll cancels every pending event at once and recycles its node, so
-// each outstanding handle goes stale and no queued closure stays
+// each outstanding handle goes stale and nothing a queued event held stays
 // reachable. The clock stays where it is. It is how a finished simulation
 // whose state is still read (a region index queried after its cell has
 // run) stops pinning what its undelivered messages and tickers hold.
@@ -269,7 +283,7 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) peek() (slot, bool) {
 	for len(e.q) > 0 {
 		s := e.q[0]
-		if !e.nodes[s.idx].dead {
+		if e.nodes[s.idx].fire != nil {
 			return s, true
 		}
 		e.release(e.popTop().idx)
@@ -288,12 +302,12 @@ func (e *Engine) Step() bool {
 	e.now = s.at
 	e.processed++
 	e.live--
-	fn := e.nodes[s.idx].fn
+	f := e.nodes[s.idx].fire
 	// Recycle before firing: outstanding handles are invalidated by the
-	// generation bump, and a reschedule inside fn (the Ticker pattern)
+	// generation bump, and a reschedule inside Fire (the Ticker pattern)
 	// reuses this very node with zero allocation.
 	e.release(s.idx)
-	fn()
+	f.Fire()
 	return true
 }
 
@@ -409,10 +423,18 @@ func (e *Engine) down(i int) {
 // Timer is a restartable one-shot timer bound to an engine, analogous to
 // time.Timer but in virtual time.
 type Timer struct {
-	eng  *Engine
-	ev   Event
-	fn   func()
-	fire func() // bound once; clears ev so Stop never cancels a stale handle
+	eng *Engine
+	ev  Event
+	fn  func()
+}
+
+// timerFirer is a Timer as its own event, keeping Fire off Timer's
+// method set. It clears ev first, so Stop never cancels a stale handle.
+type timerFirer Timer
+
+func (f *timerFirer) Fire() {
+	f.ev = Event{}
+	f.fn()
 }
 
 // NewTimer returns a stopped timer that will invoke fn when it fires.
@@ -420,18 +442,13 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 	if fn == nil {
 		panic("sim: nil timer function")
 	}
-	t := &Timer{eng: e, fn: fn}
-	t.fire = func() {
-		t.ev = Event{}
-		t.fn()
-	}
-	return t
+	return &Timer{eng: e, fn: fn}
 }
 
 // Reset (re)arms the timer to fire after d, cancelling any pending firing.
 func (t *Timer) Reset(d time.Duration) {
 	t.Stop()
-	t.ev = t.eng.Schedule(d, t.fire)
+	t.ev = t.eng.ScheduleFire(d, (*timerFirer)(t))
 }
 
 // Stop cancels a pending firing. It is a no-op on a stopped timer.
@@ -494,16 +511,28 @@ func (w *Window) Revoke() {
 	w.revokeFn()
 }
 
-// Ticker invokes fn every period until stopped. One callback closure and
-// (steady-state) one recycled event node serve the ticker's whole life,
-// so ticking is allocation-free.
+// Ticker invokes fn every period until stopped. The ticker is its own
+// event and (steady-state) one recycled event node serves its whole
+// life, so ticking is allocation-free.
 type Ticker struct {
 	eng     *Engine
 	period  time.Duration
 	fn      func()
 	ev      Event
 	stopped bool
-	tick    func() // bound once, re-armed every period
+}
+
+// tickerFirer is a Ticker as its own event, re-armed every period.
+type tickerFirer Ticker
+
+func (f *tickerFirer) Fire() {
+	if f.stopped {
+		return
+	}
+	f.fn()
+	if !f.stopped {
+		f.ev = f.eng.ScheduleFire(f.period, f)
+	}
 }
 
 // NewTicker starts a ticker with the given period. The first tick fires
@@ -513,16 +542,7 @@ func (e *Engine) NewTicker(period time.Duration, fn func()) *Ticker {
 		panic(fmt.Sprintf("sim: ticker period %v must be positive", period))
 	}
 	t := &Ticker{eng: e, period: period, fn: fn}
-	t.tick = func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.ev = t.eng.Schedule(t.period, t.tick)
-		}
-	}
-	t.ev = e.Schedule(period, t.tick)
+	t.ev = e.ScheduleFire(period, (*tickerFirer)(t))
 	return t
 }
 

@@ -85,7 +85,7 @@ func TestPendingMatchesBruteForce(t *testing.T) {
 	brute := func() int {
 		n := 0
 		for _, s := range e.q {
-			if !e.nodes[s.idx].dead {
+			if e.nodes[s.idx].fire != nil {
 				n++
 			}
 		}
@@ -317,8 +317,8 @@ func TestCancelAll(t *testing.T) {
 		t.Fatalf("after CancelAll: %d pending, %d queued", e.Pending(), len(e.q))
 	}
 	for i := range e.nodes {
-		if e.nodes[i].fn != nil {
-			t.Errorf("node %d still holds its closure", i)
+		if e.nodes[i].fire != nil {
+			t.Errorf("node %d still holds its event", i)
 		}
 	}
 	for i, ev := range evs {

@@ -12,15 +12,16 @@ import (
 // timeout, cuts, heals, crashes, recoveries and loss changes over the
 // three-site test network, then drains it and checks the control plane's
 // books:
-//   - every Call with a timeout settles exactly once, none settles twice,
-//     and no call is left in the in-flight set;
+//   - every Call with a timeout settles exactly once, and none settles
+//     twice;
 //   - every leg that departed was received or dropped in flight, once:
 //     Σ MsgsSent = Σ MsgsRecv + the in-flight drops of every cause, where
 //     a cause's in-flight drops are its counter less the departures it
 //     refused;
 //   - per host, a server sent its own messages plus one reply per request
 //     it served, and a2, which serves nothing and sends nothing of its
-//     own, refused every request that reached it.
+//     own, refused every request that reached it;
+//   - every leg ever made is back on the free list, once and empty.
 //
 // A script is a list of (op, arg) byte pairs.
 func FuzzControlPlaneConserves(f *testing.F) {
@@ -112,8 +113,8 @@ func FuzzControlPlaneConserves(f *testing.F) {
 				t.Fatalf("call %d refused at departure settled with %v, want %v", i, c.err, c.refused)
 			}
 		}
-		if len(n.calls) != 0 {
-			t.Fatalf("%d calls left in flight after the drain", len(n.calls))
+		if err := n.checkLegs(true); err != nil {
+			t.Fatal(err)
 		}
 		var sent, recv, inFlight uint64
 		for _, h := range hosts {

@@ -17,9 +17,9 @@
 // if the sender counts it and the loss draw spares it, and it lands only
 // if, on arrival, the receiver is still up and the two sites are still
 // connected. A crash or a cut that happens while a leg is in flight drops
-// it, exactly as it severs in-flight data flows. Request and Serve are
-// the typed face of Call and Handle: they own the one place an RPC
-// payload is typed.
+// it, exactly as it severs in-flight data flows. A leg is its own kernel
+// event, recycled through a free list. Request and Serve are the typed
+// face of Call and Handle: they own the one place an RPC payload is typed.
 package simnet
 
 import (
@@ -100,11 +100,9 @@ type Network struct {
 	active      map[*Flow]struct{}
 	flowSeq     uint64
 
-	// calls tracks in-flight RPCs. The per-call state (settled flag,
-	// pending timeout handle) must live on a struct reachable from the
-	// Network — not in closure captures — so engine snapshots taken while
-	// calls are in flight restore them exactly (see sim/snap.go).
-	calls map[*call]struct{}
+	// fly's free list of zeroed legs, and how many legs it ever made.
+	legs  []*leg
+	nlegs int
 
 	// BaseLoss is the default packet-loss probability on any inter-site
 	// path (intra-site paths are lossless).
@@ -136,7 +134,6 @@ func New(eng *sim.Engine) *Network {
 		lossRate:    make(map[[2]string]float64),
 		partitioned: make(map[[2]string]bool),
 		active:      make(map[*Flow]struct{}),
-		calls:       make(map[*call]struct{}),
 		MTU:         1460,
 	}
 }
@@ -404,8 +401,8 @@ var causeNames = [numCauses]string{"loss", "partition", "host_down"}
 func (c dropCause) String() string { return causeNames[c] }
 
 // message is one control-plane leg in flight: a Send, a Call's request,
-// or a Call's reply. It rides by value in its one delivery closure, so a
-// leg costs that closure and nothing else.
+// or a Call's reply. It rides by value in a recycled leg, so in steady
+// state a leg allocates nothing.
 type message struct {
 	from, to *Host
 	span     obs.SpanContext // a Send's span; a Call's legs share c.span
@@ -457,8 +454,29 @@ func (n *Network) fly(m message, lat time.Duration, lossy bool) {
 		n.drop(m, dropLoss)
 		return
 	}
-	// The network rides in m.from, so the closure holds m alone.
-	n.eng.Schedule(lat, func() { m.from.net.land(m) })
+	var l *leg
+	if k := len(n.legs) - 1; k >= 0 {
+		// Clear the slot, or an abandoned leg stays pinned with its message.
+		l, n.legs[k], n.legs = n.legs[k], nil, n.legs[:k]
+	} else {
+		l = new(leg)
+		n.nlegs++
+	}
+	l.m = m
+	n.eng.ScheduleFire(lat, l)
+}
+
+// leg is one message's kernel event. The engine's node reaches it, so
+// Snapshot captures a leg in flight and Fork rewinds it. Fire hands it
+// back, emptied, before the message lands: a handler that sends again
+// reuses it.
+type leg struct{ m message }
+
+func (l *leg) Fire() {
+	m, n := l.m, l.m.from.net
+	l.m = message{}
+	n.legs = append(n.legs, l)
+	n.land(m)
 }
 
 // land is every leg's arrival. The receiver and the cut are checked
@@ -485,15 +503,12 @@ func (n *Network) land(m message) {
 }
 
 // drop counts a leg lost in flight, by cause. A Send's span ends with the
-// cause; a Call leaves its span to the timeout, or, with none armed,
-// abandons the call, since nothing can settle it any more.
+// cause; a Call leaves its span to the timeout, and with none armed
+// nothing settles the call, or keeps it.
 func (n *Network) drop(m message, cause dropCause) {
 	n.drops[cause]++
-	switch {
-	case m.c == nil:
+	if m.c == nil {
 		m.span.End(obs.String("drop", cause.String()))
-	case m.c.timeoutEv == (sim.Event{}):
-		m.c.abandon()
 	}
 }
 
@@ -563,9 +578,8 @@ func (n *Network) Call(from, to, service string, req any, timeout time.Duration,
 		return
 	}
 	c := &call{n: n, lat: lat, start: n.eng.Now(), done: done, span: n.msgSpan("net.call", from, to, service)}
-	n.calls[c] = struct{}{}
 	if timeout > 0 {
-		c.timeoutEv = n.eng.Schedule(timeout, func() { c.finish(nil, ErrTimeout) })
+		c.timeoutEv = n.eng.ScheduleFire(timeout, c)
 	}
 	n.fly(message{from: a, to: b, svc: service, body: req, c: c}, lat, true)
 }
@@ -598,9 +612,9 @@ func Serve[Req, Resp any](h *Host, service string, fn func(from string, req Req)
 	})
 }
 
-// call is one in-flight RPC. Keeping its mutable state in fields (rather
-// than closure-captured locals) makes in-flight calls part of the
-// snapshot-restorable object graph.
+// call is one in-flight RPC. Its state lives in fields, not closure
+// captures, and a call in flight is reached from an engine node, through
+// its timeout or the leg carrying it, so a snapshot restores it exactly.
 type call struct {
 	n     *Network
 	span  obs.SpanContext
@@ -615,13 +629,15 @@ type call struct {
 	timeoutEv sim.Event
 }
 
+// Fire is the call's timeout.
+func (c *call) Fire() { c.finish(nil, ErrTimeout) }
+
 // finish settles the call exactly once.
 func (c *call) finish(resp any, err error) {
 	if c.finished {
 		return
 	}
 	c.finished = true
-	delete(c.n.calls, c)
 	// Cancel the pending timeout so completed calls do not leave dead
 	// events in the heap (Cancel on the fired timeout is a no-op).
 	c.n.eng.Cancel(c.timeoutEv)
@@ -636,11 +652,4 @@ func (c *call) finish(resp any, err error) {
 		c.span.End(obs.Err(err))
 	}
 	c.done(resp, err)
-}
-
-// abandon retires a call that can never settle (a leg lost with no
-// timeout armed) so it does not accumulate in the in-flight set.
-func (c *call) abandon() {
-	c.finished = true
-	delete(c.n.calls, c)
 }

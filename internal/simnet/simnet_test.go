@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 	"time"
 
@@ -63,11 +64,11 @@ func TestSendDelivers(t *testing.T) {
 	}
 }
 
-// TestSendAllocatesOnce: with tracing off a message is its delivery
-// closure and nothing else: no heap cell for the span, no second object
-// for the host names. The payload is boxed once outside the loop, so the
-// caller's conversion is not charged here.
-func TestSendAllocatesOnce(t *testing.T) {
+// TestSendAllocFree: with tracing off a warm Send allocates nothing: its
+// leg comes back from the free list, the span needs no heap cell and the
+// host names no second object. The payload is boxed once outside the
+// loop, so the caller's conversion is not charged here.
+func TestSendAllocFree(t *testing.T) {
 	eng, n := testNet(t, 1)
 	delivered := 0
 	n.Host("b1").Handle("sink", func(string, any) (any, error) { delivered++; return nil, nil })
@@ -76,9 +77,9 @@ func TestSendAllocatesOnce(t *testing.T) {
 		n.Send("a1", "b1", "sink", msg)
 		eng.Run()
 	}
-	send() // warm the event heap
-	if got := testing.AllocsPerRun(200, send); got > 1 {
-		t.Errorf("Send plus delivery allocates %.1f objects, want at most 1", got)
+	send() // warm the event heap and the leg free list
+	if got := testing.AllocsPerRun(200, send); got != 0 {
+		t.Errorf("Send plus delivery allocates %.1f objects, want 0", got)
 	}
 	if delivered != 202 {
 		t.Errorf("delivered %d of 202 messages", delivered)
@@ -86,13 +87,13 @@ func TestSendAllocatesOnce(t *testing.T) {
 }
 
 // TestCallAllocates pins a Call round trip with tracing off: the call
-// record, one closure per leg, and the timeout's closure when one is
-// armed. The reply travels in its leg's closure with no cells of its own.
+// record and nothing else. Both legs are recycled, the call is its own
+// timeout event, and the reply rides in its leg with no cells of its own.
 func TestCallAllocates(t *testing.T) {
 	for _, tc := range []struct {
 		timeout time.Duration
 		want    float64
-	}{{time.Second, 4}, {0, 3}} {
+	}{{time.Second, 1}, {0, 1}} {
 		eng, n := testNet(t, 1)
 		n.Host("b1").Handle("echo", func(_ string, req any) (any, error) { return req, nil })
 		var req any = "payload"
@@ -102,13 +103,53 @@ func TestCallAllocates(t *testing.T) {
 			n.Call("a1", "b1", "echo", req, tc.timeout, done)
 			eng.Run()
 		}
-		call() // warm the event heap and the in-flight set
+		call() // warm the event heap and the leg free list
 		if got := testing.AllocsPerRun(200, call); got > tc.want {
 			t.Errorf("timeout %v: a Call round trip allocates %.1f objects, want at most %v", tc.timeout, got, tc.want)
 		}
 		if settled != 202 {
 			t.Errorf("timeout %v: %d of 202 calls settled", tc.timeout, settled)
 		}
+	}
+}
+
+// TestLegPoolPinsNothing: a leg on the free list holds no message, and
+// nothing past the list's length holds a leg, both after a drained run and
+// after CancelAll abandons legs mid-flight. A pop that shrank the list
+// without clearing its slot would keep every abandoned leg, and the
+// payload it carries, alive for as long as the network.
+func TestLegPoolPinsNothing(t *testing.T) {
+	eng, n := testNet(t, 1)
+	n.Host("b1").Handle("fwd", func(_ string, req any) (any, error) {
+		n.Send("b1", "c1", "sink", req) // reuses the leg that just landed
+		return nil, nil
+	})
+	n.Host("c1").Handle("echo", func(_ string, req any) (any, error) { return req, nil })
+	burst := func() {
+		for i := 0; i < 16; i++ {
+			n.Send("a1", "b1", "fwd", map[string]string{"i": strconv.Itoa(i)})
+			n.Call("a1", "c1", "echo", i, time.Second, func(any, error) {})
+		}
+	}
+	burst()
+	eng.Run()
+	if err := n.checkLegs(true); err != nil {
+		t.Fatalf("after a drained run: %v", err)
+	}
+	// A forward or a reply departs on the leg that just landed, so no more
+	// than the burst's 32 legs are ever in flight at once.
+	if n.nlegs != 32 {
+		t.Fatalf("%d legs made for 16 relayed sends and 16 calls, want 32", n.nlegs)
+	}
+	burst() // takes every pooled leg
+	eng.CancelAll()
+	if err := n.checkLegs(false); err != nil {
+		t.Fatalf("after CancelAll: %v", err)
+	}
+	burst()
+	eng.Run()
+	if err := n.checkLegs(false); err != nil {
+		t.Fatalf("after a run past CancelAll: %v", err)
 	}
 }
 

@@ -95,7 +95,7 @@ func buildSimnetDiff(seed int64) (*sim.Engine, func() []byte) {
 // TestForkVsColdSimnet is simnet's adoption of the snaptest scenario
 // hook: with calls in flight, flows mid-transfer, partitions toggling,
 // and loss draws pending, a forked run must be byte-identical to a cold
-// one — proving every piece of network state (calls map, flow set,
+// one — proving every piece of network state (calls in flight, flow set,
 // fluid system, rng) is in the snapshot walker's reach.
 func TestForkVsColdSimnet(t *testing.T) {
 	n := 20
@@ -108,4 +108,89 @@ func TestForkVsColdSimnet(t *testing.T) {
 		WarmUntil: 10 * time.Minute,
 		Horizon:   40 * time.Minute,
 	}.Run(t, snaptest.Seeds(1, n))
+}
+
+// relayHop is a relayed message's payload. Each receiver bumps it and
+// forwards the same pointer, so while a hop is in flight the leg carrying
+// it is the only thing that reaches it.
+type relayHop struct{ id, n int }
+
+// relayDriver starts a hop every tick; its log and counter rewind with
+// the network on Fork.
+type relayDriver struct {
+	net *Network
+	log []string
+	seq int
+}
+
+func (d *relayDriver) tick() {
+	d.seq++
+	d.net.Send("a1", "b1", "relay", &relayHop{id: d.seq})
+}
+
+// relayNet relays hops a1 → b1 → c1 → a1 … over lossy paths, six
+// landings each, so every landing hands its leg straight to the next
+// send. The render ends with the free list's books, which a Fork must
+// rewind too.
+func relayNet(seed int64) (*sim.Engine, *Network, func() []byte) {
+	eng := sim.NewEngine(seed)
+	n := New(eng)
+	n.BaseLoss = 0.1
+	n.AddSite("A", 0, 0)
+	n.AddSite("B", 30, 0)
+	n.AddSite("C", 0, 40)
+	n.AddHost("a1", "A", 1e6)
+	n.AddHost("b1", "B", 1e6)
+	n.AddHost("c1", "C", 1e6)
+	d := &relayDriver{net: n}
+	next := map[string]string{"a1": "b1", "b1": "c1", "c1": "a1"}
+	for self, to := range next {
+		n.Host(self).Handle("relay", func(from string, req any) (any, error) {
+			h := req.(*relayHop)
+			h.n++
+			d.log = append(d.log, fmt.Sprintf("%v %s<-%s hop %d.%d", eng.Now(), self, from, h.id, h.n))
+			if h.n < 6 {
+				n.Send(self, to, "relay", h)
+			}
+			return nil, nil
+		})
+	}
+	eng.SnapRoot("simnet.relaydiff", d)
+	eng.NewTicker(20*time.Millisecond, d.tick)
+	render := func() []byte {
+		var b bytes.Buffer
+		for _, ln := range d.log {
+			fmt.Fprintln(&b, ln)
+		}
+		fmt.Fprintf(&b, "legs made=%d free=%d\n", n.nlegs, len(n.legs))
+		return b.Bytes()
+	}
+	return eng, n, render
+}
+
+func buildRelayDiff(seed int64) (*sim.Engine, func() []byte) {
+	eng, _, render := relayNet(seed)
+	return eng, render
+}
+
+// TestForkVsColdRelayedLegs: a snapshot taken with legs in flight, whose
+// legs then land and are reused for new sends before the Fork, replays
+// byte-identically to a cold run. The in-flight payloads are reachable
+// only through their legs, so this holds only because the engine's node
+// reaches each leg through its Firer and the walker follows it.
+func TestForkVsColdRelayedLegs(t *testing.T) {
+	const warm, horizon = 2*time.Second + 7*time.Millisecond, 4 * time.Second
+	eng, n, _ := relayNet(1)
+	eng.RunUntil(warm)
+	inFlight, sent := n.nlegs-len(n.legs), n.Host("a1").MsgsSent
+	eng.RunUntil(horizon)
+	if sent = n.Host("a1").MsgsSent - sent; inFlight == 0 || sent <= uint64(n.nlegs) {
+		t.Fatalf("%d legs in flight at the snapshot, %d sent by a1 after it over %d legs: want some in flight, then reuse", inFlight, sent, n.nlegs)
+	}
+	snaptest.Scenario{
+		Name:      "simnet.relay",
+		Build:     buildRelayDiff,
+		WarmUntil: warm,
+		Horizon:   horizon,
+	}.Run(t, snaptest.Seeds(1, 20))
 }
