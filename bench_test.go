@@ -1,17 +1,19 @@
 // Package repro_test is the benchmark harness: one testing.B per paper
-// artifact (Table 1, Figures 1-2) and per quantified-claim experiment
-// (E3-E9), regenerating the same tables cmd/gridlab prints. Run with
+// artifact (Table 1, Figures 1-2) and one sub-benchmark per declared
+// table experiment (E3-E11, A1-A3), each running the experiment cmd/gridlab
+// prints at a grid small enough to iterate. Run with
 //
 //	go test -bench=. -benchmem
 //
-// Each benchmark reports experiment-specific metrics via b.ReportMetric
-// so shapes can be compared across runs; bench time measures the cost of
-// regenerating the artifact, not any physical-system claim.
+// The artifact benchmarks report experiment-specific metrics via
+// b.ReportMetric so shapes can be compared across runs; bench time
+// measures the cost of regenerating the artifact, not any physical-system
+// claim.
 package repro_test
 
 import (
 	"io"
-	"strings"
+	"strconv"
 	"testing"
 	"time"
 
@@ -28,7 +30,7 @@ func BenchmarkTable1Registry(b *testing.B) {
 func BenchmarkFigure1Sweep(b *testing.B) {
 	var pts []core.Fig1Point
 	for i := 0; i < b.N; i++ {
-		pts = core.Figure1(42, 8, 1)
+		pts = core.F1.Run(42, 8, 1)
 	}
 	for _, p := range pts {
 		switch p.Stack {
@@ -57,100 +59,47 @@ func BenchmarkFigure2SHARPFlow(b *testing.B) {
 	b.ReportMetric(float64(steps), "protocol-steps")
 }
 
-func BenchmarkScaleSweep(b *testing.B) {
+// BenchmarkExperiments runs each declared table experiment, sequentially
+// at seed 42, at a benchmark-sized grid.
+func BenchmarkExperiments(b *testing.B) {
+	type bench struct {
+		name string
+		run  func()
+	}
+	var benches []bench
 	for _, n := range []int{10, 50, 100} {
-		b.Run(strings.ReplaceAll("sites="+itoa(n), " ", ""), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.RunScale(42, []int{n}, 1)
-			}
-		})
+		benches = append(benches, bench{"E3/sites=" + strconv.Itoa(n), func() { core.E3.Run(42, []int{n}, 1) }})
 	}
-}
-
-func BenchmarkProxyLifetimeSweep(b *testing.B) {
-	lifetimes := []time.Duration{time.Hour, 8 * time.Hour, 64 * time.Hour}
-	var tab fmtStringer
-	for i := 0; i < b.N; i++ {
-		tab = core.RunProxyLifetime(42, lifetimes, 200, 1)
-	}
-	_ = tab
-	b.ReportMetric(float64(len(lifetimes)), "sweep-points")
-}
-
-func BenchmarkDelegationStyles(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		core.RunDelegation(42, 6, 20, 0.3)
-	}
-}
-
-func BenchmarkAllocationDisciplines(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		core.RunAllocation(42, 8, 200, 1)
-	}
-}
-
-func BenchmarkHeterogeneityGlue(b *testing.B) {
+	benches = append(benches,
+		bench{"E4", func() {
+			core.E4.Run(42, core.ProxyGrid{Lifetimes: []time.Duration{time.Hour, 8 * time.Hour, 64 * time.Hour}, Jobs: 200}, 1)
+		}},
+		bench{"E5", func() { core.E5.Run(42, core.DelegationGrid{Sites: 6, Ops: 20, Churns: []float64{0.3}}, 1) }},
+		bench{"E6", func() { core.E6.Run(42, core.AllocationGrid{Nodes: 8, Services: 200}, 1) }},
+	)
 	for _, h := range []int{0, 4, 8} {
-		b.Run("dialects="+itoa(h), func(b *testing.B) {
+		benches = append(benches, bench{"E7/dialects=" + strconv.Itoa(h), func() {
+			core.E7.Run(42, core.HeteroGrid{Dialects: []int{h}, Jobs: 100}, 1)
+		}})
+	}
+	benches = append(benches,
+		bench{"E8", func() {
+			core.E8.Run(42, core.TransferGrid{Bytes: 100e6, Losses: []float64{0, 0.01}, Stripes: []int{1, 8}}, 1)
+		}},
+		bench{"E9", func() { core.E9.Run(42, []float64{0.5, 1.0, 2.0, 3.0}, 1) }},
+		bench{"E10", func() { core.E10.Run(42, core.AvailGrid{Ks: []int{1, 2, 4, 8}, Horizon: 30 * 24 * time.Hour}, 1) }},
+		bench{"E11", func() { core.E11.Run(42, 30*24*time.Hour, 1) }},
+		bench{"A1", func() { core.A1.Run(42, core.BackfillGrid{Slots: 16, Jobs: 120}, 1) }},
+		bench{"A2", func() { core.A2.Run(42, 200e6, 1) }},
+		bench{"A3", func() {
+			core.A3.Run(42, core.RefreshGrid{Periods: []time.Duration{time.Minute, 10 * time.Minute}, Resources: 100}, 1)
+		}},
+	)
+	for _, e := range benches {
+		b.Run(e.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.RunHeterogeneity(42, []int{h}, 100, 1)
+				e.run()
 			}
 		})
-	}
-}
-
-func BenchmarkDataGridTransfer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		core.RunDataGrid(42, 100e6, []float64{0, 0.01}, []int{1, 8}, 1)
-	}
-}
-
-func BenchmarkSHARPOversubscription(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		core.RunOversub(42, []float64{0.5, 1.0, 2.0, 3.0}, 1)
-	}
-}
-
-type fmtStringer interface{ String() string }
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var digits []byte
-	for n > 0 {
-		digits = append([]byte{byte('0' + n%10)}, digits...)
-		n /= 10
-	}
-	return string(digits)
-}
-
-func BenchmarkAvailabilitySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		core.RunAvailability(42, []int{1, 2, 4, 8}, 30*24*time.Hour)
-	}
-}
-
-func BenchmarkBackfillAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		core.RunBackfillAblation(42, 16, 120)
-	}
-}
-
-func BenchmarkPoolingAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		core.RunPoolingAblation(42, 200e6)
-	}
-}
-
-func BenchmarkTTLAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		core.RunTTLAblation(42, []time.Duration{time.Minute, 10 * time.Minute}, 100)
-	}
-}
-
-func BenchmarkManagedAvailability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		core.RunManagedAvailability(42, 3, 30*24*time.Hour)
 	}
 }

@@ -24,80 +24,22 @@ func commands() []command {
 				core.RenderTable1(w)
 				return nil
 			})},
-		{name: "fig1", desc: "Figure 1: site autonomy vs VO-level functionality", inAll: true,
-			bind: noFlags(func(w io.Writer, g *globals) error {
-				core.RenderFigure1(w, g.seed, 12)
-				fmt.Fprintln(w, "\nSweep over homogeneous autonomy demand alpha:")
-				core.Figure1Sweep(g.seed, 8, []float64{0.1, 0.3, 0.5, 0.7, 0.9}, g.workers).Render(w)
-				return nil
-			})},
+		{name: "fig1", desc: "Figure 1: site autonomy vs VO-level functionality", inAll: true, bind: report(core.F1, core.F1Sweep)},
 		{name: "fig2", desc: "Figure 2: SHARP ticket -> lease -> VM protocol trace", inAll: true,
 			bind: noFlags(func(w io.Writer, g *globals) error {
 				return core.RenderFigure2(w, g.seed)
 			})},
-		{name: "e3", desc: "E3: federation scale sweep (paper: GT 20-50 sites, PlanetLab 155 -> ~1000)", inAll: true,
-			bind: noFlags(func(w io.Writer, g *globals) error {
-				core.RunScale(g.seed, []int{10, 50, 100, 200, 500, 1000}, g.workers).Render(w)
-				return nil
-			})},
+		{name: "e3", desc: "E3: federation scale sweep (paper: GT 20-50 sites, PlanetLab 155 -> ~1000)", inAll: true, bind: report(core.E3)},
 		// Minutes at full size, so not part of `all`.
 		{name: "scale", desc: "E14: planetary federation (sharded MDS + memoized SHARP + compact leases)", bind: bindScale},
-		{name: "proxylife", desc: "E4: proxy-certificate lifetime tradeoff", inAll: true,
-			bind: noFlags(func(w io.Writer, g *globals) error {
-				core.RunProxyLifetime(g.seed, []time.Duration{
-					time.Hour, 2 * time.Hour, 4 * time.Hour, 8 * time.Hour,
-					16 * time.Hour, 32 * time.Hour, 64 * time.Hour,
-				}, 500, g.workers).Render(w)
-				return nil
-			})},
-		{name: "delegation", desc: "E5: identity vs usage delegation under policy churn", inAll: true,
-			bind: noFlags(func(w io.Writer, g *globals) error {
-				for _, churn := range []float64{0, 0.5, 0.9} {
-					fmt.Fprintf(w, "churn probability %.2f:\n", churn)
-					core.RunDelegation(g.seed, 10, 50, churn).Render(w)
-					fmt.Fprintln(w)
-				}
-				return nil
-			})},
-		{name: "allocation", desc: "E6: best-effort vs reserved; FCFS port conflicts", inAll: true,
-			bind: noFlags(func(w io.Writer, g *globals) error {
-				core.RunAllocation(g.seed, 10, 300, g.workers).Render(w)
-				return nil
-			})},
-		{name: "hetero", desc: "E7: heterogeneity glue cost vs uniform node interface", inAll: true,
-			bind: noFlags(func(w io.Writer, g *globals) error {
-				core.RunHeterogeneity(g.seed, []int{0, 1, 2, 4, 8}, 200, g.workers).Render(w)
-				return nil
-			})},
-		{name: "datagrid", desc: "E8: striped GridFTP +/- PlanetLab multipath overlay", inAll: true,
-			bind: noFlags(func(w io.Writer, g *globals) error {
-				core.RunDataGrid(g.seed, 1e9, []float64{0, 0.005, 0.01, 0.02}, []int{1, 2, 4, 8, 16}, g.workers).Render(w)
-				return nil
-			})},
-		{name: "oversub", desc: "E9: SHARP ticket oversubscription sweep", inAll: true,
-			bind: noFlags(func(w io.Writer, g *globals) error {
-				core.RunOversub(g.seed, []float64{0.5, 1.0, 1.5, 2.0, 2.5, 3.0}, g.workers).Render(w)
-				return nil
-			})},
-		{name: "avail", desc: "E10/E11: availability under failures (analytic + managed service)", inAll: true,
-			bind: noFlags(func(w io.Writer, g *globals) error {
-				core.RunAvailability(g.seed, []int{1, 2, 3, 4, 6, 8}, 90*24*time.Hour).Render(w)
-				fmt.Fprintln(w, "\nE11: live managed service vs static placement (12 sites, k=3, 90 days):")
-				core.RunManagedAvailability(g.seed, 3, 90*24*time.Hour).Render(w)
-				return nil
-			})},
-		{name: "probes", desc: "probe-by-probe functionality matrix across all three stacks", inAll: true,
-			bind: noFlags(func(w io.Writer, g *globals) error {
-				specs := make([]core.SiteSpec, 6)
-				for i := range specs {
-					specs[i] = core.SiteSpec{
-						Name: fmt.Sprintf("s%d", i), X: float64(10 * (i + 1)), Y: 8,
-						Nodes: 2, ClusterSlots: 16, Policy: core.PlanetLabSitePolicy(),
-					}
-				}
-				core.RenderProbeMatrix(w, g.seed, specs)
-				return nil
-			})},
+		{name: "proxylife", desc: "E4: proxy-certificate lifetime tradeoff", inAll: true, bind: report(core.E4)},
+		{name: "delegation", desc: "E5: identity vs usage delegation under policy churn", inAll: true, bind: report(core.E5)},
+		{name: "allocation", desc: "E6: best-effort vs reserved; FCFS port conflicts", inAll: true, bind: report(core.E6)},
+		{name: "hetero", desc: "E7: heterogeneity glue cost vs uniform node interface", inAll: true, bind: report(core.E7)},
+		{name: "datagrid", desc: "E8: striped GridFTP +/- PlanetLab multipath overlay", inAll: true, bind: report(core.E8)},
+		{name: "oversub", desc: "E9: SHARP ticket oversubscription sweep", inAll: true, bind: report(core.E9)},
+		{name: "avail", desc: "E10/E11: availability under failures (analytic + managed service)", inAll: true, bind: report(core.E10, core.E11)},
+		{name: "probes", desc: "probe-by-probe functionality matrix across all three stacks", inAll: true, bind: report(core.ProbeMatrix)},
 		{name: "chaos", desc: "fault injection: seed-driven faults + cross-stack invariant audit", inAll: true, bind: bindChaos},
 		{name: "byzantine", desc: "E13: adversarial brokers vs reputation/collateral defense, 20-seed sweep", inAll: true, bind: bindByzantine},
 		{name: "cdn", desc: "E12: CoDeeN-style overlay CDN, striped multipath vs single-stream under churn", inAll: true,
@@ -113,18 +55,7 @@ func commands() []command {
 				core.RenderRecommendations(w)
 				return nil
 			})},
-		{name: "ablation", desc: "A1-A3: backfill, multipath pooling, MDS refresh ablations", inAll: true,
-			bind: noFlags(func(w io.Writer, g *globals) error {
-				fmt.Fprintln(w, "A1: EASY backfill vs pure FCFS (32 slots, 200 jobs):")
-				core.RunBackfillAblation(g.seed, 32, 200).Render(w)
-				fmt.Fprintln(w, "\nA2: static vs pooled multipath split (400 MB, asymmetric paths):")
-				core.RunPoolingAblation(g.seed, 400e6).Render(w)
-				fmt.Fprintln(w, "\nA3: MDS soft-state refresh period (200 resources):")
-				core.RunTTLAblation(g.seed, []time.Duration{
-					30 * time.Second, time.Minute, 2 * time.Minute, 5 * time.Minute, 10 * time.Minute,
-				}, 200).Render(w)
-				return nil
-			})},
+		{name: "ablation", desc: "A1-A3: backfill, multipath pooling, MDS refresh ablations", inAll: true, bind: report(core.A1, core.A2, core.A3)},
 		{name: "all", desc: "run every experiment in order",
 			bind: noFlags(func(w io.Writer, g *globals) error {
 				for _, c := range commands() {
@@ -152,6 +83,21 @@ func noFlags(report func(w io.Writer, g *globals) error) func(*flag.FlagSet, *gl
 	return func(_ *flag.FlagSet, g *globals) resolve {
 		return func() (body, error) { return func(w io.Writer) error { return report(w, g) }, nil }
 	}
+}
+
+// report is bind for a command that runs experiments declared in core
+// (core.Experiment) at their default grids, a blank line apart, and
+// registers no flag of its own.
+func report(exps ...interface{ Report(io.Writer, int64, int) }) func(*flag.FlagSet, *globals) resolve {
+	return noFlags(func(w io.Writer, g *globals) error {
+		for i, e := range exps {
+			if i > 0 {
+				fmt.Fprintln(w)
+			}
+			e.Report(w, g.seed, g.workers)
+		}
+		return nil
+	})
 }
 
 // profileFlag registers -profile, which chaos, byzantine and trace share.

@@ -1,16 +1,14 @@
 // Quickstart: build the same 4-site candidate population as a Globus
 // federation and as a PlanetLab deployment, run the VO-level probe suite
-// against both, and print the comparison — the paper's Figure 1 in ~40
-// lines of client code.
+// against both through the probe-matrix experiment, and print the
+// comparison — the paper's Figure 1 in ~30 lines of client code.
 package main
 
 import (
 	"fmt"
 	"os"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 )
 
 func main() {
@@ -21,36 +19,11 @@ func main() {
 		{Name: "anl", X: 28, Y: 22, Nodes: 2, ClusterSlots: 64, Policy: core.GlobusSitePolicy(true, false)},
 	}
 
-	table := metrics.NewTable("probe", "globus", "planetlab", "hybrid")
-	results := make(map[core.Stack]core.FunctionalityReport)
 	for _, stack := range []core.Stack{core.StackGlobus, core.StackPlanetLab, core.StackHybrid} {
 		f := core.Build(stack, core.Config{Seed: 1}, specs)
-		results[stack] = core.RunProbes(f)
 		fmt.Printf("%-9s joined %d/%d sites, mean member autonomy %.2f\n",
 			stack, len(f.JoinedSites()), len(f.Sites), f.MeanAutonomy())
 	}
 	fmt.Println()
-
-	names := make([]string, 0)
-	for name := range results[core.StackGlobus].Results {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	mark := func(err error) string {
-		if err == nil {
-			return "yes"
-		}
-		return "-"
-	}
-	for _, name := range names {
-		table.AddRow(name,
-			mark(results[core.StackGlobus].Results[name]),
-			mark(results[core.StackPlanetLab].Results[name]),
-			mark(results[core.StackHybrid].Results[name]))
-	}
-	table.AddRow("TOTAL",
-		fmt.Sprintf("%d/%d", results[core.StackGlobus].Passed, results[core.StackGlobus].Total),
-		fmt.Sprintf("%d/%d", results[core.StackPlanetLab].Passed, results[core.StackPlanetLab].Total),
-		fmt.Sprintf("%d/%d", results[core.StackHybrid].Passed, results[core.StackHybrid].Total))
-	table.Render(os.Stdout)
+	core.ProbeMatrix.Print(os.Stdout, core.ProbeMatrix.Run(1, specs, 1))
 }

@@ -156,6 +156,17 @@ type SiteSpec struct {
 	Policy       AutonomyPolicy
 }
 
+// lineOf returns n copies of proto named fmt.Sprintf(name, i) and spaced
+// dx apart along X, the first at x = dx.
+func lineOf(n int, name string, dx float64, proto SiteSpec) []SiteSpec {
+	specs := make([]SiteSpec, n)
+	for i := range specs {
+		specs[i] = proto
+		specs[i].Name, specs[i].X = fmt.Sprintf(name, i), dx*float64(i+1)
+	}
+	return specs
+}
+
 // Site is one constructed member of a federation.
 type Site struct {
 	Spec SiteSpec

@@ -145,7 +145,7 @@ func TestHybridPassesEverything(t *testing.T) {
 }
 
 func TestFigure1Shape(t *testing.T) {
-	pts := Figure1(3, 8, 1)
+	pts := F1.Run(3, 8, 1)
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -175,25 +175,20 @@ func TestFigure1Shape(t *testing.T) {
 }
 
 func TestFigure1SweepRuns(t *testing.T) {
-	tab := Figure1Sweep(3, 4, []float64{0.1, 0.9}, 1)
-	out := tab.String()
-	if !strings.Contains(out, "globus") || !strings.Contains(out, "planetlab") {
-		t.Errorf("sweep table:\n%s", out)
+	rows := F1Sweep.Run(3, AlphaGrid{Sites: 4, Alphas: []float64{0.1, 0.9}}, 1)
+	want := []Stack{StackGlobus, StackPlanetLab, StackGlobus, StackPlanetLab}
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d: %+v", len(rows), len(want), rows)
 	}
-	// At alpha=0.9 PlanetLab effective functionality must be 0 (nobody
-	// joins).
-	lines := strings.Split(out, "\n")
-	found := false
-	for _, l := range lines {
-		if strings.Contains(l, "0.90") && strings.Contains(l, "planetlab") {
-			fields := strings.Fields(l)
-			if fields[2] == "0" && fields[len(fields)-1] == "0" {
-				found = true
-			}
+	for i, r := range rows {
+		if r.Stack != want[i] {
+			t.Errorf("row %d: stack %v, want %v", i, r.Stack, want[i])
 		}
 	}
-	if !found {
-		t.Errorf("alpha=0.9 planetlab row wrong:\n%s", out)
+	// At alpha=0.9 nobody joins PlanetLab, so its effective functionality
+	// is 0.
+	if pl := rows[3]; pl.Alpha != 0.9 || pl.Joined != 0 || pl.Effective != 0 {
+		t.Errorf("alpha=0.9 planetlab row: %+v, want nobody joined and effective 0", pl)
 	}
 }
 
@@ -236,7 +231,7 @@ func TestRenderersProduceOutput(t *testing.T) {
 		t.Error("table1 render")
 	}
 	sb.Reset()
-	RenderFigure1(&sb, 3, 6)
+	F1.Print(&sb, F1.Run(3, 6, 1))
 	if !strings.Contains(sb.String(), "Figure 1") {
 		t.Error("figure1 render")
 	}
@@ -281,75 +276,60 @@ func TestMeanAutonomyPlanetLabMembers(t *testing.T) {
 }
 
 func TestExperimentsSmoke(t *testing.T) {
-	// E3 at small scale.
-	scale := RunScale(5, []int{4}, 1).String()
-	if !strings.Contains(scale, "globus") || !strings.Contains(scale, "planetlab") {
-		t.Errorf("scale:\n%s", scale)
+	// E3 at small scale: one row per stack.
+	scale := E3.Run(5, []int{4}, 1)
+	if len(scale) != 2 || scale[0].Stack != StackGlobus || scale[1].Stack != StackPlanetLab {
+		t.Errorf("scale rows: %+v", scale)
 	}
 	// E4: failure rate must decrease with lifetime.
-	pl := RunProxyLifetime(5, []time.Duration{time.Hour, 64 * time.Hour}, 100, 1)
-	out := pl.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("proxy table:\n%s", out)
+	pl := E4.Run(5, ProxyGrid{Lifetimes: []time.Duration{time.Hour, 64 * time.Hour}, Jobs: 100}, 1)
+	if len(pl) != 2 {
+		t.Fatalf("proxy rows: %+v", pl)
 	}
-	shortFail := strings.Fields(lines[2])[1]
-	longFail := strings.Fields(lines[3])[1]
-	if !(shortFail > longFail) { // string compare works for "0.xx" forms
-		t.Errorf("failure rate not decreasing: 1h=%s 64h=%s\n%s", shortFail, longFail, out)
+	if !(pl[0].FailRate > pl[1].FailRate) {
+		t.Errorf("failure rate not decreasing: 1h=%v 64h=%v", pl[0].FailRate, pl[1].FailRate)
 	}
-	// E7: zero dialects → zero-ish ops; more dialects → more ops.
-	het := RunHeterogeneity(5, []int{0, 4}, 30, 1)
-	hetOut := het.String()
-	hetLines := strings.Split(strings.TrimSpace(hetOut), "\n")
-	if len(hetLines) != 4 {
-		t.Fatalf("het table:\n%s", hetOut)
+	// E7: the uniform interface (zero dialects) needs fewer translation
+	// ops per job than any dialect mix.
+	if err := heteroClaim(E7.Run(5, HeteroGrid{Dialects: []int{0, 4}, Jobs: 30}, 1)); err != nil {
+		t.Error(err)
 	}
 	// E9: conflicts appear only above factor 1.
-	ov := RunOversub(5, []float64{1.0, 2.0}, 1).String()
-	ovLines := strings.Split(strings.TrimSpace(ov), "\n")
-	f1 := strings.Fields(ovLines[2])
-	f2 := strings.Fields(ovLines[3])
-	if f1[3] != "0" {
-		t.Errorf("factor 1.0 had conflicts:\n%s", ov)
-	}
-	if f2[3] == "0" {
-		t.Errorf("factor 2.0 had no conflicts:\n%s", ov)
+	if err := oversubClaim(E9.Run(5, []float64{1.0, 2.0}, 1)); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestDelegationExperimentShape(t *testing.T) {
-	tab := RunDelegation(5, 4, 10, 0.5)
-	out := tab.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("delegation table:\n%s", out)
+	rows := E5.Run(5, DelegationGrid{Sites: 4, Ops: 10, Churns: []float64{0.5}}, 1)
+	if len(rows) != 2 {
+		t.Fatalf("delegation rows: %+v", rows)
 	}
 	// Usage delegation must succeed at least as often as identity
 	// delegation under churn (tickets pre-stocked).
-	gFields := strings.Fields(lines[2])
-	pFields := strings.Fields(lines[3])
-	gRate, pRate := gFields[2], pFields[2]
-	if pRate < gRate {
-		t.Errorf("usage-delegation success %s < identity %s under churn:\n%s", pRate, gRate, out)
+	if g, p := rows[0].SuccessRate, rows[1].SuccessRate; p < g {
+		t.Errorf("usage-delegation success %v < identity %v under churn", p, g)
 	}
 }
 
 func TestAllocationExperimentShape(t *testing.T) {
-	tab := RunAllocation(5, 5, 100, 1)
-	out := tab.String()
-	if !strings.Contains(out, "best-effort") || !strings.Contains(out, "reserved") {
-		t.Fatalf("allocation table:\n%s", out)
+	rows := E6.Run(5, AllocationGrid{Nodes: 5, Services: 100}, 1)
+	if len(rows) != 2 || rows[0].Discipline != "best-effort" || rows[1].Discipline != "reserved" {
+		t.Fatalf("allocation rows: %+v", rows)
+	}
+	if err := allocationClaim(rows); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestDataGridExperimentShape(t *testing.T) {
-	tab := RunDataGrid(5, 50e6, []float64{0, 0.01}, []int{1, 4}, 1)
-	out := tab.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	// header + sep + 2 losses × 2 stripes × 2 paths = 10 lines.
-	if len(lines) != 10 {
-		t.Fatalf("datagrid rows = %d:\n%s", len(lines), out)
+	// 2 losses × 2 stripes × 2 paths.
+	rows := E8.Run(5, TransferGrid{Bytes: 50e6, Losses: []float64{0, 0.01}, Stripes: []int{1, 4}}, 1)
+	if len(rows) != 8 {
+		t.Fatalf("datagrid rows = %d: %+v", len(rows), rows)
+	}
+	if err := transferClaim(rows); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -383,7 +363,7 @@ func TestRecommendationsComplete(t *testing.T) {
 
 func TestRenderProbeMatrix(t *testing.T) {
 	var sb strings.Builder
-	RenderProbeMatrix(&sb, 3, testSpecs(3, PlanetLabSitePolicy()))
+	ProbeMatrix.Print(&sb, ProbeMatrix.Run(3, testSpecs(3, PlanetLabSitePolicy()), 1))
 	out := sb.String()
 	for _, want := range []string{"identity-delegation", "usage-delegation", "TOTAL", "hybrid"} {
 		if !strings.Contains(out, want) {

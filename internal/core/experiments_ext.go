@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/broker"
@@ -20,39 +21,48 @@ import (
 	"repro/internal/workload"
 )
 
-// This file holds the extension experiments beyond the paper's explicit
-// artifacts: E10 quantifies §3.2's distribution claim, and three
+// This file declares the extension experiments beyond the paper's explicit
+// artifacts: E10 and E11 quantify §3.2's distribution claim, and three
 // ablations isolate design choices DESIGN.md calls out (EASY backfill,
 // mTCP-style pooling, and the MDS soft-state refresh period).
 
 // ---- E10: points of presence vs co-allocation under failures ----------
 
-// RunAvailability quantifies §3.2's contrast: "for PlanetLab services,
-// embracing resource distribution is an objective, while for grid
-// applications, resource distribution is a necessary evil." Sites fail
-// and recover independently (exponential MTBF/MTTR). A PlanetLab-style
-// service with k points of presence is up while ANY of its k sites is up
-// (availability rises with k); a co-allocated grid computation needs ALL
-// k sites simultaneously (availability falls with k). Both curves come
-// from the same failure trace.
-func RunAvailability(seed int64, ks []int, horizon time.Duration) *metrics.Table {
-	const nSites = 20
-	mtbf := 72 * time.Hour
-	mttr := 4 * time.Hour
+// AvailGrid is E10's grid: the points-of-presence counts k, read off one
+// failure trace of length Horizon.
+type AvailGrid struct {
+	Ks      []int
+	Horizon time.Duration
+}
+
+// AvailRow is the two availabilities at one k.
+type AvailRow struct {
+	K     int     `col:"points of presence k"`
+	AnyUp float64 `col:"service availability (any up)"`
+	AllUp float64 `col:"co-allocation availability (all up)"`
+}
+
+// E10 quantifies §3.2's contrast: "for PlanetLab services, embracing
+// resource distribution is an objective, while for grid applications,
+// resource distribution is a necessary evil." Sites fail and recover
+// independently (exponential MTBF/MTTR). A PlanetLab-style service with k
+// points of presence is up while ANY of its k sites is up (availability
+// rises with k); a co-allocated grid computation needs ALL k sites
+// simultaneously (availability falls with k). Both curves come from the
+// same failure trace.
+var E10 = Experiment[AvailGrid, AvailRow]{
+	Grid: AvailGrid{Ks: []int{1, 2, 3, 4, 6, 8}, Horizon: 90 * 24 * time.Hour},
+	Run:  availability,
+}
+
+// availability runs E10's one failure trace; workers is unused.
+func availability(seed int64, g AvailGrid, _ int) []AvailRow {
+	const nSites, mtbf, mttr = 20, 72 * time.Hour, 4 * time.Hour
 
 	eng := sim.NewEngine(seed)
 	rng := rand.New(rand.NewSource(seed))
-	up := make([]bool, nSites)
-	for i := range up {
-		up[i] = true
-	}
-
-	maxK := 0
-	for _, k := range ks {
-		if k > maxK {
-			maxK = k
-		}
-	}
+	var up []bool
+	maxK := slices.Max(g.Ks)
 	// anyUp[k-1] accumulates time with >=1 of the first k sites up;
 	// allUp[k-1] time with all k up.
 	anyUp := make([]time.Duration, maxK)
@@ -80,176 +90,217 @@ func RunAvailability(seed int64, ks []int, horizon time.Duration) *metrics.Table
 		}
 	}
 
-	var flip func(site int)
-	flip = func(site int) {
-		account()
-		up[site] = !up[site]
-		mean := mtbf
-		if !up[site] {
-			mean = mttr
-		}
-		eng.Schedule(workload.Exp(rng, mean), func() { flip(site) })
-	}
-	for i := 0; i < nSites; i++ {
-		i := i
-		//gridlint:ignore snapcapture run-to-completion experiment harness on a local engine that is never snapshotted or forked
-		eng.Schedule(workload.Exp(rng, mtbf), func() { flip(i) })
-	}
-	eng.RunUntil(horizon)
+	up = failureTrace(eng, rng, nSites, mtbf, mttr, func(int, []bool) { account() })
+	eng.RunUntil(g.Horizon)
 	account()
 
-	t := metrics.NewTable("points of presence k", "service availability (any up)", "co-allocation availability (all up)")
-	for _, k := range ks {
-		t.AddRow(k, anyUp[k-1].Seconds()/horizon.Seconds(), allUp[k-1].Seconds()/horizon.Seconds())
+	rows := make([]AvailRow, len(g.Ks))
+	for i, k := range g.Ks {
+		rows[i] = AvailRow{k, anyUp[k-1].Seconds() / g.Horizon.Seconds(), allUp[k-1].Seconds() / g.Horizon.Seconds()}
 	}
-	return t
+	return rows
 }
 
 // ---- Ablation A1: EASY backfill ----------------------------------------
 
-// RunBackfillAblation isolates the batch manager's backfill design
-// choice: the same job stream through the same machine with backfill on
-// and off. Expected: backfill cuts mean wait and lifts utilization
-// without delaying any head-of-line job (EASY's guarantee).
-func RunBackfillAblation(seed int64, slots, nJobs int) *metrics.Table {
-	t := metrics.NewTable("scheduler", "mean wait", "p95 wait", "makespan", "utilization", "backfilled")
-	rng := rand.New(rand.NewSource(seed))
-	jobs := workload.GenerateGridJobs(rng, workload.GridJobConfig{
-		MeanInterarrival: 5 * time.Minute,
-		MedianRun:        time.Hour,
-		RunSigma:         1.0,
-		MaxCount:         slots / 2,
-		WallFactor:       2,
-	}, nJobs)
+// BackfillGrid is A1's grid: Jobs jobs on a Slots-slot machine.
+type BackfillGrid struct{ Slots, Jobs int }
 
-	for _, disable := range []bool{false, true} {
-		eng := sim.NewEngine(seed)
-		bm := gram.NewBatchManager(eng, "batch", slots)
-		bm.DisableBackfill = disable
-		var done []*gram.Job
-		for _, wj := range jobs {
-			wj := wj
-			//gridlint:ignore snapcapture run-to-completion experiment harness on a local engine that is never snapshotted or forked
-			eng.At(wj.Arrival, func() {
-				spec, err := rsl.Parse(wj.RSL())
-				if err != nil {
-					panic(err)
-				}
-				req, _ := spec.Single()
-				j := &gram.Job{ID: wj.ID, Req: req, Spec: gram.JobSpec{RSL: wj.RSL(), ActualRun: wj.Run}}
-				if err := bm.Submit(j); err == nil {
-					done = append(done, j)
-				}
-			})
-		}
-		eng.Run()
-		var wait metrics.Sample
-		var makespan time.Duration
-		var work float64
-		for _, j := range done {
-			if j.State() != gram.Done {
-				continue
+// BackfillRow is one scheduler's outcome.
+type BackfillRow struct {
+	Scheduler   string        `col:"scheduler"`
+	MeanWait    time.Duration `col:"mean wait"`
+	P95Wait     time.Duration `col:"p95 wait"`
+	Makespan    time.Duration `col:"makespan"`
+	Utilization float64       `col:"utilization"`
+	Backfilled  int           `col:"backfilled"`
+}
+
+// A1 isolates the batch manager's backfill design choice: the same job
+// stream through the same machine with backfill on and off. Expected:
+// backfill cuts mean wait and lifts utilization without delaying any
+// head-of-line job (EASY's guarantee). The job stream is generated once
+// and only read by the two runs.
+var A1 = Experiment[BackfillGrid, BackfillRow]{
+	Title: "A1: EASY backfill vs pure FCFS (32 slots, 200 jobs):",
+	Grid:  BackfillGrid{Slots: 32, Jobs: 200},
+	Run: func(seed int64, g BackfillGrid, workers int) []BackfillRow {
+		jobs := workload.GenerateGridJobs(rand.New(rand.NewSource(seed)), workload.GridJobConfig{
+			MeanInterarrival: 5 * time.Minute,
+			MedianRun:        time.Hour,
+			RunSigma:         1.0,
+			MaxCount:         g.Slots / 2,
+			WallFactor:       2,
+		}, g.Jobs)
+		return each(2, workers, func(i int) BackfillRow { return backfillRow(seed, g.Slots, jobs, i == 1) })
+	},
+}
+
+// backfillRow runs the job stream on a private engine and batch manager.
+func backfillRow(seed int64, slots int, jobs []workload.GridJob, disable bool) BackfillRow {
+	eng := sim.NewEngine(seed)
+	bm := gram.NewBatchManager(eng, "batch", slots)
+	bm.DisableBackfill = disable
+	var done []*gram.Job
+	for _, wj := range jobs {
+		//gridlint:ignore snapcapture run-to-completion experiment harness on a local engine that is never snapshotted or forked
+		eng.At(wj.Arrival, func() {
+			spec, err := rsl.Parse(wj.RSL())
+			if err != nil {
+				panic(err)
 			}
-			wait.Add(j.WaitTime().Seconds())
-			if j.Ended > makespan {
-				makespan = j.Ended
+			req, _ := spec.Single()
+			j := &gram.Job{ID: wj.ID, Req: req, Spec: gram.JobSpec{RSL: wj.RSL(), ActualRun: wj.Run}}
+			if err := bm.Submit(j); err == nil {
+				done = append(done, j)
 			}
-			work += float64(j.Count()) * (j.Ended - j.Started).Seconds()
-		}
-		name := "EASY backfill"
-		if disable {
-			name = "pure FCFS"
-		}
-		t.AddRow(name,
-			(time.Duration(wait.Mean()) * time.Second).String(),
-			(time.Duration(wait.Quantile(0.95)) * time.Second).String(),
-			makespan.Round(time.Minute).String(),
-			work/(float64(slots)*makespan.Seconds()),
-			bm.BackfilledN)
+		})
 	}
-	return t
+	eng.Run()
+	var wait metrics.Sample
+	var makespan time.Duration
+	var work float64
+	for _, j := range done {
+		if j.State() != gram.Done {
+			continue
+		}
+		wait.Add(j.WaitTime().Seconds())
+		if j.Ended > makespan {
+			makespan = j.Ended
+		}
+		work += float64(j.Count()) * (j.Ended - j.Started).Seconds()
+	}
+	name := "EASY backfill"
+	if disable {
+		name = "pure FCFS"
+	}
+	return BackfillRow{name, time.Duration(wait.Mean()) * time.Second, time.Duration(wait.Quantile(0.95)) * time.Second,
+		makespan.Round(time.Minute), work / (float64(slots) * makespan.Seconds()), bm.BackfilledN}
 }
 
 // ---- Ablation A2: multipath pooling ------------------------------------
 
-// RunPoolingAblation isolates mTCP-style dynamic re-balancing: the same
-// multipath transfer with a static byte split vs pooled work stealing,
-// over asymmetric paths (the relay path has half the capacity). Static
-// splitting strands bytes on the slow path; pooling finishes when the
-// aggregate is done.
-func RunPoolingAblation(seed int64, bytes float64) *metrics.Table {
-	t := metrics.NewTable("splitting", "duration", "throughput MB/s")
-	for _, pooled := range []bool{false, true} {
-		eng := sim.NewEngine(seed)
-		net := simnet.New(eng)
-		net.AddSite("A", 0, 0)
-		net.AddSite("B", 40, 0)
-		net.AddSite("R", 20, 15)
-		net.AddHost("src", "A", 1.25e7)
-		net.AddHost("dst", "B", 1.25e7)
-		net.AddHost("relay", "R", 0.3125e7) // quarter-capacity relay
-		var result *simnet.Flow
-		_, err := net.StartFlow("src", "dst", bytes, simnet.FlowOpts{
-			Streams: 2,
-			Paths:   [][]string{nil, {"relay"}},
-			Pooled:  pooled,
-		}, func(f *simnet.Flow) { result = f })
-		if err != nil {
-			panic(err)
-		}
-		eng.Run()
-		name := "static split"
-		if pooled {
-			name = "pooled (mTCP-style)"
-		}
-		t.AddRow(name, result.Duration().Round(time.Second).String(), result.ThroughputBps()/1e6)
+// PoolingRow is one splitting strategy's transfer.
+type PoolingRow struct {
+	Splitting  string        `col:"splitting"`
+	Duration   time.Duration `col:"duration"`
+	Throughput float64       `col:"throughput MB/s"`
+}
+
+// A2 isolates mTCP-style dynamic re-balancing: the same multipath transfer
+// (the grid is its size in bytes) with a static byte split vs pooled work
+// stealing, over asymmetric paths (the relay path has a quarter of the
+// capacity). Static splitting strands bytes on the slow path; pooling
+// finishes when the aggregate is done.
+var A2 = Experiment[float64, PoolingRow]{
+	Title: "A2: static vs pooled multipath split (400 MB, asymmetric paths):",
+	Grid:  400e6,
+	Run: func(seed int64, bytes float64, workers int) []PoolingRow {
+		return each(2, workers, func(i int) PoolingRow { return poolingRow(seed, bytes, i == 1) })
+	},
+}
+
+// poolingRow runs one transfer on a private engine and network.
+func poolingRow(seed int64, bytes float64, pooled bool) PoolingRow {
+	eng := sim.NewEngine(seed)
+	net := simnet.New(eng)
+	net.AddSite("A", 0, 0)
+	net.AddSite("B", 40, 0)
+	net.AddSite("R", 20, 15)
+	net.AddHost("src", "A", 1.25e7)
+	net.AddHost("dst", "B", 1.25e7)
+	net.AddHost("relay", "R", 0.3125e7) // quarter-capacity relay
+	var result *simnet.Flow
+	_, err := net.StartFlow("src", "dst", bytes, simnet.FlowOpts{
+		Streams: 2,
+		Paths:   [][]string{nil, {"relay"}},
+		Pooled:  pooled,
+	}, func(f *simnet.Flow) { result = f })
+	if err != nil {
+		panic(err)
 	}
-	return t
+	eng.Run()
+	name := "static split"
+	if pooled {
+		name = "pooled (mTCP-style)"
+	}
+	return PoolingRow{name, result.Duration().Round(time.Second), result.ThroughputBps() / 1e6}
 }
 
 // ---- Ablation A3: MDS refresh period -----------------------------------
 
-// RunTTLAblation sweeps the soft-state refresh period: freshness is paid
-// for with registration traffic. Staleness is measured (not assumed) by
-// querying the real index just before the next refresh lands.
-func RunTTLAblation(seed int64, periods []time.Duration, nResources int) *metrics.Table {
-	t := metrics.NewTable("refresh period", "measured staleness", "reg msgs/hour")
-	for _, period := range periods {
-		eng := sim.NewEngine(seed)
-		net := simnet.New(eng)
-		net.AddSite("A", 0, 0)
-		net.AddSite("B", 30, 0)
-		net.AddHost("idx", "A", 1e7)
-		net.AddHost("src", "B", 1e7)
-		idx := mds.NewGIIS(eng, net, "idx")
-		g := mds.NewGRIS(eng, net, "src")
-		for i := 0; i < nResources; i++ {
-			name := fmt.Sprintf("r%03d", i)
-			g.AddProviderInto(name, func(attrs map[string]string) { attrs["up"] = "1" })
-		}
-		g.StartPush("idx", period)
-		// Measure just before the 4th refresh fires.
-		eng.RunUntil(3*period - time.Second)
-		stale := idx.Eval(mds.Query{}).MaxStale
-		g.Stop()
-		msgsPerHour := float64(nResources) * float64(time.Hour) / float64(period)
-		t.AddRow(period.String(), stale.Round(time.Second).String(), msgsPerHour)
+// RefreshGrid is A3's grid: refresh periods for one GRIS of Resources
+// resources.
+type RefreshGrid struct {
+	Periods   []time.Duration
+	Resources int
+}
+
+// RefreshRow is one refresh period's freshness and traffic.
+type RefreshRow struct {
+	Period      time.Duration `col:"refresh period"`
+	Staleness   time.Duration `col:"measured staleness"`
+	MsgsPerHour float64       `col:"reg msgs/hour"`
+}
+
+// A3 sweeps the soft-state refresh period: freshness is paid for with
+// registration traffic. Staleness is measured (not assumed) by querying
+// the real index just before the next refresh lands.
+var A3 = Experiment[RefreshGrid, RefreshRow]{
+	Title: "A3: MDS soft-state refresh period (200 resources):",
+	Grid: RefreshGrid{Resources: 200, Periods: []time.Duration{
+		30 * time.Second, time.Minute, 2 * time.Minute, 5 * time.Minute, 10 * time.Minute,
+	}},
+	Run: func(seed int64, g RefreshGrid, workers int) []RefreshRow {
+		return each(len(g.Periods), workers, func(i int) RefreshRow { return refreshRow(seed, g.Periods[i], g.Resources) })
+	},
+}
+
+// refreshRow measures one period on a private engine, network and index.
+func refreshRow(seed int64, period time.Duration, nResources int) RefreshRow {
+	eng := sim.NewEngine(seed)
+	net := simnet.New(eng)
+	net.AddSite("A", 0, 0)
+	net.AddSite("B", 30, 0)
+	net.AddHost("idx", "A", 1e7)
+	net.AddHost("src", "B", 1e7)
+	idx := mds.NewGIIS(eng, net, "idx")
+	g := mds.NewGRIS(eng, net, "src")
+	for i := 0; i < nResources; i++ {
+		name := fmt.Sprintf("r%03d", i)
+		g.AddProviderInto(name, func(attrs map[string]string) { attrs["up"] = "1" })
 	}
-	return t
+	g.StartPush("idx", period)
+	// Measure just before the 4th refresh fires.
+	eng.RunUntil(3*period - time.Second)
+	stale := idx.Eval(mds.Query{}).MaxStale
+	g.Stop()
+	return RefreshRow{period, stale.Round(time.Second), float64(nResources) * float64(time.Hour) / float64(period)}
 }
 
 // ---- E11: managed service under churn ----------------------------------
 
-// RunManagedAvailability runs the live counterpart of E10: a
-// servicemgr-controlled service (k points of presence, redeploying via
-// the SHARP broker on failure) against a statically placed one, under
-// the same exponential site-failure trace. The managed service converts
-// PlanetLab's spare capacity into availability; the static one eats
-// every outage.
-func RunManagedAvailability(seed int64, target int, horizon time.Duration) *metrics.Table {
-	const nSites = 12
-	mtbf := 48 * time.Hour
-	mttr := 6 * time.Hour
+// ManagedRow is one placement strategy's outcome.
+type ManagedRow struct {
+	Strategy  string  `col:"strategy"`
+	Degraded  float64 `col:"degraded fraction"`
+	Redeploys int     `col:"redeploys"`
+}
+
+// E11 runs the live counterpart of E10: a servicemgr-controlled service (k
+// points of presence, redeploying via the SHARP broker on failure) against
+// a statically placed one, under the same exponential site-failure trace
+// (the grid is its length). The managed service converts PlanetLab's spare
+// capacity into availability; the static one eats every outage.
+var E11 = Experiment[time.Duration, ManagedRow]{
+	Title: "E11: live managed service vs static placement (12 sites, k=3, 90 days):",
+	Grid:  90 * 24 * time.Hour,
+	Run:   managedAvailability,
+}
+
+// managedAvailability runs E11's one failure trace; workers is unused.
+func managedAvailability(seed int64, horizon time.Duration, _ int) []ManagedRow {
+	const nSites, target, mtbf, mttr = 12, 3, 48 * time.Hour, 6 * time.Hour
 
 	eng := sim.NewEngine(seed)
 	rng := rand.New(rand.NewSource(seed))
@@ -288,36 +339,24 @@ func RunManagedAvailability(seed int64, target int, horizon time.Duration) *metr
 		staticSites[s] = true
 	}
 	staticDownN := 0 // how many of the static sites are currently down
-	staticDegraded := time.Duration(0)
-	staticSince := time.Duration(0)
+	var staticDegraded, staticSince time.Duration
 
-	up := make(map[string]bool, nSites)
-	for _, s := range names {
-		up[s] = true
-	}
-	var flip func(site string)
-	flip = func(site string) {
-		wasUp := up[site]
-		up[site] = !wasUp
-		now := eng.Now()
-		if wasUp {
-			// Site went down.
+	failureTrace(eng, rng, nSites, mtbf, mttr, func(i int, up []bool) {
+		site, now := names[i], eng.Now()
+		if up[i] {
+			// Site goes down.
 			if staticSites[site] {
 				if staticDownN == 0 {
 					staticSince = now
 				}
 				staticDownN++
 			}
-			for _, active := range mgr.ActiveSites() {
-				if active == site {
-					mgr.SiteFailed(site)
-					break
-				}
+			if slices.Contains(mgr.ActiveSites(), site) {
+				mgr.SiteFailed(site)
 			}
-			eng.Schedule(workload.Exp(rng, mttr), func() { flip(site) })
 			return
 		}
-		// Site recovered.
+		// Site recovers.
 		if staticSites[site] {
 			staticDownN--
 			if staticDownN == 0 {
@@ -325,23 +364,40 @@ func RunManagedAvailability(seed int64, target int, horizon time.Duration) *metr
 			}
 		}
 		mgr.SiteRecovered(site)
-		eng.Schedule(workload.Exp(rng, mtbf), func() { flip(site) })
-	}
-	for _, s := range names {
-		s := s
-		//gridlint:ignore snapcapture run-to-completion experiment harness on a local engine that is never snapshotted or forked
-		eng.Schedule(workload.Exp(rng, mtbf), func() { flip(s) })
-	}
+	})
 	eng.RunUntil(horizon)
 	if staticDownN > 0 {
 		staticDegraded += eng.Now() - staticSince
 	}
 	mgr.Stop()
 
-	t := metrics.NewTable("strategy", "degraded fraction", "redeploys")
-	t.AddRow(fmt.Sprintf("managed (k=%d, redeploy)", target),
-		mgr.DegradedTime.Seconds()/horizon.Seconds(), mgr.RedeployN)
-	t.AddRow(fmt.Sprintf("static (k=%d, fixed sites)", target),
-		staticDegraded.Seconds()/horizon.Seconds(), 0)
-	return t
+	return []ManagedRow{
+		{fmt.Sprintf("managed (k=%d, redeploy)", target), mgr.DegradedTime.Seconds() / horizon.Seconds(), mgr.RedeployN},
+		{fmt.Sprintf("static (k=%d, fixed sites)", target), staticDegraded.Seconds() / horizon.Seconds(), 0},
+	}
+}
+
+// failureTrace fails and repairs n sites independently from time zero:
+// each stays up for an exponential time of mean mtbf, then down for one of
+// mean mttr. At each transition it calls flip with the site and every
+// site's state just before the transition, then draws the site's next
+// transition from rng. It returns that state, which the trace keeps
+// updating as the engine runs.
+func failureTrace(eng *sim.Engine, rng *rand.Rand, n int, mtbf, mttr time.Duration, flip func(site int, up []bool)) []bool {
+	up := make([]bool, n)
+	var next func(site int)
+	next = func(site int) {
+		flip(site, up)
+		up[site] = !up[site]
+		mean := mtbf
+		if !up[site] {
+			mean = mttr
+		}
+		eng.Schedule(workload.Exp(rng, mean), func() { next(site) })
+	}
+	for i := range up {
+		up[i] = true
+		eng.Schedule(workload.Exp(rng, mtbf), func() { next(i) })
+	}
+	return up
 }

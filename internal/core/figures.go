@@ -9,7 +9,6 @@ import (
 	"repro/internal/identity"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/perf"
 	"repro/internal/sharp"
 	"repro/internal/vm"
 )
@@ -19,7 +18,9 @@ import (
 // Abbreviation is one row of the paper's Table 1, extended with the
 // gridlab module that implements the named system.
 type Abbreviation struct {
-	Abbr, Definition, Module string
+	Abbr       string `col:"abbr"`
+	Definition string `col:"definition"`
+	Module     string `col:"implemented by"`
 }
 
 // Table1 returns the paper's abbreviation glossary mapped onto this
@@ -37,63 +38,58 @@ func Table1() []Abbreviation {
 }
 
 // RenderTable1 writes the glossary as an aligned table.
-func RenderTable1(w io.Writer) {
-	t := metrics.NewTable("abbr", "definition", "implemented by")
-	for _, a := range Table1() {
-		t.AddRow(a.Abbr, a.Definition, a.Module)
-	}
-	t.Render(w)
-}
+func RenderTable1(w io.Writer) { metrics.TableOf(Table1()).Render(w) }
 
 // ---- Figure 1 ---------------------------------------------------------
 
 // Fig1Point is one system's position in the autonomy/functionality plane.
 type Fig1Point struct {
-	Stack         Stack
-	Autonomy      float64
-	Functionality float64
-	Participation float64
+	Stack         Stack   `col:"stack"`
+	Autonomy      float64 `col:"autonomy"`
+	Functionality float64 `col:"functionality"`
+	Participation float64 `col:"participation"`
 	// Effective = Functionality × Participation: what the VO can actually
 	// count on across the candidate population.
-	Effective float64
+	Effective float64 `col:"effective"`
 }
 
 // fig1Sites builds a candidate population of n sites whose autonomy
 // demands are spread over [0,1] — the realistic mixed population both
 // projects recruit from.
 func fig1Sites(n int) []SiteSpec {
-	specs := make([]SiteSpec, 0, n)
-	for i := 0; i < n; i++ {
-		alpha := float64(i) / float64(n-1)
-		specs = append(specs, SiteSpec{
-			Name:         fmt.Sprintf("site%02d", i),
-			X:            float64(5 * (i + 1)),
-			Y:            float64((i * 7) % 40),
-			Nodes:        2,
-			ClusterSlots: 8,
-			Policy:       GradedPolicy(alpha),
-		})
+	specs := lineOf(n, "site%02d", 5, SiteSpec{Nodes: 2, ClusterSlots: 8})
+	for i := range specs {
+		specs[i].Y, specs[i].Policy = float64((i*7)%40), GradedPolicy(float64(i)/float64(n-1))
 	}
 	return specs
 }
 
-// Figure1 reproduces the paper's Figure 1 by construction and
-// measurement: build each stack over the same mixed-autonomy candidate
-// population, run the probe suite, and place each system at (mean member
-// autonomy, probe pass fraction). The expected shape — PlanetLab high
-// functionality / low autonomy, Globus the reverse — emerges from which
-// probes mechanically succeed. The two stack builds are independent
-// grid points (see parallel.go).
-func Figure1(seed int64, nSites, workers int) []Fig1Point {
-	if nSites < 4 {
-		nSites = 4
-	}
-	stacks := []Stack{StackGlobus, StackPlanetLab}
-	pts := make([]Fig1Point, len(stacks))
-	perf.ForEach(len(stacks), workers, func(i int) {
-		pts[i] = fig1Point(seed, nSites, stacks[i])
-	})
-	return pts
+// F1 reproduces the paper's Figure 1 by construction and measurement
+// (the grid is the candidate population's size): build each stack over the
+// same mixed-autonomy candidate population, run the probe suite, and place
+// each system at (mean member autonomy, probe pass fraction). The expected
+// shape — PlanetLab high functionality / low autonomy, Globus the reverse
+// — emerges from which probes mechanically succeed. The two stack builds
+// are independent grid points. Render draws the scatter above the table.
+var F1 = Experiment[int, Fig1Point]{
+	Grid: 12,
+	Run: func(seed int64, nSites, workers int) []Fig1Point {
+		nSites = max(nSites, 4)
+		stacks := []Stack{StackGlobus, StackPlanetLab}
+		return each(len(stacks), workers, func(i int) Fig1Point { return fig1Point(seed, nSites, stacks[i]) })
+	},
+	Render: func(w io.Writer, pts []Fig1Point) {
+		var plotPts []metrics.Point
+		for _, p := range pts {
+			label := 'G'
+			if p.Stack == StackPlanetLab {
+				label = 'P'
+			}
+			plotPts = append(plotPts, metrics.Point{X: p.Autonomy, Y: p.Functionality, Label: label})
+		}
+		metrics.ScatterPlot(w, "Figure 1: P=PlanetLab, G=Globus", "individual site autonomy", "functionality at VO level", 48, 12, plotPts)
+		metrics.TableOf(pts).Render(w)
+	},
 }
 
 // fig1Point builds one stack over the mixed population and measures it;
@@ -101,74 +97,56 @@ func Figure1(seed int64, nSites, workers int) []Fig1Point {
 func fig1Point(seed int64, nSites int, stack Stack) Fig1Point {
 	f := Build(stack, Config{Seed: seed}, fig1Sites(nSites))
 	rep := RunProbes(f)
-	return Fig1Point{
-		Stack:         stack,
-		Autonomy:      f.MeanAutonomy(),
-		Functionality: rep.Score(),
-		Participation: f.Participation(),
-		Effective:     rep.Score() * f.Participation(),
-	}
+	return Fig1Point{stack, f.MeanAutonomy(), rep.Score(), f.Participation(), rep.Score() * f.Participation()}
 }
 
-// Figure1Sweep sweeps a homogeneous population's autonomy demand alpha
-// and reports each stack's effective functionality — the quantitative
-// form of the Figure-1 tradeoff curve.
-func Figure1Sweep(seed int64, nSites int, alphas []float64, workers int) *metrics.Table {
-	return grid([]string{"alpha", "stack", "joined", "functionality", "effective"},
-		len(alphas), workers, func(i int) [][]any {
-			return fig1SweepRows(seed, nSites, alphas[i])
-		})
+// AlphaGrid is the Figure-1 sweep's grid: a homogeneous population of
+// Sites sites at each autonomy demand alpha.
+type AlphaGrid struct {
+	Sites  int
+	Alphas []float64
+}
+
+// AlphaRow is one stack at one autonomy demand.
+type AlphaRow struct {
+	Alpha         float64 `col:"alpha"`
+	Stack         Stack   `col:"stack"`
+	Joined        int     `col:"joined"`
+	Functionality float64 `col:"functionality"`
+	Effective     float64 `col:"effective"`
+}
+
+// F1Sweep sweeps a homogeneous population's autonomy demand alpha and
+// reports each stack's effective functionality — the quantitative form of
+// the Figure-1 tradeoff curve.
+var F1Sweep = Experiment[AlphaGrid, AlphaRow]{
+	Title: "Sweep over homogeneous autonomy demand alpha:",
+	Grid:  AlphaGrid{Sites: 8, Alphas: []float64{0.1, 0.3, 0.5, 0.7, 0.9}},
+	Run: func(seed int64, g AlphaGrid, workers int) []AlphaRow {
+		return grid(len(g.Alphas), workers, func(i int) []AlphaRow { return fig1SweepRows(seed, g.Sites, g.Alphas[i]) })
+	},
 }
 
 // fig1SweepRows computes both stack rows for one autonomy demand alpha.
-func fig1SweepRows(seed int64, nSites int, alpha float64) [][]any {
-	specs := make([]SiteSpec, nSites)
-	for i := range specs {
-		specs[i] = SiteSpec{
-			Name:         fmt.Sprintf("s%02d", i),
-			X:            float64(5 * (i + 1)),
-			Y:            10,
-			Nodes:        2,
-			ClusterSlots: 8,
-			Policy:       GradedPolicy(alpha),
-		}
-	}
-	var rows [][]any
+func fig1SweepRows(seed int64, nSites int, alpha float64) []AlphaRow {
+	specs := lineOf(nSites, "s%02d", 5, SiteSpec{Y: 10, Nodes: 2, ClusterSlots: 8, Policy: GradedPolicy(alpha)})
+	var rows []AlphaRow
 	for _, stack := range []Stack{StackGlobus, StackPlanetLab} {
 		f := Build(stack, Config{Seed: seed}, specs)
 		rep := RunProbes(f)
-		rows = append(rows, []any{alpha, stack.String(), len(f.JoinedSites()), rep.Score(), rep.Score() * f.Participation()})
+		rows = append(rows, AlphaRow{alpha, stack, len(f.JoinedSites()), rep.Score(), rep.Score() * f.Participation()})
 	}
 	return rows
-}
-
-// RenderFigure1 draws the scatter and the per-probe breakdown.
-func RenderFigure1(w io.Writer, seed int64, nSites int) {
-	pts := Figure1(seed, nSites, 1)
-	var plotPts []metrics.Point
-	for _, p := range pts {
-		label := 'G'
-		if p.Stack == StackPlanetLab {
-			label = 'P'
-		}
-		plotPts = append(plotPts, metrics.Point{X: p.Autonomy, Y: p.Functionality, Label: label})
-	}
-	metrics.ScatterPlot(w, "Figure 1: P=PlanetLab, G=Globus", "individual site autonomy", "functionality at VO level", 48, 12, plotPts)
-	t := metrics.NewTable("stack", "autonomy", "functionality", "participation", "effective")
-	for _, p := range pts {
-		t.AddRow(p.Stack.String(), p.Autonomy, p.Functionality, p.Participation, p.Effective)
-	}
-	t.Render(w)
 }
 
 // ---- Figure 2 ---------------------------------------------------------
 
 // TraceStep is one arrow of the Figure-2 protocol diagram.
 type TraceStep struct {
-	Step   string // the paper's label: "1a", "2a", ..., "7"
-	From   string
-	To     string
-	Action string
+	Step   string `col:"step"` // the paper's label: "1a", "2a", ..., "7"
+	From   string `col:"from"`
+	To     string `col:"to"`
+	Action string `col:"action"`
 	At     time.Duration
 }
 
@@ -318,43 +296,43 @@ func RenderFigure2(w io.Writer, seed int64) error {
 	if err := ValidateFigure2(res); err != nil {
 		return err
 	}
-	t := metrics.NewTable("step", "from", "to", "action")
-	for _, s := range res.Trace {
-		t.AddRow(s.Step, s.From, s.To, s.Action)
-	}
-	t.Render(w)
+	metrics.TableOf(res.Trace).Render(w)
 	fmt.Fprintf(w, "service running: %d VM(s); leases: %d\n", res.Slice.Running(), len(res.Leases))
 	return nil
 }
 
-// RenderProbeMatrix builds all three stacks over the given sites and
-// prints the probe-by-probe comparison — the expanded, mechanised form of
-// Figure 1's two points.
-func RenderProbeMatrix(w io.Writer, seed int64, specs []SiteSpec) {
-	stacks := []Stack{StackGlobus, StackPlanetLab, StackHybrid}
-	reports := make(map[Stack]FunctionalityReport, len(stacks))
-	for _, st := range stacks {
-		f := Build(st, Config{Seed: seed}, specs)
-		reports[st] = RunProbes(f)
-	}
-	t := metrics.NewTable("probe", "globus", "planetlab", "hybrid", "paper basis")
-	mark := func(err error) string {
-		if err == nil {
-			return "yes"
+// probeStacks are the probe matrix's columns, in order.
+var probeStacks = []Stack{StackGlobus, StackPlanetLab, StackHybrid}
+
+// ProbeMatrix builds all three stacks over the grid's sites and reports
+// the probe-by-probe comparison — the expanded, mechanised form of Figure
+// 1's two points. Its rows are one report per stack, in probeStacks order;
+// Render turns them into one row per probe.
+var ProbeMatrix = Experiment[[]SiteSpec, FunctionalityReport]{
+	Grid: lineOf(6, "s%d", 10, SiteSpec{Y: 8, Nodes: 2, ClusterSlots: 16, Policy: PlanetLabSitePolicy()}),
+	Run: func(seed int64, specs []SiteSpec, workers int) []FunctionalityReport {
+		return each(len(probeStacks), workers, func(i int) FunctionalityReport {
+			return RunProbes(Build(probeStacks[i], Config{Seed: seed}, specs))
+		})
+	},
+	Render: func(w io.Writer, reports []FunctionalityReport) {
+		t := metrics.NewTable("probe", "globus", "planetlab", "hybrid", "paper basis")
+		for _, p := range Probes() {
+			cells := []any{p.Name}
+			for _, r := range reports {
+				mark := "-"
+				if r.Results[p.Name] == nil {
+					mark = "yes"
+				}
+				cells = append(cells, mark)
+			}
+			t.AddRow(append(cells, p.Desc)...)
 		}
-		return "-"
-	}
-	for _, p := range Probes() {
-		t.AddRow(p.Name,
-			mark(reports[StackGlobus].Results[p.Name]),
-			mark(reports[StackPlanetLab].Results[p.Name]),
-			mark(reports[StackHybrid].Results[p.Name]),
-			p.Desc)
-	}
-	t.AddRow("TOTAL",
-		fmt.Sprintf("%d/%d", reports[StackGlobus].Passed, reports[StackGlobus].Total),
-		fmt.Sprintf("%d/%d", reports[StackPlanetLab].Passed, reports[StackPlanetLab].Total),
-		fmt.Sprintf("%d/%d", reports[StackHybrid].Passed, reports[StackHybrid].Total),
-		"")
-	t.Render(w)
+		total := []any{"TOTAL"}
+		for _, r := range reports {
+			total = append(total, fmt.Sprintf("%d/%d", r.Passed, r.Total))
+		}
+		t.AddRow(append(total, "")...)
+		t.Render(w)
+	},
 }

@@ -11,11 +11,11 @@ import (
 // reproduction — the closing claims of the paper made executable.
 type Recommendation struct {
 	// To names the community the paper addresses.
-	To string
+	To string `col:"to"`
 	// Claim is the paper's recommendation, abbreviated.
-	Claim string
+	Claim string `col:"paper recommendation (§6)"`
 	// DemonstratedBy names the module/experiment realizing it here.
-	DemonstratedBy string
+	DemonstratedBy string `col:"demonstrated by"`
 }
 
 // Recommendations returns the paper's §6 list with pointers into the
@@ -62,10 +62,4 @@ func Recommendations() []Recommendation {
 }
 
 // RenderRecommendations prints the checklist.
-func RenderRecommendations(w io.Writer) {
-	t := metrics.NewTable("to", "paper recommendation (§6)", "demonstrated by")
-	for _, r := range Recommendations() {
-		t.AddRow(r.To, r.Claim, r.DemonstratedBy)
-	}
-	t.Render(w)
-}
+func RenderRecommendations(w io.Writer) { metrics.TableOf(Recommendations()).Render(w) }

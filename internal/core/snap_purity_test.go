@@ -56,7 +56,7 @@ func TestScaleSnapshotPurity(t *testing.T) {
 	const seed = 7
 	render := func() []byte {
 		var b bytes.Buffer
-		RunScale(seed, []int{10}, 1).Render(&b)
+		E3.Print(&b, E3.Run(seed, []int{10}, 1))
 		return b.Bytes()
 	}
 	plain := render()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/identity"
@@ -18,13 +17,7 @@ import (
 // broker.deploy → sharp.issue/redeem, then svc.site_failed → the
 // replacement deploy.
 func TraceDelegation(seed int64) (*obs.Tracer, error) {
-	specs := make([]SiteSpec, 3)
-	for i := range specs {
-		specs[i] = SiteSpec{
-			Name: fmt.Sprintf("s%02d", i), X: float64(10 * (i + 1)), Y: 5,
-			Nodes: 2, Policy: PlanetLabSitePolicy(),
-		}
-	}
+	specs := lineOf(3, "s%02d", 10, SiteSpec{Y: 5, Nodes: 2, Policy: PlanetLabSitePolicy()})
 	f := Build(StackPlanetLab, Config{Seed: seed, StopPushers: true, Trace: true}, specs)
 	tr := f.Tracer
 

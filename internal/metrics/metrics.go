@@ -1,14 +1,15 @@
 // Package metrics provides the measurement and rendering utilities every
-// gridlab experiment uses: counters, sample sets with quantiles, Jain's
-// fairness index, aligned ASCII tables, and a dot plot for the Figure-1
-// style scatter outputs. Keeping rendering here means cmd/gridlab and the
-// benches print byte-identical artifacts.
+// gridlab experiment uses: sample sets with means and quantiles, Jain's
+// fairness index, aligned ASCII tables (from cells or typed rows), and a
+// dot plot for the Figure-1 style scatter outputs. Keeping rendering here
+// means cmd/gridlab and the benches print byte-identical artifacts.
 package metrics
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -28,62 +29,16 @@ func (s *Sample) Add(x float64) {
 // N returns the observation count.
 func (s *Sample) N() int { return len(s.xs) }
 
-// Sum returns the total.
-func (s *Sample) Sum() float64 {
-	t := 0.0
-	for _, x := range s.xs {
-		t += x
-	}
-	return t
-}
-
 // Mean returns the average (0 when empty).
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
 		return 0
 	}
-	return s.Sum() / float64(len(s.xs))
-}
-
-// Min returns the smallest observation (0 when empty).
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
+	t := 0.0
 	for _, x := range s.xs {
-		if x < m {
-			m = x
-		}
+		t += x
 	}
-	return m
-}
-
-// Max returns the largest observation (0 when empty).
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Stddev returns the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	mu := s.Mean()
-	v := 0.0
-	for _, x := range s.xs {
-		v += (x - mu) * (x - mu)
-	}
-	return math.Sqrt(v / float64(len(s.xs)))
+	return t / float64(len(s.xs))
 }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) by linear
@@ -150,6 +105,27 @@ func (t *Table) AddRow(cells ...any) {
 		}
 	}
 	t.rows = append(t.rows, row)
+}
+
+// TableOf renders typed rows: each field of R tagged `col:"header"` is a
+// column, in field order, and its value a cell formatted as AddRow does.
+// Untagged fields are not printed.
+func TableOf[R any](rows []R) *Table {
+	rt := reflect.TypeFor[R]()
+	t, cols := &Table{}, []int{}
+	for i := range rt.NumField() {
+		if h, ok := rt.Field(i).Tag.Lookup("col"); ok {
+			t.Header, cols = append(t.Header, h), append(cols, i)
+		}
+	}
+	for _, r := range rows {
+		cells := make([]any, len(cols))
+		for j, i := range cols {
+			cells[j] = reflect.ValueOf(r).Field(i).Interface()
+		}
+		t.AddRow(cells...)
+	}
+	return t
 }
 
 func formatFloat(v float64) string {

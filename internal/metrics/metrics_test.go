@@ -5,21 +5,19 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSampleBasics(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Quantile(0.5) != 0 {
+	if s.Mean() != 0 || s.Quantile(0) != 0 || s.Quantile(0.5) != 0 {
 		t.Error("empty sample stats nonzero")
 	}
 	for _, x := range []float64{4, 1, 3, 2, 5} {
 		s.Add(x)
 	}
-	if s.N() != 5 || s.Sum() != 15 || s.Mean() != 3 {
-		t.Errorf("n=%d sum=%v mean=%v", s.N(), s.Sum(), s.Mean())
-	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Errorf("min=%v max=%v", s.Min(), s.Max())
+	if s.N() != 5 || s.Mean() != 3 {
+		t.Errorf("n=%d mean=%v", s.N(), s.Mean())
 	}
 	if got := s.Quantile(0.5); got != 3 {
 		t.Errorf("median = %v", got)
@@ -32,9 +30,6 @@ func TestSampleBasics(t *testing.T) {
 	}
 	if got := s.Quantile(0.25); got != 2 {
 		t.Errorf("q25 = %v", got)
-	}
-	if math.Abs(s.Stddev()-math.Sqrt(2)) > 1e-9 {
-		t.Errorf("stddev = %v", s.Stddev())
 	}
 }
 
@@ -52,9 +47,6 @@ func TestSampleAddAfterQuantile(t *testing.T) {
 	s.Add(5)
 	_ = s.Quantile(0.5)
 	s.Add(1)
-	if got := s.Min(); got != 1 {
-		t.Errorf("min after resort = %v", got)
-	}
 	if got := s.Quantile(0); got != 1 {
 		t.Errorf("q0 after add = %v", got)
 	}
@@ -120,6 +112,27 @@ func TestTableAlignment(t *testing.T) {
 	idx := strings.Index(lines[2], "1")
 	if idx < 0 || !strings.HasPrefix(lines[3][strings.Index(lines[0], "value"):], "1.23e+08") {
 		t.Errorf("alignment:\n%s", out)
+	}
+}
+
+// TableOf prints the tagged fields of typed rows, in field order and as
+// AddRow would print the same cells; an untagged field is not a column.
+func TestTableOfMatchesAddRow(t *testing.T) {
+	type row struct {
+		Name  string        `col:"name"`
+		Key   int           // not printed
+		Wait  time.Duration `col:"mean wait"`
+		Share float64       `col:"share"`
+	}
+	got := TableOf([]row{{"a", 7, 90 * time.Second, 0.5}, {"bb", 8, time.Hour, 1}}).String()
+	want := NewTable("name", "mean wait", "share")
+	want.AddRow("a", 90*time.Second, 0.5)
+	want.AddRow("bb", time.Hour, 1.0)
+	if got != want.String() {
+		t.Errorf("TableOf:\n%s\nwant:\n%s", got, want.String())
+	}
+	if empty := TableOf[row](nil).String(); empty != "name  mean wait  share\n----  ---------  -----\n" {
+		t.Errorf("no rows: %q", empty)
 	}
 }
 
