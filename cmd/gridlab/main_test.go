@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -10,7 +12,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite results_all.txt")
+var update = flag.Bool("update", false, "rewrite the pinned file of every TestPinnedOutputs row")
 
 // gridlab runs one command line in-process and returns what a shell would see.
 func gridlab(args ...string) (stdout, stderr string, status int) {
@@ -19,28 +21,116 @@ func gridlab(args ...string) (stdout, stderr string, status int) {
 	return out.String(), errb.String(), status
 }
 
-// TestAllMatchesResultsFile holds the committed reproduction to what the
-// command table prints today. Regenerate with:
+// pinned is every output the reproduction commits: one row per command
+// line, its exit status and its stderr. A row's output is its stdout, or
+// the file it names as OUT (its stdout then empty), pinned in
+// testdata/pinned/<name>.txt; `all` pins results_all.txt at the
+// repository root. A sweep runs at -workers 1 and 8 against the same
+// file. A digest row pins "sha256 <hex> <bytes>" for an output too large
+// to commit.
+type pinnedRow struct {
+	name, line    string
+	status        int
+	stderr        string
+	sweep, digest bool
+}
+
+var pinned = []pinnedRow{
+	{name: "all", line: "all"},
+	{name: "chaos-sweep", line: "chaos -sweep 5 -resilience -lease 90m -reconcile 15m", sweep: true},
+	{name: "chaos-resilience", line: "chaos -seed 7 -resilience -lease 90m -reconcile 15m"},
+	{name: "chaos-lease-10s", line: "chaos -seed 7 -resilience -lease 10s -reconcile 15m"},
+	{name: "chaos-bisect", line: "chaos -seed 7 -lease 10m -bisect", status: 1,
+		stderr: "gridlab chaos: 1 invariant violations\n"},
+	{name: "byzantine-sweep", line: "byzantine -sweep 3", sweep: true},
+	{name: "cdn", line: "cdn", sweep: true},
+	{name: "trace-fig2", line: "trace fig2 -o OUT"},
+	{name: "trace-fig2-chrome", line: "trace fig2 -format chrome -o OUT"},
+	{name: "trace-delegation-timeline", line: "trace delegation -format timeline -o OUT"},
+	{name: "trace-chaos", line: "trace chaos -o OUT", digest: true},
+	{name: "scale", line: "scale -sites 64 -nodes 2048 -leases 4096 -regions 8", sweep: true},
+}
+
+// TestPinnedOutputs holds every row of pinned but `all` to its committed
+// bytes: output, stderr and exit status. After an intended output change
+// run
 //
-//	go test ./cmd/gridlab -run TestAllMatchesResultsFile -update
-func TestAllMatchesResultsFile(t *testing.T) {
-	got, stderr, status := gridlab("all")
-	if status != 0 {
-		t.Fatalf("gridlab all: status %d\n%s", status, stderr)
+//	go test ./cmd/gridlab -update
+//
+// which rewrites the files, and refuses a row whose exit status or stderr
+// is not its own, so a refusal or a failed gate is never pinned (a panic
+// ends the test binary before anything is written).
+func TestPinnedOutputs(t *testing.T) {
+	for _, r := range pinned[1:] {
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			checkPinned(t, r)
+		})
 	}
-	golden := filepath.Join("..", "..", "results_all.txt")
-	if *update {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+}
+
+// TestAllMatchesResultsFile holds the `all` row, the committed
+// reproduction, to results_all.txt at the repository root. It is
+// the same check as every TestPinnedOutputs row, and -update rewrites it.
+func TestAllMatchesResultsFile(t *testing.T) {
+	t.Parallel()
+	checkPinned(t, pinned[0])
+}
+
+// checkPinned runs one row of pinned and compares what it printed with
+// the row's pinned file.
+func checkPinned(t *testing.T, r pinnedRow) {
+	file := filepath.Join("testdata", "pinned", r.name+".txt")
+	if r.name == "all" {
+		file = filepath.Join("..", "..", "results_all.txt")
+	}
+	workers := []string{"1"}
+	if r.sweep {
+		workers = append(workers, "8")
+	}
+	for _, w := range workers {
+		args := append([]string{"-workers", w}, strings.Fields(r.line)...)
+		out := filepath.Join(t.TempDir(), "out")
+		toFile := slices.Index(args, "OUT")
+		if toFile >= 0 {
+			args[toFile] = out
+		}
+		stdout, stderr, status := gridlab(args...)
+		if status != r.status || stderr != r.stderr {
+			t.Fatalf("%v: status %d, stderr %q; want %d, %q", args, status, stderr, r.status, r.stderr)
+		}
+		raw := []byte(stdout)
+		if toFile >= 0 {
+			if stdout != "" {
+				t.Fatalf("%v: wrote %q to stdout as well as -o", args, stdout)
+			}
+			var err error
+			if raw, err = os.ReadFile(out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := raw
+		if r.digest {
+			got = fmt.Appendf(nil, "sha256 %x %d\n", sha256.Sum256(raw), len(raw))
+		}
+		if *update && w == "1" {
+			if err := os.WriteFile(file, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(file)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("`gridlab all` drifted from results_all.txt (%d vs %d bytes); run `gridlab all | diff - results_all.txt`",
-			len(got), len(want))
+		if !bytes.Equal(got, want) {
+			// t.TempDir is removed when the test ends; this outlives it.
+			kept := filepath.Join(os.TempDir(), "pinned-"+r.name+".txt")
+			if err := os.WriteFile(kept, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Errorf("%v: output (%d bytes) differs from %s (%d bytes); it is kept in %s",
+				args, len(got), file, len(want), kept)
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -369,5 +371,38 @@ func TestRenderProbeMatrix(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("matrix missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// Figure 2 renders identically across seeds in structure: the
+// paper's arrow order is seed-independent even though key material varies.
+func TestFigure2StepOrderSeedIndependent(t *testing.T) {
+	for _, seed := range []int64{1, 7, 99} {
+		res, err := Figure2(seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := ValidateFigure2(res); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestFigure2Golden pins the Figure 2 protocol trace for the canonical
+// seed: its rendering must appear byte for byte in results_all.txt, the
+// `gridlab all` output that cmd/gridlab's TestAllMatchesResultsFile holds
+// (and its -update rewrites). Drift in the SHARP handshake's ordering,
+// naming or rendering fails here, in the package that owns it.
+func TestFigure2Golden(t *testing.T) {
+	var sb strings.Builder
+	if err := RenderFigure2(&sb, 42); err != nil {
+		t.Fatal(err)
+	}
+	all, err := os.ReadFile(filepath.Join("..", "..", "results_all.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(all), sb.String()) {
+		t.Errorf("Figure 2 trace at seed 42 is not in results_all.txt:\n%s", sb.String())
 	}
 }

@@ -444,13 +444,12 @@ type ByzantineSweepResult struct {
 	// AttacksOK reports every replay and forgery attempt rejected, in
 	// every seed.
 	AttacksOK bool
-	// Table is the per-seed evidence table.
-	Table string
 	// First is the first violating report in sweep order, if any.
 	First *Report
 
 	availabilitySum float64
-	tbl             *metrics.Table
+	// tbl is the per-seed evidence table, rendered once by String.
+	tbl *metrics.Table
 }
 
 // OK is the sweep's acceptance gate: no violations, every attack
@@ -498,13 +497,12 @@ func (r *ByzantineSweepResult) Add(rep *Report) {
 		fmt.Sprintf("%d/%d", bz.ReplayRejected, bz.ReplayAttempts),
 		fmt.Sprintf("%d/%d", bz.ForgeRejected, bz.ForgeAttempts),
 		len(rep.Violations))
-	r.Table = r.tbl.String()
 }
 
 // String renders the evidence table plus the aggregate verdict.
 func (r *ByzantineSweepResult) String() string {
 	var b strings.Builder
-	b.WriteString(r.Table)
+	b.WriteString(r.tbl.String())
 	fmt.Fprintf(&b, "\nruns %d  violations %d  mean availability %.4f  max byz late share %.4f  slashed %.1f  attacks rejected %v\n",
 		r.Runs, r.ViolationN, r.MeanAvailability, r.MaxByzShareLate, r.TotalSlashed, r.AttacksOK)
 	if r.First != nil {

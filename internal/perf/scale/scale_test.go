@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"slices"
-	"strings"
 	"testing"
 	"time"
 )
@@ -122,28 +120,6 @@ func TestRegistrationFlatness(t *testing.T) {
 	}
 	if e, l := RegistrationFlatness(1, cfg, 4, 4, clock); e != 0 || l != 0 {
 		t.Fatalf("window not fitting should disable the probe, got %v/%v", e, l)
-	}
-}
-
-// TestRootLinesPinned holds the root phase's five lines — records, fan-out,
-// pruned, unknown, staleness — to those of `gridlab scale -sites 64 -nodes
-// 2048 -regions 8` at the default seed (the lease count does not reach
-// them; 16 a site keeps the run short). None of the five filters is an
-// equality on a key with more than eight values, so a summary change that
-// moves one of these decisions moved one an exact value set or a numeric
-// range made before.
-func TestRootLinesPinned(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Sites, cfg.Regions, cfg.NodesPerSite, cfg.LeasesPerSite = 64, 8, 32, 16
-	want := []string{
-		"  os=linux limit 10    records=10   fanout=8 pruned=0 unknown=0 maxstale=2m40s",
-		"  region=R04           records=5    fanout=1 pruned=7 unknown=0 maxstale=2m40s",
-		"  cpus>=16             records=10   fanout=8 pruned=0 unknown=0 maxstale=2m40s",
-		"  load<4 limit 20      records=20   fanout=8 pruned=0 unknown=0 maxstale=2m40s",
-		"  ghost attr           records=0    fanout=0 pruned=8 unknown=0 maxstale=0s",
-	}
-	if got := Run(42, cfg, 2).RootLines; !slices.Equal(got, want) {
-		t.Errorf("root lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -110,14 +110,13 @@ const compactMin = 256
 // run — is the job of internal/perf, the one audited owner of
 // cross-goroutine execution.)
 type Engine struct {
-	now     time.Duration
-	seq     uint64
-	q       []slot  // 4-ary min-heap by (at, seq); may contain tombstones
-	live    int     // pending uncancelled events (Pending is O(1))
-	nodes   []node  // index-stable backing store (appended, never shrunk)
-	free    []int32 // recycled node indexes
-	rng     *rand.Rand
-	stopped bool
+	now   time.Duration
+	seq   uint64
+	q     []slot  // 4-ary min-heap by (at, seq); may contain tombstones
+	live  int     // pending uncancelled events (Pending is O(1))
+	nodes []node  // index-stable backing store (appended, never shrunk)
+	free  []int32 // recycled node indexes
+	rng   *rand.Rand
 	// processed counts events executed, for test and debug assertions.
 	processed uint64
 
@@ -274,10 +273,6 @@ func (e *Engine) CancelAll() {
 	e.live = 0
 }
 
-// Stop makes the current Run/RunUntil call return after the current event
-// completes. Pending events remain queued.
-func (e *Engine) Stop() { e.stopped = true }
-
 // peek prunes tombstones off the top of the heap and returns the next
 // live entry (ok=false when the queue is effectively empty).
 func (e *Engine) peek() (slot, bool) {
@@ -311,10 +306,9 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
 
@@ -324,8 +318,7 @@ func (e *Engine) RunUntil(t time.Duration) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, e.now))
 	}
-	e.stopped = false
-	for !e.stopped {
+	for {
 		s, ok := e.peek()
 		if !ok || s.at > t {
 			break

@@ -207,23 +207,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(time.Duration(i)*time.Second, func() {
-			n++
-			if n == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if n != 3 {
-		t.Errorf("executed %d events after Stop, want 3", n)
-	}
-}
-
 func TestEnginePanicsOnPast(t *testing.T) {
 	e := NewEngine(1)
 	e.Schedule(time.Second, func() {})

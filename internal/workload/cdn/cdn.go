@@ -301,8 +301,7 @@ func Curve(seed int64, cfg Config, profiles []faultlab.Profile, horizon time.Dur
 	return t
 }
 
-// CurveProfiles returns the canonical churn sweep for the golden
-// experiment: no faults, loss/latency churn, and partition-heavy mixes.
+// CurveProfiles returns the canonical churn sweep `gridlab cdn` runs: no faults, loss/latency churn, and partition-heavy mixes.
 func CurveProfiles() []faultlab.Profile {
 	// Rates are events/hour; the canonical horizon is 10 minutes, so
 	// these land a handful of bursts/cuts per run. Hub joins the origin

@@ -2,46 +2,13 @@ package cdn
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
 	"repro/internal/sim/snaptest"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
-
-// TestCDNGolden pins the striped-vs-single-stream curve for the
-// canonical seed byte-for-byte: the quantitative form of the paper's §5
-// cooperation claim is part of the repo's contract, so any drift in the
-// fluid kernel, Mathis retuning, flow accounting, or fault injection
-// surfaces as an explicit, reviewed change. Regenerate with:
-//
-//	go test ./internal/workload/cdn -run TestCDNGolden -update
-func TestCDNGolden(t *testing.T) {
-	var buf bytes.Buffer
-	Curve(42, DefaultConfig(), CurveProfiles(), 10*time.Minute, 1).Render(&buf)
-	golden := filepath.Join("testdata", "cdn_golden.txt")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("CDN curve drifted from golden file.\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
-	}
-}
 
 // TestCDNWorkerIndependence: cells run on private engines, so the table
 // must be identical at any worker count.
@@ -56,7 +23,7 @@ func TestCDNWorkerIndependence(t *testing.T) {
 }
 
 // TestCDNShape asserts the paper's qualitative claims directly, so a
-// golden regeneration cannot silently absorb a regression: striping
+// pinned-output regeneration cannot silently absorb a regression: striping
 // multiplies loss-limited throughput (faster mean fetch everywhere), and
 // overlay multipath completes at least as many fetches under partition
 // churn as single-stream does.
