@@ -3,6 +3,7 @@ package adversary
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"time"
 
 	"repro/internal/capability"
@@ -28,7 +29,7 @@ func claimTBS(c *sharp.Claim) []byte {
 	var t [8]byte
 	binary.BigEndian.PutUint64(t[:], uint64(c.Type))
 	buf.Write(t[:])
-	binary.BigEndian.PutUint64(t[:], uint64(int64(c.Amount*1e6)))
+	binary.BigEndian.PutUint64(t[:], math.Float64bits(c.Amount))
 	buf.Write(t[:])
 	binary.BigEndian.PutUint64(t[:], uint64(c.NotBefore))
 	buf.Write(t[:])

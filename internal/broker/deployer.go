@@ -38,14 +38,12 @@ var (
 // so the deploy/renew/audit machinery cannot tell an adversarial site
 // apart structurally — only behaviourally, which is the point.
 type SiteAuthority interface {
-	Key() ed25519.PublicKey
 	IssueTicket(holderName string, holderKey ed25519.PublicKey, typ capability.ResourceType, amount float64, notBefore, notAfter time.Duration) (*sharp.Ticket, error)
 	Redeem(t *sharp.Ticket) (*sharp.Lease, error)
 	Renew(leaseID string, tickets ...*sharp.Ticket) (*sharp.Lease, error)
 	ReleaseLease(l *sharp.Lease)
 	LeaseRecords() []sharp.LeaseRecord
 	SetClockSkew(d time.Duration)
-	ClockSkew() time.Duration
 	SetOversellFactor(f float64)
 }
 

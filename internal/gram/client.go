@@ -8,18 +8,10 @@ import (
 )
 
 // This file holds the client-side GRAM helpers (Submit lives next to the
-// gatekeeper): cancellation and the resilience-routed variants. The
-// retry wrappers classify only transport faults (timeout, partition,
-// host down) as retryable — a site that *answered* with a refusal said
-// no on purpose, and asking again cannot change site policy.
-
-// Cancel asks a gatekeeper to cancel a job and delivers the final status
-// asynchronously. Unlike the fire-and-forget pattern this replaces, the
-// error surfaces to the caller — a cancel lost to a partition leaves an
-// orphaned job charging the user at the site.
-func Cancel(net *simnet.Network, from, gatekeeper, jobID string, timeout time.Duration, done func(StatusReply, error)) {
-	simnet.Request(net, from, gatekeeper, SvcCancel, jobID, timeout, done)
-}
+// gatekeeper): the resilience-routed submit and cancel. The retry
+// wrappers classify only transport faults (timeout, partition, host
+// down) as retryable — a site that *answered* with a refusal said no on
+// purpose, and asking again cannot change site policy.
 
 // SubmitWithRetry routes Submit through a resilience executor: transport
 // faults back off and retry (gated by the site's breaker when one is
@@ -29,9 +21,11 @@ func SubmitWithRetry(ex *resilience.Executor, br *resilience.Breaker, net *simne
 	requestWithRetry(ex, br, net, from, gatekeeper, SvcSubmit, req, timeout, done)
 }
 
-// CancelWithRetry routes Cancel through a resilience executor with the
-// same transport-only retry classification. A nil executor degrades to a
-// plain Cancel.
+// CancelWithRetry asks a gatekeeper to cancel a job and delivers the final
+// status through done, retried through a resilience executor with the
+// same transport-only classification. The error surfaces to the caller:
+// a cancel lost to a partition leaves an orphaned job charging the user
+// at the site. A nil executor sends one plain cancel.
 func CancelWithRetry(ex *resilience.Executor, br *resilience.Breaker, net *simnet.Network, from, gatekeeper, jobID string, timeout time.Duration, done func(StatusReply, error)) {
 	requestWithRetry(ex, br, net, from, gatekeeper, SvcCancel, jobID, timeout, done)
 }

@@ -153,21 +153,6 @@ func (g *flatGIIS) Live() int {
 	return n
 }
 
-// Sweep drops expired records (housekeeping; Eval already ignores them).
-func (g *flatGIIS) Sweep() int {
-	now := g.eng.Now()
-	n := 0
-	// Deleting during range is safe in Go, and deletion is commutative,
-	// so no intermediate collect-and-sort slice is needed.
-	for name, c := range g.records {
-		if c.expires <= now {
-			delete(g.records, name)
-			n++
-		}
-	}
-	return n
-}
-
 // TestFilterMatch holds the oracle's Match and the region's compiled slot
 // matcher to one table.
 func TestFilterMatch(t *testing.T) {

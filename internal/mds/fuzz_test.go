@@ -67,12 +67,11 @@ func TestOrderingFilterOnWordAllocFree(t *testing.T) {
 }
 
 // The register script: one op byte, then its operands. Low two bits pick
-// the op (two of four register, so scripts are mostly registrations).
+// the op (three of four register, so scripts are mostly registrations).
 //
 //	register: bits 2-3 name, bits 4-7 key subset; then a TTL byte
 //	          (1-3 minutes) and a value byte per key in the subset
 //	advance:  bits 2-3 minutes less one
-//	sweep:    no operand
 var (
 	fuzzNames = [4]string{"a/n0", "a/n1", "b/n0", "c/n0"}
 	fuzzKeys  = [4]string{"cpus", "gpu", "load", "os"}
@@ -82,10 +81,7 @@ var (
 	fuzzVals = [16]string{"0", "1", "2", "3", "4", "5", "6", "7", "8", "-0", "", "inf", "nan", "1e309", "linux", "irix"}
 )
 
-const (
-	fuzzAdvance = 2
-	fuzzSweep   = 3
-)
+const fuzzAdvance = 2
 
 // fuzzReg encodes one registration: name index, TTL in minutes, then
 // (key index, value index) pairs in ascending key order.
@@ -100,8 +96,8 @@ func fuzzReg(name, ttl int, kv ...int) []byte {
 
 func fuzzAdv(minutes int) []byte { return []byte{byte(fuzzAdvance | (minutes-1)<<2)} }
 
-// FuzzRegisterAgreesWithReference: whatever sequence of registrations,
-// clock advances and sweeps the bytes script, the region and its
+// FuzzRegisterAgreesWithReference: whatever sequence of registrations and
+// clock advances the bytes script, the region and its
 // refRegister twin hold the same slots and summary after every step, and
 // region, twin and the flat oracle answer three query shapes alike. The
 // region serves the reply maps it keeps up to date, the twin rebuilds
@@ -113,12 +109,13 @@ func FuzzRegisterAgreesWithReference(f *testing.F) {
 		{fuzzReg(0, 3, cpus, 4, load, 2, os, 14), fuzzReg(0, 3, cpus, 4, gpu, 1, os, 14)},
 		// A value changes and reverts; the rest stand.
 		{fuzzReg(1, 3, load, 2, os, 14), fuzzReg(1, 3, load, 7, os, 14), fuzzReg(1, 3, load, 2, os, 14)},
-		// Refresh of an expired but unswept name, then of a swept one.
-		{fuzzReg(2, 1, load, 11), fuzzAdv(2), fuzzReg(2, 1, load, 11), fuzzAdv(2), {fuzzSweep}, fuzzReg(2, 1, load, 12)},
-		// A ninth distinct value overflows the summary set; a sweep rebuilds it.
+		// Refresh of an expired name, with the same value and then another.
+		{fuzzReg(2, 1, load, 11), fuzzAdv(2), fuzzReg(2, 1, load, 11), fuzzAdv(2), fuzzReg(2, 1, load, 12)},
+		// A ninth distinct value overflows the summary set; an expired
+		// name's value stays in it.
 		{fuzzReg(0, 1, load, 0), fuzzReg(0, 3, load, 1), fuzzReg(0, 3, load, 2), fuzzReg(0, 3, load, 3), fuzzReg(0, 3, load, 4),
 			fuzzReg(0, 3, load, 5), fuzzReg(0, 3, load, 6), fuzzReg(0, 3, load, 7), fuzzReg(0, 3, load, 8), fuzzReg(1, 1, load, 9),
-			fuzzAdv(2), {fuzzSweep}, fuzzReg(0, 3, load, 8)},
+			fuzzAdv(2), fuzzReg(0, 3, load, 8)},
 		// The values that parse oddly or not at all, then an empty key set.
 		{fuzzReg(3, 2, cpus, 10, gpu, 11, load, 12, os, 13), fuzzReg(3, 2, cpus, 9, gpu, 11, load, 13, os, 12), fuzzReg(3, 2)},
 	} {
@@ -145,10 +142,6 @@ func FuzzRegisterAgreesWithReference(f *testing.F) {
 			switch op & 3 {
 			case fuzzAdvance:
 				eng.RunUntil(eng.Now() + time.Duration(1+op>>2&3)*time.Minute)
-			case fuzzSweep:
-				if got, want, oracle := rg.Sweep(), ref.Sweep(), flat.Sweep(); got != want || got != oracle {
-					t.Fatalf("step %d: swept %d, reference %d, flat %d", step, got, want, oracle)
-				}
 			default:
 				reg := Registration{TTL: time.Duration(1+next()%3) * time.Minute, Rec: Record{
 					Name: fuzzNames[op>>2&3], Source: "s", Stamp: eng.Now(), Attrs: map[string]string{}}}
@@ -181,9 +174,8 @@ func FuzzRegisterAgreesWithReference(f *testing.F) {
 //
 //	register: bits 2-4 name (region: name mod 4), bits 5-7 key subset;
 //	          then a TTL byte (1-3 minutes) and a value byte per key
-//	clock:    bit 2 sweeps every region, else bits 3-4 advance minutes less one
-//	absorb:   bits 2-3 region, bit 4 pushes its held summary again,
-//	          bits 5-6 the TTL
+//	clock:    bits 2-3 advance minutes less one
+//	absorb:   bits 2-3 region, bits 4-5 the TTL of its summary
 var (
 	rootNames = [8]string{"r0/n0", "r1/n1", "r2/n2", "r3/n3", "r0/n4", "r1/n5", "r2/n6", "r3/n7"}
 	rootKeys  = [3]string{"load", "os", "site"}
@@ -207,15 +199,15 @@ func rootReg(name, ttl int, kv ...int) []byte {
 }
 
 // FuzzQueryShardsAgreesWithReference: whatever registrations, refreshes,
-// clock advances, sweeps and summary pushes the bytes script over four
-// regions, the root's pruned, merged answer to every query shape is
-// byte for byte the unpruned concatenate-and-sort refQueryShards. Sixteen
-// values a key overflow the exact sets, so equality prunes through the
-// filters. A region pushes as soon as a registration moves its version,
-// so the summary the root holds covers every live value, as the uplink
-// guarantees from its next tick on; a sweep tightens the region but not
-// the summary it last pushed, which the absorb op may push again: stale,
-// wider than the region, and still sound.
+// clock advances and summary absorbs the bytes script over four regions,
+// the root's pruned, merged answer to every query shape is byte for byte
+// the unpruned concatenate-and-sort refQueryShards. Sixteen values a key
+// overflow the exact sets, so equality prunes through the filters. The
+// root absorbs a region's summary after each of its registrations, so the
+// summary it holds covers every live value; records that expire stay in
+// it, wider than the region and still sound. The absorb op's TTLs of 0
+// and one minute make a summary that lapses, so the region is consulted
+// as unknown.
 func FuzzQueryShardsAgreesWithReference(f *testing.F) {
 	const load, os, site = 0, 1, 2
 	var overflow [][]byte
@@ -225,13 +217,13 @@ func FuzzQueryShardsAgreesWithReference(f *testing.F) {
 	for _, script := range [][][]byte{
 		// Twelve site values overflow region 0; region 1 holds one.
 		append(slices.Clone(overflow), rootReg(1, 3, os, 14, site, 15)),
-		// A short-lived site leaves at a sweep; the wider summary from
-		// before it is pushed again, then a fresh one.
-		append(slices.Clone(overflow), rootReg(2, 1, site, 3), rootReg(6, 3, site, 4), []byte{rootClock | 1<<3}, []byte{rootClock | 1<<2},
-			[]byte{rootAbsorb | 2<<2 | 1<<4 | 3<<5}, []byte{rootAbsorb | 2<<2 | 3<<5}),
+		// A short-lived site expires; the summary that still holds it is
+		// absorbed again for an hour, then for a minute that lapses.
+		append(slices.Clone(overflow), rootReg(2, 1, site, 3), rootReg(6, 3, site, 4), []byte{rootClock | 1<<2},
+			[]byte{rootAbsorb | 2<<2 | 3<<4}, []byte{rootAbsorb | 2<<2 | 1<<4}, []byte{rootClock | 1<<2}),
 		// A summary with no TTL is stale at once, an hour-long one outlives
 		// the records it covers.
-		{rootReg(3, 2, os, 15, site, 1), []byte{rootAbsorb | 3<<2}, rootReg(5, 2, site, 2), []byte{rootAbsorb | 1<<2 | 3<<5}, []byte{rootClock | 3<<3}},
+		{rootReg(3, 2, os, 15, site, 1), []byte{rootAbsorb | 3<<2}, rootReg(5, 2, site, 2), []byte{rootAbsorb | 1<<2 | 3<<4}, []byte{rootClock | 3<<2}},
 	} {
 		f.Add(bytes.Join(script, nil))
 	}
@@ -252,13 +244,6 @@ func FuzzQueryShardsAgreesWithReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		rig := newShardRig(t, 4)
 		eng, root := rig.eng, rig.root
-		// held is the summary each region last pushed, at version pushed.
-		var held [4]RegionSummary
-		var pushed [4]uint64
-		push := func(r int, ttl time.Duration) {
-			held[r], pushed[r] = rig.regions[r].Summary(ttl), rig.regions[r].sumVersion
-			root.AbsorbSummary(held[r])
-		}
 		next := func() byte {
 			if len(script) == 0 {
 				return 0
@@ -271,21 +256,9 @@ func FuzzQueryShardsAgreesWithReference(f *testing.F) {
 			op := next()
 			switch op & 3 {
 			case rootClock:
-				if op>>2&1 == 1 {
-					for _, rg := range rig.regions {
-						rg.Sweep()
-					}
-				} else {
-					eng.RunUntil(eng.Now() + time.Duration(1+op>>3&3)*time.Minute)
-				}
+				eng.RunUntil(eng.Now() + time.Duration(1+op>>2&3)*time.Minute)
 			case rootAbsorb:
-				r, ttl := int(op>>2&3), rootTTLs[op>>5&3]
-				if op>>4&1 == 1 && held[r].Region != "" {
-					held[r].TTL = ttl
-					root.AbsorbSummary(held[r])
-				} else {
-					push(r, ttl)
-				}
+				root.AbsorbSummary(rig.regions[op>>2&3].Summary(rootTTLs[op>>4&3]))
 			default:
 				name := int(op >> 2 & 7)
 				reg := Registration{TTL: time.Duration(1+next()%3) * time.Minute, Rec: Record{
@@ -295,13 +268,11 @@ func FuzzQueryShardsAgreesWithReference(f *testing.F) {
 						reg.Rec.Attrs[key] = fuzzVals[next()%16]
 					}
 				}
-				r := name % 4
-				if err := rig.regions[r].RegisterRecord(reg); err != nil {
+				rg := rig.regions[name%4]
+				if err := rg.RegisterRecord(reg); err != nil {
 					t.Fatalf("step %d: register %+v: %v", step, reg, err)
 				}
-				if rig.regions[r].sumVersion != pushed[r] {
-					push(r, 2*time.Minute)
-				}
+				root.AbsorbSummary(rg.Summary(2 * time.Minute))
 			}
 			for _, q := range queries {
 				reply, err := root.QueryShards(q)

@@ -2,7 +2,8 @@
 // information providers (GRIS), one aggregating index service (GIIS;
 // RegionIndex in shard.go, alone or under a RootIndex) fed by soft-state
 // registrations over the network, and an attribute-filter query
-// language. This is the Globus MDS-2 architecture; PlanetLab's per-node
+// language. A RootIndex holds one widening summary per region, each
+// absorbed with its own TTL, and prunes its fan-out on them. This is the Globus MDS-2 architecture; PlanetLab's per-node
 // sensors feeding services like Sophia/CoMon are structurally the same
 // push-with-TTL pattern, so both stacks reuse this package with different
 // refresh policies.
@@ -32,8 +33,8 @@ const (
 type Record struct {
 	Name string
 	// Attrs in a reply belongs to the index: read-only to the caller, it
-	// follows the record's next refresh and lives until the record is
-	// swept. The index holds at most one such map per live record.
+	// follows the record's next refresh. The index holds at most one such
+	// map per record name.
 	Attrs map[string]string
 	// Stamp is when the snapshot was taken at the source.
 	Stamp time.Duration

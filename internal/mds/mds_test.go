@@ -1,7 +1,6 @@
 package mds
 
 import (
-	"bytes"
 	"fmt"
 	"maps"
 	"reflect"
@@ -77,53 +76,6 @@ func TestTTLExpiry(t *testing.T) {
 	if idx.Live() != 0 {
 		t.Errorf("dead node still live after TTL")
 	}
-	if idx.Sweep() != 1 {
-		t.Error("sweep did not collect the expired record")
-	}
-}
-
-// TestReRegisterAfterSweepRecyclesSlot: a served record expires and is
-// swept, and the next name to arrive takes its slot. The newcomer must
-// be served with its own attributes only, and the old name, back from
-// the dead, with its own again.
-func TestReRegisterAfterSweepRecyclesSlot(t *testing.T) {
-	f := newFixture()
-	idx := NewGIIS(f.eng, f.net, "idx")
-	g1 := NewGRIS(f.eng, f.net, "n1")
-	g1.AddProviderInto("n1/compute", staticFill(map[string]string{"os": "linux", "cpus": "4"}))
-	g1.StartPush("idx", time.Minute)
-	f.eng.RunUntil(time.Second)
-	if got := renderReply(idx.Eval(Query{})); !bytes.Contains(got, []byte("n1/compute src=n1 stamp=0s cpus=4 os=linux\n")) {
-		t.Fatalf("first serve:\n%s", got)
-	}
-	g1.Stop()
-	f.net.SetDown("n1", true)
-	f.eng.RunUntil(4 * time.Minute)
-	if idx.Live() != 0 || idx.Sweep() != 1 || idx.Slots() != 1 {
-		t.Fatalf("after TTL: live %d, slots %d; want the one record swept", idx.Live(), idx.Slots())
-	}
-	if got := idx.Eval(Query{}); len(got.Records) != 0 {
-		t.Fatalf("swept record still served: %+v", got)
-	}
-
-	g2 := NewGRIS(f.eng, f.net, "n2")
-	g2.AddProviderInto("n2/compute", staticFill(map[string]string{"os": "aix"}))
-	g2.StartPush("idx", time.Minute)
-	f.eng.RunUntil(4*time.Minute + time.Second)
-	want := "n2/compute src=n2 stamp=4m0s os=aix\nmaxstale=1s\n"
-	if got := renderReply(idx.Eval(Query{})); string(got) != want || idx.Slots() != 1 {
-		t.Fatalf("recycled slot (%d slots) serves:\n%swant:\n%s", idx.Slots(), got, want)
-	}
-
-	f.net.SetDown("n1", false)
-	g1.StartPush("idx", time.Minute)
-	f.eng.RunUntil(4*time.Minute + 2*time.Second)
-	want = "n1/compute src=n1 stamp=4m1s cpus=4 os=linux\nn2/compute src=n2 stamp=4m0s os=aix\nmaxstale=2s\n"
-	if got := renderReply(idx.Eval(Query{})); string(got) != want {
-		t.Fatalf("after n1 returns:\n%swant:\n%s", got, want)
-	}
-	g1.Stop()
-	g2.Stop()
 }
 
 func TestStalenessReported(t *testing.T) {

@@ -16,14 +16,13 @@ import (
 // ticker draws a random op per virtual minute against a region and the
 // flat oracle fed the same registrations. Names come from a pool in
 // random order, so a new name usually sorts before the last arrival
-// (the unsorted-then-sorted path), refreshes hit names in place, short
-// TTLs expire records between queries, and Sweep frees slots that the
-// next new name — sorting anywhere — reuses. Every query is answered
-// three ways and logged; disagreement lands in bad.
+// (the unsorted-then-sorted path), refreshes hit names in place, and
+// short TTLs expire records between queries and before their names come
+// back. Every query is answered three ways and logged; disagreement
+// lands in bad.
 //
-// ref is rg's twin: it takes the same registrations through refRegister
-// and the same sweeps, and after each the two must hold the same slots,
-// summary and version (twinDiff). A registration keeps, swaps (load for
+// ref is rg's twin: it takes the same registrations through refRegister,
+// and after each the two must hold the same slots and summary (twinDiff). A registration keeps, swaps (load for
 // gpu, same count) or grows its key set and redraws its values, so the
 // in-place refresh, its key-set miss and the skipped absorb all occur; one
 // in sixteen has no name, which all three indexes must refuse alike.
@@ -33,22 +32,21 @@ type orderDriver struct {
 	rg   *RegionIndex
 	ref  *RegionIndex
 	rng  *rand.Rand
-	seen map[string]bool
 
 	log bytes.Buffer
 	bad []string
 	// Coverage of the paths the harness exists for; cov counts
 	// registrations by refreshPaths name.
-	sortsN, reusedN, expiredSeenN int
-	cov                           map[string]int
+	sortsN, expiredSeenN int
+	cov                  map[string]int
 }
 
 // refreshPaths are the ways a registration can meet the region, told from
 // the slot as it stood before: refreshed in place, with a value unchanged
 // (so not absorbed), key set changed (the full layout), changed at an equal
-// count (the swap), name expired but not yet swept, name freed by an
-// earlier Sweep, no name at all. The harness must reach every one.
-var refreshPaths = []string{"in place", "absorb skipped", "fell through", "key swap", "expired unswept", "back after sweep", "nameless"}
+// count (the swap), name expired, no name at all. The harness must reach
+// every one.
+var refreshPaths = []string{"in place", "absorb skipped", "fell through", "key swap", "expired", "nameless"}
 
 // observe files reg under its refreshPaths before the indexes see it.
 func (d *orderDriver) observe(reg Registration) {
@@ -59,15 +57,11 @@ func (d *orderDriver) observe(reg Registration) {
 		d.cov["nameless"]++
 		return
 	case !known:
-		if d.seen[name] {
-			d.cov["back after sweep"]++
-		}
-		d.seen[name] = true
 		return
 	}
 	s := &d.rg.slots[idx]
 	if s.expires <= d.eng.Now() {
-		d.cov["expired unswept"]++
+		d.cov["expired"]++
 	}
 	same, unchanged := len(attrs) == len(s.keys), 0
 	for j, id := range s.keys {
@@ -112,36 +106,25 @@ func buildOrderDriver(seed int64) (*sim.Engine, *orderDriver) {
 	net.AddHost("flat", "HQ", 1e6)
 	net.AddHost("region", "HQ", 1e6)
 	net.AddHost("refregion", "HQ", 1e6)
-	net.AddHost("root", "HQ", 1e6)
 	d := &orderDriver{
 		eng:  eng,
 		flat: newFlatGIIS(eng, net, "flat"),
 		rg:   NewRegionIndex(eng, net, "region", "R", nil),
 		ref:  NewRegionIndex(eng, net, "refregion", "R", nil),
 		rng:  eng.ForkRand(),
-		seen: make(map[string]bool),
 		cov:  make(map[string]int),
 	}
 	eng.SnapRoot("mds.orderdriver", d)
 	eng.NewTicker(time.Minute, d.step)
-	// Both uplinks tick between steps, so equal versions push and skip alike.
-	d.rg.StartSummaryPush("root", time.Minute)
-	d.ref.StartSummaryPush("root", time.Minute)
 	return eng, d
 }
 
 func (d *orderDriver) step() {
-	switch op := d.rng.Intn(10); {
-	case op < 5:
+	if d.rng.Intn(2) == 0 {
 		d.register()
 		d.register()
-	case op < 9:
+	} else {
 		d.query(orderQueries[d.rng.Intn(len(orderQueries))])
-	default:
-		d.flat.Sweep()
-		d.ref.Sweep()
-		fmt.Fprintf(&d.log, "sweep freed=%d slots=%d\n", d.rg.Sweep(), d.rg.Slots())
-		d.checkTwin("sweep")
 	}
 }
 
@@ -174,8 +157,6 @@ func (d *orderDriver) register() {
 	}
 	reg := Registration{Rec: rec, TTL: time.Duration(2+d.rng.Intn(9)) * time.Minute}
 	d.observe(reg)
-	_, known := d.rg.byName[rec.Name]
-	slots, free := d.rg.Slots(), len(d.rg.free)
 	_, flatErr := d.flat.handleRegister(rec.Source, reg)
 	errs := [3]error{flatErr, d.rg.RegisterRecord(reg), refRegister(d.ref, reg)}
 	for _, err := range errs {
@@ -185,9 +166,6 @@ func (d *orderDriver) register() {
 			d.bad = append(d.bad, fmt.Sprintf("t=%v register %q: flat, region, reference returned %q", d.eng.Now(), rec.Name, errs))
 			break
 		}
-	}
-	if rec.Name != "" && !known && free > 0 && d.rg.Slots() == slots {
-		d.reusedN++
 	}
 	d.checkTwin("register " + rec.Name)
 }
@@ -213,7 +191,7 @@ func (d *orderDriver) query(q Query) {
 // the order index: 20 seeds of random op sequences, every Eval byte for
 // byte against the collect-and-sort reference and the flat oracle.
 func TestOrderIndexMatchesReference(t *testing.T) {
-	var sorts, reused, expired int
+	var sorts, expired int
 	cov := make(map[string]int)
 	for _, seed := range snaptest.Seeds(1, 20) {
 		eng, d := buildOrderDriver(seed)
@@ -225,19 +203,14 @@ func TestOrderIndexMatchesReference(t *testing.T) {
 		if len(d.rg.order) != len(d.rg.byName) {
 			t.Errorf("seed %d: order holds %d slots for %d names", seed, len(d.rg.order), len(d.rg.byName))
 		}
-		if d.rg.SummaryPushN != d.ref.SummaryPushN || d.rg.SummarySkipN != d.ref.SummarySkipN || d.rg.SummarySkipN == 0 {
-			t.Errorf("seed %d: uplink pushed %d skipped %d, reference %d and %d; want equal and some skipped",
-				seed, d.rg.SummaryPushN, d.rg.SummarySkipN, d.ref.SummaryPushN, d.ref.SummarySkipN)
-		}
 		sorts += d.sortsN
-		reused += d.reusedN
 		expired += d.expiredSeenN
 		for path, n := range d.cov {
 			cov[path] += n
 		}
 	}
-	if sorts == 0 || reused == 0 || expired == 0 {
-		t.Errorf("harness never reached a path it exists for: lazy sorts=%d slot reuses=%d queries over expired slots=%d", sorts, reused, expired)
+	if sorts == 0 || expired == 0 {
+		t.Errorf("harness never reached a path it exists for: lazy sorts=%d queries over expired slots=%d", sorts, expired)
 	}
 	for _, path := range refreshPaths {
 		if cov[path] == 0 {
@@ -247,7 +220,7 @@ func TestOrderIndexMatchesReference(t *testing.T) {
 }
 
 // TestForkVsColdShardedIndex: the order index and its unsorted mark are
-// walker-visible state — out-of-order registrations, queries and sweeps
+// walker-visible state — out-of-order registrations and queries
 // past a snapshot must replay byte-identically after Fork.
 func TestForkVsColdShardedIndex(t *testing.T) {
 	snaptest.Scenario{

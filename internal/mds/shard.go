@@ -19,24 +19,22 @@ import (
 // with the whole federation. The plane therefore splits into regions (a
 // six-site VO is a single region with no root above it, NewGIIS): each
 // RegionIndex keeps its records in dense flat slices addressed by
-// int32 slot handles with interned attribute keys (the PR 5 kernel
-// idiom), so a site's registration touches only its own region and
-// steady-state refresh writes in place without allocating. Regions push
-// small widening summaries of their attribute space upward with
-// soft-state TTLs; the root consults those summaries to fan a query out
-// only to regions that could possibly match. Pruning is conservative in
-// both directions a summary can be wrong: a stale or missing summary
-// includes the region (never exclude on ignorance), and summaries only
-// ever widen between rebuilds (they cover every value the region has
-// seen, a superset of what is live), so exclusion is always sound.
+// int32 slot handles with interned attribute keys, so a site's
+// registration touches only its own region and steady-state refresh
+// writes in place without allocating. A slot is appended for a new name
+// and rewritten in place after; none is ever freed. Each region keeps a
+// widening summary of its attribute space, which the root absorbs with a
+// soft-state TTL (RootIndex.AbsorbSummary) and consults to fan a query
+// out only to regions that could possibly match. Pruning is conservative
+// in both directions a summary can be wrong: a lapsed or missing summary
+// includes the region (never exclude on ignorance), and a summary only
+// ever widens (it covers every value the region has seen, a superset of
+// what is live), so exclusion is always sound.
 //
 // A differential gate in shard_test.go holds the whole plane to the
 // oracle in flat_test.go, the one-map-of-cached-records index this
 // package first shipped: byte-identical records in byte-identical order,
 // same TTL expiry, same staleness accounting, same Limit behavior.
-
-// SvcSummary is the region -> root summary push service.
-const SvcSummary = "mds.summary"
 
 // ErrNoRegions reports a root query with no attached regions.
 var ErrNoRegions = errors.New("mds: root index has no attached regions")
@@ -146,14 +144,14 @@ type regSlot struct {
 	keys    []int32
 	vals    []string
 	// attrs is the pairs as a reply's Record.Attrs: nil until an Eval
-	// serves the slot, then kept equal to them until Sweep drops it.
+	// serves the slot, then kept equal to them.
 	attrs map[string]string
 }
 
 // keyStat is the running widening summary of one attribute key: the
 // distinct values seen (exact, then hashed once overflowed), and the
-// numeric range over values that parse. It only widens between rebuilds,
-// which is what makes summary pruning sound under stale soft state.
+// numeric range over values that parse. It only widens, which is what
+// makes summary pruning sound under stale soft state.
 type keyStat struct {
 	values   map[string]struct{}
 	hashed   *valueFilter // non-nil once overflowed
@@ -161,7 +159,7 @@ type keyStat struct {
 	min, max float64
 }
 
-// KeySummary is the wire form of one key's summary.
+// KeySummary is the materialized form of one key's summary.
 type KeySummary struct {
 	Key string
 	// Values is the sorted distinct-value set; past summaryValueCap
@@ -174,51 +172,39 @@ type KeySummary struct {
 	Min, Max float64
 }
 
-// RegionSummary is what a region pushes to the root: enough to decide
+// RegionSummary is what the root holds for a region: enough to decide
 // "could any record here match this query", never to answer it.
 type RegionSummary struct {
 	Region string
-	Host   string
-	N      int
 	Keys   []KeySummary
 	TTL    time.Duration
 }
 
 // RegionIndex is the aggregate index (MDS-2's GIIS) for one region's
-// sites, with dense interned record storage and a summary uplink.
+// sites, with dense interned record storage and a widening summary.
 type RegionIndex struct {
 	eng  *sim.Engine
-	net  *simnet.Network
-	host string
 	name string
 	in   *Interner
 
 	slots  []regSlot
-	free   []int32
 	byName map[string]int32
 
-	// order lists the occupied slots by ascending name, which is the
-	// reply order. Only a name entering (RegisterRecord) or leaving
-	// (Sweep) touches it; an out-of-order arrival is appended and marks
-	// it unsorted, and the next Eval sorts once for the whole batch.
+	// order lists the slots by ascending name, which is the reply order.
+	// Only a new name (RegisterRecord) touches it; an out-of-order
+	// arrival is appended and marks it unsorted, and the next Eval sorts
+	// once for the whole batch.
 	order    []int32
 	unsorted bool
 
 	// scratch holds attr keys for sorting during registration, reused.
 	scratch []string
 
-	// sum is the running widening summary; sumVersion bumps when it
-	// widens, so unchanged summaries skip their uplink push.
-	sum        map[int32]*keyStat
-	sumVersion uint64
-	lastPushed uint64
-	skippedOne bool
-	ticker     *sim.Ticker
+	// sum is the running widening summary.
+	sum map[int32]*keyStat
 
 	// RegisterN counts registrations absorbed; QueryN queries served.
-	// SummaryPushN/SummarySkipN count uplink ticks that sent / elided.
-	RegisterN, QueryN          int
-	SummaryPushN, SummarySkipN int
+	RegisterN, QueryN int
 }
 
 // NewRegionIndex installs a regional index named name on host. Regions
@@ -230,8 +216,6 @@ func NewRegionIndex(eng *sim.Engine, net *simnet.Network, host, name string, in 
 	}
 	r := &RegionIndex{
 		eng:    eng,
-		net:    net,
-		host:   host,
 		name:   name,
 		in:     in,
 		byName: make(map[string]int32),
@@ -269,7 +253,8 @@ func (r *RegionIndex) RegisterRecord(reg Registration) error {
 	r.RegisterN++
 	idx, ok := r.byName[reg.Rec.Name]
 	if !ok {
-		idx = r.allocSlot()
+		idx = int32(len(r.slots))
+		r.slots = append(r.slots, regSlot{name: reg.Rec.Name})
 		r.byName[reg.Rec.Name] = idx
 		if n := len(r.order); n > 0 && r.slots[r.order[n-1]].name > reg.Rec.Name {
 			r.unsorted = true
@@ -277,7 +262,6 @@ func (r *RegionIndex) RegisterRecord(reg Registration) error {
 		r.order = append(r.order, idx)
 	}
 	s := &r.slots[idx]
-	s.name = reg.Rec.Name
 	s.source = reg.Rec.Source
 	s.stamp = reg.Rec.Stamp
 	s.expires = r.eng.Now() + reg.TTL
@@ -312,9 +296,9 @@ func (r *RegionIndex) RegisterRecord(reg Registration) error {
 // equal count and every slot key present mean the same set, so the sorted
 // layout stands and only the values that differ are written and absorbed.
 // Skipping absorb for an unchanged value is exact: the summary has covered
-// it since it was written, rebuilds walk every named slot, and absorbing a
-// covered value changes nothing. For the same reason a false return, which
-// may follow some value writes, leaves nothing for the full layout to undo.
+// it since it was written, and absorbing a covered value changes nothing.
+// For the same reason a false return, which may follow some value writes,
+// leaves nothing for the full layout to undo.
 func (r *RegionIndex) refresh(s *regSlot, attrs map[string]string) bool {
 	if len(attrs) != len(s.keys) {
 		return false
@@ -335,31 +319,15 @@ func (r *RegionIndex) refresh(s *regSlot, attrs map[string]string) bool {
 	return true
 }
 
-// allocSlot pops a free slot or appends one.
-func (r *RegionIndex) allocSlot() int32 {
-	if n := len(r.free); n > 0 {
-		idx := r.free[n-1]
-		r.free = r.free[:n-1]
-		return idx
-	}
-	r.slots = append(r.slots, regSlot{})
-	return int32(len(r.slots) - 1)
-}
-
-// absorb widens the running summary with one observed attribute value,
-// bumping the version only when something actually widened.
+// absorb widens the running summary with one observed attribute value.
 func (r *RegionIndex) absorb(id int32, v string) {
 	st, ok := r.sum[id]
 	if !ok {
 		st = &keyStat{values: make(map[string]struct{})}
 		r.sum[id] = st
-		r.sumVersion++
 	}
 	if st.hashed != nil {
-		// A new bit is a value the root would prune on until it hears.
-		if !st.hashed.probe(v, true) {
-			r.sumVersion++
-		}
+		st.hashed.probe(v, true)
 	} else if _, seen := st.values[v]; !seen {
 		if len(st.values) >= summaryValueCap {
 			// The exact set seeds the filter and goes.
@@ -372,23 +340,16 @@ func (r *RegionIndex) absorb(id int32, v string) {
 		} else {
 			st.values[v] = struct{}{}
 		}
-		r.sumVersion++
 	}
 	// NaN holds under no ordering operator and would freeze min/max: skip.
 	if f, err := parseNumeric(v); err == nil && f == f {
 		if !st.hasNum {
 			st.hasNum = true
 			st.min, st.max = f, f
-			r.sumVersion++
-		} else {
-			if f < st.min {
-				st.min = f
-				r.sumVersion++
-			}
-			if f > st.max {
-				st.max = f
-				r.sumVersion++
-			}
+		} else if f < st.min {
+			st.min = f
+		} else if f > st.max {
+			st.max = f
 		}
 	}
 }
@@ -398,58 +359,15 @@ func (r *RegionIndex) Live() int {
 	now := r.eng.Now()
 	n := 0
 	for i := range r.slots {
-		if r.slots[i].name != "" && r.slots[i].expires > now {
+		if r.slots[i].expires > now {
 			n++
 		}
 	}
 	return n
 }
 
-// Slots reports the dense store's slot count (peak concurrent names).
+// Slots reports the dense store's slot count: every name it has held.
 func (r *RegionIndex) Slots() int { return len(r.slots) }
-
-// Sweep frees expired slots and rebuilds the running summary from what
-// survives, re-tightening the widening bounds. Returns slots freed.
-func (r *RegionIndex) Sweep() int {
-	now := r.eng.Now()
-	n := 0
-	for i := range r.slots {
-		s := &r.slots[i]
-		if s.name == "" || s.expires > now {
-			continue
-		}
-		delete(r.byName, s.name)
-		s.name = ""
-		s.keys = s.keys[:0]
-		s.vals = s.vals[:0]
-		s.attrs = nil
-		r.free = append(r.free, int32(i))
-		n++
-	}
-	if n > 0 {
-		r.order = slices.DeleteFunc(r.order, func(idx int32) bool { return r.slots[idx].name == "" })
-		r.rebuildSummary()
-	}
-	return n
-}
-
-// rebuildSummary recomputes the summary over live slots only (the one
-// place the widening bounds tighten).
-func (r *RegionIndex) rebuildSummary() {
-	for id := range r.sum {
-		delete(r.sum, id)
-	}
-	for i := range r.slots {
-		s := &r.slots[i]
-		if s.name == "" {
-			continue
-		}
-		for j, id := range s.keys {
-			r.absorb(id, s.vals[j])
-		}
-	}
-	r.sumVersion++
-}
 
 // slotFilter is a Filter compiled once per query: the attribute as its
 // interned id and, for the ordering operators, the parsed right side.
@@ -560,9 +478,10 @@ func (r *RegionIndex) EachLive(fn func(name, source string)) {
 	}
 }
 
-// Summary materializes the region's current summary for an uplink push.
+// Summary materializes the region's current summary with a soft-state
+// TTL, for RootIndex.AbsorbSummary.
 func (r *RegionIndex) Summary(ttl time.Duration) RegionSummary {
-	out := RegionSummary{Region: r.name, Host: r.host, N: r.Live(), TTL: ttl}
+	out := RegionSummary{Region: r.name, TTL: ttl}
 	ids := make([]int32, 0, len(r.sum))
 	for id := range r.sum {
 		ids = append(ids, id)
@@ -584,39 +503,6 @@ func (r *RegionIndex) Summary(ttl time.Duration) RegionSummary {
 	return out
 }
 
-// StartSummaryPush begins the soft-state uplink: every interval the
-// region pushes its summary to the root with TTL 2×interval — unless
-// nothing widened since the last push, in which case one tick may be
-// skipped (the TTL survives exactly one silence; the second tick pushes
-// as a keepalive). That is the delta behavior: a quiet region costs the
-// root half the summary traffic of a churning one.
-func (r *RegionIndex) StartSummaryPush(rootHost string, interval time.Duration) {
-	if r.ticker != nil {
-		r.ticker.Stop()
-	}
-	push := func() {
-		if r.sumVersion == r.lastPushed && !r.skippedOne {
-			r.skippedOne = true
-			r.SummarySkipN++
-			return
-		}
-		r.skippedOne = false
-		r.lastPushed = r.sumVersion
-		r.SummaryPushN++
-		r.net.Send(r.host, rootHost, SvcSummary, r.Summary(2*interval))
-	}
-	push()
-	r.ticker = r.eng.NewTicker(interval, push)
-}
-
-// StopSummaryPush halts the uplink.
-func (r *RegionIndex) StopSummaryPush() {
-	if r.ticker != nil {
-		r.ticker.Stop()
-		r.ticker = nil
-	}
-}
-
 // rootSum is one region's soft-state summary as held by the root.
 type rootSum struct {
 	sum     RegionSummary
@@ -624,14 +510,12 @@ type rootSum struct {
 }
 
 // RootIndex is the federation-wide query point: it holds region
-// summaries (soft state, pushed) and fans queries out only to regions
+// summaries (soft state, absorbed) and fans queries out only to regions
 // whose summary admits a possible match. Query-plane region handles are
 // attached in-process — the root answers synchronously like RegionIndex.Eval,
 // which is what brokers co-located with the index consume.
 type RootIndex struct {
-	eng  *sim.Engine
-	net  *simnet.Network
-	host string
+	eng *sim.Engine
 
 	regions []*RegionIndex
 	sums    map[string]*rootSum
@@ -645,10 +529,8 @@ type RootIndex struct {
 
 // NewRootIndex installs the root index service on host.
 func NewRootIndex(eng *sim.Engine, net *simnet.Network, host string) *RootIndex {
-	rt := &RootIndex{eng: eng, net: net, host: host, sums: make(map[string]*rootSum)}
-	h := net.Host(host)
-	simnet.Serve(h, SvcSummary, rt.handleSummary)
-	simnet.Serve(h, SvcQuery, rt.handleQuery)
+	rt := &RootIndex{eng: eng, sums: make(map[string]*rootSum)}
+	simnet.Serve(net.Host(host), SvcQuery, rt.handleQuery)
 	return rt
 }
 
@@ -657,14 +539,9 @@ func (rt *RootIndex) AttachRegion(r *RegionIndex) {
 	rt.regions = append(rt.regions, r)
 }
 
-func (rt *RootIndex) handleSummary(from string, s RegionSummary) (struct{}, error) {
-	rt.AbsorbSummary(s)
-	return struct{}{}, nil
-}
-
-// AbsorbSummary installs one region summary with its soft-state TTL
-// (exported for in-process feeders co-located with the root; the
-// network path arrives through the same code).
+// AbsorbSummary installs one region summary with its soft-state TTL; it
+// is the only way a summary reaches the root. Until the TTL lapses the
+// root prunes on it; after, the region is consulted as unknown.
 func (rt *RootIndex) AbsorbSummary(s RegionSummary) {
 	rs := rt.sums[s.Region]
 	if rs == nil {
@@ -798,16 +675,4 @@ func (rt *RootIndex) QueryShards(q Query) (QueryReply, error) {
 		}
 	}
 	return reply, nil
-}
-
-// SummaryFresh reports how many region summaries are currently live.
-func (rt *RootIndex) SummaryFresh() int {
-	now := rt.eng.Now()
-	n := 0
-	for _, rs := range rt.sums {
-		if rs.expires > now {
-			n++
-		}
-	}
-	return n
 }

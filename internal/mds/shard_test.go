@@ -90,7 +90,7 @@ func refEval(r *RegionIndex, q Query) QueryReply {
 	now := r.eng.Now()
 	var names []string
 	for i := range r.slots {
-		if r.slots[i].name != "" && r.slots[i].expires > now {
+		if r.slots[i].expires > now {
 			names = append(names, r.slots[i].name)
 		}
 	}
@@ -134,7 +134,8 @@ func refRegister(r *RegionIndex, reg Registration) error {
 	r.RegisterN++
 	idx, ok := r.byName[reg.Rec.Name]
 	if !ok {
-		idx = r.allocSlot()
+		idx = int32(len(r.slots))
+		r.slots = append(r.slots, regSlot{})
 		r.byName[reg.Rec.Name] = idx
 		if n := len(r.order); n > 0 && r.slots[r.order[n-1]].name > reg.Rec.Name {
 			r.unsorted = true
@@ -188,8 +189,7 @@ func refQueryShards(rt *RootIndex, q Query) QueryReply {
 }
 
 // twinDiff says where a region and its refRegister twin differ, "" when
-// they do not: slot contents, free list, registration count, summary and
-// the version that decides whether the summary is pushed. DeepEqual
+// they do not: slot contents, registration count and summary. DeepEqual
 // compares every KeySummary field, so an overflowed key's Hashed filter
 // is held bit for bit too.
 func twinDiff(got, want *RegionIndex) string {
@@ -197,18 +197,30 @@ func twinDiff(got, want *RegionIndex) string {
 		return a.name == b.name && a.source == b.source && a.stamp == b.stamp && a.expires == b.expires &&
 			slices.Equal(a.keys, b.keys) && slices.Equal(a.vals, b.vals)
 	}
-	if !slices.EqualFunc(got.slots, want.slots, sameSlot) || !slices.Equal(got.free, want.free) {
-		return fmt.Sprintf("slots %+v free %v, reference %+v free %v", got.slots, got.free, want.slots, want.free)
+	if !slices.EqualFunc(got.slots, want.slots, sameSlot) {
+		return fmt.Sprintf("slots %+v, reference %+v", got.slots, want.slots)
 	}
-	if got.RegisterN != want.RegisterN || got.sumVersion != want.sumVersion {
-		return fmt.Sprintf("RegisterN %d sumVersion %d, reference %d and %d", got.RegisterN, got.sumVersion, want.RegisterN, want.sumVersion)
+	if got.RegisterN != want.RegisterN {
+		return fmt.Sprintf("RegisterN %d, reference %d", got.RegisterN, want.RegisterN)
 	}
 	gs, ws := got.Summary(time.Minute), want.Summary(time.Minute)
-	ws.Region, ws.Host = gs.Region, gs.Host
+	ws.Region = gs.Region
 	if !reflect.DeepEqual(gs, ws) {
 		return fmt.Sprintf("summary %+v, reference %+v", gs, ws)
 	}
 	return ""
+}
+
+// freshSummaries counts the region summaries rt holds whose TTL has not
+// lapsed.
+func freshSummaries(rt *RootIndex) int {
+	n := 0
+	for _, rs := range rt.sums {
+		if rs.expires > rt.eng.Now() {
+			n++
+		}
+	}
+	return n
 }
 
 // summaryOf returns key's entry in rg's current summary, zero when absent.
@@ -277,9 +289,12 @@ func TestShardedMatchesFlat(t *testing.T) {
 		// Let the quiet third expire: round-0 records lapse at 10m.
 		rig.eng.RunUntil(11 * time.Minute)
 		for _, rg := range rig.regions {
-			rg.StartSummaryPush("rootidx", time.Minute)
+			rig.root.AbsorbSummary(rg.Summary(2 * time.Minute))
 		}
 		rig.eng.RunUntil(12 * time.Minute)
+		if freshSummaries(rig.root) != len(rig.regions) {
+			t.Fatalf("seed %d: %d summaries fresh, want %d", seed, freshSummaries(rig.root), len(rig.regions))
+		}
 		for _, rg := range rig.regions {
 			if !summaryOf(rg, "site").Overflow {
 				t.Fatalf("seed %d: region %s's site set has not overflowed", seed, rg.Name())
@@ -321,8 +336,7 @@ func TestShardedMatchesFlat(t *testing.T) {
 
 // TestNaNStaysOutOfSummaryRange: "nan" parses, but a NaN bound would make
 // every later min/max comparison false and prune the region for every
-// ordering filter. Checked on both paths that build the range: absorb in
-// arrival order and rebuildSummary in slot order.
+// ordering filter. A record that expires leaves its value in the range.
 func TestNaNStaysOutOfSummaryRange(t *testing.T) {
 	rig := newShardRig(t, 1)
 	rg := rig.regions[0]
@@ -346,13 +360,8 @@ func TestNaNStaysOutOfSummaryRange(t *testing.T) {
 	check("absorb", 3, 12)
 
 	rig.eng.RunUntil(2 * time.Minute)
-	if n := rg.Sweep(); n != 1 {
-		t.Fatalf("swept %d, want 1", n)
-	}
-	check("rebuild", 12, 12)
-
-	rg.StartSummaryPush("rootidx", time.Minute)
-	rig.eng.RunUntil(2*time.Minute + time.Second)
+	check("after c expires", 3, 12)
+	rig.root.AbsorbSummary(rg.Summary(time.Minute))
 	reply, err := rig.root.QueryShards(Query{Filters: []Filter{{"load", FGt, "5"}}})
 	if err != nil || len(reply.Records) != 1 || reply.Records[0].Name != "b" || rig.root.PrunedN != 0 {
 		t.Fatalf("load > 5: %+v err=%v pruned=%d, want record b from an unpruned region", reply.Records, err, rig.root.PrunedN)
@@ -373,11 +382,11 @@ func TestSummaryPruning(t *testing.T) {
 		}, 30*time.Minute)
 	}
 	for _, rg := range rig.regions {
-		rg.StartSummaryPush("rootidx", time.Minute)
+		rig.root.AbsorbSummary(rg.Summary(2 * time.Minute))
 	}
 	rig.eng.RunUntil(time.Second)
-	if rig.root.SummaryFresh() != 3 {
-		t.Fatalf("summaries fresh = %d, want 3", rig.root.SummaryFresh())
+	if freshSummaries(rig.root) != 3 {
+		t.Fatalf("summaries fresh = %d, want 3", freshSummaries(rig.root))
 	}
 
 	reply, err := rig.root.QueryShards(Query{Filters: []Filter{{"zone", FEq, "zone1"}}})
@@ -419,15 +428,16 @@ func TestStaleSummaryIsConservative(t *testing.T) {
 		Attrs: map[string]string{"zone": "east"}}, time.Hour)
 	rig.feed(t, 1, Record{Name: "b/n", Source: "b", Stamp: now,
 		Attrs: map[string]string{"zone": "west"}}, time.Hour)
-	rig.regions[0].StartSummaryPush("rootidx", time.Minute)
-	rig.regions[1].StartSummaryPush("rootidx", time.Minute)
-	rig.eng.RunUntil(time.Second)
+	for _, rg := range rig.regions {
+		rig.root.AbsorbSummary(rg.Summary(2 * time.Minute))
+	}
 
-	// Region 1 goes quiet; its summary TTL (2m) lapses.
-	rig.regions[1].StopSummaryPush()
+	// Region 1 goes quiet; its summary TTL (2m) lapses while region 0's
+	// is absorbed again.
 	rig.eng.RunUntil(5 * time.Minute)
-	if rig.root.SummaryFresh() != 1 {
-		t.Fatalf("fresh summaries = %d, want 1", rig.root.SummaryFresh())
+	rig.root.AbsorbSummary(rig.regions[0].Summary(2 * time.Minute))
+	if freshSummaries(rig.root) != 1 {
+		t.Fatalf("fresh summaries = %d, want 1", freshSummaries(rig.root))
 	}
 	rig.root.FanoutN, rig.root.PrunedN, rig.root.UnknownN = 0, 0, 0
 	reply, err := rig.root.QueryShards(Query{Filters: []Filter{{"zone", FEq, "west"}}})
@@ -444,105 +454,10 @@ func TestStaleSummaryIsConservative(t *testing.T) {
 	}
 }
 
-// TestSummaryDeltaPush: a quiet region elides every other uplink tick
-// (the TTL tolerates one silence); a widening region pushes every tick.
-func TestSummaryDeltaPush(t *testing.T) {
-	rig := newShardRig(t, 2)
-	quiet, busy := rig.regions[0], rig.regions[1]
-	now := rig.eng.Now()
-	rig.feed(t, 0, Record{Name: "q/n", Source: "q", Stamp: now,
-		Attrs: map[string]string{"os": "linux"}}, time.Hour)
-	quiet.StartSummaryPush("rootidx", time.Minute)
-	busy.StartSummaryPush("rootidx", time.Minute)
-	tick := 0
-	rig.eng.NewTicker(time.Minute, func() {
-		tick++
-		// Strictly increasing value keeps widening busy's numeric range.
-		if err := busy.RegisterRecord(Registration{Rec: Record{
-			Name: "b/n", Source: "b", Stamp: rig.eng.Now(),
-			Attrs: map[string]string{"load": fmt.Sprint(tick)},
-		}, TTL: time.Hour}); err != nil {
-			t.Error(err)
-		}
-	})
-	rig.eng.RunUntil(10*time.Minute + time.Second)
-
-	if quiet.SummarySkipN == 0 {
-		t.Errorf("quiet region never skipped a push (push=%d skip=%d)", quiet.SummaryPushN, quiet.SummarySkipN)
-	}
-	if quiet.SummaryPushN+quiet.SummarySkipN != 11 {
-		t.Errorf("quiet ticks = %d, want 11", quiet.SummaryPushN+quiet.SummarySkipN)
-	}
-	if quiet.SummaryPushN > 7 {
-		t.Errorf("quiet region pushed %d of 11 ticks; delta elision not working", quiet.SummaryPushN)
-	}
-	if busy.SummarySkipN > 1 {
-		t.Errorf("widening region skipped %d pushes", busy.SummarySkipN)
-	}
-	// The quiet region's summary must nonetheless stay fresh at the root.
-	if rig.root.SummaryFresh() != 2 {
-		t.Errorf("fresh summaries = %d, want 2", rig.root.SummaryFresh())
-	}
-}
-
-// TestRegionSweepTightensSummary: sweeping expired slots rebuilds the
-// summary over survivors, so pruning precision recovers — for an exact
-// value set, and for an overflowed key's filter, which the rebuild starts
-// empty.
-func TestRegionSweepTightensSummary(t *testing.T) {
-	rig := newShardRig(t, 1)
-	rg := rig.regions[0]
-	now := rig.eng.Now()
-	rig.feed(t, 0, Record{Name: "short", Source: "s", Stamp: now,
-		Attrs: map[string]string{"os": "aix", "site": "gone"}}, time.Minute)
-	// Nine long-lived sites keep site overflowed after the sweep.
-	for i := 0; i <= summaryValueCap; i++ {
-		rig.feed(t, 0, Record{Name: fmt.Sprintf("long%d", i), Source: "s", Stamp: now,
-			Attrs: map[string]string{"os": "linux", "site": fmt.Sprintf("s%d", i)}}, time.Hour)
-	}
-	rig.eng.RunUntil(2 * time.Minute)
-	// consulted reports whether the root, holding the region's current
-	// summary, asks the region for f.
-	consulted := func(f Filter) bool {
-		rig.root.AbsorbSummary(rg.Summary(time.Hour))
-		f0 := rig.root.FanoutN
-		if _, err := rig.root.QueryShards(Query{Filters: []Filter{f}}); err != nil {
-			t.Fatal(err)
-		}
-		return rig.root.FanoutN > f0
-	}
-	gone, aix := Filter{"site", FEq, "gone"}, Filter{"os", FEq, "aix"}
-	if !consulted(gone) || !consulted(aix) {
-		t.Fatal("before the sweep the root pruned a value the region's summary has seen")
-	}
-	if got := rg.Sweep(); got != 1 {
-		t.Fatalf("swept %d, want 1", got)
-	}
-	if ks := summaryOf(rg, "os"); !slices.Equal(ks.Values, []string{"linux"}) {
-		t.Errorf("post-sweep os values = %v, want [linux]", ks.Values)
-	}
-	if !summaryOf(rg, "site").Overflow {
-		t.Fatal("nine live sites no longer overflow")
-	}
-	if consulted(gone) || consulted(aix) {
-		t.Error("after the sweep the root still consults the region for values that left it")
-	}
-	if !consulted(Filter{"site", FEq, "s3"}) {
-		t.Error("after the sweep the root prunes a live site")
-	}
-	// The freed slot is reused by the next registration.
-	slots := rg.Slots()
-	rig.feed(t, 0, Record{Name: "fresh", Source: "s", Stamp: rig.eng.Now(),
-		Attrs: map[string]string{"os": "plan9"}}, time.Hour)
-	if rg.Slots() != slots {
-		t.Errorf("slots grew %d -> %d despite free list", slots, rg.Slots())
-	}
-}
-
 // TestValueAfterOverflowReachesRoot: a value that first arrives after its
-// key overflowed sets new filter bits, so it bumps sumVersion, the next
-// uplink tick sends it where a quiet region would have skipped, and the
-// root then consults the region for it.
+// key overflowed sets new filter bits. The summary the root held before
+// prunes the region for it; once the new summary is absorbed, the root
+// consults the region and finds the record.
 func TestValueAfterOverflowReachesRoot(t *testing.T) {
 	rig := newShardRig(t, 2)
 	rg, quiet := rig.regions[0], rig.regions[1]
@@ -561,25 +476,17 @@ func TestValueAfterOverflowReachesRoot(t *testing.T) {
 	if ks := summaryOf(rg, "site"); !ks.Overflow || ks.Hashed.probe(late, false) {
 		t.Fatalf("site overflow=%v, filter admits %q before it arrives: pick another value", ks.Overflow, late)
 	}
-	rg.StartSummaryPush("rootidx", time.Minute)
-	quiet.StartSummaryPush("rootidx", time.Minute)
-	// Pushed at 0, skipped at 1m, kept alive at 2m: a quiet region skips 3m.
-	rig.eng.RunUntil(2*time.Minute + time.Second)
-	version, pushes, skips := rg.sumVersion, rg.SummaryPushN, rg.SummarySkipN
-	quietSkips := quiet.SummarySkipN
+	rig.root.AbsorbSummary(rg.Summary(time.Hour))
+	rig.root.AbsorbSummary(quiet.Summary(time.Hour))
 	register(rg, late)
-	if rg.sumVersion == version {
-		t.Fatal("a value new to an overflowed key left sumVersion alone")
+	q := Query{Filters: []Filter{{"site", FEq, late}}}
+	if reply, err := rig.root.QueryShards(q); err != nil || len(reply.Records) != 0 || rig.root.PrunedN != 2 {
+		t.Fatalf("site=%s before the absorb: %+v err=%v pruned=%d, want both regions pruned on the old summaries",
+			late, reply.Records, err, rig.root.PrunedN)
 	}
-	rig.eng.RunUntil(3*time.Minute + time.Second)
-	if quiet.SummarySkipN != quietSkips+1 {
-		t.Fatalf("the quiet region skipped %d ticks at 3m, want 1", quiet.SummarySkipN-quietSkips)
-	}
-	if rg.SummaryPushN != pushes+1 || rg.SummarySkipN != skips {
-		t.Fatalf("at 3m the region pushed %d and skipped %d, want a push", rg.SummaryPushN-pushes, rg.SummarySkipN-skips)
-	}
+	rig.root.AbsorbSummary(rg.Summary(time.Hour))
 	rig.root.FanoutN, rig.root.PrunedN = 0, 0
-	reply, err := rig.root.QueryShards(Query{Filters: []Filter{{"site", FEq, late}}})
+	reply, err := rig.root.QueryShards(q)
 	if err != nil || len(reply.Records) != 1 || rig.root.FanoutN != 1 || rig.root.PrunedN != 1 {
 		t.Fatalf("site=%s: %+v err=%v fanout=%d pruned=%d, want its record from the one region that holds it",
 			late, reply.Records, err, rig.root.FanoutN, rig.root.PrunedN)
@@ -797,7 +704,7 @@ func appendGrowths(n int) (grown float64) {
 
 // TestServedAttrsFollowRefresh: the map a region hands out for a record is
 // the one it keeps, so it must track every way the record can change — a
-// value rewritten in place, a key set re-laid, a sweep and a return — and
+// value rewritten in place, a key set re-laid, expiry and a return — and
 // a repeated query must allocate its []Record and nothing else, whatever
 // the region holds.
 func TestServedAttrsFollowRefresh(t *testing.T) {
@@ -846,14 +753,10 @@ func TestServedAttrsFollowRefresh(t *testing.T) {
 
 		rig.eng.RunUntil(rig.eng.Now() + 2*time.Minute)
 		check("expired", nil)
-		if swept := rg.Sweep(); swept != 1 {
-			t.Fatalf("%d records: swept %d, want 1", n, swept)
-		}
-		check("swept", nil)
 		register(time.Hour, map[string]string{"os": "linux"})
-		check("back after sweep", map[string]string{"os": "linux"})
-		if want := map[string]string{"os": "linux", "cpus": "4", "gpu": "1"}; !reflect.DeepEqual(held, want) {
-			t.Errorf("%d records: a map served before the sweep reads %v after it, want %v untouched", n, held, want)
+		back := check("back after expiry", map[string]string{"os": "linux"})
+		if !reflect.DeepEqual(held, back) {
+			t.Errorf("%d records: a map served before expiry reads %v after the return, the record %v", n, held, back)
 		}
 	}
 }

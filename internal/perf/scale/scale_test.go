@@ -10,7 +10,7 @@ import (
 
 // smallConfig is a quick federation that still exercises every
 // mechanism: multiple regions, growth windows, batching, renew/release
-// churn, summary push, and the root query phase.
+// churn, summary absorb, and the root query phase.
 func smallConfig() Config {
 	return Config{
 		Sites:           12,

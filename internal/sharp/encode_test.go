@@ -30,7 +30,7 @@ func refTBS(c *Claim) []byte {
 	var t [8]byte
 	binary.BigEndian.PutUint64(t[:], uint64(c.Type))
 	buf.Write(t[:])
-	binary.BigEndian.PutUint64(t[:], uint64(int64(c.Amount*1e6)))
+	binary.BigEndian.PutUint64(t[:], math.Float64bits(c.Amount))
 	buf.Write(t[:])
 	binary.BigEndian.PutUint64(t[:], uint64(c.NotBefore))
 	buf.Write(t[:])

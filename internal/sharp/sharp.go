@@ -159,7 +159,7 @@ func (c *Claim) appendTBS(b []byte) []byte {
 	}
 	b = str(b, c.Site)
 	b = binary.BigEndian.AppendUint64(b, uint64(c.Type))
-	b = binary.BigEndian.AppendUint64(b, uint64(int64(c.Amount*1e6)))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(c.Amount))
 	b = binary.BigEndian.AppendUint64(b, uint64(c.NotBefore))
 	b = binary.BigEndian.AppendUint64(b, uint64(c.NotAfter))
 	b = str(b, c.Issuer)

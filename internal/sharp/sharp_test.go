@@ -109,6 +109,21 @@ func TestForgedSignatureRejected(t *testing.T) {
 	}
 }
 
+// TestSubMicroAmountTamperRejected: the signature covers the amount's
+// exact bits, so a root's 1 rewritten to 1.0000004, which rounds to the
+// same millionths, still fails Redeem.
+func TestSubMicroAmountTamperRejected(t *testing.T) {
+	f := newFixture(t)
+	tk, err := f.auth.IssueTicket(f.agent.Name, f.agent.Key(), capability.CPU, 1, 0, hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk.Chain[0].Amount = 1.0000004
+	if _, err := f.auth.Redeem(tk); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("amount 1 rewritten to 1.0000004: %v, want %v", err, ErrBadSignature)
+	}
+}
+
 func TestWidenedDelegationRejected(t *testing.T) {
 	f := newFixture(t)
 	tk, _ := f.auth.IssueTicket(f.agent.Name, f.agent.Key(), capability.CPU, 2, 0, hour)
