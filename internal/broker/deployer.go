@@ -42,7 +42,7 @@ type SiteAuthority interface {
 	Redeem(t *sharp.Ticket) (*sharp.Lease, error)
 	Renew(leaseID string, tickets ...*sharp.Ticket) (*sharp.Lease, error)
 	ReleaseLease(l *sharp.Lease)
-	LeaseRecords() []sharp.LeaseRecord
+	Ledger() *sharp.Authority
 	SetClockSkew(d time.Duration)
 	SetOversellFactor(f float64)
 }

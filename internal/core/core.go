@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -209,6 +210,9 @@ type Federation struct {
 	Resilience *resilience.Kit
 
 	Sites []*Site
+	// joined lists the Sites that joined, in build order; only Build
+	// sets Site.Joined.
+	joined []*Site
 
 	// VO-level services; Index and Comon are root-less mds.RegionIndexes.
 	IndexHost string
@@ -321,6 +325,7 @@ func Build(stack Stack, cfg Config, specs []SiteSpec) *Federation {
 			wantsPL = false
 		}
 		site.Joined = true
+		f.joined = append(f.joined, site)
 
 		if wantsGlobus {
 			site.Gridmap = gsi.NewGridmap()
@@ -434,15 +439,15 @@ func (f *Federation) User(name string) *identity.Credential {
 	return cred
 }
 
-// JoinedSites returns the members that actually joined.
-func (f *Federation) JoinedSites() []*Site {
-	var out []*Site
-	for _, s := range f.Sites {
-		if s.Joined {
-			out = append(out, s)
-		}
+// JoinedSites returns a copy of the members that actually joined.
+func (f *Federation) JoinedSites() []*Site { return slices.Clone(f.joined) }
+
+// EachJoinedSite calls fn with each member that joined, in build order,
+// without copying the list.
+func (f *Federation) EachJoinedSite(fn func(*Site)) {
+	for _, s := range f.joined {
+		fn(s)
 	}
-	return out
 }
 
 // MeanAutonomy returns the average autonomy retained across ALL candidate
@@ -452,12 +457,11 @@ func (f *Federation) JoinedSites() []*Site {
 // nothing (they still count toward the x-axis as written — the paper's
 // axes describe members, so refused sites are excluded here).
 func (f *Federation) MeanAutonomy() float64 {
-	joined := f.JoinedSites()
-	if len(joined) == 0 {
+	if len(f.joined) == 0 {
 		return 1
 	}
 	total := 0.0
-	for _, s := range joined {
+	for _, s := range f.joined {
 		switch {
 		case f.Stack == StackPlanetLab,
 			f.Stack == StackHybrid && s.Runtime != nil:
@@ -466,7 +470,7 @@ func (f *Federation) MeanAutonomy() float64 {
 			total += s.Spec.Policy.Autonomy()
 		}
 	}
-	return total / float64(len(joined))
+	return total / float64(len(f.joined))
 }
 
 // Participation is the fraction of candidate sites that joined.
@@ -474,5 +478,5 @@ func (f *Federation) Participation() float64 {
 	if len(f.Sites) == 0 {
 		return 0
 	}
-	return float64(len(f.JoinedSites())) / float64(len(f.Sites))
+	return float64(len(f.joined)) / float64(len(f.Sites))
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -57,6 +58,31 @@ func TestBuildPlanetLabRefusesAutonomousSites(t *testing.T) {
 	}
 	if f.Participation() != 0 {
 		t.Errorf("participation = %v", f.Participation())
+	}
+}
+
+// joinedRef is the list JoinedSites filtered per call before the
+// federation kept it: the Sites that joined, in build order.
+func joinedRef(f *Federation) []*Site {
+	var out []*Site
+	for _, s := range f.Sites {
+		if s.Joined {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+func TestEachJoinedSiteMatchesFilter(t *testing.T) {
+	specs := testSpecs(3, PlanetLabSitePolicy())
+	specs[1].Policy = GlobusSitePolicy(true, true) // refuses PlanetLab's terms
+	f := Build(StackPlanetLab, Config{Seed: 1, StopPushers: true}, specs)
+	var got []*Site
+	f.EachJoinedSite(func(s *Site) { got = append(got, s) })
+	want := joinedRef(f)
+	if len(want) != 2 || !slices.Equal(got, want) || !slices.Equal(f.JoinedSites(), want) {
+		t.Errorf("EachJoinedSite visited %d sites, JoinedSites has %d, want %d in build order",
+			len(got), len(f.JoinedSites()), len(want))
 	}
 }
 

@@ -8,9 +8,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gram"
+	"repro/internal/gsi"
+	"repro/internal/identity"
 	"repro/internal/mds"
 	"repro/internal/servicemgr"
 	"repro/internal/sharp"
+	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 func testConfig() ChaosConfig {
@@ -115,14 +119,14 @@ func TestLeaseTermCheckerTeeth(t *testing.T) {
 		Lease:         &sharp.Lease{ID: "s/lease1", NotBefore: time.Hour, NotAfter: 2 * time.Hour},
 		LeafNotBefore: time.Hour, LeafNotAfter: 2 * time.Hour, RootNotAfter: 3 * time.Hour,
 	}
-	if vs := CheckLeaseTerms("s", []sharp.LeaseRecord{good}); len(vs) != 0 {
+	if vs := checkLeaseTerm(nil, "s", good); len(vs) != 0 {
 		t.Fatalf("clean record flagged: %v", vs)
 	}
 	// A lease running past its ticket's leaf term — the forged state the
 	// checker exists to catch.
 	bad := good
 	bad.Lease = &sharp.Lease{ID: "s/lease2", NotBefore: time.Hour, NotAfter: 5 * time.Hour}
-	vs := CheckLeaseTerms("s", []sharp.LeaseRecord{bad})
+	vs := checkLeaseTerm(nil, "s", bad)
 	if len(vs) != 2 { // outside leaf term AND past root expiry
 		t.Fatalf("violations = %v, want 2", vs)
 	}
@@ -131,22 +135,79 @@ func TestLeaseTermCheckerTeeth(t *testing.T) {
 	}
 }
 
+// jobGatekeeper returns a gatekeeper on host "g" that has accepted and
+// finished n short jobs, g/1 … g/n, all done within the first minute.
+func jobGatekeeper(t *testing.T, n int) *gram.Gatekeeper {
+	t.Helper()
+	eng := sim.NewEngine(1)
+	net := simnet.New(eng)
+	net.AddSite("A", 0, 0)
+	net.AddSite("B", 30, 0)
+	net.AddHost("client", "A", 1e6)
+	net.AddHost("g", "B", 1e6)
+	rng := eng.ForkRand()
+	ca := identity.NewCA("ca", 1000*time.Hour, rng)
+	alice := identity.NewPrincipal("alice", rng)
+	cred := identity.UserCredential(alice, ca.IssueUser(alice, 0, 500*time.Hour))
+	gm := gsi.NewGridmap()
+	gm.Map("alice", "u1001")
+	gk := gram.NewGatekeeper(net, net.Host("g"), &gsi.SitePolicy{
+		Auth:    &gsi.ChainAuthenticator{Verifier: identity.NewVerifier(ca)},
+		Gridmap: gm,
+	})
+	gk.AddManager("batch", gram.NewBatchManager(eng, "batch", n))
+	for i := 0; i < n; i++ {
+		gram.Submit(net, "client", "g", gram.SubmitRequest{
+			Cred: cred,
+			Spec: gram.JobSpec{RSL: "&(executable=probe)(count=1)(maxWallTime=60)", ActualRun: time.Second},
+		}, time.Minute, func(_ gram.SubmitReply, err error) {
+			if err != nil {
+				t.Errorf("submit: %v", err)
+			}
+		})
+	}
+	eng.Run()
+	return gk
+}
+
 func TestDoneDuringOutageCheckerTeeth(t *testing.T) {
+	gk := jobGatekeeper(t, 10)
+	doneAt := func(id string, at time.Duration) {
+		gk.Job(id).History = []gram.Transition{{To: gram.Done, At: at}}
+	}
 	outages := []core.DownInterval{{From: time.Hour, To: 2 * time.Hour}}
-	ok := &gram.Job{ID: "g/1", History: []gram.Transition{{To: gram.Done, At: 30 * time.Minute}}}
-	if vs := CheckNoDoneDuringOutage("s", []*gram.Job{ok}, outages); len(vs) != 0 {
+	doneAt("g/1", 30*time.Minute)
+	if vs := CheckNoDoneDuringOutage("s", gk, outages); len(vs) != 0 {
 		t.Fatalf("clean job flagged: %v", vs)
 	}
 	// A job claiming completion while its site was dead.
-	bad := &gram.Job{ID: "g/2", History: []gram.Transition{{To: gram.Done, At: 90 * time.Minute}}}
-	vs := CheckNoDoneDuringOutage("s", []*gram.Job{bad}, outages)
+	doneAt("g/2", 90*time.Minute)
+	vs := CheckNoDoneDuringOutage("s", gk, outages)
 	if len(vs) != 1 || vs[0].Invariant != "done-on-dead-node" {
 		t.Fatalf("violations = %v", vs)
 	}
 	// Done inside a still-open outage is also a violation.
 	open := []core.DownInterval{{From: time.Hour, Open: true}}
-	if vs := CheckNoDoneDuringOutage("s", []*gram.Job{bad}, open); len(vs) != 1 {
+	if vs := CheckNoDoneDuringOutage("s", gk, open); len(vs) != 1 {
 		t.Fatalf("open-interval violations = %v", vs)
+	}
+	// Two jobs done inside the outage report in job-ID order, which is
+	// string order: g/10 before g/9.
+	doneAt("g/2", 30*time.Minute)
+	doneAt("g/9", 90*time.Minute)
+	doneAt("g/10", 100*time.Minute)
+	want := []string{
+		"done-on-dead-node: s: job g/10 done at 1h40m0s inside outage [1h0m0s,2h0m0s)",
+		"done-on-dead-node: s: job g/9 done at 1h30m0s inside outage [1h0m0s,2h0m0s)",
+	}
+	vs = CheckNoDoneDuringOutage("s", gk, outages)
+	if len(vs) != len(want) {
+		t.Fatalf("violations = %v, want %q", vs, want)
+	}
+	for i, v := range vs {
+		if v.String() != want[i] {
+			t.Errorf("violation %d = %q, want %q", i, v, want[i])
+		}
 	}
 }
 

@@ -33,24 +33,28 @@ func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 // authority originally signed. A lease outliving its ticket would be a
 // resource held on an expired promise. Released leases hold nothing and
 // have no record, so the audit sees live leases only.
-func CheckLeaseTerms(site string, recs []sharp.LeaseRecord) []Violation {
+func CheckLeaseTerms(site string, a *sharp.Authority) []Violation {
 	var out []Violation
-	for _, r := range recs {
-		l := r.Lease
-		if l.NotBefore < r.LeafNotBefore || l.NotAfter > r.LeafNotAfter {
-			out = append(out, Violation{
-				Invariant: "lease-term",
-				Detail: fmt.Sprintf("%s: lease %s [%v,%v) outside ticket term [%v,%v)",
-					site, l.ID, l.NotBefore, l.NotAfter, r.LeafNotBefore, r.LeafNotAfter),
-			})
-		}
-		if l.NotAfter > r.RootNotAfter {
-			out = append(out, Violation{
-				Invariant: "lease-term",
-				Detail: fmt.Sprintf("%s: lease %s ends %v after root ticket expiry %v",
-					site, l.ID, l.NotAfter, r.RootNotAfter),
-			})
-		}
+	a.EachLeaseRecord(func(r sharp.LeaseRecord) { out = checkLeaseTerm(out, site, r) })
+	return out
+}
+
+// checkLeaseTerm appends one record's containment breaches to out.
+func checkLeaseTerm(out []Violation, site string, r sharp.LeaseRecord) []Violation {
+	l := r.Lease
+	if l.NotBefore < r.LeafNotBefore || l.NotAfter > r.LeafNotAfter {
+		out = append(out, Violation{
+			Invariant: "lease-term",
+			Detail: fmt.Sprintf("%s: lease %s [%v,%v) outside ticket term [%v,%v)",
+				site, l.ID, l.NotBefore, l.NotAfter, r.LeafNotBefore, r.LeafNotAfter),
+		})
+	}
+	if l.NotAfter > r.RootNotAfter {
+		out = append(out, Violation{
+			Invariant: "lease-term",
+			Detail: fmt.Sprintf("%s: lease %s ends %v after root ticket expiry %v",
+				site, l.ID, l.NotAfter, r.RootNotAfter),
+		})
 	}
 	return out
 }
@@ -60,19 +64,33 @@ func CheckLeaseTerms(site string, recs []sharp.LeaseRecord) []Violation {
 // owner, and both views must agree. This is the silk/capability invariant
 // behind "resources that cannot be shared (e.g., network ports)".
 func CheckPortExclusivity(node *silk.Node) []Violation {
-	var out []Violation
-	bindings := node.PortBindings()
-	claims := make(map[int][]string)
-	for _, c := range node.ContextList() {
-		for _, p := range c.Ports() {
-			claims[p] = append(claims[p], c.Name)
-		}
+	// The clean state, checked without building anything: each claimed
+	// port is listed once by its claimant and bound to it.
+	clean := true
+	node.EachContext(func(c *silk.Context) {
+		c.EachPort(func(p int) {
+			n := 0
+			c.EachPort(func(q int) {
+				if q == p {
+					n++
+				}
+			})
+			clean = clean && n == 1 && node.PortOwner(p) == c
+		})
+	})
+	if clean {
+		return nil
 	}
+	claims := make(map[int][]string)
+	node.EachContext(func(c *silk.Context) {
+		c.EachPort(func(p int) { claims[p] = append(claims[p], c.Name) })
+	})
 	ports := make([]int, 0, len(claims))
 	for p := range claims {
 		ports = append(ports, p)
 	}
 	sort.Ints(ports)
+	var out []Violation
 	for _, p := range ports {
 		owners := claims[p]
 		if len(owners) > 1 {
@@ -82,11 +100,15 @@ func CheckPortExclusivity(node *silk.Node) []Violation {
 			})
 			continue
 		}
-		if bindings[p] != owners[0] {
+		bound := ""
+		if c := node.PortOwner(p); c != nil {
+			bound = c.Name
+		}
+		if bound != owners[0] {
 			out = append(out, Violation{
 				Invariant: "port-excl",
 				Detail: fmt.Sprintf("%s: port %d bound to %q but claimed by %q",
-					node.Name, p, bindings[p], owners[0]),
+					node.Name, p, bound, owners[0]),
 			})
 		}
 	}
@@ -96,12 +118,12 @@ func CheckPortExclusivity(node *silk.Node) []Violation {
 // CheckNoDoneDuringOutage asserts that no GRAM job reported success while
 // its site was down: a Done transition timestamped strictly inside an
 // outage interval means a crashed node claimed to finish work.
-func CheckNoDoneDuringOutage(site string, jobs []*gram.Job, outages []core.DownInterval) []Violation {
+func CheckNoDoneDuringOutage(site string, g *gram.Gatekeeper, outages []core.DownInterval) []Violation {
 	if len(outages) == 0 {
 		return nil
 	}
 	var out []Violation
-	for _, j := range jobs {
+	g.EachJob(func(j *gram.Job) {
 		for _, tr := range j.History {
 			if tr.To != gram.Done {
 				continue
@@ -116,7 +138,7 @@ func CheckNoDoneDuringOutage(site string, jobs []*gram.Job, outages []core.DownI
 				}
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -146,9 +168,9 @@ func CheckServiceStrength(m *servicemgr.Manager, feasible int) []Violation {
 func CheckLeaseContinuity(f *core.Federation, m *servicemgr.Manager) []Violation {
 	now := f.Eng.Now()
 	var out []Violation
-	for _, site := range m.ActiveSites() {
+	m.EachActiveSite(func(site string) {
 		if f.SiteDown(site) {
-			continue
+			return
 		}
 		exp, ok := m.LeaseHorizon(site)
 		if !ok {
@@ -156,7 +178,7 @@ func CheckLeaseContinuity(f *core.Federation, m *servicemgr.Manager) []Violation
 				Invariant: "lease-continuity",
 				Detail:    fmt.Sprintf("%s: active PoP holds no recorded lease", site),
 			})
-			continue
+			return
 		}
 		if exp < now {
 			out = append(out, Violation{
@@ -164,7 +186,7 @@ func CheckLeaseContinuity(f *core.Federation, m *servicemgr.Manager) []Violation
 				Detail:    fmt.Sprintf("%s: active PoP past lease horizon %v at %v", site, exp, now),
 			})
 		}
-	}
+	})
 	return out
 }
 
@@ -214,16 +236,16 @@ type CheckOpts struct {
 // joined sites plus its VO-level indexes, returning all violations found.
 func CheckFederation(f *core.Federation, opts CheckOpts) []Violation {
 	var out []Violation
-	for _, s := range f.JoinedSites() {
+	f.EachJoinedSite(func(s *core.Site) {
 		if s.Runtime != nil {
-			out = append(out, CheckLeaseTerms(s.Spec.Name, s.Runtime.Authority.LeaseRecords())...)
+			out = append(out, CheckLeaseTerms(s.Spec.Name, s.Runtime.Authority.Ledger())...)
 			out = append(out, CheckPortExclusivity(s.Runtime.Node)...)
 			out = append(out, CheckBankConservation(s.Spec.Name, s.Runtime.Bank)...)
 		}
 		if s.Gatekeeper != nil {
-			out = append(out, CheckNoDoneDuringOutage(s.Spec.Name, s.Gatekeeper.Jobs(), f.DownLog(s.Spec.Name))...)
+			out = append(out, CheckNoDoneDuringOutage(s.Spec.Name, s.Gatekeeper, f.DownLog(s.Spec.Name))...)
 		}
-	}
+	})
 	if opts.TTLBound > 0 {
 		now := f.Eng.Now()
 		out = append(out, CheckMDSFreshness(f.Index, now, f.HostDownSince, opts.TTLBound)...)

@@ -446,19 +446,19 @@ func (c *chaosRun) finish() *Report {
 	}))
 
 	var done, failed int
-	for _, s := range f.JoinedSites() {
+	f.EachJoinedSite(func(s *core.Site) {
 		if s.Gatekeeper == nil {
-			continue
+			return
 		}
-		for _, j := range s.Gatekeeper.Jobs() {
+		s.Gatekeeper.EachJob(func(j *gram.Job) {
 			switch j.State() {
 			case gram.Done:
 				done++
 			case gram.Failed:
 				failed++
 			}
-		}
-	}
+		})
+	})
 
 	applied, revoked := 0, 0
 	var trace []string

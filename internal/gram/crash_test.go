@@ -2,6 +2,8 @@ package gram
 
 import (
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -68,18 +70,42 @@ func TestCrashDropsReservationsButManagerRecovers(t *testing.T) {
 	}
 }
 
+// jobsRef is the list the deleted Gatekeeper.Jobs built per call: every
+// accepted job, sorted by ID.
+func jobsRef(jobs []*Job) []*Job {
+	out := append([]*Job(nil), jobs...)
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
 func TestGatekeeperJobsSorted(t *testing.T) {
-	// Jobs() must return a deterministic, ID-sorted view regardless of map
-	// order. Build a bare gatekeeper-shaped job set via a BatchManager and
-	// check ordering through the exported accessor on a live gatekeeper in
-	// core's tests; here, verify sorting over a hand-built jobs map.
-	g := &Gatekeeper{jobs: map[string]*Job{
-		"gk/3": {ID: "gk/3"},
-		"gk/1": {ID: "gk/1"},
-		"gk/2": {ID: "gk/2"},
-	}}
-	got := g.Jobs()
-	if len(got) != 3 || got[0].ID != "gk/1" || got[1].ID != "gk/2" || got[2].ID != "gk/3" {
-		t.Errorf("Jobs() order = %v", []string{got[0].ID, got[1].ID, got[2].ID})
+	// EachJob must visit the jobs in the order the old sorted copy had,
+	// whatever order they arrived in. IDs sort as strings: "gk/10" comes
+	// before "gk/9".
+	var g Gatekeeper
+	var added []*Job
+	for _, id := range []string{"gk/9", "gk/10", "gk/1", "gk/11", "gk/2", "gk/100"} {
+		j := &Job{ID: id}
+		g.addJob(j)
+		added = append(added, j)
+		var got []*Job
+		g.EachJob(func(j *Job) { got = append(got, j) })
+		if want := jobsRef(added); !slices.Equal(got, want) {
+			t.Fatalf("after %s: EachJob = %v, want %v", id, jobIDs(got), jobIDs(want))
+		}
+		if g.Job(id) != j {
+			t.Errorf("Job(%q) = %v", id, g.Job(id))
+		}
 	}
+	if g.Job("gk/3") != nil {
+		t.Error("Job found an ID never accepted")
+	}
+}
+
+func jobIDs(jobs []*Job) []string {
+	ids := make([]string, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.ID
+	}
+	return ids
 }

@@ -2,7 +2,8 @@ package gram
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/gsi"
@@ -75,8 +76,10 @@ type Gatekeeper struct {
 
 	managers map[string]Manager
 	def      string
-	jobs     map[string]*Job
-	seq      int
+	// jobs holds every accepted job in ascending-ID order; none is ever
+	// removed. IDs are "host/N", so "gk/10" sorts before "gk/9".
+	jobs []*Job
+	seq  int
 
 	// AuthFailN counts rejected submissions, SubmitN accepted ones.
 	AuthFailN, SubmitN int
@@ -89,7 +92,6 @@ func NewGatekeeper(net *simnet.Network, host *simnet.Host, policy *gsi.SitePolic
 		host:     host,
 		policy:   policy,
 		managers: make(map[string]Manager),
-		jobs:     make(map[string]*Job),
 	}
 	simnet.Serve(host, SvcSubmit, g.handleSubmit)
 	simnet.Serve(host, SvcStatus, g.handleStatus)
@@ -106,18 +108,33 @@ func (g *Gatekeeper) AddManager(name string, m Manager) {
 	g.managers[name] = m
 }
 
-// Job returns a job by ID (local API, used in tests and by managers).
-func (g *Gatekeeper) Job(id string) *Job { return g.jobs[id] }
-
-// Jobs returns every job this gatekeeper has accepted, sorted by ID so
-// audits over the job set are deterministic.
-func (g *Gatekeeper) Jobs() []*Job {
-	out := make([]*Job, 0, len(g.jobs))
-	for _, j := range g.jobs {
-		out = append(out, j)
+// Job returns a job by ID, or nil (local API, used in tests and by
+// managers).
+func (g *Gatekeeper) Job(id string) *Job {
+	if i, ok := g.jobIndex(id); ok {
+		return g.jobs[i]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return nil
+}
+
+// jobIndex finds id in the ID-ordered job list, or where it would go.
+func (g *Gatekeeper) jobIndex(id string) (int, bool) {
+	return slices.BinarySearchFunc(g.jobs, id, func(j *Job, id string) int { return strings.Compare(j.ID, id) })
+}
+
+// addJob files an accepted job in ID order.
+func (g *Gatekeeper) addJob(j *Job) {
+	i, _ := g.jobIndex(j.ID)
+	g.jobs = slices.Insert(g.jobs, i, j)
+}
+
+// EachJob calls fn with every job this gatekeeper has accepted, in
+// ascending-ID order, so audits over the job set are deterministic. It
+// reads the live list: fn must not submit to this gatekeeper.
+func (g *Gatekeeper) EachJob(fn func(*Job)) {
+	for _, j := range g.jobs {
+		fn(j)
+	}
 }
 
 // UsageByOwner aggregates charged core-seconds per authenticated grid
@@ -126,10 +143,10 @@ func (g *Gatekeeper) Jobs() []*Job {
 // usage with specific individuals rather than communities or services").
 func (g *Gatekeeper) UsageByOwner() map[string]float64 {
 	out := make(map[string]float64)
-	// Jobs() iterates in sorted ID order: owners with several jobs get
-	// their core-seconds summed in a reproducible sequence (float
-	// addition is not associative, so order changes the bits).
-	for _, j := range g.Jobs() {
+	// The walk is in ID order: owners with several jobs get their
+	// core-seconds summed in a reproducible sequence (float addition is
+	// not associative, so order changes the bits).
+	for _, j := range g.jobs {
 		if cs := j.ChargedCoreSeconds(); cs > 0 {
 			out[j.Spec.Owner] += cs
 		}
@@ -181,7 +198,7 @@ func (g *Gatekeeper) handleSubmit(from string, req SubmitRequest) (SubmitReply, 
 			g.net.Send(g.host.Name, cbHost, cbSvc, n)
 		}
 	}
-	g.jobs[job.ID] = job
+	g.addJob(job)
 	if err := mgr.Submit(job); err != nil {
 		return SubmitReply{}, err
 	}
@@ -190,16 +207,16 @@ func (g *Gatekeeper) handleSubmit(from string, req SubmitRequest) (SubmitReply, 
 }
 
 func (g *Gatekeeper) handleStatus(from string, id string) (StatusReply, error) {
-	j, ok := g.jobs[id]
-	if !ok {
+	j := g.Job(id)
+	if j == nil {
 		return StatusReply{}, ErrUnknownJob
 	}
 	return StatusReply{State: j.State()}, nil
 }
 
 func (g *Gatekeeper) handleCancel(from string, id string) (StatusReply, error) {
-	j, ok := g.jobs[id]
-	if !ok {
+	j := g.Job(id)
+	if j == nil {
 		return StatusReply{}, ErrUnknownJob
 	}
 	// Find the manager holding it by asking each; managers return

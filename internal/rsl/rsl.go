@@ -444,10 +444,11 @@ func (r Request) String2(attr string) (string, error) {
 	return rel.Values[0].Literal, nil
 }
 
-// StringDefault returns attr's value or a default when absent.
+// StringDefault returns attr's value, or def when attr is absent or not
+// a single literal. It answers from Find, building no error.
 func (r Request) StringDefault(attr, def string) string {
-	if v, err := r.String2(attr); err == nil {
-		return v
+	if rel, ok := r.Find(attr); ok && len(rel.Values) == 1 && !rel.Values[0].IsList() {
+		return rel.Values[0].Literal
 	}
 	return def
 }
@@ -465,10 +466,13 @@ func (r Request) Int(attr string) (int, error) {
 	return n, nil
 }
 
-// IntDefault returns attr as an int or a default when absent/invalid.
+// IntDefault returns attr as an int, or def when attr is absent or not an
+// integer literal. An absent attr builds no error.
 func (r Request) IntDefault(attr string, def int) int {
-	if n, err := r.Int(attr); err == nil {
-		return n
+	if s := r.StringDefault(attr, ""); s != "" {
+		if n, err := strconv.Atoi(s); err == nil {
+			return n
+		}
 	}
 	return def
 }

@@ -191,6 +191,37 @@ func TestDefaults(t *testing.T) {
 	if got := req.StringDefault("executable", "x"); got != "/bin/a" {
 		t.Errorf("present StringDefault = %q", got)
 	}
+	list, _ := mustParse(t, `&(count=(1 2))(queue=(a b))(memory=lots)`).Single()
+	if got := list.IntDefault("count", 7); got != 7 {
+		t.Errorf("list IntDefault = %d", got)
+	}
+	if got := list.StringDefault("queue", "q"); got != "q" {
+		t.Errorf("list StringDefault = %q", got)
+	}
+	if got := list.IntDefault("memory", 9); got != 9 {
+		t.Errorf("non-integer IntDefault = %d", got)
+	}
+	// The exact errors stay with String2 and Int.
+	if _, err := req.String2("queue"); err == nil || err.Error() != `rsl: missing attribute: "queue"` {
+		t.Errorf("String2 absent: %v", err)
+	}
+	if _, err := list.Int("count"); err == nil || err.Error() != `rsl: wrong value type: "count" is not a single literal` {
+		t.Errorf("Int list: %v", err)
+	}
+}
+
+// An absent attribute's default is answered from Find: no error is built
+// only to be dropped.
+func TestDefaultsAllocFree(t *testing.T) {
+	req, _ := mustParse(t, `&(executable=/bin/a)(count=4)`).Single()
+	if n := testing.AllocsPerRun(100, func() {
+		_ = req.StringDefault("reservation", "")
+		_ = req.StringDefault("jobmanager", "batch")
+		_ = req.IntDefault("missing", 1)
+		_ = req.IntDefault("count", 1)
+	}); n != 0 {
+		t.Errorf("defaults allocate %v objects, want 0", n)
+	}
 }
 
 func TestCanonicalRoundTrip(t *testing.T) {

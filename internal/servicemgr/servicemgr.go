@@ -18,7 +18,7 @@ package servicemgr
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/broker"
@@ -62,6 +62,7 @@ type Manager struct {
 	kit *resilience.Kit
 
 	active   map[string]*vm.Slice // site -> its single-VM slice
+	order    []string             // the active sites, ascending
 	downAt   map[string]time.Duration
 	leases   map[string][]*sharp.Lease
 	leaseExp map[string]time.Duration // site -> earliest lease NotAfter
@@ -194,6 +195,10 @@ func (m *Manager) deployOnce(site string) bool {
 	m.reportOutcomes(res)
 	if err != nil {
 		return false
+	}
+	if _, ok := m.active[site]; !ok {
+		i, _ := slices.BinarySearch(m.order, site)
+		m.order = slices.Insert(m.order, i, site)
 	}
 	m.active[site] = res.Slice
 	m.leases[site] = res.Leases[site]
@@ -331,6 +336,8 @@ func (m *Manager) vacate(site string) {
 	if slice, ok := m.active[site]; ok {
 		slice.StopAll()
 		delete(m.active, site)
+		i, _ := slices.BinarySearch(m.order, site)
+		m.order = slices.Delete(m.order, i, i+1)
 	}
 	if ev, ok := m.watchdog[site]; ok {
 		m.eng.Cancel(ev)
@@ -356,14 +363,16 @@ func (m *Manager) Running() int {
 	return n
 }
 
-// ActiveSites returns the sites currently hosting the service, sorted.
-func (m *Manager) ActiveSites() []string {
-	out := make([]string, 0, len(m.active))
-	for s := range m.active {
-		out = append(out, s)
+// ActiveSites returns a copy of the sites currently hosting the service,
+// sorted.
+func (m *Manager) ActiveSites() []string { return slices.Clone(m.order) }
+
+// EachActiveSite calls fn with each site currently hosting the service,
+// in sorted order, without copying the list. fn must not deploy or vacate.
+func (m *Manager) EachActiveSite(fn func(site string)) {
+	for _, site := range m.order {
+		fn(site)
 	}
-	sort.Strings(out)
-	return out
 }
 
 // LeaseHorizon reports when the site's earliest lease expires (ok=false

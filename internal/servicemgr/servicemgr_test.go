@@ -3,6 +3,8 @@ package servicemgr
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -158,4 +160,41 @@ func TestInsufficientStockDegradesStart(t *testing.T) {
 	if m.Running() != 0 {
 		t.Errorf("Running = %d", m.Running())
 	}
+}
+
+// activeSitesRef is the list the builder built before the reader: the
+// active map's keys, sorted.
+func activeSitesRef(m *Manager) []string {
+	var out []string
+	for s := range m.active {
+		out = append(out, s)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// EachActiveSite visits the sites the old sorted copy held, also after an
+// active site drops and a replacement deploys.
+func TestEachActiveSiteMatchesCopy(t *testing.T) {
+	f := newFixture(t)
+	m := New(f.eng, f.dep, f.sm, cfg())
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, n int) {
+		t.Helper()
+		var got []string
+		m.EachActiveSite(func(s string) { got = append(got, s) })
+		want := activeSitesRef(m)
+		if len(want) != n || !slices.Equal(got, want) || !slices.Equal(m.ActiveSites(), want) {
+			t.Errorf("%s: EachActiveSite = %v, ActiveSites = %v, want %v", step, got, m.ActiveSites(), want)
+		}
+	}
+	check("started", 3)
+	if _, err := m.SiteFailed("s1"); err != nil {
+		t.Fatal(err)
+	}
+	check("s1 dropped", 3)
+	m.Stop()
+	check("stopped", 0)
 }

@@ -477,14 +477,26 @@ func (a *Authority) ReplayCacheLen() int { return len(a.replay.entries) }
 // order. Released leases have none.
 func (a *Authority) LeaseRecords() []LeaseRecord {
 	out := make([]LeaseRecord, 0, len(a.recordOf))
-	for i := range a.leaseRecs {
-		if a.leaseRecs[i].Lease == nil {
-			continue // free slot
-		}
-		out = append(out, a.leaseRecs[i])
-	}
+	a.EachLeaseRecord(func(r LeaseRecord) { out = append(out, r) })
 	return out
 }
+
+// EachLeaseRecord calls fn with each live lease's audit record in slot
+// order, as LeaseRecords lists them, without copying the store. fn must
+// not grant or release a lease of this authority.
+func (a *Authority) EachLeaseRecord(fn func(LeaseRecord)) {
+	for i := range a.leaseRecs {
+		if a.leaseRecs[i].Lease != nil {
+			fn(a.leaseRecs[i])
+		}
+	}
+}
+
+// Ledger returns the authority itself. A wrapper that embeds an
+// Authority (internal/adversary) promotes it, so an audit holding any
+// broker.SiteAuthority walks the lease store behind the site by a direct
+// call.
+func (a *Authority) Ledger() *Authority { return a }
 
 // IssueTicket mints a root ticket for a holder, bounded by the oversell
 // budget: sum of issued soft claims <= capacity × OversellFactor.

@@ -379,3 +379,58 @@ func TestVerifyEmptyTicket(t *testing.T) {
 		t.Error("empty ticket leaf/root non-nil")
 	}
 }
+
+// leaseRecordsRef is the list the builder built before the reader: the
+// live slots' records, in slot order.
+func leaseRecordsRef(a *Authority) []LeaseRecord {
+	var out []LeaseRecord
+	for i := range a.leaseRecs {
+		if a.leaseRecs[i].Lease != nil {
+			out = append(out, a.leaseRecs[i])
+		}
+	}
+	return out
+}
+
+// EachLeaseRecord visits the records the old copy held, in slot order,
+// also after a release frees a slot that a later redeem reuses.
+func TestEachLeaseRecordMatchesCopy(t *testing.T) {
+	f := newFixture(t)
+	var leases []*Lease
+	for i := 0; i < 4; i++ {
+		tk, err := f.auth.IssueTicket(f.agent.Name, f.agent.Key(), capability.CPU, 1, 0, hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := f.auth.Redeem(tk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leases = append(leases, l)
+	}
+	check := func(step string) {
+		t.Helper()
+		var got []LeaseRecord
+		f.auth.EachLeaseRecord(func(r LeaseRecord) { got = append(got, r) })
+		want := leaseRecordsRef(f.auth)
+		if len(got) != len(want) {
+			t.Fatalf("%s: walked %d records, want %d", step, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s: record %d = %s, want %s", step, i, got[i].Lease.ID, want[i].Lease.ID)
+			}
+		}
+	}
+	check("granted")
+	f.auth.ReleaseLease(leases[1])
+	check("released")
+	tk, err := f.auth.IssueTicket(f.agent.Name, f.agent.Key(), capability.CPU, 1, 0, hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.auth.Redeem(tk); err != nil {
+		t.Fatal(err)
+	}
+	check("slot reused")
+}

@@ -19,6 +19,7 @@ package silk
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -72,18 +73,19 @@ type Node struct {
 
 	dedicatedCPU float64
 	dedicatedNet float64
-	contexts     map[*Context]struct{}
+	// contexts lists the live contexts in name order (equal names in
+	// creation order).
+	contexts []*Context
 }
 
 // NewNode creates a node with the given spec.
 func NewNode(eng *sim.Engine, name string, spec NodeSpec) *Node {
 	n := &Node{
-		Name:     name,
-		Spec:     spec,
-		eng:      eng,
-		cpu:      sim.NewFluidSystem(eng),
-		ports:    make(map[int]*Context),
-		contexts: make(map[*Context]struct{}),
+		Name:  name,
+		Spec:  spec,
+		eng:   eng,
+		cpu:   sim.NewFluidSystem(eng),
+		ports: make(map[int]*Context),
 	}
 	n.shared = n.cpu.NewResource(name+"/cpu", spec.Cores)
 	return n
@@ -164,7 +166,8 @@ func (n *Node) NewContext(name string, spec ContextSpec) (*Context, error) {
 	if spec.MemBytes > 0 {
 		n.memUsed += spec.MemBytes
 	}
-	n.contexts[c] = struct{}{}
+	i := sort.Search(len(n.contexts), func(i int) bool { return n.contexts[i].Name > name })
+	n.contexts = slices.Insert(n.contexts, i, c)
 	return c, nil
 }
 
@@ -195,7 +198,8 @@ func (c *Context) Close() {
 	}
 	c.node.diskUsed -= c.diskUsed
 	c.diskUsed = 0
-	delete(c.node.contexts, c)
+	i := slices.Index(c.node.contexts, c)
+	c.node.contexts = slices.Delete(c.node.contexts, i, i+1)
 }
 
 // RunTask executes coreSeconds of CPU work under the context's scheduling
@@ -344,36 +348,29 @@ func (c *Context) NetRateBps() float64 {
 // Contexts returns the number of live contexts on the node.
 func (n *Node) Contexts() int { return len(n.contexts) }
 
-// ContextList returns the live contexts sorted by name, for deterministic
-// audits of the node's enforcement state.
-func (n *Node) ContextList() []*Context {
-	out := make([]*Context, 0, len(n.contexts))
-	for c := range n.contexts {
-		out = append(out, c)
+// EachContext calls fn with each live context in name order, for
+// deterministic audits of the node's enforcement state. fn must not open
+// or close a context on this node.
+func (n *Node) EachContext(fn func(*Context)) {
+	for _, c := range n.contexts {
+		fn(c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // PortsInUse returns the number of bound ports on the node.
 func (n *Node) PortsInUse() int { return len(n.ports) }
 
-// PortBindings returns the node's port table as port -> owning context
-// name (the kernel-side view invariant checkers cross-examine against the
-// per-context port lists).
-func (n *Node) PortBindings() map[int]string {
-	out := make(map[int]string, len(n.ports))
-	for p, c := range n.ports {
-		out[p] = c.Name
-	}
-	return out
-}
+// PortOwner returns the context the node's port table binds port to, or
+// nil: the kernel-side view invariant checkers cross-examine against each
+// context's own port list.
+func (n *Node) PortOwner(port int) *Context { return n.ports[port] }
 
-// Ports returns a copy of the ports the context currently holds.
-func (c *Context) Ports() []int {
-	out := make([]int, len(c.ports))
-	copy(out, c.ports)
-	return out
+// EachPort calls fn with each port the context holds, in bind order. fn
+// must not open or close a port of this context.
+func (c *Context) EachPort(fn func(port int)) {
+	for _, p := range c.ports {
+		fn(p)
+	}
 }
 
 // TokenBucket is a classic token bucket in virtual time.

@@ -2,6 +2,8 @@ package silk
 
 import (
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -315,5 +317,71 @@ func TestDefaultPlanetLabNode(t *testing.T) {
 	s := DefaultPlanetLabNode()
 	if s.Cores <= 0 || s.NetBps <= 0 || s.MaxFDs <= 0 {
 		t.Errorf("bad default spec %+v", s)
+	}
+}
+
+// contextListRef is the list the builder built before the reader: the
+// live contexts, sorted by name.
+func contextListRef(live map[*Context]bool) []*Context {
+	var out []*Context
+	for c := range live {
+		out = append(out, c)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// EachContext visits the contexts the old sorted copy held, in name
+// order, also after one closes and another opens between walks; EachPort
+// and PortOwner read what Ports and PortBindings copied.
+func TestContextReadersMatchCopies(t *testing.T) {
+	_, n := newNode(t)
+	live := make(map[*Context]bool)
+	open := func(name string, ports ...int) *Context {
+		c, err := n.NewContext(name, ContextSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ports {
+			if err := c.OpenPort(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		live[c] = true
+		return c
+	}
+	check := func(step string) {
+		t.Helper()
+		var got []*Context
+		n.EachContext(func(c *Context) { got = append(got, c) })
+		if want := contextListRef(live); !slices.Equal(got, want) {
+			t.Fatalf("%s: EachContext visited %d contexts out of order, want %d", step, len(got), len(want))
+		}
+		for _, c := range got {
+			var ports []int
+			c.EachPort(func(p int) { ports = append(ports, p) })
+			if !slices.Equal(ports, c.ports) {
+				t.Errorf("%s: %s EachPort = %v, want %v", step, c.Name, ports, c.ports)
+			}
+		}
+		for p, owner := range n.ports {
+			if n.PortOwner(p) != owner {
+				t.Errorf("%s: PortOwner(%d) = %v, want %s", step, p, n.PortOwner(p), owner.Name)
+			}
+		}
+		if n.PortOwner(1) != nil {
+			t.Errorf("%s: unbound port has an owner", step)
+		}
+	}
+	open("vm3", 8080)
+	mid := open("vm1", 22, 80)
+	open("vm2")
+	check("opened")
+	mid.Close()
+	delete(live, mid)
+	open("vm0", 443)
+	check("closed vm1, opened vm0")
+	if n.Contexts() != len(live) {
+		t.Errorf("Contexts() = %d, want %d", n.Contexts(), len(live))
 	}
 }
