@@ -1,11 +1,12 @@
 package broker
 
 import (
+	"cmp"
 	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/capability"
@@ -64,6 +65,7 @@ type Exchange struct {
 	MinScore float64
 
 	sellers []Seller
+	elig    []cand // rank's scratch: the eligible sellers of one purchase
 	scores  *trust.Scoreboard
 	rng     *rand.Rand
 	stats   map[string]*SellerStats
@@ -119,12 +121,7 @@ func (x *Exchange) score(name string) float64 {
 // fine: their redeem failures are how they are found out), primary
 // picked by score²-weighted draw, failover by descending score.
 func (x *Exchange) rank(site string, typ capability.ResourceType, amount float64, bank *trust.Bank) []Seller {
-	type cand struct {
-		s     Seller
-		score float64
-		idx   int
-	}
-	var elig []cand
+	elig := x.elig[:0]
 	for i, s := range x.sellers {
 		if bank != nil && bank.Held(s.SellerName()) <= 0 {
 			continue
@@ -134,16 +131,9 @@ func (x *Exchange) rank(site string, typ capability.ResourceType, amount float64
 		}
 		elig = append(elig, cand{s: s, score: x.score(s.SellerName()), idx: i})
 	}
-	if x.MinScore > 0 {
-		above := elig[:0:0]
-		for _, c := range elig {
-			if c.score >= x.MinScore {
-				above = append(above, c)
-			}
-		}
-		if len(above) > 0 {
-			elig = above
-		}
+	x.elig = elig // keep the grown buffer; what follows works inside it
+	if x.MinScore > 0 && slices.ContainsFunc(elig, x.above) {
+		elig = slices.DeleteFunc(elig, func(c cand) bool { return !x.above(c) })
 	}
 	if len(elig) == 0 {
 		return nil
@@ -168,19 +158,31 @@ func (x *Exchange) rank(site string, typ capability.ResourceType, amount float64
 	}
 	out := make([]Seller, 0, len(elig))
 	out = append(out, elig[primary].s)
-	rest := append([]cand(nil), elig[:primary]...)
-	rest = append(rest, elig[primary+1:]...)
-	sort.SliceStable(rest, func(i, j int) bool {
-		if rest[i].score != rest[j].score {
-			return rest[i].score > rest[j].score
+	rest := slices.Delete(elig, primary, primary+1)
+	slices.SortStableFunc(rest, func(a, b cand) int {
+		if a.score != b.score {
+			if a.score > b.score {
+				return -1
+			}
+			return 1
 		}
-		return rest[i].idx < rest[j].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 	for _, c := range rest {
 		out = append(out, c.s)
 	}
 	return out
 }
+
+// cand is one eligible seller of a purchase: its score, and its
+// registration index, the tiebreak.
+type cand struct {
+	s     Seller
+	score float64
+	idx   int
+}
+
+func (x *Exchange) above(c cand) bool { return c.score >= x.MinScore }
 
 // fraudulent classifies a redeem failure as seller fraud: a replayed or
 // double-spent ticket, a capacity conflict (overselling surfacing at

@@ -351,7 +351,7 @@ func managedAvailability(seed int64, horizon time.Duration, _ int) []ManagedRow 
 				}
 				staticDownN++
 			}
-			if slices.Contains(mgr.ActiveSites(), site) {
+			if mgr.Hosts(site) {
 				mgr.SiteFailed(site)
 			}
 			return

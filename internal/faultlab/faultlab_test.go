@@ -2,6 +2,7 @@ package faultlab
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -68,9 +69,8 @@ func TestChaosRunDeterministic(t *testing.T) {
 	p, _ := ProfileByName("mixed")
 	a := RunChaos(11, p, cfg)
 	b := RunChaos(11, p, cfg)
-	if strings.Join(a.Trace, "\n") != strings.Join(b.Trace, "\n") {
-		t.Errorf("traces diverged:\n%s\nvs\n%s",
-			strings.Join(a.Trace, "\n"), strings.Join(b.Trace, "\n"))
+	if !slices.Equal(a.Trace, b.Trace) {
+		t.Errorf("traces diverged:\n%v\nvs\n%v", a.Trace, b.Trace)
 	}
 	if a.Summary != b.Summary {
 		t.Errorf("summaries diverged:\n%s\nvs\n%s", a.Summary, b.Summary)
@@ -274,10 +274,10 @@ func TestInjectorWindowsIdempotentHeal(t *testing.T) {
 	}
 	applies, revokes := 0, 0
 	for _, line := range rep.Trace {
-		if strings.Contains(line, " apply ") {
+		if strings.Contains(line.String(), " apply ") {
 			applies++
 		}
-		if strings.Contains(line, " revoke ") {
+		if strings.Contains(line.String(), " revoke ") {
 			revokes++
 		}
 	}

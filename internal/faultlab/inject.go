@@ -2,6 +2,7 @@ package faultlab
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -18,7 +19,7 @@ type Injector struct {
 	fed     *core.Federation // nil on a bare network
 	sched   *Schedule
 	windows []*sim.Window
-	trace   []string
+	trace   []FaultEvent
 
 	// AppliedN and RevokedN count fault activations for reporting.
 	AppliedN, RevokedN int
@@ -52,12 +53,12 @@ func install(net *simnet.Network, fed *core.Federation, sched *Schedule) *Inject
 		w := eng.NewWindow(ft.At, ft.Duration,
 			func() {
 				inj.AppliedN++
-				inj.trace = append(inj.trace, fmt.Sprintf("t=%v apply %s", eng.Now(), ft))
+				inj.trace = append(inj.trace, FaultEvent{At: eng.Now(), Fault: ft})
 				apply()
 			},
 			func() {
 				inj.RevokedN++
-				inj.trace = append(inj.trace, fmt.Sprintf("t=%v revoke %s", eng.Now(), ft))
+				inj.trace = append(inj.trace, FaultEvent{At: eng.Now(), Revoke: true, Fault: ft})
 				revoke()
 			})
 		inj.windows = append(inj.windows, w)
@@ -111,8 +112,20 @@ func (inj *Injector) HealAll() {
 }
 
 // Trace returns the apply/revoke log in execution order.
-func (inj *Injector) Trace() []string {
-	out := make([]string, len(inj.trace))
-	copy(out, inj.trace)
-	return out
+func (inj *Injector) Trace() []FaultEvent { return slices.Clone(inj.trace) }
+
+// FaultEvent is one entry of the injector's log: a fault applied, or
+// revoked, at a virtual time. It is rendered only when printed.
+type FaultEvent struct {
+	At     time.Duration
+	Revoke bool
+	Fault  Fault
+}
+
+func (e FaultEvent) String() string {
+	verb := "apply"
+	if e.Revoke {
+		verb = "revoke"
+	}
+	return fmt.Sprintf("t=%v %s %s", e.At, verb, e.Fault)
 }

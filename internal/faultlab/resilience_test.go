@@ -1,7 +1,7 @@
 package faultlab
 
 import (
-	"strings"
+	"slices"
 	"testing"
 	"time"
 )
@@ -26,9 +26,8 @@ func TestChaosResilienceDeterministic(t *testing.T) {
 	p, _ := ProfileByName("mixed")
 	a := RunChaos(23, p, cfg)
 	b := RunChaos(23, p, cfg)
-	if strings.Join(a.Trace, "\n") != strings.Join(b.Trace, "\n") {
-		t.Errorf("traces diverged:\n%s\nvs\n%s",
-			strings.Join(a.Trace, "\n"), strings.Join(b.Trace, "\n"))
+	if !slices.Equal(a.Trace, b.Trace) {
+		t.Errorf("traces diverged:\n%v\nvs\n%v", a.Trace, b.Trace)
 	}
 	if a.Summary != b.Summary {
 		t.Errorf("summaries diverged:\n%s\nvs\n%s", a.Summary, b.Summary)

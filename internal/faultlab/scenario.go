@@ -108,7 +108,7 @@ type Report struct {
 	Profile  string
 	Schedule *Schedule
 	// Trace is the injector's apply/revoke log.
-	Trace []string
+	Trace []FaultEvent
 	// Violations holds every invariant breach, mid-run and final, deduped.
 	Violations []Violation
 	// Summary is a metrics table of the run's outcome. It deliberately
@@ -389,12 +389,14 @@ func (c *chaosRun) arm(sched *Schedule) {
 	// Mid-run audits: structural invariants only (service strength is a
 	// convergence property, judged after heal + settle).
 	c.ttlBound = 2*c.cfg.Refresh + time.Second
+	// Built once: every field is fixed for the run, and the audit reads it.
+	audit := CheckOpts{
+		TTLBound:      c.ttlBound,
+		LeaseManagers: []*servicemgr.Manager{c.mgr},
+		Scoreboards:   c.scoreboards(),
+	}
 	c.auditTicker = c.f.Eng.NewTicker(c.cfg.AuditEvery, func() {
-		c.record(CheckFederation(c.f, CheckOpts{
-			TTLBound:      c.ttlBound,
-			LeaseManagers: []*servicemgr.Manager{c.mgr},
-			Scoreboards:   c.scoreboards(),
-		}))
+		c.record(CheckFederation(c.f, audit))
 	})
 	if armHook != nil {
 		armHook(c)
@@ -461,7 +463,7 @@ func (c *chaosRun) finish() *Report {
 	})
 
 	applied, revoked := 0, 0
-	var trace []string
+	var trace []FaultEvent
 	var sched *Schedule
 	if c.inj != nil {
 		applied, revoked = c.inj.AppliedN, c.inj.RevokedN

@@ -195,7 +195,7 @@ func (g *Gatekeeper) handleSubmit(from string, req SubmitRequest) (SubmitReply, 
 			if j.FailReason != nil {
 				n.Reason = j.FailReason.Error()
 			}
-			g.net.Send(g.host.Name, cbHost, cbSvc, n)
+			simnet.Post(g.net, g.host.Name, cbHost, cbSvc, n)
 		}
 	}
 	g.addJob(job)

@@ -164,7 +164,7 @@ func (g *GRIS) StartPush(indexHost string, interval time.Duration) {
 	}
 	push := func() {
 		for i := range g.providers {
-			g.net.Send(g.host, indexHost, SvcRegister, Registration{Rec: g.record(&g.providers[i]), TTL: 2 * interval})
+			simnet.Post(g.net, g.host, indexHost, SvcRegister, Registration{Rec: g.record(&g.providers[i]), TTL: 2 * interval})
 			g.PushN++
 		}
 	}

@@ -26,7 +26,7 @@ func testConfig() faultlab.ChaosConfig {
 type reportKey struct {
 	Seed         int64
 	Profile      string
-	Trace        []string
+	Trace        []faultlab.FaultEvent
 	Violations   []faultlab.Violation
 	Summary      string
 	Availability float64

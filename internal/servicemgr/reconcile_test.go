@@ -1,6 +1,7 @@
 package servicemgr
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -85,5 +86,31 @@ func TestTargetAccessor(t *testing.T) {
 	m := New(f.eng, f.dep, f.sm, cfg())
 	if m.Target() != 3 {
 		t.Errorf("Target = %d", m.Target())
+	}
+}
+
+// TestReconcilePrunesEveryDeadSlice: Reconcile walks the live site list
+// while it vacates from it, so two dead neighbours are both pruned, not
+// the first and then the one after the second.
+func TestReconcilePrunesEveryDeadSlice(t *testing.T) {
+	f := newFixture(t)
+	m := New(f.eng, f.dep, f.sm, cfg())
+	if err := m.Start(); err != nil {
+		t.Fatal(err) // active: s0 s1 s2
+	}
+	for _, site := range []string{"s0", "s1"} {
+		m.active[site].StopAll()
+		m.downAt[site] = f.eng.Now()
+	}
+	if n := m.Reconcile(); n != 2 {
+		t.Fatalf("Reconcile deployed %d, want 2", n)
+	}
+	if got := m.ActiveSites(); !slices.Equal(got, []string{"s2", "s3", "s4"}) {
+		t.Errorf("ActiveSites = %v, want [s2 s3 s4]", got)
+	}
+	for _, site := range cfg().Candidates {
+		if m.Hosts(site) != (site >= "s2") {
+			t.Errorf("Hosts(%s) = %v", site, m.Hosts(site))
+		}
 	}
 }

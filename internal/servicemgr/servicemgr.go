@@ -367,6 +367,9 @@ func (m *Manager) Running() int {
 // sorted.
 func (m *Manager) ActiveSites() []string { return slices.Clone(m.order) }
 
+// Hosts reports whether the site is currently hosting the service.
+func (m *Manager) Hosts(site string) bool { _, ok := m.active[site]; return ok }
+
 // EachActiveSite calls fn with each site currently hosting the service,
 // in sorted order, without copying the list. fn must not deploy or vacate.
 func (m *Manager) EachActiveSite(fn func(site string)) {
@@ -488,9 +491,12 @@ func (m *Manager) Reconcile() int {
 	}
 	restore := m.tr.EnterScope(span)
 	defer restore()
-	for _, site := range m.ActiveSites() {
-		if m.active[site].Running() == 0 {
+	// vacate edits m.order, so each step resumes past the site it left.
+	for i := 0; i < len(m.order); i++ {
+		if site := m.order[i]; m.active[site].Running() == 0 {
 			m.vacate(site)
+			i, _ = slices.BinarySearch(m.order, site)
+			i--
 		}
 	}
 	n := 0
@@ -510,8 +516,8 @@ func (m *Manager) Reconcile() int {
 
 // Stop tears the whole service down, closing the degraded-time books.
 func (m *Manager) Stop() {
-	for _, site := range m.ActiveSites() {
-		m.vacate(site)
+	for len(m.order) > 0 {
+		m.vacate(m.order[0])
 	}
 	m.closeAccounting()
 }

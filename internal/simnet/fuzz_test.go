@@ -9,9 +9,10 @@ import (
 )
 
 // FuzzControlPlaneConserves scripts Sends, Calls with and without a
-// timeout, cuts, heals, crashes, recoveries and loss changes over the
-// three-site test network, then drains it and checks the control plane's
-// books:
+// timeout, cuts, heals, crashes, recoveries and loss changes, Posts to a
+// typed endpoint and to an untyped handler, and swaps of the typed
+// endpoint for a handler and back, over the three-site test network,
+// then drains it and checks the control plane's books:
 //   - every Call with a timeout settles exactly once, and none settles
 //     twice;
 //   - every leg that departed was received or dropped in flight, once:
@@ -21,7 +22,8 @@ import (
 //   - per host, a server sent its own messages plus one reply per request
 //     it served, and a2, which serves nothing and sends nothing of its
 //     own, refused every request that reached it;
-//   - every leg ever made is back on the free list, once and empty.
+//   - every leg ever made, boxed or typed, is back on its free list,
+//     once and empty, including the lists of endpoints swapped out.
 //
 // A script is a list of (op, arg) byte pairs.
 func FuzzControlPlaneConserves(f *testing.F) {
@@ -29,6 +31,7 @@ func FuzzControlPlaneConserves(f *testing.F) {
 	f.Add([]byte{1, 0, 7, 12, 3, 0, 7, 30, 4, 0, 1, 3, 7, 45, 5, 1, 7, 100})
 	f.Add([]byte{2, 0, 2, 3, 7, 31, 5, 2, 6, 9, 1, 6, 2, 7, 7, 250, 5, 2})
 	f.Add([]byte{6, 2, 0, 5, 1, 4, 2, 8, 6, 1, 0, 2, 7, 33, 3, 1, 2, 5})
+	f.Add([]byte{8, 1, 10, 1, 8, 4, 9, 2, 7, 10, 10, 1, 8, 7, 3, 0, 8, 2, 7, 200, 10, 4})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 512 {
 			return
@@ -42,6 +45,11 @@ func FuzzControlPlaneConserves(f *testing.F) {
 		departed := map[string]uint64{}
 		served := map[string]uint64{}
 		var refused [numCauses]uint64
+		var endpoints []*typed[int, struct{}] // every typed endpoint installed
+		serveTyped := func(h string) {
+			Serve(n.Host(h), "typed", func(string, int) (struct{}, error) { return struct{}{}, nil })
+			endpoints = append(endpoints, n.Host(h).endpoints["typed"].(*typed[int, struct{}]))
+		}
 		for _, h := range servers {
 			n.Host(h).Handle("svc", func(_ string, req any) (any, error) {
 				if req == "call" {
@@ -49,6 +57,7 @@ func FuzzControlPlaneConserves(f *testing.F) {
 				}
 				return "ok", nil
 			})
+			serveTyped(h)
 		}
 		// depart mirrors Network.depart: it predicts whether a new message
 		// leaves, and counts the refusals by cause.
@@ -74,7 +83,7 @@ func FuzzControlPlaneConserves(f *testing.F) {
 		var calls []*rpc
 
 		for i := 0; i+1 < len(script); i += 2 {
-			op, arg := script[i]%8, script[i+1]
+			op, arg := script[i]%11, script[i+1]
 			from, pair := servers[int(arg)%3], pairs[int(arg)%3]
 			switch op {
 			case 0:
@@ -99,6 +108,19 @@ func FuzzControlPlaneConserves(f *testing.F) {
 				n.SetLoss(pair[0], pair[1], float64(int(arg)/3%4)*0.25)
 			case 7:
 				eng.RunUntil(eng.Now() + time.Duration(arg)*time.Millisecond)
+			case 8, 9:
+				to, svc := servers[int(arg)/3%3], "typed"
+				if op == 9 {
+					svc = "svc"
+				}
+				depart(from, to)
+				Post(n, from, to, svc, int(arg))
+			case 10:
+				if _, ok := n.Host(from).endpoints["typed"].(Handler); ok {
+					serveTyped(from)
+				} else {
+					n.Host(from).Handle("typed", func(string, any) (any, error) { return nil, nil })
+				}
 			}
 		}
 		eng.Run()
@@ -115,6 +137,11 @@ func FuzzControlPlaneConserves(f *testing.F) {
 		}
 		if err := n.checkLegs(true); err != nil {
 			t.Fatal(err)
+		}
+		for i, ep := range endpoints {
+			if err := ep.legs.check(true); err != nil {
+				t.Fatalf("typed endpoint %d: %v", i, err)
+			}
 		}
 		var sent, recv, inFlight uint64
 		for _, h := range hosts {

@@ -12,7 +12,7 @@
 //   - a data plane of bulk flows (StartFlow) used by the data-grid
 //     experiments, built on the sim fluid-sharing model.
 //
-// Every control message — a Send, a Call's request, its reply or its
+// Every control message — a Post, a Call's request, its reply or its
 // refusal — is one leg, and every leg follows one rule: it departs only
 // if the sender counts it and the loss draw spares it, and it lands only
 // if, on arrival, the receiver is still up and the two sites are still
@@ -20,6 +20,13 @@
 // it, exactly as it severs in-flight data flows. A leg is its own kernel
 // event, recycled through a free list. Request and Serve are the typed
 // face of Call and Handle: they own the one place an RPC payload is typed.
+//
+// Post is the one-way send, and Send is Post of an any. A Post of a T
+// rides unboxed only to a Serve endpoint of the same request type T: the
+// endpoint lends the leg from its own free list and the message reaches
+// its handler without an interface. To anything else (a Handle, an
+// endpoint of another type, or a handler swapped in while the leg flew)
+// the message arrives boxed, as a Send's does.
 package simnet
 
 import (
@@ -66,6 +73,23 @@ type Site struct {
 // Returning an error delivers the error string to the caller.
 type Handler func(from string, req any) (any, error)
 
+func (fn Handler) serve(from string, req any) (any, error) { return fn(from, req) }
+
+// An endpoint is what a host runs a service with: a Handler, or the typed
+// endpoint Serve registers. serve takes the request boxed, as every Call
+// and a Post to an endpoint of another type carry it.
+type endpoint interface {
+	serve(from string, req any) (any, error)
+}
+
+// A sink is an endpoint seen from its request type T: a Post of a T to it
+// rides in one of its own legs and reaches its handler unboxed.
+type sink[T any] interface {
+	endpoint
+	pool() *legPool[T]
+	post(n *Network, span obs.SpanContext, from string, msg T)
+}
+
 // Host is a network endpoint. Hosts belong to a site, have finite
 // access-link capacity in each direction, and register named service
 // handlers for the RPC plane.
@@ -73,10 +97,10 @@ type Host struct {
 	Name string
 	Site string
 
-	net      *Network
-	up, down *sim.FluidResource
-	handlers map[string]Handler
-	downFlag bool
+	net       *Network
+	up, down  *sim.FluidResource
+	endpoints map[string]endpoint
+	downFlag  bool
 
 	// MsgsSent and MsgsRecv count control-plane messages (requests and
 	// responses separately), for the E3 scale experiment.
@@ -100,9 +124,8 @@ type Network struct {
 	active      map[*Flow]struct{}
 	flowSeq     uint64
 
-	// fly's free list of zeroed legs, and how many legs it ever made.
-	legs  []*leg
-	nlegs int
+	// The legs of every boxed message: Calls, and Posts to no sink.
+	legs legPool[any]
 
 	// BaseLoss is the default packet-loss probability on any inter-site
 	// path (intra-site paths are lossless).
@@ -192,12 +215,12 @@ func (n *Network) AddHost(name, site string, linkBps float64) *Host {
 		panic(fmt.Sprintf("simnet: host %q references unknown site %q", name, site))
 	}
 	h := &Host{
-		Name:     name,
-		Site:     site,
-		net:      n,
-		up:       n.flows.NewResource(name+"/up", linkBps),
-		down:     n.flows.NewResource(name+"/down", linkBps),
-		handlers: make(map[string]Handler),
+		Name:      name,
+		Site:      site,
+		net:       n,
+		up:        n.flows.NewResource(name+"/up", linkBps),
+		down:      n.flows.NewResource(name+"/down", linkBps),
+		endpoints: make(map[string]endpoint),
 	}
 	n.hosts[name] = h
 	return h
@@ -376,7 +399,7 @@ func (h *Host) Handle(service string, fn Handler) {
 	if fn == nil {
 		panic("simnet: nil handler")
 	}
-	h.handlers[service] = fn
+	h.endpoints[service] = fn
 }
 
 // Down reports whether the host is marked failed.
@@ -386,7 +409,7 @@ func (h *Host) Down() bool { return h.downFlag }
 func (h *Host) LinkBps() float64 { return h.up.Capacity() }
 
 // A dropCause says why a message never landed. Its String is both the
-// net.drop.* counter suffix and the drop attribute of a Send's span.
+// net.drop.* counter suffix and the drop attribute of a Post's span.
 type dropCause uint8
 
 const (
@@ -400,15 +423,14 @@ var causeNames = [numCauses]string{"loss", "partition", "host_down"}
 
 func (c dropCause) String() string { return causeNames[c] }
 
-// message is one control-plane leg in flight: a Send, a Call's request,
-// or a Call's reply. It rides by value in a recycled leg, so in steady
-// state a leg allocates nothing.
+// message is one control-plane leg in flight, less its body: a Post, a
+// Call's request, or a Call's reply. It rides by value in a recycled leg,
+// so in steady state a leg allocates nothing.
 type message struct {
 	from, to *Host
-	span     obs.SpanContext // a Send's span; a Call's legs share c.span
+	span     obs.SpanContext // a Post's span; a Call's legs share c.span
 	svc      string
-	body     any   // the Send payload, the Call request, or its response
-	c        *call // the RPC this leg belongs to; nil for a Send
+	c        *call // the RPC this leg belongs to; nil for a Post
 }
 
 // depart is a new message's departure check: both hosts must exist and
@@ -445,44 +467,61 @@ func (n *Network) blocked(a, b *Host) (dropCause, bool) {
 }
 
 // fly carries one leg: the sender counts it, a lossy leg draws against
-// the path's loss rate, and the survivor lands after lat. A Call's reply
-// departs at the instant its request landed, so that landing was its
-// departure check.
-func (n *Network) fly(m message, lat time.Duration, lossy bool) {
+// the path's loss rate, and the survivor lands after lat in a leg from p.
+// A Call's reply departs at the instant its request landed, so that
+// landing was its departure check.
+func fly[T any](n *Network, p *legPool[T], m message, body T, lat time.Duration, lossy bool) {
 	m.from.MsgsSent++
 	if lossy && n.rng.Float64() < n.Loss(m.from.Site, m.to.Site) {
 		n.drop(m, dropLoss)
 		return
 	}
-	var l *leg
-	if k := len(n.legs) - 1; k >= 0 {
-		// Clear the slot, or an abandoned leg stays pinned with its message.
-		l, n.legs[k], n.legs = n.legs[k], nil, n.legs[:k]
-	} else {
-		l = new(leg)
-		n.nlegs++
-	}
-	l.m = m
+	l := p.get()
+	l.m, l.body = m, body
 	n.eng.ScheduleFire(lat, l)
+}
+
+// legPool is a free list of zeroed legs, and how many legs it ever made.
+// The network keeps one for boxed messages, and each Serve endpoint one
+// for the messages posted to it.
+type legPool[T any] struct {
+	free []*leg[T]
+	made int
+}
+
+func (p *legPool[T]) get() *leg[T] {
+	if k := len(p.free) - 1; k >= 0 {
+		// Clear the slot, or an abandoned leg stays pinned with its message.
+		l := p.free[k]
+		p.free[k], p.free = nil, p.free[:k]
+		return l
+	}
+	p.made++
+	return &leg[T]{pool: p}
 }
 
 // leg is one message's kernel event. The engine's node reaches it, so
 // Snapshot captures a leg in flight and Fork rewinds it. Fire hands it
-// back, emptied, before the message lands: a handler that sends again
-// reuses it.
-type leg struct{ m message }
+// back to its pool, emptied, before the message lands: a handler that
+// sends again reuses it.
+type leg[T any] struct {
+	m    message
+	body T
+	pool *legPool[T]
+}
 
-func (l *leg) Fire() {
-	m, n := l.m, l.m.from.net
-	l.m = message{}
-	n.legs = append(n.legs, l)
-	n.land(m)
+func (l *leg[T]) Fire() {
+	m, body := l.m, l.body
+	*l = leg[T]{pool: l.pool}
+	l.pool.free = append(l.pool.free, l)
+	land(m.from.net, m, body)
 }
 
 // land is every leg's arrival. The receiver and the cut are checked
 // again: one that went down, or a cut that landed, while the leg was in
-// flight drops it.
-func (n *Network) land(m message) {
+// flight drops it. A one-way message then reaches its service unboxed
+// when the endpoint there now is a sink for T, and boxed otherwise.
+func land[T any](n *Network, m message, body T) {
 	a, b := m.from, m.to
 	if cause, cut := n.blocked(a, b); cut {
 		n.drop(m, cause)
@@ -491,18 +530,22 @@ func (n *Network) land(m message) {
 	b.MsgsRecv++
 	switch {
 	case m.c == nil:
-		if fn, ok := b.handlers[m.svc]; ok {
-			n.handle(m.span, fn, a.Name, m.body) // response discarded for one-way sends
+		switch ep := b.endpoints[m.svc].(type) {
+		case nil:
+		case sink[T]:
+			ep.post(n, m.span, a.Name, body)
+		default:
+			n.handle(m.span, ep, a.Name, body) // response discarded for one-way sends
 		}
 		m.span.End()
 	case !m.c.served:
-		n.serve(m)
+		n.serve(m, body)
 	default:
-		m.c.finish(m.body, m.c.err)
+		m.c.finish(body, m.c.err)
 	}
 }
 
-// drop counts a leg lost in flight, by cause. A Send's span ends with the
+// drop counts a leg lost in flight, by cause. A Post's span ends with the
 // cause; a Call leaves its span to the timeout, and with none armed
 // nothing settles the call, or keeps it.
 func (n *Network) drop(m message, cause dropCause) {
@@ -516,44 +559,52 @@ func (n *Network) drop(m message, cause dropCause) {
 // request flew. "Connection refused" is observable, unlike loss, so a
 // refusal takes no loss draw; it is still a control message travelling
 // back, counted and lost to a caller that crashed meanwhile.
-func (n *Network) serve(m message) {
+func (n *Network) serve(m message, req any) {
 	c := m.c
 	c.served = true
 	reply := message{from: m.to, to: m.from, c: c}
-	fn, ok := m.to.handlers[m.svc]
+	ep, ok := m.to.endpoints[m.svc]
 	if !ok {
 		c.err = ErrNoHandler
-		n.fly(reply, c.lat, false)
+		fly[any](n, &n.legs, reply, nil, c.lat, false)
 		return
 	}
-	reply.body, c.err = n.handle(c.span, fn, m.from.Name, m.body)
-	n.fly(reply, c.lat, true)
+	var resp any
+	resp, c.err = n.handle(c.span, ep, m.from.Name, req)
+	fly(n, &n.legs, reply, resp, c.lat, true)
 }
 
-// handle runs a handler under the span of the message it serves, so the
+// handle runs an endpoint under the span of the message it serves, so the
 // spans it opens (and the messages it sends) are causal children of that
 // message.
-func (n *Network) handle(span obs.SpanContext, fn Handler, from string, body any) (resp any, err error) {
-	if n.tr == nil {
-		return fn(from, body)
-	}
-	n.tr.Scope(span, func() { resp, err = fn(from, body) })
+func (n *Network) handle(span obs.SpanContext, ep endpoint, from string, body any) (resp any, err error) {
+	n.tr.Scope(span, func() { resp, err = ep.serve(from, body) })
 	return resp, err
 }
 
-// Send delivers a one-way message to a service on the destination host.
+// Post delivers a one-way message to a service on the destination host.
 // Delivery is best-effort: loss, partitions and down hosts silently drop
 // it (like a UDP datagram). The handler's response, if any, is discarded.
-func (n *Network) Send(from, to, service string, msg any) {
+// msg rides unboxed when the service is a Serve endpoint taking a T, and
+// is boxed into an any, as Send's is, when it is not.
+func Post[T any](n *Network, from, to, service string, msg T) {
 	a, b := n.hosts[from], n.hosts[to]
 	lat, err := n.depart(a, b)
 	if err != nil {
 		return
 	}
-	n.fly(message{from: a, to: b, span: n.msgSpan("net.send", from, to, service), svc: service, body: msg}, lat, true)
+	m := message{from: a, to: b, span: n.msgSpan("net.send", from, to, service), svc: service}
+	if s, ok := b.endpoints[service].(sink[T]); ok {
+		fly(n, s.pool(), m, msg, lat, true)
+		return
+	}
+	fly(n, &n.legs, m, any(msg), lat, true)
 }
 
-// msgSpan opens the span of a Send or a Call: the zero context when
+// Send is Post of an any.
+func (n *Network) Send(from, to, service string, msg any) { Post(n, from, to, service, msg) }
+
+// msgSpan opens the span of a Post or a Call: the zero context when
 // tracing is off.
 func (n *Network) msgSpan(name, from, to, service string) obs.SpanContext {
 	if n.tr == nil {
@@ -581,7 +632,7 @@ func (n *Network) Call(from, to, service string, req any, timeout time.Duration,
 	if timeout > 0 {
 		c.timeoutEv = n.eng.ScheduleFire(timeout, c)
 	}
-	n.fly(message{from: a, to: b, svc: service, body: req, c: c}, lat, true)
+	fly(n, &n.legs, message{from: a, to: b, svc: service, c: c}, req, lat, true)
 }
 
 // Request is Call with typed ends: req is the payload, and done gets the
@@ -598,18 +649,36 @@ func Request[Req, Resp any](n *Network, from, to, service string, req Req, timeo
 	})
 }
 
-// Serve registers fn as the handler for service on h, typed at both ends:
-// a request of another type fails with ErrPayload before fn runs, and
-// fn's reply and error go back as they are. A handler with nothing to
-// reply returns struct{}, which boxes without allocating.
+// Serve registers fn as the endpoint for service on h, typed at both
+// ends: a request of another type fails with ErrPayload before fn runs,
+// and fn's reply and error go back as they are. A handler with nothing to
+// reply returns struct{}, which boxes without allocating. A Post of a Req
+// reaches fn unboxed.
 func Serve[Req, Resp any](h *Host, service string, fn func(from string, req Req) (Resp, error)) {
-	h.Handle(service, func(from string, raw any) (any, error) {
-		req, ok := raw.(Req)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s takes %v, got %T", ErrPayload, service, reflect.TypeFor[Req](), raw)
-		}
-		return fn(from, req)
-	})
+	h.endpoints[service] = &typed[Req, Resp]{svc: service, fn: fn}
+}
+
+// typed is the endpoint Serve registers: its handler, and the free list
+// of the legs that carry a Req posted to it.
+type typed[Req, Resp any] struct {
+	svc  string
+	fn   func(from string, req Req) (Resp, error)
+	legs legPool[Req]
+}
+
+func (e *typed[Req, Resp]) serve(from string, raw any) (any, error) {
+	req, ok := raw.(Req)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s takes %v, got %T", ErrPayload, e.svc, reflect.TypeFor[Req](), raw)
+	}
+	return e.fn(from, req)
+}
+
+func (e *typed[Req, Resp]) pool() *legPool[Req] { return &e.legs }
+
+// post runs fn on a posted message under its span; the reply is dropped.
+func (e *typed[Req, Resp]) post(n *Network, span obs.SpanContext, from string, req Req) {
+	n.tr.Scope(span, func() { e.fn(from, req) })
 }
 
 // call is one in-flight RPC. Its state lives in fields, not closure

@@ -138,8 +138,8 @@ func TestLegPoolPinsNothing(t *testing.T) {
 	}
 	// A forward or a reply departs on the leg that just landed, so no more
 	// than the burst's 32 legs are ever in flight at once.
-	if n.nlegs != 32 {
-		t.Fatalf("%d legs made for 16 relayed sends and 16 calls, want 32", n.nlegs)
+	if n.legs.made != 32 {
+		t.Fatalf("%d legs made for 16 relayed sends and 16 calls, want 32", n.legs.made)
 	}
 	burst() // takes every pooled leg
 	eng.CancelAll()

@@ -116,23 +116,29 @@ func TestForkVsColdSimnet(t *testing.T) {
 type relayHop struct{ id, n int }
 
 // relayDriver starts a hop every tick; its log and counter rewind with
-// the network on Fork.
+// the network on Fork. A typed driver Posts the hop by value to Serve
+// endpoints, so a hop in flight lives only in its typed leg's body.
 type relayDriver struct {
-	net *Network
-	log []string
-	seq int
+	net   *Network
+	typed bool
+	log   []string
+	seq   int
 }
 
 func (d *relayDriver) tick() {
 	d.seq++
+	if d.typed {
+		Post(d.net, "a1", "b1", "relay", relayHop{id: d.seq})
+		return
+	}
 	d.net.Send("a1", "b1", "relay", &relayHop{id: d.seq})
 }
 
 // relayNet relays hops a1 → b1 → c1 → a1 … over lossy paths, six
 // landings each, so every landing hands its leg straight to the next
-// send. The render ends with the free list's books, which a Fork must
+// send. The render ends with the free lists' books, which a Fork must
 // rewind too.
-func relayNet(seed int64) (*sim.Engine, *Network, func() []byte) {
+func relayNet(seed int64, typedHops bool) (*sim.Engine, *Network, func() []byte) {
 	eng := sim.NewEngine(seed)
 	n := New(eng)
 	n.BaseLoss = 0.1
@@ -142,9 +148,20 @@ func relayNet(seed int64) (*sim.Engine, *Network, func() []byte) {
 	n.AddHost("a1", "A", 1e6)
 	n.AddHost("b1", "B", 1e6)
 	n.AddHost("c1", "C", 1e6)
-	d := &relayDriver{net: n}
+	d := &relayDriver{net: n, typed: typedHops}
 	next := map[string]string{"a1": "b1", "b1": "c1", "c1": "a1"}
 	for self, to := range next {
+		if typedHops {
+			Serve(n.Host(self), "relay", func(from string, h relayHop) (struct{}, error) {
+				h.n++
+				d.log = append(d.log, fmt.Sprintf("%v %s<-%s hop %d.%d", eng.Now(), self, from, h.id, h.n))
+				if h.n < 6 {
+					Post(n, self, to, "relay", h)
+				}
+				return struct{}{}, nil
+			})
+			continue
+		}
 		n.Host(self).Handle("relay", func(from string, req any) (any, error) {
 			h := req.(*relayHop)
 			h.n++
@@ -162,35 +179,51 @@ func relayNet(seed int64) (*sim.Engine, *Network, func() []byte) {
 		for _, ln := range d.log {
 			fmt.Fprintln(&b, ln)
 		}
-		fmt.Fprintf(&b, "legs made=%d free=%d\n", n.nlegs, len(n.legs))
+		made, free := n.relayLegs()
+		fmt.Fprintf(&b, "legs made=%d free=%d\n", made, free)
 		return b.Bytes()
 	}
 	return eng, n, render
 }
 
-func buildRelayDiff(seed int64) (*sim.Engine, func() []byte) {
-	eng, _, render := relayNet(seed)
-	return eng, render
+// relayLegs totals the legs the relay's pools made, and those now free:
+// the boxed pool's, plus each relay endpoint's.
+func (n *Network) relayLegs() (made, free int) {
+	made, free = n.legs.made, len(n.legs.free)
+	for _, h := range []string{"a1", "b1", "c1"} {
+		if ep, ok := n.Host(h).endpoints["relay"].(*typed[relayHop, struct{}]); ok {
+			made, free = made+ep.legs.made, free+len(ep.legs.free)
+		}
+	}
+	return made, free
 }
 
 // TestForkVsColdRelayedLegs: a snapshot taken with legs in flight, whose
 // legs then land and are reused for new sends before the Fork, replays
-// byte-identically to a cold run. The in-flight payloads are reachable
-// only through their legs, so this holds only because the engine's node
-// reaches each leg through its Firer and the walker follows it.
+// byte-identically to a cold run, for boxed hops and for typed ones. The
+// in-flight payloads are reachable only through their legs, so this
+// holds only because the engine's node reaches each leg through its
+// Firer and the walker follows it.
 func TestForkVsColdRelayedLegs(t *testing.T) {
 	const warm, horizon = 2*time.Second + 7*time.Millisecond, 4 * time.Second
-	eng, n, _ := relayNet(1)
-	eng.RunUntil(warm)
-	inFlight, sent := n.nlegs-len(n.legs), n.Host("a1").MsgsSent
-	eng.RunUntil(horizon)
-	if sent = n.Host("a1").MsgsSent - sent; inFlight == 0 || sent <= uint64(n.nlegs) {
-		t.Fatalf("%d legs in flight at the snapshot, %d sent by a1 after it over %d legs: want some in flight, then reuse", inFlight, sent, n.nlegs)
+	for _, typedHops := range []bool{false, true} {
+		eng, n, _ := relayNet(1, typedHops)
+		eng.RunUntil(warm)
+		made, free := n.relayLegs()
+		inFlight, sent := made-free, n.Host("a1").MsgsSent
+		eng.RunUntil(horizon)
+		made, _ = n.relayLegs()
+		if sent = n.Host("a1").MsgsSent - sent; inFlight == 0 || sent <= uint64(made) {
+			t.Fatalf("typed %v: %d legs in flight at the snapshot, %d sent by a1 after it over %d legs: want some in flight, then reuse", typedHops, inFlight, sent, made)
+		}
+		snaptest.Scenario{
+			Name: fmt.Sprintf("simnet.relay.typed=%v", typedHops),
+			Build: func(seed int64) (*sim.Engine, func() []byte) {
+				eng, _, render := relayNet(seed, typedHops)
+				return eng, render
+			},
+			WarmUntil: warm,
+			Horizon:   horizon,
+		}.Run(t, snaptest.Seeds(1, 20))
 	}
-	snaptest.Scenario{
-		Name:      "simnet.relay",
-		Build:     buildRelayDiff,
-		WarmUntil: warm,
-		Horizon:   horizon,
-	}.Run(t, snaptest.Seeds(1, 20))
 }
