@@ -19,7 +19,7 @@ var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "bench/README.md
 
 // designLineBudget is DESIGN.md's line ceiling. It may only fall: a change
 // that raises it says why in CHANGES.md.
-const designLineBudget = 2072
+const designLineBudget = 2057
 
 var (
 	// fenceRe matches a fenced code block, whose backticks do not pair

@@ -10,15 +10,6 @@
 //     redeem time, where the authority's replay cache rejects the
 //     double-spend deterministically.
 //
-//   - RenegeAuthority / ShrinkAuthority: broker.SiteAuthority
-//     implementations wrapping a real *sharp.Authority. One reneges on
-//     otherwise-valid redeems (claiming a capacity conflict while
-//     quietly keeping the resources); the other grants leases and then
-//     silently releases them early. Both are behaviourally — never
-//     structurally — distinguishable from an honest site, which is why
-//     the service manager's availability accounting and renew errors
-//     are the detection surface.
-//
 //   - Forgery constructors (forge.go): client attacks on the ticket
 //     chain itself — tampered amounts, self-issued roots, spliced
 //     chains, widened delegations. Each must fail Ticket.Verify /

@@ -289,8 +289,8 @@ func TestBatchEnforcementBackend(t *testing.T) {
 	if !errors.Is(err2, ErrEnforcement) {
 		t.Errorf("double reservation: %v", err2)
 	}
-	// ReservationID round-trips through the handle accessor.
-	if id := ReservationID(r.Agreement(ack.ID).handle); id == "" {
+	// The handle is the reservation's ID.
+	if id, _ := r.Agreement(ack.ID).handle.(string); id == "" {
 		t.Error("no reservation id in handle")
 	}
 }
@@ -302,16 +302,13 @@ func TestCapabilitiesAccessor(t *testing.T) {
 		Template: "compute", Terms: map[string]float64{"cpu": 1}, Lifetime: time.Hour,
 	}, time.Minute, func(a Ack, e error) { id = a.ID })
 	f.eng.RunUntil(time.Second)
-	ids := Capabilities(f.r.Agreement(id).handle)
+	ids, _ := f.r.Agreement(id).handle.([]capability.ID)
 	if len(ids) != 1 {
 		t.Fatalf("capabilities = %v", ids)
 	}
 	// The minted capability is bindable at the node manager.
 	if _, err := f.nm.Bind(ids[0]); err != nil {
 		t.Errorf("bind minted capability: %v", err)
-	}
-	if Capabilities("wrong type") != nil {
-		t.Error("accessor on wrong type")
 	}
 }
 
@@ -343,8 +340,8 @@ func TestSharpEnforcementBackend(t *testing.T) {
 	if err != nil || ack.State != Observed {
 		t.Fatalf("create = (%+v, %v)", ack, err)
 	}
-	if lease := LeaseOf(r.Agreement(ack.ID).handle); lease == nil || lease.Amount != 3 {
-		t.Fatalf("lease = %+v", LeaseOf(r.Agreement(ack.ID).handle))
+	if h, _ := r.Agreement(ack.ID).handle.(sharpHandle); h.lease == nil || h.lease.Amount != 3 {
+		t.Fatalf("lease = %+v", h.lease)
 	}
 	// Capacity is held by the lease...
 	if got := nm.Available(capability.CPU); got != 1 {
@@ -363,9 +360,6 @@ func TestSharpEnforcementBackend(t *testing.T) {
 	eng.Run()
 	if got := nm.Available(capability.CPU); got != 4 {
 		t.Errorf("Available = %v after expiry", got)
-	}
-	if LeaseOf("bogus") != nil {
-		t.Error("LeaseOf on wrong type")
 	}
 }
 
@@ -406,20 +400,20 @@ func TestNaNTermFailsItsConstraint(t *testing.T) {
 		if !errors.Is(err, ErrConstraint) || errors.Is(err, ErrEnforcement) || ack.State != Rejected {
 			t.Errorf("cpu=%v: create = (%+v, %v), want rejected with ErrConstraint", cpu, ack, err)
 		}
-		if n := f.nm.Outstanding(); n != 0 {
-			t.Errorf("cpu=%v: %d capabilities outstanding after a rejected offer", cpu, n)
+		if free := f.nm.Available(capability.CPU); free != 4 {
+			t.Errorf("cpu=%v: %v of 4 cpu free after a rejected offer", cpu, free)
 		}
 	}
 	ack, err := propose(f.eng, f.net, Offer{Template: "compute", Terms: map[string]float64{"cpu": 2.5}, Lifetime: time.Hour})
-	if err != nil || ack.State != Observed || f.nm.Outstanding() != 1 {
-		t.Fatalf("cpu=2.5: create = (%+v, %v) with %d outstanding, want observed with 1", ack, err, f.nm.Outstanding())
+	if err != nil || ack.State != Observed || f.nm.Available(capability.CPU) != 1.5 {
+		t.Fatalf("cpu=2.5: create = (%+v, %v) with %v cpu free, want observed with 1.5", ack, err, f.nm.Available(capability.CPU))
 	}
 	// The same through renegotiation: refused, and the original stands.
 	ack, err = call(f.eng, f.net, SvcRenegotiate, RenegotiateRequest{ID: ack.ID,
 		Offer: Offer{Template: "compute", Terms: map[string]float64{"cpu": math.NaN()}}})
-	if !errors.Is(err, ErrConstraint) || ack.State != Observed || f.nm.Outstanding() != 1 || f.nm.Available(capability.CPU) != 1.5 {
-		t.Errorf("renegotiate to NaN = (%+v, %v), %d outstanding, %v cpu free; want ErrConstraint and the 2.5 kept",
-			ack, err, f.nm.Outstanding(), f.nm.Available(capability.CPU))
+	if !errors.Is(err, ErrConstraint) || ack.State != Observed || f.nm.Available(capability.CPU) != 1.5 {
+		t.Errorf("renegotiate to NaN = (%+v, %v), %v cpu free; want ErrConstraint and the 2.5 kept",
+			ack, err, f.nm.Available(capability.CPU))
 	}
 }
 

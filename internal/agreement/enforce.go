@@ -80,13 +80,6 @@ func (e *CapabilityEnforcement) Release(handle any) {
 	}
 }
 
-// Capabilities extracts the minted capability IDs from a commit handle
-// (consumers bind these to VMs).
-func Capabilities(handle any) []capability.ID {
-	ids, _ := handle.([]capability.ID)
-	return ids
-}
-
 // BatchEnforcement backs agreements with advance reservations on a batch
 // queue — the other enforcement backend the paper names. Recognized
 // terms: "slots" (count), "start" (seconds of virtual time), "duration"
@@ -125,10 +118,4 @@ func (e *BatchEnforcement) Release(handle any) {
 	// CancelReservation fails for claimed reservations; that is correct —
 	// the claiming job now owns the slots.
 	_ = e.BM.CancelReservation(id)
-}
-
-// ReservationID extracts the reservation handle for job submission.
-func ReservationID(handle any) string {
-	id, _ := handle.(string)
-	return id
 }

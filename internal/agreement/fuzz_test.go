@@ -89,6 +89,54 @@ func refValidate(t Template, o Offer) bool {
 // x+a-a free, which need not be x to the last bit.
 func micro(v float64) int64 { return int64(math.Round(v * 1e6)) }
 
+// liveCaps counts the capabilities nm holds, exactly: a leaked mint of
+// 1e-9 cpu leaves Available unchanged to the microunit. nm must draw from
+// its own rng seeded with seed. Mint draws each ID as 20 rng bytes, so a
+// twin rng replays every ID nm has minted, and Verify tells a held one
+// (live or expired) from a released one.
+func liveCaps(nm *capability.NodeManager, seed int64) func() int {
+	twin := rand.New(rand.NewSource(seed))
+	var minted []capability.ID
+	return func() int {
+		for uint64(len(minted)) < nm.Minted {
+			var id capability.ID
+			for i := range id {
+				id[i] = byte(twin.Intn(256))
+			}
+			minted = append(minted, id)
+		}
+		n := 0
+		for _, id := range minted {
+			if _, err := nm.Verify(id); !errors.Is(err, capability.ErrUnknownCapability) {
+				n++
+			}
+		}
+		return n
+	}
+}
+
+// TestLiveCapsReplaysMintedIDs keeps liveCaps honest: were its twin to
+// drift from Mint's IDs it would read 0 and hide every leak.
+func TestLiveCapsReplaysMintedIDs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	nm := capability.NewNodeManager("n", eng, rand.New(rand.NewSource(3)), map[capability.ResourceType]float64{capability.CPU: 4})
+	caps := liveCaps(nm, 3)
+	req := capability.MintRequest{Type: capability.CPU, Amount: 1e-9, Dedicated: true, NotAfter: time.Hour}
+	a, errA := nm.Mint(req)
+	_, errB := nm.Mint(req)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if n := caps(); n != 2 {
+		t.Fatalf("two minted: liveCaps = %d", n)
+	}
+	nm.Release(a.ID)
+	eng.RunUntil(2 * time.Hour) // expired but still held
+	if n := caps(); n != 1 {
+		t.Fatalf("one released, one expired: liveCaps = %d", n)
+	}
+}
+
 // offerBackend is one enforcement under test with a reading of everything
 // it has committed.
 type offerBackend struct {
@@ -113,8 +161,9 @@ func fuzzBackends() []*offerBackend {
 		build("capability", func(eng *sim.Engine) (Enforcement, func() string) {
 			nm := capability.NewNodeManager("provider", eng, rand.New(rand.NewSource(7)),
 				map[capability.ResourceType]float64{capability.CPU: 4, capability.Network: 1000})
+			caps := liveCaps(nm, 7)
 			return &CapabilityEnforcement{Eng: eng, NM: nm}, func() string {
-				return fmt.Sprintf("%d caps, %dµ cpu, %dµ net", nm.Outstanding(), micro(nm.Available(capability.CPU)), micro(nm.Available(capability.Network)))
+				return fmt.Sprintf("%d caps, %dµ cpu, %dµ net", caps(), micro(nm.Available(capability.CPU)), micro(nm.Available(capability.Network)))
 			}
 		}, func(o Offer) bool { return positive(o, "cpu") || positive(o, "net") }),
 		build("batch", func(eng *sim.Engine) (Enforcement, func() string) {
@@ -128,11 +177,12 @@ func fuzzBackends() []*offerBackend {
 		}),
 		build("sharp", func(eng *sim.Engine) (Enforcement, func() string) {
 			rng := rand.New(rand.NewSource(8))
-			nm := capability.NewNodeManager("A", eng, rng, map[capability.ResourceType]float64{capability.CPU: 4})
+			nm := capability.NewNodeManager("A", eng, rand.New(rand.NewSource(9)), map[capability.ResourceType]float64{capability.CPU: 4})
+			caps := liveCaps(nm, 9)
 			auth := sharp.NewAuthority(eng, "A", identity.NewPrincipal("auth@A", rng), nm,
 				map[capability.ResourceType]float64{capability.CPU: 4})
 			return &SharpEnforcement{Authority: auth, Holder: identity.NewPrincipal("responder", rng), Clock: eng}, func() string {
-				return fmt.Sprintf("%d leases, %d caps, %dµ cpu", auth.LiveLeases(), nm.Outstanding(), micro(nm.Available(capability.CPU)))
+				return fmt.Sprintf("%d leases, %d caps, %dµ cpu", auth.LiveLeases(), caps(), micro(nm.Available(capability.CPU)))
 			}
 		}, func(o Offer) bool { return positive(o, "cpu") }),
 	}
@@ -153,6 +203,8 @@ func FuzzOfferAgreesWithReference(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, all, 13, 13, 0, 13, 14, 0x00, all, 13, 13, 9, 7, 14, 0x00, all, 13, 13, 13, 13, 8})
 	f.Add([]byte{0x1c, 0x04, all, 13, 13, 12, 14, 14, 0x02, all, 13, 13, 9, 14, 14, 0x02, all, 13, 13, 13, 1, 14, 0x07, 0x03})
 	f.Add([]byte{0x61, 0x00, 0x21 | 0x80, 14, 0x00, 0x41, 14, 0x00, 0x01, 14}) // os=linux and a queue: met, wrong os, both missing
+	f.Add([]byte{0x00, 0x00, 0x03, 5, 0})                                      // cpu=1e-9 minted, net=NaN refused: the cpu mint rolls back
+	f.Add([]byte{0x00, 0x00, 0x01, 5, 0x03})                                   // cpu=1e-9 accepted, then terminated
 	f.Fuzz(func(t *testing.T, script []byte) {
 		for _, b := range fuzzBackends() {
 			runOfferScript(t, b, script)

@@ -66,13 +66,3 @@ func (e *SharpEnforcement) Release(handle any) {
 	}
 	e.Authority.ReleaseLease(h.lease)
 }
-
-// LeaseOf extracts the SHARP lease from a commit handle (consumers bind
-// its capability to a VM).
-func LeaseOf(handle any) *sharp.Lease {
-	h, ok := handle.(sharpHandle)
-	if !ok {
-		return nil
-	}
-	return h.lease
-}

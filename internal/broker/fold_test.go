@@ -594,8 +594,7 @@ func (tw *foldTwin) state() []string {
 			continue
 		}
 		for _, name := range tw.names {
-			out = append(out, fmt.Sprintf("%s/%s held=%v slashed=%v deposited=%v", site, name,
-				rt.Bank.Held(name), rt.Bank.Slashed(name), rt.Bank.Deposited(name)))
+			out = append(out, fmt.Sprintf("%s/%s held=%v", site, name, rt.Bank.Held(name)))
 		}
 		out = append(out, fmt.Sprintf("%s slash events=%+v", site, rt.Bank.Events()))
 	}

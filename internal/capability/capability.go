@@ -21,8 +21,6 @@ import (
 	"math/rand"
 	"sort"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // ResourceType enumerates the low-level resource classes the paper lists.
@@ -337,20 +335,4 @@ func (m *NodeManager) ExpireSweep() int {
 		m.Release(id)
 	}
 	return len(dead)
-}
-
-// Outstanding returns the number of live capabilities.
-func (m *NodeManager) Outstanding() int { return len(m.caps) }
-
-// Sweeper runs ExpireSweep on a fixed period using any ticker-capable
-// engine (matching sim.Engine's NewTicker), so expired claims return to
-// the pool without manual housekeeping.
-type tickerEngine interface {
-	NewTicker(period time.Duration, fn func()) *sim.Ticker
-}
-
-// AttachSweeper starts periodic expiry sweeps and returns the ticker so
-// callers can stop it.
-func (m *NodeManager) AttachSweeper(eng tickerEngine, period time.Duration) *sim.Ticker {
-	return eng.NewTicker(period, func() { m.ExpireSweep() })
 }

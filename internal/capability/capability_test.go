@@ -219,8 +219,8 @@ func TestExpireSweep(t *testing.T) {
 	if nm.Available(CPU) != 1 {
 		t.Errorf("Available = %v, want 1", nm.Available(CPU))
 	}
-	if nm.Outstanding() != 1 {
-		t.Errorf("Outstanding = %d, want 1", nm.Outstanding())
+	if len(nm.caps) != 1 {
+		t.Errorf("live capabilities = %d, want 1", len(nm.caps))
 	}
 }
 
@@ -307,25 +307,9 @@ func TestMintReleaseRoundTripProperty(t *testing.T) {
 		for _, id := range ids {
 			nm.Release(id)
 		}
-		return nm.Available(Disk) == before && nm.Outstanding() == 0
+		return nm.Available(Disk) == before && len(nm.caps) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestAttachSweeper(t *testing.T) {
-	eng := simNewEngine()
-	nm := NewNodeManager("n1", eng, rand.New(rand.NewSource(1)), map[ResourceType]float64{CPU: 2})
-	nm.Mint(MintRequest{Type: CPU, Amount: 2, Dedicated: true, NotAfter: 30 * time.Minute})
-	tk := nm.AttachSweeper(eng, 10*time.Minute)
-	eng.RunUntil(25 * time.Minute)
-	if nm.Available(CPU) != 0 {
-		t.Fatal("swept too early")
-	}
-	eng.RunUntil(41 * time.Minute)
-	if nm.Available(CPU) != 2 {
-		t.Errorf("Available = %v after expiry sweep", nm.Available(CPU))
-	}
-	tk.Stop()
 }

@@ -3,7 +3,20 @@ package core
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/obs"
 )
+
+// spansNamed lists tr's spans called name, in begin order.
+func spansNamed(tr *obs.Tracer, name string) []*obs.Span {
+	var out []*obs.Span
+	for _, s := range tr.Spans() {
+		if s.Name == name {
+			out = append(out, s)
+		}
+	}
+	return out
+}
 
 // TestFigure2SpanOrder asserts the paper's 1a..7 arrow ordering is
 // recoverable from the trace spans alone — without consulting the
@@ -19,7 +32,7 @@ func TestFigure2SpanOrder(t *testing.T) {
 	if tr == nil {
 		t.Fatal("Figure2Traced returned a nil tracer")
 	}
-	steps := tr.FindSpans("fig2.step")
+	steps := spansNamed(tr, "fig2.step")
 	if len(steps) != len(Figure2ExpectedSteps) {
 		t.Fatalf("got %d fig2.step spans, want %d", len(steps), len(Figure2ExpectedSteps))
 	}
@@ -37,7 +50,7 @@ func TestFigure2SpanOrder(t *testing.T) {
 		roots = append(roots, s.Parent)
 	}
 	// Every step hangs off the single root "fig2" span.
-	fig2 := tr.FindSpans("fig2")
+	fig2 := spansNamed(tr, "fig2")
 	if len(fig2) != 1 {
 		t.Fatalf("got %d fig2 root spans, want 1", len(fig2))
 	}
@@ -48,10 +61,10 @@ func TestFigure2SpanOrder(t *testing.T) {
 	}
 	// The protocol work is visible too: two issues (1a/1b) and one redeem
 	// (5) as causal children inside the run.
-	if n := len(tr.FindSpans("sharp.issue")); n != 2 {
+	if n := len(spansNamed(tr, "sharp.issue")); n != 2 {
 		t.Errorf("got %d sharp.issue spans, want 2", n)
 	}
-	if n := len(tr.FindSpans("sharp.redeem")); n != 1 {
+	if n := len(spansNamed(tr, "sharp.redeem")); n != 1 {
 		t.Errorf("got %d sharp.redeem spans, want 1", n)
 	}
 }
@@ -131,13 +144,13 @@ func TestTraceDelegationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fails := tr.FindSpans("svc.site_failed")
+	fails := spansNamed(tr, "svc.site_failed")
 	if len(fails) != 1 {
 		t.Fatalf("got %d svc.site_failed spans, want 1", len(fails))
 	}
 	// The failover's replacement deploy is a child of the failure span.
 	child := false
-	for _, s := range tr.FindSpans("broker.deploy") {
+	for _, s := range spansNamed(tr, "broker.deploy") {
 		if s.Parent == fails[0].ID {
 			child = true
 		}
@@ -145,7 +158,7 @@ func TestTraceDelegationShape(t *testing.T) {
 	if !child {
 		t.Error("no broker.deploy span parented to the svc.site_failed span")
 	}
-	if len(tr.FindSpans("svc.reconcile")) != 1 {
+	if len(spansNamed(tr, "svc.reconcile")) != 1 {
 		t.Error("expected exactly one svc.reconcile span")
 	}
 }

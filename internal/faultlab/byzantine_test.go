@@ -202,8 +202,14 @@ func TestByzantineZeroConfigInert(t *testing.T) {
 
 // TestByzantineSweepGolden pins the small-grid evidence table to a
 // committed golden file, so any drift in market routing, slashing, attack
-// accounting, or rendering is an explicit, reviewed change. Regenerate
-// with:
+// accounting, or rendering is an explicit, reviewed change. No command
+// runs this grid (byzTestConfig, seeds 1–5, mixed), and it stays because
+// it guards a market the byzantine-sweep row of TestPinnedOutputs does
+// not (the command's values in brackets): 4 sites [6] on 30-minute
+// leases [90], one byzantine broker among two honest ones [two among
+// three], deposits of 5 [10], attacks every 20 minutes [30], and a 0.25
+// score floor that a broker crosses only after four frauds [0.35, two],
+// with the chaos trace on. Regenerate with:
 //
 //	go test ./internal/faultlab -run TestByzantineSweepGolden -update-byz
 func TestByzantineSweepGolden(t *testing.T) {

@@ -88,9 +88,6 @@ func NewBatchManager(eng *sim.Engine, name string, slots int) *BatchManager {
 	return m
 }
 
-// Name implements Manager.
-func (m *BatchManager) Name() string { return m.name }
-
 // SetTracer installs an observability tracer. A nil tracer (the default)
 // keeps every instrumentation point inert.
 func (m *BatchManager) SetTracer(tr *obs.Tracer) {
@@ -133,12 +130,6 @@ func (m *BatchManager) jobSpan(j *Job) obs.SpanContext {
 	}
 	return s
 }
-
-// QueueLen returns the number of pending jobs.
-func (m *BatchManager) QueueLen() int { return len(m.queue) }
-
-// RunningN returns the number of active jobs.
-func (m *BatchManager) RunningN() int { return len(m.running) }
 
 // commitments returns all current slot claims: running jobs (to their
 // estimated ends) and unclaimed reservations.

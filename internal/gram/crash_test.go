@@ -34,8 +34,8 @@ func TestCrashFailsQueuedAndRunningJobs(t *testing.T) {
 	if running.Ended != 10*time.Second {
 		t.Errorf("running job ended at %v", running.Ended)
 	}
-	if m.QueueLen() != 0 || m.RunningN() != 0 {
-		t.Errorf("queue=%d running=%d after crash", m.QueueLen(), m.RunningN())
+	if len(m.queue) != 0 || len(m.running) != 0 {
+		t.Errorf("queue=%d running=%d after crash", len(m.queue), len(m.running))
 	}
 	if m.CrashN != 1 {
 		t.Errorf("CrashN = %d", m.CrashN)

@@ -86,9 +86,6 @@ func NewGlue(inner Manager, d Dialect) *Glue {
 	return &Glue{Inner: inner, Dialect: d}
 }
 
-// Name implements Manager.
-func (g *Glue) Name() string { return g.Dialect.Name + "+" + g.Inner.Name() }
-
 // translate rewrites a canonical request into the dialect and back,
 // charging the rewrite ops. The round trip models marshalling to the
 // local manager's submission language and parsing its acknowledgement.

@@ -31,9 +31,6 @@ func NewForkManager(eng *sim.Engine, node *silk.Node) (*ForkManager, error) {
 	return &ForkManager{eng: eng, node: node, ctx: ctx, tasks: make(map[*Job]*sim.FluidConsumer)}, nil
 }
 
-// Name implements Manager.
-func (m *ForkManager) Name() string { return "fork" }
-
 // Submit implements Manager: the job goes Active immediately; its CPU
 // demand is count × ActualRun core-seconds.
 func (m *ForkManager) Submit(j *Job) error {
@@ -71,6 +68,3 @@ func (m *ForkManager) Cancel(j *Job) error {
 	j.transition(Cancelled)
 	return nil
 }
-
-// Active returns the number of running jobs.
-func (m *ForkManager) Active() int { return len(m.tasks) }

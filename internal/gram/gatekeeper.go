@@ -137,23 +137,6 @@ func (g *Gatekeeper) EachJob(fn func(*Job)) {
 	}
 }
 
-// UsageByOwner aggregates charged core-seconds per authenticated grid
-// subject — the site-side accounting record that motivates identity
-// delegation ("the frequent requirement to be able to associate resource
-// usage with specific individuals rather than communities or services").
-func (g *Gatekeeper) UsageByOwner() map[string]float64 {
-	out := make(map[string]float64)
-	// The walk is in ID order: owners with several jobs get their
-	// core-seconds summed in a reproducible sequence (float addition is
-	// not associative, so order changes the bits).
-	for _, j := range g.jobs {
-		if cs := j.ChargedCoreSeconds(); cs > 0 {
-			out[j.Spec.Owner] += cs
-		}
-	}
-	return out
-}
-
 func (g *Gatekeeper) handleSubmit(from string, req SubmitRequest) (SubmitReply, error) {
 	now := g.net.Engine().Now()
 	local, subject, err := g.policy.Admit(req.Cred, "submit", now)

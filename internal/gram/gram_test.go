@@ -192,8 +192,8 @@ func TestBatchCancelQueuedAndRunning(t *testing.T) {
 		t.Errorf("double cancel: %v", err)
 	}
 	eng.Run()
-	if m.RunningN() != 0 || m.QueueLen() != 0 {
-		t.Errorf("leftovers: running=%d queued=%d", m.RunningN(), m.QueueLen())
+	if len(m.running) != 0 || len(m.queue) != 0 {
+		t.Errorf("leftovers: running=%d queued=%d", len(m.running), len(m.queue))
 	}
 }
 
@@ -297,7 +297,7 @@ func TestForkManagerContention(t *testing.T) {
 	j2 := mkJob(t, "j2", `&(executable=b)`, 10*time.Second)
 	m.Submit(j1)
 	m.Submit(j2)
-	if j1.State() != Active || j2.State() != Active || m.Active() != 2 {
+	if j1.State() != Active || j2.State() != Active || len(m.tasks) != 2 {
 		t.Fatal("fork jobs not immediately active")
 	}
 	eng.Run()

@@ -123,15 +123,6 @@ func (j *Job) transition(to JobState) {
 	}
 }
 
-// ChargedCoreSeconds returns the usage to bill the job's owner: slots ×
-// wall-clock occupancy for completed or killed work, zero before then.
-func (j *Job) ChargedCoreSeconds() float64 {
-	if j.Ended <= j.Started || j.Started == 0 {
-		return 0
-	}
-	return float64(j.Count()) * (j.Ended - j.Started).Seconds()
-}
-
 // WaitTime returns queue delay (valid once Active or later).
 func (j *Job) WaitTime() time.Duration { return j.Started - j.Submitted }
 
@@ -155,8 +146,6 @@ func (j *Job) MaxWall() (time.Duration, error) {
 // Manager is a local-scheduler adapter: GRAM's uniform interface over
 // heterogeneous local resource managers.
 type Manager interface {
-	// Name identifies the manager (e.g. "fork", "batch").
-	Name() string
 	// Submit accepts a job; the manager drives its state machine.
 	Submit(j *Job) error
 	// Cancel stops a pending or active job.

@@ -30,9 +30,9 @@ func TestHugeWallStillHoldsItsSlots(t *testing.T) {
 		}
 	})
 	eng.RunUntil(3 * time.Second)
-	if j1.State() != Active || j2.State() != Pending || m.RunningN() != 1 {
+	if j1.State() != Active || j2.State() != Pending || len(m.running) != 1 {
 		t.Fatalf("j1=%v j2=%v running=%d: 8 slots claimed on a 4-slot machine",
-			j1.State(), j2.State(), m.RunningN())
+			j1.State(), j2.State(), len(m.running))
 	}
 	eng.RunUntil(2 * time.Hour)
 	if j1.State() != Done || j2.State() != Done || j2.Started != j1.Ended {
@@ -53,8 +53,8 @@ func TestHugeWallKillSchedulesInRange(t *testing.T) {
 		}
 	})
 	eng.RunUntil(time.Hour)
-	if j.State() != Active || m.RunningN() != 1 {
-		t.Fatalf("state=%v running=%d", j.State(), m.RunningN())
+	if j.State() != Active || len(m.running) != 1 {
+		t.Fatalf("state=%v running=%d", j.State(), len(m.running))
 	}
 }
 

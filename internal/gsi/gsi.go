@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/identity"
@@ -137,16 +136,6 @@ func (g *Gridmap) Authorize(subject string) (string, error) {
 		return "", fmt.Errorf("%w: %q", ErrNoMapping, subject)
 	}
 	return acct, nil
-}
-
-// Subjects returns the mapped subjects in sorted order.
-func (g *Gridmap) Subjects() []string {
-	out := make([]string, 0, len(g.mapping))
-	for s := range g.mapping {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SitePolicy bundles a site's full GSI configuration: how to

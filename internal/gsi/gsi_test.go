@@ -126,16 +126,6 @@ func TestGridmapWhitelist(t *testing.T) {
 	}
 }
 
-func TestGridmapSubjectsSorted(t *testing.T) {
-	g := NewGridmap()
-	g.Map("zed", "z")
-	g.Map("alice", "a")
-	s := g.Subjects()
-	if len(s) != 2 || s[0] != "alice" || s[1] != "zed" {
-		t.Errorf("Subjects = %v", s)
-	}
-}
-
 func TestSitePolicyAdmit(t *testing.T) {
 	f := newFixture()
 	g := NewGridmap()

@@ -191,14 +191,6 @@ type Credential struct {
 	Chain  []*Certificate
 }
 
-// Leaf returns the chain's leaf certificate (the holder's own).
-func (cr *Credential) Leaf() *Certificate {
-	if len(cr.Chain) == 0 {
-		return nil
-	}
-	return cr.Chain[0]
-}
-
 // Subject returns the *original* identity at the end of the chain — for a
 // proxy chain, the delegating user, which is what authorization decisions
 // key on ("searches the certificate chain until the user certificate is

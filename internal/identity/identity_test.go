@@ -140,7 +140,7 @@ func TestEmptyRightsGrantNothing(t *testing.T) {
 
 func TestTamperedCertRejected(t *testing.T) {
 	_, _, _, cred, v := setup(t)
-	evil := *cred.Leaf()
+	evil := *cred.Chain[0]
 	evil.Subject = "/O=Grid/CN=mallory"
 	forged := &Credential{Holder: cred.Holder, Chain: []*Certificate{&evil}}
 	if _, err := v.Validate(forged, hour); !errors.Is(err, ErrBadSignature) {
@@ -176,7 +176,7 @@ func TestStolenProxyWithKeyWorksUntilExpiry(t *testing.T) {
 func TestRevocation(t *testing.T) {
 	rng, _, _, cred, v := setup(t)
 	proxy, _ := cred.Delegate("p", 0, 10*hour, nil, rng)
-	v.Revoke(proxy.Leaf())
+	v.Revoke(proxy.Chain[0])
 	if _, err := v.Validate(proxy, hour); !errors.Is(err, ErrRevoked) {
 		t.Errorf("revoked proxy: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestChainContinuityEnforced(t *testing.T) {
 	bobProxy, _ := bobCred.Delegate("bob/proxy", 0, 10*hour, nil, rng)
 	spliced := &Credential{
 		Holder: bobProxy.Holder,
-		Chain:  []*Certificate{bobProxy.Leaf(), cred.Leaf()},
+		Chain:  []*Certificate{bobProxy.Chain[0], cred.Chain[0]},
 	}
 	if _, err := v.Validate(spliced, hour); !errors.Is(err, ErrBrokenChain) {
 		t.Errorf("spliced chain: %v", err)
@@ -236,12 +236,12 @@ func TestEmptyChain(t *testing.T) {
 
 func TestFingerprintStable(t *testing.T) {
 	_, _, _, cred, _ := setup(t)
-	if cred.Leaf().Fingerprint() != cred.Leaf().Fingerprint() {
+	if cred.Chain[0].Fingerprint() != cred.Chain[0].Fingerprint() {
 		t.Error("fingerprint unstable")
 	}
-	other := *cred.Leaf()
+	other := *cred.Chain[0]
 	other.Serial++
-	if other.Fingerprint() == cred.Leaf().Fingerprint() {
+	if other.Fingerprint() == cred.Chain[0].Fingerprint() {
 		t.Error("distinct certs share fingerprint")
 	}
 }
@@ -312,7 +312,7 @@ func TestRightsMonotoneProperty(t *testing.T) {
 
 func TestVerifySignatureDirect(t *testing.T) {
 	_, _, _, cred, _ := setup(t)
-	if !cred.Leaf().VerifySignature() {
+	if !cred.Chain[0].VerifySignature() {
 		t.Error("fresh cert fails self verification")
 	}
 }

@@ -166,8 +166,8 @@ func TestValidateCostsEachSignatureOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if v.sigs.Misses != 2 || v.sigs.Hits != 2*(n-1) || v.sigs.Len() != 2 {
-		t.Errorf("misses=%d hits=%d len=%d, want 2 %d 2", v.sigs.Misses, v.sigs.Hits, v.sigs.Len(), 2*(n-1))
+	if v.sigs.Misses != 2 || v.sigs.Hits != 2*(n-1) || len(v.sigs.entries) != 2 {
+		t.Errorf("misses=%d hits=%d len=%d, want 2 %d 2", v.sigs.Misses, v.sigs.Hits, len(v.sigs.entries), 2*(n-1))
 	}
 	// A sibling proxy shares the user link: one more verification, not two.
 	sib, err := fx.alice.Delegate("alice/sib", hour, hour, nil, fx.rng)
@@ -196,13 +196,13 @@ func TestForgedLinkIsNeverMemoized(t *testing.T) {
 	fx := newChainFixture()
 	v := fx.warm()
 	forged := edit(fx.p1, 0, func(c *Certificate) { c.NotAfter += 24 * hour })
-	held, misses := v.sigs.Len(), v.sigs.Misses
+	held, misses := len(v.sigs.entries), v.sigs.Misses
 	for i := 1; i <= 2; i++ {
 		if _, err := v.Validate(forged, 2*hour); !errors.Is(err, ErrBadSignature) {
 			t.Fatalf("presentation %d: err = %v, want ErrBadSignature", i, err)
 		}
-		if v.sigs.Misses != misses+i || v.sigs.Len() != held {
-			t.Errorf("presentation %d: misses=%d len=%d, want %d %d", i, v.sigs.Misses, v.sigs.Len(), misses+i, held)
+		if v.sigs.Misses != misses+i || len(v.sigs.entries) != held {
+			t.Errorf("presentation %d: misses=%d len=%d, want %d %d", i, v.sigs.Misses, len(v.sigs.entries), misses+i, held)
 		}
 	}
 }
@@ -225,22 +225,22 @@ func TestVerifierMemoIsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := v.sigs.Len()
+		before := len(v.sigs.entries)
 		if _, err := v.Validate(proxy, 90*time.Minute); err != nil {
 			t.Fatalf("job %d: %v", job, err)
 		}
-		if v.sigs.Len() > DefaultSigCacheCap {
-			t.Fatalf("job %d: memo holds %d entries, cap %d", job, v.sigs.Len(), DefaultSigCacheCap)
+		if len(v.sigs.entries) > DefaultSigCacheCap {
+			t.Fatalf("job %d: memo holds %d entries, cap %d", job, len(v.sigs.entries), DefaultSigCacheCap)
 		}
-		if v.sigs.Len() < before {
+		if len(v.sigs.entries) < before {
 			if evictedAt >= 0 {
 				t.Fatalf("second eviction at job %d (first at %d)", job, evictedAt)
 			}
 			evictedAt = job
 			// A whole generation went, the user link with it: what is
 			// left is this job's proxy link and the user link re-proven.
-			if before != DefaultSigCacheCap || v.sigs.Len() != 2 {
-				t.Errorf("eviction at job %d: %d → %d entries, want %d → 2", job, before, v.sigs.Len(), DefaultSigCacheCap)
+			if before != DefaultSigCacheCap || len(v.sigs.entries) != 2 {
+				t.Errorf("eviction at job %d: %d → %d entries, want %d → 2", job, before, len(v.sigs.entries), DefaultSigCacheCap)
 			}
 		}
 	}

@@ -72,9 +72,6 @@ func NewSigCache(capN int) *SigCache {
 	return &SigCache{capN: capN, entries: make(map[[32]byte]struct{})}
 }
 
-// Len reports how many verified triples are memoized.
-func (c *SigCache) Len() int { return len(c.entries) }
-
 // Verify is the memoized form of ed25519.Verify: a cache hit skips the
 // scalar math, a miss runs it and memoizes success, clearing the
 // generation first when at capacity. A nil cache verifies directly. A

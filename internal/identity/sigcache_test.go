@@ -15,8 +15,8 @@ func TestSigCacheMemoizes(t *testing.T) {
 	if !c.Verify(p.Public(), msg, sig) {
 		t.Fatal("valid signature rejected")
 	}
-	if c.Len() != 1 || c.Misses != 1 || c.Hits != 0 {
-		t.Fatalf("after first verify: len=%d hits=%d misses=%d", c.Len(), c.Hits, c.Misses)
+	if len(c.entries) != 1 || c.Misses != 1 || c.Hits != 0 {
+		t.Fatalf("after first verify: len=%d hits=%d misses=%d", len(c.entries), c.Hits, c.Misses)
 	}
 	if !c.Verify(p.Public(), msg, sig) {
 		t.Fatal("memoized signature rejected")
@@ -39,8 +39,8 @@ func TestSigCacheNeverCachesFailure(t *testing.T) {
 			t.Fatal("forged signature accepted")
 		}
 	}
-	if c.Len() != 0 {
-		t.Fatalf("failure was cached: len=%d", c.Len())
+	if len(c.entries) != 0 {
+		t.Fatalf("failure was cached: len=%d", len(c.entries))
 	}
 	// Tampering with a cached-good message must miss the cache and fail.
 	good := p.Sign(msg)
@@ -63,8 +63,8 @@ func TestSigCacheBoundedEviction(t *testing.T) {
 		if !c.Verify(p.Public(), msg, p.Sign(msg)) {
 			t.Fatalf("verify %d failed", i)
 		}
-		if c.Len() > 4 {
-			t.Fatalf("cache exceeded cap: %d", c.Len())
+		if len(c.entries) > 4 {
+			t.Fatalf("cache exceeded cap: %d", len(c.entries))
 		}
 	}
 	if c.Evictions == 0 {

@@ -30,7 +30,6 @@ var errdropTargets = map[string]bool{
 	"DeploySlice": true,
 	"Acquire":     true,
 	"Stock":       true,
-	"StartAll":    true,
 	"Barter":      true,
 	// Resilience-era accounting calls: a renewal or cancel whose error
 	// vanishes is a lease that lapses (or a job that leaks) silently, and

@@ -10,7 +10,7 @@ import (
 // every other subsystem's sequence, and Go seeds it per-process, so two
 // runs of "the same" scenario diverge. All randomness must come from an
 // injected *rand.Rand built with rand.New(rand.NewSource(seed)) —
-// typically sim.Engine.Rand() or a stream forked via Engine.ForkRand().
+// typically a stream forked via sim.Engine.ForkRand().
 // Constructors (rand.New, rand.NewSource, rand.NewZipf) are allowed:
 // they are exactly how the contract is satisfied.
 var GlobalrandAnalyzer = &Analyzer{

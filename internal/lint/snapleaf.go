@@ -52,8 +52,7 @@ func collectSnapRoots(pkgs []*Package) []snapRootSite {
 				if !ok {
 					return true
 				}
-				meth, ok := snapRegCall(info, call)
-				if !ok || meth != "SnapRoot" || len(call.Args) < 2 {
+				if !isSnapRootCall(info, call) || len(call.Args) < 2 {
 					return true
 				}
 				s := snapRootSite{pos: call.Pos(), name: "?"}
@@ -103,7 +102,7 @@ func runSnapleaf(pass *AllPass) {
 	// stores a closure over mutable captures into them.
 	for _, lf := range w.leaves {
 		pass.Reportf(lf.field.Pos(),
-			"replace it with walker-visible state (plain fields, slices, maps) or an OnSnap hook",
+			"replace it with walker-visible state (plain fields, slices, maps)",
 			"%s-typed field %s.%s is a snapshot-walker leaf reachable from root %s: its state survives Fork rewinds",
 			lf.kind, lf.owner, lf.field.Name(), lf.root)
 	}

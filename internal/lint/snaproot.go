@@ -11,11 +11,10 @@ import (
 // SnaprootAnalyzer is the cross-package closure of the snapshot-safety
 // contract: every piece of mutable state that engine events touch must
 // be reachable from some Engine.SnapRoot registration — its own, or the
-// core.Build federation mega-root — or be saved by an explicit OnSnap
-// hook. snapcapture proves scheduled closures don't smuggle state in
-// captures; snaproot proves the state they do touch (named struct state
-// through captured pointers and receivers, package-level variables) is
-// in the walker's reach at all.
+// core.Build federation mega-root. snapcapture proves scheduled closures
+// don't smuggle state in captures; snaproot proves the state they do
+// touch (named struct state through captured pointers and receivers,
+// package-level variables) is in the walker's reach at all.
 //
 // Mechanics: the analyzer collects every SnapRoot call in the loaded
 // packages, walks the static type graph of each root argument (fields,
@@ -26,10 +25,9 @@ import (
 // behind field/index writes through captured variables and receivers,
 // the receiver types of methods it calls (one level deep), and any
 // package-level variables it writes. Targets declared in the sim kernel
-// are exempt (Snapshot captures the kernel natively), as are targets in
-// packages that install an OnSnap hook. If no SnapRoot call is in view
-// at all the analyzer stays silent: reachability cannot be judged on a
-// partial load.
+// are exempt (Snapshot captures the kernel natively). If no SnapRoot
+// call is in view at all the analyzer stays silent: reachability cannot
+// be judged on a partial load.
 var SnaprootAnalyzer = &Analyzer{
 	Name:   "snaproot",
 	Doc:    "engine events mutate state not reachable from any SnapRoot registration",
@@ -50,7 +48,6 @@ type snaprootCtx struct {
 	pass       *AllPass
 	reachable  map[string]bool // objKey of reachable named types
 	rootVars   map[string]bool // objKey of SnapRoot'd package variables
-	onSnapPkgs map[string]bool
 	loadedPkgs map[string]bool
 	funcDecls  map[string]*methodInfo // funcKey -> declaration
 	seenTypes  map[string]bool
@@ -85,7 +82,6 @@ func runSnaproot(pass *AllPass) {
 		pass:       pass,
 		reachable:  map[string]bool{},
 		rootVars:   map[string]bool{},
-		onSnapPkgs: map[string]bool{},
 		loadedPkgs: map[string]bool{},
 		funcDecls:  map[string]*methodInfo{},
 		seenTypes:  map[string]bool{},
@@ -119,8 +115,7 @@ func runSnaproot(pass *AllPass) {
 }
 
 // indexPkg records every function/method declaration (for depth-1 body
-// scans), every named type (for interface expansion), and whether the
-// package installs an OnSnap hook.
+// scans) and every named type (for interface expansion).
 func (c *snaprootCtx) indexPkg(pkg *Package) {
 	info := pkg.Info
 	scope := pkg.Types.Scope()
@@ -133,14 +128,9 @@ func (c *snaprootCtx) indexPkg(pkg *Package) {
 	}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.FuncDecl:
+			if v, ok := n.(*ast.FuncDecl); ok {
 				if fn, ok := info.Defs[v.Name].(*types.Func); ok && v.Body != nil {
 					c.funcDecls[funcKey(fn)] = &methodInfo{decl: v, info: info}
-				}
-			case *ast.CallExpr:
-				if meth, ok := snapRegCall(info, v); ok && meth == "OnSnap" {
-					c.onSnapPkgs[pkg.Path] = true
 				}
 			}
 			return true
@@ -231,8 +221,8 @@ func (c *snaprootCtx) callbackTargets(fs *funcScope, cb ast.Expr) []types.Object
 		if pkg == nil || pkg.Path() == simPkgPath {
 			return // kernel state is snapshotted natively
 		}
-		if !c.loadedPkgs[pkg.Path()] || c.onSnapPkgs[pkg.Path()] {
-			return // out of view, or saved by an explicit hook
+		if !c.loadedPkgs[pkg.Path()] {
+			return // out of view
 		}
 		if c.reachable[objKey(obj)] || c.rootVars[objKey(obj)] {
 			return

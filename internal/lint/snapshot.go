@@ -98,16 +98,10 @@ func schedCallbackArgs(info *types.Info, call *ast.CallExpr) []ast.Expr {
 	return nil
 }
 
-// snapRegCall reports whether call is Engine.SnapRoot or Engine.OnSnap.
-func snapRegCall(info *types.Info, call *ast.CallExpr) (meth string, ok bool) {
+// isSnapRootCall reports whether call is Engine.SnapRoot.
+func isSnapRootCall(info *types.Info, call *ast.CallExpr) bool {
 	pkgPath, recvName, methName, isMeth := methodOf(info, call)
-	if !isMeth || pkgPath != simPkgPath || recvName != "Engine" {
-		return "", false
-	}
-	if methName == "SnapRoot" || methName == "OnSnap" {
-		return methName, true
-	}
-	return "", false
+	return isMeth && pkgPath == simPkgPath && recvName == "Engine" && methName == "SnapRoot"
 }
 
 // freeVars returns the variables used inside lit but declared outside

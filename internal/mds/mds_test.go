@@ -213,7 +213,12 @@ func TestPushAllocsPerRecord(t *testing.T) {
 func TestTracedPushSpan(t *testing.T) {
 	f, rg := pushRig(true)
 	f.eng.RunUntil(time.Second)
-	spans := f.net.Tracer().FindSpans("net.send")
+	var spans []*obs.Span
+	for _, s := range f.net.Tracer().Spans() {
+		if s.Name == "net.send" {
+			spans = append(spans, s)
+		}
+	}
 	if len(spans) != 64 || rg.RegisterN != 64 {
 		t.Fatalf("%d net.send spans for %d registrations, want 64 of each", len(spans), rg.RegisterN)
 	}

@@ -102,9 +102,6 @@ type SpanContext struct {
 // Valid reports whether the context names a live tracer span.
 func (c SpanContext) Valid() bool { return c.tr != nil && c.id != 0 }
 
-// ID returns the span ID (0 for the zero context).
-func (c SpanContext) ID() uint64 { return c.id }
-
 // Tracer records spans, point events, and metrics against an engine's
 // virtual clock. A nil *Tracer is valid and records nothing.
 type Tracer struct {
@@ -212,14 +209,6 @@ func (t *Tracer) Event(name string, attrs ...Attr) {
 	})
 }
 
-// Active returns the currently active span context (zero when none).
-func (t *Tracer) Active() SpanContext {
-	if t == nil {
-		return SpanContext{}
-	}
-	return t.active
-}
-
 // Scope runs fn with ctx installed as the active span, restoring the
 // previous active span afterwards. This is the causal propagation rule:
 // whoever schedules work on the engine wraps the callback in Scope with
@@ -263,18 +252,4 @@ func (t *Tracer) Spans() []*Span {
 		return nil
 	}
 	return t.spans
-}
-
-// FindSpans returns all spans with the given name, in begin order.
-func (t *Tracer) FindSpans(name string) []*Span {
-	if t == nil {
-		return nil
-	}
-	var out []*Span
-	for _, s := range t.spans {
-		if s.Name == name {
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -75,12 +75,6 @@ func (r *Renewer) Untrack(id string) {
 	delete(r.items, id)
 }
 
-// Tracked reports whether a claim is under keepalive.
-func (r *Renewer) Tracked(id string) bool {
-	_, ok := r.items[id]
-	return ok
-}
-
 // arm schedules the next renewal cycle at notAfter − RenewLead×term
 // (now, if that point has already passed).
 func (r *Renewer) arm(it *renewal) {

@@ -438,7 +438,7 @@ func TestRenewerUntrackCancelsMidFlight(t *testing.T) {
 	eng.RunUntil(45*time.Minute + time.Second) // first attempt at 45m fails; retry pending
 	r.Untrack("x")
 	eng.RunUntil(2 * time.Hour)
-	if r.Tracked("x") {
+	if _, ok := r.items["x"]; ok {
 		t.Fatal("still tracked after Untrack")
 	}
 	if calls != 1 {

@@ -453,19 +453,6 @@ func (r Request) StringDefault(attr, def string) string {
 	return def
 }
 
-// Int returns attr's value as an integer.
-func (r Request) Int(attr string) (int, error) {
-	s, err := r.String2(attr)
-	if err != nil {
-		return 0, err
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %q=%q is not an integer", ErrType, attr, s)
-	}
-	return n, nil
-}
-
 // IntDefault returns attr as an int, or def when attr is absent or not an
 // integer literal. An absent attr builds no error.
 func (r Request) IntDefault(attr string, def int) int {
@@ -504,37 +491,4 @@ func (r Request) Seconds(attr string) (time.Duration, error) {
 		return 0, fmt.Errorf("%w: %q=%v is not a duration", ErrRange, attr, f)
 	}
 	return d, nil
-}
-
-// Strings returns all literal values of attr (e.g. arguments).
-func (r Request) Strings(attr string) ([]string, error) {
-	rel, ok := r.Find(attr)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrMissing, attr)
-	}
-	out := make([]string, 0, len(rel.Values))
-	for _, v := range rel.Values {
-		if v.IsList() {
-			return nil, fmt.Errorf("%w: %q contains a list", ErrType, attr)
-		}
-		out = append(out, v.Literal)
-	}
-	return out, nil
-}
-
-// Pairs decodes attr's value as a list of (name value) pairs, the RSL
-// environment convention.
-func (r Request) Pairs(attr string) (map[string]string, error) {
-	rel, ok := r.Find(attr)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrMissing, attr)
-	}
-	out := make(map[string]string, len(rel.Values))
-	for _, v := range rel.Values {
-		if !v.IsList() || len(v.List) != 2 || v.List[0].IsList() || v.List[1].IsList() {
-			return nil, fmt.Errorf("%w: %q entries must be (name value) pairs", ErrType, attr)
-		}
-		out[v.List[0].Literal] = v.List[1].Literal
-	}
-	return out, nil
 }

@@ -26,7 +26,7 @@ func TestParseSimpleJob(t *testing.T) {
 	if exe, _ := req.String2("executable"); exe != "/bin/sim" {
 		t.Errorf("executable = %q", exe)
 	}
-	if n, _ := req.Int("count"); n != 4 {
+	if n := req.IntDefault("count", 0); n != 4 {
 		t.Errorf("count = %d", n)
 	}
 	if d, _ := req.Seconds("maxWallTime"); d != 3600*time.Second {
@@ -56,17 +56,14 @@ func TestParseQuotedStrings(t *testing.T) {
 func TestParseArguments(t *testing.T) {
 	s := mustParse(t, `&(executable=/bin/a)(arguments=-v --out "file 1" 42)`)
 	req, _ := s.Single()
-	args, err := req.Strings("arguments")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel, _ := req.Find("arguments")
 	want := []string{"-v", "--out", "file 1", "42"}
-	if len(args) != len(want) {
-		t.Fatalf("args = %v", args)
+	if len(rel.Values) != len(want) {
+		t.Fatalf("args = %v", rel.Values)
 	}
 	for i := range want {
-		if args[i] != want[i] {
-			t.Errorf("args[%d] = %q, want %q", i, args[i], want[i])
+		if v := rel.Values[i]; v.IsList() || v.Literal != want[i] {
+			t.Errorf("args[%d] = %v, want %q", i, v, want[i])
 		}
 	}
 }
@@ -74,9 +71,13 @@ func TestParseArguments(t *testing.T) {
 func TestParseEnvironmentPairs(t *testing.T) {
 	s := mustParse(t, `&(executable=/bin/a)(environment=(HOME /home/u)(TERM vt100))`)
 	req, _ := s.Single()
-	env, err := req.Pairs("environment")
-	if err != nil {
-		t.Fatal(err)
+	rel, _ := req.Find("environment")
+	env := make(map[string]string)
+	for _, v := range rel.Values {
+		if len(v.List) != 2 {
+			t.Fatalf("entry %v is not a (name value) pair", v)
+		}
+		env[v.List[0].Literal] = v.List[1].Literal
 	}
 	if env["HOME"] != "/home/u" || env["TERM"] != "vt100" {
 		t.Errorf("env = %v", env)
@@ -88,7 +89,7 @@ func TestParseMultiRequest(t *testing.T) {
 	if !s.Multi || len(s.Requests) != 2 {
 		t.Fatalf("multi=%v len=%d", s.Multi, len(s.Requests))
 	}
-	if n, _ := s.Requests[1].Int("count"); n != 4 {
+	if n := s.Requests[1].IntDefault("count", 0); n != 4 {
 		t.Errorf("second count = %d", n)
 	}
 	if _, err := s.Single(); err == nil {
@@ -139,20 +140,11 @@ func TestParseErrorHasOffset(t *testing.T) {
 func TestTypedAccessorErrors(t *testing.T) {
 	s := mustParse(t, `&(count=four)(args=a b)(env=(A 1))`)
 	req, _ := s.Single()
-	if _, err := req.Int("count"); !errors.Is(err, ErrType) {
-		t.Errorf("Int: %v", err)
-	}
 	if _, err := req.String2("nope"); !errors.Is(err, ErrMissing) {
 		t.Errorf("missing: %v", err)
 	}
 	if _, err := req.String2("args"); !errors.Is(err, ErrType) {
 		t.Errorf("multi-value as string: %v", err)
-	}
-	if _, err := req.Strings("env"); !errors.Is(err, ErrType) {
-		t.Errorf("list in strings: %v", err)
-	}
-	if _, err := req.Pairs("count"); !errors.Is(err, ErrType) {
-		t.Errorf("literal as pairs: %v", err)
 	}
 	if _, err := req.Float("count"); !errors.Is(err, ErrType) {
 		t.Errorf("Float: %v", err)
@@ -201,12 +193,12 @@ func TestDefaults(t *testing.T) {
 	if got := list.IntDefault("memory", 9); got != 9 {
 		t.Errorf("non-integer IntDefault = %d", got)
 	}
-	// The exact errors stay with String2 and Int.
+	// The exact errors stay with String2.
 	if _, err := req.String2("queue"); err == nil || err.Error() != `rsl: missing attribute: "queue"` {
 		t.Errorf("String2 absent: %v", err)
 	}
-	if _, err := list.Int("count"); err == nil || err.Error() != `rsl: wrong value type: "count" is not a single literal` {
-		t.Errorf("Int list: %v", err)
+	if _, err := list.String2("count"); err == nil || err.Error() != `rsl: wrong value type: "count" is not a single literal` {
+		t.Errorf("String2 list: %v", err)
 	}
 }
 

@@ -46,7 +46,7 @@ func TestReconcileSkipsDownSites(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("Reconcile deployed %d", n)
 	}
-	for _, site := range m.ActiveSites() {
+	for _, site := range m.order {
 		if site == "s0" || site == "s3" {
 			t.Errorf("reconcile deployed to down site %s", site)
 		}
@@ -105,8 +105,8 @@ func TestReconcilePrunesEveryDeadSlice(t *testing.T) {
 	if n := m.Reconcile(); n != 2 {
 		t.Fatalf("Reconcile deployed %d, want 2", n)
 	}
-	if got := m.ActiveSites(); !slices.Equal(got, []string{"s2", "s3", "s4"}) {
-		t.Errorf("ActiveSites = %v, want [s2 s3 s4]", got)
+	if got := m.order; !slices.Equal(got, []string{"s2", "s3", "s4"}) {
+		t.Errorf("active sites = %v, want [s2 s3 s4]", got)
 	}
 	for _, site := range cfg().Candidates {
 		if m.Hosts(site) != (site >= "s2") {

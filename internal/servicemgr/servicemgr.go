@@ -363,10 +363,6 @@ func (m *Manager) Running() int {
 	return n
 }
 
-// ActiveSites returns a copy of the sites currently hosting the service,
-// sorted.
-func (m *Manager) ActiveSites() []string { return slices.Clone(m.order) }
-
 // Hosts reports whether the site is currently hosting the service.
 func (m *Manager) Hosts(site string) bool { _, ok := m.active[site]; return ok }
 

@@ -62,9 +62,9 @@ func TestStartReachesTarget(t *testing.T) {
 	if m.Running() != 3 {
 		t.Errorf("Running = %d", m.Running())
 	}
-	sites := m.ActiveSites()
+	sites := m.order
 	if len(sites) != 3 || sites[0] != "s0" || sites[2] != "s2" {
-		t.Errorf("ActiveSites = %v (preference order violated)", sites)
+		t.Errorf("active sites = %v (preference order violated)", sites)
 	}
 	if err := m.Start(); !errors.Is(err, ErrAlreadyStarted) {
 		t.Errorf("double start: %v", err)
@@ -186,8 +186,8 @@ func TestEachActiveSiteMatchesCopy(t *testing.T) {
 		var got []string
 		m.EachActiveSite(func(s string) { got = append(got, s) })
 		want := activeSitesRef(m)
-		if len(want) != n || !slices.Equal(got, want) || !slices.Equal(m.ActiveSites(), want) {
-			t.Errorf("%s: EachActiveSite = %v, ActiveSites = %v, want %v", step, got, m.ActiveSites(), want)
+		if len(want) != n || !slices.Equal(got, want) || !slices.Equal(m.order, want) {
+			t.Errorf("%s: EachActiveSite = %v, order = %v, want %v", step, got, m.order, want)
 		}
 	}
 	check("started", 3)

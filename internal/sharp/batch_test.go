@@ -117,7 +117,7 @@ func TestRedeemBatchMatchesSequential(t *testing.T) {
 	if seqAuth.LiveLeases() != batchAuth.LiveLeases() {
 		t.Errorf("live leases: seq %d, batch %d", seqAuth.LiveLeases(), batchAuth.LiveLeases())
 	}
-	sr, br := seqAuth.LeaseRecords(), batchAuth.LeaseRecords()
+	sr, br := leaseRecords(seqAuth), leaseRecords(batchAuth)
 	if len(sr) != len(br) {
 		t.Fatalf("audit log length: seq %d, batch %d", len(sr), len(br))
 	}
@@ -336,7 +336,7 @@ func TestCompactLeaseStoreRecycles(t *testing.T) {
 	if f.auth.LiveLeases() != 10 || f.auth.LeaseSlots() != 10 {
 		t.Errorf("after recycling: live=%d slots=%d, want 10/10", f.auth.LiveLeases(), f.auth.LeaseSlots())
 	}
-	if got := len(f.auth.LeaseRecords()); got != 10 {
+	if got := len(leaseRecords(f.auth)); got != 10 {
 		t.Errorf("audit log holds %d records, want 10 live", got)
 	}
 	// A released lease is gone: renewing it must fail as unknown, even
@@ -441,7 +441,7 @@ func buildCompactLeaseDiff(seed int64) (*sim.Engine, func() []byte) {
 			auth.RedeemOK, auth.RedeemConflict, auth.RenewOK,
 			auth.LiveLeases(), auth.LeaseSlots(), len(auth.leaseFree),
 			hits, misses, evictions, auth.BatchVerifiedN, auth.BatchSigN)
-		for _, r := range auth.LeaseRecords() {
+		for _, r := range leaseRecords(auth) {
 			fmt.Fprintf(&b, "rec %s [%v,%v) renewals=%d\n", r.Lease.ID, r.LeafNotBefore, r.LeafNotAfter, r.Renewals)
 		}
 		return b.Bytes()

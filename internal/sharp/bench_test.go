@@ -37,7 +37,7 @@ func BenchmarkVerifyDelegatedTicket(b *testing.B) {
 	subs, _ := agent.Sell(sm.Name, sm.Public(), "S", capability.CPU, 5, 0, time.Hour)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := subs[0].Verify(auth.Key(), time.Minute); err != nil {
+		if err := subs[0].Verify(auth.signer.Public(), time.Minute); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -145,7 +145,7 @@ func runLeaseModel(t *testing.T, seed int64, steps int, ops *leaseOps) {
 			t.Fatalf("sell %v of %v: %v", amount, typ, err)
 		}
 		for _, s := range subs {
-			sold[stockKey{"A", typ}] += s.Amount()
+			sold[stockKey{"A", typ}] += s.Leaf().Amount
 		}
 		return subs
 	}
@@ -242,7 +242,7 @@ func checkLeaseModel(t *testing.T, step int, auth *Authority, model *historyMode
 			want[r.rec.Lease.ID] = r.rec
 		}
 	}
-	got := auth.LeaseRecords()
+	got := leaseRecords(auth)
 	if len(got) != len(want) || auth.LiveLeases() != model.live {
 		t.Errorf("step %d: %d records, LiveLeases %d; model has %d live", step, len(got), auth.LiveLeases(), model.live)
 	}
@@ -306,4 +306,11 @@ func TestSellAllOrNothing(t *testing.T) {
 	if got := f.agent.Inventory("A", capability.CPU); got != 5 || len(f.agent.stock) != 1 {
 		t.Errorf("after selling 5: inventory %v over %d entries, want 5 over 1", got, len(f.agent.stock))
 	}
+}
+
+// leaseRecords lists a's live lease records in slot order.
+func leaseRecords(a *Authority) []LeaseRecord {
+	var out []LeaseRecord
+	a.EachLeaseRecord(func(r LeaseRecord) { out = append(out, r) })
+	return out
 }

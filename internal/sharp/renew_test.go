@@ -57,7 +57,7 @@ func TestRenewExtendsLeaseCapabilityAndRecord(t *testing.T) {
 		t.Fatalf("capability = %+v, err %v", cap_, err)
 	}
 	// And the audit record keeps the containment invariant intact.
-	recs := f.auth.LeaseRecords()
+	recs := leaseRecords(f.auth)
 	if len(recs) != 1 {
 		t.Fatalf("want one record, got %d", len(recs))
 	}

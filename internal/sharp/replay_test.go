@@ -77,7 +77,7 @@ func TestReplayCacheBoundedPrune(t *testing.T) {
 		}
 		old = append(old, tk)
 	}
-	if got := f.auth.ReplayCacheLen(); got != 4 {
+	if got := len(f.auth.replay.entries); got != 4 {
 		t.Fatalf("cache len = %d; want 4", got)
 	}
 	// Jump past the old leaves' expiry plus the safety slack; the next
@@ -91,7 +91,7 @@ func TestReplayCacheBoundedPrune(t *testing.T) {
 	if _, err := f.auth.Redeem(live); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.auth.ReplayCacheLen(); got != 1 {
+	if got := len(f.auth.replay.entries); got != 1 {
 		t.Fatalf("cache len after prune = %d; want 1", got)
 	}
 	if f.auth.replay.PrunedN != 4 {
@@ -125,7 +125,7 @@ func TestReplayCacheKeepsLiveEntriesOverCap(t *testing.T) {
 		}
 		tks = append(tks, tk)
 	}
-	if got := f.auth.ReplayCacheLen(); got != 4 {
+	if got := len(f.auth.replay.entries); got != 4 {
 		t.Fatalf("cache len = %d; want 4 (live entries never pruned)", got)
 	}
 	for i, tk := range tks {

@@ -210,9 +210,6 @@ func (t *Ticket) Root() *Claim {
 	return &t.Chain[0]
 }
 
-// Amount returns the leaf amount — what the ticket is worth.
-func (t *Ticket) Amount() float64 { return t.Leaf().Amount }
-
 // Verify checks the whole chain against the pinned authority key: every
 // signature, hash link, amount narrowing, and interval nesting. It is the
 // holder-side form: every link pays its ed25519.Verify.
@@ -438,9 +435,6 @@ func (a *Authority) SigCacheStats() (hits, misses, evictions int) {
 	return a.sigCache.Hits, a.sigCache.Misses, a.sigCache.Evictions
 }
 
-// Key returns the authority's public key (peers pin this).
-func (a *Authority) Key() ed25519.PublicKey { return a.signer.Public() }
-
 // SetTracer installs an observability tracer, which reads the outcome
 // counts as sharp.* counters. A nil tracer (the default) keeps every
 // instrumentation point inert.
@@ -461,29 +455,14 @@ func (a *Authority) SetTracer(tr *obs.Tracer) {
 // (positive skew) or not yet valid (negative skew) while the drift lasts.
 func (a *Authority) SetClockSkew(d time.Duration) { a.skew = d }
 
-// ClockSkew returns the current verification-clock drift.
-func (a *Authority) ClockSkew() time.Duration { return a.skew }
-
 // SetOversellFactor adjusts the soft-claim issue budget. Exists so
 // callers holding the authority behind the broker.SiteAuthority
 // interface (which byzantine wrappers also satisfy) can tune it.
 func (a *Authority) SetOversellFactor(f float64) { a.OversellFactor = f }
 
-// ReplayCacheLen reports how many redeemed leaf hashes the authority
-// currently remembers (bounded; see replayCache).
-func (a *Authority) ReplayCacheLen() int { return len(a.replay.entries) }
-
-// LeaseRecords returns a copy of the live leases' audit records in slot
-// order. Released leases have none.
-func (a *Authority) LeaseRecords() []LeaseRecord {
-	out := make([]LeaseRecord, 0, len(a.recordOf))
-	a.EachLeaseRecord(func(r LeaseRecord) { out = append(out, r) })
-	return out
-}
-
 // EachLeaseRecord calls fn with each live lease's audit record in slot
-// order, as LeaseRecords lists them, without copying the store. fn must
-// not grant or release a lease of this authority.
+// order, without copying the store. fn must not grant or release a
+// lease of this authority.
 func (a *Authority) EachLeaseRecord(fn func(LeaseRecord)) {
 	for i := range a.leaseRecs {
 		if a.leaseRecs[i].Lease != nil {

@@ -45,7 +45,7 @@ func TestIssueVerifyRedeem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tk.Verify(f.auth.Key(), time.Minute); err != nil {
+	if err := tk.Verify(f.auth.signer.Public(), time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	lease, err := f.auth.Redeem(tk)
@@ -80,7 +80,7 @@ func TestDelegationChainRedeems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(subs) != 1 || subs[0].Amount() != 4 {
+	if len(subs) != 1 || subs[0].Leaf().Amount != 4 {
 		t.Fatalf("subs = %+v", subs)
 	}
 	if len(subs[0].Chain) != 2 {
@@ -342,7 +342,7 @@ func TestConservationProperty(t *testing.T) {
 				return false
 			}
 			for _, s := range subs {
-				if s.Verify(auth.Key(), 0) != nil {
+				if s.Verify(auth.signer.Public(), 0) != nil {
 					return false
 				}
 				lease, err := auth.Redeem(s)
@@ -372,7 +372,7 @@ func TestIssueRejectsBadRequests(t *testing.T) {
 func TestVerifyEmptyTicket(t *testing.T) {
 	f := newFixture(t)
 	empty := &Ticket{}
-	if err := empty.Verify(f.auth.Key(), 0); !errors.Is(err, ErrBadChain) {
+	if err := empty.Verify(f.auth.signer.Public(), 0); !errors.Is(err, ErrBadChain) {
 		t.Errorf("empty: %v", err)
 	}
 	if empty.Leaf() != nil || empty.Root() != nil {

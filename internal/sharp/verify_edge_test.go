@@ -34,7 +34,7 @@ func TestVerifyWindowEdges(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tk.Verify(f.auth.Key(), tc.now)
+			err := tk.Verify(f.auth.signer.Public(), tc.now)
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("Verify(now=%v) = %v; want %v", tc.now, err, tc.wantErr)
 			}
@@ -76,7 +76,7 @@ func TestRedeemClockSkewEdges(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.auth.SetClockSkew(tc.skew)
-			if got := f.auth.ClockSkew(); got != tc.skew {
+			if got := f.auth.skew; got != tc.skew {
 				t.Fatalf("ClockSkew() = %v; want %v", got, tc.skew)
 			}
 			_, err = f.auth.Redeem(tk)
@@ -109,7 +109,7 @@ func TestMultiHopWidenRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ok.Verify(f.auth.Key(), time.Minute); err != nil {
+	if err := ok.Verify(f.auth.signer.Public(), time.Minute); err != nil {
 		t.Fatalf("honest 3-hop chain: %v", err)
 	}
 	// Delegate itself refuses to widen...
@@ -120,7 +120,7 @@ func TestMultiHopWidenRejected(t *testing.T) {
 	// for 3 CPU hanging off the 2-CPU hop. Only the narrowing rule can
 	// catch it.
 	widened := forgeChild(hop1, mid, f.sm, 3, 4)
-	if err := widened.Verify(f.auth.Key(), time.Minute); !errors.Is(err, ErrAmountWidened) {
+	if err := widened.Verify(f.auth.signer.Public(), time.Minute); !errors.Is(err, ErrAmountWidened) {
 		t.Fatalf("widened 3-hop chain = %v; want ErrAmountWidened", err)
 	}
 	if _, err := f.auth.Redeem(widened); !errors.Is(err, ErrAmountWidened) {
@@ -144,7 +144,7 @@ func TestShortIssuerKeyRejected(t *testing.T) {
 	}
 	bad := &Ticket{Chain: append([]Claim(nil), sold.Chain...)}
 	bad.Chain[1].IssuerKey = bad.Chain[1].IssuerKey[:31]
-	if err := bad.Verify(f.auth.Key(), time.Minute); !errors.Is(err, ErrBadSignature) {
+	if err := bad.Verify(f.auth.signer.Public(), time.Minute); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("Verify = %v; want ErrBadSignature", err)
 	}
 	if _, err := f.auth.Redeem(bad); !errors.Is(err, ErrBadSignature) {
@@ -217,16 +217,16 @@ func TestAmountRuleEveryLink(t *testing.T) {
 					t.Errorf("Delegate(%v) = %v; want %v", tc.amount, err, want)
 				}
 				forged := forgeChild(tk, holder, f.sm, tc.amount, 91)
-				if err := forged.Verify(f.auth.Key(), time.Minute); !errors.Is(err, want) {
+				if err := forged.Verify(f.auth.signer.Public(), time.Minute); !errors.Is(err, want) {
 					t.Errorf("Verify = %v; want %v", err, want)
 				}
 				// Warm: the memo has proved the honest prefix and a sibling
 				// of the forged leaf, so only the amount rule is left.
 				sibling := forgeChild(tk, holder, f.sm, 1, 92)
-				if err := sibling.verify(f.auth.Key(), time.Minute, f.auth.sigCache); err != nil {
+				if err := sibling.verify(f.auth.signer.Public(), time.Minute, f.auth.sigCache); err != nil {
 					t.Fatalf("honest sibling: %v", err)
 				}
-				if err := forged.verify(f.auth.Key(), time.Minute, f.auth.sigCache); !errors.Is(err, want) {
+				if err := forged.verify(f.auth.signer.Public(), time.Minute, f.auth.sigCache); !errors.Is(err, want) {
 					t.Errorf("warm verify = %v; want %v", err, want)
 				}
 				lease, err := f.auth.Redeem(forged)
@@ -266,12 +266,12 @@ func TestAmountRuleRoot(t *testing.T) {
 			}
 			c := Claim{
 				Site: "A", Type: capability.CPU, Amount: tc.amount, NotAfter: hour,
-				Issuer: f.auth.signer.Name, IssuerKey: f.auth.Key(),
+				Issuer: f.auth.signer.Name, IssuerKey: f.auth.signer.Public(),
 				Holder: f.sm.Name, HolderKey: f.sm.Public(), Serial: 7,
 			}
 			c.Sig = f.auth.signer.Sign(c.tbs())
 			root := &Ticket{Chain: []Claim{c}}
-			if err := root.Verify(f.auth.Key(), time.Minute); !errors.Is(err, ErrBadChain) {
+			if err := root.Verify(f.auth.signer.Public(), time.Minute); !errors.Is(err, ErrBadChain) {
 				t.Errorf("Verify = %v; want ErrBadChain", err)
 			}
 			if _, err := f.auth.Redeem(root); !errors.Is(err, ErrBadChain) {

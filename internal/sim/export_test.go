@@ -6,6 +6,24 @@ import (
 	"slices"
 )
 
+// cancelled reports whether the event was cancelled and has not yet been
+// reclaimed by the kernel; a swept or recycled handle reports false.
+func (e Event) cancelled() bool {
+	// The bounds check is not paranoia: a Fork can rewind the engine to a
+	// point where this handle's node had not been allocated yet.
+	if e.eng == nil || int(e.idx) >= len(e.eng.nodes) {
+		return false
+	}
+	nd := &e.eng.nodes[e.idx]
+	return nd.gen == e.gen && nd.fire == nil
+}
+
+// Rate returns the consumer's allocated rate in units/second.
+func (c *FluidConsumer) Rate() float64 { return c.rate }
+
+// Len returns the number of active consumers.
+func (s *FluidSystem) Len() int { return s.liveN }
+
 // SetFullRecompute toggles the reference allocation mode: when on, every
 // change re-fills all components instead of only the dirty one. Rates,
 // completion order, and completion timestamps are byte-identical in both

@@ -116,9 +116,6 @@ type FluidConsumer struct {
 // absorb float drift from repeated settling of large transfers.
 func (c *FluidConsumer) doneEps() float64 { return 1e-9 * (1 + c.total) }
 
-// Rate returns the currently allocated rate in units/second.
-func (c *FluidConsumer) Rate() float64 { return c.rate }
-
 // Remaining returns the work left as of the current virtual time.
 func (c *FluidConsumer) Remaining() float64 {
 	c.settle()
@@ -286,9 +283,6 @@ func (s *FluidSystem) detach(c *FluidConsumer) {
 	c.done = Event{}
 	c.rate = 0
 }
-
-// Len returns the number of active consumers.
-func (s *FluidSystem) Len() int { return s.liveN }
 
 // noteTight records, before a change to the seed resources rs, which of
 // them are tight: the walk that follows crosses those even if the change

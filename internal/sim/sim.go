@@ -72,23 +72,6 @@ type Event struct {
 	at  time.Duration
 }
 
-// Time returns the virtual time at which the event was scheduled to fire
-// (zero for the zero Event).
-func (e Event) Time() time.Duration { return e.at }
-
-// Cancelled reports whether the event was cancelled and has not yet been
-// reclaimed by the kernel. Once the tombstone is swept (or the node is
-// recycled) the handle is stale and Cancelled reports false.
-func (e Event) Cancelled() bool {
-	// The bounds check is not paranoia: a Fork can rewind the engine to a
-	// point where this handle's node had not been allocated yet.
-	if e.eng == nil || int(e.idx) >= len(e.eng.nodes) {
-		return false
-	}
-	nd := &e.eng.nodes[e.idx]
-	return nd.gen == e.gen && nd.fire == nil
-}
-
 // live reports whether the handle still names a pending, uncancelled
 // event.
 func (e Event) live() bool {
@@ -127,12 +110,10 @@ type Engine struct {
 	// never match a node in a later one (see snap.go).
 	genCounter uint64
 
-	// Snapshot registries (see snap.go). snapRoots anchors layer state for
-	// the deep-capture walker; snapHooks holds save/restore callbacks for
-	// state the walker cannot reach. Both live on the Engine struct so a
-	// restore truncates them to their snapshot-time lengths automatically.
+	// Snapshot registry (see snap.go): snapRoots anchors layer state for
+	// the deep-capture walker. It lives on the Engine struct so a restore
+	// truncates it to its snapshot-time length automatically.
 	snapRoots []snapRoot
-	snapHooks []snapHook
 }
 
 // NewEngine returns an engine at virtual time zero whose random stream is
@@ -144,11 +125,6 @@ func NewEngine(seed int64) *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
-
-// Rand returns the engine's deterministic random stream. Subsystems must
-// draw all randomness from here (or from streams forked via ForkRand) so
-// runs stay reproducible.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // ForkRand returns an independent deterministic random stream derived from
 // the engine seed stream. Use one per subsystem so adding draws in one
@@ -483,9 +459,6 @@ func (e *Engine) NewWindow(start, dur time.Duration, apply, revoke func()) *Wind
 	})
 	return w
 }
-
-// Active reports whether the window has applied but not yet revoked.
-func (w *Window) Active() bool { return w.applied && !w.revoked }
 
 // Revoke ends the window now: a pending apply is cancelled without ever
 // firing; an active window's revoke callback runs immediately and its

@@ -45,7 +45,7 @@ func TestEngineCancel(t *testing.T) {
 	fired := false
 	ev := e.Schedule(time.Second, func() { fired = true })
 	e.Cancel(ev)
-	if !ev.Cancelled() {
+	if !ev.cancelled() {
 		t.Error("Cancelled() = false after Cancel")
 	}
 	// Double cancel and the zero handle are no-ops.
@@ -71,7 +71,7 @@ func TestStaleHandleCancelIsNoOp(t *testing.T) {
 	if !fired {
 		t.Fatal("stale Cancel killed a recycled event")
 	}
-	if fresh.Cancelled() {
+	if fresh.cancelled() {
 		t.Error("fresh handle reports cancelled")
 	}
 }
@@ -128,7 +128,7 @@ func TestCompactionPreservesOrder(t *testing.T) {
 		if i%4 != 0 {
 			e.Cancel(ev)
 		} else {
-			want = append(want, ev.Time())
+			want = append(want, ev.at)
 		}
 	}
 	if len(e.q) >= len(evs) {
@@ -232,7 +232,7 @@ func TestEnginePanicsOnNegativeDelay(t *testing.T) {
 func TestEngineDeterministicRand(t *testing.T) {
 	a, b := NewEngine(42), NewEngine(42)
 	for i := 0; i < 100; i++ {
-		if a.Rand().Int63() != b.Rand().Int63() {
+		if a.rng.Int63() != b.rng.Int63() {
 			t.Fatal("same-seed engines diverge")
 		}
 	}
@@ -305,7 +305,7 @@ func TestCancelAll(t *testing.T) {
 		}
 	}
 	for i, ev := range evs {
-		if e.Cancel(ev); ev.Cancelled() || ev.live() {
+		if e.Cancel(ev); ev.cancelled() || ev.live() {
 			t.Errorf("handle %d still names an event", i)
 		}
 	}
@@ -409,8 +409,8 @@ func TestFluidRemove(t *testing.T) {
 	if got := c.Remaining(); got < 899 || got > 901 {
 		t.Errorf("Remaining = %v, want ~900", got)
 	}
-	if s.Len() != 0 {
-		t.Errorf("Len = %d, want 0", s.Len())
+	if s.liveN != 0 {
+		t.Errorf("Len = %d, want 0", s.liveN)
 	}
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"reflect"
-	"time"
 	"unsafe"
 )
 
@@ -35,13 +34,6 @@ type snapRoot struct {
 	val  any
 }
 
-// snapHook is a save/restore callback pair for state the walker cannot
-// reach (closure-local by necessity, external caches, ...).
-type snapHook struct {
-	save    func() any
-	restore func(any)
-}
-
 // SnapRoot registers an object graph to be captured by Snapshot and
 // rewound by Fork. The walker follows struct fields (exported or not),
 // pointers, interfaces, maps, and slices; it does NOT look inside func
@@ -58,30 +50,11 @@ func (e *Engine) SnapRoot(name string, root any) {
 	e.snapRoots = append(e.snapRoots, snapRoot{name: name, val: root})
 }
 
-// OnSnap registers a save/restore hook: save runs at Snapshot time and
-// its result is handed back to restore after every Fork of that snapshot.
-// Use it only for state the walker genuinely cannot reach; prefer
-// SnapRoot.
-func (e *Engine) OnSnap(save func() any, restore func(any)) {
-	if save == nil || restore == nil {
-		panic("sim: nil snapshot hook")
-	}
-	e.snapHooks = append(e.snapHooks, snapHook{save: save, restore: restore})
-}
-
 // Snapshot is a captured engine state; Fork rewinds the engine back to
 // it. The zero Snapshot is invalid.
 type Snapshot struct {
-	eng   *Engine
-	w     *walker
-	hooks []hookSave
-	// at is the capture-time clock, for assertions and bisect bookkeeping.
-	at time.Duration
-}
-
-type hookSave struct {
-	restore func(any)
-	val     any
+	eng *Engine
+	w   *walker
 }
 
 // Snapshot captures the engine and all registered roots. It must be
@@ -91,15 +64,8 @@ type hookSave struct {
 func (e *Engine) Snapshot() Snapshot {
 	w := newWalker()
 	w.capture(unsafe.Pointer(e), reflect.TypeOf(*e))
-	s := Snapshot{eng: e, w: w, at: e.now}
-	for _, h := range e.snapHooks {
-		s.hooks = append(s.hooks, hookSave{restore: h.restore, val: h.save()})
-	}
-	return s
+	return Snapshot{eng: e, w: w}
 }
-
-// At returns the virtual time at which the snapshot was captured.
-func (s *Snapshot) At() time.Duration { return s.at }
 
 // Fork rewinds the engine — in place — to the snapshot point and returns
 // it. The current timeline is abandoned: its pending events, object
@@ -118,9 +84,6 @@ func (s *Snapshot) Fork() *Engine {
 	s.w.restore()
 	if gen > e.genCounter {
 		e.genCounter = gen
-	}
-	for _, h := range s.hooks {
-		h.restore(h.val)
 	}
 	return e
 }

@@ -19,7 +19,7 @@ func (r *recorder) emit(tag string) {
 }
 
 func (r *recorder) draw(tag string) {
-	r.log = append(r.log, fmt.Sprintf("%v %s rng=%d", r.eng.Now(), tag, r.eng.Rand().Intn(1_000_000)))
+	r.log = append(r.log, fmt.Sprintf("%v %s rng=%d", r.eng.Now(), tag, r.eng.rng.Intn(1_000_000)))
 }
 
 // TestForkRewindsKernelState proves a forked run replays exactly: clock,
@@ -40,9 +40,6 @@ func TestForkRewindsKernelState(t *testing.T) {
 	e.RunUntil(3 * time.Second) // ticks 0,1 fired, tick2 pending
 
 	snap := e.Snapshot()
-	if snap.At() != 3*time.Second {
-		t.Fatalf("snapshot at %v, want 3s", snap.At())
-	}
 	e.Run()
 	first := append([]string(nil), r.log...)
 
@@ -140,7 +137,7 @@ func TestStaleHandlesAcrossForks(t *testing.T) {
 			childFired := false
 			e.Schedule(time.Second, func() { childFired = true })
 			e.Cancel(parentEv)
-			if parentEv.Cancelled() {
+			if parentEv.cancelled() {
 				t.Fatalf("stale parent handle reports cancelled")
 			}
 			e.Run()
@@ -161,7 +158,7 @@ func TestStaleHandlesAcrossForks(t *testing.T) {
 			ok := false
 			e.Schedule(time.Second, func() { ok = true })
 			e.Cancel(t1Ev)
-			if t1Ev.Cancelled() {
+			if t1Ev.cancelled() {
 				t.Fatalf("abandoned-timeline handle reports cancelled")
 			}
 			e.Run()
@@ -199,7 +196,7 @@ func TestStaleHandlesAcrossForks(t *testing.T) {
 			for _, ev := range evs {
 				// Must not panic on out-of-range node indexes, and must be
 				// inert.
-				if ev.Cancelled() {
+				if ev.cancelled() {
 					t.Fatalf("stale handle beyond restored nodes reports cancelled")
 				}
 				e.Cancel(ev)
@@ -243,20 +240,6 @@ func TestForkRestoresFluidState(t *testing.T) {
 	}
 	if len(first) != 2 {
 		t.Fatalf("expected both consumers to finish, got %v", first)
-	}
-}
-
-// TestOnSnapHook proves the escape hatch: state invisible to the walker
-// round-trips through the save/restore callbacks.
-func TestOnSnapHook(t *testing.T) {
-	e := NewEngine(6)
-	hidden := 1 // closure-local on purpose
-	e.OnSnap(func() any { return hidden }, func(v any) { hidden = v.(int) })
-	snap := e.Snapshot()
-	hidden = 99
-	snap.Fork()
-	if hidden != 1 {
-		t.Fatalf("OnSnap hook did not restore: hidden=%d", hidden)
 	}
 }
 

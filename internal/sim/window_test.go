@@ -11,15 +11,15 @@ func TestWindowAppliesAndRevokes(t *testing.T) {
 	w := eng.NewWindow(10*time.Second, 5*time.Second,
 		func() { log = append(log, "apply@"+eng.Now().String()) },
 		func() { log = append(log, "revoke@"+eng.Now().String()) })
-	if w.Active() {
+	if w.applied && !w.revoked {
 		t.Error("active before apply")
 	}
 	eng.RunUntil(12 * time.Second)
-	if !w.Active() {
+	if !(w.applied && !w.revoked) {
 		t.Error("not active inside window")
 	}
 	eng.RunUntil(20 * time.Second)
-	if w.Active() {
+	if w.applied && !w.revoked {
 		t.Error("active after revoke")
 	}
 	if len(log) != 2 || log[0] != "apply@10s" || log[1] != "revoke@15s" {
@@ -56,7 +56,7 @@ func TestWindowRevokeBeforeApplyCancels(t *testing.T) {
 	if applied != 0 || revoked != 0 {
 		t.Errorf("cancelled window ran: applied=%d revoked=%d", applied, revoked)
 	}
-	if w.Active() {
+	if w.applied && !w.revoked {
 		t.Error("cancelled window active")
 	}
 }

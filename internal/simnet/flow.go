@@ -36,7 +36,7 @@ type Flow struct {
 	Bytes  float64
 	OnDone func(*Flow)
 	// OnFail fires when the flow is killed by a host failure along its
-	// path (SetDown). Abort does not trigger it.
+	// path (SetDown) or a partition that cuts it.
 	OnFail func(*Flow, error)
 
 	opts      FlowOpts
@@ -47,7 +47,7 @@ type Flow struct {
 	begun     time.Duration
 	ended     time.Duration
 	done      bool
-	aborted   bool
+	failed    bool
 	netstream int             // total streams ever created, for naming
 	hosts     map[string]bool // endpoints and relays, for failure kills
 	span      obs.SpanContext // open while the flow is in progress
@@ -237,9 +237,10 @@ func (f *Flow) addStream(pi pathInfo, bytes float64) {
 // drop removes a stream from the flow's books (not from the fluid
 // system — the caller has already finished or removed it there) and
 // credits the bytes the stream actually moved to the source host. Every
-// stream terminal — natural completion, pooled re-split, partition cut,
-// abort — lands here, so BytesSent sums to real progress, not the full
-// flow size charged up-front regardless of outcome.
+// stream terminal — natural completion, pooled re-split, partition cut —
+// lands here, and fail credits its streams the same way, so BytesSent
+// sums to real progress, not the full flow size charged up-front
+// regardless of outcome.
 func (f *Flow) drop(c *sim.FluidConsumer) {
 	f.net.hosts[f.From].BytesSent += c.Transferred()
 	delete(f.pathOf, c)
@@ -255,7 +256,7 @@ func (f *Flow) drop(c *sim.FluidConsumer) {
 func (f *Flow) streamDone(c *sim.FluidConsumer) {
 	donePath := f.pathOf[c]
 	f.drop(c)
-	if f.aborted {
+	if f.failed {
 		return
 	}
 	if f.opts.Pooled && f.active > 0 {
@@ -294,7 +295,7 @@ func (f *Flow) streamDone(c *sim.FluidConsumer) {
 // stripe fails the whole transfer; a pooled flow restripes the severed
 // backlog onto its first surviving path and fails only when fully cut.
 func (f *Flow) partitionCut(key [2]string) {
-	if f.done || f.aborted {
+	if f.done || f.failed {
 		return
 	}
 	var severed []*sim.FluidConsumer
@@ -320,36 +321,16 @@ func (f *Flow) partitionCut(key [2]string) {
 }
 
 // fail kills the flow because a host on its path died or its path was
-// cut. Counted as failed, not aborted.
+// cut: every stream leaves the fluid system, crediting the bytes it
+// actually moved, and OnFail fires.
 func (f *Flow) fail(err error) {
-	if f.done || f.aborted {
+	if f.done || f.failed {
 		return
 	}
 	f.net.flowsFailed++
 	f.span.Annotate(obs.Err(err))
-	f.abort()
-	if f.OnFail != nil {
-		f.OnFail(f, err)
-	}
-}
-
-// Abort cancels all in-progress streams at the user's request. OnDone
-// and OnFail do not fire; the flow counts as aborted (so started flows
-// always reconcile as done + failed + aborted + active).
-func (f *Flow) Abort() {
-	if f.done || f.aborted {
-		return
-	}
-	f.net.flowsAborted++
-	f.abort()
-}
-
-// abort is the shared teardown behind Abort (user cancel) and fail
-// (network kill): remove every stream from the fluid system, crediting
-// the bytes each actually moved.
-func (f *Flow) abort() {
-	f.aborted = true
-	f.span.End(obs.String("aborted", "true"))
+	f.failed = true
+	f.span.End(obs.String("failed", "true"))
 	delete(f.net.active, f)
 	for _, c := range f.order {
 		f.net.flows.Remove(c)
@@ -358,10 +339,10 @@ func (f *Flow) abort() {
 	f.pathOf = map[*sim.FluidConsumer]pathInfo{}
 	f.order = nil
 	f.active = 0
+	if f.OnFail != nil {
+		f.OnFail(f, err)
+	}
 }
-
-// Done reports whether the transfer completed.
-func (f *Flow) Done() bool { return f.done }
 
 // Duration returns the elapsed transfer time; valid once Done.
 func (f *Flow) Duration() time.Duration { return f.ended - f.begun }

@@ -42,7 +42,7 @@ func TestPartitionFailsStripedFlow(t *testing.T) {
 	if !errors.Is(failErr, ErrPartitioned) {
 		t.Errorf("fail error = %v", failErr)
 	}
-	if doneCalled || f.Done() {
+	if doneCalled || f.done {
 		t.Error("partitioned flow reported done")
 	}
 }

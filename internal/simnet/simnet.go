@@ -135,9 +135,9 @@ type Network struct {
 
 	// Messages dropped, by cause; calls settled by timeout or refusal;
 	// data flows by outcome (flowSeq counts the started ones).
-	drops                                [numCauses]uint64
-	callTimeout, callRefused             uint64
-	flowsDone, flowsFailed, flowsAborted uint64
+	drops                    [numCauses]uint64
+	callTimeout, callRefused uint64
+	flowsDone, flowsFailed   uint64
 
 	// tr, when non-nil, records causal spans for every control-plane
 	// message and data flow, and reads the counts above as net.* counters.
@@ -179,7 +179,8 @@ func (n *Network) SetTracer(tr *obs.Tracer) {
 	tr.CounterFunc("net.flows.started", func() uint64 { return n.flowSeq })
 	tr.CounterFunc("net.flows.done", func() uint64 { return n.flowsDone })
 	tr.CounterFunc("net.flows.failed", func() uint64 { return n.flowsFailed })
-	tr.CounterFunc("net.flows.aborted", func() uint64 { return n.flowsAborted })
+	// Nothing aborts a flow; the committed traces still list the counter.
+	tr.CounterFunc("net.flows.aborted", func() uint64 { return 0 })
 	n.hCallRTT = tr.Hist("net.call.rtt")
 }
 
@@ -230,8 +231,8 @@ func (n *Network) AddHost(name, site string, linkBps float64) *Host {
 func (n *Network) Host(name string) *Host { return n.hosts[name] }
 
 // ActiveFlows returns the number of flows currently in progress — the
-// balancing term in the started = done + failed + aborted + active
-// conservation identity the counters maintain.
+// balancing term in the started = done + failed + active conservation
+// identity the counters maintain.
 func (n *Network) ActiveFlows() int { return len(n.active) }
 
 // SetDown marks a host as failed (true) or recovered (false). Messages to

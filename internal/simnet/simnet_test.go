@@ -427,23 +427,6 @@ func TestMultipathAggregatesCapacity(t *testing.T) {
 	}
 }
 
-func TestFlowAbort(t *testing.T) {
-	eng, n := testNet(t, 1)
-	completed := false
-	f, err := n.StartFlow("a1", "b1", 1e9, FlowOpts{}, func(*Flow) { completed = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Schedule(time.Second, f.Abort)
-	eng.Run()
-	if completed {
-		t.Error("aborted flow reported completion")
-	}
-	if f.Done() {
-		t.Error("aborted flow Done() = true")
-	}
-}
-
 func TestFlowErrors(t *testing.T) {
 	_, n := testNet(t, 1)
 	if _, err := n.StartFlow("a1", "nosuch", 1, FlowOpts{}, nil); !errors.Is(err, ErrNoSuchHost) {
@@ -498,7 +481,7 @@ func TestHostFailureKillsFlows(t *testing.T) {
 	if !errors.Is(failed, ErrHostDown) {
 		t.Errorf("OnFail = %v, want ErrHostDown", failed)
 	}
-	if !f.Done() == false {
+	if f.done {
 		t.Errorf("flow Done after kill")
 	}
 }

@@ -123,22 +123,6 @@ func (b *Bank) Held(broker string) float64 {
 	return 0
 }
 
-// Slashed reports how much of a broker's collateral has been seized.
-func (b *Bank) Slashed(broker string) float64 {
-	if ac, ok := b.accounts[broker]; ok {
-		return ac.slashed
-	}
-	return 0
-}
-
-// Deposited reports a broker's lifetime deposits.
-func (b *Bank) Deposited(broker string) float64 {
-	if ac, ok := b.accounts[broker]; ok {
-		return ac.deposited
-	}
-	return 0
-}
-
 // Events returns a copy of the slash log in occurrence order.
 func (b *Bank) Events() []SlashEvent {
 	return append([]SlashEvent(nil), b.events...)
@@ -158,15 +142,6 @@ func (b *Bank) TotalSlashed() float64 {
 	var t float64
 	for _, n := range b.order {
 		t += b.accounts[n].slashed
-	}
-	return t
-}
-
-// TotalDeposited sums lifetime deposits in account-creation order.
-func (b *Bank) TotalDeposited() float64 {
-	var t float64
-	for _, n := range b.order {
-		t += b.accounts[n].deposited
 	}
 	return t
 }
@@ -251,9 +226,6 @@ func (s *Scoreboard) Score(broker string) float64 {
 	}
 	return scorePrior
 }
-
-// Reports returns how many outcomes have been folded in for a broker.
-func (s *Scoreboard) Reports(broker string) int { return s.reports[broker] }
 
 // Snapshot returns all rows sorted by broker name (stable render
 // order regardless of report order).

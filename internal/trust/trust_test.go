@@ -38,9 +38,6 @@ func TestBankDepositSlashConservation(t *testing.T) {
 	if err := b.CheckConservation(); err != nil {
 		t.Fatalf("conservation: %v", err)
 	}
-	if got, want := b.TotalDeposited(), 20.0; got != want {
-		t.Fatalf("total deposited = %v; want %v", got, want)
-	}
 	if got, want := b.TotalHeld()+b.TotalSlashed(), 20.0; got != want {
 		t.Fatalf("held+slashed = %v; want %v", got, want)
 	}

@@ -213,20 +213,6 @@ func (s *Slice) Add(v *VM) error {
 // VM returns the slice's VM on a node, or nil.
 func (s *Slice) VM(node string) *VM { return s.vms[node] }
 
-// Len returns the number of VMs in the slice.
-func (s *Slice) Len() int { return len(s.vms) }
-
-// StartAll starts every VM, returning the first error but attempting all.
-func (s *Slice) StartAll() error {
-	var first error
-	for _, v := range s.vms {
-		if err := v.Start(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // StopAll stops every running VM.
 func (s *Slice) StopAll() {
 	for _, v := range s.vms {

@@ -76,18 +76,6 @@ type GridJobConfig struct {
 	WallFactor float64
 }
 
-// DefaultGridJobs matches the paper-era profile: hour-scale
-// compute-intensive jobs with modest parallelism.
-func DefaultGridJobs() GridJobConfig {
-	return GridJobConfig{
-		MeanInterarrival: 10 * time.Minute,
-		MedianRun:        time.Hour,
-		RunSigma:         1.0,
-		MaxCount:         16,
-		WallFactor:       2.0,
-	}
-}
-
 // GenerateGridJobs produces n jobs with increasing arrival offsets.
 func GenerateGridJobs(rng *rand.Rand, cfg GridJobConfig, n int) []GridJob {
 	if cfg.WallFactor < 1 {

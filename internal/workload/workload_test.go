@@ -60,9 +60,13 @@ func TestZipfClampsExponent(t *testing.T) {
 	}
 }
 
+// gridJobs is an hour-scale profile of modestly parallel jobs.
+var gridJobs = GridJobConfig{MeanInterarrival: 10 * time.Minute, MedianRun: time.Hour,
+	RunSigma: 1, MaxCount: 16, WallFactor: 2}
+
 func TestGenerateGridJobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	jobs := GenerateGridJobs(rng, DefaultGridJobs(), 200)
+	jobs := GenerateGridJobs(rng, gridJobs, 200)
 	if len(jobs) != 200 {
 		t.Fatalf("n = %d", len(jobs))
 	}
@@ -86,7 +90,7 @@ func TestGenerateGridJobs(t *testing.T) {
 
 func TestGridJobRSLParses(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	jobs := GenerateGridJobs(rng, DefaultGridJobs(), 5)
+	jobs := GenerateGridJobs(rng, gridJobs, 5)
 	for _, j := range jobs {
 		rslStr := j.RSL()
 		if rslStr == "" {
@@ -135,8 +139,8 @@ func TestGenerateNetServices(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := GenerateGridJobs(rand.New(rand.NewSource(9)), DefaultGridJobs(), 50)
-	b := GenerateGridJobs(rand.New(rand.NewSource(9)), DefaultGridJobs(), 50)
+	a := GenerateGridJobs(rand.New(rand.NewSource(9)), gridJobs, 50)
+	b := GenerateGridJobs(rand.New(rand.NewSource(9)), gridJobs, 50)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("grid jobs nondeterministic")
