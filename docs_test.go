@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,7 @@ var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "bench/README.md
 
 // designLineBudget is DESIGN.md's line ceiling. It may only fall: a change
 // that raises it says why in CHANGES.md.
-const designLineBudget = 2057
+const designLineBudget = 997
 
 var (
 	// fenceRe matches a fenced code block, whose backticks do not pair
@@ -269,5 +270,133 @@ func TestDesignLineBudget(t *testing.T) {
 	}
 	if n := strings.Count(string(src), "\n"); n > designLineBudget {
 		t.Errorf("DESIGN.md has %d lines, over its budget of %d: shorten it rather than raise the budget", n, designLineBudget)
+	}
+}
+
+var (
+	// designSectionRe matches a numbered DESIGN.md section heading.
+	designSectionRe = regexp.MustCompile(`(?m)^## (\d+)\. `)
+	// designSubRe matches a subsection heading, its title captured.
+	designSubRe = regexp.MustCompile(`(?m)^### (.+)$`)
+	// prCitedRe matches a pull-request citation, the mark of history.
+	prCitedRe = regexp.MustCompile(`\bPRs? #?\d+`)
+	// guardRe matches a test or fuzz target name.
+	guardRe = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z][A-Za-z0-9_]*`)
+	// designRefRe matches a citation of a DESIGN section, with the
+	// subsection title quoted after it when there is one.
+	designRefRe = regexp.MustCompile(`DESIGN(?:\.md)? §(\d+)(?:\s+"([^"]+)")?`)
+)
+
+// designSections reads DESIGN.md and splits it at its "## N." headings,
+// keyed by N.
+func designSections(t *testing.T) (text string, sections map[int]string) {
+	t.Helper()
+	src, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text = string(src)
+	sections = map[int]string{}
+	heads := designSectionRe.FindAllStringSubmatchIndex(text, -1)
+	for i, h := range heads {
+		end := len(text)
+		if i+1 < len(heads) {
+			end = heads[i+1][0]
+		}
+		n, _ := strconv.Atoi(text[h[2]:h[3]])
+		if _, dup := sections[n]; dup {
+			t.Fatalf("DESIGN.md has two sections numbered %d", n)
+		}
+		sections[n] = text[h[0]:end]
+	}
+	if len(sections) == 0 {
+		t.Fatal("DESIGN.md has no numbered sections: the heading scan is broken")
+	}
+	return text, sections
+}
+
+// TestDesignHasNoHistory keeps DESIGN.md about the code as it stands: it
+// cites no pull request (that history is CHANGES.md's and git's), and
+// each mechanism section, §7 to §16, has the one shape they share: its
+// invariant, the tests that guard it, and one current number.
+func TestDesignHasNoHistory(t *testing.T) {
+	text, sections := designSections(t)
+	for i, line := range strings.Split(text, "\n") {
+		if m := prCitedRe.FindString(line); m != "" {
+			t.Errorf("DESIGN.md:%d cites %q: history belongs in CHANGES.md", i+1, m)
+		}
+	}
+	for n := 7; n <= 16; n++ {
+		sec, ok := sections[n]
+		if !ok {
+			t.Errorf("DESIGN.md has no section %d", n)
+			continue
+		}
+		for _, label := range []string{"**Invariant.**", "**Guards.**", "**Number.**"} {
+			if !strings.Contains(sec, label) {
+				t.Errorf("DESIGN.md §%d has no %s paragraph", n, label)
+			}
+		}
+		cites := false
+		for _, span := range codeSpanRe.FindAllStringSubmatch(fenceRe.ReplaceAllString(sec, ""), -1) {
+			cites = cites || guardRe.MatchString(span[1])
+		}
+		if !cites {
+			t.Errorf("DESIGN.md §%d names no Test or Fuzz function that guards it", n)
+		}
+	}
+}
+
+// TestDocsCiteRealSections checks that every "DESIGN §N" in the README,
+// EXPERIMENTS.md and the Go sources outside bench/ names a section
+// DESIGN.md has, and that a quoted subsection title after it begins a
+// "###" heading of that section.
+func TestDocsCiteRealSections(t *testing.T) {
+	_, sections := designSections(t)
+	files := []string{"README.md", "EXPERIMENTS.md"}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "bench" || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := 0
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range designRefRe.FindAllStringSubmatch(string(src), -1) {
+			cited++
+			n, _ := strconv.Atoi(m[1])
+			sec, ok := sections[n]
+			if !ok {
+				t.Errorf("%s cites DESIGN §%d, which DESIGN.md does not have", f, n)
+				continue
+			}
+			if m[2] == "" {
+				continue
+			}
+			title := strings.Join(strings.Fields(m[2]), " ")
+			found := false
+			for _, sub := range designSubRe.FindAllStringSubmatch(sec, -1) {
+				found = found || strings.HasPrefix(sub[1], title)
+			}
+			if !found {
+				t.Errorf("%s cites DESIGN §%d %q, which is no subsection of it", f, n, title)
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("no DESIGN section cited: the scan is broken")
 	}
 }

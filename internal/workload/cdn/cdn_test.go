@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultlab"
 	"repro/internal/sim"
 	"repro/internal/sim/snaptest"
 )
@@ -89,4 +90,80 @@ func TestForkVsColdCDN(t *testing.T) {
 		WarmUntil: 90 * time.Second,
 		Horizon:   6 * time.Minute,
 	}.Run(t, snaptest.Seeds(1, n))
+}
+
+// firstInflight steps a scenario until a fetch is in flight and returns
+// it. An event starts at most one fetch, and the first request always
+// misses the empty caches, so the first fetch found is the only one.
+func firstInflight(t *testing.T, s *Scenario) *fetch {
+	t.Helper()
+	for s.Eng.Step() {
+		for p := range s.inflight {
+			for _, ft := range s.inflight[p] {
+				return ft
+			}
+		}
+	}
+	t.Fatal("the scenario ran out of events with no fetch in flight")
+	return nil
+}
+
+// TestCutFetchMidFlight aims a partition at a fetch in flight, which no
+// fault profile of `gridlab cdn` does: cutting origin–pN fails a
+// single-stream pull there (fetchFail) and leaves the request accounting
+// whole, while a striped pull under the same cut restripes its severed
+// backlog onto the relay paths and completes.
+func TestCutFetchMidFlight(t *testing.T) {
+	horizon := 10 * time.Minute
+	for _, striped := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Striped = striped
+		s := New(42, cfg, faultlab.Quiet(), horizon)
+		ft := firstInflight(t, s)
+		if ft.flow == nil {
+			t.Fatalf("striped=%v: fetch of object %d at p%d has no flow", striped, ft.obj, ft.proxy)
+		}
+		before := s.Stats
+		failedFlows := s.tr.Counter("net.flows.failed").Value()
+
+		s.Net.Partition("origin", proxyName(ft.proxy), true)
+
+		cut := s.Stats
+		inflight := s.inflight[ft.proxy][ft.obj]
+		if !striped {
+			if cut.Failed != before.Failed+1 {
+				t.Errorf("single: Failed %d after the cut, want %d", cut.Failed, before.Failed+1)
+			}
+			if inflight != nil {
+				t.Errorf("single: the failed fetch of object %d is still in flight at p%d", ft.obj, ft.proxy)
+			}
+			if got := s.tr.Counter("net.flows.failed").Value(); got != failedFlows+1 {
+				t.Errorf("single: net.flows.failed %d after the cut, want %d", got, failedFlows+1)
+			}
+		} else {
+			if cut.Failed != before.Failed || inflight != ft {
+				t.Errorf("striped: the cut failed the fetch (Failed %d → %d, in flight %v)", before.Failed, cut.Failed, inflight == ft)
+			}
+		}
+		if got := cut.Hits + cut.Coalesced + cut.Fetches; got != cut.Requests {
+			t.Errorf("striped=%v: Hits+Coalesced+Fetches = %d after the cut, want Requests %d", striped, got, cut.Requests)
+		}
+
+		s.Eng.RunUntil(horizon)
+		st := s.Stats
+		if got := st.Hits + st.Coalesced + st.Fetches; got != st.Requests {
+			t.Errorf("striped=%v: Hits+Coalesced+Fetches = %d at the horizon, want Requests %d", striped, got, st.Requests)
+		}
+		if st.Done+st.Failed > st.Fetches {
+			t.Errorf("striped=%v: Done %d + Failed %d > Fetches %d", striped, st.Done, st.Failed, st.Fetches)
+		}
+		if striped {
+			if !s.cache[ft.proxy][ft.obj] || st.Failed != 0 {
+				t.Errorf("striped: the cut fetch did not complete (cached %v, Failed %d)", s.cache[ft.proxy][ft.obj], st.Failed)
+			}
+			if got := s.tr.Counter("net.flows.failed").Value(); got != failedFlows {
+				t.Errorf("striped: net.flows.failed %d, want %d: a pooled flow with a surviving path must not fail", got, failedFlows)
+			}
+		}
+	}
 }
