@@ -27,7 +27,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,9 +37,7 @@ import (
 func main() {
 	var (
 		runSpec = flag.String("run", "", "comma-separated analyzer subset to run (default: all)")
-		tests   = flag.Bool("tests", false, "also analyze _test.go files")
 		verbose = flag.Bool("v", false, "list suppressed findings with their ignore reasons")
-		jsonOut = flag.Bool("json", false, "emit findings as JSON")
 		list    = flag.Bool("list", false, "list analyzers and exit")
 	)
 	flag.Usage = func() {
@@ -67,7 +64,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gridlint:", err)
 		os.Exit(2)
 	}
-	loader.IncludeTests = *tests
 	pkgs, err := loader.Load(flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gridlint:", err)
@@ -80,22 +76,13 @@ func main() {
 	}
 
 	res := lint.Run(loader.Fset, pkgs, analyzers)
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fmt.Fprintln(os.Stderr, "gridlint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range res.Findings {
-			fmt.Println(f)
-		}
-		if *verbose {
-			for _, f := range res.Suppressed {
-				fmt.Printf("suppressed: %s: %s: %s (reason: %s)\n",
-					f.Pos, f.Analyzer, f.Message, f.IgnoreReason)
-			}
+	for _, f := range res.Findings {
+		fmt.Println(f)
+	}
+	if *verbose {
+		for _, f := range res.Suppressed {
+			fmt.Printf("suppressed: %s: %s: %s (reason: %s)\n",
+				f.Pos, f.Analyzer, f.Message, f.IgnoreReason)
 		}
 	}
 	if len(res.Findings) > 0 {

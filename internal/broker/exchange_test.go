@@ -224,6 +224,7 @@ func TestMarketNoSellers(t *testing.T) {
 	}
 }
 
+// Unit property beyond TestDeterminism: the exchange alone, outside any federation, matches the same trades on a rerun.
 func TestMarketDeterministicAcrossRuns(t *testing.T) {
 	run := func() []string {
 		eng := sim.NewEngine(42)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sharp"
+	"repro/internal/sim"
 	"repro/internal/vm"
 )
 
@@ -155,6 +156,9 @@ type Figure2Result struct {
 	Trace  []TraceStep
 	Slice  *vm.Slice
 	Leases []*sharp.Lease
+	// Events, Digest and Marks fingerprint the run's events (sim.Engine.Digest).
+	Events, Digest uint64
+	Marks          []sim.Mark
 }
 
 // Figure2 executes the SHARP scenario exactly as the paper's Figure 2
@@ -258,6 +262,8 @@ func figure2(seed int64, trace bool) (*Figure2Result, *obs.Tracer, error) {
 		return nil, nil, err
 	}
 	res.Slice = slice
+	res.Events, res.Digest = f.Eng.Digest()
+	res.Marks = f.Eng.Marks()
 	f.Tracer.SampleGauges()
 	return res, f.Tracer, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/obs"
@@ -66,74 +65,6 @@ func TestFigure2SpanOrder(t *testing.T) {
 	}
 	if n := len(spansNamed(tr, "sharp.redeem")); n != 1 {
 		t.Errorf("got %d sharp.redeem spans, want 1", n)
-	}
-}
-
-// TestTracedRunMatchesUntraced gates the zero-perturbation property:
-// enabling tracing must not change what the scenario does — same trace
-// steps, same artifacts — because instrumentation adds no engine events
-// and no rng draws.
-func TestTracedRunMatchesUntraced(t *testing.T) {
-	plain, err := Figure2(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, _, err := Figure2Traced(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Trace) != len(traced.Trace) {
-		t.Fatalf("step counts differ: %d vs %d", len(plain.Trace), len(traced.Trace))
-	}
-	for i := range plain.Trace {
-		if plain.Trace[i] != traced.Trace[i] {
-			t.Errorf("step %d differs: %+v vs %+v", i, plain.Trace[i], traced.Trace[i])
-		}
-	}
-}
-
-// TestTraceDeterminism is the byte-identity gate: the same seeded
-// scenario exported twice must produce identical JSONL, byte for byte.
-func TestTraceDeterminism(t *testing.T) {
-	runs := map[string]func() ([]byte, error){
-		"fig2": func() ([]byte, error) {
-			_, tr, err := Figure2Traced(42)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			if err := tr.WriteJSONL(&buf); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		},
-		"delegation": func() ([]byte, error) {
-			tr, err := TraceDelegation(42)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			if err := tr.WriteJSONL(&buf); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		},
-	}
-	for name, run := range runs {
-		a, err := run()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		b, err := run()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: same-seed JSONL differs (%d vs %d bytes)", name, len(a), len(b))
-		}
-		if len(a) == 0 {
-			t.Errorf("%s: trace is empty", name)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package faultlab
 
 import (
-	"slices"
 	"testing"
 	"time"
 )
@@ -15,32 +14,6 @@ func shortLeaseConfig() ChaosConfig {
 	cfg.Lease = 90 * time.Minute
 	cfg.ReconcileEvery = 15 * time.Minute
 	return cfg
-}
-
-// Resilience must not cost determinism: same (seed, profile, config)
-// reproduces the run bit-for-bit, retry jitter and breaker cooldowns
-// included, and turning tracing on observes the same run.
-func TestChaosResilienceDeterministic(t *testing.T) {
-	cfg := shortLeaseConfig()
-	cfg.Resilience = true
-	p, _ := ProfileByName("mixed")
-	a := RunChaos(23, p, cfg)
-	b := RunChaos(23, p, cfg)
-	if !slices.Equal(a.Trace, b.Trace) {
-		t.Errorf("traces diverged:\n%v\nvs\n%v", a.Trace, b.Trace)
-	}
-	if a.Summary != b.Summary {
-		t.Errorf("summaries diverged:\n%s\nvs\n%s", a.Summary, b.Summary)
-	}
-	traced := cfg
-	traced.Trace = true
-	c := RunChaos(23, p, traced)
-	if c.Summary != a.Summary {
-		t.Errorf("traced resilience run diverged:\n%s\nvs\n%s", c.Summary, a.Summary)
-	}
-	if a.Resilience == nil || a.Resilience.Renewals == 0 {
-		t.Errorf("resilience run recorded no renewals: %+v", a.Resilience)
-	}
 }
 
 // The tentpole gate: on the same seeds, availability with renewal +

@@ -131,6 +131,9 @@ type Report struct {
 	// Byzantine carries the adversarial-market outcome when
 	// ChaosConfig.Byzantine was enabled (nil otherwise).
 	Byzantine *ByzantineStats
+	// Events, Digest and Marks fingerprint the run's events (sim.Engine.Digest).
+	Events, Digest uint64
+	Marks          []sim.Mark
 }
 
 // ResilienceStats snapshots the resilience kit's counters after a run.
@@ -532,6 +535,8 @@ func (c *chaosRun) finish() *Report {
 		}
 	}
 	rep.Byzantine = byzStats
+	rep.Events, rep.Digest = f.Eng.Digest()
+	rep.Marks = f.Eng.Marks()
 	if sched != nil {
 		rep.Profile = sched.Profile
 	}

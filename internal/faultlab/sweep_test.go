@@ -13,7 +13,10 @@ func TestSweepFiftySeedsAllProfiles(t *testing.T) {
 		t.Skip("sweep is the long acceptance test")
 	}
 	cfg := DefaultChaosConfig()
-	cfg.Horizon = 4 * time.Hour // full severity, shorter soak per run
+	// At the default 8 h horizon seed 9 panics under partitions, arming a
+	// fault before 1 s (ROADMAP 1(b)); bench's TestArmDefectScreen pins
+	// that panic. 4 h keeps all 50 seeds clear of it.
+	cfg.Horizon = 4 * time.Hour
 	res := sweep(1, 50, Profiles(), cfg)
 	if res.Runs != 150 {
 		t.Fatalf("Runs = %d, want 150", res.Runs)

@@ -156,8 +156,7 @@ func TestBackfillOnlyWhenEarlierJobsBlockedProperty(t *testing.T) {
 	}
 }
 
-// TestBatchDeterministicAcrossRuns re-runs an identical stream and
-// expects identical schedules.
+// Unit property beyond TestDeterminism: the batch scheduler gives a replayed job stream the same start and end times.
 func TestBatchDeterministicAcrossRuns(t *testing.T) {
 	raw := []uint8{3, 40, 7, 10, 1, 90, 8, 5, 2, 61, 4, 33}
 	run := func() []time.Duration {

@@ -246,6 +246,7 @@ func TestFingerprintStable(t *testing.T) {
 	}
 }
 
+// Unit property beyond TestDeterminism: a principal's ed25519 key is a function of its rng stream alone.
 func TestDeterministicKeys(t *testing.T) {
 	a := NewPrincipal("x", rand.New(rand.NewSource(7)))
 	b := NewPrincipal("x", rand.New(rand.NewSource(7)))

@@ -41,8 +41,7 @@ var engineraceGuarded = map[[2]string]string{
 }
 
 func runEnginerace(pass *Pass) {
-	path := strings.TrimSuffix(pass.Pkg.Path, "_test")
-	if path == perfPath || strings.HasPrefix(path, perfPath+"/") {
+	if path := pass.Pkg.Path; path == perfPath || strings.HasPrefix(path, perfPath+"/") {
 		return
 	}
 	info := pass.Pkg.Info

@@ -30,7 +30,7 @@ var jitterrandGuarded = map[string]bool{
 }
 
 func runJitterrand(pass *Pass) {
-	if pass.Pkg.Path == resiliencePath || pass.Pkg.Path == resiliencePath+"_test" {
+	if pass.Pkg.Path == resiliencePath {
 		return
 	}
 	info := pass.Pkg.Info

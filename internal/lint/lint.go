@@ -62,14 +62,14 @@ func (p *AllPass) Reportf(pos token.Pos, hint string, format string, args ...any
 
 // Finding is one diagnostic.
 type Finding struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"pos"`
-	Message  string         `json:"message"`
-	Hint     string         `json:"hint,omitempty"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
+	Hint     string
 	// Suppressed marks a finding matched by a //gridlint:ignore
 	// directive; the directive's reason is recorded for the audit trail.
-	Suppressed   bool   `json:"suppressed,omitempty"`
-	IgnoreReason string `json:"ignoreReason,omitempty"`
+	Suppressed   bool
+	IgnoreReason string
 }
 
 func (f Finding) String() string {

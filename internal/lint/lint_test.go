@@ -150,13 +150,12 @@ func TestJitterrandSkipsResiliencePackage(t *testing.T) {
 
 // TestEngineraceSkipsPerfSubtree: internal/perf and its subpackages own
 // the one-engine-per-worker discipline, so the same goroutine handoffs
-// produce no findings there (including external test variants).
+// produce no findings there.
 func TestEngineraceSkipsPerfSubtree(t *testing.T) {
 	loader, pkg := loadCorpus(t, "enginerace")
 	for _, path := range []string{
 		"repro/internal/perf",
 		"repro/internal/perf/chaos",
-		"repro/internal/perf/chaos_test",
 	} {
 		scoped := *pkg
 		scoped.Path = path

@@ -46,10 +46,6 @@ type Package struct {
 // Loader discovers and type-checks packages under a single module.
 type Loader struct {
 	Fset *token.FileSet
-	// IncludeTests adds _test.go files of the in-package test variant to
-	// analysis. External test packages (package foo_test) are loaded as
-	// separate synthetic packages with path suffix "_test".
-	IncludeTests bool
 
 	modPath string
 	modDir  string
@@ -158,76 +154,39 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 
 	var pkgs []*Package
 	for _, dir := range dirs {
-		names, testNames, xtestNames, err := goFilesIn(dir)
+		names, err := goFilesIn(dir)
 		if err != nil {
 			return nil, err
 		}
-		if len(names) == 0 && !(l.IncludeTests && (len(testNames) > 0 || len(xtestNames) > 0)) {
+		if len(names) == 0 {
 			continue
 		}
-		path := l.importPathFor(dir)
-		var files []string
-		files = append(files, names...)
-		if l.IncludeTests {
-			files = append(files, testNames...)
+		pkg, err := l.loadFiles(l.importPathFor(dir), dir, names)
+		if err != nil {
+			return nil, err
 		}
-		if len(files) > 0 {
-			pkg, err := l.loadFiles(path, dir, files)
-			if err != nil {
-				return nil, err
-			}
-			pkgs = append(pkgs, pkg)
-		}
-		if l.IncludeTests && len(xtestNames) > 0 {
-			pkg, err := l.loadFiles(path+"_test", dir, xtestNames)
-			if err != nil {
-				return nil, err
-			}
-			pkgs = append(pkgs, pkg)
-		}
+		pkgs = append(pkgs, pkg)
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
 }
 
-// goFilesIn splits a directory's .go files into non-test, in-package
-// test, and external-test (package foo_test) groups, each sorted.
-func goFilesIn(dir string) (names, testNames, xtestNames []string, err error) {
+// goFilesIn lists a directory's non-test .go files, sorted.
+func goFilesIn(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
+	var names []string
 	for _, e := range ents {
 		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
-			continue
-		}
-		if !strings.HasSuffix(n, "_test.go") {
+		if !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") &&
+			!strings.HasPrefix(n, ".") && !strings.HasPrefix(n, "_") {
 			names = append(names, n)
-			continue
-		}
-		ext, err := isExternalTest(filepath.Join(dir, n))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if ext {
-			xtestNames = append(xtestNames, n)
-		} else {
-			testNames = append(testNames, n)
 		}
 	}
 	sort.Strings(names)
-	sort.Strings(testNames)
-	sort.Strings(xtestNames)
-	return names, testNames, xtestNames, nil
-}
-
-func isExternalTest(file string) (bool, error) {
-	f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.PackageClauseOnly)
-	if err != nil {
-		return false, err
-	}
-	return strings.HasSuffix(f.Name.Name, "_test"), nil
+	return names, nil
 }
 
 func (l *Loader) importPathFor(dir string) string {
@@ -274,7 +233,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")
 		dir := filepath.Join(l.modDir, rel)
-		names, _, _, err := goFilesIn(dir)
+		names, err := goFilesIn(dir)
 		if err != nil {
 			return nil, err
 		}

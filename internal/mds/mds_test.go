@@ -128,6 +128,7 @@ func TestQueryLimit(t *testing.T) {
 	g.Stop()
 }
 
+// Unit property beyond TestDeterminism: a GIIS returns records in name order, not provider-insertion order.
 func TestDeterministicResultOrder(t *testing.T) {
 	f := newFixture()
 	idx := NewGIIS(f.eng, f.net, "idx")

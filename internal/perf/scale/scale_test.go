@@ -1,7 +1,6 @@
 package scale
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -20,30 +19,6 @@ func smallConfig() Config {
 		Batch:           16,
 		RefreshInterval: 2 * time.Minute,
 		Windows:         2,
-	}
-}
-
-func render(rep *Report) []byte {
-	var buf bytes.Buffer
-	rep.Render(&buf)
-	return buf.Bytes()
-}
-
-func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	cfg := smallConfig()
-	base := render(Run(7, cfg, 1))
-	for _, w := range []int{2, 4} {
-		got := render(Run(7, cfg, w))
-		if !bytes.Equal(base, got) {
-			t.Fatalf("report differs between workers=1 and workers=%d:\n--- w1 ---\n%s\n--- w%d ---\n%s",
-				w, base, w, got)
-		}
-	}
-	if rerun := render(Run(7, cfg, 1)); !bytes.Equal(base, rerun) {
-		t.Fatalf("report differs across identical reruns")
-	}
-	if diff := render(Run(8, cfg, 1)); bytes.Equal(base, diff) {
-		t.Fatalf("different seeds produced identical reports")
 	}
 }
 

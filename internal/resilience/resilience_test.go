@@ -156,6 +156,7 @@ func TestDoSucceedsAfterTransientFailures(t *testing.T) {
 	}
 }
 
+// Unit property beyond TestDeterminism: one retry loop's jittered attempt times repeat for the same seed.
 func TestDoBackoffDeterministicAcrossRuns(t *testing.T) {
 	run := func() []time.Duration {
 		eng, k := newKit(42)
@@ -356,6 +357,7 @@ func TestExecutorBreakerFastFailRetries(t *testing.T) {
 	}
 }
 
+// Unit property beyond TestDeterminism: NotClosed lists breakers in name order, whatever order they tripped in.
 func TestBreakerSetDeterministicReporting(t *testing.T) {
 	_, k := newKit(1)
 	s := k.Breakers

@@ -541,22 +541,9 @@ func (a *Authority) Redeem(t *Ticket) (*Lease, error) {
 		span.End(obs.Err(err))
 		return nil, err
 	}
-	now := a.eng.Now() + a.skew
-	if t.Root() != nil && t.Root().Site != a.Site {
-		return reject(ErrWrongSite)
-	}
-	if err := t.verify(a.signer.Public(), now, a.sigCache); err != nil {
+	leaf, h, err := a.admit(t, a.eng.Now()+a.skew, nil)
+	if err != nil {
 		return reject(err)
-	}
-	leaf := t.Leaf()
-	if leaf.NotAfter-now <= RedeemGrace {
-		return reject(fmt.Errorf("%w: %v left of ticket term is inside the %v redeem grace",
-			ErrExpired, leaf.NotAfter-now, RedeemGrace))
-	}
-	h := leaf.Hash()
-	if a.replay.seen(h) {
-		a.ReplayRejN++
-		return reject(fmt.Errorf("%w (%w): leaf serial %d", ErrReplayed, ErrDoubleSpend, leaf.Serial))
 	}
 	cap_, err := a.nm.Mint(capability.MintRequest{
 		Type:      leaf.Type,
@@ -594,6 +581,36 @@ func (a *Authority) Redeem(t *Ticket) (*Lease, error) {
 	a.recordOf[lease.ID] = i
 	span.End(obs.String("lease", lease.ID))
 	return lease, nil
+}
+
+// admit runs the checks a ticket passes before it is spent: issued
+// here, a valid chain at now, a term outside RedeemGrace, for a renewal
+// of lease (nil for a redeem) the lease's type and no gap, and not spent
+// before. It returns the leaf and the hash the replay cache keys it by.
+func (a *Authority) admit(t *Ticket, now time.Duration, lease *Lease) (leaf *Claim, h [32]byte, err error) {
+	if t.Root() != nil && t.Root().Site != a.Site {
+		return nil, h, ErrWrongSite
+	}
+	if err := t.verify(a.signer.Public(), now, a.sigCache); err != nil {
+		return nil, h, err
+	}
+	switch leaf = t.Leaf(); {
+	case leaf.NotAfter-now <= RedeemGrace:
+		err = fmt.Errorf("%w: %v left of ticket term is inside the %v redeem grace", ErrExpired, leaf.NotAfter-now, RedeemGrace)
+	case lease != nil && leaf.Type != lease.Type:
+		err = fmt.Errorf("%w: ticket type %v, lease type %v", ErrBadChain, leaf.Type, lease.Type)
+	case lease != nil && leaf.NotBefore > lease.NotAfter:
+		err = fmt.Errorf("%w: ticket starts %v, lease ends %v", ErrRenewGap, leaf.NotBefore, lease.NotAfter)
+	default:
+		if h = leaf.Hash(); a.replay.seen(h) {
+			a.ReplayRejN++
+			err = fmt.Errorf("%w (%w): leaf serial %d", ErrReplayed, ErrDoubleSpend, leaf.Serial)
+		}
+	}
+	if err != nil {
+		return nil, h, err
+	}
+	return leaf, h, nil
 }
 
 // RedeemResult pairs one batch entry's outcome with its position.
@@ -676,28 +693,14 @@ func (a *Authority) Renew(leaseID string, tickets ...*Ticket) (*Lease, error) {
 	var total float64
 	target := time.Duration(1<<63 - 1)
 	rootNotAfter := target
+	var buf [4][32]byte
+	spent := buf[:0]
 	for _, t := range tickets {
-		if t.Root() != nil && t.Root().Site != a.Site {
-			return fail(ErrWrongSite)
-		}
-		if err := t.verify(a.signer.Public(), now, a.sigCache); err != nil {
+		leaf, h, err := a.admit(t, now, lease)
+		if err != nil {
 			return fail(err)
 		}
-		leaf := t.Leaf()
-		if leaf.NotAfter-now <= RedeemGrace {
-			return fail(fmt.Errorf("%w: %v left of ticket term is inside the %v redeem grace",
-				ErrExpired, leaf.NotAfter-now, RedeemGrace))
-		}
-		if leaf.Type != lease.Type {
-			return fail(fmt.Errorf("%w: ticket type %v, lease type %v", ErrBadChain, leaf.Type, lease.Type))
-		}
-		if leaf.NotBefore > lease.NotAfter {
-			return fail(fmt.Errorf("%w: ticket starts %v, lease ends %v", ErrRenewGap, leaf.NotBefore, lease.NotAfter))
-		}
-		if a.replay.seen(leaf.Hash()) {
-			a.ReplayRejN++
-			return fail(fmt.Errorf("%w (%w): leaf serial %d", ErrReplayed, ErrDoubleSpend, leaf.Serial))
-		}
+		spent = append(spent, h)
 		total += leaf.Amount
 		if leaf.NotAfter < target {
 			target = leaf.NotAfter
@@ -715,8 +718,8 @@ func (a *Authority) Renew(leaseID string, tickets ...*Ticket) (*Lease, error) {
 	if err := a.nm.Extend(lease.CapID, target); err != nil {
 		return fail(err)
 	}
-	for _, t := range tickets {
-		a.replay.add(t.Leaf().Hash(), t.Leaf().NotAfter, a.eng.Now())
+	for i, h := range spent {
+		a.replay.add(h, tickets[i].Leaf().NotAfter, a.eng.Now())
 	}
 	lease.NotAfter = target
 	if target > rec.LeafNotAfter {

@@ -28,6 +28,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -100,8 +101,11 @@ type Engine struct {
 	nodes []node  // index-stable backing store (appended, never shrunk)
 	free  []int32 // recycled node indexes
 	rng   *rand.Rand
-	// processed counts events executed, for test and debug assertions.
+	// processed counts events executed, digest hashes their (at, seq),
+	// and marks[k] is the digest and clock after event 2^k (see Digest).
 	processed uint64
+	digest    uint64
+	marks     [64]Mark
 
 	// genCounter is the source of every node generation ever minted. It is
 	// engine-global and monotonic, and — critically — it is the one piece
@@ -135,6 +139,25 @@ func (e *Engine) ForkRand() *rand.Rand {
 
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
+
+// Mark is a digest checkpoint: the hash and clock after event 2^k.
+type Mark struct {
+	Hash uint64
+	At   time.Duration
+}
+
+// Digest returns the events executed and a hash of each one's (at, seq):
+// runs that fire the same events in the same order agree on it, whatever
+// they report. It does not see which callback an event ran.
+func (e *Engine) Digest() (events, hash uint64) { return e.processed, e.digest }
+
+// Marks returns the checkpoints reached; where two runs' marks first
+// differ brackets the first event they disagree on.
+func (e *Engine) Marks() []Mark { return append([]Mark(nil), e.marks[:bits.Len64(e.processed)]...) }
+
+// Fold mixes x into the hash h: the digest's step, and how a report over
+// several engines combines their digests in a fixed order.
+func Fold(h, x uint64) uint64 { return bits.RotateLeft64((h^x)*0x9e3779b97f4a7c15, 27) }
 
 // nextGen mints a fresh, never-before-used node generation. Generations
 // come from the engine-global counter rather than per-node bumps so that
@@ -272,6 +295,10 @@ func (e *Engine) Step() bool {
 	e.popTop()
 	e.now = s.at
 	e.processed++
+	e.digest = Fold(Fold(e.digest, uint64(s.at)), s.seq)
+	if e.processed&(e.processed-1) == 0 {
+		e.marks[bits.TrailingZeros64(e.processed)] = Mark{e.digest, s.at}
+	}
 	e.live--
 	f := e.nodes[s.idx].fire
 	// Recycle before firing: outstanding handles are invalidated by the

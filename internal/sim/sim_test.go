@@ -229,6 +229,7 @@ func TestEnginePanicsOnNegativeDelay(t *testing.T) {
 	e.Schedule(-time.Second, func() {})
 }
 
+// Unit property beyond TestDeterminism: two same-seed engines draw one rng stream, before any event fires.
 func TestEngineDeterministicRand(t *testing.T) {
 	a, b := NewEngine(42), NewEngine(42)
 	for i := 0; i < 100; i++ {
@@ -478,6 +479,7 @@ func TestFluidPanicsOnBadConsumer(t *testing.T) {
 	}
 }
 
+// Unit property beyond TestDeterminism: 50 weighted fluid consumers on one link finish at the same instants on a rerun.
 func TestFluidManyConsumersDeterministic(t *testing.T) {
 	run := func() []time.Duration {
 		e := NewEngine(7)

@@ -78,8 +78,7 @@ func TestFlowConservationProperty(t *testing.T) {
 	}
 }
 
-// TestFlowDeterminismProperty: identical flow programs produce identical
-// completion times.
+// Unit property beyond TestDeterminism: random flow programs, not only the cdn and E8 shapes, finish alike on a rerun.
 func TestFlowDeterminismProperty(t *testing.T) {
 	run := func(raw []uint8) []time.Duration {
 		eng := sim.NewEngine(5)

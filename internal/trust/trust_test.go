@@ -115,9 +115,8 @@ func TestScoreboardRecovers(t *testing.T) {
 	}
 }
 
+// Unit property beyond TestDeterminism: two scoreboards fed the same reports snapshot the same bytes.
 func TestScoreboardDeterministicBytes(t *testing.T) {
-	// Two scoreboards fed the same report sequence render identically —
-	// the property the 20-seed sweep identity test leans on.
 	run := func() []BrokerScore {
 		s := NewScoreboard(0.7)
 		seq := []struct {

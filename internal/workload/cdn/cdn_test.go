@@ -11,18 +11,6 @@ import (
 	"repro/internal/sim/snaptest"
 )
 
-// TestCDNWorkerIndependence: cells run on private engines, so the table
-// must be identical at any worker count.
-func TestCDNWorkerIndependence(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Requests = 120
-	one := Curve(7, cfg, CurveProfiles(), 5*time.Minute, 1).String()
-	many := Curve(7, cfg, CurveProfiles(), 5*time.Minute, 4).String()
-	if one != many {
-		t.Fatalf("curve differs across worker counts:\n-- workers=1 --\n%s-- workers=4 --\n%s", one, many)
-	}
-}
-
 // TestCDNShape asserts the paper's qualitative claims directly, so a
 // pinned-output regeneration cannot silently absorb a regression: striping
 // multiplies loss-limited throughput (faster mean fetch everywhere), and

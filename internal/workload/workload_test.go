@@ -138,6 +138,7 @@ func TestGenerateNetServices(t *testing.T) {
 	}
 }
 
+// Unit property beyond TestDeterminism in cmd/gridlab: the job and service generators are functions of their rng alone.
 func TestDeterminism(t *testing.T) {
 	a := GenerateGridJobs(rand.New(rand.NewSource(9)), gridJobs, 50)
 	b := GenerateGridJobs(rand.New(rand.NewSource(9)), gridJobs, 50)
