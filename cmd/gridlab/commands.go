@@ -228,7 +228,10 @@ func bindTrace(fs *flag.FlagSet, g *globals) resolve {
 				return tr, err
 			}
 		case "delegation":
-			traced = func() (*obs.Tracer, error) { return core.TraceDelegation(g.seed) }
+			traced = func() (*obs.Tracer, error) {
+				_, tr, err := core.TraceDelegation(g.seed)
+				return tr, err
+			}
 		case "chaos":
 			p, err := faultlab.ProfileByName(*profile)
 			if err != nil {

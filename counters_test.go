@@ -97,7 +97,7 @@ sharp.tickets.issued 2
 sharp.tickets.rejected 0
 `},
 		{"delegation", func() *obs.Tracer {
-			tr, err := core.TraceDelegation(42)
+			_, tr, err := core.TraceDelegation(42)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,17 +6,26 @@ import (
 	"repro/internal/identity"
 	"repro/internal/obs"
 	"repro/internal/servicemgr"
+	"repro/internal/sim"
 )
 
+// DelegationResult fingerprints TraceDelegation's run: the events its
+// engine fired, their digest and checkpoints (sim.Engine.Digest, Marks).
+type DelegationResult struct {
+	Events, Digest uint64
+	Marks          []sim.Mark
+}
+
 // TraceDelegation runs a small usage-delegation lifecycle with the obs
-// layer on and returns the tracer: a deployer stocks tickets from three
+// layer on and returns the engine's fingerprint with the tracer, as
+// Figure2Traced does: a deployer stocks tickets from three
 // PlanetLab sites, a service manager deploys a two-PoP service, one site
 // fails (triggering a failover redeploy to the spare), recovers, and a
 // reconcile pass confirms the service is back at strength. The resulting
 // trace shows the full causal chain broker.stock → svc.start →
 // broker.deploy → sharp.issue/redeem, then svc.site_failed → the
 // replacement deploy.
-func TraceDelegation(seed int64) (*obs.Tracer, error) {
+func TraceDelegation(seed int64) (*DelegationResult, *obs.Tracer, error) {
 	specs := lineOf(3, "s%02d", 10, SiteSpec{Y: 5, Nodes: 2, Policy: PlanetLabSitePolicy()})
 	f := Build(StackPlanetLab, Config{Seed: seed, StopPushers: true, Trace: true}, specs)
 	tr := f.Tracer
@@ -24,7 +33,7 @@ func TraceDelegation(seed int64) (*obs.Tracer, error) {
 	now := f.Eng.Now()
 	horizon := now + 24*time.Hour
 	if err := f.Deployer.Stock(2, now, horizon, "s00", "s01", "s02"); err != nil {
-		return tr, err
+		return nil, tr, err
 	}
 	sm := identity.NewPrincipal("trace-sm", f.Rng)
 	mgr := servicemgr.New(f.Eng, f.Deployer, sm, servicemgr.Config{
@@ -36,7 +45,7 @@ func TraceDelegation(seed int64) (*obs.Tracer, error) {
 	})
 	mgr.SetTracer(tr)
 	if err := mgr.Start(); err != nil {
-		return tr, err
+		return nil, tr, err
 	}
 
 	// An hour in, the first site dies; the manager fails over to the
@@ -53,5 +62,7 @@ func TraceDelegation(seed int64) (*obs.Tracer, error) {
 	f.Eng.RunUntil(now + 4*time.Hour)
 	mgr.Stop()
 	tr.SampleGauges()
-	return tr, nil
+	res := &DelegationResult{Marks: f.Eng.Marks()}
+	res.Events, res.Digest = f.Eng.Digest()
+	return res, tr, nil
 }

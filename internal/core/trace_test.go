@@ -71,7 +71,7 @@ func TestFigure2SpanOrder(t *testing.T) {
 // TestTraceDelegationShape sanity-checks the delegation scenario's causal
 // story: a failover redeploy happens and nests a redeem under it.
 func TestTraceDelegationShape(t *testing.T) {
-	tr, err := TraceDelegation(42)
+	_, tr, err := TraceDelegation(42)
 	if err != nil {
 		t.Fatal(err)
 	}

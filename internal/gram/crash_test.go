@@ -48,6 +48,36 @@ func TestCrashFailsQueuedAndRunningJobs(t *testing.T) {
 	}
 }
 
+// TestCrashFailsRunningJobsInIDOrder: a crash fails the running jobs in
+// job-ID order, whatever order the manager holds them in, so the Failed
+// transitions and span ends it emits are deterministic.
+func TestCrashFailsRunningJobsInIDOrder(t *testing.T) {
+	eng := sim.NewEngine(1)
+	m := NewBatchManager(eng, "batch", 16)
+	var failed, want []string
+	for _, id := range []string{"j7", "j12", "j3", "j10", "j1", "j15", "j5", "j9", "j2", "j14", "j11", "j4"} {
+		j := mkJob(t, id, `&(executable=a)(count=1)(maxWallTime=100)`, 80*time.Second)
+		j.OnState = func(j *Job, s JobState) {
+			if s == Failed {
+				failed = append(failed, j.ID)
+			}
+		}
+		if err := m.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, id)
+	}
+	eng.RunUntil(10 * time.Second)
+	if len(m.running) != len(want) {
+		t.Fatalf("%d of %d jobs running before the crash", len(m.running), len(want))
+	}
+	m.Crash(errors.New("head node died"))
+	sort.Strings(want)
+	if !slices.Equal(failed, want) {
+		t.Errorf("crash failed the running jobs in order %v, want %v", failed, want)
+	}
+}
+
 func TestCrashDropsReservationsButManagerRecovers(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := NewBatchManager(eng, "batch", 4)

@@ -35,8 +35,9 @@ import (
 // the reference every fill is held to bit for bit.
 // Completion events are rescheduled only for consumers
 // whose rate actually changed: an unchanged rate means the pending event's
-// ceil-rounded ETA is still exact, so cancel+reschedule churn (previously
-// O(N) per change) tracks the size of the rate change, not the system.
+// ceil-rounded ETA is still exact, so cancel+reschedule churn tracks the
+// size of the rate change, not the system. A consumer is its own
+// completion event (consumerFirer), so rescheduling one allocates nothing.
 //
 // All allocator state — including the reusable scratch slices — lives in
 // struct fields reachable from the FluidSystem, never in closure captures,
@@ -84,7 +85,7 @@ func (r *FluidResource) SetCapacity(c float64) {
 type FluidConsumer struct {
 	Name string
 	// Weight sets the consumer's share relative to competitors (stride /
-	// proportional-share semantics). Must be > 0.
+	// proportional-share semantics). Must be > 0 and finite.
 	Weight float64
 	// Limit caps the consumer's rate independent of fair share, in
 	// units/second; 0 means unlimited. Used for TCP loss-limited rates and
@@ -93,7 +94,7 @@ type FluidConsumer struct {
 	// only at the next reallocation touching the consumer.
 	Limit float64
 	// OnDone fires when Remaining reaches zero; the consumer is removed
-	// before the callback runs.
+	// before the callback runs, and the callback may Add it again.
 	OnDone func()
 
 	remaining  float64
@@ -207,10 +208,15 @@ func (s *FluidSystem) NewResource(name string, capacity float64) *FluidResource 
 // Add starts a consumer with the given amount of work across the listed
 // resources and returns it. A consumer with no resources is limited only
 // by its Limit (or runs instantaneously if Limit is 0 — disallowed).
-// Zero work completes immediately: OnDone fires before Add returns.
+// Zero work completes immediately: OnDone fires before Add returns. A
+// consumer that is not live (finished or removed) may be added again; it
+// keeps its resources' backing array, so re-arming one allocates nothing.
 func (s *FluidSystem) Add(c *FluidConsumer, work float64, resources ...*FluidResource) *FluidConsumer {
-	if c.Weight <= 0 {
-		panic(fmt.Sprintf("sim: consumer %q weight %v must be positive", c.Name, c.Weight))
+	if c.live {
+		panic(fmt.Sprintf("sim: consumer %q added while live", c.Name))
+	}
+	if !(c.Weight > 0) || math.IsInf(c.Weight, 0) { // the negation also catches NaN
+		panic(fmt.Sprintf("sim: consumer %q weight %v must be positive and finite", c.Name, c.Weight))
 	}
 	if work < 0 || math.IsNaN(work) {
 		panic(fmt.Sprintf("sim: consumer %q invalid work %v", c.Name, work))
@@ -228,7 +234,7 @@ func (s *FluidSystem) Add(c *FluidConsumer, work float64, resources ...*FluidRes
 	c.total = work
 	c.rate = 0
 	c.done = Event{}
-	c.resources = append([]*FluidResource(nil), resources...)
+	c.resources = append(c.resources[:0], resources...)
 	c.lastUpdate = s.eng.Now()
 	if work <= c.doneEps() {
 		// Nothing to transfer: complete synchronously without ever joining
@@ -559,11 +565,11 @@ func (s *FluidSystem) applyRates() {
 			// Already done as of the settle (a co-bottlenecked consumer
 			// finishing at exactly this instant): complete now rather than
 			// pushing the event a nanosecond into the future.
-			c.done = s.eng.Schedule(0, func() { s.finish(c) })
+			c.done = s.eng.ScheduleFire(0, (*consumerFirer)(c))
 		case nr > 0 && !math.IsInf(nr, 1):
-			c.done = s.eng.Schedule(completionEta(c.remaining, nr), func() { s.finish(c) })
+			c.done = s.eng.ScheduleFire(completionEta(c.remaining, nr), (*consumerFirer)(c))
 		case math.IsInf(nr, 1):
-			c.done = s.eng.Schedule(0, func() { s.finish(c) })
+			c.done = s.eng.ScheduleFire(0, (*consumerFirer)(c))
 		}
 		// nr == 0: starved — no event until capacity returns.
 	}
@@ -603,6 +609,15 @@ func completionEta(remaining, rate float64) time.Duration {
 	return eta
 }
 
+// consumerFirer is a consumer as its own completion event, keeping Fire
+// off FluidConsumer's method set.
+type consumerFirer FluidConsumer
+
+func (f *consumerFirer) Fire() {
+	c := (*FluidConsumer)(f)
+	c.sys.finish(c)
+}
+
 func (s *FluidSystem) finish(c *FluidConsumer) {
 	if !c.live {
 		return
@@ -614,7 +629,7 @@ func (s *FluidSystem) finish(c *FluidConsumer) {
 	if c.remaining > c.doneEps() && c.remaining > c.rate*1e-9 {
 		// Defensive: real work remains (settle drift). The rate did not
 		// change, so reschedule directly from the settled remainder.
-		c.done = s.eng.Schedule(completionEta(c.remaining, c.rate), func() { s.finish(c) })
+		c.done = s.eng.ScheduleFire(completionEta(c.remaining, c.rate), (*consumerFirer)(c))
 		return
 	}
 	c.remaining = 0

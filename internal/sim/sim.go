@@ -244,6 +244,7 @@ func (e *Engine) Cancel(ev Event) {
 
 // compact rebuilds the heap from its live events, releasing tombstones.
 // The slot array is pointer-free, so the abandoned tail needs no clearing.
+// Cancelling the last live event leaves no heap to rebuild.
 func (e *Engine) compact() {
 	q := e.q[:0]
 	for _, s := range e.q {
@@ -254,7 +255,7 @@ func (e *Engine) compact() {
 		}
 	}
 	e.q = q
-	for i := (len(q) - 2) / 4; i >= 0; i-- {
+	for i := (len(q) - 2) / 4; len(q) > 1 && i >= 0; i-- {
 		e.down(i)
 	}
 }

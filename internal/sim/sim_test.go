@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -115,6 +117,27 @@ func TestPendingMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// A reschedule loop (cancel the one pending event, schedule its
+// replacement) fills the queue with tombstones until a cancel that leaves
+// nothing live compacts it to empty; the engine schedules and fires
+// afterwards.
+func TestCompactionToEmpty(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	ev := e.Schedule(time.Second, func() { fired++ })
+	for range 2 * compactMin {
+		e.Cancel(ev)
+		ev = e.Schedule(time.Second, func() { fired++ })
+	}
+	if len(e.q) >= compactMin {
+		t.Fatalf("compaction never ran: queue holds %d slots for %d live events", len(e.q), e.Pending())
+	}
+	e.Run()
+	if fired != 1 {
+		t.Fatalf("fired %d events, want the last one", fired)
+	}
+}
+
 // Mass cancellation must trigger tombstone compaction without perturbing
 // the firing order of the survivors.
 func TestCompactionPreservesOrder(t *testing.T) {
@@ -164,6 +187,61 @@ func TestTickerSteadyStateAllocFree(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("ticker never ticked")
+	}
+}
+
+// TestSetLimitAllocFree: a consumer is its own completion event, so
+// moving a live consumer's Limit back and forth, which reschedules its
+// completion each time, allocates nothing once the engine's free list is
+// warm.
+func TestSetLimitAllocFree(t *testing.T) {
+	e := NewEngine(1)
+	s := NewFluidSystem(e)
+	c := s.Add(&FluidConsumer{Name: "c", Weight: 1, Limit: 10}, 1e6, s.NewResource("link", 100))
+	flip := func() {
+		c.SetLimit(20)
+		c.SetLimit(10)
+	}
+	for range 1000 { // grow the queue past its compaction threshold once
+		flip()
+	}
+	if avg := testing.AllocsPerRun(1000, flip); avg != 0 {
+		t.Errorf("two Limit changes allocate %.1f objects, want 0", avg)
+	}
+	if got := e.Pending(); got != 1 {
+		t.Errorf("%d events pending after the churn, want the one completion", got)
+	}
+}
+
+// TestFluidReAdd: a consumer that finished, or was removed, can be added
+// again; it drains its new work and keeps nothing of its first life.
+func TestFluidReAdd(t *testing.T) {
+	e := NewEngine(1)
+	s := NewFluidSystem(e)
+	a, b := s.NewResource("a", 100), s.NewResource("b", 50)
+	var dones []time.Duration
+	c := &FluidConsumer{Name: "c", Weight: 1}
+	c.OnDone = func() {
+		dones = append(dones, e.Now())
+		if len(dones) == 1 {
+			s.Add(c, 100, b) // re-armed from its own completion
+		}
+	}
+	s.Add(c, 200, a)
+	e.Run()
+	if want := []time.Duration{2 * time.Second, 4 * time.Second}; !slices.Equal(dones, want) {
+		t.Fatalf("completions at %v, want %v", dones, want)
+	}
+	if got := c.Transferred(); got != 100 {
+		t.Errorf("re-armed consumer transferred %v, want its second work 100", got)
+	}
+	s.Add(c, 1000, a, b)
+	e.RunUntil(5 * time.Second)
+	s.Remove(c)
+	s.Add(c, 100, a)
+	e.Run()
+	if want := 6 * time.Second; dones[len(dones)-1] != want || len(dones) != 3 {
+		t.Errorf("after Remove and Add: completions %v, want a third at %v", dones, want)
 	}
 }
 
@@ -463,10 +541,14 @@ func TestFluidPanicsOnBadConsumer(t *testing.T) {
 	e := NewEngine(1)
 	s := NewFluidSystem(e)
 	r := s.NewResource("link", 100)
+	live := s.Add(&FluidConsumer{Weight: 1}, 10, r)
 	for name, fn := range map[string]func(){
 		"zero weight":   func() { s.Add(&FluidConsumer{Weight: 0}, 10, r) },
+		"NaN weight":    func() { s.Add(&FluidConsumer{Weight: math.NaN()}, 10, r) },
+		"+Inf weight":   func() { s.Add(&FluidConsumer{Weight: math.Inf(1)}, 10, r) },
 		"negative work": func() { s.Add(&FluidConsumer{Weight: 1}, -1, r) },
 		"no constraint": func() { s.Add(&FluidConsumer{Weight: 1}, 10) },
+		"added live":    func() { s.Add(live, 10, r) },
 	} {
 		func() {
 			defer func() {

@@ -52,14 +52,14 @@ func TestLossBurstRetunesLiveFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunUntil(time.Second)
-	st := f.order[0]
+	st := &f.streams[0].FluidConsumer
 	before := rateOf(eng, st)
 	if !near(before, 1e8) {
 		t.Fatalf("lossless rate %v, want link capacity 1e8", before)
 	}
 
 	n.SetLoss("A", "B", 0.02)
-	want := n.pathLimit(f.pathOf[st].segs)
+	want := n.pathLimit(f.paths[f.streams[0].path].segs)
 	if got := rateOf(eng, st); !near(got, want) || got >= before {
 		t.Fatalf("rate under loss burst %v, want Mathis cap %v (< %v)", got, want, before)
 	}
@@ -80,7 +80,7 @@ func TestLatencyChurnRetunesLiveFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunUntil(time.Second)
-	st := f.order[0]
+	st := &f.streams[0].FluidConsumer
 	before := rateOf(eng, st)
 
 	n.SetLatency("A", "B", 200*time.Millisecond)

@@ -3,7 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"strconv"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -39,34 +39,45 @@ type Flow struct {
 	// path (SetDown) or a partition that cuts it.
 	OnFail func(*Flow, error)
 
-	opts      FlowOpts
-	pathOf    map[*sim.FluidConsumer]pathInfo
-	order     []*sim.FluidConsumer // live streams in creation order (determinism)
-	seq       uint64               // creation sequence within the network
-	active    int
-	begun     time.Duration
-	ended     time.Duration
-	done      bool
-	failed    bool
-	netstream int             // total streams ever created, for naming
-	hosts     map[string]bool // endpoints and relays, for failure kills
-	span      obs.SpanContext // open while the flow is in progress
+	opts    FlowOpts
+	src     *Host      // credited with the bytes each stream moves
+	paths   []pathInfo // opts.Paths resolved, indexed by stream.path
+	streams []*stream  // live streams in creation order (determinism)
+	seq     uint64     // creation sequence within the network
+	begun   time.Duration
+	ended   time.Duration
+	done    bool
+	failed  bool
+	span    obs.SpanContext // open while the flow is in progress
 }
+
+// stream is one TCP stream of a flow: the fluid consumer that drains its
+// share of the bytes, and the path it takes. A flow makes its streams
+// once, at start; a pooled re-split or a partition restripe re-arms the
+// streams it has just dropped, so a stream's consumer, resource list and
+// completion callback cost nothing after the first arming.
+type stream struct {
+	sim.FluidConsumer
+	flow *Flow
+	path int // index into flow.paths
+}
+
+func (st *stream) finished() { st.flow.streamDone(st) }
 
 type pathInfo struct {
 	resources []*sim.FluidResource
-	// crossings are the (sorted) site pairs the path's hops traverse, so a
-	// partition can identify exactly the streams it severs.
-	crossings [][2]string
 	// segs are the hop site pairs in path order (intra-site hops
-	// included), kept so the Mathis limit can be re-derived from current
-	// loss and latency whenever either changes mid-transfer.
+	// included): a partition of one inter-site pair severs the path, and
+	// the Mathis limit is re-derived from current loss and latency
+	// whenever either changes mid-transfer.
 	segs [][2]string
 }
 
-func (pi pathInfo) crosses(key [2]string) bool {
-	for _, c := range pi.crossings {
-		if c == key {
+// crosses reports whether the path has an inter-site hop between the
+// (sorted) site pair key.
+func (pi *pathInfo) crosses(key [2]string) bool {
+	for _, s := range pi.segs {
+		if s[0] != s[1] && pairKey(s[0], s[1]) == key {
 			return true
 		}
 	}
@@ -76,7 +87,9 @@ func (pi pathInfo) crosses(key [2]string) bool {
 // StartFlow begins transferring bytes from one host to another and returns
 // the flow handle. The flow's OnDone callback (set via opts on the returned
 // Flow before the engine next runs, or passed as onDone) fires at
-// completion. Errors are returned synchronously for unusable paths.
+// completion. Errors are returned synchronously for unusable paths, for
+// bytes that are not finite and positive, and for a weight that is not
+// finite.
 func (n *Network) StartFlow(from, to string, bytes float64, opts FlowOpts, onDone func(*Flow)) (*Flow, error) {
 	src, dst := n.hosts[from], n.hosts[to]
 	if src == nil || dst == nil {
@@ -85,8 +98,11 @@ func (n *Network) StartFlow(from, to string, bytes float64, opts FlowOpts, onDon
 	if src.downFlag || dst.downFlag {
 		return nil, ErrHostDown
 	}
-	if bytes <= 0 {
+	if !(bytes > 0) || math.IsInf(bytes, 1) { // the negation also catches NaN
 		return nil, fmt.Errorf("simnet: flow of %v bytes", bytes)
+	}
+	if math.IsNaN(opts.Weight) || math.IsInf(opts.Weight, 0) {
+		return nil, fmt.Errorf("simnet: flow weight %v", opts.Weight)
 	}
 	if opts.Streams <= 0 {
 		opts.Streams = 1
@@ -94,37 +110,35 @@ func (n *Network) StartFlow(from, to string, bytes float64, opts FlowOpts, onDon
 	if opts.Weight <= 0 {
 		opts.Weight = 1
 	}
-	if len(opts.Paths) == 0 {
-		opts.Paths = [][]string{nil}
-	}
 
-	// Resolve each path to its resource chain and TCP limit.
-	paths := make([]pathInfo, 0, len(opts.Paths))
-	for _, relays := range opts.Paths {
+	// Resolve each path (none listed: the direct one) to its resource
+	// chain and hops.
+	paths := make([]pathInfo, max(len(opts.Paths), 1))
+	for i := range paths {
+		var relays []string
+		if i < len(opts.Paths) {
+			relays = opts.Paths[i]
+		}
 		pi, err := n.resolvePath(src, dst, relays)
 		if err != nil {
 			return nil, err
 		}
-		paths = append(paths, pi)
+		paths[i] = pi
 	}
 
 	n.flowSeq++
 	f := &Flow{
-		net:    n,
-		From:   from,
-		To:     to,
-		Bytes:  bytes,
-		seq:    n.flowSeq,
-		opts:   opts,
-		pathOf: make(map[*sim.FluidConsumer]pathInfo),
-		begun:  n.eng.Now(),
-		OnDone: onDone,
-	}
-	f.hosts = map[string]bool{from: true, to: true}
-	for _, relays := range opts.Paths {
-		for _, r := range relays {
-			f.hosts[r] = true
-		}
+		net:     n,
+		From:    from,
+		To:      to,
+		Bytes:   bytes,
+		seq:     n.flowSeq,
+		opts:    opts,
+		src:     src,
+		paths:   paths,
+		streams: make([]*stream, 0, opts.Streams),
+		begun:   n.eng.Now(),
+		OnDone:  onDone,
 	}
 	n.active[f] = struct{}{}
 	if n.tr != nil {
@@ -134,18 +148,20 @@ func (n *Network) StartFlow(from, to string, bytes float64, opts FlowOpts, onDon
 	}
 
 	per := bytes / float64(opts.Streams)
-	for i := 0; i < opts.Streams; i++ {
-		f.addStream(paths[i%len(paths)], per)
+	streams := make([]stream, opts.Streams)
+	for i := range streams {
+		st := &streams[i]
+		st.flow, st.Weight = f, opts.Weight
+		st.OnDone = st.finished
+		f.arm(st, i%len(paths), per)
 	}
 	return f, nil
 }
 
 // resolvePath walks src -> relays... -> dst, collecting the access-link
-// resources each segment crosses and computing the Mathis TCP rate cap for
-// the concatenated path.
+// resources each segment crosses (each once, in path order) and the hop
+// site pairs the Mathis TCP rate cap is derived from.
 func (n *Network) resolvePath(src, dst *Host, relays []string) (pathInfo, error) {
-	hops := make([]*Host, 0, len(relays)+2)
-	hops = append(hops, src)
 	for _, r := range relays {
 		h := n.hosts[r]
 		if h == nil {
@@ -154,39 +170,36 @@ func (n *Network) resolvePath(src, dst *Host, relays []string) (pathInfo, error)
 		if h.downFlag {
 			return pathInfo{}, fmt.Errorf("%w: relay %q", ErrHostDown, r)
 		}
-		hops = append(hops, h)
 	}
-	hops = append(hops, dst)
-
-	var resources []*sim.FluidResource
-	var crossings, segs [][2]string
-	for i := 0; i+1 < len(hops); i++ {
-		a, b := hops[i], hops[i+1]
+	pi := pathInfo{
+		resources: make([]*sim.FluidResource, 0, 2*(len(relays)+1)),
+		segs:      make([][2]string, 0, len(relays)+1),
+	}
+	a := src
+	for i := 0; i <= len(relays); i++ {
+		b := dst
+		if i < len(relays) {
+			b = n.hosts[relays[i]]
+		}
 		if n.Partitioned(a.Site, b.Site) {
 			return pathInfo{}, fmt.Errorf("%w: %s-%s", ErrPartitioned, a.Site, b.Site)
 		}
-		if a.Site != b.Site {
-			crossings = append(crossings, pairKey(a.Site, b.Site))
+		pi.segs = append(pi.segs, [2]string{a.Site, b.Site})
+		// A relay contributes its down then its up; a path that visits a
+		// host twice lists each of its links once.
+		for _, r := range [2]*sim.FluidResource{a.up, b.down} {
+			if !slices.Contains(pi.resources, r) {
+				pi.resources = append(pi.resources, r)
+			}
 		}
-		segs = append(segs, [2]string{a.Site, b.Site})
-		resources = append(resources, a.up, b.down)
+		a = b
 	}
-	// De-duplicate resources (a relay contributes its down then its up; no
-	// duplicates arise today, but overlapping future topologies could).
-	seen := make(map[*sim.FluidResource]bool, len(resources))
-	uniq := resources[:0]
-	for _, r := range resources {
-		if !seen[r] {
-			seen[r] = true
-			uniq = append(uniq, r)
-		}
-	}
-	for _, r := range uniq {
+	for _, r := range pi.resources {
 		if r.Capacity() <= 0 {
 			return pathInfo{}, ErrZeroCapacity
 		}
 	}
-	return pathInfo{resources: uniq, crossings: crossings, segs: segs}, nil
+	return pi, nil
 }
 
 // pathLimit derives the TCP rate cap for a path from the network's
@@ -213,25 +226,22 @@ func (n *Network) pathLimit(segs [][2]string) float64 {
 // changes so in-flight transfers track current path conditions instead of
 // keeping the cap computed at start.
 func (f *Flow) retune(key [2]string) {
-	for _, c := range f.order {
-		if pi := f.pathOf[c]; pi.crosses(key) {
-			c.SetLimit(f.net.pathLimit(pi.segs))
+	for _, st := range f.streams {
+		if pi := &f.paths[st.path]; pi.crosses(key) {
+			st.SetLimit(f.net.pathLimit(pi.segs))
 		}
 	}
 }
 
-func (f *Flow) addStream(pi pathInfo, bytes float64) {
-	f.netstream++
-	f.active++
-	c := &sim.FluidConsumer{
-		Name:   f.From + "->" + f.To + "#" + strconv.Itoa(f.netstream),
-		Weight: f.opts.Weight,
-		Limit:  f.net.pathLimit(pi.segs),
-	}
-	c.OnDone = func() { f.streamDone(c) }
-	f.net.flows.Add(c, bytes, pi.resources...)
-	f.pathOf[c] = pi
-	f.order = append(f.order, c)
+// arm starts st carrying bytes along path p, capped at the path's current
+// Mathis limit: a stream made at start, or one the flow has just dropped.
+// It joins the flow's books before the fluid system, which completes a
+// stream of negligible bytes before Add returns.
+func (f *Flow) arm(st *stream, p int, bytes float64) {
+	st.path = p
+	st.Limit = f.net.pathLimit(f.paths[p].segs)
+	f.streams = append(f.streams, st)
+	f.net.flows.Add(&st.FluidConsumer, bytes, f.paths[p].resources...)
 }
 
 // drop removes a stream from the flow's books (not from the fluid
@@ -241,44 +251,37 @@ func (f *Flow) addStream(pi pathInfo, bytes float64) {
 // lands here, and fail credits its streams the same way, so BytesSent
 // sums to real progress, not the full flow size charged up-front
 // regardless of outcome.
-func (f *Flow) drop(c *sim.FluidConsumer) {
-	f.net.hosts[f.From].BytesSent += c.Transferred()
-	delete(f.pathOf, c)
-	for i, s := range f.order {
-		if s == c {
-			f.order = append(f.order[:i], f.order[i+1:]...)
-			break
-		}
+func (f *Flow) drop(st *stream) {
+	f.src.BytesSent += st.Transferred()
+	if i := slices.Index(f.streams, st); i >= 0 {
+		f.streams = slices.Delete(f.streams, i, i+1)
 	}
-	f.active--
 }
 
-func (f *Flow) streamDone(c *sim.FluidConsumer) {
-	donePath := f.pathOf[c]
-	f.drop(c)
+func (f *Flow) streamDone(st *stream) {
+	f.drop(st)
 	if f.failed {
 		return
 	}
-	if f.opts.Pooled && f.active > 0 {
+	if f.opts.Pooled && len(f.streams) > 0 {
 		// Steal half of the largest backlog onto the just-freed path.
-		var victim *sim.FluidConsumer
+		var victim *stream
 		var max float64
-		for _, s := range f.order {
+		for _, s := range f.streams {
 			if r := s.Remaining(); r > max {
 				max, victim = r, s
 			}
 		}
 		// Only worth re-splitting if there is meaningful work to steal.
 		if victim != nil && max > f.net.MTU {
-			vicPath := f.pathOf[victim]
-			f.net.flows.Remove(victim)
+			f.net.flows.Remove(&victim.FluidConsumer)
 			f.drop(victim)
-			f.addStream(vicPath, max/2)
-			f.addStream(donePath, max/2)
+			f.arm(victim, victim.path, max/2)
+			f.arm(st, st.path, max/2)
 			return
 		}
 	}
-	if f.active == 0 && !f.done {
+	if len(f.streams) == 0 && !f.done {
 		f.done = true
 		f.ended = f.net.eng.Now()
 		delete(f.net.active, f)
@@ -298,26 +301,35 @@ func (f *Flow) partitionCut(key [2]string) {
 	if f.done || f.failed {
 		return
 	}
-	var severed []*sim.FluidConsumer
-	for _, c := range f.order {
-		if f.pathOf[c].crosses(key) {
-			severed = append(severed, c)
+	severed := 0
+	for _, st := range f.streams {
+		if f.paths[st.path].crosses(key) {
+			severed++
 		}
 	}
-	if len(severed) == 0 {
+	if severed == 0 {
 		return
 	}
-	if len(severed) == f.active || !f.opts.Pooled {
+	if severed == len(f.streams) || !f.opts.Pooled {
 		f.fail(fmt.Errorf("%w: %s-%s", ErrPartitioned, key[0], key[1]))
 		return
 	}
 	stranded := 0.0
-	for _, c := range severed {
-		stranded += c.Remaining()
-		f.net.flows.Remove(c)
-		f.drop(c)
+	var spare *stream
+	for i := 0; i < len(f.streams); {
+		st := f.streams[i]
+		if !f.paths[st.path].crosses(key) {
+			i++
+			continue
+		}
+		stranded += st.Remaining()
+		f.net.flows.Remove(&st.FluidConsumer)
+		f.drop(st)
+		if spare == nil {
+			spare = st
+		}
 	}
-	f.addStream(f.pathOf[f.order[0]], stranded)
+	f.arm(spare, f.streams[0].path, stranded)
 }
 
 // fail kills the flow because a host on its path died or its path was
@@ -332,13 +344,11 @@ func (f *Flow) fail(err error) {
 	f.failed = true
 	f.span.End(obs.String("failed", "true"))
 	delete(f.net.active, f)
-	for _, c := range f.order {
-		f.net.flows.Remove(c)
-		f.net.hosts[f.From].BytesSent += c.Transferred()
+	for _, st := range f.streams {
+		f.net.flows.Remove(&st.FluidConsumer)
+		f.src.BytesSent += st.Transferred()
 	}
-	f.pathOf = map[*sim.FluidConsumer]pathInfo{}
-	f.order = nil
-	f.active = 0
+	f.streams = nil
 	if f.OnFail != nil {
 		f.OnFail(f, err)
 	}

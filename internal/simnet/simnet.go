@@ -35,6 +35,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"time"
 
@@ -247,7 +248,18 @@ func (n *Network) SetDown(host string, down bool) {
 	if !down {
 		return
 	}
-	victims := n.victims(func(f *Flow) bool { return f.hosts[host] })
+	// Every flow the host is an endpoint or a relay of dies with it.
+	victims := n.victims(func(f *Flow) bool {
+		if host == f.From || host == f.To {
+			return true
+		}
+		for _, relays := range f.opts.Paths {
+			if slices.Contains(relays, host) {
+				return true
+			}
+		}
+		return false
+	})
 	for _, f := range victims {
 		f.fail(fmt.Errorf("%w: %s", ErrHostDown, host))
 	}
@@ -324,8 +336,8 @@ func (n *Network) retune(key [2]string) {
 // site pair, in flow-creation order for determinism.
 func (n *Network) crossing(key [2]string) []*Flow {
 	return n.victims(func(f *Flow) bool {
-		for _, c := range f.order {
-			if f.pathOf[c].crosses(key) {
+		for _, st := range f.streams {
+			if f.paths[st.path].crosses(key) {
 				return true
 			}
 		}

@@ -15,9 +15,9 @@
 package cdn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"repro/internal/faultlab"
@@ -121,6 +121,8 @@ type Scenario struct {
 	Inj *faultlab.Injector
 
 	cfg      Config
+	names    []string     // proxy i's host and site name
+	routes   [][][]string // proxy i's overlay routes from the origin, see New
 	rng      *rand.Rand
 	zipf     *workload.Zipf
 	sizes    []float64
@@ -132,8 +134,6 @@ type Scenario struct {
 
 	tr *obs.Tracer
 }
-
-func proxyName(i int) string { return fmt.Sprintf("p%d", i) }
 
 // New builds the scenario on a fresh engine: origin at the center, the
 // proxy ring around it, a faultlab schedule generated from (seed,
@@ -152,15 +152,30 @@ func New(seed int64, cfg Config, profile faultlab.Profile, horizon time.Duration
 
 	net.AddSite("origin", 0, 0)
 	net.AddHost("origin", "origin", cfg.OriginBps)
-	sites := make([]string, cfg.Proxies)
-	for i := 0; i < cfg.Proxies; i++ {
-		ang := 2 * math.Pi * float64(i) / float64(cfg.Proxies)
-		name := proxyName(i)
+	k := cfg.Proxies
+	s.names = make([]string, k)
+	relays := make([][]string, k)
+	for i := range k {
+		ang := 2 * math.Pi * float64(i) / float64(k)
+		name := "p" + strconv.Itoa(i)
 		net.AddSite(name, 30*math.Cos(ang), 30*math.Sin(ang))
 		net.AddHost(name, name, cfg.ProxyBps)
-		sites[i] = name
+		s.names[i] = name
+		relays[i] = []string{name}
 		s.cache = append(s.cache, make(map[int]bool))
 		s.inflight = append(s.inflight, make(map[int]*fetch))
+	}
+	// A striped fetch's candidate routes: the direct path, then each ring
+	// sibling as a relay. Flows keep the slice they are given, so a fetch
+	// that finds every route open shares these.
+	s.routes = make([][][]string, k)
+	for i := range k {
+		s.routes[i] = [][]string{nil}
+		for _, sib := range [2]int{(i + 1) % k, (i + k - 1) % k} {
+			if sib != i {
+				s.routes[i] = append(s.routes[i], relays[sib])
+			}
+		}
 	}
 
 	// Object popularity and sizes are drawn from the scenario rng once,
@@ -171,7 +186,7 @@ func New(seed int64, cfg Config, profile faultlab.Profile, horizon time.Duration
 		s.sizes[i] = float64(workload.LogNormal(s.rng, time.Duration(cfg.MedianBytes), cfg.SizeSigma))
 	}
 
-	s.Inj = faultlab.InstallNet(net, faultlab.Generate(seed, profile, sites, horizon))
+	s.Inj = faultlab.InstallNet(net, faultlab.Generate(seed, profile, s.names, horizon))
 	eng.SnapRoot("cdn.scenario", s)
 	eng.Schedule(workload.Exp(s.rng, cfg.MeanIA), s.arrive)
 	return s
@@ -211,16 +226,19 @@ func (s *Scenario) startFetch(p, obj int) {
 		// proxies monitor peer health and route around dead overlay
 		// nodes). With every route cut, fall through to a direct attempt
 		// whose refusal records the failure.
-		dst := proxyName(p)
-		k := s.cfg.Proxies
-		var paths [][]string
-		if !s.Net.Partitioned("origin", dst) {
-			paths = append(paths, nil)
+		routes, open := s.routes[p], 0
+		for _, r := range routes {
+			if s.reachable(r, p) {
+				open++
+			}
 		}
-		for _, sib := range []int{(p + 1) % k, (p + k - 1) % k} {
-			r := proxyName(sib)
-			if r != dst && !s.Net.Partitioned("origin", r) && !s.Net.Partitioned(r, dst) {
-				paths = append(paths, []string{r})
+		paths := routes
+		if open < len(routes) {
+			paths = make([][]string, 0, open)
+			for _, r := range routes {
+				if s.reachable(r, p) {
+					paths = append(paths, r)
+				}
 			}
 		}
 		if len(paths) > 0 {
@@ -228,9 +246,9 @@ func (s *Scenario) startFetch(p, obj int) {
 		}
 	}
 	ft.span = s.tr.Begin("cdn.fetch",
-		obs.String("proxy", proxyName(p)), obs.Int("obj", obj),
+		obs.String("proxy", s.names[p]), obs.Int("obj", obj),
 		obs.Float("bytes", s.sizes[obj]), obs.Int("streams", opts.Streams))
-	fl, err := s.Net.StartFlow("origin", proxyName(p), s.sizes[obj], opts,
+	fl, err := s.Net.StartFlow("origin", s.names[p], s.sizes[obj], opts,
 		func(*simnet.Flow) { s.fetchDone(ft) })
 	if err != nil {
 		// Refused outright (partitioned or relay down at start).
@@ -241,6 +259,19 @@ func (s *Scenario) startFetch(p, obj int) {
 	fl.OnFail = func(_ *simnet.Flow, err error) { s.fetchFail(ft, err) }
 	ft.flow = fl
 	s.inflight[p][obj] = ft
+}
+
+// reachable reports whether no current partition cuts a hop of route
+// (relay names) from the origin to proxy p.
+func (s *Scenario) reachable(route []string, p int) bool {
+	from := "origin"
+	for _, r := range route {
+		if s.Net.Partitioned(from, r) {
+			return false
+		}
+		from = r
+	}
+	return !s.Net.Partitioned(from, s.names[p])
 }
 
 func (s *Scenario) fetchDone(ft *fetch) {

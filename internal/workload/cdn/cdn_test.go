@@ -114,7 +114,7 @@ func TestCutFetchMidFlight(t *testing.T) {
 		before := s.Stats
 		failedFlows := s.tr.Counter("net.flows.failed").Value()
 
-		s.Net.Partition("origin", proxyName(ft.proxy), true)
+		s.Net.Partition("origin", s.names[ft.proxy], true)
 
 		cut := s.Stats
 		inflight := s.inflight[ft.proxy][ft.obj]
