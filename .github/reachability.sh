@@ -16,7 +16,8 @@
 # package that no binary links is one line for the whole package. bench/
 # is not a user: its own functions are left out, and a `bench` line must
 # name a function that bench's TestSmoke runs, measured the same way in
-# a second directory. The summary line also goes to DIR.summary.
+# a second directory. The summary line, with the ledger's count per
+# verdict, also goes to DIR.summary.
 set -euo pipefail
 dir=$(cd "$1" && pwd)
 cd "$(dirname "$0")/.."
@@ -99,6 +100,7 @@ done > "$bin/spans"
 for pkg in $(awk '$2 == "(package)" { print $1 }' "$bin/want"); do
 	cat $(ls "$pkg"/*.go | grep -v '_test\.go$') | wc -l
 done >> "$bin/spans"
-summary="unreached: $(wc -l < "$bin/want") functions or packages, $(awk '{ n += $1 } END { print n + 0 }' "$bin/spans") lines"
+verdicts=$(awk '{ n[$3]++ } END { printf "paper S %d, bench %d, guard %d", n["paper"], n["bench"], n["guard"] }' "$bin/ledger")
+summary="unreached: $(wc -l < "$bin/want") functions or packages, $(awk '{ n += $1 } END { print n + 0 }' "$bin/spans") lines ($verdicts)"
 echo "$summary" | tee "$dir.summary"
 exit $fail

@@ -7,17 +7,32 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 )
 
-// Every example program must build and run to completion quickly: they are
-// the repo's documentation-by-code and the first thing a new reader tries.
-// Each gets a short wall-clock deadline so a hung simulation (e.g. a flow
-// whose completion callback never fires) turns into a test failure instead
-// of a stuck CI job.
+// exampleClaims is the line each example must print: the claim it exists
+// to show, matched as a regular expression.
+var exampleClaims = map[string]string{
+	"agreements":    `agreements past their end: 3 of 3 ended, commitments released: true`,
+	"datagrid":      `the PlanetLab overlay lifts it further: true`,
+	"metascheduler": `CAS assertion admitted /O=Grid/CN=bob at gk-anl as community-climate: job \S+ active`,
+	"quickstart":    `TOTAL +5/10 +9/10 +9/10`,
+	"sharptrading":  `figure 2 over the wire: 9 arrows, 1 lease, tickets verified by their holder`,
+}
+
+// rerunExample is run twice with the same seed, and must print the same
+// bytes both times.
+const rerunExample = "sharptrading"
+
+// Every example program must build, run to completion quickly and print
+// its claim: they are the repo's documentation-by-code and the first
+// thing a new reader tries. Each gets a short wall-clock deadline so a
+// hung simulation (e.g. a flow whose completion callback never fires)
+// turns into a test failure instead of a stuck CI job.
 func TestExamplesBuildAndRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("examples smoke test skipped in -short mode")
@@ -42,25 +57,41 @@ func TestExamplesBuildAndRun(t *testing.T) {
 	}
 	for _, dir := range dirs {
 		t.Run(dir, func(t *testing.T) {
+			claim, ok := exampleClaims[dir]
+			if !ok {
+				t.Fatalf("examples/%s has no claim line in exampleClaims", dir)
+			}
 			bin := filepath.Join(t.TempDir(), dir)
 			build := exec.Command("go", "build", "-o", bin, "./examples/"+dir)
 			build.Dir = root
 			if out, err := build.CombinedOutput(); err != nil {
 				t.Fatalf("build failed: %v\n%s", err, out)
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			run := exec.CommandContext(ctx, bin)
-			run.Dir = root
-			out, err := run.CombinedOutput()
-			if ctx.Err() == context.DeadlineExceeded {
-				t.Fatalf("example hung past deadline\noutput so far:\n%s", out)
+			run := func() []byte {
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				defer cancel()
+				cmd := exec.CommandContext(ctx, bin, "-seed", "7")
+				if dir != rerunExample {
+					cmd = exec.CommandContext(ctx, bin)
+				}
+				cmd.Dir = root
+				out, err := cmd.CombinedOutput()
+				if ctx.Err() == context.DeadlineExceeded {
+					t.Fatalf("example hung past deadline\noutput so far:\n%s", out)
+				}
+				if err != nil {
+					t.Fatalf("run failed: %v\n%s", err, out)
+				}
+				return out
 			}
-			if err != nil {
-				t.Fatalf("run failed: %v\n%s", err, out)
+			out := run()
+			if !regexp.MustCompile(`(?m)^` + claim + `$`).Match(out) {
+				t.Errorf("no line matches %q in:\n%s", claim, out)
 			}
-			if len(out) == 0 {
-				t.Error("example produced no output")
+			if dir == rerunExample {
+				if again := run(); !bytes.Equal(again, out) {
+					t.Errorf("a second run with -seed 7 printed other bytes:\n%s\nthen:\n%s", out, again)
+				}
 			}
 		})
 	}

@@ -20,7 +20,7 @@ var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "bench/README.md
 
 // designLineBudget is DESIGN.md's line ceiling. It may only fall: a change
 // that raises it says why in CHANGES.md.
-const designLineBudget = 997
+const designLineBudget = 996
 
 var (
 	// fenceRe matches a fenced code block, whose backticks do not pair

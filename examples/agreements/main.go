@@ -4,18 +4,23 @@
 // negotiating the same kind of compute agreement against three provider
 // backends: PlanetLab capability minting, a Globus batch-queue advance
 // reservation, and SHARP ticket+lease issuance (§6's recommendation).
+// Each agreement then runs past its start and its end: a job claims the
+// batch reservation when its window opens, one agreement is terminated,
+// the others expire, and every backend gets its commitment back.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"repro/internal/agreement"
 	"repro/internal/capability"
 	"repro/internal/gram"
 	"repro/internal/identity"
+	"repro/internal/rsl"
 	"repro/internal/sharp"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -63,7 +68,18 @@ func main() {
 	respSharp.AddTemplate(agreement.Template{Name: "compute", Constraints: []agreement.TermConstraint{
 		{Name: "cpu", Min: 0.1, Max: 8}}})
 
-	// One consumer negotiates with all three.
+	// The consumer reads each provider's templates, then offers to each.
+	providers := []string{"pl-node", "cluster", "sharp-site"}
+	for _, p := range providers {
+		agreement.Templates(net, "consumer", p, time.Minute, func(ts []agreement.Template, err error) {
+			if err != nil {
+				panic(err)
+			}
+			fmt.Printf("%-11s template %q bounds %d terms\n", p, ts[0].Name, len(ts[0].Constraints))
+		})
+	}
+	eng.RunUntil(time.Second)
+	fmt.Println()
 	offers := []struct {
 		provider string
 		offer    agreement.Offer
@@ -71,7 +87,7 @@ func main() {
 		{"pl-node", agreement.Offer{Template: "compute",
 			Terms: map[string]float64{"cpu": 2}, Lifetime: 4 * time.Hour, Initiator: "alice"}},
 		{"cluster", agreement.Offer{Template: "compute",
-			Terms: map[string]float64{"slots": 16, "start": 3600, "duration": 7200}, Initiator: "alice"}},
+			Terms: map[string]float64{"slots": 16, "start": 3600, "duration": 7200}, Lifetime: 4 * time.Hour, Initiator: "alice"}},
 		{"sharp-site", agreement.Offer{Template: "compute",
 			Terms: map[string]float64{"cpu": 6}, Lifetime: 4 * time.Hour, Initiator: "alice"}},
 	}
@@ -112,4 +128,51 @@ func main() {
 	eng.RunUntil(2 * time.Minute)
 	fmt.Printf("  sharp-site agreement state: %v, free cpu still %.1f\n",
 		respSharp.Agreement(sharpID).State(), nmSharp.Available(capability.CPU))
+
+	// A 16-slot job claims the cluster's reservation (the batch manager's
+	// first, pbs-r1) and starts when its window opens at t+1h.
+	req, err := rsl.Parse(`&(executable=/bin/wrf)(count=16)(maxWallTime=7200)(reservation=pbs-r1)`)
+	if err != nil {
+		panic(err)
+	}
+	r, err := req.Single()
+	if err != nil {
+		panic(err)
+	}
+	job := &gram.Job{ID: "wrf", Req: r, Spec: gram.JobSpec{ActualRun: 90 * time.Minute}}
+	if err := bm.Submit(job); err != nil {
+		panic(err)
+	}
+	eng.RunUntil(2 * time.Hour)
+	fmt.Printf("\nat %v the reserved job is %v (started at %v)\n", eng.Now(), job.State(), job.Started)
+
+	// The consumer terminates the capability agreement early; the other
+	// two run to the end of their 4h lifetimes.
+	simnet.Request(net, "consumer", "pl-node", agreement.SvcTerminate, "pl-node/ag1", time.Minute,
+		func(a agreement.Ack, err error) {
+			if err != nil {
+				panic(err)
+			}
+			fmt.Printf("pl-node/ag1 terminated by the consumer: %v\n", a.State)
+		})
+	eng.RunUntil(5 * time.Hour)
+	fmt.Printf("\nat %v:\n", eng.Now())
+	ended := 0
+	for _, id := range []string{"pl-node/ag1", "cluster/ag1", "sharp-site/ag1"} {
+		host, _, _ := strings.Cut(id, "/")
+		simnet.Request(net, "consumer", host, agreement.SvcStatus, id, time.Minute, func(a agreement.Ack, err error) {
+			if err != nil {
+				panic(err)
+			}
+			fmt.Printf("  %-15s %v\n", id, a.State)
+			if a.State == agreement.Complete || a.State == agreement.Terminated {
+				ended++
+			}
+		})
+	}
+	eng.RunUntil(eng.Now() + time.Minute)
+	fmt.Printf("  pl-node free cpu %.1f, sharp-site free cpu %.1f, reserved job %v\n",
+		nmPL.Available(capability.CPU), nmSharp.Available(capability.CPU), job.State())
+	released := nmPL.Available(capability.CPU) == 4 && nmSharp.Available(capability.CPU) == 8
+	fmt.Printf("agreements past their end: %d of 3 ended, commitments released: %v\n", ended, released)
 }

@@ -4,7 +4,8 @@
 // and a PlanetLab overlay service (mTCP-style path selection + multipath
 // pooling) is layered underneath to lift the throughput — "layering
 // Globus on top of PlanetLab can significantly strengthen the data grid
-// infrastructure."
+// infrastructure." Each fetch resolves the logical name through the
+// replica catalog and picks its replica (FetchBest).
 package main
 
 import (
@@ -78,11 +79,12 @@ func main() {
 
 	// Three configurations of the same fetch.
 	results := metrics.NewTable("configuration", "duration", "throughput MB/s")
+	var mbps []float64
 	run := func(name string, opts datagrid.TransferOpts) {
 		e2, n2 := buildWAN()
 		svc2 := &datagrid.TransferService{Net: n2, Policy: svc.Policy}
 		var flow *simnet.Flow
-		svc2.Transfer(alice, "storage.ncar", "compute.cern", fileBytes, opts, func(f *simnet.Flow, err error) {
+		svc2.FetchBest(alice, rli, "lfn://esg/climate/run42", "compute.cern", opts, func(f *simnet.Flow, err error) {
 			if err != nil {
 				panic(err)
 			}
@@ -90,11 +92,12 @@ func main() {
 		})
 		e2.Run()
 		results.AddRow(name, flow.Duration().Round(time.Second).String(), flow.ThroughputBps()/1e6)
+		mbps = append(mbps, flow.ThroughputBps()/1e6)
 	}
 	run("single stream, direct", datagrid.TransferOpts{Streams: 1})
 	run("striped x8, direct", datagrid.TransferOpts{Streams: 8})
 	run("striped x8 + overlay multipath", datagrid.TransferOpts{Streams: 8, Relays: []string{"relay1", "relay2"}})
 	results.Render(os.Stdout)
-	fmt.Println("\nShape check (paper §5): striping beats single-stream on the lossy")
-	fmt.Println("path, and the PlanetLab overlay lifts it further.")
+	fmt.Printf("\nshape (paper §5): striping beats single-stream on the lossy path: %v;\n", mbps[1] > mbps[0])
+	fmt.Printf("the PlanetLab overlay lifts it further: %v\n", mbps[2] > mbps[1])
 }

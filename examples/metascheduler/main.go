@@ -1,8 +1,11 @@
 // metascheduler demonstrates the Globus-side VO scheduling path of
 // §4.2.2: a user delegates a proxy to a matchmaker broker, which
 // discovers clusters through MDS, submits with the user's identity,
-// retries around a site that blacklists her, and finally runs a DUROC
-// all-or-nothing co-allocation — including the abort path.
+// retries around a site that blacklists her, and runs a DUROC
+// all-or-nothing co-allocation, including the abort path. A member of a
+// community with no gridmap entry is then admitted on a CAS assertion
+// (Keahey & Welch's fine-grained authorization for GRAM), and the
+// delegated proxy, once revoked, is refused at every site.
 package main
 
 import (
@@ -12,7 +15,10 @@ import (
 	"repro/internal/broker"
 	"repro/internal/core"
 	"repro/internal/gram"
+	"repro/internal/gsi"
+	"repro/internal/identity"
 	"repro/internal/mds"
+	"repro/internal/simnet"
 )
 
 func main() {
@@ -81,4 +87,54 @@ func main() {
 	co("sdsc + anl:", []string{"gk-sdsc", "gk-anl"})
 	co("sdsc + ncsa (blacklisted):", []string{"gk-sdsc", "gk-ncsa"})
 	fmt.Printf("co-allocations: %d ok, %d aborted\n", f.CoAlloc.CoAllocN, f.CoAlloc.AbortN)
+
+	// 4. CAS: bob is in no gridmap, but the climate community vouches
+	// for his submission to anl, and anl pins the community's key.
+	const bobDN = "/O=Grid/CN=bob"
+	cas := gsi.NewCAS("climate", f.Rng)
+	cas.AddMember(bobDN)
+	cas.Grant("submit", "gk-anl")
+	bobKey := identity.NewPrincipal(bobDN, f.Rng)
+	bob := identity.UserCredential(bobKey, f.CA.IssueUser(bobKey, 0, 24*time.Hour))
+	assertion, err := cas.Issue(bobDN, "submit", "gk-anl", f.Eng.Now()+time.Hour)
+	if err != nil {
+		panic(err)
+	}
+	var anl *core.Site
+	for _, s := range f.JoinedSites() {
+		if s.Spec.Name == "anl" {
+			anl = s
+		}
+	}
+	anl.Policy.TrustedCAS = map[string]*identity.Principal{cas.Community: cas.Signer()}
+	f.Net.AddHost("bob-desktop", "anl", 1e6)
+	fmt.Println()
+	spec := gram.JobSpec{RSL: `&(executable=/bin/ccsm)(count=4)(maxWallTime=3600)`, ActualRun: 30 * time.Minute}
+	gram.Submit(f.Net, "bob-desktop", "gk-anl", gram.SubmitRequest{Cred: bob, Spec: spec},
+		time.Minute, func(_ gram.SubmitReply, err error) {
+			fmt.Printf("bob without an assertion: refused: %v\n", err)
+		})
+	gram.Submit(f.Net, "bob-desktop", "gk-anl", gram.SubmitRequest{Cred: bob, Assertion: assertion, Spec: spec},
+		time.Minute, func(r gram.SubmitReply, err error) {
+			if err != nil {
+				panic(err)
+			}
+			simnet.Request(f.Net, "bob-desktop", "gk-anl", gram.SvcStatus, r.JobID, time.Minute,
+				func(st gram.StatusReply, err error) {
+					if err != nil {
+						panic(err)
+					}
+					fmt.Printf("CAS assertion admitted %s at gk-anl as %s: job %s %v\n",
+						bobDN, anl.Gatekeeper.Job(r.JobID).Spec.LocalAccount, r.JobID, st.State)
+				})
+		})
+	f.Eng.RunUntil(f.Eng.Now() + 2*time.Minute)
+
+	// 5. alice's proxy leaks: every site revokes it, and her next job is
+	// refused wherever the broker tries.
+	for _, s := range f.JoinedSites() {
+		s.Policy.Auth.Verifier.Revoke(proxy.Chain[0])
+	}
+	fmt.Println("\nevery site revokes alice's proxy; resubmitting:")
+	submit("16-way job after revocation:", `&(executable=/bin/app)(count=16)(maxWallTime=600)`, nil)
 }

@@ -181,6 +181,9 @@ type Site struct {
 	Batch      *gram.BatchManager
 	Gridmap    *gsi.Gridmap
 	GRIS       *mds.GRIS
+	// Policy is the gate the gatekeeper admits through: its verifier's
+	// revocations and its trusted CAS keys are the site's own.
+	Policy *gsi.SitePolicy
 
 	// PlanetLab-side machinery (nil on a pure Globus build or unjoined).
 	Runtime *broker.SiteRuntime
@@ -334,11 +337,11 @@ func Build(stack Stack, cfg Config, specs []SiteSpec) *Federation {
 			}
 			// Like its gridmap, a site's verifier (roots, revocations,
 			// signature memo) is its own: no domain borrows another's proof.
-			policy := &gsi.SitePolicy{
+			site.Policy = &gsi.SitePolicy{
 				Auth:    &gsi.ChainAuthenticator{Verifier: identity.NewVerifier(f.CA)},
 				Gridmap: site.Gridmap,
 			}
-			site.Gatekeeper = gram.NewGatekeeper(net, net.Host(site.Host), policy)
+			site.Gatekeeper = gram.NewGatekeeper(net, net.Host(site.Host), site.Policy)
 			slots := spec.ClusterSlots
 			if slots <= 0 {
 				slots = 8

@@ -9,12 +9,10 @@ import (
 )
 
 // siteMemo reads the counters of the signature memo behind a site's
-// gatekeeper. No exported path leads there (gatekeeper → policy →
-// authenticator → verifier → memo), so the test reads it by reflection; a
-// renamed field panics here rather than passing silently.
+// gatekeeper. The verifier keeps its memo unexported, so the test reads it
+// by reflection; a renamed field panics here rather than passing silently.
 func siteMemo(s *Site) (memo uintptr, hits, misses int) {
-	v := reflect.ValueOf(s.Gatekeeper).Elem().FieldByName("policy").Elem().
-		FieldByName("Auth").Elem().Elem().FieldByName("Verifier").Elem().FieldByName("sigs")
+	v := reflect.ValueOf(s.Policy.Auth.Verifier).Elem().FieldByName("sigs")
 	return v.Pointer(), int(v.Elem().FieldByName("Hits").Int()), int(v.Elem().FieldByName("Misses").Int())
 }
 

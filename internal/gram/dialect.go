@@ -171,13 +171,9 @@ func (g *Glue) translateErr(err error) error {
 	return fmt.Errorf("%w: %s", ErrOpaqueLocal, g.Dialect.Name)
 }
 
-// Submit implements Manager with request and error translation.
+// Submit hands the job to the inner manager with request and error
+// translation.
 func (g *Glue) Submit(j *Job) error {
 	j.Req = g.translate(j.Req)
 	return g.translateErr(g.Inner.Submit(j))
-}
-
-// Cancel implements Manager.
-func (g *Glue) Cancel(j *Job) error {
-	return g.translateErr(g.Inner.Cancel(j))
 }

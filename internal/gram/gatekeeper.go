@@ -26,7 +26,10 @@ const (
 // of these users").
 type SubmitRequest struct {
 	Cred *identity.Credential
-	Spec JobSpec
+	// Assertion, when set, admits the caller on a CAS assertion for
+	// ("submit", the gatekeeper's host) instead of a gridmap entry.
+	Assertion *gsi.Assertion
+	Spec      JobSpec
 	// Manager selects the job manager; empty picks the default.
 	Manager string
 	// CallbackHost/Service receive asynchronous state notifications.
@@ -139,7 +142,13 @@ func (g *Gatekeeper) EachJob(fn func(*Job)) {
 
 func (g *Gatekeeper) handleSubmit(from string, req SubmitRequest) (SubmitReply, error) {
 	now := g.net.Engine().Now()
-	local, subject, err := g.policy.Admit(req.Cred, "submit", now)
+	var local, subject string
+	var err error
+	if req.Assertion != nil {
+		local, subject, err = g.policy.AdmitWithAssertion(req.Cred, req.Assertion, "submit", g.host.Name, now)
+	} else {
+		local, subject, err = g.policy.Admit(req.Cred, "submit", now)
+	}
 	if err != nil {
 		g.AuthFailN++
 		return SubmitReply{}, err

@@ -377,3 +377,33 @@ func TestJobHistoryRecordsLifecycle(t *testing.T) {
 		t.Errorf("ran %v, want 30s", j.Ended-j.Started)
 	}
 }
+
+func TestGatekeeperAdmitsOnCASAssertion(t *testing.T) {
+	f := newGKFixture(t)
+	cas := gsi.NewCAS("vo", f.eng.ForkRand())
+	cas.AddMember("mallory")
+	cas.Grant("submit", "gk")
+	cas.Grant("submit", "other-gk")
+	f.gk.policy.TrustedCAS = map[string]*identity.Principal{"vo": cas.Signer()}
+	spec := JobSpec{RSL: `&(executable=/bin/sim)(maxWallTime=100)`, ActualRun: time.Second}
+	var errs []error
+	var replies []SubmitReply
+	for _, resource := range []string{"gk", "other-gk"} {
+		a, err := cas.Issue("mallory", "submit", resource, time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Submit(f.net, "client", "gk", SubmitRequest{Cred: f.evil, Assertion: a, Spec: spec}, time.Minute,
+			func(r SubmitReply, e error) { replies, errs = append(replies, r), append(errs, e) })
+	}
+	f.eng.Run()
+	if errs[0] != nil {
+		t.Fatalf("assertion for this gatekeeper refused: %v", errs[0])
+	}
+	if j := f.gk.Job(replies[0].JobID); j.Spec.Owner != "mallory" || j.Spec.LocalAccount != "community-vo" {
+		t.Errorf("admitted as (%q, %q), want (mallory, community-vo)", j.Spec.Owner, j.Spec.LocalAccount)
+	}
+	if !errors.Is(errs[1], gsi.ErrBadAssertion) || f.gk.AuthFailN != 1 {
+		t.Errorf("assertion for another gatekeeper: %v, AuthFailN = %d", errs[1], f.gk.AuthFailN)
+	}
+}

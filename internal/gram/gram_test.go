@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/rsl"
-	"repro/internal/silk"
 	"repro/internal/sim"
 )
 
@@ -286,45 +285,6 @@ func TestReservationErrors(t *testing.T) {
 	}
 }
 
-func TestForkManagerContention(t *testing.T) {
-	eng := sim.NewEngine(1)
-	node := silk.NewNode(eng, "n", silk.NodeSpec{Cores: 1, MaxFDs: 10})
-	m, err := NewForkManager(eng, node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1 := mkJob(t, "j1", `&(executable=a)`, 10*time.Second)
-	j2 := mkJob(t, "j2", `&(executable=b)`, 10*time.Second)
-	m.Submit(j1)
-	m.Submit(j2)
-	if j1.State() != Active || j2.State() != Active || len(m.tasks) != 2 {
-		t.Fatal("fork jobs not immediately active")
-	}
-	eng.Run()
-	// Both share 1 core: each 10 core-seconds → both done at 20s.
-	if j1.Ended != 20*time.Second || j2.Ended != 20*time.Second {
-		t.Errorf("ends %v %v, want 20s (best-effort stretch)", j1.Ended, j2.Ended)
-	}
-}
-
-func TestForkCancel(t *testing.T) {
-	eng := sim.NewEngine(1)
-	node := silk.NewNode(eng, "n", silk.NodeSpec{Cores: 1, MaxFDs: 10})
-	m, _ := NewForkManager(eng, node)
-	j := mkJob(t, "j", `&(executable=a)`, time.Hour)
-	m.Submit(j)
-	if err := m.Cancel(j); err != nil {
-		t.Fatal(err)
-	}
-	if j.State() != Cancelled {
-		t.Errorf("state = %v", j.State())
-	}
-	if err := m.Cancel(j); !errors.Is(err, ErrUnknownJob) {
-		t.Errorf("double: %v", err)
-	}
-	eng.Run()
-}
-
 func TestGlueTranslation(t *testing.T) {
 	eng := sim.NewEngine(1)
 	inner := NewBatchManager(eng, "batch", 4)
@@ -394,8 +354,5 @@ func TestCanonicalGluePerfectFidelity(t *testing.T) {
 func TestJobStateString(t *testing.T) {
 	if Pending.String() != "pending" || Done.String() != "done" {
 		t.Error("state names")
-	}
-	if !Done.Terminal() || Pending.Terminal() {
-		t.Error("Terminal()")
 	}
 }

@@ -1,13 +1,11 @@
 // Package gram implements the Globus Resource Allocation Manager: the
 // per-site gatekeeper that authenticates requests via GSI, authorizes them
 // through the site gridmap, and hands jobs to local-scheduler job
-// managers. Two job managers model the paper's local-resource spectrum: a
-// fork manager (immediate best-effort execution, contending on the node's
-// CPU) and a batch manager (FCFS queue with EASY backfill and *advance
-// reservations* — the paper's midnight-reservation example: "discover a
-// node that supports reservations, query for available timeslots, make a
-// reservation, claim the reservation each day, and bind it to the
-// application").
+// managers. The batch manager is an FCFS queue with EASY backfill and
+// *advance reservations*, the paper's midnight-reservation example:
+// "discover a node that supports reservations, query for available
+// timeslots, make a reservation, claim the reservation each day, and bind
+// it to the application".
 //
 // The dialect layer models the heterogeneity "glue" GT must provide
 // ("GT provides, in effect, a set of unifying interfaces through which
@@ -58,16 +56,13 @@ func (s JobState) String() string {
 	return fmt.Sprintf("JobState(%d)", int(s))
 }
 
-// Terminal reports whether no further transitions can occur.
-func (s JobState) Terminal() bool { return s == Done || s == Failed || s == Cancelled }
-
 // JobSpec is what a client submits: the RSL description plus the job's
 // true runtime (known to the workload generator, not to the scheduler,
 // which sees only maxWallTime).
 type JobSpec struct {
 	RSL string
 	// ActualRun is the job's true execution time at full allocation; the
-	// batch manager bills wall-clock, the fork manager core-seconds.
+	// batch manager bills it as wall-clock.
 	ActualRun time.Duration
 	// Owner is the authenticated grid subject (filled by the gatekeeper).
 	Owner string

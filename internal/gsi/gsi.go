@@ -4,12 +4,6 @@
 // gridmap files with black/white listing (the paper's §3.4 site-autonomy
 // mechanisms), and the Community Authorization Service (CAS) [Pearlman et
 // al. 2002] that issues community-scoped capability assertions.
-//
-// PlanetLab's thinner SSH-keypair model is implemented here too
-// (SSHAuthenticator) so the two stacks' security substrates can be
-// compared under one interface, mirroring §3.1: "PlanetLab provides
-// limited security functionality and services build their own security
-// layer if needed."
 package gsi
 
 import (
@@ -33,60 +27,17 @@ var (
 	ErrBadAssertion     = errors.New("gsi: CAS assertion signature invalid")
 )
 
-// Authenticator abstracts "prove who you are at time now". The Globus
-// stack uses chain validation; the PlanetLab stack uses raw key lookup.
-type Authenticator interface {
-	// Authenticate returns the canonical subject name, or an error.
-	Authenticate(cred *identity.Credential, now time.Duration) (string, error)
-}
-
 // ChainAuthenticator authenticates by validating the full certificate
 // chain against trusted CAs (the GSI model).
 type ChainAuthenticator struct {
 	Verifier *identity.Verifier
 }
 
-// Authenticate implements Authenticator via chain validation.
+// Authenticate returns the canonical subject name of a valid chain.
 func (a *ChainAuthenticator) Authenticate(cred *identity.Credential, now time.Duration) (string, error) {
 	subj, err := a.Verifier.Validate(cred, now)
 	if err != nil {
 		return "", fmt.Errorf("%w: %w", ErrNotAuthenticated, err)
-	}
-	return subj, nil
-}
-
-// SSHAuthenticator authenticates by matching the holder's public key
-// against a registry of enrolled keys — PlanetLab's model ("the security
-// infrastructure is based on SSH"). No chains, no delegation: a key either
-// is enrolled or is not, which is exactly why the paper notes PlanetLab
-// "currently does not provide a mechanism for identity delegation".
-type SSHAuthenticator struct {
-	keys map[string]string // fingerprint of public key -> subject
-}
-
-// NewSSHAuthenticator returns an empty key registry.
-func NewSSHAuthenticator() *SSHAuthenticator {
-	return &SSHAuthenticator{keys: make(map[string]string)}
-}
-
-func keyFingerprint(p *identity.Principal) string {
-	return string(p.Public())
-}
-
-// Enroll registers a principal's public key under its name.
-func (a *SSHAuthenticator) Enroll(p *identity.Principal) {
-	a.keys[keyFingerprint(p)] = p.Name
-}
-
-// Authenticate implements Authenticator by direct key lookup. The chain is
-// ignored; only the holder key matters.
-func (a *SSHAuthenticator) Authenticate(cred *identity.Credential, _ time.Duration) (string, error) {
-	if cred == nil || cred.Holder == nil {
-		return "", ErrNotAuthenticated
-	}
-	subj, ok := a.keys[keyFingerprint(cred.Holder)]
-	if !ok {
-		return "", fmt.Errorf("%w: key not enrolled", ErrNotAuthenticated)
 	}
 	return subj, nil
 }
@@ -143,7 +94,7 @@ func (g *Gridmap) Authorize(subject string) (string, error) {
 // honours at all (sites "retain control over local resources ... by
 // specifying and enforcing site-specific usage policies").
 type SitePolicy struct {
-	Auth    Authenticator
+	Auth    *ChainAuthenticator
 	Gridmap *Gridmap
 	// HonouredRights lists the VO-level rights this site will act on;
 	// nil means all.
@@ -158,9 +109,11 @@ type SitePolicy struct {
 
 // AdmitWithAssertion admits a subject on the strength of a CAS
 // assertion: the credential must authenticate as the assertion's
-// subject, the assertion must verify against the pinned community key
-// and cover (action, resource), and the subject lands in the shared
-// community account. Blacklists still apply — sites retain the veto.
+// subject and carry the action as a right (a proxy restricted to other
+// rights stays restricted), the assertion must verify against the pinned
+// community key and cover (action, resource), and the subject lands in
+// the shared community account. Blacklists still apply — sites retain
+// the veto.
 func (p *SitePolicy) AdmitWithAssertion(cred *identity.Credential, a *Assertion, action, resource string, now time.Duration) (local, subject string, err error) {
 	subject, err = p.Auth.Authenticate(cred, now)
 	if err != nil {
@@ -168,6 +121,9 @@ func (p *SitePolicy) AdmitWithAssertion(cred *identity.Credential, a *Assertion,
 	}
 	if p.Gridmap != nil && p.Gridmap.blacklist[subject] {
 		return "", subject, fmt.Errorf("%w: %q", ErrBlacklisted, subject)
+	}
+	if !cred.HasRight(action) {
+		return "", subject, fmt.Errorf("%w: %q", ErrRightDenied, action)
 	}
 	if a == nil {
 		return "", subject, fmt.Errorf("%w: none presented", ErrBadAssertion)

@@ -39,56 +39,17 @@ func TestChainAuthenticator(t *testing.T) {
 	if err != nil || subj != "alice" {
 		t.Fatalf("Authenticate = (%q, %v)", subj, err)
 	}
-	// The refusal is gsi's, the cause stays identity's typed error.
-	if _, err := f.auth.Authenticate(f.alice, 600*hour); !errors.Is(err, ErrNotAuthenticated) || !errors.Is(err, identity.ErrExpired) {
-		t.Errorf("expired: %v", err)
-	}
-}
-
-func TestSSHAuthenticator(t *testing.T) {
-	f := newFixture()
-	ssh := NewSSHAuthenticator()
-	ssh.Enroll(f.alice.Holder)
-	subj, err := ssh.Authenticate(f.alice, hour)
-	if err != nil || subj != "alice" {
-		t.Fatalf("ssh auth = (%q, %v)", subj, err)
-	}
-	if _, err := ssh.Authenticate(f.bob, hour); !errors.Is(err, ErrNotAuthenticated) {
-		t.Errorf("unenrolled: %v", err)
-	}
-	if _, err := ssh.Authenticate(nil, hour); !errors.Is(err, ErrNotAuthenticated) {
-		t.Errorf("nil cred: %v", err)
-	}
-}
-
-func TestSSHAuthenticatorIgnoresExpiry(t *testing.T) {
-	// SSH keys do not expire — one of the paper's contrasts with GSI.
-	f := newFixture()
-	ssh := NewSSHAuthenticator()
-	ssh.Enroll(f.alice.Holder)
-	if _, err := ssh.Authenticate(f.alice, 10000*hour); err != nil {
-		t.Errorf("ssh auth at far future: %v", err)
-	}
-}
-
-func TestSSHAuthenticatorRejectsProxyDelegation(t *testing.T) {
-	// A proxy key is a fresh key pair; without enrollment SSH auth fails —
-	// demonstrating "PlanetLab currently does not provide a mechanism for
-	// identity delegation".
-	f := newFixture()
-	ssh := NewSSHAuthenticator()
-	ssh.Enroll(f.alice.Holder)
+	// A proxy authenticates as the user who delegated it.
 	proxy, err := f.alice.Delegate("alice/proxy", 0, 10*hour, nil, f.rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ssh.Authenticate(proxy, hour); !errors.Is(err, ErrNotAuthenticated) {
-		t.Errorf("delegated proxy under SSH model: %v", err)
-	}
-	// Whereas the chain authenticator accepts it as alice.
-	subj, err := f.auth.Authenticate(proxy, hour)
-	if err != nil || subj != "alice" {
+	if subj, err := f.auth.Authenticate(proxy, hour); err != nil || subj != "alice" {
 		t.Errorf("chain auth of proxy = (%q, %v)", subj, err)
+	}
+	// The refusal is gsi's, the cause stays identity's typed error.
+	if _, err := f.auth.Authenticate(f.alice, 600*hour); !errors.Is(err, ErrNotAuthenticated) || !errors.Is(err, identity.ErrExpired) {
+		t.Errorf("expired: %v", err)
 	}
 }
 
@@ -299,6 +260,11 @@ func TestAdmitWithAssertionRejections(t *testing.T) {
 	// No assertion at all (used to dereference nil inside the gatekeeper).
 	if _, subj, err := pol.AdmitWithAssertion(f.alice, nil, "read", "r1", hour); !errors.Is(err, ErrBadAssertion) || subj != "alice" {
 		t.Errorf("nil assertion: (%q, %v)", subj, err)
+	}
+	// A proxy restricted to other rights cannot use the assertion.
+	narrow, _ := f.alice.Delegate("alice/query-only", 0, 10*hour, []string{"query"}, f.rng)
+	if _, _, err := pol.AdmitWithAssertion(narrow, a, "read", "r1", hour); !errors.Is(err, ErrRightDenied) {
+		t.Errorf("restricted proxy: %v", err)
 	}
 	// Expired assertion.
 	if _, _, err := pol.AdmitWithAssertion(f.alice, a, "read", "r1", 11*hour); !errors.Is(err, ErrAssertionExpired) {

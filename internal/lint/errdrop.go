@@ -30,7 +30,6 @@ var errdropTargets = map[string]bool{
 	"DeploySlice": true,
 	"Acquire":     true,
 	"Stock":       true,
-	"Barter":      true,
 	// Resilience-era accounting calls: a renewal or cancel whose error
 	// vanishes is a lease that lapses (or a job that leaks) silently, and
 	// a retry loop's terminal error is the only record that it gave up.

@@ -231,14 +231,6 @@ func (c *Context) RunTask(name string, coreSeconds float64, onDone func()) (*sim
 	return t, nil
 }
 
-// KillTask aborts a running task without its completion callback.
-func (c *Context) KillTask(t *sim.FluidConsumer) {
-	if _, ok := c.running[t]; ok {
-		c.node.cpu.Remove(t)
-		delete(c.running, t)
-	}
-}
-
 // CPUUsed returns accumulated core-seconds of completed work.
 func (c *Context) CPUUsed() float64 { return c.cpuUsed }
 

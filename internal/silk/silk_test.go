@@ -228,18 +228,6 @@ func TestFDDefaultFromNode(t *testing.T) {
 	}
 }
 
-func TestKillTask(t *testing.T) {
-	eng, n := newNode(t)
-	c, _ := n.NewContext("a", ContextSpec{})
-	fired := false
-	task, _ := c.RunTask("t", 100, func() { fired = true })
-	eng.Schedule(time.Second, func() { c.KillTask(task) })
-	eng.Run()
-	if fired {
-		t.Error("killed task completed")
-	}
-}
-
 func TestRunTaskOnClosedContext(t *testing.T) {
 	_, n := newNode(t)
 	c, _ := n.NewContext("a", ContextSpec{})

@@ -208,11 +208,12 @@ func (s *FluidSystem) NewResource(name string, capacity float64) *FluidResource 
 // Add starts a consumer with the given amount of work across the listed
 // resources and returns it. A consumer with no resources is limited only
 // by its Limit (or runs instantaneously if Limit is 0 — disallowed).
-// Zero work completes immediately: OnDone fires before Add returns. A
-// consumer that is not live (finished or removed) may be added again; it
-// keeps its resources' backing array, so re-arming one allocates nothing.
+// OnDone never runs inside Add: zero work completes in a zero-delay event
+// of the consumer's own, which Remove cancels. A consumer that is not
+// live (finished or removed) may be added again; it keeps its resources'
+// backing array, so re-arming one allocates nothing.
 func (s *FluidSystem) Add(c *FluidConsumer, work float64, resources ...*FluidResource) *FluidConsumer {
-	if c.live {
+	if c.live || c.done.live() {
 		panic(fmt.Sprintf("sim: consumer %q added while live", c.Name))
 	}
 	if !(c.Weight > 0) || math.IsInf(c.Weight, 0) { // the negation also catches NaN
@@ -237,12 +238,9 @@ func (s *FluidSystem) Add(c *FluidConsumer, work float64, resources ...*FluidRes
 	c.resources = append(c.resources[:0], resources...)
 	c.lastUpdate = s.eng.Now()
 	if work <= c.doneEps() {
-		// Nothing to transfer: complete synchronously without ever joining
-		// the allocation, as the previous global recompute did.
+		// Nothing to transfer: complete without joining the allocation.
 		c.remaining = 0
-		if c.OnDone != nil {
-			c.OnDone()
-		}
+		c.done = s.eng.ScheduleFire(0, (*consumerFirer)(c))
 		return c
 	}
 	s.seqC++
@@ -259,7 +257,12 @@ func (s *FluidSystem) Add(c *FluidConsumer, work float64, resources ...*FluidRes
 
 // Remove cancels a consumer without firing OnDone. Safe on finished ones.
 func (s *FluidSystem) Remove(c *FluidConsumer) {
-	if !c.live || c.sys != s {
+	if c.sys != s {
+		return
+	}
+	if !c.live {
+		s.eng.Cancel(c.done) // a zero-work completion not yet fired
+		c.done = Event{}
 		return
 	}
 	c.settle()
@@ -619,7 +622,12 @@ func (f *consumerFirer) Fire() {
 }
 
 func (s *FluidSystem) finish(c *FluidConsumer) {
+	c.done = Event{}
 	if !c.live {
+		// Added with zero work: it never joined the allocation.
+		if c.OnDone != nil {
+			c.OnDone()
+		}
 		return
 	}
 	c.settle()

@@ -235,8 +235,6 @@ func (f *Flow) retune(key [2]string) {
 
 // arm starts st carrying bytes along path p, capped at the path's current
 // Mathis limit: a stream made at start, or one the flow has just dropped.
-// It joins the flow's books before the fluid system, which completes a
-// stream of negligible bytes before Add returns.
 func (f *Flow) arm(st *stream, p int, bytes float64) {
 	st.path = p
 	st.Limit = f.net.pathLimit(f.paths[p].segs)

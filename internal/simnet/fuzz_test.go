@@ -176,9 +176,10 @@ func FuzzControlPlaneConserves(f *testing.F) {
 // FuzzFlowPlaneConserves scripts pooled and striped flows over direct and
 // relayed paths through cuts, heals, crashes, recoveries, loss and
 // latency churn, and StartFlow calls with NaN, infinite, zero or negative
-// bytes or a NaN, infinite or negative weight, over the three-site test
-// network at 1% base loss. After every step, and after a final drain, it
-// checks the data plane's books:
+// bytes or a NaN, infinite or negative weight, or with bytes below the
+// fluid tolerance, over the three-site test network at 1% base loss. A
+// flow's completion must find it already returned by StartFlow. After
+// every step, and after a final drain, it checks the data plane's books:
 //   - started = done + failed + active, and a refused flow is not started;
 //   - the bytes credited to the hosts (BytesSent) never exceed the bytes
 //     of the flows started, and after the drain cover every completed
@@ -197,6 +198,7 @@ func FuzzFlowPlaneConserves(f *testing.F) {
 	f.Add([]byte{1, 232, 9, 50, 3, 2, 9, 20, 4, 2, 2, 8, 9, 255})
 	f.Add([]byte{2, 0, 2, 1, 2, 2, 2, 3, 2, 4, 2, 5, 2, 6, 2, 7, 0, 8, 9, 255})
 	f.Add([]byte{0, 232, 6, 0, 9, 40, 8, 2, 9, 40, 6, 14, 7, 0, 8, 1, 9, 60, 3, 0})
+	f.Add([]byte{10, 232, 10, 1, 0, 232, 10, 2, 3, 2, 10, 3, 9, 255})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 256 {
 			return
@@ -211,6 +213,7 @@ func FuzzFlowPlaneConserves(f *testing.F) {
 			{1e6, -2}, // a weight of 0 or less means the default 1
 		}
 		var flows []*Flow
+		recorded := map[*Flow]bool{}
 		startedBytes := 0.0
 		check := func(step int) {
 			t.Helper()
@@ -266,12 +269,17 @@ func FuzzFlowPlaneConserves(f *testing.F) {
 				opts.Paths = append(opts.Paths, relays)
 			}
 			invalid := !(bytes > 0) || math.IsInf(bytes, 0) || math.IsNaN(weight) || math.IsInf(weight, 0)
-			fl, err := n.StartFlow(from, to, bytes, opts, nil)
+			fl, err := n.StartFlow(from, to, bytes, opts, func(fl *Flow) {
+				if !recorded[fl] {
+					t.Fatalf("a flow of %v bytes completed before StartFlow returned it", fl.Bytes)
+				}
+			})
 			switch {
 			case err == nil && invalid:
 				t.Fatalf("StartFlow(%v bytes, weight %v) accepted", bytes, weight)
 			case err == nil:
 				flows = append(flows, fl)
+				recorded[fl] = true
 				startedBytes += bytes
 			case invalid, errors.Is(err, ErrHostDown), errors.Is(err, ErrPartitioned):
 			default:
@@ -279,7 +287,7 @@ func FuzzFlowPlaneConserves(f *testing.F) {
 			}
 		}
 		for i := 0; i+1 < len(script); i += 2 {
-			op, arg := script[i]%10, script[i+1]
+			op, arg := script[i]%11, script[i+1]
 			pair := pairs[int(arg)%3]
 			switch op {
 			case 0, 1:
@@ -304,6 +312,9 @@ func FuzzFlowPlaneConserves(f *testing.F) {
 				}
 			case 9:
 				eng.RunUntil(eng.Now() + time.Duration(arg)*20*time.Millisecond)
+			case 10:
+				// Below the fluid tolerance of 1e-9 per stream.
+				start(arg, float64(1+arg%4)*1e-12, 1, arg&1 == 0)
 			}
 			check(i / 2)
 		}
